@@ -74,6 +74,7 @@ __all__ = [
 
 _REGISTRY: "dict[str, ContentCache]" = {}
 _LOCK = threading.Lock()
+_MISSING = object()  # get() default that no cached value can be
 
 # One global switch for every geometry/tour/scenario cache.  The environment
 # variable gives CI and benchmark harnesses an off-switch without code changes
@@ -116,23 +117,20 @@ class ContentCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self._hit = _obs.counter("cache_requests", cache=name, outcome="hit")
+        self._miss = _obs.counter("cache_requests", cache=name, outcome="miss")
         register_cache(self)
 
     def get(self, key: Any, default: Any = None) -> Any:
-        if not _ENABLED:
-            self.misses += 1
-            _obs.inc("cache_requests", cache=self.name, outcome="miss")
-            return default
         with _LOCK:
-            try:
-                value = self._data[key]
-            except KeyError:
+            value = self._data.get(key, _MISSING) if _ENABLED else _MISSING
+            if value is _MISSING:
                 self.misses += 1
-                _obs.inc("cache_requests", cache=self.name, outcome="miss")
+                self._miss()
                 return default
             self._data.move_to_end(key)
             self.hits += 1
-            _obs.inc("cache_requests", cache=self.name, outcome="hit")
+            self._hit()
             return value
 
     def put(self, key: Any, value: Any) -> None:
@@ -148,9 +146,8 @@ class ContentCache:
 
     def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
         """Cached value for ``key``, computing (and storing) it on a miss."""
-        sentinel = object()
-        value = self.get(key, sentinel)
-        if value is sentinel:
+        value = self.get(key, _MISSING)
+        if value is _MISSING:
             value = compute()
             self.put(key, value)
         return value

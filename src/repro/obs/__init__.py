@@ -32,6 +32,7 @@ from repro.obs.registry import (
     Window,
     absorb,
     configure,
+    counter,
     drain,
     inc,
     obs_collected,
@@ -57,6 +58,7 @@ __all__ = [
     "obs_disabled",
     "obs_collected",
     "inc",
+    "counter",
     "observe",
     "span",
     "snapshot",

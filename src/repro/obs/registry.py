@@ -3,7 +3,8 @@
 One registry per process, default **off**.  Every instrumentation site in
 the library goes through three verbs:
 
-* :func:`inc` — bump a named counter (with optional labels);
+* :func:`inc` — bump a named counter (with optional labels;
+  :func:`counter` binds them once for call sites hit per cell);
 * :func:`observe` — feed a value into a running histogram
   (count / sum / min / max — no buckets, so merging is exact);
 * :func:`span` — open a nestable timed span (explicit parentage via a
@@ -42,6 +43,7 @@ track per process.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
@@ -54,6 +56,7 @@ __all__ = [
     "obs_disabled",
     "obs_collected",
     "inc",
+    "counter",
     "observe",
     "span",
     "snapshot",
@@ -131,13 +134,21 @@ def _labels_key(labels: dict) -> tuple:
     return tuple(sorted(labels.items()))
 
 
+def _add(key: tuple, value: float = 1) -> None:
+    if _ENABLED:
+        with _LOCK:
+            _counters[key] = _counters.get(key, 0) + value
+
+
 def inc(name: str, value: float = 1, **labels) -> None:
     """Add ``value`` to the counter ``name`` (no-op while disabled)."""
-    if not _ENABLED:
-        return
-    key = (name, _labels_key(labels))
-    with _LOCK:
-        _counters[key] = _counters.get(key, 0) + value
+    if _ENABLED:
+        _add((name, _labels_key(labels)), value)
+
+
+def counter(name: str, **labels) -> "functools.partial":
+    """:func:`inc` with its labels bound once, for call sites hit per cell."""
+    return functools.partial(_add, (name, _labels_key(labels)))
 
 
 def observe(name: str, value: float, **labels) -> None:

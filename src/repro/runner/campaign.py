@@ -1,13 +1,13 @@
-"""Campaign execution: fan independent run cells out over worker processes.
+"""Campaign execution: batch what stacks, fan the rest out over worker processes.
 
 Every cell of a campaign — one ``(RunSpec, seed)`` pair — is an independent
 work unit: it builds its scenario from the scenario spec + seed, plans,
 simulates and reduces to one tidy record (a flat dict of cell coordinates and
-metric values).  Cells therefore parallelise embarrassingly; the executor
-uses a :class:`concurrent.futures.ProcessPoolExecutor` when ``max_workers``
-asks for one, falls back to a serial loop otherwise, and preserves the
-deterministic cell order either way — a campaign's records are **identical**
-serial or parallel, byte for byte.
+metric values).  The executor evaluates every batch-eligible cell in one
+stacked tensor pass (:mod:`repro.sim.batchpath`) and runs the rest on a
+:class:`concurrent.futures.ProcessPoolExecutor` when ``max_workers`` asks
+for one, serially otherwise, preserving the deterministic cell order — a
+campaign's records are **identical** serial or parallel, byte for byte.
 
 Cells that share a scenario description — every strategy of a grid axis runs
 against the same ``(family, params, seed)`` triple, and a pinned scenario
@@ -28,6 +28,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import starmap
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -37,6 +38,7 @@ from repro.baselines.base import get_strategy, strategy_params
 from repro.geometry.cache import ContentCache, cache_enabled, configure as _configure_caches
 from repro.network.scenario import Scenario
 from repro.obs import registry as _obs
+from repro.planning.kernels import configure as _configure_vector, vector_enabled as _vector_enabled
 from repro.runner.record_metrics import compute_metric, metric_name
 from repro.runner.spec import CampaignSpec, RunSpec
 from repro.sim.engine import PatrolSimulator
@@ -112,11 +114,10 @@ _TIMING_CELLS: list[tuple[float, float]] = []
 def _collect_timings():
     """Scope the per-cell wall-clock collector; yields the collected pairs.
 
-    Cells dispatched through :func:`execute_run` in this process are timed
-    directly; pool-worker cells are timed in the worker and merged here by
-    the parent's result loop (see :func:`_execute_run_traced`).  Batched
-    tensor cells (one stacked pass, no per-cell planning) and store hits
-    (no execution at all) contribute nothing — ``cells_timed`` in the
+    Every cell the batch layer declines is timed — in this process, or in a
+    pool worker that sends its pair back (see :func:`_merge_timing`).
+    Batched tensor cells (one stacked pass, no per-cell planning) and store
+    hits (no execution at all) contribute nothing — ``cells_timed`` in the
     resulting metadata says how much of the campaign the split covers.
     """
     global _TIMING_ACTIVE
@@ -177,10 +178,16 @@ def execute_run(spec: RunSpec) -> dict:
     :func:`build_cell_scenario`); records are byte-identical with caching on
     or off.
     """
-    record, pair = _execute_run_timed(spec)
+    return _merge_timing(*_execute_run_timed(spec))
+
+
+def _merge_timing(record: dict, pair: "tuple[float, float]", payload: "dict | None" = None) -> dict:
+    """Fold one cell's timing pair (and a pool worker's obs payload) in; return its record."""
     if _TIMING_ACTIVE:
         with _TIMING_LOCK:
             _TIMING_CELLS.append(pair)
+    if payload is not None:
+        _obs.absorb(payload)
     return record
 
 
@@ -233,15 +240,11 @@ def _execute_run_timed(spec: RunSpec) -> "tuple[dict, tuple[float, float]]":
 def _execute_run_traced(spec: RunSpec) -> "tuple[dict, tuple[float, float], dict | None]":
     """Pool-worker cell execution: record + wall-clock pair + obs payload.
 
-    Workers cannot reach the parent's timing accumulator or registry, so
-    both travel back with the record: the parent merges the pair into the
-    campaign timing (closing PR 9's serial-only gap) and absorbs the
-    drained registry payload (counters add up exactly; span timestamps are
-    rebased — see :func:`repro.obs.registry.absorb`).
+    Workers cannot reach the parent's timing accumulator or registry, so both
+    travel back with the record for :func:`_merge_timing` (counters add up
+    exactly; span timestamps are rebased — see :func:`repro.obs.registry.absorb`).
     """
-    record, pair = _execute_run_timed(spec)
-    payload = _obs.drain() if _obs.obs_enabled() else None
-    return record, pair, payload
+    return (*_execute_run_timed(spec), _obs.drain() if _obs.obs_enabled() else None)
 
 
 def execute_cell(spec: RunSpec, *, store=None) -> "tuple[dict, str]":
@@ -277,10 +280,56 @@ def execute_cell(spec: RunSpec, *, store=None) -> "tuple[dict, str]":
     return record, "executed"
 
 
-def _init_worker_state(cache_on: bool, obs_on: bool) -> None:
-    """Pool-worker initializer: mirror the parent's global switches."""
+def _init_worker_state(cache_on: bool, obs_on: bool, vector_on: bool) -> None:
+    """Pool-worker initializer: mirror the parent's global switches.
+
+    Workers run no batch, so the batchpath switch needs no mirroring.  The
+    registry a fork inherits is reset, or every drain() would report it again.
+    """
     _configure_caches(enabled=cache_on)
     _obs.configure(enabled=obs_on)
+    _obs.reset()
+    _configure_vector(enabled=vector_on)
+
+
+@contextmanager
+def _per_cell_records(specs: "list[RunSpec]", max_workers: "int | None"):
+    """Yield an iterator over the records of ``specs`` run per cell, in order.
+
+    A pool runs them when ``max_workers`` > 1 and two or more cells are given
+    (leaving the block cancels any not started); else each ``next()`` runs one.
+    """
+    pool = None
+    if max_workers is not None and max_workers > 1 and len(specs) > 1:
+        try:
+            mp_context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - spawn-only platforms
+            mp_context = None
+        try:
+            # Workers inherit the parent's switches explicitly: spawn-started
+            # processes re-import with the defaults, and even forked ones
+            # would miss a configure() call made after the pool was created —
+            # the initializer makes the state deterministic.
+            pool = ProcessPoolExecutor(
+                max_workers=max_workers,
+                mp_context=mp_context,
+                initializer=_init_worker_state,
+                initargs=(cache_enabled(), _obs.obs_enabled(), _vector_enabled()),
+            )
+        except OSError as exc:  # platforms without process support
+            # Only pool *construction* falls back to serial — an error raised
+            # by a cell is a real failure and must propagate, not trigger a
+            # silent from-scratch serial rerun.
+            warnings.warn(f"parallel execution unavailable ({exc!r}); running serially",
+                          RuntimeWarning, stacklevel=4)
+    if pool is None:
+        yield map(execute_run, specs)
+        return
+    try:
+        chunksize = max(1, len(specs) // (max_workers * 4))
+        yield starmap(_merge_timing, pool.map(_execute_run_traced, specs, chunksize=chunksize))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def execute_many(
@@ -291,12 +340,16 @@ def execute_many(
     on_record: Callable[[int, dict], None] | None = None,
     cancel: Callable[[], bool] | None = None,
 ) -> list[dict]:
-    """Execute run specs, optionally across processes; results keep spec order.
+    """Execute run specs, batch first, then per cell; results keep spec order.
 
-    ``max_workers`` of ``None``/``0``/``1`` runs serially in-process.  Worker
-    processes are only worth their startup cost for non-trivial cell counts,
-    and the output is identical either way.  ``progress(done, total)`` is
-    called after each completed cell (serial mode only calls it in order).
+    The batched fast path (:mod:`repro.sim.batchpath`) evaluates every
+    batch-eligible cell in one in-process tensor pass; only the cells it
+    declines run per cell through :func:`execute_run` — over ``max_workers``
+    processes when that is above 1 and at least two remain, serially
+    otherwise.  A campaign the batch covers entirely starts no worker, and
+    records are byte-identical whichever way a cell ran.
+
+    ``progress(done, total)`` is called after each completed cell.
     ``on_record(index, record)`` streams each finished record (in spec order,
     before ``progress``) — the resumable executor uses it to write results
     back to the store as they complete, so a killed campaign keeps its
@@ -309,82 +362,27 @@ def execute_many(
     strategies/metrics registered at runtime stay visible in the pool.  On
     spawn-only platforms (Windows), custom registrations must happen at
     import time of a module the workers also import.
-
-    The serial path first hands the whole spec list to the batched fast path
-    (:mod:`repro.sim.batchpath`), which evaluates every batch-eligible cell
-    in one stacked tensor pass and leaves the rest to the ordinary per-cell
-    :func:`execute_run`; records are byte-identical either way, and the
-    callbacks still fire per cell in spec order.
     """
     specs = list(specs)
     if cancel is not None and cancel():
         return []
-    if max_workers is not None and max_workers > 1 and len(specs) > 1:
-        try:
-            mp_context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - spawn-only platforms
-            mp_context = None
-        try:
-            # Workers inherit the parent's cache and obs switches explicitly:
-            # spawn-started processes re-import with the defaults, and even
-            # forked ones would miss a configure() call made after the pool
-            # was created — the initializer makes the state deterministic.
-            pool = ProcessPoolExecutor(
-                max_workers=max_workers,
-                mp_context=mp_context,
-                initializer=_init_worker_state,
-                initargs=(cache_enabled(), _obs.obs_enabled()),
-            )
-        except OSError as exc:  # platforms without process support
-            # Only pool *construction* falls back to serial — an error raised
-            # by a cell is a real failure and must propagate, not trigger a
-            # silent from-scratch serial rerun.
-            warnings.warn(f"parallel execution unavailable ({exc!r}); running serially",
-                          RuntimeWarning, stacklevel=2)
-        else:
-            with pool:
-                chunksize = max(1, len(specs) // (max_workers * 4))
-                records = []
-                # Timing and obs payloads travel back with each record (a
-                # worker cannot reach this process's accumulators); the
-                # plain mapper stays on the wire when neither is collecting,
-                # so the common path ships records and nothing else.
-                traced = _TIMING_ACTIVE or _obs.obs_enabled()
-                mapper = _execute_run_traced if traced else execute_run
-                for item in pool.map(mapper, specs, chunksize=chunksize):
-                    if traced:
-                        record, pair, payload = item
-                        if _TIMING_ACTIVE:
-                            with _TIMING_LOCK:
-                                _TIMING_CELLS.append(pair)
-                        if payload is not None:
-                            _obs.absorb(payload)
-                    else:
-                        record = item
-                    records.append(record)
-                    if on_record is not None:
-                        on_record(len(records) - 1, record)
-                    if progress is not None:
-                        progress(len(records), len(specs))
-                    if cancel is not None and cancel():
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        break
-                return records
     # Imported lazily: batchpath pulls in campaign helpers, and eager
     # circular imports would tie module load order in knots.
     from repro.sim.batchpath import batch_execute_records
 
-    pre = batch_execute_records(specs)
-    records = []
-    for index, spec in enumerate(specs):
-        record = pre[index]
-        records.append(record if record is not None else execute_run(spec))
-        if on_record is not None:
-            on_record(len(records) - 1, records[-1])
-        if progress is not None:
-            progress(len(records), len(specs))
-        if cancel is not None and cancel():
-            break
+    records = batch_execute_records(specs)
+    remainder = [spec for spec, record in zip(specs, records) if record is None]
+    with _per_cell_records(remainder, max_workers) as fresh:
+        for index, record in enumerate(records):
+            if record is None:
+                records[index] = record = next(fresh)
+            if on_record is not None:
+                on_record(index, record)
+            if progress is not None:
+                progress(index + 1, len(specs))
+            if cancel is not None and cancel():
+                del records[index + 1:]
+                break
     return records
 
 
@@ -607,9 +605,9 @@ class Campaign:
     spec : CampaignSpec or RunSpec
         What to execute; a bare :class:`RunSpec` becomes a one-cell campaign.
     max_workers : int, optional
-        ``None`` (or 1) runs serially in-process; any larger value fans the
-        cells out over that many worker processes.  Records come back in
-        deterministic cell order either way, with identical contents.
+        Any value above 1 fans the cells the batched fast path declines out
+        over that many worker processes; ``None`` (or 1) runs them serially.
+        Records come back in deterministic cell order, with identical contents.
 
     Notes
     -----
@@ -687,8 +685,8 @@ class Campaign:
         -----
         The result metadata always gains a ``"timing"`` block
         (``cells_timed`` / ``planning_s`` / ``simulation_s``): the plan-time
-        vs sim-time wall-clock split over the cells that ran through
-        per-cell dispatch, in this process or in a pool worker (workers
+        vs sim-time wall-clock split over the cells the batch layer declined,
+        which ran per cell in this process or in a pool worker (workers
         return their pair alongside the record).  Batched tensor cells and
         store hits are not timed per cell, so ``cells_timed`` may be less
         than ``num_cells``.  Timing lives in metadata only — records stay

@@ -21,7 +21,7 @@ So this module groups a campaign's eligible cells by **leg-pattern shape**
 (rows of identical interleaved travel/dwell length), stacks every
 ``(cell, mule)`` row into one matrix and runs a single ``np.cumsum(axis=1)``
 over the whole block — the (cells × mules × legs) tensor pass — then reduces
-each cell straight to its tidy record dict without ever materialising
+each distinct row set once to its record metrics without ever materialising
 :class:`~repro.sim.recorder.VisitRecord` objects.  Per-row sequential
 additions inside the stacked cumsum are bit-for-bit the additions the engine
 would have performed, so records are **byte-identical** to per-cell dispatch
@@ -39,7 +39,7 @@ wrong answer:
   :class:`~repro.sim.recorder.SimulationResult`, which the batch never
   builds);
 * no duplicate event timestamps, and the lap estimate must clear the
-  horizon (both verified *after* the tensor pass, per cell).
+  horizon (both verified *after* the tensor pass, per row set).
 
 Toggle with :attr:`repro.sim.engine.SimulationConfig.batch_path` per spec,
 :func:`configure` per process, or the ``REPRO_BATCHPATH`` environment
@@ -53,6 +53,7 @@ import json
 import os
 import threading
 from contextlib import contextmanager
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -98,12 +99,12 @@ _PLAN_CACHE = ContentCache("batch_plan", maxsize=128)
 # Prepared increment rows memoized by (plan key, horizon, synchronized
 # start): everything a row reads — routes, mule velocities and deployment
 # positions, the collection dwell — is a function of that key, so every
-# replication cell of a pinned scenario shares one row set (and its cumsum
-# output, which depends only on the row).  Cells whose row construction
-# falls back cache the sentinel so identical cells skip straight to the
-# scalar path.
+# replication cell of a pinned scenario shares one row set, its cumsum
+# output and its reduction (see _RowSet) — or its construction fallback.
 _ROW_CACHE = ContentCache("batch_rows", maxsize=256)
-_ROW_FALLBACK = "fallback"
+
+# Bumped once per batched cell: labels bound once (see repro.obs.counter).
+_BATCHED = _obs.counter("batch_dispatch", outcome="batch")
 
 # One process-wide switch for the batched dispatch.  The environment variable
 # gives CI and benchmark harnesses an off-switch without code changes
@@ -238,29 +239,23 @@ class _Row:
         inc[1::2] = dwells
         self.inc = inc
         self.full: "np.ndarray | None" = None  # filled by the stacked cumsum
-        # Lazy per-row prefix sums of travelled distance (see _finish_cell).
+        # Lazy per-row prefix sums of travelled distance (see _reduce_rows).
         self.dist_prefix: "np.ndarray | None" = None
         self.init_prefix: "np.ndarray | None" = None
 
 
-class _Cell:
+class _RowSet(list):
+    """One row key's rows; ``reduced`` memoizes their reduction or decline reason."""
+    reduced: "dict | str | None" = None
+
+
+class _Cell(NamedTuple):
     """One campaign cell prepared for batch evaluation."""
 
-    __slots__ = (
-        "spec", "scenario", "plan", "sink_id", "rows", "target_ids",
-        "rates_arr",
-    )
-
-    def __init__(
-        self, spec, scenario, plan, sink_id, rows, target_ids, rates_arr
-    ) -> None:
-        self.spec = spec
-        self.scenario = scenario
-        self.plan = plan
-        self.sink_id = sink_id
-        self.rows = rows
-        self.target_ids = target_ids
-        self.rates_arr = rates_arr
+    spec: Any
+    scenario: Any
+    plan: Any
+    rows: _RowSet
 
 
 def _reject(reason: str) -> None:
@@ -269,9 +264,9 @@ def _reject(reason: str) -> None:
     The reason taxonomy is the end-to-end dispatch story ("why is this
     sweep slow"): static spec vetoes (``batch-path-disabled`` /
     ``max-visits`` / ``custom-metrics`` / ``tracked-energy``), the scalar
-    fast path's own rejection prefixed ``fastpath-``, row construction
-    fallbacks (``row-fallback``), and the two post-tensor per-cell checks
-    (``lap-estimate``, ``order-dependent``).
+    fast path's own rejection prefixed ``fastpath-``, and the declines
+    memoized per row set — ``row-fallback`` and the post-tensor checks
+    ``lap-estimate`` / ``order-dependent`` — counted once per declined cell.
     """
     _obs.inc("batch_dispatch", outcome="scalar", reason=reason)
     return None
@@ -322,22 +317,18 @@ def _prepare_cell(spec) -> "_Cell | None":
     node_tidx[sim._sink_id] = len(targets)
     row_key = (plan_key, cfg.horizon, cfg.synchronized_start)
     rows = _ROW_CACHE.get(row_key)
-    if rows is _ROW_FALLBACK:
-        return _reject("row-fallback")
     if rows is None:
         try:
-            rows = [
+            rows = _RowSet(
                 _Row(sim, mule, plan.route_for(mule.id), sync_time, node_code,
                      node_tidx)
                 for mule in scenario.mules
-            ]
+            )
         except _Fallback:
-            _ROW_CACHE.put(row_key, _ROW_FALLBACK)
-            return _reject("row-fallback")
+            rows = _RowSet()
+            rows.reduced = "row-fallback"
         _ROW_CACHE.put(row_key, rows)
-    target_ids = [t.id for t in targets]
-    rates_arr = np.array([t.data_rate for t in targets], dtype=float)
-    return _Cell(spec, scenario, plan, sim._sink_id, rows, target_ids, rates_arr)
+    return _Cell(spec, scenario, plan, rows)
 
 
 # --------------------------------------------------------------------------- #
@@ -410,11 +401,14 @@ def _ties_are_benign(times_all, codes_all, tidx_all, row_all) -> bool:
     return True
 
 
-def _finish_cell(cell: _Cell) -> "dict | None":
-    """Reduce one cumsum'd cell to its record; ``None`` → scalar fallback."""
-    spec = cell.spec
-    cfg = spec.sim
-    horizon = cfg.horizon
+def _reduce_rows(cell: _Cell) -> "dict | str":
+    """A cumsum'd row set's five record metrics, or why the batch declines it.
+
+    Everything read here — horizon, target ids and rates, sink, plan, rows —
+    is a function of the row key, so cells sharing the row set share this.
+    """
+    horizon = cell.spec.sim.horizon
+    targets = cell.scenario.targets
 
     per_mule_distance: list[float] = []
     kept_times: list[np.ndarray] = []
@@ -428,7 +422,7 @@ def _finish_cell(cell: _Cell) -> "dict | None":
         arrivals = full[1::2]
         if row.cyclic and arrivals[-1] <= horizon:
             # Lap estimate fell short: the scalar path extends exactly.
-            return _reject("lap-estimate")
+            return "lap-estimate"
         n_keep = int(np.searchsorted(arrivals, horizon, side="right"))
         init_applied = 1 if (row.init_event and row.init_time <= horizon) else 0
         applied = n_keep + init_applied
@@ -483,7 +477,7 @@ def _finish_cell(cell: _Cell) -> "dict | None":
     # and simultaneous flushes with data on board (delivery-list order is
     # the float summation order).
     if not _ties_are_benign(times_all, codes_all, tidx_all, row_all):
-        return _reject("order-dependent")
+        return "order-dependent"
 
     # Per-target grouping in one lexsort: primary key target index, secondary
     # key time — each group slice comes out time-sorted, exactly the
@@ -493,7 +487,7 @@ def _finish_cell(cell: _Cell) -> "dict | None":
     cx = tidx_all[collect_indices]
     node_times: dict[str, np.ndarray] = {}
     collect_sizes = np.empty(ct.size, dtype=float)
-    num_targets = len(cell.target_ids)
+    num_targets = len(targets)
     if ct.size:
         order = np.lexsort((ct, cx))
         ct_s = ct[order]
@@ -507,16 +501,17 @@ def _finish_cell(cell: _Cell) -> "dict | None":
         prev[1:] = ct_s[:-1]
         starts = np.nonzero(np.diff(cx_s) != 0)[0] + 1
         prev[starts] = 0.0
-        sizes_s = (ct_s - prev) * cell.rates_arr[cx_s]
+        rates_arr = np.array([t.data_rate for t in targets], dtype=float)
+        sizes_s = (ct_s - prev) * rates_arr[cx_s]
         collect_sizes[order] = sizes_s
         bounds = np.searchsorted(cx_s, np.arange(num_targets + 1))
         for ti in range(num_targets):
             lo, hi = bounds[ti], bounds[ti + 1]
             if hi > lo:
-                node_times[cell.target_ids[ti]] = ct_s[lo:hi]
+                node_times[targets[ti].id] = ct_s[lo:hi]
     sink_visit_times = times_all[codes_all == 2]
     if sink_visit_times.size:
-        node_times[cell.sink_id] = np.sort(sink_visit_times)
+        node_times[cell.scenario.sink.id] = np.sort(sink_visit_times)
 
     # Sink deliveries: each collected packet flushes at its mule's first
     # strictly-later sink visit; the engine's delivery list is ordered by
@@ -554,23 +549,35 @@ def _finish_cell(cell: _Cell) -> "dict | None":
     stub.__dict__["_visit_times_cache"] = (
         0, {n: node_times[n] for n in sorted(node_times)}
     )
+    return {
+        "average_dcdt": average_dcdt(stub),
+        "average_sd": average_sd(stub),
+        "max_visiting_interval": max_visiting_interval(stub),
+        "delivered_data": delivered_data,
+        "total_distance": sum(per_mule_distance),
+    }
 
+
+def _finish_cell(cell: _Cell) -> "dict | None":
+    """One cell's record from its row set's memoized reduction; ``None`` → scalar."""
+    rows = cell.rows
+    if rows.reduced is None:
+        rows.reduced = _reduce_rows(cell)
+    if isinstance(rows.reduced, str):
+        return _reject(rows.reduced)
+    spec = cell.spec
     record: dict = {
         "strategy": spec.strategy,
         "seed": spec.seed,
         "num_targets": cell.scenario.num_targets,
         "num_mules": cell.scenario.num_mules,
-        "horizon": cfg.horizon,
+        "horizon": spec.sim.horizon,
     }
     record.update(spec.labels)
     record["planner"] = cell.plan.strategy
-    record["average_dcdt"] = average_dcdt(stub)
-    record["average_sd"] = average_sd(stub)
-    record["max_visiting_interval"] = max_visiting_interval(stub)
-    record["delivered_data"] = delivered_data
-    record["total_distance"] = sum(per_mule_distance)
+    record.update(rows.reduced)
     record["num_dead_mules"] = 0
-    _obs.inc("batch_dispatch", outcome="batch")
+    _BATCHED()
     return record
 
 
@@ -607,8 +614,6 @@ def batch_execute_records(specs) -> "list[dict | None]":
                 rows.append(row)
     if rows:
         _stacked_cumsum(rows)
-    if not any(cell is not None for cell in cells):
-        return out
     for index, cell in enumerate(cells):
         if cell is not None:
             out[index] = _finish_cell(cell)

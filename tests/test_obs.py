@@ -18,6 +18,7 @@ from repro.obs import (
     absorb,
     chrome_trace,
     configure,
+    counter,
     drain,
     inc,
     obs_collected,
@@ -88,6 +89,33 @@ class TestRecording:
             {"name": "dispatch", "labels": {"outcome": "fast"}, "value": 3},
             {"name": "dispatch", "labels": {"outcome": "slow", "reason": "x"},
              "value": 1},
+        ]
+
+    def test_bound_counter_shares_the_inc_key_and_honours_the_switch(self):
+        bump = counter("dispatch", reason="x", outcome="slow")
+        bump()  # disabled: dropped
+        configure(enabled=True)
+        bump()
+        bump(2)
+        inc("dispatch", outcome="slow", reason="x")
+        assert snapshot()["counters"] == [
+            {"name": "dispatch", "labels": {"outcome": "slow", "reason": "x"},
+             "value": 4},
+        ]
+
+    def test_cache_lookups_count_requests_by_outcome(self):
+        from repro.geometry.cache import cached_distance_matrix, caching_disabled, clear_caches
+
+        clear_caches()
+        configure(enabled=True)
+        points = [(0.0, 0.0), (3.0, 4.0)]
+        cached_distance_matrix(points)
+        cached_distance_matrix(points)
+        with caching_disabled():
+            cached_distance_matrix(points)
+        assert [(r["labels"], r["value"]) for r in snapshot()["counters"]] == [
+            ({"cache": "distance_matrix", "outcome": "hit"}, 1),
+            ({"cache": "distance_matrix", "outcome": "miss"}, 2),
         ]
 
     def test_histogram_tracks_count_sum_min_max(self):

@@ -40,14 +40,19 @@ def clean_registry():
     obs.configure(enabled=previous)
 
 
-def campaign_spec(*, obs_on: bool, replications: int = 3) -> CampaignSpec:
+def campaign_spec(*, obs_on: bool, replications: int = 3,
+                  strategies=("b-tctp", "chb"), layout_seed=None) -> CampaignSpec:
+    # On these layouts the batch layer runs b-tctp and sweep, and declines
+    # chb (order-dependent ties) and random (no periodic leg pattern).  A
+    # pinned layout_seed makes the replications share one row set.
     base = RunSpec(
         strategy="b-tctp",
-        scenario=ScenarioSpec("uniform", {"num_targets": 6, "num_mules": 2}),
+        scenario=ScenarioSpec("uniform", {"num_targets": 6, "num_mules": 2},
+                              seed=layout_seed),
         sim=SimulationConfig(horizon=2_000.0, track_energy=False, obs=obs_on),
         seed=0,
     )
-    return CampaignSpec(base=base, grid={"strategy": ["b-tctp", "chb"]},
+    return CampaignSpec(base=base, grid={"strategy": list(strategies)},
                         replications=replications)
 
 
@@ -114,15 +119,18 @@ class TestReconciliation:
         assert batch > 0
 
     def test_store_lookup_counters_match_store_metadata(self, tmp_path):
+        # With two workers the declined chb cells fork a pool after the
+        # lookups were counted; workers must not report them a second time.
         spec = campaign_spec(obs_on=True, replications=2)
-        store = str(tmp_path / "store")
-        cold = Campaign(spec).run(store=store)
-        warm = Campaign(spec).run(store=store)
-        cold_obs, warm_obs = cold.metadata["obs"], warm.metadata["obs"]
-        assert counter_value(cold_obs, "store_lookup", outcome="miss") \
-            == cold.metadata["store"]["misses"]
-        assert counter_value(warm_obs, "store_lookup", outcome="hit") \
-            == warm.metadata["store"]["hits"] == warm.metadata["num_cells"]
+        for max_workers in (None, 2):
+            store = str(tmp_path / f"store-{max_workers}")
+            cold = Campaign(spec, max_workers=max_workers).run(store=store)
+            warm = Campaign(spec, max_workers=max_workers).run(store=store)
+            cold_obs, warm_obs = cold.metadata["obs"], warm.metadata["obs"]
+            assert counter_value(cold_obs, "store_lookup", outcome="miss") \
+                == cold.metadata["store"]["misses"] == cold.metadata["num_cells"]
+            assert counter_value(warm_obs, "store_lookup", outcome="hit") \
+                == warm.metadata["store"]["hits"] == warm.metadata["num_cells"]
 
     def test_snapshot_scoped_to_the_campaign_window(self):
         obs.configure(enabled=True)
@@ -147,10 +155,112 @@ class TestWorkerTimingMerge:
         assert timing["planning_s"] >= 0 and timing["simulation_s"] > 0
 
     def test_pool_times_every_cell(self):
-        result = Campaign(campaign_spec(obs_on=False), max_workers=2).run(store=False)
+        from repro.sim.batchpath import batchpath_disabled
+
+        with batchpath_disabled():  # every cell goes to the pool
+            result = Campaign(campaign_spec(obs_on=False), max_workers=2).run(store=False)
         timing = result.metadata["timing"]
         assert timing["cells_timed"] == result.metadata["num_cells"]
         assert timing["simulation_s"] > 0
+
+
+class TestBatchFirstPool:
+    """The batch layer runs in-process; the pool gets only what it declines."""
+
+    def test_pool_runs_only_the_declined_cells(self, monkeypatch):
+        import repro.runner.campaign as campaign
+        from repro.sim.batchpath import batchpath_disabled
+
+        pooled_cells = []
+
+        class SpyPool(campaign.ProcessPoolExecutor):
+            def map(self, fn, specs, **kwargs):
+                pooled_cells.append(len(specs))
+                return super().map(fn, specs, **kwargs)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", SpyPool)
+        spec = campaign_spec(obs_on=True, strategies=("b-tctp", "random", "chb", "sweep"))
+        seen = []
+        pooled = Campaign(spec, max_workers=2).run(
+            store=False, on_record=lambda index, _record: seen.append(index))
+        serial = Campaign(spec).run(store=False)
+        with batchpath_disabled():
+            unbatched = Campaign(spec).run(store=False)
+        assert canonical(pooled.records) == canonical(serial.records) \
+            == canonical(unbatched.records)
+        cells = pooled.metadata["num_cells"]
+        assert seen == list(range(cells))
+        snapshot = pooled.metadata["obs"]
+        declined = counter_value(snapshot, "batch_dispatch", outcome="scalar")
+        assert 0 < declined < cells
+        assert pooled_cells == [declined]
+        assert pooled.metadata["timing"]["cells_timed"] == declined
+        assert (counter_value(snapshot, "batch_dispatch", outcome="batch")
+                + counter_value(snapshot, "sim_dispatch")) == cells
+
+    def test_all_batchable_campaign_starts_no_workers(self, monkeypatch):
+        import repro.runner.campaign as campaign
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("every cell was batchable; no worker should start")
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", no_pool)
+        spec = campaign_spec(obs_on=False, strategies=("b-tctp", "sweep"))
+        pooled = Campaign(spec, max_workers=2).run(store=False)
+        assert canonical(pooled.records) == canonical(Campaign(spec).run(store=False).records)
+        assert pooled.metadata["timing"]["cells_timed"] == 0
+
+    def test_worker_initializer_mirrors_vector_switch_and_empties_registry(self):
+        from repro.geometry.cache import cache_enabled
+        from repro.planning import kernels
+        from repro.runner.campaign import _init_worker_state
+
+        previous = kernels.vector_enabled()
+        obs.configure(enabled=True)
+        obs.inc("sim_dispatch", outcome="fastpath")  # inherited through fork
+        try:
+            _init_worker_state(cache_enabled(), True, False)
+            assert kernels.vector_enabled() is False
+            assert obs.snapshot()["counters"] == []
+        finally:
+            kernels.configure(enabled=previous)
+
+
+class TestRowSetMemo:
+    """Cells sharing a row set share one reduction, and stay per-cell in the counts."""
+
+    def test_one_reduction_per_row_set_and_per_cell_counts(self, monkeypatch):
+        from repro.geometry.cache import clear_caches
+        from repro.sim import batchpath
+
+        reductions = []
+        original = batchpath._reduce_rows
+
+        def counting(cell):
+            reductions.append(cell.spec.strategy)
+            return original(cell)
+
+        monkeypatch.setattr(batchpath, "_reduce_rows", counting)
+        clear_caches()
+        spec = campaign_spec(obs_on=True, replications=4, layout_seed=0)
+        result = Campaign(spec).run(store=False)
+        snapshot = result.metadata["obs"]
+        assert sorted(reductions) == ["b-tctp", "chb"]
+        assert counter_value(snapshot, "batch_dispatch", outcome="batch") == 4
+        assert counter_value(snapshot, "batch_dispatch", outcome="scalar",
+                             reason="order-dependent") == 4
+        assert counter_value(snapshot, "batch_dispatch") == result.metadata["num_cells"]
+
+    def test_records_identical_with_caching_on_or_off(self):
+        from repro.geometry.cache import caching_disabled, clear_caches
+
+        spec = campaign_spec(obs_on=False, replications=4,
+                             strategies=("b-tctp", "chb", "sweep"), layout_seed=0)
+        clear_caches()
+        cached = Campaign(spec).run(store=False)
+        with caching_disabled():
+            uncached = Campaign(spec).run(store=False)
+        assert canonical(cached.records) == canonical(uncached.records)
 
 
 class TestServiceCounters:

@@ -434,17 +434,19 @@ class TestExecuteCell:
 
 
 class TestCancellableCampaign:
-    def test_on_record_observes_every_cell_in_order(self):
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    def test_on_record_observes_every_cell_in_order(self, max_workers):
         seen = []
-        result = Campaign(tiny_campaign()).run(
+        result = Campaign(tiny_campaign(), max_workers=max_workers).run(
             store=False, on_record=lambda index, record: seen.append(index))
         assert seen == list(range(len(result.records)))
         assert "cancelled" not in result.metadata
 
-    def test_cancel_stops_between_cells(self):
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    def test_cancel_stops_between_cells(self, max_workers):
         done = []
 
-        result = Campaign(tiny_campaign(replications=4)).run(
+        result = Campaign(tiny_campaign(replications=4), max_workers=max_workers).run(
             store=False,
             on_record=lambda index, record: done.append(index),
             cancel=lambda: len(done) >= 3,
