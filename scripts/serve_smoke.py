@@ -12,7 +12,13 @@ docs/SERVICE.md over the wire:
 3. ``/stats`` agrees with the observed admission counters and embeds the
    store stats document;
 4. ``/metrics`` serves Prometheus text telling the same story as ``/stats``
-   (one formatter behind both surfaces, see docs/OBSERVABILITY.md).
+   (one formatter behind both surfaces, see docs/OBSERVABILITY.md), and its
+   ``batch_rows`` cache counters prove the daemon's cells rode the batched
+   fast path;
+5. a fresh ``POST /runs`` streams the record ``repro-patrol run`` prints for
+   the same run spec;
+6. a request with a negative ``Content-Length`` is answered ``400``, not
+   dropped.
 
 Run locally: ``python scripts/serve_smoke.py``.
 """
@@ -20,6 +26,7 @@ Run locally: ``python scripts/serve_smoke.py``.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -40,6 +47,14 @@ CAMPAIGN = {
     "replications": 2,
 }
 NUM_CELLS = 4
+RUN = {
+    "kind": "run",
+    "strategy": "sweep",
+    "scenario": {"family": "uniform",
+                 "params": {"num_targets": 8, "num_mules": 2}, "seed": 3},
+    "sim": {"horizon": 6000.0, "track_energy": False},
+    "seed": 11,
+}
 
 
 def free_port() -> int:
@@ -87,11 +102,30 @@ def canonical(records: list[dict]) -> list[str]:
     return [json.dumps(r, sort_keys=True) for r in records]
 
 
+def cli_records(spec: dict, path: Path) -> list[dict]:
+    """The records ``repro-patrol run`` prints for ``spec`` (written to ``path``)."""
+    path.write_text(json.dumps(spec))
+    cli = subprocess.run(
+        [sys.executable, "-m", "repro", "run", str(path), "--no-store", "--json"],
+        check=True, capture_output=True, text=True)
+    return json.loads(cli.stdout)["records"]
+
+
+def raw_status(port: int, payload: bytes) -> int:
+    """Send raw request bytes; return the status of the response."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    assert received.startswith(b"HTTP/1.1 "), received[:200]
+    return int(received.split(b" ", 2)[1])
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
         store_dir = str(Path(tmp) / "store")
-        spec_path = Path(tmp) / "campaign.json"
-        spec_path.write_text(json.dumps(CAMPAIGN))
         port = free_port()
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", str(port),
@@ -105,12 +139,8 @@ def main() -> int:
             served = [e["record"] for e in cold if e["event"] == "cell"]
 
             # 1. byte identity with the CLI executing the same spec file
-            cli = subprocess.run(
-                [sys.executable, "-m", "repro", "run", str(spec_path),
-                 "--no-store", "--json"],
-                check=True, capture_output=True, text=True)
-            cli_records = json.loads(cli.stdout)["records"]
-            assert canonical(served) == canonical(cli_records), \
+            assert canonical(served) == canonical(
+                cli_records(CAMPAIGN, Path(tmp) / "campaign.json")), \
                 "daemon stream diverged from CLI execution"
 
             # 2. re-POST: zero re-executions, identical bytes
@@ -141,12 +171,31 @@ def main() -> int:
             assert f"repro_service_executed_total {NUM_CELLS}" in text
             assert f"repro_service_store_hits_total {NUM_CELLS}" in text
             assert f"repro_store_entries {NUM_CELLS}" in text
+            batch_rows = re.search(
+                r'^repro_cache_misses_total\{cache="batch_rows"\} (\d+)$', text, re.M)
+            assert batch_rows and int(batch_rows.group(1)) > 0, \
+                "the daemon's cells never reached the batched fast path"
+
+            # 5. a fresh run streams the CLI's record, byte for byte
+            status, raw = request(port, "POST", "/runs", RUN)
+            assert status == 200, (status, raw)
+            events = [json.loads(line) for line in raw.decode().splitlines()]
+            assert [e["event"] for e in events] == ["start", "cell", "done"], events
+            assert events[1]["source"] == "executed", events[1]
+            assert canonical([events[1]["record"]]) == canonical(
+                cli_records(RUN, Path(tmp) / "run.json")), \
+                "fresh run diverged from CLI execution"
+
+            # 6. a negative Content-Length gets a status, not a dropped connection
+            status = raw_status(port, b"POST /runs HTTP/1.1\r\n"
+                                      b"Content-Length: -5\r\n\r\n{}")
+            assert status == 400, status
         finally:
             proc.terminate()
             proc.wait(timeout=30)
-    print(f"serve smoke ok: {NUM_CELLS} cells executed once, "
+    print(f"serve smoke ok: {NUM_CELLS} cells executed once via the batch layer, "
           f"re-POST served {NUM_CELLS}/{NUM_CELLS} from the store, "
-          "streams byte-identical to the CLI")
+          "streams byte-identical to the CLI, bad Content-Length answered 400")
     return 0
 
 

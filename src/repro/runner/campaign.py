@@ -177,7 +177,22 @@ def execute_run(spec: RunSpec) -> dict:
     The scenario is served through the prototype cache (see
     :func:`build_cell_scenario`); records are byte-identical with caching on
     or off.
+
+    The cell goes batch first: :func:`repro.sim.batchpath.batch_execute_records`
+    answers it when it can, sharing cached plans and row-set reductions with
+    every earlier cell of the same content, and the scalar core runs only
+    when the batch declines — the record is byte-identical either way.
     """
+    # Imported lazily: batchpath pulls in campaign helpers, and eager
+    # circular imports would tie module load order in knots.
+    from repro.sim.batchpath import batch_execute_records
+
+    record = batch_execute_records([spec])[0]
+    return record if record is not None else _execute_scalar(spec)
+
+
+def _execute_scalar(spec: RunSpec) -> dict:
+    """The per-cell core for a cell the batch declined; feeds the timing accumulator."""
     return _merge_timing(*_execute_run_timed(spec))
 
 
@@ -194,10 +209,10 @@ def _merge_timing(record: dict, pair: "tuple[float, float]", payload: "dict | No
 def _execute_run_timed(spec: RunSpec) -> "tuple[dict, tuple[float, float]]":
     """One cell end to end; returns ``(record, (planning_s, simulation_s))``.
 
-    The timed core of :func:`execute_run`: callers decide what to do with
-    the wall-clock pair (the in-process wrapper feeds the campaign timing
-    accumulator; pool workers return it alongside the record so the parent
-    can merge it — see :func:`_execute_run_traced`).  With the obs registry
+    The timed scalar core of :func:`execute_run`: callers decide what to do
+    with the wall-clock pair (the in-process wrapper feeds the campaign
+    timing accumulator; pool workers return it alongside the record so the
+    parent can merge it — see :func:`_execute_run_traced`).  With the obs registry
     enabled, the cell and its scenario-build / plan / simulate stages are
     wrapped in spans; neither timing nor spans ever touch the record.
     """
@@ -296,7 +311,8 @@ def _init_worker_state(cache_on: bool, obs_on: bool, vector_on: bool) -> None:
 def _per_cell_records(specs: "list[RunSpec]", max_workers: "int | None"):
     """Yield an iterator over the records of ``specs`` run per cell, in order.
 
-    A pool runs them when ``max_workers`` > 1 and two or more cells are given
+    Every cell runs on the scalar core, never offered to the batch again.  A
+    pool runs them when ``max_workers`` > 1 and two or more cells are given
     (leaving the block cancels any not started); else each ``next()`` runs one.
     """
     pool = None
@@ -323,7 +339,7 @@ def _per_cell_records(specs: "list[RunSpec]", max_workers: "int | None"):
             warnings.warn(f"parallel execution unavailable ({exc!r}); running serially",
                           RuntimeWarning, stacklevel=4)
     if pool is None:
-        yield map(execute_run, specs)
+        yield map(_execute_scalar, specs)
         return
     try:
         chunksize = max(1, len(specs) // (max_workers * 4))
@@ -344,10 +360,11 @@ def execute_many(
 
     The batched fast path (:mod:`repro.sim.batchpath`) evaluates every
     batch-eligible cell in one in-process tensor pass; only the cells it
-    declines run per cell through :func:`execute_run` — over ``max_workers``
+    declines run per cell, on the scalar core — over ``max_workers``
     processes when that is above 1 and at least two remain, serially
-    otherwise.  A campaign the batch covers entirely starts no worker, and
-    records are byte-identical whichever way a cell ran.
+    otherwise.  No cell is offered to the batch twice, a campaign the batch
+    covers entirely starts no worker, and records are byte-identical
+    whichever way a cell ran.
 
     ``progress(done, total)`` is called after each completed cell.
     ``on_record(index, record)`` streams each finished record (in spec order,
@@ -366,9 +383,7 @@ def execute_many(
     specs = list(specs)
     if cancel is not None and cancel():
         return []
-    # Imported lazily: batchpath pulls in campaign helpers, and eager
-    # circular imports would tie module load order in knots.
-    from repro.sim.batchpath import batch_execute_records
+    from repro.sim.batchpath import batch_execute_records  # lazy: see execute_run
 
     records = batch_execute_records(specs)
     remainder = [spec for spec, record in zip(specs, records) if record is None]

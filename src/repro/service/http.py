@@ -4,9 +4,10 @@ No web framework, no new dependency: :func:`asyncio.start_server` plus a
 minimal, deliberately strict HTTP/1.1 layer (request line, headers,
 ``Content-Length`` bodies, ``Transfer-Encoding: chunked`` responses).  The
 event loop only parses and serialises; every simulation runs on the
-scheduler's worker threads, and the blocking per-cell event stream is
-bridged into the loop one event at a time via ``run_in_executor`` — slow
-simulations never stall other connections.
+scheduler's worker threads, and a stream waits for a computing cell by
+awaiting the scheduler's future on the loop (:func:`asyncio.wrap_future`) —
+slow simulations never stall other connections, and store hits are answered
+without touching a thread.
 
 Endpoints (full reference with wire examples in ``docs/SERVICE.md``):
 
@@ -28,14 +29,22 @@ it by expanding specs through the exact campaign path.
 
 Backpressure maps :class:`~repro.service.scheduler.ServiceOverloaded` to
 ``429`` with a ``Retry-After`` header; a malformed spec is ``400``; a
-draining scheduler is ``503``.
+draining scheduler is ``503``.  A request that cannot be read gets a status,
+never a dropped connection: ``400`` for a bad or over-long request line, a
+bad header, a negative or non-numeric ``Content-Length`` or a truncated
+body, ``413`` past :data:`MAX_BODY_BYTES`, ``431`` for a header line over
+:data:`MAX_LINE_BYTES` or more than :data:`MAX_HEADERS` header fields, and
+``408`` when the whole request has not arrived within
+:data:`REQUEST_TIMEOUT_S`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import threading
+from concurrent.futures import Future
 from typing import Any
 
 from repro.service.registry import register_transport
@@ -54,8 +63,10 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -64,9 +75,27 @@ _REASONS = {
 #: near this is a client bug, not a workload.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Seconds a client has to send its whole request (line, headers and body);
+#: a slower or stalled sender gets ``408``, so no connection is held forever.
+REQUEST_TIMEOUT_S = 10.0
+
+#: Request-head caps: the longest request or header line (asyncio's default
+#: stream limit) and the most header fields.
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADERS = 100
+
+# After refusing a request, how long the client's remaining input is read
+# and dropped before closing: closing on unread input resets the connection,
+# which can destroy the status before the client reads it.
+_LINGER_S = 1.0
+
 
 class _BadRequest(ValueError):
-    """Protocol-level parse failure: malformed request line, header or body."""
+    """Protocol-level parse failure, answered with ``status``."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def _dumps(payload: Any) -> str:
@@ -100,6 +129,45 @@ def _text_response(status: int, text: str, *, content_type: str) -> bytes:
 
 def _chunk(data: bytes) -> bytes:
     return f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n"
+
+
+async def _read_line(reader: asyncio.StreamReader, what: str, status: int) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # the stream limit, MAX_LINE_BYTES
+        raise _BadRequest(f"{what} longer than {MAX_LINE_BYTES} bytes", status) from exc
+
+
+async def _discard_input(reader: asyncio.StreamReader) -> None:
+    while await reader.read(MAX_LINE_BYTES):
+        pass
+
+
+async def _refuse(reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+                  status: int, message: str) -> None:
+    """Answer a request that could not be read, then let the client finish.
+
+    The client may still be sending (the rest of an over-long line, a body
+    that will never fit): half-close, then read and drop its input for up
+    to ``_LINGER_S`` so the close cannot reset the connection before the
+    status is read.
+    """
+    writer.write(_plain_response(status, {"error": message}))
+    await writer.drain()
+    if writer.can_write_eof():
+        writer.write_eof()
+    try:
+        await asyncio.wait_for(_discard_input(reader), _LINGER_S)
+    except asyncio.TimeoutError:
+        pass
+
+
+async def _settled(future: Future) -> None:
+    """Wait on the loop until a scheduler future settles, failed or not."""
+    try:
+        await asyncio.wrap_future(future)
+    except Exception:
+        pass  # the ticket's stream reports the failure as an error event
 
 
 class HttpTransport:
@@ -140,7 +208,8 @@ class HttpTransport:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        server = await asyncio.start_server(self._handle_connection, self.host, self.port)
+        server = await asyncio.start_server(self._handle_connection, self.host, self.port,
+                                            limit=MAX_LINE_BYTES)
         self.port = server.sockets[0].getsockname()[1]
         self._ready.set()
         async with server:
@@ -174,9 +243,9 @@ class HttpTransport:
         return self
 
     def stop(self, *, shutdown_scheduler: bool = True) -> None:
-        """Stop a background server started with :meth:`start`."""
-        if self._loop is not None and self._stop_event is not None:
-            loop, event = self._loop, self._stop_event
+        """Stop a background server started with :meth:`start` (idempotent)."""
+        loop, event = self._loop, self._stop_event
+        if loop is not None and event is not None and not loop.is_closed():
             loop.call_soon_threadsafe(event.set)
         if self._thread is not None:
             self._thread.join(timeout=10)
@@ -189,7 +258,7 @@ class HttpTransport:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> "tuple[str, str, dict[str, str], bytes] | None":
-        request_line = await reader.readline()
+        request_line = await _read_line(reader, "request line", 400)
         if not request_line.strip():
             return None  # client connected and went away
         try:
@@ -197,20 +266,23 @@ class HttpTransport:
         except ValueError as exc:
             raise _BadRequest(f"malformed request line {request_line!r}") from exc
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for count in itertools.count():
+            line = await _read_line(reader, "header line", 431)
             if line in (b"\r\n", b"\n", b""):
                 break
+            if count == MAX_HEADERS:
+                raise _BadRequest(f"more than {MAX_HEADERS} header fields", 431)
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep:
                 raise _BadRequest(f"malformed header line {line!r}")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError as exc:
-            raise _BadRequest("Content-Length is not an integer") from exc
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BadRequest(f"Content-Length {declared!r} is not a non-negative integer")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise _BadRequest(f"body of {length} bytes exceeds the {MAX_BODY_BYTES} limit")
+            raise _BadRequest(
+                f"body of {length} bytes exceeds the {MAX_BODY_BYTES} limit", 413)
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path.split("?", 1)[0], headers, body
 
@@ -219,14 +291,22 @@ class HttpTransport:
     ) -> None:
         try:
             try:
-                request = await self._read_request(reader)
-                if request is None:
-                    return
-                method, path, _headers, body = request
-            except (_BadRequest, asyncio.IncompleteReadError) as exc:
-                writer.write(_plain_response(400, {"error": str(exc)}))
-                await writer.drain()
+                request = await asyncio.wait_for(self._read_request(reader),
+                                                 REQUEST_TIMEOUT_S)
+            except _BadRequest as exc:
+                await _refuse(reader, writer, exc.status, str(exc))
                 return
+            except asyncio.IncompleteReadError as exc:
+                await _refuse(reader, writer, 400, f"body ended after "
+                              f"{len(exc.partial)} of {exc.expected} bytes")
+                return
+            except asyncio.TimeoutError:
+                await _refuse(reader, writer, 408, "request not received "
+                              f"within {REQUEST_TIMEOUT_S:g}s")
+                return
+            if request is None:
+                return
+            method, path, _headers, body = request
             try:
                 await self._dispatch(method, path, body, writer)
             except ServiceOverloaded as exc:
@@ -352,28 +432,29 @@ class HttpTransport:
     ) -> None:
         """Send the ticket's events as chunked NDJSON, one chunk per event.
 
-        ``ticket.events()`` blocks on worker futures, so each ``next()`` runs
-        in the default executor; the loop stays free to serve other
-        connections between events.
+        A cell still computing is awaited on the loop, and everything ready
+        before it is flushed first; store hits and finished cells never
+        leave the loop thread.  A wait cut short — the client hung up, the
+        transport stopped — cannot cancel the scheduler's future, which
+        coalesced requests may share (it is running from admission on).
         """
-        writer.write((
+        ready = [(
             "HTTP/1.1 200 OK\r\n"
             "Content-Type: application/x-ndjson\r\n"
             "Transfer-Encoding: chunked\r\n"
             "Connection: close\r\n"
             "\r\n"
-        ).encode("latin-1"))
-        await writer.drain()
-        loop = asyncio.get_running_loop()
-        events = ticket.events()
-        sentinel: Any = object()
-        while True:
-            event = await loop.run_in_executor(None, next, events, sentinel)
-            if event is sentinel:
-                break
-            writer.write(_chunk((_dumps(event) + "\n").encode()))
-            await writer.drain()
-        writer.write(b"0\r\n\r\n")
+        ).encode("latin-1")]
+        for item in ticket.stream():
+            if isinstance(item, Future):
+                writer.write(b"".join(ready))
+                ready.clear()
+                await writer.drain()
+                await _settled(item)
+            else:
+                ready.append(_chunk((_dumps(item) + "\n").encode()))
+        ready.append(b"0\r\n\r\n")
+        writer.write(b"".join(ready))
         await writer.drain()
 
 

@@ -3,9 +3,10 @@
 The scheduler is the service's core and knows nothing about wire formats:
 transports hand it :class:`~repro.runner.RunSpec` /
 :class:`~repro.runner.CampaignSpec` objects and receive a
-:class:`CampaignTicket` whose :meth:`~CampaignTicket.events` generator
-streams one JSON-safe event dict per cell plus a summary — the transports
-only serialise.
+:class:`CampaignTicket` whose :meth:`~CampaignTicket.stream` generator
+yields one JSON-safe event dict per cell plus a summary — the transports
+only serialise, and only decide how to wait for a cell still computing (a
+blocking thread for stdio, the event loop for http).
 
 Three production behaviours live here:
 
@@ -35,7 +36,7 @@ share one store keyspace.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any, Iterator, Mapping
 
 from repro.obs import registry as _obs
@@ -112,19 +113,21 @@ class CampaignTicket:
         """The admitted cells' fingerprints, in cell order."""
         return [cell.fingerprint for cell in self._cells]
 
-    def events(self) -> Iterator[dict]:
-        """Yield ``start``, per-cell ``cell``/``error``, then ``done`` events.
+    def stream(self) -> "Iterator[dict | Future]":
+        """The :meth:`events` stream, without ever blocking.
 
-        Every ``cell`` event carries the sanitized record (strict JSON: no
-        NaN tokens, no numpy scalars) plus the cell's fingerprint and how it
-        was satisfied (``"executed"``, ``"store"`` or ``"coalesced"``).  A
-        failing cell yields an ``error`` event and the stream continues; the
-        final ``done`` event carries the source/failure tallies.
+        Before the event of a cell that is still computing, the generator
+        yields that cell's :class:`~concurrent.futures.Future` instead; the
+        consumer waits for it to settle — on a thread, or on an event loop
+        via :func:`asyncio.wrap_future` — and then iterates on.  Store hits
+        and finished cells yield their events straight away.
         """
         total = len(self._cells)
         yield {"event": "start", "total": total}
         tally = {"executed": 0, "store": 0, "coalesced": 0, "failed": 0}
         for index, cell in enumerate(self._cells):
+            if cell.future is not None and not cell.future.done():
+                yield cell.future
             try:
                 record = cell.resolve()
             except Exception as exc:
@@ -146,6 +149,22 @@ class CampaignTicket:
                 "record": _json_sanitize(record),
             }
         yield {"event": "done", "total": total, **tally}
+
+    def events(self) -> Iterator[dict]:
+        """Yield ``start``, per-cell ``cell``/``error``, then ``done`` events.
+
+        Every ``cell`` event carries the sanitized record (strict JSON: no
+        NaN tokens, no numpy scalars) plus the cell's fingerprint and how it
+        was satisfied (``"executed"``, ``"store"`` or ``"coalesced"``).  A
+        failing cell yields an ``error`` event and the stream continues; the
+        final ``done`` event carries the source/failure tallies.  Blocks the
+        calling thread while a cell computes (see :meth:`stream`).
+        """
+        for item in self.stream():
+            if isinstance(item, Future):
+                wait((item,))
+            else:
+                yield item
 
     def records(self) -> list[dict]:
         """Block until every cell resolves; records in cell order (unsanitized)."""
@@ -265,6 +284,10 @@ class ServiceScheduler:
                 cells.append(_Cell(spec, fingerprint, source="store", record=record))
                 continue
             future: Future = Future()
+            # Running from admission on, so nothing can cancel it: a
+            # subscriber that stops waiting (a client hanging up, a transport
+            # stopping) must not take the record from coalesced requests.
+            future.set_running_or_notify_cancel()
             started[fingerprint] = future
             cell = _Cell(spec, fingerprint, source="executed", future=future)
             cells.append(cell)

@@ -99,11 +99,15 @@ _PLAN_CACHE = ContentCache("batch_plan", maxsize=128)
 # Prepared increment rows memoized by (plan key, horizon, synchronized
 # start): everything a row reads — routes, mule velocities and deployment
 # positions, the collection dwell — is a function of that key, so every
-# replication cell of a pinned scenario shares one row set, its cumsum
-# output and its reduction (see _RowSet) — or its construction fallback.
+# replication cell of a pinned scenario shares one row set and its cumsum
+# output — or its construction fallback.  Once reduced, the entry becomes
+# the reduction itself (five metrics, or the decline reason), so the cache
+# never keeps cumsum arrays past the calls that are using them.
 _ROW_CACHE = ContentCache("batch_rows", maxsize=256)
 
-# Bumped once per batched cell: labels bound once (see repro.obs.counter).
+# Bumped by the number of batched cells, once per call: a memoized batched
+# cell costs tens of microseconds, so even a pre-bound per-cell counter
+# (see repro.obs.counter) is a visible share of it with the registry on.
 _BATCHED = _obs.counter("batch_dispatch", outcome="batch")
 
 # One process-wide switch for the batched dispatch.  The environment variable
@@ -255,7 +259,9 @@ class _Cell(NamedTuple):
     spec: Any
     scenario: Any
     plan: Any
-    rows: _RowSet
+    row_key: tuple
+    # The ``batch_rows`` entry: rows still to reduce, or their reduction.
+    rows: "_RowSet | dict | str"
 
 
 def _reject(reason: str) -> None:
@@ -307,7 +313,18 @@ def _prepare_cell(spec) -> "_Cell | None":
     if rejection is not None:
         return _reject(f"fastpath-{rejection}")
 
-    sync_time = sim._synchronized_start_time() if cfg.synchronized_start else 0.0
+    row_key = (plan_key, cfg.horizon, cfg.synchronized_start)
+    rows = _ROW_CACHE.get(row_key)
+    if rows is None:
+        rows = _build_rows(sim)
+        _ROW_CACHE.put(row_key, rows)
+    return _Cell(spec, scenario, plan, row_key, rows)
+
+
+def _build_rows(sim) -> "_RowSet | str":
+    """The increment rows of every mule of ``sim``, or ``"row-fallback"``."""
+    scenario = sim.scenario
+    sync_time = sim._synchronized_start_time() if sim.config.synchronized_start else 0.0
     targets = scenario.targets
     node_code: dict[str, int] = {t.id: 1 for t in targets}
     node_code[sim._sink_id] = 2
@@ -315,20 +332,14 @@ def _prepare_cell(spec) -> "_Cell | None":
         node_code[sim._recharge_id] = 3
     node_tidx: dict[str, int] = {t.id: i for i, t in enumerate(targets)}
     node_tidx[sim._sink_id] = len(targets)
-    row_key = (plan_key, cfg.horizon, cfg.synchronized_start)
-    rows = _ROW_CACHE.get(row_key)
-    if rows is None:
-        try:
-            rows = _RowSet(
-                _Row(sim, mule, plan.route_for(mule.id), sync_time, node_code,
-                     node_tidx)
-                for mule in scenario.mules
-            )
-        except _Fallback:
-            rows = _RowSet()
-            rows.reduced = "row-fallback"
-        _ROW_CACHE.put(row_key, rows)
-    return _Cell(spec, scenario, plan, rows)
+    try:
+        return _RowSet(
+            _Row(sim, mule, sim.plan.route_for(mule.id), sync_time, node_code,
+                 node_tidx)
+            for mule in scenario.mules
+        )
+    except _Fallback:
+        return "row-fallback"
 
 
 # --------------------------------------------------------------------------- #
@@ -560,11 +571,18 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
 
 def _finish_cell(cell: _Cell) -> "dict | None":
     """One cell's record from its row set's memoized reduction; ``None`` → scalar."""
-    rows = cell.rows
-    if rows.reduced is None:
-        rows.reduced = _reduce_rows(cell)
-    if isinstance(rows.reduced, str):
-        return _reject(rows.reduced)
+    reduced = rows = cell.rows
+    if isinstance(rows, _RowSet):
+        if rows.reduced is None:
+            rows.reduced = _reduce_rows(cell)
+            # Later calls read the reduction straight from the cache, and the
+            # rows with their cumsum arrays go once no call holds them.  The
+            # entry is swapped, never the row set cleared: another worker
+            # thread may be reducing the same rows right now.
+            _ROW_CACHE.put(cell.row_key, rows.reduced)
+        reduced = rows.reduced
+    if isinstance(reduced, str):
+        return _reject(reduced)
     spec = cell.spec
     record: dict = {
         "strategy": spec.strategy,
@@ -575,9 +593,8 @@ def _finish_cell(cell: _Cell) -> "dict | None":
     }
     record.update(spec.labels)
     record["planner"] = cell.plan.strategy
-    record.update(rows.reduced)
+    record.update(reduced)
     record["num_dead_mules"] = 0
-    _BATCHED()
     return record
 
 
@@ -589,32 +606,46 @@ def batch_execute_records(specs) -> "list[dict | None]":
     """Evaluate the batch-eligible cells of ``specs`` in one tensor pass.
 
     Returns one entry per spec, in order: the finished record for every cell
-    the batch handled, ``None`` for every cell that must run per-cell (the
-    caller dispatches those through the ordinary
-    :func:`~repro.runner.campaign.execute_run`).  Records are byte-identical
-    to per-cell execution; with the switch off (or fewer than two specs,
-    where stacking cannot win) everything is ``None``.
+    the batch handled, ``None`` for every cell that must run per cell (the
+    caller runs those on the scalar core — never through
+    :func:`~repro.runner.campaign.execute_run` again, which would offer them
+    to the batch a second time).  Records are byte-identical to per-cell
+    execution; with the switch off everything is ``None``.
+
+    Any number of specs is fine, one included: a single cell still shares
+    the content caches with every earlier call, so the replications of a
+    pinned layout reuse one plan and one reduction whether they arrive as a
+    whole campaign or cell by cell from the service scheduler's worker
+    threads (threads that miss the same key at once each fill it, with
+    identical results).  With the obs registry on, each call records a
+    ``batch`` span with ``batch-prepare`` / ``batch-cumsum`` /
+    ``batch-reduce`` children (per call, never per cell).
     """
     specs = list(specs)
     out: "list[dict | None]" = [None] * len(specs)
-    if not _ENABLED or len(specs) < 2:
+    if not _ENABLED:
         return out
-    cells: "list[_Cell | None]" = [_prepare_cell(spec) for spec in specs]
-    # Cells sharing cached row sets alias the same _Row objects; stack each
-    # distinct row once (and skip rows a previous batch already cumsum'd —
-    # the output depends only on the row, so recomputing it is a no-op).
-    rows = []
-    seen: set[int] = set()
-    for cell in cells:
-        if cell is None:
-            continue
-        for row in cell.rows:
-            if row.full is None and id(row) not in seen:
-                seen.add(id(row))
-                rows.append(row)
-    if rows:
-        _stacked_cumsum(rows)
-    for index, cell in enumerate(cells):
-        if cell is not None:
-            out[index] = _finish_cell(cell)
+    with _obs.span("batch", cat="batch", cells=len(specs)):
+        with _obs.span("batch-prepare", cat="batch"):
+            cells = [_prepare_cell(spec) for spec in specs]
+            # Cells sharing cached row sets alias the same _Row objects; stack
+            # each distinct row once (and skip rows a previous batch already
+            # cumsum'd — the output depends only on the row, so recomputing
+            # it is a no-op).
+            rows = []
+            seen: set[int] = set()
+            for cell in cells:
+                if cell is None or not isinstance(cell.rows, _RowSet):
+                    continue
+                for row in cell.rows:
+                    if row.full is None and id(row) not in seen:
+                        seen.add(id(row))
+                        rows.append(row)
+        with _obs.span("batch-cumsum", cat="batch", rows=len(rows)):
+            _stacked_cumsum(rows)
+        with _obs.span("batch-reduce", cat="batch"):
+            for index, cell in enumerate(cells):
+                if cell is not None:
+                    out[index] = _finish_cell(cell)
+    _BATCHED(len(out) - out.count(None))
     return out

@@ -22,6 +22,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.core.plan import LoopRoute, PatrolPlan, StochasticRoute
 from repro.energy.battery import Battery
 from repro.geometry.point import Point
@@ -30,7 +31,7 @@ from repro.network.field import Field
 from repro.network.mules import DataMule
 from repro.network.scenario import Scenario, SimulationParameters
 from repro.network.targets import RechargeStation, Sink, Target
-from repro.runner.campaign import _json_sanitize, execute_run
+from repro.runner.campaign import _json_sanitize, execute_many, execute_run
 from repro.runner.spec import RunSpec
 from repro.scenarios import ScenarioSpec
 from repro.sim import batchpath
@@ -152,8 +153,8 @@ class TestBatchFallbacks:
         )
 
     def _assert_falls_back_but_agrees(self, spec):
-        pre = batchpath.batch_execute_records([spec, spec])
-        assert pre == [None, None]
+        pre = batchpath.batch_execute_records([spec])
+        assert pre == [None]
         with batchpath.batchpath_disabled():
             per_cell = execute_run(spec)
         event = execute_run(dataclasses.replace(
@@ -191,8 +192,8 @@ class TestBatchFallbacks:
 
     def test_batch_path_flag_opts_out_per_spec(self):
         spec = self._spec(sim={"batch_path": False})
-        pre = batchpath.batch_execute_records([spec, spec])
-        assert pre == [None, None]
+        pre = batchpath.batch_execute_records([spec])
+        assert pre == [None]
         # The scalar fast path stays on: the flag only skips the batch layer.
         scenario_sim = self._spec()
         assert scenario_sim.sim.fast_path
@@ -208,8 +209,8 @@ class TestBatchFallbacks:
             sim=SimulationConfig(horizon=15_000.0, track_energy=False),
             seed=1,
         )
-        pre = batchpath.batch_execute_records([spec, spec])
-        assert pre == [None, None]
+        pre = batchpath.batch_execute_records([spec])
+        assert pre == [None]
         with batchpath.batchpath_disabled():
             per_cell = execute_run(spec)
         event = execute_run(dataclasses.replace(
@@ -217,14 +218,71 @@ class TestBatchFallbacks:
         ))
         assert canonical(per_cell) == canonical(event)
 
-    def test_single_spec_batches_are_skipped(self):
+    def test_single_eligible_cell_rides_the_batch(self, monkeypatch):
         spec = self._spec()
-        assert batchpath.batch_execute_records([spec]) == [None]
+        with batchpath.batchpath_disabled():
+            scalar = execute_run(spec)
+
+        def no_simulation(_sim):
+            raise AssertionError("a batched cell must not run the simulator")
+
+        monkeypatch.setattr(PatrolSimulator, "run", no_simulation)
+        batched = execute_run(spec)
+        assert json.dumps(batched) == json.dumps(scalar)  # key order included
+
+    @pytest.mark.parametrize("spec_kwargs, reason", [
+        ({"strategy": "chb"}, "order-dependent"),  # simultaneous sink flushes
+        ({"sim": {"track_energy": True},
+          "params": {"mule_battery": 500_000.0, "with_recharge_station": True}},
+         "tracked-energy"),
+        ({"metrics": ["path_length"]}, "custom-metrics"),
+        ({"strategy": "random"}, "fastpath-route-class"),
+    ], ids=["chb", "tracked-energy", "custom-metrics", "random"])
+    def test_declined_single_cell_counts_one_scalar_dispatch(self, spec_kwargs, reason):
+        spec = self._spec(**spec_kwargs)
+        with obs.obs_collected(enabled=True) as window:
+            record = execute_run(spec)
+            snapshot = window.snapshot()
+        counters = [(c["name"], c["labels"], c["value"]) for c in snapshot["counters"]
+                    if c["name"] in ("batch_dispatch", "sim_dispatch")]
+        assert [(n, labels, v) for n, labels, v in counters if n == "batch_dispatch"] \
+            == [("batch_dispatch", {"outcome": "scalar", "reason": reason}, 1)]
+        assert sum(v for n, _labels, v in counters if n == "sim_dispatch") == 1
+        with batchpath.batchpath_disabled():
+            assert canonical(record) == canonical(execute_run(spec))
+
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    def test_execute_many_offers_declined_cells_once(self, monkeypatch, max_workers):
+        offered = []
+        original = batchpath.batch_execute_records
+
+        def spy(specs):
+            specs = list(specs)
+            offered.extend(spec.strategy for spec in specs)
+            return original(specs)
+
+        monkeypatch.setattr(batchpath, "batch_execute_records", spy)
+        specs = [self._spec(), self._spec(strategy="chb"), self._spec(strategy="random")]
+        with obs.obs_collected(enabled=True) as window:
+            records = execute_many(specs, max_workers=max_workers)
+            snapshot = window.snapshot()
+        assert offered == ["b-tctp", "chb", "random"]
+
+        def total(name, **labels):
+            return sum(c["value"] for c in snapshot["counters"] if c["name"] == name
+                       and all(c["labels"].get(k) == v for k, v in labels.items()))
+
+        assert total("batch_dispatch", outcome="batch") == 1
+        assert total("batch_dispatch", outcome="scalar") == 2
+        assert total("sim_dispatch") == 2
+        with batchpath.batchpath_disabled():
+            expected = [execute_run(spec) for spec in specs]
+        assert [canonical(r) for r in records] == [canonical(r) for r in expected]
 
     def test_process_switch_disables_batching(self):
         spec = self._spec()
         with batchpath.batchpath_disabled():
-            assert batchpath.batch_execute_records([spec, spec]) == [None, None]
+            assert batchpath.batch_execute_records([spec]) == [None]
         assert batchpath.batchpath_enabled()
 
 
@@ -302,4 +360,4 @@ class TestPerEntityConfigAudit:
             sim=SimulationConfig(horizon=5_000.0, track_energy=True),
             seed=1,
         )
-        assert batchpath.batch_execute_records([spec, spec]) == [None, None]
+        assert batchpath.batch_execute_records([spec]) == [None]

@@ -107,7 +107,7 @@ def canonical(record: dict) -> str:
 def run_three_ways(case: dict) -> "tuple[str | None, dict]":
     """Returns ``(mismatch_description | None, path_flags)`` for one case."""
     spec = case_spec(case)
-    batched = batchpath.batch_execute_records([spec, spec])[0]
+    batched = batchpath.batch_execute_records([spec])[0]
     with batchpath.batchpath_disabled():
         scalar = execute_run(spec)
     event = execute_run(case_spec(case, fast_path=False))

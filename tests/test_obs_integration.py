@@ -263,6 +263,37 @@ class TestRowSetMemo:
         assert canonical(cached.records) == canonical(uncached.records)
 
 
+class TestBatchSpans:
+    """Batched cells show up in a trace: one span tree per batch call."""
+
+    def _batch_tree(self, spans):
+        (batch,) = [s for s in spans if s["name"] == "batch"]
+        children = sorted(s["name"] for s in spans if s["parent"] == batch["id"])
+        assert children == ["batch-cumsum", "batch-prepare", "batch-reduce"]
+        return batch
+
+    def test_one_batch_span_tree_per_campaign(self):
+        obs.configure(enabled=True)
+        result = Campaign(campaign_spec(obs_on=True, replications=4, layout_seed=0,
+                                        strategies=("b-tctp", "sweep"))).run(store=False)
+        spans = obs.spans()
+        batch = self._batch_tree(spans)
+        (campaign,) = [s for s in spans if s["name"] == "campaign"]
+        assert batch["parent"] == campaign["id"]
+        assert batch["args"]["cells"] == result.metadata["num_cells"]
+        # per call, never per cell: every cell batched, so no cell spans
+        assert not [s for s in spans if s["name"] == "cell"]
+
+    def test_single_cell_gets_its_own_tree(self):
+        from repro.runner import execute_run
+
+        obs.configure(enabled=True)
+        cell = Campaign(campaign_spec(obs_on=True)).cells()[0]
+        execute_run(cell)
+        batch = self._batch_tree(obs.spans())
+        assert batch["parent"] is None and batch["args"]["cells"] == 1
+
+
 class TestServiceCounters:
     def test_coalesced_counter_matches_subscriber_count(self):
         release = threading.Event()

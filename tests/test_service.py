@@ -9,10 +9,14 @@ observable entry points.
 
 import io
 import json
+import sys
 import threading
 
 import pytest
 
+from repro import obs
+from repro.cli import main
+from repro.geometry.cache import clear_caches
 from repro.runner import Campaign, CampaignSpec, RunSpec
 from repro.runner.campaign import _json_sanitize, execute_cell
 from repro.scenarios import ScenarioSpec
@@ -362,6 +366,66 @@ class TestConcurrentCampaigns:
         assert first == second
         # and byte-identical to a store-less CLI-style execution
         assert first == canonical(Campaign(spec).run(store=False).records)
+
+    def test_threads_sharing_row_sets_stream_cli_records(self, tmp_path, capsys):
+        # A pinned layout: every replication of a strategy shares one plan and
+        # one row set, reduced by whichever worker thread gets there first.
+        base = RunSpec(
+            strategy="b-tctp",
+            scenario=ScenarioSpec("uniform", {"num_targets": 10, "num_mules": 2}, seed=7),
+            sim=SimulationConfig(horizon=8_000.0, track_energy=False),
+        )
+        spec = CampaignSpec(base=base, grid={"strategy": ["b-tctp", "sweep", "chb"]},
+                            replications=4)
+        submitters, rounds = 4, 3
+        streams = []
+        # The registries' lazy first load is not thread-safe yet: load them
+        # here, as a daemon's admission thread does before any worker runs.
+        Campaign(spec).cells()
+        # More workers than cores, switching threads far more often than
+        # every 5 ms, so workers interleave inside each other's batch calls.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with obs.obs_collected(enabled=True) as window:
+                scheduler = ServiceScheduler(store=False, workers=4, queue_limit=64)
+                barrier = threading.Barrier(submitters, timeout=60)
+
+                def submit():
+                    barrier.wait()
+                    streams.append(list(scheduler.submit(spec).events()))
+
+                for _round in range(rounds):  # cold row sets every round
+                    clear_caches()
+                    threads = [threading.Thread(target=submit) for _ in range(submitters)]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=120)
+                        assert not t.is_alive()
+                scheduler.shutdown()
+                snapshot = window.snapshot()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert len(streams) == submitters * rounds
+
+        spec_path = tmp_path / "campaign.json"
+        spec_path.write_text(spec.to_json())
+        assert main(["run", str(spec_path), "--no-store", "--json"]) == 0
+        cli = canonical(json.loads(capsys.readouterr().out)["records"])
+        for events in streams:
+            assert [e["event"] for e in events] == ["start"] + ["cell"] * len(cli) + ["done"]
+            assert canonical([e["record"] for e in events if e["event"] == "cell"]) == cli
+
+        def total(name, **labels):
+            return sum(c["value"] for c in snapshot["counters"] if c["name"] == name
+                       and all(c["labels"].get(k) == v for k, v in labels.items()))
+
+        stats = scheduler.stats()
+        assert stats["failed"] == 0
+        assert total("batch_dispatch", outcome="batch") + total("sim_dispatch") \
+            == stats["executed"]
+        assert total("batch_dispatch", outcome="batch") > 0
 
     def test_shutdown_drains_finished_cells_to_store(self, tmp_path):
         store_root = tmp_path / "store"
