@@ -18,7 +18,7 @@ lattice-linear predicate detection tractable:
 
 * :mod:`repro.analysis.rules` — the stable rule catalog;
 * :mod:`repro.analysis.findings` — findings, suppressions, the baseline;
-* :mod:`repro.analysis.registry_contract` — the three registries;
+* :mod:`repro.analysis.registry_contract` — the four registries;
 * :mod:`repro.analysis.determinism` — the AST determinism lint;
 * :mod:`repro.analysis.fingerprint_coverage` — store-poisoning prevention;
 * :mod:`repro.analysis.schema_drift` — golden wire-format schemas;

@@ -50,10 +50,12 @@ __all__ = [
     "lint_source",
 ]
 
-#: Packages under ``repro`` whose modules are reachable from registered
-#: factories or the simulator: the registered code paths.  ``service`` is in
-#: scope because the serve daemon promises byte identity with CLI execution —
-#: a wall clock or environment branch anywhere on its path would break it.
+#: Packages (and top-level modules) under ``repro`` whose code is reachable
+#: from registered factories or the simulator: the registered code paths.
+#: ``registry`` is the module every registry lookup runs through.  ``service``
+#: is in scope because the serve daemon promises byte identity with CLI
+#: execution — a wall clock or environment branch anywhere on its path would
+#: break it.
 DEFAULT_SCOPE: tuple[str, ...] = (
     "baselines",
     "core",
@@ -62,6 +64,7 @@ DEFAULT_SCOPE: tuple[str, ...] = (
     "network",
     "obs",
     "planning",
+    "registry",
     "scenarios",
     "service",
     "sim",
@@ -99,7 +102,7 @@ _DATETIME_CLASSES = frozenset({"datetime", "date"})
 
 
 def scope_files(scope: "Iterable[str] | None" = None) -> list[Path]:
-    """Every ``.py`` file in the registered-code-path packages, sorted."""
+    """Every ``.py`` file of the registered-code-path packages and modules, sorted."""
     import repro
 
     package_root = Path(repro.__file__).parent
@@ -108,6 +111,8 @@ def scope_files(scope: "Iterable[str] | None" = None) -> list[Path]:
         directory = package_root / package
         if directory.is_dir():
             files.extend(sorted(directory.rglob("*.py")))
+        elif directory.with_suffix(".py").is_file():
+            files.append(directory.with_suffix(".py"))
     return files
 
 

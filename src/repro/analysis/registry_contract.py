@@ -1,9 +1,11 @@
 """Registry-contract checker: declarations must match the factories behind them.
 
-PRs 1–5 moved the repo onto three declaration registries — strategies
-(:mod:`repro.baselines.base`), scenario families
-(:mod:`repro.scenarios.registry`) and planning-stage backends
-(:mod:`repro.planning.stages`).  Campaign validation, grid-axis resolution
+The repo names its pluggable parts through four declaration registries —
+strategies (:mod:`repro.baselines.base`), scenario families
+(:mod:`repro.scenarios.registry`), planning-stage backends
+(:mod:`repro.planning.stages`) and serve transports
+(:mod:`repro.service.registry`), all instances of
+:class:`repro.registry.Registry`.  Campaign validation, grid-axis resolution
 and the CLI listings all *trust* those declarations; this checker makes the
 trust checkable:
 
@@ -24,8 +26,10 @@ trust checkable:
   campaign grid axes resolve scenario > sim > strategy, so such a name
   silently shadows one layer (``registry-param-ambiguity``).
 
-Everything here is introspection over the live registries (via their
-``all_*_infos`` hooks) plus light docstring parsing; no simulation runs.
+Everything here is introspection over the live registries plus light
+docstring parsing; no simulation runs.  The rules every registry shares run
+in one loop; signature drift, undeclared ``**kwargs`` and parameter
+ambiguity are specific to the registries they concern.
 """
 
 from __future__ import annotations
@@ -40,10 +44,6 @@ from repro.analysis.findings import Finding
 __all__ = ["check_registries", "documented_params", "factory_location"]
 
 _MUTABLE_TYPES = (list, dict, set, bytearray)
-
-# Parameters injected by the runner / pipeline machinery rather than declared
-# by users: absent from the declared tables by design.
-_INJECTED_PARAMS = frozenset({"seed"})
 
 
 def factory_location(factory: Callable) -> tuple[str, int]:
@@ -128,7 +128,7 @@ def _normalize(name: str) -> str:
 
 
 def _alias_shadow_findings(
-    what: str, alias_table: Mapping[str, str], locate: Callable[[str], tuple[str, int]]
+    what: str, alias_table: Mapping[str, str], infos: Mapping[str, Any]
 ) -> list[Finding]:
     """Entries whose accepted keys collide once separators are normalised."""
     findings: list[Finding] = []
@@ -140,7 +140,7 @@ def _alias_shadow_findings(
         if seen is None:
             normalized[form] = (key, canonical)
         elif seen[1] != canonical:
-            path, line = locate(canonical)
+            path, line = factory_location(infos[canonical].factory)
             findings.append(Finding(
                 rule="registry-alias-shadow", path=path, line=line,
                 message=f"{what} key {key!r} (-> {canonical!r}) normalises to the "
@@ -151,20 +151,16 @@ def _alias_shadow_findings(
 
 
 def _docstring_drift_findings(
-    what: str,
-    name: str,
-    factory: Callable,
-    declared: Iterable[str],
-    *,
-    extra_allowed: frozenset[str] = frozenset(),
+    what: str, name: str, factory: Callable, declared: Iterable[str], inject: "str | None"
 ) -> list[Finding]:
     documented = documented_params(inspect.getdoc(inspect.unwrap(factory)))
     if documented is None:
         return []
-    declared_set = set(declared) | _INJECTED_PARAMS | extra_allowed
     path, line = factory_location(factory)
     findings = []
-    for param in sorted(documented - declared_set):
+    # The argument the registry injects (seed, context, scheduler) may be
+    # documented without being declared.
+    for param in sorted(documented - set(declared) - {inject}):
         findings.append(Finding(
             rule="registry-docstring-drift", path=path, line=line,
             message=f"{what} {name!r} documents parameter {param!r} that the "
@@ -179,22 +175,6 @@ def _docstring_drift_findings(
     return findings
 
 
-def _mutable_default_findings(
-    what: str, name: str, factory: Callable, defaults: Mapping[str, Any]
-) -> list[Finding]:
-    findings = []
-    path, line = factory_location(factory)
-    for param, default in sorted(defaults.items()):
-        if isinstance(default, _MUTABLE_TYPES):
-            findings.append(Finding(
-                rule="registry-mutable-default", path=path, line=line,
-                message=f"{what} {name!r} declares parameter {param!r} with "
-                        f"mutable default {default!r}; one shared instance "
-                        "leaks state across builds",
-            ))
-    return findings
-
-
 def _sim_field_names() -> frozenset[str]:
     import dataclasses
 
@@ -203,46 +183,38 @@ def _sim_field_names() -> frozenset[str]:
     return frozenset(f.name for f in dataclasses.fields(SimulationConfig))
 
 
-def check_registries(
-    *,
-    strategies: "Mapping[str, Any] | None" = None,
-    strategy_aliases: "Mapping[str, str] | None" = None,
-    scenarios: "Mapping[str, Any] | None" = None,
-    scenario_aliases: "Mapping[str, str] | None" = None,
-    stages: "Mapping[str, Mapping[str, Any]] | None" = None,
-    transports: "Mapping[str, Any] | None" = None,
-    transport_aliases: "Mapping[str, str] | None" = None,
+def _shared_findings(
+    registry: Any, infos: Mapping[str, Any], aliases: Mapping[str, str]
 ) -> list[Finding]:
-    """Run every registry-contract rule over the four registries.
+    """The rules every registry shares: alias shadow, description, docstring, defaults."""
+    what = registry.noun
+    findings = _alias_shadow_findings(what, aliases, infos)
+    for name in sorted(infos):
+        info = infos[name]
+        path, line = factory_location(info.factory)
+        if not info.description.strip():
+            findings.append(Finding(
+                rule="registry-missing-description", path=path, line=line,
+                message=f"{what} {name!r} has no description",
+            ))
+        findings += _docstring_drift_findings(
+            what, name, info.factory, info.params, registry.inject
+        )
+        for param, default in sorted(info.defaults().items()):
+            if isinstance(default, _MUTABLE_TYPES):
+                findings.append(Finding(
+                    rule="registry-mutable-default", path=path, line=line,
+                    message=f"{what} {name!r} declares parameter {param!r} with "
+                            f"mutable default {default!r}; one shared instance "
+                            "leaks state across builds",
+                ))
+    return findings
 
-    All parameters default to the live registries (via their ``all_*_infos``
-    introspection hooks); tests inject synthetic info tables to seed
-    violations without registering anything for real — registrations are
-    permanent, so polluting the live registries from a test would leak into
-    every later listing.
-    """
-    from repro.baselines.base import (
-        all_strategy_infos,
-        derived_strategy_params,
-        strategy_alias_table,
-    )
-    from repro.planning.stages import STAGE_KINDS, all_stage_infos, stage_alias_table
-    from repro.scenarios.registry import all_scenario_infos, scenario_alias_table
-    from repro.service.registry import all_transport_infos, transport_alias_table
+
+def _strategy_findings(strategies: Mapping[str, Any], sim_fields: frozenset[str]) -> list[Finding]:
+    from repro.baselines.base import derived_strategy_params
 
     findings: list[Finding] = []
-    sim_fields = _sim_field_names()
-
-    # -- strategies ------------------------------------------------------- #
-    if strategies is None:
-        strategies = all_strategy_infos()
-        strategy_aliases = strategy_alias_table()
-    elif strategy_aliases is None:
-        strategy_aliases = {name: name for name in strategies}
-    findings += _alias_shadow_findings(
-        "strategy", strategy_aliases,
-        lambda name: factory_location(strategies[name].factory),
-    )
     for name in sorted(strategies):
         info = strategies[name]
         path, line = factory_location(info.factory)
@@ -268,12 +240,6 @@ def check_registries(
                 message=f"strategy {name!r} declared parameters drifted from "
                         f"the factory signature ({detail})",
             ))
-        if not info.description.strip():
-            findings.append(Finding(
-                rule="registry-missing-description", path=path, line=line,
-                message=f"strategy {name!r} has no description",
-            ))
-        findings += _docstring_drift_findings("strategy", name, info.factory, info.params)
         for param in sorted(info.params & sim_fields):
             findings.append(Finding(
                 rule="registry-param-ambiguity", path=path, line=line,
@@ -282,31 +248,14 @@ def check_registries(
                         f"{param!r} resolves to sim.{param}, never reaching the "
                         "strategy",
             ))
+    return findings
 
-    # -- scenario families ------------------------------------------------ #
-    if scenarios is None:
-        scenarios = all_scenario_infos()
-        scenario_aliases = scenario_alias_table()
-    elif scenario_aliases is None:
-        scenario_aliases = {name: name for name in scenarios}
-    findings += _alias_shadow_findings(
-        "scenario family", scenario_aliases,
-        lambda name: factory_location(scenarios[name].factory),
-    )
+
+def _scenario_findings(scenarios: Mapping[str, Any], sim_fields: frozenset[str]) -> list[Finding]:
+    findings: list[Finding] = []
     for name in sorted(scenarios):
         info = scenarios[name]
         path, line = factory_location(info.factory)
-        if not info.description.strip():
-            findings.append(Finding(
-                rule="registry-missing-description", path=path, line=line,
-                message=f"scenario family {name!r} has no description",
-            ))
-        findings += _docstring_drift_findings(
-            "scenario family", name, info.factory, info.params
-        )
-        findings += _mutable_default_findings(
-            "scenario family", name, info.factory, info.defaults()
-        )
         for param in sorted(set(info.params) & sim_fields):
             findings.append(Finding(
                 rule="registry-param-ambiguity", path=path, line=line,
@@ -315,61 +264,49 @@ def check_registries(
                         f"axis {param!r} resolves to the scenario, silently "
                         f"shadowing sim.{param}",
             ))
+    return findings
 
-    # -- planning-stage backends ------------------------------------------ #
-    if stages is None:
-        stages = all_stage_infos()
-        stage_aliases = {kind: stage_alias_table(kind) for kind in STAGE_KINDS}
-    else:
-        stage_aliases = {
-            kind: {name: name for name in stages.get(kind, {})} for kind in stages
-        }
-    for kind in stages:
-        findings += _alias_shadow_findings(
-            f"{kind} backend", stage_aliases[kind],
-            lambda name, _kind=kind: factory_location(stages[_kind][name].factory),
-        )
-        for name in sorted(stages[kind]):
-            info = stages[kind][name]
-            path, line = factory_location(info.factory)
-            if not info.description.strip():
-                findings.append(Finding(
-                    rule="registry-missing-description", path=path, line=line,
-                    message=f"{kind} backend {name!r} has no description",
-                ))
-            findings += _docstring_drift_findings(
-                f"{kind} backend", name, info.factory, info.params,
-                extra_allowed=frozenset({"ctx"}),
-            )
-            findings += _mutable_default_findings(
-                f"{kind} backend", name, info.factory, info.defaults()
-            )
 
-    # -- serve transports -------------------------------------------------- #
-    if transports is None:
-        transports = all_transport_infos()
-        transport_aliases = transport_alias_table()
-    elif transport_aliases is None:
-        transport_aliases = {name: name for name in transports}
-    findings += _alias_shadow_findings(
-        "transport", transport_aliases,
-        lambda name: factory_location(transports[name].factory),
-    )
-    for name in sorted(transports):
-        info = transports[name]
-        path, line = factory_location(info.factory)
-        if not info.description.strip():
-            findings.append(Finding(
-                rule="registry-missing-description", path=path, line=line,
-                message=f"transport {name!r} has no description",
-            ))
-        # The leading scheduler argument is injected by the server wiring,
-        # so docstrings may document it without declaring it an option.
-        findings += _docstring_drift_findings(
-            "transport", name, info.factory, info.params,
-            extra_allowed=frozenset({"scheduler"}),
-        )
-        findings += _mutable_default_findings(
-            "transport", name, info.factory, info.defaults()
-        )
+def check_registries(
+    *,
+    strategies: "Mapping[str, Any] | None" = None,
+    strategy_aliases: "Mapping[str, str] | None" = None,
+    scenarios: "Mapping[str, Any] | None" = None,
+    scenario_aliases: "Mapping[str, str] | None" = None,
+    stages: "Mapping[str, Mapping[str, Any]] | None" = None,
+    transports: "Mapping[str, Any] | None" = None,
+    transport_aliases: "Mapping[str, str] | None" = None,
+) -> list[Finding]:
+    """Run every registry-contract rule over the four registries.
+
+    All parameters default to the live registries; tests inject synthetic
+    info tables to seed violations without registering anything for real —
+    registrations are permanent, so polluting the live registries from a
+    test would leak into every later listing.
+    """
+    from repro.baselines.base import STRATEGIES
+    from repro.planning.stages import STAGES
+    from repro.scenarios.registry import SCENARIOS
+    from repro.service.registry import TRANSPORTS
+
+    def tables(registry, infos=None, aliases=None):
+        """``(registry, infos, alias table)``: the live tables unless injected."""
+        if infos is None:
+            return registry, registry.infos(), registry.alias_table()
+        return registry, infos, aliases if aliases is not None else {name: name for name in infos}
+
+    checked = [
+        tables(STRATEGIES, strategies, strategy_aliases),
+        tables(SCENARIOS, scenarios, scenario_aliases),
+        *([tables(STAGES[kind], infos) for kind, infos in stages.items()]
+          if stages is not None else [tables(registry) for registry in STAGES.values()]),
+        tables(TRANSPORTS, transports, transport_aliases),
+    ]
+    findings: list[Finding] = []
+    for registry, infos, aliases in checked:
+        findings += _shared_findings(registry, infos, aliases)
+    (_, strategy_infos, _), (_, scenario_infos, _) = checked[:2]
+    sim_fields = _sim_field_names()
+    findings += _strategy_findings(strategy_infos, sim_fields)
+    findings += _scenario_findings(scenario_infos, sim_fields)
     return findings

@@ -8,9 +8,9 @@ so renaming one is a breaking change to every suppression that names it.
 
 The catalog groups into four analyzers:
 
-* ``registry`` — the three declaration registries (strategies, scenario
-  families, planning-stage backends) must keep their declared contracts in
-  sync with the factories behind them;
+* ``registry`` — the four declaration registries (strategies, scenario
+  families, planning-stage backends, serve transports) must keep their
+  declared contracts in sync with the factories behind them;
 * ``determinism`` — registered code paths must stay reproducible: seeded
   RNGs only, no wall clock, no set-iteration order, no environment branches;
 * ``fingerprint`` — every spec dataclass field must flow into the run

@@ -11,17 +11,20 @@ Each registration carries a :class:`StrategyInfo` record declaring the
 keyword parameters the factory accepts and the aliases it answers to, so
 callers can validate or filter parameter dictionaries *before* instantiating
 a planner — declarative run specs rely on this to share one parameter set
-across strategies that accept different subsets of it.
+across strategies that accept different subsets of it.  The table itself is
+a :class:`repro.registry.Registry`, the shape all four registries share.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
-from typing import Any, Callable, Mapping, Protocol, runtime_checkable
+from types import MappingProxyType
+from typing import Any, Callable, ClassVar, Mapping, Protocol, runtime_checkable
 
 from repro.core.plan import PatrolPlan
 from repro.network.scenario import Scenario
+from repro.registry import Info, Loader, Registry
 
 __all__ = [
     "PatrolStrategy",
@@ -51,47 +54,44 @@ class PatrolStrategy(Protocol):
 
 
 @dataclass(frozen=True)
-class StrategyInfo:
+class StrategyInfo(Info):
     """Registry record: how to build a strategy and which kwargs it accepts.
 
-    ``strict`` is ``False`` only for factories whose signature takes
-    ``**kwargs`` and that declared no explicit parameter set — for those,
+    ``params`` is the set of declared keyword names; strategies declare no
+    defaults or required parameters, their planners carry those.  ``strict``
+    is ``False`` only for factories whose signature takes ``**kwargs`` and
+    that declared no explicit parameter set — for those,
     :func:`get_strategy` forwards keyword arguments unvalidated (the
     pre-declaration behaviour) and :func:`filter_strategy_kwargs` keeps
     everything.
 
     ``validator`` (optional) receives a parameter dict and raises
     :class:`ValueError` on out-of-range or malformed values *without building
-    anything* — campaigns run it on every cell before simulation starts,
-    symmetric to :class:`repro.scenarios.registry.ScenarioInfo.validator`.
-    ``composition`` (optional) is the strategy's default planning-pipeline
-    composition (:class:`repro.planning.PipelineSpec`), shown by the
+    anything* — campaigns run it on every cell before simulation starts, as
+    for every :class:`repro.registry.Info`.  ``composition`` (optional) is
+    the strategy's default planning-pipeline composition
+    (:class:`repro.planning.PipelineSpec`), shown by the
     ``repro-patrol strategies`` listing.
     """
 
-    name: str
-    factory: Callable[..., PatrolStrategy]
     params: frozenset[str]
-    aliases: tuple[str, ...] = ()
-    description: str = ""
     strict: bool = True
-    validator: "Callable[[dict], None] | None" = None
     composition: "object | None" = None
 
-
-_REGISTRY: dict[str, StrategyInfo] = {}      # canonical name -> info
-_ALIASES: dict[str, str] = {}                # every accepted key -> canonical name
-_defaults_loaded = False                     # guards the lazy built-in registration
+    required: ClassVar[tuple[str, ...]] = ()
+    _defaults: ClassVar[Mapping[str, Any]] = MappingProxyType({})
 
 
-def _declared_params(factory: Callable[..., PatrolStrategy]) -> tuple[frozenset[str], bool]:
-    """Derive ``(params, strict)`` from the factory when none were declared.
+def derived_strategy_params(factory: Callable[..., PatrolStrategy]) -> tuple[frozenset[str], bool]:
+    """Derive ``(params, strict)`` from a factory, as registration does when none were declared.
 
     Dataclasses declare their fields (minus ``name``); other callables are
     inspected for named keyword parameters.  A ``**kwargs`` in the signature
     (or an uninspectable factory) makes the declaration non-strict so
     arbitrary keyword arguments keep flowing through, as they did before
-    parameter declarations existed.
+    parameter declarations existed.  The registry-contract checker compares
+    an explicitly declared parameter set against this derivation — the two
+    drifting apart is exactly the bug the checker exists to catch.
     """
     if is_dataclass(factory):
         return frozenset(f.name for f in dataclass_fields(factory) if f.name != "name"), True
@@ -130,66 +130,34 @@ def register_strategy(
     :func:`validate_strategy_params`); ``composition`` is the strategy's
     default :class:`~repro.planning.PipelineSpec`, for listings.
     """
-    _ensure_defaults()  # custom registrations must never shadow the built-ins
-    key = name.lower()
-    if key in _ALIASES:
-        raise ValueError(f"strategy {name!r} is already registered")
-    for alias in aliases:
-        if alias.lower() in _ALIASES:
-            raise ValueError(f"strategy alias {alias!r} is already registered")
     if params is not None:
         declared, strict = frozenset(params), True
     else:
-        declared, strict = _declared_params(factory)
-    info = StrategyInfo(
-        name=key,
-        factory=factory,
-        params=declared,
-        aliases=tuple(a.lower() for a in aliases),
-        description=description,
-        strict=strict,
-        validator=validator,
-        composition=composition,
+        declared, strict = derived_strategy_params(factory)
+    STRATEGIES.register(
+        name, factory, aliases=aliases, params=declared, strict=strict,
+        description=description, validator=validator, composition=composition,
     )
-    _REGISTRY[key] = info
-    _ALIASES[key] = key
-    for alias in info.aliases:
-        _ALIASES[alias] = key
 
 
 def available_strategies(*, include_aliases: bool = True) -> list[str]:
     """Names of all registered strategies (aliases included by default)."""
-    _ensure_defaults()
-    return sorted(_ALIASES) if include_aliases else sorted(_REGISTRY)
-
-
-def _did_you_mean(name: str, options) -> str:
-    from repro.planning.stages import did_you_mean
-
-    return did_you_mean(name, options)
+    return STRATEGIES.names(include_aliases=include_aliases)
 
 
 def canonical_strategy_name(name: str) -> str:
     """Resolve an alias (``"btctp"``) to its canonical registry name (``"b-tctp"``)."""
-    _ensure_defaults()
-    try:
-        return _ALIASES[name.lower()]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown strategy {name!r}; available: "
-            f"{', '.join(available_strategies(include_aliases=False))}"
-            f"{_did_you_mean(name, _ALIASES)}"
-        ) from exc
+    return STRATEGIES.info(name).name
 
 
 def strategy_info(name: str) -> StrategyInfo:
     """The :class:`StrategyInfo` record for ``name`` (alias-tolerant)."""
-    return _REGISTRY[canonical_strategy_name(name)]
+    return STRATEGIES.info(name)
 
 
 def strategy_params(name: str) -> frozenset[str]:
     """The keyword parameters declared by strategy ``name``."""
-    return strategy_info(name).params
+    return STRATEGIES.info(name).params
 
 
 def filter_strategy_kwargs(name: str, kwargs: Mapping[str, Any]) -> dict[str, Any]:
@@ -206,10 +174,7 @@ def filter_strategy_kwargs(name: str, kwargs: Mapping[str, Any]) -> dict[str, An
         offending strategy, lists the registered ones and suggests a close
         match, so a typo in a sweep reads unambiguously.
     """
-    info = strategy_info(name)  # raises the named, suggesting error on typos
-    if not info.strict:
-        return dict(kwargs)
-    return {k: v for k, v in kwargs.items() if k in info.params}
+    return STRATEGIES.filter(name, kwargs)
 
 
 def validate_strategy_params(name: str, params: Mapping[str, Any]) -> None:
@@ -217,28 +182,9 @@ def validate_strategy_params(name: str, params: Mapping[str, Any]) -> None:
 
     Runs the declared-parameter check and the strategy's registered
     ``validator`` (value/range checks) without instantiating a planner —
-    cheap enough for every cell of a campaign, symmetric to
-    :func:`repro.scenarios.registry.validate_scenario_params`.
+    cheap enough for every cell of a campaign (:meth:`repro.registry.Registry.validate`).
     """
-    info = strategy_info(name)  # raises on unknown strategy
-    if info.strict:
-        unknown = sorted(set(params) - info.params)
-        if unknown:
-            accepted = ", ".join(sorted(info.params)) or "(none)"
-            raise ValueError(
-                f"strategy {info.name!r} does not accept parameter(s) "
-                f"{', '.join(repr(p) for p in unknown)}; accepted: {accepted}"
-                f"{_did_you_mean(unknown[0], info.params)}"
-            )
-    if info.validator is not None:
-        try:
-            info.validator(dict(params))
-        except TypeError as exc:
-            # e.g. a non-string stage spec: surface it as the same clean
-            # pre-run rejection as any other bad parameter value.
-            raise ValueError(
-                f"invalid parameter value for strategy {info.name!r}: {exc}"
-            ) from exc
+    STRATEGIES.validate(name, params)
 
 
 def all_strategy_infos() -> dict[str, StrategyInfo]:
@@ -247,25 +193,12 @@ def all_strategy_infos() -> dict[str, StrategyInfo]:
     The introspection hook for :mod:`repro.analysis.registry_contract`; the
     returned dict is a copy, so analyzers can never mutate the registry.
     """
-    _ensure_defaults()
-    return dict(_REGISTRY)
+    return STRATEGIES.infos()
 
 
 def strategy_alias_table() -> dict[str, str]:
     """Every accepted strategy key (canonical names included) -> canonical name."""
-    _ensure_defaults()
-    return dict(_ALIASES)
-
-
-def derived_strategy_params(factory: Callable[..., PatrolStrategy]) -> tuple[frozenset[str], bool]:
-    """Re-derive ``(params, strict)`` from a factory, as registration would.
-
-    Exposed so the registry-contract checker can compare an explicitly
-    declared parameter set against what the factory signature actually
-    accepts — the two drifting apart is exactly the bug the checker exists
-    to catch.
-    """
-    return _declared_params(factory)
+    return STRATEGIES.alias_table()
 
 
 def get_strategy(name: str, **kwargs) -> PatrolStrategy:
@@ -290,41 +223,18 @@ def get_strategy(name: str, **kwargs) -> PatrolStrategy:
     Raises
     ------
     ValueError
-        If ``name`` is unknown, or a keyword is not declared by the strategy
-        (for strict registrations).
+        If ``name`` is unknown, a keyword is not declared by the strategy
+        (for strict registrations), or the strategy's validator rejects a
+        value — before any planning starts.
 
     See Also
     --------
     repro.scenarios.get_scenario : the scenario-side twin.
     """
-    info = strategy_info(name)
-    unknown = sorted(set(kwargs) - info.params) if info.strict else []
-    if unknown:
-        accepted = ", ".join(sorted(info.params)) or "(none)"
-        raise ValueError(
-            f"strategy {info.name!r} does not accept parameter(s) "
-            f"{', '.join(repr(p) for p in unknown)}; accepted: {accepted}"
-            f"{_did_you_mean(unknown[0], info.params)}"
-        )
-    if info.validator is not None:
-        # The same cheap value/range validation campaigns run per cell: an
-        # out-of-range parameter fails here, before any planning starts,
-        # instead of crashing deep inside a stage backend.
-        try:
-            info.validator(dict(kwargs))
-        except TypeError as exc:
-            raise ValueError(
-                f"invalid parameter value for strategy {info.name!r}: {exc}"
-            ) from exc
-    return info.factory(**kwargs)
+    return STRATEGIES.validate(name, kwargs).factory(**kwargs)
 
 
-def _ensure_defaults() -> None:
-    """Populate the registry lazily (avoids import cycles at module load)."""
-    global _defaults_loaded
-    if _defaults_loaded:
-        return
-    _defaults_loaded = True
+def _load_builtins() -> None:
     from repro.baselines.chb import CHBPlanner
     from repro.baselines.random_patrol import RandomPlanner
     from repro.baselines.sweep import SweepPlanner
@@ -359,3 +269,7 @@ def _ensure_defaults() -> None:
             composition=builder().spec,
         )
     compositions.register_builtin_compositions()
+
+
+#: The strategy table; its built-ins register on the first lookup.
+STRATEGIES = Registry("strategy", Loader(_load_builtins), info_type=StrategyInfo)

@@ -85,15 +85,10 @@ from repro.experiments import (
 )
 from repro.experiments.reporting import format_table, print_report
 from repro.runner import Campaign, CampaignResult, CampaignSpec, RunSpec, load_spec
-from repro.scenarios import (
-    ScenarioSpec,
-    available_scenario_families,
-    scenario_family_info,
-    spec_from_scenario_config,
-)
+from repro.scenarios import ScenarioSpec, spec_from_scenario_config
 from repro.planning.spec import parse_param_value, split_stage_params
 from repro.planning.stages import canonical_stage_backend
-from repro.scenarios.registry import REQUIRED
+from repro.scenarios.registry import all_scenario_infos
 from repro.sim.engine import PatrolSimulator, SimulationConfig
 from repro.sim.metrics import average_dcdt, average_sd, interval_statistics, max_visiting_interval
 from repro.store import MergeConflictError, ResultStore, default_store, parse_filter_expression
@@ -764,39 +759,11 @@ def _run_strategies_listing(args: argparse.Namespace) -> int:
 
 def _run_scenarios_listing(args: argparse.Namespace) -> int:
     """List the registered scenario families (mirror of the strategy listing)."""
-    families = []
-    for name in available_scenario_families():
-        info = scenario_family_info(name)
-        families.append({
-            "name": info.name,
-            "aliases": list(info.aliases),
-            "description": info.description,
-            "params": [
-                {
-                    "name": p.name,
-                    "kind": p.kind,
-                    **({} if p.default is REQUIRED else {"default": p.default}),
-                    "required": p.required,
-                }
-                for p in info.params.values()
-            ],
-        })
-    if args.json:
-        print(json.dumps({"families": families}, indent=2, default=str))
-        return 0
-    rows = []
-    for fam in families:
-        signature = ", ".join(
-            p["name"] if p["required"] else f"{p['name']}={p['default']}"
-            for p in fam["params"]
-        )
-        name = fam["name"] + (f" ({', '.join(fam['aliases'])})" if fam["aliases"] else "")
-        rows.append([name, fam["description"], signature or "(none)"])
-    print_report(format_table(
-        ["family (aliases)", "description", "parameters"], rows,
+    return _print_param_listing(
+        args, all_scenario_infos(), key="families", params_key="params",
+        headers=["family (aliases)", "description", "parameters"],
         title="Registered scenario families",
-    ))
-    return 0
+    )
 
 
 def _run_transports_listing(args: argparse.Namespace) -> int:
@@ -804,39 +771,49 @@ def _run_transports_listing(args: argparse.Namespace) -> int:
     # Lazy import: only the service subcommands need the service package.
     from repro.service import all_transport_infos
 
-    transports = []
-    for name, info in sorted(all_transport_infos().items()):
-        transports.append({
+    return _print_param_listing(
+        args, all_transport_infos(), key="transports", params_key="options",
+        headers=["transport (aliases)", "description", "options"],
+        title="Registered serve transports",
+    )
+
+
+def _print_param_listing(
+    args: argparse.Namespace, infos: dict, *, key: str, params_key: str,
+    headers: list[str], title: str,
+) -> int:
+    """Print a registry whose entries declare :class:`repro.registry.Param` tables."""
+    entries = [
+        {
             "name": name,
             "aliases": list(info.aliases),
             "description": info.description,
-            "options": [
+            params_key: [
                 {
                     "name": p.name,
                     "kind": p.kind,
-                    **({"default": p.default} if not p.required else {}),
+                    **({} if p.required else {"default": p.default}),
                     "required": p.required,
                 }
                 for p in info.params.values()
             ],
-        })
+        }
+        for name, info in sorted(infos.items())
+    ]
     if args.json:
-        print(json.dumps({"transports": transports}, indent=2, default=str))
+        print(json.dumps({key: entries}, indent=2, default=str))
         return 0
     rows = []
-    for entry in transports:
+    for entry in entries:
         signature = ", ".join(
-            o["name"] if o["required"] else f"{o['name']}={o['default']}"
-            for o in entry["options"]
+            p["name"] if p["required"] else f"{p['name']}={p['default']}"
+            for p in entry[params_key]
         )
         name = entry["name"] + (
             f" ({', '.join(entry['aliases'])})" if entry["aliases"] else ""
         )
         rows.append([name, entry["description"], signature or "(none)"])
-    print_report(format_table(
-        ["transport (aliases)", "description", "options"], rows,
-        title="Registered serve transports",
-    ))
+    print_report(format_table(headers, rows, title=title))
     return 0
 
 

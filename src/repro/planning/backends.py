@@ -39,7 +39,8 @@ from repro.graphs.multitour import MultiTour
 from repro.graphs.tour import Tour
 from repro.graphs.validation import validate_tour, validate_walk_visits
 from repro.planning.pipeline import Lane, PlanningContext
-from repro.planning.stages import did_you_mean, register_stage
+from repro.planning.stages import register_stage
+from repro.registry import did_you_mean
 
 __all__: list[str] = []  # backends are reached through the stage registry
 

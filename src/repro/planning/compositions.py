@@ -389,9 +389,8 @@ def _validate_pipeline_params(params: Mapping[str, Any]) -> None:
 def register_builtin_compositions() -> None:
     """Register the cross-combined strategies and the generic ``pipeline``.
 
-    Called by the strategy registry's lazy default loading
-    (:func:`repro.baselines.base._ensure_defaults`); idempotence is the
-    caller's concern (the registry guards with ``_defaults_loaded``).
+    Called by the strategy registry's lazy built-in load, which runs once
+    per process (:class:`repro.registry.Loader`).
     """
     from repro.baselines.base import register_strategy
 

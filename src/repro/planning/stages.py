@@ -3,8 +3,9 @@
 Every planner in the library shares one hidden shape — build a base **tour**,
 **augment** it for VIP weights or recharge, fix a traversal **order**, and
 **initialise** the mules along it.  This module makes that shape explicit:
-each of the four stage kinds owns a decorator-based registry of named
-backends, mirroring :mod:`repro.scenarios.registry` on the scenario side.
+each of the four stage kinds owns a :class:`repro.registry.Registry` of
+named backends, the shape the strategy, scenario and transport registries
+share.
 
 Registering a backend is a decorator::
 
@@ -13,19 +14,19 @@ Registering a backend is a decorator::
         ...
 
 Backends receive the :class:`~repro.planning.pipeline.PlanningContext` as
-their only positional argument; every stage parameter must be declared
-keyword-only so the registry can derive a truthful parameter table from the
-signature (``**kwargs`` catch-alls are rejected).  An optional ``validator``
-receives the parameter dict and raises :class:`ValueError` on out-of-range
-values — it runs during campaign validation, before any planning happens.
+their leading positional argument; their keyword parameters form the
+backend's declared parameter table (``**kwargs`` catch-alls are rejected),
+and a parameter without a default must be given by every stage spec.  An
+optional ``validator`` receives the parameter dict and raises
+:class:`ValueError` on out-of-range values — it runs during campaign
+validation, before any planning happens.
 """
 
 from __future__ import annotations
 
-import difflib
-import inspect
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping
+
+from repro.registry import Info, Loader, Param, Registry, did_you_mean
 
 __all__ = [
     "STAGE_KINDS",
@@ -44,87 +45,31 @@ __all__ = [
 #: The four stage kinds, in execution order.
 STAGE_KINDS: tuple[str, ...] = ("tour", "augment", "order", "init")
 
-
-def did_you_mean(name: str, options) -> str:
-    """``"; did you mean 'x'?"`` when ``name`` is a near-miss of an option, else ``""``."""
-    matches = difflib.get_close_matches(str(name).lower(), [str(o) for o in options], n=1)
-    return f"; did you mean {matches[0]!r}?" if matches else ""
-
-
-@dataclass(frozen=True)
-class StageParam:
-    """One declared parameter of a stage backend: name, default, annotation."""
-
-    name: str
-    default: Any
-    kind: str = ""
+#: One declared parameter of a stage backend: name, default, annotation.
+StageParam = Param
+#: Registry record for one backend of one stage kind.
+StageBackendInfo = Info
 
 
-@dataclass(frozen=True)
-class StageBackendInfo:
-    """Registry record for one backend of one stage kind."""
-
-    kind: str
-    name: str
-    factory: Callable
-    params: Mapping[str, StageParam]
-    aliases: tuple[str, ...] = ()
-    description: str = ""
-    validator: "Callable[[dict], None] | None" = None
-
-    def defaults(self) -> dict[str, Any]:
-        return {p.name: p.default for p in self.params.values()}
-
-    def merged(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        merged = self.defaults()
-        merged.update(params)
-        return merged
+def _load_backends() -> None:
+    import repro.planning.backends  # noqa: F401  (registers the built-in backends)
 
 
-# kind -> canonical name -> info;  kind -> every accepted key -> canonical name
-_REGISTRY: dict[str, dict[str, StageBackendInfo]] = {k: {} for k in STAGE_KINDS}
-_ALIASES: dict[str, dict[str, str]] = {k: {} for k in STAGE_KINDS}
-_defaults_loaded = False
+#: One backend table per stage kind, all filled by one import on first lookup.
+_BACKENDS = Loader(_load_backends)
+STAGES: dict[str, Registry] = {
+    kind: Registry(f"{kind} stage backend", _BACKENDS, inject="ctx") for kind in STAGE_KINDS
+}
 
 
-def _check_kind(kind: str) -> str:
-    if kind not in STAGE_KINDS:
+def _stages(kind: str) -> Registry:
+    try:
+        return STAGES[kind]
+    except KeyError:
         raise ValueError(
             f"unknown stage kind {kind!r}; expected one of {', '.join(STAGE_KINDS)}"
             f"{did_you_mean(kind, STAGE_KINDS)}"
-        )
-    return kind
-
-
-def _annotation_name(annotation: Any) -> str:
-    if annotation is inspect.Parameter.empty:
-        return ""
-    if isinstance(annotation, str):
-        return annotation
-    return getattr(annotation, "__name__", str(annotation))
-
-
-def _param_table(factory: Callable) -> dict[str, StageParam]:
-    """Stage parameters are the keyword-only parameters of the backend.
-
-    The positional parameter (the planning context) is skipped; ``**kwargs``
-    is rejected so the declaration stays complete and validation can trust it.
-    """
-    signature = inspect.signature(factory)
-    table: dict[str, StageParam] = {}
-    for param in signature.parameters.values():
-        if param.kind is inspect.Parameter.VAR_KEYWORD:
-            raise TypeError(
-                f"stage backend {factory!r} takes **{param.name}; backends must "
-                "declare an explicit keyword-only parameter set"
-            )
-        if param.kind is not inspect.Parameter.KEYWORD_ONLY:
-            continue
-        default = None if param.default is inspect.Parameter.empty else param.default
-        table[param.name] = StageParam(
-            name=param.name, default=default, kind=_annotation_name(param.annotation)
-        )
-    return table
+        ) from None
 
 
 def register_stage(
@@ -137,84 +82,32 @@ def register_stage(
     validator: "Callable[[dict], None] | None" = None,
 ):
     """Register a stage backend (decorator or direct call, case-insensitive)."""
-
-    def _register(fac: Callable) -> Callable:
-        _ensure_defaults()  # custom registrations must never shadow the built-ins
-        _check_kind(kind)
-        key = name.lower()
-        if key in _ALIASES[kind]:
-            raise ValueError(f"{kind} backend {name!r} is already registered")
-        for alias in aliases:
-            if alias.lower() in _ALIASES[kind]:
-                raise ValueError(f"{kind} backend alias {alias!r} is already registered")
-        info = StageBackendInfo(
-            kind=kind,
-            name=key,
-            factory=fac,
-            params=_param_table(fac),
-            aliases=tuple(a.lower() for a in aliases),
-            description=description,
-            validator=validator,
-        )
-        _REGISTRY[kind][key] = info
-        _ALIASES[kind][key] = key
-        for alias in info.aliases:
-            _ALIASES[kind][alias] = key
-        return fac
-
-    if factory is not None:
-        return _register(factory)
-    return _register
+    return _stages(kind).register(name, factory, aliases=aliases,
+                                  description=description, validator=validator)
 
 
 def available_stage_backends(kind: str, *, include_aliases: bool = False) -> list[str]:
     """Names of the registered backends for one stage kind."""
-    _ensure_defaults()
-    _check_kind(kind)
-    return sorted(_ALIASES[kind]) if include_aliases else sorted(_REGISTRY[kind])
+    return _stages(kind).names(include_aliases=include_aliases)
 
 
 def canonical_stage_backend(kind: str, name: str) -> str:
     """Resolve an alias to the backend's canonical name; raise with suggestions."""
-    _ensure_defaults()
-    _check_kind(kind)
-    try:
-        return _ALIASES[kind][name.lower()]
-    except KeyError as exc:
-        options = available_stage_backends(kind, include_aliases=True)
-        raise ValueError(
-            f"unknown {kind} stage backend {name!r}; available: "
-            f"{', '.join(available_stage_backends(kind))}{did_you_mean(name, options)}"
-        ) from exc
+    return _stages(kind).info(name).name
 
 
 def stage_backend_info(kind: str, name: str) -> StageBackendInfo:
     """The :class:`StageBackendInfo` record for ``(kind, name)`` (alias-tolerant)."""
-    return _REGISTRY[kind][canonical_stage_backend(kind, name)]
+    return _stages(kind).info(name)
 
 
 def validate_stage_params(kind: str, name: str, params: Mapping[str, Any]) -> None:
-    """Raise :class:`ValueError` on an unknown backend, undeclared or bad params.
+    """Raise :class:`ValueError` on an unknown backend, undeclared, missing or bad params.
 
     Cheap enough to run on every cell of a campaign before planning starts;
     unknown names come back with a did-you-mean suggestion.
     """
-    info = stage_backend_info(kind, name)  # raises on unknown backend
-    unknown = sorted(set(params) - set(info.params))
-    if unknown:
-        accepted = ", ".join(sorted(info.params)) or "(none)"
-        raise ValueError(
-            f"{kind} stage backend {info.name!r} does not accept parameter(s) "
-            f"{', '.join(repr(p) for p in unknown)}; accepted: {accepted}"
-            f"{did_you_mean(unknown[0], info.params)}"
-        )
-    if info.validator is not None:
-        try:
-            info.validator(info.merged(params))
-        except TypeError as exc:
-            raise ValueError(
-                f"invalid parameter value for {kind} stage backend {info.name!r}: {exc}"
-            ) from exc
+    _stages(kind).validate(name, params)
 
 
 def all_stage_infos() -> dict[str, dict[str, StageBackendInfo]]:
@@ -223,21 +116,9 @@ def all_stage_infos() -> dict[str, dict[str, StageBackendInfo]]:
     The introspection hook for :mod:`repro.analysis.registry_contract`; the
     returned dicts are copies, so analyzers can never mutate the registries.
     """
-    _ensure_defaults()
-    return {kind: dict(_REGISTRY[kind]) for kind in STAGE_KINDS}
+    return {kind: STAGES[kind].infos() for kind in STAGE_KINDS}
 
 
 def stage_alias_table(kind: str) -> dict[str, str]:
     """Every accepted backend key of one kind (canonical names included) -> canonical."""
-    _ensure_defaults()
-    _check_kind(kind)
-    return dict(_ALIASES[kind])
-
-
-def _ensure_defaults() -> None:
-    """Populate the registries lazily (avoids import cycles at module load)."""
-    global _defaults_loaded
-    if _defaults_loaded:
-        return
-    _defaults_loaded = True
-    import repro.planning.backends  # noqa: F401  (registers the built-in backends)
+    return _stages(kind).alias_table()

@@ -1,7 +1,8 @@
 """Pluggable scenario construction: a registry of scenario families.
 
-The package mirrors the strategy registry (:mod:`repro.baselines.base`) for
-workloads:
+The package is the workload-side twin of the strategy registry
+(:mod:`repro.baselines.base`); both are :class:`repro.registry.Registry`
+tables:
 
 * :func:`register_scenario` — decorator registering a scenario family with a
   declared parameter table (names, defaults, types), aliases and a

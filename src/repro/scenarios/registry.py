@@ -1,7 +1,8 @@
 """Scenario family registry: declarative, pluggable scenario construction.
 
-Symmetric to the strategy registry in :mod:`repro.baselines.base`: every way
-of building a :class:`~repro.network.scenario.Scenario` — the paper's uniform
+Like the strategy registry in :mod:`repro.baselines.base`, this is a
+:class:`repro.registry.Registry`: every way of building a
+:class:`~repro.network.scenario.Scenario` — the paper's uniform
 and clustered generators, the hand-crafted layouts, and the extended catalog
 of spatial families — is registered under a name with a declared parameter
 table (names, defaults, type annotations), aliases and a description.  The
@@ -27,11 +28,10 @@ validation, cheaply, without generating anything.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.network.scenario import Scenario
+from repro.registry import REQUIRED, Info, Loader, Param, Registry
 
 __all__ = [
     "REQUIRED",
@@ -49,96 +49,18 @@ __all__ = [
     "scenario_alias_table",
 ]
 
-
-class _Required:
-    """Sentinel default for parameters a family requires explicitly."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<required>"
+#: One declared parameter of a scenario family: name, default, type.
+ScenarioParam = Param
+#: Registry record: how to build a scenario family and what it accepts.
+ScenarioInfo = Info
 
 
-REQUIRED = _Required()
+def _load_families() -> None:
+    import repro.scenarios.families  # noqa: F401  (registers the built-in catalog)
 
 
-@dataclass(frozen=True)
-class ScenarioParam:
-    """One declared parameter of a scenario family: name, default, type."""
-
-    name: str
-    default: Any = REQUIRED
-    kind: str = ""
-
-    @property
-    def required(self) -> bool:
-        return self.default is REQUIRED
-
-
-@dataclass(frozen=True)
-class ScenarioInfo:
-    """Registry record: how to build a scenario family and what it accepts.
-
-    ``params`` maps each declared parameter name to its
-    :class:`ScenarioParam`; ``validator`` (optional) raises
-    :class:`ValueError` on out-of-range parameter values without building
-    anything, so campaign validation stays cheap.
-    """
-
-    name: str
-    factory: Callable[..., Scenario]
-    params: Mapping[str, ScenarioParam]
-    aliases: tuple[str, ...] = ()
-    description: str = ""
-    validator: "Callable[[dict], None] | None" = None
-
-    def defaults(self) -> dict[str, Any]:
-        """The declared defaults (required parameters omitted)."""
-        return {p.name: p.default for p in self.params.values() if not p.required}
-
-    def merged(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """Declared defaults overlaid with ``params`` (assumed validated)."""
-        merged = self.defaults()
-        merged.update(params)
-        return merged
-
-
-_REGISTRY: dict[str, ScenarioInfo] = {}      # canonical name -> info
-_ALIASES: dict[str, str] = {}                # every accepted key -> canonical name
-_defaults_loaded = False                     # guards the lazy built-in registration
-
-
-def _annotation_name(annotation: Any) -> str:
-    if annotation is inspect.Parameter.empty:
-        return ""
-    if isinstance(annotation, str):
-        return annotation
-    return getattr(annotation, "__name__", str(annotation))
-
-
-def _param_table(factory: Callable[..., Scenario]) -> dict[str, ScenarioParam]:
-    """Derive the declared parameter table from the factory signature.
-
-    ``seed`` is excluded — it is the runner-injected randomness handle, not a
-    family parameter.  ``**kwargs`` factories are rejected: the registry's
-    whole point is that the declaration is complete and validation can trust
-    it.
-    """
-    signature = inspect.signature(factory)
-    table: dict[str, ScenarioParam] = {}
-    for param in signature.parameters.values():
-        if param.kind is inspect.Parameter.VAR_KEYWORD:
-            raise TypeError(
-                f"scenario factory {factory!r} takes **{param.name}; scenario "
-                "families must declare an explicit keyword parameter set"
-            )
-        if param.kind is inspect.Parameter.VAR_POSITIONAL:
-            continue
-        if param.name == "seed":
-            continue
-        default = REQUIRED if param.default is inspect.Parameter.empty else param.default
-        table[param.name] = ScenarioParam(
-            name=param.name, default=default, kind=_annotation_name(param.annotation)
-        )
-    return table
+#: The scenario-family table; the built-in catalog registers on the first lookup.
+SCENARIOS = Registry("scenario family", Loader(_load_families), inject="seed")
 
 
 def register_scenario(
@@ -158,72 +80,40 @@ def register_scenario(
 
     or directly: ``register_scenario("ring", ring_family, description=...)``.
     """
-    def _register(fac: Callable[..., Scenario]) -> Callable[..., Scenario]:
-        _ensure_defaults()  # custom registrations must never shadow the built-ins
-        key = name.lower()
-        if key in _ALIASES:
-            raise ValueError(f"scenario family {name!r} is already registered")
-        for alias in aliases:
-            if alias.lower() in _ALIASES:
-                raise ValueError(f"scenario alias {alias!r} is already registered")
-        info = ScenarioInfo(
-            name=key,
-            factory=fac,
-            params=_param_table(fac),
-            aliases=tuple(a.lower() for a in aliases),
-            description=description,
-            validator=validator,
-        )
-        _REGISTRY[key] = info
-        _ALIASES[key] = key
-        for alias in info.aliases:
-            _ALIASES[alias] = key
-        return fac
-
-    if factory is not None:
-        return _register(factory)
-    return _register
+    return SCENARIOS.register(name, factory, aliases=aliases,
+                              description=description, validator=validator)
 
 
 def available_scenario_families(*, include_aliases: bool = False) -> list[str]:
     """Names of all registered scenario families (canonical only by default)."""
-    _ensure_defaults()
-    return sorted(_ALIASES) if include_aliases else sorted(_REGISTRY)
+    return SCENARIOS.names(include_aliases=include_aliases)
 
 
 def canonical_scenario_family(name: str) -> str:
     """Resolve an alias (``"grid_jitter"``) to its canonical family name."""
-    _ensure_defaults()
-    try:
-        return _ALIASES[name.lower()]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown scenario family {name!r}; available: "
-            f"{', '.join(available_scenario_families())}"
-        ) from exc
+    return SCENARIOS.info(name).name
 
 
 def scenario_family_info(name: str) -> ScenarioInfo:
     """The :class:`ScenarioInfo` record for ``name`` (alias-tolerant)."""
-    return _REGISTRY[canonical_scenario_family(name)]
+    return SCENARIOS.info(name)
 
 
 def scenario_family_params(name: str) -> frozenset[str]:
     """The keyword parameters declared by family ``name``."""
-    return frozenset(scenario_family_info(name).params)
+    return frozenset(SCENARIOS.info(name).params)
 
 
 def filter_scenario_kwargs(name: str, kwargs: Mapping[str, Any]) -> dict[str, Any]:
     """Subset of ``kwargs`` that family ``name`` declares it accepts.
 
-    The campaign-layer convenience, symmetric to
-    :func:`repro.baselines.base.filter_strategy_kwargs`: one shared scenario
+    The campaign-layer convenience, as for strategies
+    (:func:`repro.baselines.base.filter_strategy_kwargs`): one shared scenario
     parameter set can be fanned out across families that each take only part
     of it (e.g. a ``scenario.family`` axis crossing ``uniform`` with
     ``figure1``, which takes no ``num_targets``).
     """
-    declared = scenario_family_info(name).params
-    return {k: v for k, v in kwargs.items() if k in declared}
+    return SCENARIOS.filter(name, kwargs)
 
 
 def validate_scenario_params(name: str, params: Mapping[str, Any]) -> None:
@@ -233,30 +123,7 @@ def validate_scenario_params(name: str, params: Mapping[str, Any]) -> None:
     the family validator (range checks), all without generating a scenario —
     cheap enough to run on every cell of a campaign before simulation starts.
     """
-    info = scenario_family_info(name)  # raises on unknown family
-    unknown = sorted(set(params) - set(info.params))
-    if unknown:
-        raise ValueError(
-            f"scenario family {info.name!r} does not accept parameter(s) "
-            f"{', '.join(repr(p) for p in unknown)}; accepted: "
-            f"{', '.join(sorted(info.params)) or '(none)'}"
-        )
-    missing = sorted(
-        p.name for p in info.params.values() if p.required and p.name not in params
-    )
-    if missing:
-        raise ValueError(
-            f"scenario family {info.name!r} requires parameter(s): {', '.join(missing)}"
-        )
-    if info.validator is not None:
-        try:
-            info.validator(info.merged(params))
-        except TypeError as exc:
-            # e.g. a string where a number belongs: surface it as the same
-            # clean pre-run rejection as any other bad parameter value.
-            raise ValueError(
-                f"invalid parameter value for scenario family {info.name!r}: {exc}"
-            ) from exc
+    SCENARIOS.validate(name, params)
 
 
 def build_scenario(
@@ -293,9 +160,7 @@ def build_scenario(
     repro.scenarios.ScenarioSpec : the same description as round-trippable data.
     """
     params = dict(params or {})
-    validate_scenario_params(family, params)
-    info = scenario_family_info(family)
-    return info.factory(seed=seed, **params)
+    return SCENARIOS.validate(family, params).factory(seed=seed, **params)
 
 
 def get_scenario(family: str, *, seed: int = 0, **params: Any) -> Scenario:
@@ -336,20 +201,9 @@ def all_scenario_infos() -> dict[str, ScenarioInfo]:
     The introspection hook for :mod:`repro.analysis.registry_contract`; the
     returned dict is a copy, so analyzers can never mutate the registry.
     """
-    _ensure_defaults()
-    return dict(_REGISTRY)
+    return SCENARIOS.infos()
 
 
 def scenario_alias_table() -> dict[str, str]:
     """Every accepted family key (canonical names included) -> canonical name."""
-    _ensure_defaults()
-    return dict(_ALIASES)
-
-
-def _ensure_defaults() -> None:
-    """Populate the registry lazily (avoids import cycles at module load)."""
-    global _defaults_loaded
-    if _defaults_loaded:
-        return
-    _defaults_loaded = True
-    import repro.scenarios.families  # noqa: F401  (registers the built-in catalog)
+    return SCENARIOS.alias_table()

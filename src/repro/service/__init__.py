@@ -7,10 +7,10 @@ Three layers, deliberately separable:
   run fingerprints (concurrent identical requests share one execution),
   store-hit short-circuiting, bounded-queue **backpressure** and graceful
   drain-to-store shutdown;
-* :mod:`repro.service.registry` — the transport registry, symmetric to the
-  strategy / scenario / stage registries: ``@register_transport`` declares a
-  wire protocol with a validated option table, listed by
-  ``repro-patrol transports``;
+* :mod:`repro.service.registry` — the transport registry, a
+  :class:`repro.registry.Registry` like the strategy / scenario / stage
+  registries: ``@register_transport`` declares a wire protocol with a
+  validated option table, listed by ``repro-patrol transports``;
 * the built-in transports — :mod:`repro.service.http` (stdlib asyncio
   HTTP/1.1 with chunked NDJSON streaming) and :mod:`repro.service.stdio`
   (line-oriented JSON over stdin/stdout).

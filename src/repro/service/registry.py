@@ -1,8 +1,9 @@
 """Transport registry: pluggable wire protocols for the ``serve`` daemon.
 
-Symmetric to the strategy / scenario-family / planning-stage registries
-(:mod:`repro.baselines.base`, :mod:`repro.scenarios.registry`,
-:mod:`repro.planning.stages`): every way of exposing the
+A :class:`repro.registry.Registry`, the shape the strategy / scenario-family
+/ planning-stage registries (:mod:`repro.baselines.base`,
+:mod:`repro.scenarios.registry`, :mod:`repro.planning.stages`) share: every
+way of exposing the
 :class:`~repro.service.scheduler.ServiceScheduler` over a wire — the
 stdlib-asyncio HTTP/JSON transport, the line-oriented stdio transport, and
 any transport a downstream package registers — lives under a name with a
@@ -27,11 +28,9 @@ the declaration stays truthful, exactly as the scenario registry does.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.planning.stages import did_you_mean
+from repro.registry import Info, Loader, Param, Registry
 
 __all__ = [
     "TransportParam",
@@ -48,93 +47,24 @@ __all__ = [
     "transport_alias_table",
 ]
 
-
-class _Required:
-    """Sentinel default for options a transport requires explicitly."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<required>"
-
-
-REQUIRED = _Required()
-
-
-@dataclass(frozen=True)
-class TransportParam:
-    """One declared option of a transport: name, default, type annotation."""
-
-    name: str
-    default: Any = REQUIRED
-    kind: str = ""
-
-    @property
-    def required(self) -> bool:
-        return self.default is REQUIRED
+#: One declared option of a transport: name, default, type annotation.
+TransportParam = Param
+#: Registry record: how to build a transport and which options it takes.  The
+#: factory receives the scheduler as its first positional argument plus the
+#: validated options as keywords and must return an object exposing
+#: ``serve_forever()`` (blocking) — the :class:`~repro.service.http.HttpTransport`
+#: / :class:`~repro.service.stdio.StdioTransport` protocol.
+TransportInfo = Info
 
 
-@dataclass(frozen=True)
-class TransportInfo:
-    """Registry record: how to build a transport and which options it takes.
-
-    ``params`` maps each declared option name to its
-    :class:`TransportParam`.  The factory receives the scheduler as its
-    first positional argument plus the validated options as keywords and
-    must return an object exposing ``serve_forever()`` (blocking) — the
-    :class:`~repro.service.http.HttpTransport` /
-    :class:`~repro.service.stdio.StdioTransport` protocol.
-    """
-
-    name: str
-    factory: Callable[..., Any]
-    params: Mapping[str, TransportParam]
-    aliases: tuple[str, ...] = ()
-    description: str = ""
-
-    def defaults(self) -> dict[str, Any]:
-        """The declared defaults (required options omitted)."""
-        return {p.name: p.default for p in self.params.values() if not p.required}
+def _load_transports() -> None:
+    import repro.service.http  # noqa: F401  (registers the HTTP transport)
+    import repro.service.stdio  # noqa: F401  (registers the stdio transport)
 
 
-_REGISTRY: dict[str, TransportInfo] = {}     # canonical name -> info
-_ALIASES: dict[str, str] = {}                # every accepted key -> canonical name
-_defaults_loaded = False                     # guards the lazy built-in registration
-
-
-def _annotation_name(annotation: Any) -> str:
-    if annotation is inspect.Parameter.empty:
-        return ""
-    if isinstance(annotation, str):
-        return annotation
-    return getattr(annotation, "__name__", str(annotation))
-
-
-def _param_table(factory: Callable[..., Any]) -> dict[str, TransportParam]:
-    """Derive the declared option table from the factory signature.
-
-    The first positional parameter (the scheduler) is excluded — it is
-    injected by the server wiring, not chosen by users.  ``**kwargs``
-    factories are rejected: the registry's whole point is that the
-    declaration is complete and validation can trust it.
-    """
-    signature = inspect.signature(factory)
-    table: dict[str, TransportParam] = {}
-    positional_seen = False
-    for param in signature.parameters.values():
-        if param.kind is inspect.Parameter.VAR_KEYWORD:
-            raise TypeError(
-                f"transport factory {factory!r} takes **{param.name}; transports "
-                "must declare an explicit keyword option set"
-            )
-        if param.kind is inspect.Parameter.VAR_POSITIONAL:
-            continue
-        if param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD and not positional_seen:
-            positional_seen = True  # the injected scheduler argument
-            continue
-        default = REQUIRED if param.default is inspect.Parameter.empty else param.default
-        table[param.name] = TransportParam(
-            name=param.name, default=default, kind=_annotation_name(param.annotation)
-        )
-    return table
+#: The transport table; the built-in transports register on the first lookup.
+TRANSPORTS = Registry("transport", Loader(_load_transports), inject="scheduler",
+                      param_noun="option")
 
 
 def register_transport(
@@ -154,59 +84,27 @@ def register_transport(
 
     or directly: ``register_transport("http", http_transport, description=...)``.
     """
-    def _register(fac: Callable[..., Any]) -> Callable[..., Any]:
-        _ensure_defaults()  # custom registrations must never shadow the built-ins
-        key = name.lower()
-        if key in _ALIASES:
-            raise ValueError(f"transport {name!r} is already registered")
-        for alias in aliases:
-            if alias.lower() in _ALIASES:
-                raise ValueError(f"transport alias {alias!r} is already registered")
-        info = TransportInfo(
-            name=key,
-            factory=fac,
-            params=_param_table(fac),
-            aliases=tuple(a.lower() for a in aliases),
-            description=description,
-        )
-        _REGISTRY[key] = info
-        _ALIASES[key] = key
-        for alias in info.aliases:
-            _ALIASES[alias] = key
-        return fac
-
-    if factory is not None:
-        return _register(factory)
-    return _register
+    return TRANSPORTS.register(name, factory, aliases=aliases, description=description)
 
 
 def available_transports(*, include_aliases: bool = False) -> list[str]:
     """Names of all registered transports (canonical only by default)."""
-    _ensure_defaults()
-    return sorted(_ALIASES) if include_aliases else sorted(_REGISTRY)
+    return TRANSPORTS.names(include_aliases=include_aliases)
 
 
 def canonical_transport_name(name: str) -> str:
     """Resolve an alias (``"rest"``) to its canonical transport name (``"http"``)."""
-    _ensure_defaults()
-    try:
-        return _ALIASES[name.lower()]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown transport {name!r}; available: "
-            f"{', '.join(available_transports())}"
-            f"{did_you_mean(name, _ALIASES)}"
-        ) from exc
+    return TRANSPORTS.info(name).name
 
 
 def transport_info(name: str) -> TransportInfo:
     """The :class:`TransportInfo` record for ``name`` (alias-tolerant)."""
-    return _REGISTRY[canonical_transport_name(name)]
+    return TRANSPORTS.info(name)
 
 
 def transport_params(name: str) -> frozenset[str]:
     """The option names declared by transport ``name``."""
-    return frozenset(transport_info(name).params)
+    return frozenset(TRANSPORTS.info(name).params)
 
 
 def validate_transport_options(name: str, options: Mapping[str, Any]) -> None:
@@ -216,22 +114,7 @@ def validate_transport_options(name: str, options: Mapping[str, Any]) -> None:
     required-option check without binding any socket — cheap enough for the
     CLI to run before the daemon starts.
     """
-    info = transport_info(name)  # raises on unknown transport
-    unknown = sorted(set(options) - set(info.params))
-    if unknown:
-        accepted = ", ".join(sorted(info.params)) or "(none)"
-        raise ValueError(
-            f"transport {info.name!r} does not accept option(s) "
-            f"{', '.join(repr(o) for o in unknown)}; accepted: {accepted}"
-            f"{did_you_mean(unknown[0], info.params)}"
-        )
-    missing = sorted(
-        p.name for p in info.params.values() if p.required and p.name not in options
-    )
-    if missing:
-        raise ValueError(
-            f"transport {info.name!r} requires option(s): {', '.join(missing)}"
-        )
+    TRANSPORTS.validate(name, options)
 
 
 def get_transport(name: str, scheduler, **options: Any):
@@ -254,9 +137,7 @@ def get_transport(name: str, scheduler, **options: Any):
     object
         A transport exposing ``serve_forever()``.
     """
-    validate_transport_options(name, options)
-    info = transport_info(name)
-    return info.factory(scheduler, **options)
+    return TRANSPORTS.validate(name, options).factory(scheduler, **options)
 
 
 def filter_transport_kwargs(name: str, kwargs: Mapping[str, Any]) -> dict[str, Any]:
@@ -264,11 +145,10 @@ def filter_transport_kwargs(name: str, kwargs: Mapping[str, Any]) -> dict[str, A
 
     The CLI convenience: one shared flag set (``--host``/``--port``) can be
     handed to transports that each take only part of it (the stdio transport
-    takes neither), symmetric to
-    :func:`repro.baselines.base.filter_strategy_kwargs`.
+    takes neither), as :func:`repro.baselines.base.filter_strategy_kwargs`
+    does for strategies.
     """
-    declared = transport_info(name).params
-    return {k: v for k, v in kwargs.items() if k in declared}
+    return TRANSPORTS.filter(name, kwargs)
 
 
 def all_transport_infos() -> dict[str, TransportInfo]:
@@ -277,21 +157,9 @@ def all_transport_infos() -> dict[str, TransportInfo]:
     The introspection hook for :mod:`repro.analysis.registry_contract`; the
     returned dict is a copy, so analyzers can never mutate the registry.
     """
-    _ensure_defaults()
-    return dict(_REGISTRY)
+    return TRANSPORTS.infos()
 
 
 def transport_alias_table() -> dict[str, str]:
     """Every accepted transport key (canonical names included) -> canonical name."""
-    _ensure_defaults()
-    return dict(_ALIASES)
-
-
-def _ensure_defaults() -> None:
-    """Populate the registry lazily (avoids import cycles at module load)."""
-    global _defaults_loaded
-    if _defaults_loaded:
-        return
-    _defaults_loaded = True
-    import repro.service.http  # noqa: F401  (registers the HTTP transport)
-    import repro.service.stdio  # noqa: F401  (registers the stdio transport)
+    return TRANSPORTS.alias_table()

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.registry
 from repro import cli
 from repro.analysis.check import CheckReport, render_json, render_text, run_check
 from repro.analysis.determinism import DEFAULT_SCOPE, check_determinism, scope_files
@@ -139,6 +140,8 @@ class TestDeterminismLint:
         for package in DEFAULT_SCOPE:
             assert any(f"/repro/{package}/" in path or f"/repro/{package}.py" in path
                        for path in covered), package
+        # every registry lookup runs through the shared registry module
+        assert Path(repro.registry.__file__) in files
 
 
 # --------------------------------------------------------------------------- #

@@ -81,6 +81,8 @@ class TestScenarioOption:
     def test_simulate_unknown_family_clean_error(self, capsys):
         assert main(["simulate", "--scenario", "voronoi"]) == 2
         assert "unknown scenario family" in capsys.readouterr().err
+        assert main(["simulate", "--scenario", "unifrom:num_targets=5"]) == 2
+        assert "did you mean 'uniform'" in capsys.readouterr().err
 
     def test_simulate_typoed_param_clean_error(self, capsys):
         assert main(["simulate", "--scenario", "ring:radius=10"]) == 2

@@ -1,5 +1,6 @@
 """Tests of the composable planning pipeline (:mod:`repro.planning`)."""
 
+import copy
 import json
 
 import pytest
@@ -40,6 +41,15 @@ def recharge_scenario():
     return get_scenario("uniform", num_targets=10, num_mules=2, num_vips=1,
                         vip_weight=3, mule_battery=200_000.0,
                         with_recharge_station=True, seed=2)
+
+
+@pytest.fixture
+def isolated_order_stages(monkeypatch):
+    """Backends registered by the test go into a copy of the order-stage table."""
+    from repro.planning import stages
+
+    stages.available_stage_backends("order")  # copy the loaded built-ins
+    monkeypatch.setitem(stages.STAGES, "order", copy.deepcopy(stages.STAGES["order"]))
 
 
 # --------------------------------------------------------------------------- #
@@ -85,7 +95,7 @@ class TestStageRegistry:
         with pytest.raises(ValueError, match="vip_weight"):
             validate_stage_params("augment", "recharge", {"vip_weight": -1})
 
-    def test_custom_backend_registration(self, scenario):
+    def test_custom_backend_registration(self, scenario, isolated_order_stages):
         @register_stage("order", "zigzag-test", description="test backend")
         def order_zigzag(ctx):
             for lane in ctx.lanes:
@@ -94,18 +104,26 @@ class TestStageRegistry:
                 lane.walk = loop + loop[:1]
                 lane.coords = lane.tour.coordinates
 
-        try:
-            spec = PipelineSpec(order="zigzag-test", init="depot-start")
-            plan = PlanningPipeline(spec.validate(), name="zigzag").plan(scenario.fresh_copy())
-            assert plan.strategy == "zigzag"
-        finally:
-            from repro.planning import stages as stages_mod
-            stages_mod._REGISTRY["order"].pop("zigzag-test")
-            stages_mod._ALIASES["order"].pop("zigzag-test")
+        spec = PipelineSpec(order="zigzag-test", init="depot-start")
+        plan = PlanningPipeline(spec.validate(), name="zigzag").plan(scenario.fresh_copy())
+        assert plan.strategy == "zigzag"
 
     def test_kwargs_backends_rejected(self):
-        with pytest.raises(TypeError, match="explicit keyword-only"):
+        with pytest.raises(TypeError, match="explicit keyword parameter set"):
             register_stage("order", "catchall-test")(lambda ctx, **kw: None)
+
+    def test_required_param_fails_validation_not_planning(self, isolated_order_stages):
+        @register_stage("order", "needs-k-test", description="test backend")
+        def order_needs_k(ctx, *, k: int):
+            raise AssertionError("validation must reject the spec first")
+
+        assert stage_backend_info("order", "needs-k-test").params["k"].required
+        with pytest.raises(ValueError, match=r"requires parameter\(s\): k"):
+            validate_stage_params("order", "needs-k-test", {})
+        spec = PipelineSpec(order="needs-k-test", init="depot-start")
+        with pytest.raises(ValueError, match="order stage backend 'needs-k-test' requires"):
+            spec.validate()
+        validate_stage_params("order", "needs-k-test", {"k": 2})
 
 
 # --------------------------------------------------------------------------- #

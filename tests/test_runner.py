@@ -36,6 +36,18 @@ def quick_spec(strategy="b-tctp", **overrides) -> RunSpec:
     return RunSpec(**defaults)
 
 
+@pytest.fixture
+def fresh_strategies(monkeypatch):
+    """An unloaded strategy registry with the live one's built-in load."""
+    from repro.baselines import base
+    from repro.registry import Loader, Registry
+
+    live = base.STRATEGIES
+    fresh = Registry(live.noun, Loader(live.loader.load), info_type=live.info_type)
+    monkeypatch.setattr(base, "STRATEGIES", fresh)
+    return fresh
+
+
 class TestRegistryMetadata:
     def test_declared_params_from_dataclass_fields(self):
         assert "policy" in strategy_params("w-tctp")
@@ -74,13 +86,9 @@ class TestRegistryMetadata:
         assert "wtctp" in info.aliases
         assert info.description
 
-    def test_plain_function_factory_params_inspected(self, monkeypatch):
+    def test_plain_function_factory_params_inspected(self, fresh_strategies):
         """Non-dataclass factories get their params from the signature."""
         from repro.baselines import base
-
-        monkeypatch.setattr(base, "_REGISTRY", {})
-        monkeypatch.setattr(base, "_ALIASES", {})
-        monkeypatch.setattr(base, "_defaults_loaded", False)
 
         def make_planner(alpha=1.0, beta=2):
             return None
@@ -91,13 +99,9 @@ class TestRegistryMetadata:
         with pytest.raises(ValueError, match="does not accept"):
             base.get_strategy("fn-strategy", gamma=1)
 
-    def test_var_keyword_factory_stays_permissive(self, monkeypatch):
+    def test_var_keyword_factory_stays_permissive(self, fresh_strategies):
         """Factories taking **kwargs keep the pre-declaration forward-everything behavior."""
         from repro.baselines import base
-
-        monkeypatch.setattr(base, "_REGISTRY", {})
-        monkeypatch.setattr(base, "_ALIASES", {})
-        monkeypatch.setattr(base, "_defaults_loaded", False)
 
         captured = {}
         base.register_strategy("kw-strategy", lambda **kw: captured.update(kw))
@@ -105,14 +109,11 @@ class TestRegistryMetadata:
         assert captured == {"anything": 42}
         assert base.filter_strategy_kwargs("kw-strategy", {"x": 1}) == {"x": 1}
 
-    def test_custom_registration_never_shadows_builtins(self, monkeypatch):
+    def test_custom_registration_never_shadows_builtins(self, fresh_strategies):
         """Registering first on a fresh registry must still load the defaults."""
         from repro.baselines import base
 
-        monkeypatch.setattr(base, "_REGISTRY", {})
-        monkeypatch.setattr(base, "_ALIASES", {})
-        monkeypatch.setattr(base, "_defaults_loaded", False)
-
+        assert not fresh_strategies.loader.done
         base.register_strategy("custom", lambda **kw: None, params=("seed",))
         names = base.available_strategies(include_aliases=False)
         assert "custom" in names

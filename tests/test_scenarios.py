@@ -1,5 +1,6 @@
 """Tests for the scenario registry, ScenarioSpec, and the family catalog."""
 
+import copy
 import json
 
 import pytest
@@ -30,6 +31,15 @@ DETERMINISTIC_FAMILIES = ("figure1", "single-vip", "grid")
 NEW_FAMILIES = ("corridor", "hotspot", "ring", "grid-jitter", "mixed-density")
 
 
+@pytest.fixture
+def isolated_scenarios(monkeypatch):
+    """Families registered by the test go into a copy of the loaded table."""
+    from repro.scenarios import registry
+
+    registry.available_scenario_families()  # copy the loaded built-ins
+    monkeypatch.setattr(registry, "SCENARIOS", copy.deepcopy(registry.SCENARIOS))
+
+
 class TestRegistry:
     def test_catalog_complete(self):
         names = available_scenario_families()
@@ -46,6 +56,8 @@ class TestRegistry:
     def test_unknown_family_lists_available(self):
         with pytest.raises(ValueError, match="unknown scenario family"):
             canonical_scenario_family("voronoi")
+        with pytest.raises(ValueError, match="did you mean 'uniform'"):
+            canonical_scenario_family("unifrom")
 
     def test_declared_params_with_defaults_and_types(self):
         info = scenario_family_info("ring")
@@ -65,17 +77,12 @@ class TestRegistry:
         assert filter_scenario_kwargs("figure1", shared) == {"num_mules": 2}
 
     def test_undeclared_param_rejected(self):
-        with pytest.raises(ValueError, match="does not accept"):
+        with pytest.raises(ValueError, match="does not accept.*did you mean 'num_targets'"):
             validate_scenario_params("uniform", {"num_tragets": 5})
         with pytest.raises(ValueError, match="does not accept"):
             build_scenario("ring", {"radius": 100.0})
 
-    def test_decorator_registration(self, monkeypatch):
-        from repro.scenarios import registry
-
-        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
-        monkeypatch.setattr(registry, "_ALIASES", dict(registry._ALIASES))
-
+    def test_decorator_registration(self, isolated_scenarios):
         @register_scenario("two-points", aliases=("pair",), description="two targets")
         def _two_points(*, seed: int = 0, spacing: float = 100.0):
             from repro.geometry.point import Point
@@ -91,11 +98,7 @@ class TestRegistry:
         assert scenario_family_params("pair") == {"spacing"}
         assert build_scenario("pair", {"spacing": 50.0}).num_targets == 2
 
-    def test_duplicate_registration_rejected(self, monkeypatch):
-        from repro.scenarios import registry
-
-        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
-        monkeypatch.setattr(registry, "_ALIASES", dict(registry._ALIASES))
+    def test_duplicate_registration_rejected(self, isolated_scenarios):
         with pytest.raises(ValueError, match="already registered"):
             register_scenario("uniform", lambda *, seed=0: None)
 

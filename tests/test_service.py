@@ -379,9 +379,6 @@ class TestConcurrentCampaigns:
                             replications=4)
         submitters, rounds = 4, 3
         streams = []
-        # The registries' lazy first load is not thread-safe yet: load them
-        # here, as a daemon's admission thread does before any worker runs.
-        Campaign(spec).cells()
         # More workers than cores, switching threads far more often than
         # every 5 ms, so workers interleave inside each other's batch calls.
         switch_interval = sys.getswitchinterval()
