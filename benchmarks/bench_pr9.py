@@ -14,7 +14,10 @@ Before any number is written the harness asserts byte identity three ways:
 2. >= 200 fuzzed planning specs must produce byte-equal serialized plans
    with the kernels on and off (tour caches cleared between legs);
 3. at every timed grid size that has a scalar baseline, the scalar and
-   vector tours must match node for node.
+   vector tours must match node for node, and so must the scalar and vector
+   hull-insertion tours of a lattice-snapped layout with duplicate points
+   (untimed), so identity at scale is also checked where cost ties are
+   exact.
 
 The scalar cheapest-insertion loop is O(n^3) Python, so the baseline is only
 timed up to ``--scalar-cap`` targets (single round); the vector kernels are
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import statistics
 import sys
@@ -167,6 +171,30 @@ def grid_coords(n: int) -> dict:
     return {f"t{i}": Point(float(x), float(y)) for i, (x, y) in enumerate(pts)}
 
 
+def lattice_coords(n: int) -> dict:
+    """Tie-heavy layout: n points on a lattice with at most n/2 sites.
+
+    Integer coordinates make equal costs exactly equal, and with fewer sites
+    than points some points are certain to coincide.
+    """
+    rng = np.random.default_rng(20260809 + n)
+    side = max(2, math.isqrt(n // 2))
+    pts = rng.integers(0, side, (n, 2)) * (10_000 // side)
+    return {f"t{i}": Point(float(x), float(y)) for i, (x, y) in enumerate(pts)}
+
+
+def assert_lattice_identity(n: int) -> None:
+    """Scalar and vector hull-insertion tours of ``lattice_coords(n)`` agree."""
+    coords = lattice_coords(n)
+    clear_caches()
+    with caching_disabled():
+        with kernels.vector_disabled():
+            scalar = convex_hull_insertion_tour(coords)
+        vector = convex_hull_insertion_tour(coords)
+    if list(vector.order) != list(scalar.order):
+        raise SystemExit(f"lattice hull-insertion orders diverged at n={n}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_PR9.json")
@@ -215,9 +243,11 @@ def main() -> None:
             baseline = timeit(run_scalar, warmup=0, rounds=1)
             if baseline["result"] != optimized["result"]:
                 raise SystemExit(f"tour orders diverged at n={n}")
+            assert_lattice_identity(n)
             entry["baseline"] = {k: v for k, v in baseline.items() if k != "result"}
             entry["speedup_median"] = baseline["median_s"] / optimized["median_s"]
             entry["orders_identical"] = True
+            entry["lattice_orders_identical"] = True
             headline = entry
         scales.append(entry)
         speedup = entry.get("speedup_median")

@@ -8,10 +8,12 @@ PR 3/8 made *simulation* run at tensor speed; this module does the same for
 * 2-opt (:func:`two_opt_order`),
 * Or-opt (:func:`or_opt_order`),
 
-— are reformulated as bulk array updates per round: one broadcast evaluates
-every candidate move of a round at once, and the *selection* among
-candidates replicates the scalar scan's first-improvement semantics exactly.
-Every kernel is **byte-identical** to its scalar original:
+— are reformulated as bulk array updates per round.  2-opt, Or-opt and
+nearest-neighbour evaluate every candidate move of a round in one array pass;
+cheapest insertion builds its cost matrix once and updates only the two
+columns each insertion creates.  The *selection* among candidates
+replicates the scalar scan's first-improvement semantics exactly.  Every
+kernel is **byte-identical** to its scalar original:
 
 * float expressions keep the scalar grouping — e.g. the insertion cost is
   computed as ``(dmat[a, p] + dmat[p, b]) - dmat[a, b]``, never reassociated
@@ -168,31 +170,82 @@ def cheapest_insertion_order(
 ) -> list[int]:
     """Complete a convex-hull sub-tour by repeated cheapest insertion.
 
-    Vectorized twin of the scalar loop in
-    :func:`repro.graphs.hamiltonian.convex_hull_insertion_tour`: each
-    iteration evaluates the full (remaining x positions) insertion-cost
-    matrix in one broadcast pass — cost rows in ``remaining`` order,
-    position-minor, exactly the scalar scan's (p, pos) row-major order —
-    and :func:`chain_argmin` replays the ``cost < best - eps`` tie-break.
-    Returns the completed index tour (a permutation of ``range(n)``).
+    Incremental twin of the scalar loop in
+    :func:`repro.graphs.hamiltonian.convex_hull_insertion_tour`, which scans
+    every (remaining point p, tour position pos) pair each round and keeps
+    the first ``cost < best - eps`` improvement.  Returns the completed index
+    tour (a permutation of ``range(n)``) with the scalar loop's exact picks:
+
+    * **Cost matrix, built once.**  ``cost[q, s]`` is the price of inserting
+      remaining point ``q`` into the tour edge held by column ("slot") ``s``,
+      ``(dmat[a, q] + dmat[q, b]) - dmat[a, b]`` — the scalar grouping, so
+      every entry is the IEEE double the scalar scan computes.  ``slots``
+      maps tour positions to columns.
+    * **Two new columns per round.**  Inserting p into edge (a, b) replaces
+      one edge with (a, p) and (p, b): the first reuses (a, b)'s column, the
+      second takes the next free one, and only those two columns are
+      computed.  Every other entry is already the double a full rebuild
+      would give — the same expression on the same operands.
+    * **Stale rows.**  Each row keeps its minimum.  A row whose minimum may
+      have sat on the replaced edge (old entry ``<=`` row minimum) is
+      recomputed over the live columns; every other row only folds in the
+      two new entries.  The rows of inserted points are held at ``+inf``.
+    * **Row pruning.**  The scalar scan is row-major over (remaining order,
+      tour position).  :func:`chain_argmin` proves every accepted candidate
+      is a strict running minimum of that scan, and a row holds one only if
+      its minimum is strictly below the minimum of every earlier row.  The
+      chain is replayed over just those rows, gathered in tour order; their
+      strict running minima are exactly the full scan's, so the epsilon
+      chain accepts the same winner.
+
+    A round costs O(remaining) plus O(tour length) per candidate or stale
+    row, instead of a full (remaining x positions) rebuild.
     """
     tour_idx: list[int] = list(hull)
     in_hull = set(hull)
-    remaining = [i for i in range(n) if i not in in_hull]
+    rem = np.array([i for i in range(n) if i not in in_hull], dtype=np.intp)
+    left = rem.size
+    if not left:
+        return tour_idx
+    m = len(tour_idx)
+    tour = np.asarray(tour_idx)
+    nxt = np.asarray(tour_idx[1:] + tour_idx[:1])
+    cost = np.empty((left, m + left))
+    cost[:, :m] = (dmat[tour][:, rem].T + dmat[rem][:, nxt]) - dmat[tour, nxt][None, :]
+    slots = np.arange(m + left)
+    alive = np.ones(left, dtype=bool)
+    # row_min[0] is a +inf sentinel: row q is a candidate exactly when
+    # row_min[q + 1] < min(row_min[:q + 1]).
+    row_min = np.empty(left + 1)
+    row_min[0] = np.inf
+    mins = row_min[1:]
+    cost[:, :m].min(axis=1, out=mins)
 
-    while remaining:
-        tour = np.asarray(tour_idx)
-        rem = np.asarray(remaining)
-        nxt = np.roll(tour, -1)
-        # cost[p, pos] = (dmat[a, p] + dmat[p, b]) - dmat[a, b]  with
-        # a = tour[pos], b = tour[(pos+1) % m] — the scalar float grouping.
-        d_ap = dmat[tour][:, rem]          # (m, R): [pos, p]
-        d_pb = dmat[rem][:, nxt]           # (R, m): [p, pos]
-        costs = (d_ap.T + d_pb) - dmat[tour, nxt][None, :]
-        winner = chain_argmin(costs, eps)
-        p_index, pos = divmod(winner, len(tour_idx))
-        tour_idx.insert(pos + 1, remaining.pop(p_index))
-    return tour_idx
+    while True:
+        rows = (mins < np.minimum.accumulate(row_min)[:-1]).nonzero()[0]
+        k, pos = divmod(chain_argmin(cost[rows[:, None], slots[:m]], eps), m)
+        r = rows[k]
+        p = int(rem[r])
+        a, b = tour_idx[pos], tour_idx[(pos + 1) % m]
+        tour_idx.insert(pos + 1, p)
+        left -= 1
+        if not left:
+            return tour_idx
+        # Edge (a, b) in column s becomes (a, p); (p, b) takes column m.
+        s = slots[pos]
+        slots[pos + 2 : m + 1] = slots[pos + 1 : m]
+        slots[pos + 1] = m
+        alive[r] = False
+        mins[r] = np.inf
+        stale = ((cost[:, s] <= mins) & alive).nonzero()[0]
+        into_ap = (dmat[a, rem] + dmat[rem, p]) - dmat[a, p]
+        into_pb = (dmat[p, rem] + dmat[rem, b]) - dmat[p, b]
+        cost[:, s] = into_ap
+        cost[:, m] = into_pb
+        np.minimum(mins, np.minimum(into_ap, into_pb), out=mins, where=alive)
+        m += 1
+        if stale.size:
+            mins[stale] = cost[stale, :m].min(axis=1)
 
 
 # --------------------------------------------------------------------------- #

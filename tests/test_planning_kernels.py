@@ -32,6 +32,7 @@ import pytest
 from plan_golden import golden_scenarios, golden_strategy_calls, serialize_plan
 from repro.baselines.base import get_strategy, strategy_params
 from repro.geometry.cache import caching_disabled, clear_caches
+from repro.geometry.hull import convex_hull_indices
 from repro.geometry.point import Point, distance_matrix
 from repro.graphs.hamiltonian import (
     convex_hull_insertion_tour,
@@ -53,6 +54,28 @@ def _random_coords(rng, n, *, lattice=False):
     if lattice:  # snap to a coarse grid so exact distance ties are common
         pts = np.round(pts / 125) * 125
     return {f"t{i}": Point(float(x), float(y)) for i, (x, y) in enumerate(pts)}
+
+
+def _tie_heavy_layouts(rng):
+    """(kind, points, hull size or None) inputs the uniform draws never reach.
+
+    Hulls of one and two points, and exact cost ties at up to 160 points,
+    where the insertion kernel's row pruning and stale-row recomputes run
+    often.  Integer-valued coordinates keep collinearity exact.
+    """
+    yield "collinear", [(3.0 * k, 2.0 * k - 7.0) for k in rng.permutation(60)], 2
+    yield "coincident", [(250.0, 125.0)] * 24, 1
+    two = [(0.0, 0.0), (375.0, 125.0)]
+    yield "two-point multiset", [two[b] for b in rng.integers(0, 2, 30)], 2
+    yield "coarse lattice", np.round(rng.uniform(0, 1000, (160, 2)) / 125) * 125, None
+    centres = rng.uniform(100, 900, (4, 2))
+    clusters = np.round(centres[rng.integers(0, 4, 120)] + rng.normal(0, 30, (120, 2)))
+    clusters[rng.integers(0, 120, 30)] = clusters[rng.integers(0, 120, 30)]
+    yield "clusters with duplicates", clusters, None
+    angles = rng.uniform(0, 2 * np.pi, 80)
+    radii = rng.choice([350.0, 375.0, 400.0], 80)
+    ring = np.round(np.c_[500 + radii * np.cos(angles), 500 + radii * np.sin(angles)])
+    yield "ring with centre duplicates", np.vstack([ring, [(500.0, 500.0)] * 12]), None
 
 
 def _both_ways(build, coords):
@@ -144,6 +167,12 @@ class TestKernelTourIdentity:
             coords = _random_coords(rng, int(rng.integers(4, 45)), lattice=trial % 4 == 0)
             scalar, vector = _both_ways(convex_hull_insertion_tour, coords)
             assert list(vector.order) == list(scalar.order)
+        for kind, pts, hull_size in _tie_heavy_layouts(rng):
+            coords = {f"t{i}": Point(float(x), float(y)) for i, (x, y) in enumerate(pts)}
+            if hull_size is not None:
+                assert len(convex_hull_indices(list(coords.values()))) == hull_size, kind
+            scalar, vector = _both_ways(convex_hull_insertion_tour, coords)
+            assert list(vector.order) == list(scalar.order), kind
 
     def test_nearest_neighbor_identical(self):
         rng = np.random.default_rng(FUZZ_SEED + 2)
