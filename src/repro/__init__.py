@@ -39,18 +39,12 @@ The same specs round-trip through JSON and run from the command line::
 """
 
 from repro.core import (
-    BTCTPPlanner,
-    RWTCTPPlanner,
-    WTCTPPlanner,
     PatrolPlan,
     plan_btctp,
     plan_rwtctp,
     plan_wtctp,
 )
 from repro.baselines import (
-    CHBPlanner,
-    RandomPlanner,
-    SweepPlanner,
     StrategyInfo,
     get_strategy,
     available_strategies,
@@ -95,22 +89,16 @@ from repro.workloads import (
     grid_scenario,
 )
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
     # core algorithms
-    "BTCTPPlanner",
-    "WTCTPPlanner",
-    "RWTCTPPlanner",
     "PatrolPlan",
     "plan_btctp",
     "plan_wtctp",
     "plan_rwtctp",
-    # baselines
-    "RandomPlanner",
-    "SweepPlanner",
-    "CHBPlanner",
+    # strategy registry
     "StrategyInfo",
     "get_strategy",
     "available_strategies",

@@ -1,13 +1,13 @@
-"""Baseline patrolling strategies the paper compares against (Section V).
+"""The strategy registry and the Sweep baseline's target partition.
 
-* **Random** — every data mule repeatedly picks a uniformly random next
-  target (reference behaviour used in [4]'s comparisons).
-* **Sweep** — the DMs are divided into groups and each DM patrols only the
-  targets of its own group (reference [4], "Sweep Coverage with Mobile
-  Sensors").
-* **CHB** — all DMs follow the same convex-hull-based Hamiltonian circuit
-  from wherever they start (reference [5]); no location initialisation, no
-  weights, no recharge handling.
+The baselines the paper compares against (Section V) — Random, Sweep and
+CHB — are planning-pipeline compositions, like the three TCTP variants:
+:func:`~repro.planning.compositions.random_pipeline`,
+:func:`~repro.planning.compositions.sweep_pipeline` and
+:func:`~repro.planning.compositions.chb_pipeline`.  This package holds the
+strategy registry every strategy is looked up through
+(:mod:`repro.baselines.base`) and the angular partition the Sweep tour
+stage uses (:mod:`repro.baselines.sweep`).
 """
 
 from repro.baselines.base import (
@@ -21,9 +21,6 @@ from repro.baselines.base import (
     filter_strategy_kwargs,
     validate_strategy_params,
 )
-from repro.baselines.random_patrol import RandomPlanner
-from repro.baselines.sweep import SweepPlanner
-from repro.baselines.chb import CHBPlanner
 
 __all__ = [
     "PatrolStrategy",
@@ -35,7 +32,4 @@ __all__ = [
     "strategy_params",
     "filter_strategy_kwargs",
     "validate_strategy_params",
-    "RandomPlanner",
-    "SweepPlanner",
-    "CHBPlanner",
 ]

@@ -1,11 +1,13 @@
 """Common strategy interface and the strategy registry.
 
-Every planner in the library — the three TCTP variants and the three
-baselines — satisfies the small :class:`PatrolStrategy` protocol: a ``name``
-and a ``plan(scenario)`` method returning a
-:class:`~repro.core.plan.PatrolPlan`.  The registry lets experiments, the
-CLI and the :mod:`repro.runner` campaign executor refer to strategies by
-name.
+Every strategy in the library — the three TCTP variants, the three
+baselines and the cross-combined compositions — is a
+:class:`~repro.planning.PlanningPipeline` built by a function of
+:mod:`repro.planning.compositions`, and satisfies the small
+:class:`PatrolStrategy` protocol: a ``name`` and a ``plan(scenario)`` method
+returning a :class:`~repro.core.plan.PatrolPlan`.  The registry lets
+experiments, the CLI and the :mod:`repro.runner` campaign executor refer to
+strategies by name.
 
 Each registration carries a :class:`StrategyInfo` record declaring the
 keyword parameters the factory accepts and the aliases it answers to, so
@@ -18,7 +20,7 @@ a :class:`repro.registry.Registry`, the shape all four registries share.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, ClassVar, Mapping, Protocol, runtime_checkable
 
@@ -85,16 +87,15 @@ class StrategyInfo(Info):
 def derived_strategy_params(factory: Callable[..., PatrolStrategy]) -> tuple[frozenset[str], bool]:
     """Derive ``(params, strict)`` from a factory, as registration does when none were declared.
 
-    Dataclasses declare their fields (minus ``name``); other callables are
-    inspected for named keyword parameters.  A ``**kwargs`` in the signature
-    (or an uninspectable factory) makes the declaration non-strict so
-    arbitrary keyword arguments keep flowing through, as they did before
-    parameter declarations existed.  The registry-contract checker compares
-    an explicitly declared parameter set against this derivation — the two
+    The factory's signature declares its named keyword parameters (minus
+    ``name``); for a class, dataclasses included, those are exactly the ones
+    its constructor takes.  A ``**kwargs`` in the signature (or an
+    uninspectable factory) makes the declaration non-strict so arbitrary
+    keyword arguments keep flowing through, as they did before parameter
+    declarations existed.  The registry-contract checker compares an
+    explicitly declared parameter set against this derivation — the two
     drifting apart is exactly the bug the checker exists to catch.
     """
-    if is_dataclass(factory):
-        return frozenset(f.name for f in dataclass_fields(factory) if f.name != "name"), True
     try:
         signature = inspect.signature(factory)
     except (TypeError, ValueError):
@@ -123,9 +124,9 @@ def register_strategy(
     """Register a strategy factory under ``name`` (case-insensitive).
 
     ``params`` declares the keyword arguments the factory accepts; when it is
-    omitted and the factory is a dataclass, the declaration is derived from
-    its fields (other callables are signature-inspected).  ``aliases`` are
-    alternative names resolving to the same factory.  ``validator`` checks
+    omitted, the declaration is derived from the factory's signature (see
+    :func:`derived_strategy_params`).  ``aliases`` are alternative names
+    resolving to the same factory.  ``validator`` checks
     parameter values cheaply before any simulation (see
     :func:`validate_strategy_params`); ``composition`` is the strategy's
     default :class:`~repro.planning.PipelineSpec`, for listings.
@@ -218,7 +219,10 @@ def get_strategy(name: str, **kwargs) -> PatrolStrategy:
     Returns
     -------
     PatrolStrategy
-        A planner object exposing ``plan(scenario) -> PatrolPlan``.
+        A planner object exposing ``plan(scenario) -> PatrolPlan``.  For a
+        built-in strategy this is the immutable
+        :class:`~repro.planning.PlanningPipeline` its builder returns, shared
+        by every lookup with equal parameters.
 
     Raises
     ------
@@ -235,40 +239,9 @@ def get_strategy(name: str, **kwargs) -> PatrolStrategy:
 
 
 def _load_builtins() -> None:
-    from repro.baselines.chb import CHBPlanner
-    from repro.baselines.random_patrol import RandomPlanner
-    from repro.baselines.sweep import SweepPlanner
-    from repro.core.btctp import BTCTPPlanner
-    from repro.core.rwtctp import RWTCTPPlanner
-    from repro.core.wtctp import WTCTPPlanner
-    from repro.planning import compositions
+    from repro.planning.compositions import register_builtin_compositions
 
-    # One alias table instead of per-alias factory lambdas: the dataclass
-    # constructors *are* the factories, and parameter declarations are derived
-    # from their fields.  Each entry carries its default pipeline composition
-    # (for the CLI listing) and a pre-run parameter validator derived from it.
-    defaults: tuple[tuple[str, Callable[..., PatrolStrategy], tuple[str, ...], str], ...] = (
-        ("random", RandomPlanner, (),
-         "uncoordinated baseline: every mule wanders to a random target"),
-        ("sweep", SweepPlanner, (),
-         "one angular target group per mule, each patrolled independently"),
-        ("chb", CHBPlanner, (),
-         "shared convex-hull circuit, no location initialisation"),
-        ("b-tctp", BTCTPPlanner, ("btctp", "tctp"),
-         "basic TCTP: shared circuit + equally spaced start points"),
-        ("w-tctp", WTCTPPlanner, ("wtctp",),
-         "weighted TCTP: VIP-aware weighted patrolling path"),
-        ("rw-tctp", RWTCTPPlanner, ("rwtctp",),
-         "recharge-aware weighted TCTP (needs a recharge station)"),
-    )
-    for name, factory, aliases, description in defaults:
-        builder = compositions.LEGACY_PIPELINES[name]
-        register_strategy(
-            name, factory, aliases=aliases, description=description,
-            validator=compositions.composition_validator(builder),
-            composition=builder().spec,
-        )
-    compositions.register_builtin_compositions()
+    register_builtin_compositions()
 
 
 #: The strategy table; its built-ins register on the first lookup.

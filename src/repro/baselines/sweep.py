@@ -1,26 +1,25 @@
-"""The Sweep baseline (reference [4]: "Sweep Coverage with Mobile Sensors").
+"""The Sweep baseline's target partition (reference [4]: "Sweep Coverage with Mobile Sensors").
 
 "The Sweep approach initially divides the DMs into several groups and then
 each DM individually patrols the targets of one group" (Section V).  We
 partition the targets into one group per data mule by sweeping an angular
 sector around the field centre (a deterministic stand-in for CSWEEP's
-partitioning), build a convex-hull-insertion cycle per group (always including
-the sink so collected data can be delivered), and let each mule patrol its own
-group's cycle.  Because the groups' cycles have very different lengths, the
-visiting intervals oscillate — the behaviour Figure 7 shows for Sweep.
+partitioning); the ``sweep-sector`` tour stage then builds a
+convex-hull-insertion cycle per group (always including the sink so collected
+data can be delivered), and each mule patrols its own group's cycle
+(:func:`repro.planning.compositions.sweep_pipeline`).  Because the groups'
+cycles have very different lengths, the visiting intervals oscillate — the
+behaviour Figure 7 shows for Sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from repro.core.plan import PatrolPlan
 from repro.geometry.point import Point
-from repro.network.scenario import Scenario
 from repro.network.targets import Target
 
-__all__ = ["SweepPlanner", "partition_targets_by_angle", "partition_targets_balanced"]
+__all__ = ["partition_targets_by_angle", "partition_targets_balanced"]
 
 
 def partition_targets_by_angle(targets: list[Target], num_groups: int, center: Point) -> list[list[Target]]:
@@ -63,30 +62,3 @@ def partition_targets_balanced(targets: list[Target], num_groups: int, center: P
             group.append(groups[donor].pop())
     return groups
 
-
-@dataclass
-class SweepPlanner:
-    """Planner for the Sweep baseline (one target group per data mule).
-
-    ``plan`` runs the stage composition
-    ``sweep-sector | none | as-built | depot-start`` through the composable
-    planning pipeline (:mod:`repro.planning`): one angular-sector circuit per
-    mule, each patrolled independently from wherever the mule was deployed.
-    """
-
-    include_sink_in_groups: bool = True
-    tsp_method: str = "hull-insertion"
-    name: str = "Sweep"
-
-    def pipeline(self):
-        """The stage composition this planner executes (a :class:`PlanningPipeline`)."""
-        from repro.planning.compositions import sweep_pipeline
-
-        return sweep_pipeline(
-            include_sink_in_groups=self.include_sink_in_groups,
-            tsp_method=self.tsp_method,
-            name=self.name,
-        )
-
-    def plan(self, scenario: Scenario) -> PatrolPlan:
-        return self.pipeline().plan(scenario)

@@ -7,6 +7,11 @@
   counter-clockwise-angle patrolling rule.
 * :mod:`repro.core.rwtctp` — Section IV: Weighted Recharge Path and the
   energy-aware round schedule.
+
+These modules hold the algorithms' building blocks and the plan model; the
+planning pipeline's stages call them, and each algorithm as a whole is a
+stage composition (:mod:`repro.planning.compositions`).  ``plan_btctp``,
+``plan_wtctp`` and ``plan_rwtctp`` plan one scenario in one call.
 """
 
 from repro.core.plan import LoopRoute, AlternatingLoopRoute, StochasticRoute, MuleRoute, PatrolPlan
@@ -18,9 +23,9 @@ from repro.core.policies import (
     get_policy,
 )
 from repro.core.patrol_rules import angle_walk, build_patrol_walk
-from repro.core.btctp import BTCTPPlanner, plan_btctp
-from repro.core.wtctp import WTCTPPlanner, plan_wtctp, build_weighted_patrolling_path
-from repro.core.rwtctp import RWTCTPPlanner, plan_rwtctp, build_weighted_recharge_path
+from repro.core.btctp import plan_btctp
+from repro.core.wtctp import plan_wtctp, build_weighted_patrolling_path
+from repro.core.rwtctp import plan_rwtctp, build_weighted_recharge_path
 
 __all__ = [
     "MuleRoute",
@@ -37,12 +42,9 @@ __all__ = [
     "get_policy",
     "angle_walk",
     "build_patrol_walk",
-    "BTCTPPlanner",
     "plan_btctp",
-    "WTCTPPlanner",
     "plan_wtctp",
     "build_weighted_patrolling_path",
-    "RWTCTPPlanner",
     "plan_rwtctp",
     "build_weighted_recharge_path",
 ]

@@ -16,15 +16,10 @@ every ``|P| / (n·v)`` seconds with zero variance — the property Figures 7 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.plan import PatrolPlan
-from repro.graphs.hamiltonian import build_hamiltonian_circuit
-from repro.graphs.tour import Tour
-from repro.graphs.validation import validate_tour
 from repro.network.scenario import Scenario
 
-__all__ = ["BTCTPPlanner", "plan_btctp", "expected_visiting_interval"]
+__all__ = ["plan_btctp", "expected_visiting_interval"]
 
 
 def expected_visiting_interval(path_length: float, num_mules: int, velocity: float) -> float:
@@ -41,64 +36,13 @@ def expected_visiting_interval(path_length: float, num_mules: int, velocity: flo
     return path_length / (num_mules * velocity)
 
 
-@dataclass
-class BTCTPPlanner:
-    """Planner object form of B-TCTP (handy for strategy registries and ablations).
-
-    Parameters
-    ----------
-    tsp_method:
-        Hamiltonian-circuit heuristic: ``"hull-insertion"`` (paper default),
-        ``"nearest-neighbor"`` or ``"christofides"``.
-    improve_tour:
-        Run a 2-opt pass on the circuit (ablation EXT-A2; the paper does not).
-    location_initialization:
-        Perform the phase-2 start-point assignment.  Disabling it degrades
-        B-TCTP into "CHB with shared direction" and is used by the EXT-A1
-        ablation to isolate the contribution of the initialisation step.
-    """
-
-    tsp_method: str = "hull-insertion"
-    improve_tour: bool = False
-    location_initialization: bool = True
-    name: str = "B-TCTP"
-
-    def build_circuit(self, scenario: Scenario) -> Tour:
-        """Phase 1: the shared Hamiltonian circuit over targets plus sink."""
-        coords = scenario.patrol_points()
-        tour = build_hamiltonian_circuit(
-            coords, method=self.tsp_method, improve=self.improve_tour, start=scenario.sink.id
-        )
-        validate_tour(tour, expected_nodes=list(coords))
-        return tour
-
-    def pipeline(self):
-        """The stage composition this planner executes (a :class:`PlanningPipeline`).
-
-        ``hamiltonian | none | as-built | equal-spacing`` (or ``depot-start``
-        when location initialisation is disabled); output is byte-identical
-        to the historical fused implementation.
-        """
-        from repro.planning.compositions import btctp_pipeline
-
-        return btctp_pipeline(
-            tsp_method=self.tsp_method,
-            improve_tour=self.improve_tour,
-            location_initialization=self.location_initialization,
-            name=self.name,
-        )
-
-    def plan(self, scenario: Scenario) -> PatrolPlan:
-        """Run both phases and return the per-mule patrol plan."""
-        return self.pipeline().plan(scenario)
-
-
 def plan_btctp(scenario: Scenario, *, tsp_method: str = "hull-insertion",
                improve_tour: bool = False, location_initialization: bool = True) -> PatrolPlan:
-    """Functional wrapper around :class:`BTCTPPlanner` (see its docstring)."""
-    planner = BTCTPPlanner(
+    """Plan B-TCTP on ``scenario`` (see :func:`~repro.planning.compositions.btctp_pipeline`)."""
+    from repro.planning.compositions import btctp_pipeline
+
+    return btctp_pipeline(
         tsp_method=tsp_method,
         improve_tour=improve_tour,
         location_initialization=location_initialization,
-    )
-    return planner.plan(scenario)
+    ).plan(scenario)

@@ -18,15 +18,12 @@ and the schedule is: patrol the WPP for ``r - 1`` laps, then take the WRP lap
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.patrol_rules import build_patrol_walk
 from repro.core.plan import PatrolPlan
-from repro.core.wtctp import build_weighted_patrolling_path
 from repro.energy.model import EnergyModel, patrolling_rounds
 from repro.geometry.point import Point, distance
-from repro.graphs.hamiltonian import build_hamiltonian_circuit
 from repro.graphs.multitour import MultiTour
 from repro.graphs.validation import validate_walk_visits, validate_weighted_recharge_path
 from repro.network.scenario import Scenario
@@ -35,7 +32,6 @@ __all__ = [
     "insert_recharge_station",
     "build_weighted_recharge_path",
     "compute_patrol_rounds",
-    "RWTCTPPlanner",
     "plan_rwtctp",
 ]
 
@@ -106,89 +102,6 @@ def compute_patrol_rounds(scenario: Scenario, wpp_length: float) -> int:
     return max(r, 1)
 
 
-@dataclass
-class RWTCTPPlanner:
-    """Planner object form of RW-TCTP.
-
-    Parameters
-    ----------
-    policy:
-        Break-edge policy used for the underlying WPP construction.
-    tsp_method, improve_tour:
-        Passed through to the phase-1 Hamiltonian-circuit construction.
-    location_initialization:
-        Space the mules equally along the WRP before patrolling (paper default).
-    treat_targets_as_vips:
-        Section IV opens with "treat the recharge station as a NTP and all the
-        targets are treated as VIPs"; in the evaluation the target weights of
-        the scenario are used as-is.  When this flag is set, every target of
-        weight 1 is promoted to ``vip_weight`` before building the WPP.
-    vip_weight:
-        Promotion weight used when ``treat_targets_as_vips`` is enabled.
-    """
-
-    policy: str = "balanced"
-    tsp_method: str = "hull-insertion"
-    improve_tour: bool = False
-    location_initialization: bool = True
-    treat_targets_as_vips: bool = False
-    vip_weight: int = 2
-    name: str = "RW-TCTP"
-
-    # ------------------------------------------------------------------ #
-    def build_structures(self, scenario: Scenario) -> dict:
-        """Phase 1: Hamiltonian circuit, WPP, WRP and both traversal walks."""
-        if scenario.recharge_station is None:
-            raise ValueError("RW-TCTP requires a scenario with a recharge station")
-        coords = scenario.patrol_points()
-        tour = build_hamiltonian_circuit(
-            coords, method=self.tsp_method, improve=self.improve_tour, start=scenario.sink.id
-        )
-        weights = scenario.weights()
-        if self.treat_targets_as_vips:
-            weights = {
-                n: (max(w, self.vip_weight) if n != scenario.sink.id else w)
-                for n, w in weights.items()
-            }
-        wpp, wpp_walk = build_weighted_patrolling_path(tour, weights, self.policy)
-        wrp, wrp_walk = build_weighted_recharge_path(
-            wpp,
-            weights,
-            scenario.recharge_station.id,
-            scenario.recharge_station.position,
-            walk_start=scenario.sink.id,
-        )
-        return {
-            "tour": tour,
-            "weights": weights,
-            "wpp": wpp,
-            "wpp_walk": wpp_walk,
-            "wrp": wrp,
-            "wrp_walk": wrp_walk,
-        }
-
-    def compute_rounds(self, scenario: Scenario, wpp_length: float) -> int:
-        """Equation (4) with the scenario's energy model and mule battery capacity."""
-        return compute_patrol_rounds(scenario, wpp_length)
-
-    def pipeline(self):
-        """The stage composition this planner executes (a :class:`PlanningPipeline`)."""
-        from repro.planning.compositions import rwtctp_pipeline
-
-        return rwtctp_pipeline(
-            policy=self.policy,
-            tsp_method=self.tsp_method,
-            improve_tour=self.improve_tour,
-            location_initialization=self.location_initialization,
-            treat_targets_as_vips=self.treat_targets_as_vips,
-            vip_weight=self.vip_weight,
-            name=self.name,
-        )
-
-    def plan(self, scenario: Scenario) -> PatrolPlan:
-        return self.pipeline().plan(scenario)
-
-
 def plan_rwtctp(
     scenario: Scenario,
     *,
@@ -199,13 +112,14 @@ def plan_rwtctp(
     treat_targets_as_vips: bool = False,
     vip_weight: int = 2,
 ) -> PatrolPlan:
-    """Functional wrapper around :class:`RWTCTPPlanner` (see its docstring)."""
-    planner = RWTCTPPlanner(
+    """Plan RW-TCTP on ``scenario`` (see :func:`~repro.planning.compositions.rwtctp_pipeline`)."""
+    from repro.planning.compositions import rwtctp_pipeline
+
+    return rwtctp_pipeline(
         policy=policy,
         tsp_method=tsp_method,
         improve_tour=improve_tour,
         location_initialization=location_initialization,
         treat_targets_as_vips=treat_targets_as_vips,
         vip_weight=vip_weight,
-    )
-    return planner.plan(scenario)
+    ).plan(scenario)

@@ -17,13 +17,11 @@ B-TCTP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.patrol_rules import build_patrol_walk
 from repro.core.plan import PatrolPlan
 from repro.core.policies import BreakEdgePolicy, get_policy
-from repro.graphs.hamiltonian import build_hamiltonian_circuit
 from repro.graphs.multitour import MultiTour
 from repro.graphs.tour import Tour
 from repro.graphs.validation import validate_walk_visits, validate_weighted_patrolling_path
@@ -32,7 +30,6 @@ from repro.network.scenario import Scenario
 __all__ = [
     "build_wpp_structure",
     "build_weighted_patrolling_path",
-    "WTCTPPlanner",
     "plan_wtctp",
 ]
 
@@ -106,57 +103,6 @@ def build_weighted_patrolling_path(
     return structure, walk
 
 
-@dataclass
-class WTCTPPlanner:
-    """Planner object form of W-TCTP.
-
-    ``plan`` runs the declarative stage composition
-    ``hamiltonian | wpp | ccw-angle | equal-spacing`` through the composable
-    planning pipeline (:mod:`repro.planning`); the output is byte-identical
-    to the historical fused implementation.
-
-    Parameters
-    ----------
-    policy:
-        ``"shortest"`` (Exp. 1) or ``"balanced"`` (Exp. 2) break-edge policy.
-    tsp_method, improve_tour:
-        Passed through to the phase-1 Hamiltonian-circuit construction.
-    location_initialization:
-        Space the mules equally along the WPP before patrolling (paper default).
-    """
-
-    policy: str = "balanced"
-    tsp_method: str = "hull-insertion"
-    improve_tour: bool = False
-    location_initialization: bool = True
-    name: str = field(default="W-TCTP")
-
-    def build_structures(self, scenario: Scenario) -> tuple[Tour, MultiTour, list[str]]:
-        """Phase 1: Hamiltonian circuit, WPP multigraph and traversal walk."""
-        coords = scenario.patrol_points()
-        tour = build_hamiltonian_circuit(
-            coords, method=self.tsp_method, improve=self.improve_tour, start=scenario.sink.id
-        )
-        weights = scenario.weights()
-        structure, walk = build_weighted_patrolling_path(tour, weights, self.policy)
-        return tour, structure, walk
-
-    def pipeline(self):
-        """The stage composition this planner executes (a :class:`PlanningPipeline`)."""
-        from repro.planning.compositions import wtctp_pipeline
-
-        return wtctp_pipeline(
-            policy=self.policy,
-            tsp_method=self.tsp_method,
-            improve_tour=self.improve_tour,
-            location_initialization=self.location_initialization,
-            name=self.name,
-        )
-
-    def plan(self, scenario: Scenario) -> PatrolPlan:
-        return self.pipeline().plan(scenario)
-
-
 def plan_wtctp(
     scenario: Scenario,
     *,
@@ -165,11 +111,12 @@ def plan_wtctp(
     improve_tour: bool = False,
     location_initialization: bool = True,
 ) -> PatrolPlan:
-    """Functional wrapper around :class:`WTCTPPlanner` (see its docstring)."""
-    planner = WTCTPPlanner(
+    """Plan W-TCTP on ``scenario`` (see :func:`~repro.planning.compositions.wtctp_pipeline`)."""
+    from repro.planning.compositions import wtctp_pipeline
+
+    return wtctp_pipeline(
         policy=policy,
         tsp_method=tsp_method,
         improve_tour=improve_tour,
         location_initialization=location_initialization,
-    )
-    return planner.plan(scenario)
+    ).plan(scenario)

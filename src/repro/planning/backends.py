@@ -1,10 +1,10 @@
 """Built-in stage backends: every planning step of the library as a plug-in.
 
-Each backend replicates one step of the historical fused planners exactly —
-the byte-identity tests in ``tests/test_planning_identity.py`` hold the
-compositions to the pre-refactor golden plans — plus the new cross-combinable
+Each backend is one step of the paper's algorithms or baselines — the
+byte-identity tests in ``tests/test_planning_identity.py`` hold the six
+paper compositions to golden plans — or one of the cross-combinable
 backends (cluster-first tours, reversed ordering, random-offset
-initialisation) that the fused planners could not express.
+initialisation) that the cross-combined strategies add.
 
 Backend contract (see :mod:`repro.planning.stages`):
 

@@ -1,15 +1,20 @@
 """Named stage compositions: every strategy of the library as pipeline data.
 
-The six legacy strategies (B/W/RW-TCTP, CHB, Sweep, Random) are expressed
-here as four-stage compositions whose output is **byte-identical** to the
-historical fused planners — each carries a metadata profile reproducing its
-exact historical ``PatrolPlan.metadata``.  On top of those, this module
-registers cross-combined strategies the fused planners could not express
-(sweep-sector tours with VIP expansion, cluster-first tours with recharge
-weaving, reversed traversal, random-offset initialisation) and the generic
-``pipeline`` strategy whose four stage parameters make any composition
-sweepable from campaign grids (``plan.tour``, ``plan.order``, ...) and the
-CLI.
+The paper's six strategies — B-, W- and RW-TCTP (Sections II–IV) and the
+Random, Sweep and CHB baselines (Section V) — are the four-stage
+compositions built by the ``*_pipeline`` functions below.  Each carries a
+metadata profile that fixes its ``PatrolPlan.metadata``;
+``tests/test_planning_identity.py`` holds the plans to golden records.
+Beside them sit cross-combined strategies (sweep-sector tours with VIP
+expansion, cluster-first tours with recharge weaving, reversed traversal,
+random-offset initialisation) and the generic ``pipeline`` strategy, whose
+four stage parameters make any composition sweepable from campaign grids
+(``plan.tour``, ``plan.order``, ...) and the CLI.
+
+The builders *are* the strategy factories: ``get_strategy("w-tctp",
+policy="shortest")`` returns ``wtctp_pipeline(policy="shortest")``.  The
+six paper builders also take ``name``, the display name their plans record
+as ``PatrolPlan.strategy``; it is not a strategy parameter.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------- #
-# Historical metadata profiles (byte-compat with the fused planners)
+# Metadata profiles of the paper's six strategies
 # --------------------------------------------------------------------------- #
 
 def _btctp_metadata(ctx: PlanningContext) -> dict:
@@ -97,16 +102,16 @@ def _rwtctp_metadata(ctx: PlanningContext) -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# The six legacy strategies as compositions
+# The paper's six strategies
 # --------------------------------------------------------------------------- #
 
 def _memoize_pipeline(builder: Callable[..., PlanningPipeline]):
     """Reuse pipeline instances across plans with equal parameters.
 
     A :class:`PlanningPipeline` is immutable and carries no per-plan state
-    (every ``plan()`` call threads a fresh context), so planners that are
-    constructed repeatedly — every campaign cell builds its strategy — share
-    one pipeline per parameter combination instead of re-coercing the stage
+    (every ``plan()`` call threads a fresh context), so strategies looked up
+    repeatedly — every campaign cell calls ``get_strategy`` — share one
+    pipeline per parameter combination instead of re-coercing the stage
     specs each time.  Unhashable parameter values (dict-form stage specs)
     fall through to a direct build.
     """
@@ -133,7 +138,25 @@ def btctp_pipeline(
     *, tsp_method: str = "hull-insertion", improve_tour: bool = False,
     location_initialization: bool = True, name: str = "B-TCTP",
 ) -> PlanningPipeline:
-    """``hamiltonian | none | as-built | equal-spacing`` (Section II)."""
+    """B-TCTP (Section II): ``hamiltonian | none | as-built | equal-spacing``.
+
+    Every mule builds the same convex-hull insertion circuit over the targets
+    plus the sink; equal-length segmentation then gives each mule a start
+    point, so every target is visited every ``|P| / (n·v)`` seconds.
+
+    Parameters
+    ----------
+    tsp_method:
+        Hamiltonian-circuit heuristic: ``"hull-insertion"`` (paper default),
+        ``"nearest-neighbor"`` or ``"christofides"``.
+    improve_tour:
+        Run a 2-opt pass on the circuit (ablation EXT-A2; the paper does not).
+    location_initialization:
+        Perform the phase-2 start-point assignment.  Disabling it (the
+        ``depot-start`` init stage) degrades B-TCTP into "CHB with shared
+        direction" and is used by the EXT-A1 ablation to isolate the
+        contribution of the initialisation step.
+    """
     spec = PipelineSpec(
         tour=StageSpec("hamiltonian", {"tsp_method": tsp_method, "improve_tour": improve_tour}),
         augment=StageSpec("none"),
@@ -147,7 +170,26 @@ def btctp_pipeline(
 def chb_pipeline(
     *, tsp_method: str = "hull-insertion", improve_tour: bool = False, name: str = "CHB",
 ) -> PlanningPipeline:
-    """``hamiltonian | none | as-built | depot-start`` (reference [5])."""
+    """CHB (reference [5]): ``hamiltonian | none | as-built | depot-start``.
+
+    "The CHB approach constructs an efficient Hamiltonian Circuit and then
+    all DMs visit each target along the constructed Hamiltonian Circuit.
+    However, the CHB approach does not consider the situations of the
+    scenario with different weighted targets and the recharge problem."
+    (Section V)
+
+    The circuit is B-TCTP's phase 1 — the same convex-hull insertion — but
+    there is **no location initialisation**: each mule simply enters the
+    circuit at its nearest node and follows it.  Mules therefore stay bunched
+    the way they were deployed, consecutive gaps along the circuit differ,
+    and the per-target visiting intervals oscillate periodically — the
+    behaviour Figures 7 and 8 attribute to CHB.
+
+    Parameters
+    ----------
+    tsp_method, improve_tour:
+        As for :func:`btctp_pipeline`.
+    """
     spec = PipelineSpec(
         tour=StageSpec("hamiltonian", {"tsp_method": tsp_method, "improve_tour": improve_tour}),
         augment=StageSpec("none"),
@@ -162,7 +204,18 @@ def sweep_pipeline(
     *, include_sink_in_groups: bool = True, tsp_method: str = "hull-insertion",
     name: str = "Sweep",
 ) -> PlanningPipeline:
-    """``sweep-sector | none | as-built | depot-start`` (reference [4])."""
+    """Sweep (reference [4]): ``sweep-sector | none | as-built | depot-start``.
+
+    One angular-sector circuit per mule (see :mod:`repro.baselines.sweep`),
+    each patrolled independently from wherever the mule was deployed.
+
+    Parameters
+    ----------
+    include_sink_in_groups:
+        Put the sink on every sector circuit so collected data can be delivered.
+    tsp_method:
+        Heuristic for each sector circuit, as for :func:`btctp_pipeline`.
+    """
     spec = PipelineSpec(
         tour=StageSpec("sweep-sector", {
             "include_sink_in_groups": include_sink_in_groups, "tsp_method": tsp_method,
@@ -179,7 +232,26 @@ def random_pipeline(
     *, seed: "int | None" = 0, include_sink: bool = True, avoid_repeat: bool = True,
     name: str = "Random",
 ) -> PlanningPipeline:
-    """``pool | none | stochastic | depot-start`` (the Random baseline)."""
+    """Random: ``pool | none | stochastic | depot-start``.
+
+    "The Random approach randomly selects the non-visited target as its next
+    destination" (Section V).  The candidate pool replaces a constructed
+    circuit, and the stochastic order stage draws each next waypoint online
+    from a seeded per-mule stream, so a run is reproducible but the mules are
+    uncoordinated — which is exactly why the Data Collection Delay Time
+    fluctuates wildly in Figure 7.
+
+    Parameters
+    ----------
+    seed:
+        Base seed; mule ``i`` uses sub-stream ``i`` of this seed so adding a
+        mule does not perturb the others' trajectories.
+    include_sink:
+        Whether the sink is part of the random destination pool (it is, per
+        Section 2.1 — mules must still return data to the sink occasionally).
+    avoid_repeat:
+        Do not pick the target the mule is currently standing on.
+    """
     spec = PipelineSpec(
         tour=StageSpec("pool", {"include_sink": include_sink}),
         augment=StageSpec("none"),
@@ -194,7 +266,19 @@ def wtctp_pipeline(
     *, policy: str = "balanced", tsp_method: str = "hull-insertion",
     improve_tour: bool = False, location_initialization: bool = True, name: str = "W-TCTP",
 ) -> PlanningPipeline:
-    """``hamiltonian | wpp | ccw-angle | equal-spacing`` (Section III)."""
+    """W-TCTP (Section III): ``hamiltonian | wpp | ccw-angle | equal-spacing``.
+
+    Plans record ``W-TCTP[<policy>]`` as their strategy.
+
+    Parameters
+    ----------
+    policy:
+        ``"shortest"`` (Exp. 1) or ``"balanced"`` (Exp. 2) break-edge policy.
+    tsp_method, improve_tour:
+        Passed through to the phase-1 Hamiltonian-circuit construction.
+    location_initialization:
+        Space the mules equally along the WPP before patrolling (paper default).
+    """
     spec = PipelineSpec(
         tour=StageSpec("hamiltonian", {"tsp_method": tsp_method, "improve_tour": improve_tour}),
         augment=StageSpec("wpp", {"policy": policy}),
@@ -210,7 +294,27 @@ def rwtctp_pipeline(
     improve_tour: bool = False, location_initialization: bool = True,
     treat_targets_as_vips: bool = False, vip_weight: int = 2, name: str = "RW-TCTP",
 ) -> PlanningPipeline:
-    """``hamiltonian | recharge | ccw-angle | equal-spacing`` (Section IV)."""
+    """RW-TCTP (Section IV): ``hamiltonian | recharge | ccw-angle | equal-spacing``.
+
+    The scenario needs a recharge station and mule batteries.  Plans record
+    ``RW-TCTP[<policy>]`` as their strategy.
+
+    Parameters
+    ----------
+    policy:
+        Break-edge policy used for the underlying WPP construction.
+    tsp_method, improve_tour:
+        Passed through to the phase-1 Hamiltonian-circuit construction.
+    location_initialization:
+        Space the mules equally along the WRP before patrolling (paper default).
+    treat_targets_as_vips:
+        Section IV opens with "treat the recharge station as a NTP and all the
+        targets are treated as VIPs"; in the evaluation the target weights of
+        the scenario are used as-is.  When this flag is set, every target of
+        weight 1 is promoted to ``vip_weight`` before building the WPP.
+    vip_weight:
+        Promotion weight used when ``treat_targets_as_vips`` is enabled.
+    """
     spec = PipelineSpec(
         tour=StageSpec("hamiltonian", {"tsp_method": tsp_method, "improve_tour": improve_tour}),
         augment=StageSpec("recharge", {
@@ -224,17 +328,6 @@ def rwtctp_pipeline(
     return PlanningPipeline(spec, name=name + "[{policy}]", metadata_profile=_rwtctp_metadata)
 
 
-#: Builders of the legacy compositions, keyed by strategy registry name.
-LEGACY_PIPELINES: Mapping[str, Callable[..., PlanningPipeline]] = {
-    "b-tctp": btctp_pipeline,
-    "chb": chb_pipeline,
-    "sweep": sweep_pipeline,
-    "random": random_pipeline,
-    "w-tctp": wtctp_pipeline,
-    "rw-tctp": rwtctp_pipeline,
-}
-
-
 def composition_validator(builder: Callable[..., PlanningPipeline]):
     """Strategy-level parameter validator derived from a pipeline builder.
 
@@ -245,13 +338,7 @@ def composition_validator(builder: Callable[..., PlanningPipeline]):
     """
 
     def validate(params: Mapping[str, Any]) -> None:
-        kwargs = {k: v for k, v in params.items() if k != "seed" or _accepts_seed(builder)}
-        builder(**kwargs).validate()
-
-    def _accepts_seed(fn: Callable) -> bool:
-        import inspect
-
-        return "seed" in inspect.signature(fn).parameters
+        builder(**params).validate()
 
     return validate
 
@@ -378,23 +465,34 @@ def pipeline_strategy(
     return PlanningPipeline(spec, name=name)
 
 
-def _validate_pipeline_params(params: Mapping[str, Any]) -> None:
-    pipeline_strategy(**{k: v for k, v in params.items()})
-
-
 # --------------------------------------------------------------------------- #
 # Registration
 # --------------------------------------------------------------------------- #
 
 def register_builtin_compositions() -> None:
-    """Register the cross-combined strategies and the generic ``pipeline``.
+    """Register every built-in strategy, with its builder as the factory.
 
-    Called by the strategy registry's lazy built-in load, which runs once
-    per process (:class:`repro.registry.Loader`).
+    The builder's signature declares the strategy parameters, its default
+    build is the listed composition, and :func:`composition_validator`
+    checks parameter values before any run.  Called by the strategy
+    registry's lazy built-in load, which runs once per process
+    (:class:`repro.registry.Loader`).
     """
     from repro.baselines.base import register_strategy
 
     entries = (
+        ("random", random_pipeline, (),
+         "uncoordinated baseline: every mule wanders to a random target"),
+        ("sweep", sweep_pipeline, (),
+         "one angular target group per mule, each patrolled independently"),
+        ("chb", chb_pipeline, (),
+         "shared convex-hull circuit, no location initialisation"),
+        ("b-tctp", btctp_pipeline, ("btctp", "tctp"),
+         "basic TCTP: shared circuit + equally spaced start points"),
+        ("w-tctp", wtctp_pipeline, ("wtctp",),
+         "weighted TCTP: VIP-aware weighted patrolling path"),
+        ("rw-tctp", rwtctp_pipeline, ("rwtctp",),
+         "recharge-aware weighted TCTP (needs a recharge station)"),
         ("sw-tctp", sw_tctp_pipeline, ("sweep-w",),
          "sweep-sector circuits with per-sector W-TCTP VIP expansion"),
         ("cb-tctp", cb_tctp_pipeline, ("cluster-b",),
@@ -405,15 +503,12 @@ def register_builtin_compositions() -> None:
          "B-TCTP traversed clockwise (reversed patrol direction)"),
         ("staggered-chb", staggered_chb_pipeline, (),
          "shared circuit + seeded random arc-offset initialisation"),
+        ("pipeline", pipeline_strategy, ("composed",),
+         "any four-stage composition: tour | augment | order | init "
+         "(each a stage spec like 'wpp:policy=shortest')"),
     )
     for name, builder, aliases, description in entries:
         register_strategy(
             name, builder, aliases=aliases, description=description,
             validator=composition_validator(builder), composition=builder().spec,
         )
-    register_strategy(
-        "pipeline", pipeline_strategy, aliases=("composed",),
-        description="any four-stage composition: tour | augment | order | init "
-                    "(each a stage spec like 'wpp:policy=shortest')",
-        validator=_validate_pipeline_params, composition=PipelineSpec(),
-    )

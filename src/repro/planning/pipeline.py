@@ -21,10 +21,10 @@ backends (see :mod:`repro.planning.stages`) and assembles the final
 :class:`~repro.core.plan.PatrolPlan`.  Stage state flows through
 :class:`Lane` objects — one lane per independent patrol circuit, so shared-
 circuit strategies use a single lane covering every mule while Sweep-style
-strategies use one lane per mule.  Route construction uses the exact same
-route classes as the fused legacy planners (:class:`~repro.core.plan.LoopRoute`
-and friends), so the analytic fast path of :mod:`repro.sim.fastpath` applies
-to composed strategies exactly as it does to the built-ins.
+strategies use one lane per mule.  Every composition builds its routes from
+the same route classes (:class:`~repro.core.plan.LoopRoute` and friends), so
+the analytic fast path of :mod:`repro.sim.fastpath` applies to any composed
+strategy exactly as it does to the paper's six.
 """
 
 from __future__ import annotations
@@ -126,9 +126,9 @@ class PlanningPipeline:
         name at planning time (mirroring ``"W-TCTP[balanced]"``).
     metadata_profile:
         Optional callable mapping the finished :class:`PlanningContext` to the
-        plan's metadata dict.  The legacy strategies install profiles that
-        reproduce their historical metadata byte for byte; composed strategies
-        default to :func:`default_metadata`.
+        plan's metadata dict.  The paper's six strategies install profiles
+        that fix their metadata (see :mod:`repro.planning.compositions`);
+        other compositions default to :func:`default_metadata`.
 
     Examples
     --------
@@ -200,7 +200,7 @@ class PlanningPipeline:
 def default_metadata(ctx: PlanningContext) -> dict:
     """Stage-derived metadata for composed strategies.
 
-    The legacy six install exact historical profiles instead (see
+    The paper's six strategies install their own profiles instead (see
     :mod:`repro.planning.compositions`); everything else gets this uniform
     assembly: the pipeline composition itself plus whatever the stages
     produced (tour/structure lengths, traversal walk, groups, start points).
@@ -231,7 +231,7 @@ def default_metadata(ctx: PlanningContext) -> dict:
 
 
 def start_point_table(start_points) -> list[dict]:
-    """The historical JSON-safe start-point table (B-TCTP metadata format)."""
+    """The JSON-safe start-point table (B-TCTP metadata format)."""
     return [
         {"index": sp.index, "x": sp.position.x, "y": sp.position.y, "arc": sp.arc_length}
         for sp in start_points

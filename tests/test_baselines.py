@@ -1,13 +1,12 @@
-"""Unit tests for repro.baselines (Random, Sweep, CHB) and the strategy registry."""
+"""Unit tests for the Random, Sweep and CHB baselines and the strategy registry."""
 
 import pytest
 
 from repro.baselines.base import available_strategies, get_strategy
-from repro.baselines.chb import CHBPlanner
-from repro.baselines.random_patrol import RandomPlanner
-from repro.baselines.sweep import SweepPlanner, partition_targets_balanced, partition_targets_by_angle
+from repro.baselines.sweep import partition_targets_balanced, partition_targets_by_angle
 from repro.core.plan import LoopRoute, StochasticRoute
 from repro.geometry.point import Point
+from repro.planning import compositions
 from repro.sim.engine import PatrolSimulator, SimulationConfig
 from repro.sim.metrics import average_sd
 from repro.workloads.generator import uniform_scenario
@@ -20,43 +19,51 @@ class TestRegistry:
             assert expected in names
 
     def test_get_strategy_instantiates(self):
-        assert isinstance(get_strategy("random"), RandomPlanner)
-        assert isinstance(get_strategy("sweep"), SweepPlanner)
-        assert isinstance(get_strategy("chb"), CHBPlanner)
+        builders = {
+            "random": compositions.random_pipeline,
+            "sweep": compositions.sweep_pipeline,
+            "chb": compositions.chb_pipeline,
+            "b-tctp": compositions.btctp_pipeline,
+            "w-tctp": compositions.wtctp_pipeline,
+            "rw-tctp": compositions.rwtctp_pipeline,
+        }
+        for name, builder in builders.items():
+            assert get_strategy(name).spec == builder().spec, name
 
     def test_kwargs_forwarded(self):
         planner = get_strategy("w-tctp", policy="shortest")
-        assert planner.policy == "shortest"
+        assert planner.spec.augment.params["policy"] == "shortest"
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             get_strategy("definitely-not-a-strategy")
 
     def test_aliases_resolve_to_same_planner_type(self):
-        assert type(get_strategy("btctp")) is type(get_strategy("b-tctp"))
-        assert type(get_strategy("tctp")) is type(get_strategy("b-tctp"))
+        # the memoized builder hands every equal lookup the same pipeline
+        assert get_strategy("btctp") is get_strategy("b-tctp")
+        assert get_strategy("tctp") is get_strategy("b-tctp")
 
 
 class TestRandomPlanner:
     def test_routes_are_stochastic(self, fig1_scenario):
-        plan = RandomPlanner(seed=1).plan(fig1_scenario)
+        plan = get_strategy("random", seed=1).plan(fig1_scenario)
         assert all(isinstance(r, StochasticRoute) for r in plan.routes.values())
 
     def test_candidates_include_sink_by_default(self, fig1_scenario):
-        plan = RandomPlanner(seed=1).plan(fig1_scenario)
+        plan = get_strategy("random", seed=1).plan(fig1_scenario)
         route = next(iter(plan.routes.values()))
         assert "sink" in route.candidates
 
     def test_sink_excluded_when_disabled(self, fig1_scenario):
-        plan = RandomPlanner(seed=1, include_sink=False).plan(fig1_scenario)
+        plan = get_strategy("random", seed=1, include_sink=False).plan(fig1_scenario)
         route = next(iter(plan.routes.values()))
         assert "sink" not in route.candidates
 
     def test_seed_reproducibility(self, fig1_scenario):
         import itertools
 
-        p1 = RandomPlanner(seed=5).plan(fig1_scenario)
-        p2 = RandomPlanner(seed=5).plan(fig1_scenario)
+        p1 = get_strategy("random", seed=5).plan(fig1_scenario)
+        p2 = get_strategy("random", seed=5).plan(fig1_scenario)
         w1 = list(itertools.islice(p1.routes["m1"].waypoints(), 20))
         w2 = list(itertools.islice(p2.routes["m1"].waypoints(), 20))
         assert w1 == w2
@@ -64,13 +71,13 @@ class TestRandomPlanner:
     def test_mules_get_independent_streams(self, fig1_scenario):
         import itertools
 
-        plan = RandomPlanner(seed=5).plan(fig1_scenario)
+        plan = get_strategy("random", seed=5).plan(fig1_scenario)
         w1 = list(itertools.islice(plan.routes["m1"].waypoints(), 30))
         w2 = list(itertools.islice(plan.routes["m2"].waypoints(), 30))
         assert w1 != w2
 
     def test_no_start_positions(self, fig1_scenario):
-        plan = RandomPlanner(seed=0).plan(fig1_scenario)
+        plan = get_strategy("random", seed=0).plan(fig1_scenario)
         assert all(r.start_position() is None for r in plan.routes.values())
 
 
@@ -109,35 +116,35 @@ class TestSweepPartition:
 
 class TestSweepPlanner:
     def test_each_mule_gets_its_own_group_cycle(self, fig1_scenario):
-        plan = SweepPlanner().plan(fig1_scenario)
+        plan = get_strategy("sweep").plan(fig1_scenario)
         assert set(plan.routes) == {m.id for m in fig1_scenario.mules}
         loops = [tuple(r.loop) for r in plan.routes.values()]
         assert len(set(loops)) == len(loops)  # different groups -> different cycles
 
     def test_groups_cover_all_targets(self, fig1_scenario):
-        plan = SweepPlanner().plan(fig1_scenario)
+        plan = get_strategy("sweep").plan(fig1_scenario)
         covered = set()
         for info in plan.metadata["groups"]:
             covered.update(info["targets"])
         assert covered == {t.id for t in fig1_scenario.targets}
 
     def test_sink_included_in_every_group_cycle(self, fig1_scenario):
-        plan = SweepPlanner().plan(fig1_scenario)
+        plan = get_strategy("sweep").plan(fig1_scenario)
         assert all("sink" in r.loop for r in plan.routes.values())
 
     def test_sink_exclusion_option(self, fig1_scenario):
-        plan = SweepPlanner(include_sink_in_groups=False).plan(fig1_scenario)
+        plan = get_strategy("sweep", include_sink_in_groups=False).plan(fig1_scenario)
         assert any("sink" not in r.loop for r in plan.routes.values())
 
     def test_simulation_covers_all_targets(self, fig1_scenario):
-        plan = SweepPlanner().plan(fig1_scenario)
+        plan = get_strategy("sweep").plan(fig1_scenario)
         result = PatrolSimulator(fig1_scenario, plan, SimulationConfig(horizon=20_000)).run()
         assert set(result.visited_targets()) >= {t.id for t in fig1_scenario.targets}
 
 
 class TestCHBPlanner:
     def test_shared_loop_no_start_positions(self, fig1_scenario):
-        plan = CHBPlanner().plan(fig1_scenario)
+        plan = get_strategy("chb").plan(fig1_scenario)
         loops = {tuple(r.loop) for r in plan.routes.values()}
         assert len(loops) == 1
         assert all(isinstance(r, LoopRoute) for r in plan.routes.values())
@@ -146,7 +153,7 @@ class TestCHBPlanner:
     def test_loop_is_same_as_btctp_circuit(self, fig1_scenario):
         from repro.core.btctp import plan_btctp
 
-        chb = CHBPlanner().plan(fig1_scenario)
+        chb = get_strategy("chb").plan(fig1_scenario)
         btctp = plan_btctp(fig1_scenario)
         assert chb.metadata["path_length"] == pytest.approx(btctp.metadata["path_length"])
 
@@ -154,7 +161,7 @@ class TestCHBPlanner:
         sc = uniform_scenario(num_targets=15, num_mules=3, seed=6)
         from repro.core.btctp import plan_btctp
 
-        chb_result = PatrolSimulator(sc.fresh_copy(), CHBPlanner().plan(sc),
+        chb_result = PatrolSimulator(sc.fresh_copy(), get_strategy("chb").plan(sc),
                                      SimulationConfig(horizon=40_000)).run()
         tctp_result = PatrolSimulator(sc.fresh_copy(), plan_btctp(sc),
                                       SimulationConfig(horizon=40_000)).run()
@@ -166,6 +173,6 @@ class TestCHBPlanner:
         # place a mule right next to a specific target: it should enter the loop there
         target = sc.targets[0]
         sc.mules[0].position = Point(target.position.x + 1.0, target.position.y)
-        plan = CHBPlanner().plan(sc)
+        plan = get_strategy("chb").plan(sc)
         route = plan.routes[sc.mules[0].id]
         assert route.loop[route.entry_index] == target.id

@@ -41,9 +41,20 @@ class TestStrategiesCommand:
         assert main(["strategies", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         by_name = {s["name"]: s for s in payload["strategies"]}
-        assert "rw-tctp" in by_name
-        assert by_name["rw-tctp"]["aliases"] == ["rwtctp"]
-        assert "policy" in by_name["rw-tctp"]["params"]
+        # the paper's six: parameters come from the builder signatures
+        tctp = ["improve_tour", "location_initialization", "tsp_method"]
+        expected = {
+            "random": ([], ["avoid_repeat", "include_sink", "seed"]),
+            "sweep": ([], ["include_sink_in_groups", "tsp_method"]),
+            "chb": ([], ["improve_tour", "tsp_method"]),
+            "b-tctp": (["btctp", "tctp"], tctp),
+            "w-tctp": (["wtctp"], sorted(tctp + ["policy"])),
+            "rw-tctp": (["rwtctp"],
+                        sorted(tctp + ["policy", "treat_targets_as_vips", "vip_weight"])),
+        }
+        for name, (aliases, params) in expected.items():
+            assert by_name[name]["aliases"] == aliases, name
+            assert by_name[name]["params"] == params, name
         assert by_name["w-tctp"]["composition"]["augment"]["name"] == "wpp"
         # the new cross-combined strategies are listed too
         assert {"sw-tctp", "cb-tctp", "crw-tctp", "pipeline"} <= set(by_name)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.btctp import BTCTPPlanner, expected_visiting_interval, plan_btctp
+from repro.core.btctp import expected_visiting_interval, plan_btctp
 from repro.core.plan import LoopRoute
 from repro.geometry.point import distance
 from repro.graphs.validation import validate_tour
+from repro.planning import PipelineSpec, PlanningContext, stage_backend_info
 from repro.sim.engine import PatrolSimulator, SimulationConfig
 from repro.sim.metrics import average_sd, per_target_intervals
 
@@ -24,18 +25,28 @@ class TestExpectedVisitingInterval:
             expected_visiting_interval(100.0, 2, 0.0)
 
 
+def stage_circuit(scenario):
+    """Phase 1 alone: B-TCTP's ``hamiltonian`` tour stage on ``scenario``."""
+    ctx = PlanningContext(scenario=scenario, spec=PipelineSpec())
+    stage_backend_info("tour", "hamiltonian").factory(ctx)
+    (lane,) = ctx.lanes
+    return lane.tour
+
+
 class TestCircuitConstruction:
     def test_circuit_covers_targets_and_sink(self, simple_scenario):
-        tour = BTCTPPlanner().build_circuit(simple_scenario)
+        tour = stage_circuit(simple_scenario)
         validate_tour(tour, expected_nodes=["g1", "g2", "g3", "g4", "sink"])
+        # the plan patrols exactly this circuit
+        assert plan_btctp(simple_scenario).metadata["tour"] == list(tour.order)
 
     def test_circuit_starts_at_sink(self, simple_scenario):
-        tour = BTCTPPlanner().build_circuit(simple_scenario)
+        tour = stage_circuit(simple_scenario)
         assert tour.order[0] == "sink"
 
     def test_all_mules_would_build_the_same_circuit(self, fig1_scenario):
-        t1 = BTCTPPlanner().build_circuit(fig1_scenario)
-        t2 = BTCTPPlanner().build_circuit(fig1_scenario)
+        t1 = stage_circuit(fig1_scenario)
+        t2 = stage_circuit(fig1_scenario)
         assert t1.order == t2.order
 
 

@@ -52,9 +52,9 @@ class TestRunStrategyHelper:
         sc = uniform_scenario(num_targets=8, num_mules=2, seed=1)
         by_name = run_strategy_on_scenario("chb", sc, horizon=10_000)
         assert by_name.strategy == "CHB"
-        from repro.baselines.chb import CHBPlanner
+        from repro.planning.compositions import chb_pipeline
 
-        by_instance = run_strategy_on_scenario(CHBPlanner(), sc, horizon=10_000)
+        by_instance = run_strategy_on_scenario(chb_pipeline(), sc, horizon=10_000)
         assert by_instance.strategy == "CHB"
 
     def test_does_not_mutate_input_scenario(self):

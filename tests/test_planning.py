@@ -424,17 +424,17 @@ class TestStrategyParamValidation:
 
 
 # --------------------------------------------------------------------------- #
-# Legacy planners expose their compositions
+# The paper's strategies are their compositions
 # --------------------------------------------------------------------------- #
 
 class TestLegacyDelegation:
     def test_planner_pipeline_accessors(self, scenario):
-        from repro.core.btctp import BTCTPPlanner
-        pipe = BTCTPPlanner(location_initialization=False).pipeline()
+        from repro.core.btctp import plan_btctp
+        pipe = get_strategy("b-tctp", location_initialization=False)
         assert isinstance(pipe, PlanningPipeline)
         assert pipe.spec.init.name == "depot-start"
         plan_a = pipe.plan(scenario.fresh_copy())
-        plan_b = BTCTPPlanner(location_initialization=False).plan(scenario.fresh_copy())
+        plan_b = plan_btctp(scenario.fresh_copy(), location_initialization=False)
         assert plan_a.metadata == plan_b.metadata
 
     def test_random_stochastic_routes(self, scenario):

@@ -87,17 +87,28 @@ class TestRegistryMetadata:
         assert info.description
 
     def test_plain_function_factory_params_inspected(self, fresh_strategies):
-        """Non-dataclass factories get their params from the signature."""
+        """Factories get their params from the signature, dataclasses included."""
+        from dataclasses import dataclass, field
+
         from repro.baselines import base
 
         def make_planner(alpha=1.0, beta=2):
             return None
 
-        base.register_strategy("fn-strategy", make_planner)
-        assert base.strategy_params("fn-strategy") == {"alpha", "beta"}
-        base.get_strategy("fn-strategy", alpha=3.0)  # declared kwarg forwarded
-        with pytest.raises(ValueError, match="does not accept"):
-            base.get_strategy("fn-strategy", gamma=1)
+        @dataclass
+        class DataclassPlanner:
+            alpha: float = 1.0
+            beta: int = 2
+            # a field the constructor does not take is no strategy parameter
+            cache: dict = field(default_factory=dict, init=False)
+
+        for name, factory in (("fn-strategy", make_planner), ("dc-strategy", DataclassPlanner)):
+            base.register_strategy(name, factory)
+            assert base.strategy_params(name) == {"alpha", "beta"}
+            base.get_strategy(name, alpha=3.0)  # declared kwarg forwarded
+            for undeclared in ({"gamma": 1}, {"cache": {}}):
+                with pytest.raises(ValueError, match="does not accept"):
+                    base.get_strategy(name, **undeclared)
 
     def test_var_keyword_factory_stays_permissive(self, fresh_strategies):
         """Factories taking **kwargs keep the pre-declaration forward-everything behavior."""
