@@ -52,10 +52,11 @@ __all__ = [
 
 #: Packages (and top-level modules) under ``repro`` whose code is reachable
 #: from registered factories or the simulator: the registered code paths.
-#: ``registry`` is the module every registry lookup runs through.  ``service``
-#: is in scope because the serve daemon promises byte identity with CLI
-#: execution — a wall clock or environment branch anywhere on its path would
-#: break it.
+#: ``registry`` is the module every registry lookup runs through, and
+#: ``switches`` holds the one environment read that picks their code paths.
+#: ``service`` is in scope because the serve daemon promises byte identity
+#: with CLI execution — a wall clock or environment branch anywhere on its
+#: path would break it.
 DEFAULT_SCOPE: tuple[str, ...] = (
     "baselines",
     "core",
@@ -68,6 +69,7 @@ DEFAULT_SCOPE: tuple[str, ...] = (
     "scenarios",
     "service",
     "sim",
+    "switches",
     "workloads",
 )
 

@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="instead of store aggregation: show the plan-time vs "
                              "sim-time wall-clock split of saved campaign artifacts "
                              "(repeatable; reads the metadata.timing block that "
-                             "Campaign.run records)")
+                             "Campaign.run records when observability is enabled)")
     report.add_argument("--dispatch", action="append", metavar="CAMPAIGN_JSON",
                         help="instead of store aggregation: show the per-reason "
                              "fastpath/batchpath dispatch outcomes of saved campaign "
@@ -1104,7 +1104,12 @@ def _run_check_command(args: argparse.Namespace) -> int:
 
 
 def _report_timing_split(paths: "list[str]", *, as_json: bool) -> int:
-    """Plan-time vs sim-time split across saved campaign artifacts."""
+    """Plan-time vs sim-time split across saved campaign artifacts.
+
+    ``Campaign.run`` records the ``metadata.timing`` block from its obs
+    spans, so only artifacts of campaigns run with observability enabled
+    (``REPRO_OBS=1`` or ``sim.obs``) carry one.
+    """
     from pathlib import Path
 
     rows = []
@@ -1114,19 +1119,21 @@ def _report_timing_split(paths: "list[str]", *, as_json: bool) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read campaign artifact {path}: {exc}", file=sys.stderr)
             return 2
-        metadata = payload.get("metadata", {}) or {}
-        timing = metadata.get("timing") or {}
-        planning = timing.get("planning_s")
-        simulation = timing.get("simulation_s")
-        timed = timing.get("cells_timed", 0)
-        total = (planning or 0.0) + (simulation or 0.0)
+        metadata = payload.get("metadata") or {}
+        timing = metadata.get("timing")
+        if not timing:
+            print(f"error: {path} has no metadata.timing block; re-run the campaign "
+                  "with REPRO_OBS=1 (or sim.obs=true)", file=sys.stderr)
+            return 2
+        planning, simulation = timing["planning_s"], timing["simulation_s"]
+        total = planning + simulation
         rows.append({
             "campaign": str(path),
             "cells": metadata.get("num_cells", len(payload.get("records", []))),
-            "cells_timed": timed,
+            "cells_timed": timing["cells_timed"],
             "planning_s": planning,
             "simulation_s": simulation,
-            "planning_share": (planning / total) if planning is not None and total else None,
+            "planning_share": planning / total if total else None,
         })
     if as_json:
         print(json.dumps({"campaigns": rows}, indent=2, sort_keys=True))
@@ -1135,8 +1142,7 @@ def _report_timing_split(paths: "list[str]", *, as_json: bool) -> int:
                "planning_share"]
     table = [
         [r["campaign"], r["cells"], r["cells_timed"],
-         "" if r["planning_s"] is None else f"{r['planning_s']:.3f}",
-         "" if r["simulation_s"] is None else f"{r['simulation_s']:.3f}",
+         f"{r['planning_s']:.3f}", f"{r['simulation_s']:.3f}",
          "" if r["planning_share"] is None else f"{r['planning_share']:.1%}"]
         for r in rows
     ]

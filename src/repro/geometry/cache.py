@@ -41,10 +41,8 @@ other modules register here, e.g. the tour and scenario caches).
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -52,6 +50,7 @@ import numpy as np
 from repro.geometry.point import as_array, distance_matrix
 from repro.geometry.polyline import Polyline
 from repro.obs import registry as _obs
+from repro.switches import CACHE
 
 __all__ = [
     "ContentCache",
@@ -76,16 +75,13 @@ _REGISTRY: "dict[str, ContentCache]" = {}
 _LOCK = threading.Lock()
 _MISSING = object()  # get() default that no cached value can be
 
-# One global switch for every geometry/tour/scenario cache.  The environment
-# variable gives CI and benchmark harnesses an off-switch without code changes
-# (case/whitespace-insensitive: "0", "false", "no", "off" all disable).
-# Byte-invisible by proof: the cache equivalence tests assert records are
-# identical with the switch on or off, so this env read can never change a
-# result — exactly the justification the determinism lint suppression wants.
-_ENABLED: bool = (
-    os.environ.get("REPRO_GEOMETRY_CACHE", "1").strip().lower()  # repro: allow[det-env-branch]
-    not in ("0", "false", "no", "off")
-)
+# One global switch for every geometry/tour/scenario cache (REPRO_GEOMETRY_CACHE;
+# see repro.switches).  Disabling does not drop stored entries — re-enabling
+# resumes hits — so a benchmark can interleave cached and uncached phases
+# cheaply; clear_caches() is the cold start.
+configure = CACHE.configure
+cache_enabled = CACHE.enabled
+caching_disabled = CACHE.disabled
 
 
 class ContentCache:
@@ -123,7 +119,7 @@ class ContentCache:
 
     def get(self, key: Any, default: Any = None) -> Any:
         with _LOCK:
-            value = self._data.get(key, _MISSING) if _ENABLED else _MISSING
+            value = self._data.get(key, _MISSING) if CACHE.on else _MISSING
             if value is _MISSING:
                 self.misses += 1
                 self._miss()
@@ -134,7 +130,7 @@ class ContentCache:
             return value
 
     def put(self, key: Any, value: Any) -> None:
-        if not _ENABLED:
+        if not CACHE.on:
             return
         with _LOCK:
             self._data[key] = value
@@ -179,40 +175,6 @@ def register_cache(cache: ContentCache) -> ContentCache:
         raise ValueError(f"a cache named {cache.name!r} is already registered")
     _REGISTRY[cache.name] = cache
     return cache
-
-
-def configure(*, enabled: bool | None = None) -> None:
-    """Flip the global cache switch (``None`` leaves it unchanged).
-
-    Disabling does not drop stored entries — re-enabling resumes hits — so a
-    benchmark can interleave cached and uncached phases cheaply.  Use
-    :func:`clear_caches` for a cold start.
-    """
-    global _ENABLED
-    if enabled is not None:
-        _ENABLED = bool(enabled)
-
-
-def cache_enabled() -> bool:
-    """Whether the geometry/tour/scenario caches are currently active."""
-    return _ENABLED
-
-
-@contextmanager
-def caching_disabled():
-    """Context manager that turns every registered cache off inside the block.
-
-    >>> from repro.geometry.cache import caching_disabled, cache_enabled
-    >>> with caching_disabled():
-    ...     cache_enabled()
-    False
-    """
-    previous = _ENABLED
-    configure(enabled=False)
-    try:
-        yield
-    finally:
-        configure(enabled=previous)
 
 
 def clear_caches() -> None:

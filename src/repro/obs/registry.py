@@ -12,12 +12,12 @@ the library goes through three verbs:
   Trace Event format (see :mod:`repro.obs.trace`).
 
 When the registry is disabled (the default) all three collapse to
-near-zero-cost no-ops: ``inc``/``observe`` return after one global-flag
-check and ``span`` hands back one shared, pre-built no-op context
-manager — no allocation, no clock read.  The switch mirrors the
-geometry-cache / batchpath / kernel switches: ``REPRO_OBS`` environment
-variable, :func:`configure`, and the :func:`obs_disabled` /
-:func:`obs_collected` context managers.
+near-zero-cost no-ops: ``inc``/``observe`` return after one flag check
+and ``span`` hands back one shared, pre-built no-op context manager — no
+allocation, no clock read.  The flag is the ``OBS`` entry of
+:mod:`repro.switches`, next to the geometry-cache / batchpath / kernel
+switches: ``REPRO_OBS`` environment variable, :func:`configure`, and the
+:func:`obs_disabled` / :func:`obs_collected` context managers.
 
 Byte-invisibility contract
 --------------------------
@@ -50,6 +50,8 @@ import threading
 import time
 from contextlib import contextmanager
 
+from repro.switches import OBS
+
 __all__ = [
     "configure",
     "obs_enabled",
@@ -67,17 +69,11 @@ __all__ = [
     "Window",
 ]
 
-# One process-wide switch, default OFF: observability is opt-in.  The
-# environment variable gives CI and the CLI an on-switch without code
-# changes (case/whitespace-insensitive: "1", "true", "yes", "on" enable).
-# Byte-invisible by proof: the obs differential tests assert records and
-# fingerprints are identical with the switch on or off, so this env read
-# can never change a result — exactly the justification the determinism
-# lint suppression wants.
-_ENABLED: bool = (
-    os.environ.get("REPRO_OBS", "0").strip().lower()  # repro: allow[det-env-branch]
-    in ("1", "true", "yes", "on")
-)
+# One process-wide switch, default OFF: observability is opt-in (REPRO_OBS;
+# see repro.switches).  obs_disabled() silences the registry for a block.
+configure = OBS.configure
+obs_enabled = OBS.enabled
+obs_disabled = OBS.disabled
 
 _LOCK = threading.Lock()
 
@@ -103,29 +99,6 @@ def _now_us() -> float:
     return (time.perf_counter() - _EPOCH) * 1e6
 
 
-def configure(*, enabled: bool) -> None:
-    """Turn the instrumentation registry on or off for this process."""
-    global _ENABLED
-    with _LOCK:
-        _ENABLED = bool(enabled)
-
-
-def obs_enabled() -> bool:
-    """Whether the process-wide instrumentation switch is on."""
-    return _ENABLED
-
-
-@contextmanager
-def obs_disabled():
-    """Temporarily silence the registry (benchmark baselines, tests)."""
-    previous = _ENABLED
-    configure(enabled=False)
-    try:
-        yield
-    finally:
-        configure(enabled=previous)
-
-
 # --------------------------------------------------------------------------- #
 # Recording verbs
 # --------------------------------------------------------------------------- #
@@ -135,14 +108,14 @@ def _labels_key(labels: dict) -> tuple:
 
 
 def _add(key: tuple, value: float = 1) -> None:
-    if _ENABLED:
+    if OBS.on:
         with _LOCK:
             _counters[key] = _counters.get(key, 0) + value
 
 
 def inc(name: str, value: float = 1, **labels) -> None:
     """Add ``value`` to the counter ``name`` (no-op while disabled)."""
-    if _ENABLED:
+    if OBS.on:
         _add((name, _labels_key(labels)), value)
 
 
@@ -153,7 +126,7 @@ def counter(name: str, **labels) -> "functools.partial":
 
 def observe(name: str, value: float, **labels) -> None:
     """Feed ``value`` into the histogram ``name`` (no-op while disabled)."""
-    if not _ENABLED:
+    if not OBS.on:
         return
     key = (name, _labels_key(labels))
     with _LOCK:
@@ -239,7 +212,7 @@ def span(name: str, cat: str = "repro", **args):
     Parentage is explicit: a span opened while another span is open on the
     same thread records that span's id as its ``parent``.
     """
-    if not _ENABLED:
+    if not OBS.on:
         return _NOOP_SPAN
     return _Span(name, cat, args)
 
@@ -277,7 +250,7 @@ def snapshot() -> dict:
         hists = {k: list(v) for k, v in _hists.items()}
         recorded, dropped = len(_spans), _spans_dropped
     return {
-        "enabled": _ENABLED,
+        "enabled": OBS.on,
         "counters": _counter_rows(counters),
         "histograms": _hist_rows(hists),
         "spans": {"recorded": recorded, "dropped": dropped},
@@ -435,11 +408,11 @@ def obs_collected(*, enabled: "bool | None" = None):
     Yields ``None`` when the registry ends up disabled — callers use the
     window's truthiness to decide whether to embed a snapshot.
     """
-    previous = _ENABLED
-    if enabled is not None and enabled != _ENABLED:
+    previous = OBS.on
+    if enabled is not None and enabled != OBS.on:
         configure(enabled=enabled)
     try:
-        yield Window() if _ENABLED else None
+        yield Window() if OBS.on else None
     finally:
-        if _ENABLED != previous:
+        if OBS.on != previous:
             configure(enabled=previous)

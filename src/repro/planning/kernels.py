@@ -34,9 +34,10 @@ kernel is **byte-identical** to its scalar original:
   among the shortlist.
 
 Dispatch is wired into :mod:`repro.graphs.hamiltonian` and
-:mod:`repro.graphs.improve` behind this module's switch, which mirrors the
-geometry-cache and batchpath opt-outs: per process via :func:`configure` or
-``REPRO_PLANNING_VECTOR=0``, scoped via :func:`vector_disabled`.  The
+:mod:`repro.graphs.improve` behind the ``VECTOR`` entry of
+:mod:`repro.switches`, next to the geometry-cache and batchpath opt-outs:
+per process via :func:`configure` or ``REPRO_PLANNING_VECTOR=0``, scoped
+via :func:`vector_disabled`.  The
 differential fuzz harness (``tests/test_planning_kernels.py``,
 ``tests/test_fastpath_differential.py``) and ``benchmarks/bench_pr9.py``
 assert plans and full run records are byte-identical with the switch on or
@@ -46,14 +47,12 @@ off before any speed claim.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
 
 from repro.geometry.point import hypot_row
+from repro.switches import VECTOR
 
 __all__ = [
     "configure",
@@ -67,18 +66,11 @@ __all__ = [
     "order_length",
 ]
 
-_LOCK = threading.Lock()
-
-# Process-wide dispatch switch.  The environment variable gives CI and
-# benchmark harnesses an off-switch without code changes (case/whitespace
-# insensitive: "0", "false", "no", "off" all disable).  Byte-invisible by
-# proof: the kernel fuzz harness and bench_pr9 assert plans and records are
-# identical with the switch on or off, so this env read can never change a
-# result — exactly the justification the determinism lint suppression wants.
-_ENABLED: bool = (
-    os.environ.get("REPRO_PLANNING_VECTOR", "1").strip().lower()  # repro: allow[det-env-branch]
-    not in ("0", "false", "no", "off")
-)
+# Process-wide dispatch switch (REPRO_PLANNING_VECTOR; see repro.switches);
+# vector_disabled() forces the scalar planning loops for a block.
+configure = VECTOR.configure
+vector_enabled = VECTOR.enabled
+vector_disabled = VECTOR.disabled
 
 # Soft bound on floats per delta/cost block in the 2-opt and Or-opt rounds;
 # larger tours are scanned in row chunks (in scan order, so first-improvement
@@ -90,29 +82,6 @@ _MAX_BLOCK_FLOATS = 4_000_000
 # factor of the row minimum is re-measured with math.hypot before the exact
 # (distance, str(id)) key picks the winner.
 _NN_WINDOW = 1e-12
-
-
-def configure(*, enabled: bool) -> None:
-    """Turn the vectorized planning kernels on or off for this process."""
-    global _ENABLED
-    with _LOCK:
-        _ENABLED = bool(enabled)
-
-
-def vector_enabled() -> bool:
-    """Whether the process-wide vectorized-planning switch is on."""
-    return _ENABLED
-
-
-@contextmanager
-def vector_disabled():
-    """Temporarily force the scalar planning loops (benchmark baselines, tests)."""
-    previous = _ENABLED
-    configure(enabled=False)
-    try:
-        yield
-    finally:
-        configure(enabled=previous)
 
 
 # --------------------------------------------------------------------------- #

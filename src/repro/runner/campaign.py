@@ -22,23 +22,21 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import starmap
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro import switches
 from repro.baselines.base import get_strategy, strategy_params
-from repro.geometry.cache import ContentCache, cache_enabled, configure as _configure_caches
+from repro.geometry.cache import ContentCache
 from repro.network.scenario import Scenario
 from repro.obs import registry as _obs
-from repro.planning.kernels import configure as _configure_vector, vector_enabled as _vector_enabled
 from repro.runner.record_metrics import compute_metric, metric_name
 from repro.runner.spec import CampaignSpec, RunSpec
 from repro.sim.engine import PatrolSimulator
@@ -100,46 +98,23 @@ def build_cell_scenario(spec: RunSpec) -> Scenario:
 # Planning vs simulation wall-clock split
 # --------------------------------------------------------------------------- #
 
-# Per-cell (planning_s, simulation_s) wall-clock pairs, collected only while
-# a Campaign.run is active in this process (so long-lived services never
-# accumulate unbounded state).  The split goes into CampaignResult metadata
-# — mirroring the store hit/miss counters — NEVER into record dicts: records
-# stay byte-identical across timed and untimed execution.
-_TIMING_LOCK = threading.Lock()
-_TIMING_ACTIVE = False
-_TIMING_CELLS: list[tuple[float, float]] = []
+def _timing_metadata(spans: "list[dict]") -> dict[str, Any]:
+    """The plan-time vs sim-time split, summed from a window's campaign spans.
 
-
-@contextmanager
-def _collect_timings():
-    """Scope the per-cell wall-clock collector; yields the collected pairs.
-
-    Every cell the batch layer declines is timed — in this process, or in a
-    pool worker that sends its pair back (see :func:`_merge_timing`).
-    Batched tensor cells (one stacked pass, no per-cell planning) and store
-    hits (no execution at all) contribute nothing — ``cells_timed`` in the
-    resulting metadata says how much of the campaign the split covers.
+    Every cell the scalar core runs — in this process or in a pool worker,
+    whose spans the parent absorbs — records one ``cell`` span around its
+    ``plan`` and ``simulate`` spans.  Batched tensor cells (one stacked pass,
+    no per-cell planning) and store hits (no execution at all) record none,
+    so ``cells_timed`` says how much of the campaign the split covers.
     """
-    global _TIMING_ACTIVE
-    collected: list[tuple[float, float]] = []
-    with _TIMING_LOCK:
-        _TIMING_ACTIVE = True
-        _TIMING_CELLS.clear()
-    try:
-        yield collected
-    finally:
-        with _TIMING_LOCK:
-            _TIMING_ACTIVE = False
-            collected.extend(_TIMING_CELLS)
-            _TIMING_CELLS.clear()
-
-
-def _timing_metadata(pairs: "list[tuple[float, float]]") -> dict[str, Any]:
-    """The metadata block summarizing collected (planning, simulation) pairs."""
-    return {
-        "cells_timed": len(pairs),
-        "planning_s": sum(p for p, _s in pairs),
-        "simulation_s": sum(s for _p, s in pairs),
+    durations: dict[str, list[float]] = {"cell": [], "plan": [], "simulate": []}
+    for span in spans:
+        if span["cat"] == "campaign" and span["name"] in durations:
+            durations[span["name"]].append(span["dur"])
+    return {  # span durations are microseconds
+        "cells_timed": len(durations["cell"]),
+        "planning_s": sum(durations["plan"]) / 1e6,
+        "simulation_s": sum(durations["simulate"]) / 1e6,
     }
 
 
@@ -192,29 +167,11 @@ def execute_run(spec: RunSpec) -> dict:
 
 
 def _execute_scalar(spec: RunSpec) -> dict:
-    """The per-cell core for a cell the batch declined; feeds the timing accumulator."""
-    return _merge_timing(*_execute_run_timed(spec))
+    """The per-cell core for a cell the batch declined: build, plan, simulate, reduce.
 
-
-def _merge_timing(record: dict, pair: "tuple[float, float]", payload: "dict | None" = None) -> dict:
-    """Fold one cell's timing pair (and a pool worker's obs payload) in; return its record."""
-    if _TIMING_ACTIVE:
-        with _TIMING_LOCK:
-            _TIMING_CELLS.append(pair)
-    if payload is not None:
-        _obs.absorb(payload)
-    return record
-
-
-def _execute_run_timed(spec: RunSpec) -> "tuple[dict, tuple[float, float]]":
-    """One cell end to end; returns ``(record, (planning_s, simulation_s))``.
-
-    The timed scalar core of :func:`execute_run`: callers decide what to do
-    with the wall-clock pair (the in-process wrapper feeds the campaign
-    timing accumulator; pool workers return it alongside the record so the
-    parent can merge it — see :func:`_execute_run_traced`).  With the obs registry
-    enabled, the cell and its scenario-build / plan / simulate stages are
-    wrapped in spans; neither timing nor spans ever touch the record.
+    With the obs registry enabled, the cell and its scenario-build / plan /
+    simulate stages are wrapped in spans (the plan/sim split of
+    :meth:`Campaign.run` sums them); spans never touch the record.
     """
     with _obs.span("cell", cat="campaign", strategy=spec.strategy, seed=spec.seed):
         with _obs.span("scenario-build", cat="campaign"):
@@ -223,14 +180,10 @@ def _execute_run_timed(spec: RunSpec) -> "tuple[dict, tuple[float, float]]":
         if "seed" in strategy_params(spec.strategy) and "seed" not in params:
             params["seed"] = spec.seed
         planner = get_strategy(spec.strategy, **params)
-        plan_start = time.perf_counter()
         with _obs.span("plan", cat="campaign", strategy=spec.strategy):
             plan = planner.plan(scenario)
-        plan_elapsed = time.perf_counter() - plan_start
-        sim_start = time.perf_counter()
         with _obs.span("simulate", cat="campaign"):
             result = PatrolSimulator(scenario, plan, spec.sim).run()
-        sim_elapsed = time.perf_counter() - sim_start
 
         record: dict[str, Any] = {
             "strategy": spec.strategy,
@@ -249,17 +202,25 @@ def _execute_run_timed(spec: RunSpec) -> "tuple[dict, tuple[float, float]]":
         record["num_dead_mules"] = len(result.dead_mules())
         for entry in spec.metrics:
             record[metric_name(entry)] = compute_metric(entry, scenario, plan, result)
-    return record, (plan_elapsed, sim_elapsed)
+    return record
 
 
-def _execute_run_traced(spec: RunSpec) -> "tuple[dict, tuple[float, float], dict | None]":
-    """Pool-worker cell execution: record + wall-clock pair + obs payload.
+def _execute_pooled(spec: RunSpec) -> "tuple[dict, dict | None]":
+    """Pool-worker cell: the record plus the worker's obs drain (``None`` while off).
 
-    Workers cannot reach the parent's timing accumulator or registry, so both
-    travel back with the record for :func:`_merge_timing` (counters add up
-    exactly; span timestamps are rebased — see :func:`repro.obs.registry.absorb`).
+    A worker cannot reach the parent's registry, so its counters and spans
+    travel back with the record for :func:`_absorbed` to merge.
     """
-    return (*_execute_run_timed(spec), _obs.drain() if _obs.obs_enabled() else None)
+    record = _execute_scalar(spec)
+    return record, (_obs.drain() if switches.OBS.on else None)
+
+
+def _absorbed(result: "tuple[dict, dict | None]") -> dict:
+    """Merge one pooled cell's obs payload into this process; return its record."""
+    record, payload = result
+    if payload is not None:
+        _obs.absorb(payload)
+    return record
 
 
 def execute_cell(spec: RunSpec, *, store=None) -> "tuple[dict, str]":
@@ -295,16 +256,13 @@ def execute_cell(spec: RunSpec, *, store=None) -> "tuple[dict, str]":
     return record, "executed"
 
 
-def _init_worker_state(cache_on: bool, obs_on: bool, vector_on: bool) -> None:
-    """Pool-worker initializer: mirror the parent's global switches.
+def _init_worker_state(state: "dict[str, bool]") -> None:
+    """Pool-worker initializer: mirror the parent's switches (a :func:`repro.switches.snapshot`).
 
-    Workers run no batch, so the batchpath switch needs no mirroring.  The
-    registry a fork inherits is reset, or every drain() would report it again.
+    The registry a fork inherits is reset, or every drain() would report it again.
     """
-    _configure_caches(enabled=cache_on)
-    _obs.configure(enabled=obs_on)
+    switches.restore(state)
     _obs.reset()
-    _configure_vector(enabled=vector_on)
 
 
 @contextmanager
@@ -330,7 +288,7 @@ def _per_cell_records(specs: "list[RunSpec]", max_workers: "int | None"):
                 max_workers=max_workers,
                 mp_context=mp_context,
                 initializer=_init_worker_state,
-                initargs=(cache_enabled(), _obs.obs_enabled(), _vector_enabled()),
+                initargs=(switches.snapshot(),),
             )
         except OSError as exc:  # platforms without process support
             # Only pool *construction* falls back to serial — an error raised
@@ -343,7 +301,7 @@ def _per_cell_records(specs: "list[RunSpec]", max_workers: "int | None"):
         return
     try:
         chunksize = max(1, len(specs) // (max_workers * 4))
-        yield starmap(_merge_timing, pool.map(_execute_run_traced, specs, chunksize=chunksize))
+        yield map(_absorbed, pool.map(_execute_pooled, specs, chunksize=chunksize))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -698,30 +656,28 @@ class Campaign:
 
         Notes
         -----
-        The result metadata always gains a ``"timing"`` block
-        (``cells_timed`` / ``planning_s`` / ``simulation_s``): the plan-time
-        vs sim-time wall-clock split over the cells the batch layer declined,
-        which ran per cell in this process or in a pool worker (workers
-        return their pair alongside the record).  Batched tensor cells and
-        store hits are not timed per cell, so ``cells_timed`` may be less
-        than ``num_cells``.  Timing lives in metadata only — records stay
-        byte-identical whether or not they were timed.
-
         With the obs registry enabled — process-wide (``REPRO_OBS=1`` /
         :func:`repro.obs.configure`) or per-campaign via any cell's
-        ``sim.obs`` knob — the metadata additionally gains an ``"obs"``
-        block: the registry's snapshot *for this campaign only* (counter
-        and histogram deltas plus span tallies; see
-        :func:`repro.obs.registry.obs_collected`).  Span bodies never land
-        in metadata — they carry timestamps and go to the trace/JSONL
-        exporters instead.
+        ``sim.obs`` knob — the metadata gains two blocks.  ``"obs"`` is the
+        registry's snapshot *for this campaign only* (counter and histogram
+        deltas plus span tallies; see
+        :func:`repro.obs.registry.obs_collected`).  ``"timing"``
+        (``cells_timed`` / ``planning_s`` / ``simulation_s``) is the
+        plan-time vs sim-time wall-clock split summed from the window's
+        ``plan`` and ``simulate`` spans over the cells the batch layer
+        declined, which ran per cell in this process or in a pool worker.
+        Batched tensor cells and store hits are not timed per cell, so
+        ``cells_timed`` may be less than ``num_cells``.  Span bodies never
+        land in metadata — they carry timestamps and go to the trace/JSONL
+        exporters instead — and with the registry off the metadata holds
+        no wall-clock value at all, so identical runs serialize to
+        identical bytes.  Records are byte-identical either way.
         """
         cells = self.cells()
         metadata: dict[str, Any] = {"num_cells": len(cells), "max_workers": self.max_workers}
         resolved = resolve_store(store)
-        obs_on = _obs.obs_enabled() or any(cell.sim.obs for cell in cells)
-        with _obs.obs_collected(enabled=obs_on or None) as window, \
-                _collect_timings() as timed_cells:
+        obs_on = switches.OBS.on or any(cell.sim.obs for cell in cells)
+        with _obs.obs_collected(enabled=obs_on or None) as window:
             with _obs.span("campaign", cat="campaign", cells=len(cells)):
                 if resolved is None:
                     records = execute_many(cells, max_workers=self.max_workers,
@@ -737,7 +693,7 @@ class Campaign:
                     }
             if window is not None:
                 metadata["obs"] = window.snapshot()
-        metadata["timing"] = _timing_metadata(timed_cells)
+                metadata["timing"] = _timing_metadata(window.spans())
         completed = [r for r in records if r is not None]
         if len(completed) < len(cells):
             metadata["cancelled"] = True

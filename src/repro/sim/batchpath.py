@@ -42,17 +42,14 @@ wrong answer:
   horizon (both verified *after* the tensor pass, per row set).
 
 Toggle with :attr:`repro.sim.engine.SimulationConfig.batch_path` per spec,
-:func:`configure` per process, or the ``REPRO_BATCHPATH`` environment
-variable — mirroring the geometry-cache switch.  All three are
-byte-invisible: they only choose the dispatch path.
+or per process with the ``BATCHPATH`` entry of :mod:`repro.switches`
+(``REPRO_BATCHPATH``, :func:`configure`, :func:`batchpath_disabled`).  All
+are byte-invisible: they only choose the dispatch path.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
-from contextlib import contextmanager
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -68,6 +65,7 @@ from repro.sim.fastpath import (
 )
 from repro.sim.metrics import average_dcdt, average_sd, max_visiting_interval
 from repro.sim.recorder import SimulationResult
+from repro.switches import BATCHPATH
 
 __all__ = [
     "batch_execute_records",
@@ -84,8 +82,6 @@ _MAX_BATCH_EVENTS = 250_000
 # processed in row chunks so peak memory stays flat regardless of campaign
 # size.
 _MAX_BLOCK_FLOATS = 8_000_000
-
-_LOCK = threading.Lock()
 
 # Patrol plans memoized by (strategy, declared params incl. any injected
 # seed, scenario content key).  Planning is deterministic in that triple —
@@ -110,40 +106,11 @@ _ROW_CACHE = ContentCache("batch_rows", maxsize=256)
 # (see repro.obs.counter) is a visible share of it with the registry on.
 _BATCHED = _obs.counter("batch_dispatch", outcome="batch")
 
-# One process-wide switch for the batched dispatch.  The environment variable
-# gives CI and benchmark harnesses an off-switch without code changes
-# (case/whitespace-insensitive: "0", "false", "no", "off" all disable).
-# Byte-invisible by proof: the differential harness and bench_pr8 assert
-# records are identical with the switch on or off, so this env read can never
-# change a result — exactly the justification the determinism lint
-# suppression wants.
-_ENABLED: bool = (
-    os.environ.get("REPRO_BATCHPATH", "1").strip().lower()  # repro: allow[det-env-branch]
-    not in ("0", "false", "no", "off")
-)
-
-
-def configure(*, enabled: bool) -> None:
-    """Turn the batched dispatch on or off for this process."""
-    global _ENABLED
-    with _LOCK:
-        _ENABLED = bool(enabled)
-
-
-def batchpath_enabled() -> bool:
-    """Whether the process-wide batched-dispatch switch is on."""
-    return _ENABLED
-
-
-@contextmanager
-def batchpath_disabled():
-    """Temporarily force per-cell dispatch (benchmark baselines, tests)."""
-    previous = _ENABLED
-    configure(enabled=False)
-    try:
-        yield
-    finally:
-        configure(enabled=previous)
+# One process-wide switch for the batched dispatch (REPRO_BATCHPATH; see
+# repro.switches); batchpath_disabled() forces per-cell dispatch for a block.
+configure = BATCHPATH.configure
+batchpath_enabled = BATCHPATH.enabled
+batchpath_disabled = BATCHPATH.disabled
 
 
 # --------------------------------------------------------------------------- #
@@ -623,7 +590,7 @@ def batch_execute_records(specs) -> "list[dict | None]":
     """
     specs = list(specs)
     out: "list[dict | None]" = [None] * len(specs)
-    if not _ENABLED:
+    if not BATCHPATH.on:
         return out
     with _obs.span("batch", cat="batch", cells=len(specs)):
         with _obs.span("batch-prepare", cat="batch"):

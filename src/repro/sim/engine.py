@@ -64,17 +64,21 @@ class SimulationConfig:
         Allow the campaign-level batched fast path
         (:mod:`repro.sim.batchpath`), which evaluates many fastpath-eligible
         cells of one campaign as a single stacked tensor pass.  Results are
-        byte-identical either way; disable (or set ``REPRO_BATCHPATH=0``) to
-        force per-cell dispatch.  Has no effect on single runs — only
-        :func:`repro.runner.campaign.execute_many` consults it.
+        byte-identical either way; disable to force per-cell dispatch for
+        this spec (the process-wide switch is ``REPRO_BATCHPATH`` in
+        :mod:`repro.switches`).  Consulted by
+        :func:`repro.sim.batchpath.batch_execute_records`, which every
+        campaign cell and :func:`repro.runner.campaign.execute_run` call
+        goes through; a bare :meth:`PatrolSimulator.run` ignores it.
     obs:
         Turn on the instrumentation registry (:mod:`repro.obs`) for the
         campaign this spec belongs to, as if ``REPRO_OBS=1`` were set for
-        its duration.  Recording is proven byte-invisible — records and
-        fingerprints are identical either way — so like the dispatch
-        switches this knob is exempt from run fingerprints.  Has no effect
-        on single runs — only :meth:`repro.runner.campaign.Campaign.run`
-        consults it.
+        its duration; the campaign's metadata then gains the ``obs`` block
+        and the plan/sim ``timing`` split.  Recording is proven
+        byte-invisible — records and fingerprints are identical either
+        way — so like the dispatch switches this knob is exempt from run
+        fingerprints.  Has no effect on single runs — only
+        :meth:`repro.runner.campaign.Campaign.run` consults it.
     """
 
     horizon: float = 50_000.0

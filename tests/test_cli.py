@@ -1,6 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import re
 
 import pytest
 
@@ -525,6 +526,90 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", "--dir", store_dir, "--metrics", "no_such_metric"]) == 2
         assert "no column" in capsys.readouterr().err
+
+
+#: random cells never ride the batch, so the scalar core runs (and times) them.
+_SWEEP_DECLINED = ["sweep", "--strategies", "chb,random", "--replications", "2",
+                   "--targets", "6", "--mules", "2", "--horizon", "5000", "--no-store"]
+
+
+def _declined_campaign(tmp_path, *, obs_on: bool, progress: bool = False):
+    """Run the _SWEEP_DECLINED cells via ``run --out`` with ``sim.obs`` set; returns the artifact."""
+    spec_path = tmp_path / f"spec-{obs_on}.json"
+    assert main([*_SWEEP_DECLINED, "--spec-out", str(spec_path)]) == 0
+    spec = json.loads(spec_path.read_text())
+    spec["base"]["sim"]["obs"] = obs_on
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / f"camp-{obs_on}.json"
+    flags = ["--progress"] if progress else []
+    assert main(["run", str(spec_path), "--no-store", "--out", str(out), *flags, "--json"]) == 0
+    return out
+
+
+class TestReproducibleStdout:
+    def test_default_sweep_json_is_byte_identical(self, tmp_path, capsys):
+        from repro.obs import obs_disabled
+        from repro.sim.batchpath import batchpath_disabled
+
+        def sweep() -> str:
+            assert main([*_SWEEP_DECLINED, "--json"]) == 0
+            return capsys.readouterr().out
+
+        with obs_disabled():
+            first, second = sweep(), sweep()
+            with batchpath_disabled():
+                unbatched = sweep()
+            assert first == second == unbatched
+            assert "timing" not in json.loads(first)["metadata"]
+            observed = json.loads(_declined_campaign(tmp_path, obs_on=True).read_text())
+        assert observed["metadata"]["timing"]["cells_timed"] >= 2
+        assert observed["records"] == json.loads(first)["records"]
+
+
+class TestReportTiming:
+    def test_table_and_json_from_an_obs_artifact(self, tmp_path, capsys):
+        out = _declined_campaign(tmp_path, obs_on=True)
+        capsys.readouterr()
+        assert main(["report", "--timing", str(out), "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["campaigns"]
+        timing = json.loads(out.read_text())["metadata"]["timing"]
+        assert row["campaign"] == str(out) and row["cells"] == 4
+        assert row["cells_timed"] == timing["cells_timed"] >= 2
+        assert (row["planning_s"], row["simulation_s"]) \
+            == (timing["planning_s"], timing["simulation_s"])
+        assert row["simulation_s"] > 0 and 0 <= row["planning_share"] <= 1
+        assert main(["report", "--timing", str(out)]) == 0
+        table = capsys.readouterr().out
+        assert "Plan vs sim wall-clock over 1 campaigns" in table
+        assert f"{timing['simulation_s']:.3f}" in table
+
+    def test_artifact_without_timing_block_exits_2(self, tmp_path, capsys):
+        out = _declined_campaign(tmp_path, obs_on=False)
+        capsys.readouterr()
+        assert "timing" not in json.loads(out.read_text())["metadata"]
+        assert main(["report", "--timing", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {out} has no metadata.timing block; re-run the campaign "
+            "with REPRO_OBS=1 (or sim.obs=true)\n")
+
+    def test_unreadable_artifact_exits_2(self, tmp_path, capsys):
+        assert main(["report", "--timing", str(tmp_path / "missing.json")]) == 2
+        assert "error: cannot read campaign artifact" in capsys.readouterr().err
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        assert main(["report", "--timing", str(broken), "--json"]) == 2
+        assert "error: cannot read campaign artifact" in capsys.readouterr().err
+
+    def test_progress_timing_line_needs_obs(self, tmp_path, capsys):
+        _declined_campaign(tmp_path, obs_on=True, progress=True)
+        err = capsys.readouterr().err
+        assert re.search(r"^timing: planning \d+\.\d{3}s, simulation \d+\.\d{3}s "
+                         r"\(\d+ cells timed\)$", err, re.MULTILINE)
+        _declined_campaign(tmp_path, obs_on=False, progress=True)
+        err = capsys.readouterr().err
+        assert "progress: 4/4" in err and "timing:" not in err
 
 
 class TestVersionFlag:

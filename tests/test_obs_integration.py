@@ -7,8 +7,8 @@ determinism lint's ``obs`` wall-clock allowance and the fingerprint
 exemption for ``SimulationConfig.obs`` both point at.
 
 Also covered here: the counter reconciliation invariant (every cell shows
-up in exactly one dispatch counter), the pool-worker timing merge (the PR 9
-gap — ``cells_timed`` now counts pool cells too), the scheduler's coalesced
+up in exactly one dispatch counter), the span-derived plan/sim split
+(``cells_timed`` counts pool cells too), the scheduler's coalesced
 counter mirroring, the stdio ``metrics`` op, and the CLI surfaces
 (``obs``, ``report --dispatch``, span artifacts next to ``--out``).
 """
@@ -19,7 +19,7 @@ import threading
 
 import pytest
 
-from repro import obs
+from repro import obs, switches
 from repro.cli import main
 from repro.runner import Campaign, CampaignSpec, RunSpec
 from repro.runner.campaign import _json_sanitize
@@ -143,13 +143,13 @@ class TestReconciliation:
 
 
 class TestWorkerTimingMerge:
-    """PR 9 recorded wall-clock only on the serial path; both paths now do."""
+    """The plan/sim split is read from the cell spans, pool workers' included."""
 
     def test_serial_times_every_per_cell_execution(self):
         from repro.sim.batchpath import batchpath_disabled
 
         with batchpath_disabled():  # batch-executed groups are not per-cell timed
-            result = Campaign(campaign_spec(obs_on=False)).run(store=False)
+            result = Campaign(campaign_spec(obs_on=True)).run(store=False)
         timing = result.metadata["timing"]
         assert timing["cells_timed"] == result.metadata["num_cells"]
         assert timing["planning_s"] >= 0 and timing["simulation_s"] > 0
@@ -158,7 +158,7 @@ class TestWorkerTimingMerge:
         from repro.sim.batchpath import batchpath_disabled
 
         with batchpath_disabled():  # every cell goes to the pool
-            result = Campaign(campaign_spec(obs_on=False), max_workers=2).run(store=False)
+            result = Campaign(campaign_spec(obs_on=True), max_workers=2).run(store=False)
         timing = result.metadata["timing"]
         assert timing["cells_timed"] == result.metadata["num_cells"]
         assert timing["simulation_s"] > 0
@@ -205,25 +205,30 @@ class TestBatchFirstPool:
             raise AssertionError("every cell was batchable; no worker should start")
 
         monkeypatch.setattr(campaign, "ProcessPoolExecutor", no_pool)
-        spec = campaign_spec(obs_on=False, strategies=("b-tctp", "sweep"))
+        spec = campaign_spec(obs_on=True, strategies=("b-tctp", "sweep"))
         pooled = Campaign(spec, max_workers=2).run(store=False)
         assert canonical(pooled.records) == canonical(Campaign(spec).run(store=False).records)
         assert pooled.metadata["timing"]["cells_timed"] == 0
 
-    def test_worker_initializer_mirrors_vector_switch_and_empties_registry(self):
-        from repro.geometry.cache import cache_enabled
-        from repro.planning import kernels
+    @pytest.mark.parametrize("flipped", [
+        ("REPRO_PLANNING_VECTOR",),
+        tuple(switch.env for switch in switches.SWITCHES),
+    ], ids=["vector", "every-switch"])
+    def test_worker_initializer_mirrors_vector_switch_and_empties_registry(self, flipped):
         from repro.runner.campaign import _init_worker_state
 
-        previous = kernels.vector_enabled()
+        previous = switches.snapshot()
         obs.configure(enabled=True)
         obs.inc("sim_dispatch", outcome="fastpath")  # inherited through fork
+        # the parent's snapshot differs from this (worker) process's state
+        # in every flipped switch
+        parent = {env: on != (env in flipped) for env, on in switches.snapshot().items()}
         try:
-            _init_worker_state(cache_enabled(), True, False)
-            assert kernels.vector_enabled() is False
+            _init_worker_state(parent)
+            assert switches.snapshot() == parent
             assert obs.snapshot()["counters"] == []
         finally:
-            kernels.configure(enabled=previous)
+            switches.restore(previous)
 
 
 class TestRowSetMemo:
