@@ -37,6 +37,7 @@ __all__ = [
     "canonical_strategy_name",
     "strategy_info",
     "strategy_params",
+    "seeded_params",
     "filter_strategy_kwargs",
     "validate_strategy_params",
     "all_strategy_infos",
@@ -159,6 +160,19 @@ def strategy_info(name: str) -> StrategyInfo:
 def strategy_params(name: str) -> frozenset[str]:
     """The keyword parameters declared by strategy ``name``."""
     return STRATEGIES.info(name).params
+
+
+def seeded_params(name: str, params: Mapping[str, Any], seed: int) -> dict[str, Any]:
+    """A copy of ``params`` with ``seed`` injected when strategy ``name`` declares one.
+
+    An explicit ``params["seed"]`` wins.  This is how a run's replication
+    seed reaches seed-declaring strategies (the Random baseline) on every
+    path that plans or fingerprints a run.
+    """
+    params = dict(params)
+    if "seed" in strategy_params(name) and "seed" not in params:
+        params["seed"] = seed
+    return params
 
 
 def filter_strategy_kwargs(name: str, kwargs: Mapping[str, Any]) -> dict[str, Any]:

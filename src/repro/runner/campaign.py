@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro import switches
-from repro.baselines.base import get_strategy, strategy_params
+from repro.baselines.base import get_strategy, seeded_params
 from repro.geometry.cache import ContentCache
 from repro.network.scenario import Scenario
 from repro.obs import registry as _obs
@@ -173,27 +173,19 @@ def _execute_scalar(spec: RunSpec) -> dict:
     simulate stages are wrapped in spans (the plan/sim split of
     :meth:`Campaign.run` sums them); spans never touch the record.
     """
+    from repro.sim.batchpath import _record_head
+
     with _obs.span("cell", cat="campaign", strategy=spec.strategy, seed=spec.seed):
         with _obs.span("scenario-build", cat="campaign"):
             scenario = build_cell_scenario(spec)
-        params = dict(spec.params)
-        if "seed" in strategy_params(spec.strategy) and "seed" not in params:
-            params["seed"] = spec.seed
+        params = seeded_params(spec.strategy, spec.params, spec.seed)
         planner = get_strategy(spec.strategy, **params)
         with _obs.span("plan", cat="campaign", strategy=spec.strategy):
             plan = planner.plan(scenario)
         with _obs.span("simulate", cat="campaign"):
             result = PatrolSimulator(scenario, plan, spec.sim).run()
 
-        record: dict[str, Any] = {
-            "strategy": spec.strategy,
-            "seed": spec.seed,
-            "num_targets": scenario.num_targets,
-            "num_mules": scenario.num_mules,
-            "horizon": spec.sim.horizon,
-        }
-        record.update(spec.labels)
-        record["planner"] = plan.strategy
+        record = _record_head(spec, scenario, plan)
         record["average_dcdt"] = average_dcdt(result)
         record["average_sd"] = average_sd(result)
         record["max_visiting_interval"] = max_visiting_interval(result)

@@ -46,6 +46,7 @@ from typing import Any, Mapping, Sequence
 from repro.baselines.base import (
     canonical_strategy_name,
     filter_strategy_kwargs,
+    seeded_params,
     strategy_info,
     strategy_params,
     validate_strategy_params,
@@ -254,9 +255,7 @@ class RunSpec:
         cell's replication seed unless one was given explicitly.
         """
         params = filter_strategy_kwargs(self.strategy, self.params)
-        if "seed" in strategy_params(self.strategy) and "seed" not in params:
-            params["seed"] = self.seed
-        return replace(self, params=params)
+        return replace(self, params=seeded_params(self.strategy, params, self.seed))
 
 
 # --------------------------------------------------------------------------- #

@@ -38,6 +38,9 @@ wrong answer:
 * no custom ``spec.metrics`` (extractors receive a full
   :class:`~repro.sim.recorder.SimulationResult`, which the batch never
   builds);
+* every mule's :class:`~repro.sim.fastpath.LegPattern` builds (the scalar
+  tier's own leg builder, with a smaller event cap; its dynamic declines
+  read ``row-fallback`` here);
 * no duplicate event timestamps, and the lap estimate must clear the
   horizon (both verified *after* the tensor pass, per row set).
 
@@ -55,14 +58,8 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.geometry.cache import ContentCache
-from repro.geometry.point import distance
 from repro.obs import registry as _obs
-from repro.sim.fastpath import (
-    _Fallback,
-    dedup_walk,
-    fast_path_rejection,
-    route_pattern,
-)
+from repro.sim.fastpath import LegPattern, _Fallback, fast_path_rejection, node_codes
 from repro.sim.metrics import average_dcdt, average_sd, max_visiting_interval
 from repro.sim.recorder import SimulationResult
 from repro.switches import BATCHPATH
@@ -117,102 +114,21 @@ batchpath_disabled = BATCHPATH.disabled
 # Per-(cell, mule) row precomputation
 # --------------------------------------------------------------------------- #
 
-class _Row:
-    """One mule's interleaved travel/dwell increment row, pre-cumsum."""
+class _Row(LegPattern):
+    """One mule's :class:`LegPattern` plus its target-index column.
 
-    __slots__ = (
-        "base", "init_event", "init_time", "init_dist", "codes", "tidx",
-        "dists", "inc", "cyclic", "full", "dist_prefix", "init_prefix",
-    )
+    ``tidx`` holds each leg's target index; the sink is ``len(targets)``,
+    anything else ``-1``.  ``full`` is filled by the stacked cumsum.
+    """
 
-    def __init__(
-        self, sim, mule, route, sync_time: float, node_code, node_tidx
-    ) -> None:
-        cfg = sim.config
-        horizon = cfg.horizon
-        velocity = mule.velocity
-        position = mule.position
-        start = route.start_position()
-        dwell_time = sim._params.collection_time
+    __slots__ = ("tidx",)
 
-        emitted, cycle_start = dedup_walk(*route_pattern(route))
-        if not emitted:
-            raise _Fallback
-
-        prefix_len = len(emitted)
-        cycle_len = prefix_len - cycle_start if cycle_start >= 0 else 0
-        coords = route.coordinates
-        points = [coords[n] for n in emitted]
-        codes0 = np.fromiter(
-            (node_code.get(n, 0) for n in emitted), dtype=np.int8,
-            count=prefix_len,
-        )
-        tidx0 = np.fromiter(
-            (node_tidx.get(n, -1) for n in emitted), dtype=np.int32,
-            count=prefix_len,
-        )
-        dwell0 = np.where(codes0 == 1, dwell_time, 0.0)
-
-        # -- initial leg and the first-departure base time (as _Stream) ---- #
-        self.init_event = False
-        self.init_time = 0.0
-        self.init_dist = 0.0
-        if start is not None:
-            d0 = distance(position, start)
-            if d0 > 1e-12:
-                self.init_event = True
-                self.init_time = d0 / velocity if d0 > 0 else 0.0
-                self.init_dist = d0
-                base = max(self.init_time, sync_time)
-                first_from = start
-            else:
-                base = sync_time
-                first_from = position
-        else:
-            base = 0.0
-            first_from = position
-        self.base = base
-
-        # -- leg lengths (exactly the engine's per-leg distance() calls) --- #
-        leg = np.empty(prefix_len, dtype=float)
-        leg[0] = distance(first_from, points[0])
-        for k in range(1, prefix_len):
-            leg[k] = distance(points[k - 1], points[k])
-
-        if cycle_len:
-            cyc = np.empty(cycle_len, dtype=float)
-            cyc[0] = distance(points[-1], points[cycle_start])
-            cyc[1:] = leg[cycle_start + 1:]
-            cyc_dwell = dwell0[cycle_start:]
-            lap_advance = float(cyc.sum()) / velocity + float(cyc_dwell.sum())
-            if lap_advance <= 0.0:
-                raise _Fallback  # zero-advance lap
-            prefix_time = base + float(leg.sum()) / velocity + float(dwell0.sum())
-            laps = int(max(0.0, horizon - prefix_time) / lap_advance) + 2
-            if prefix_len + laps * cycle_len > _MAX_BATCH_EVENTS:
-                raise _Fallback
-            dists = np.concatenate([leg, np.tile(cyc, laps)])
-            dwells = np.concatenate([dwell0, np.tile(cyc_dwell, laps)])
-            codes = np.concatenate([codes0, np.tile(codes0[cycle_start:], laps)])
-            tidx = np.concatenate([tidx0, np.tile(tidx0[cycle_start:], laps)])
-        else:
-            dists = leg
-            dwells = dwell0
-            codes = codes0
-            tidx = tidx0
-
-        self.cyclic = cycle_len > 0
-        self.codes = codes
-        self.tidx = tidx
-        self.dists = dists
-        inc = np.empty(2 * len(dists), dtype=float)
-        inc[0::2] = dists / velocity
-        inc[1::2] = dwells
-        self.inc = inc
-        self.full: "np.ndarray | None" = None  # filled by the stacked cumsum
-        # Lazy per-row prefix sums of travelled distance (see _reduce_rows).
-        self.dist_prefix: "np.ndarray | None" = None
-        self.init_prefix: "np.ndarray | None" = None
+    def __init__(self, sim, mule, route, sync_time: float, node_code, node_tidx) -> None:
+        super().__init__(sim, mule, route, sync_time, node_code, _MAX_BATCH_EVENTS)
+        walk = self.walk
+        self.tidx = self.tile(np.fromiter(
+            (node_tidx.get(n, -1) for n in walk), dtype=np.int32, count=len(walk)
+        ))
 
 
 class _RowSet(list):
@@ -249,7 +165,7 @@ def _prepare_cell(spec) -> "_Cell | None":
     """Build scenario/plan for ``spec`` and vet it for the batch class."""
     from repro.runner.campaign import _scenario_cache_key, build_cell_scenario
 
-    from repro.baselines.base import get_strategy, strategy_params
+    from repro.baselines.base import get_strategy, seeded_params
     from repro.sim.engine import PatrolSimulator
 
     cfg = spec.sim
@@ -262,9 +178,7 @@ def _prepare_cell(spec) -> "_Cell | None":
     scenario = build_cell_scenario(spec)
     if cfg.track_energy and any(m.battery is not None for m in scenario.mules):
         return _reject("tracked-energy")
-    params = dict(spec.params)
-    if "seed" in strategy_params(spec.strategy) and "seed" not in params:
-        params["seed"] = spec.seed
+    params = seeded_params(spec.strategy, spec.params, spec.seed)
     plan_key = (
         spec.strategy,
         json.dumps(sorted(params.items()), default=repr),
@@ -291,12 +205,9 @@ def _prepare_cell(spec) -> "_Cell | None":
 def _build_rows(sim) -> "_RowSet | str":
     """The increment rows of every mule of ``sim``, or ``"row-fallback"``."""
     scenario = sim.scenario
-    sync_time = sim._synchronized_start_time() if sim.config.synchronized_start else 0.0
+    sync_time = sim._patrol_start_time()
+    node_code = node_codes(sim)
     targets = scenario.targets
-    node_code: dict[str, int] = {t.id: 1 for t in targets}
-    node_code[sim._sink_id] = 2
-    if sim._recharge_id is not None:
-        node_code[sim._recharge_id] = 3
     node_tidx: dict[str, int] = {t.id: i for i, t in enumerate(targets)}
     node_tidx[sim._sink_id] = len(targets)
     try:
@@ -396,32 +307,15 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
     sink_times_by_row: "dict[int, np.ndarray]" = {}
 
     for row_index, row in enumerate(cell.rows):
-        full = row.full
-        arrivals = full[1::2]
-        if row.cyclic and arrivals[-1] <= horizon:
-            # Lap estimate fell short: the scalar path extends exactly.
+        if not row.reaches(horizon):
             return "lap-estimate"
+        arrivals = row.full[1::2]
         n_keep = int(np.searchsorted(arrivals, horizon, side="right"))
         init_applied = 1 if (row.init_event and row.init_time <= horizon) else 0
         applied = n_keep + init_applied
-        if applied:
-            # Travelled distance is the engine's leg-by-leg running sum —
-            # a cumsum prefix, computed once per (shared) row.  The
-            # initial-leg variant is a separate prefix: prepending the leg
-            # changes every partial sum's rounding, so it cannot be derived
-            # from the plain one by adding init_dist afterwards.
-            if row.init_event:
-                if row.init_prefix is None:
-                    row.init_prefix = np.cumsum(
-                        np.concatenate(([row.init_dist], row.dists))
-                    )
-                per_mule_distance.append(float(row.init_prefix[applied - 1]))
-            else:
-                if row.dist_prefix is None:
-                    row.dist_prefix = np.cumsum(row.dists)
-                per_mule_distance.append(float(row.dist_prefix[applied - 1]))
-        else:
-            per_mule_distance.append(0.0)
+        per_mule_distance.append(
+            float(row.distance_prefix()[applied - 1]) if applied else 0.0
+        )
         times = arrivals[:n_keep]
         codes = row.codes[:n_keep]
         kept_times.append(times)
@@ -536,6 +430,25 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
     }
 
 
+def _record_head(spec, scenario, plan) -> dict:
+    """A record's leading columns, in their byte-visible key order.
+
+    Identity columns, then the spec's labels, then the planner; the batched
+    and the per-cell paths (:func:`repro.runner.campaign.execute_run`) both
+    append their metrics to this.
+    """
+    record: dict = {
+        "strategy": spec.strategy,
+        "seed": spec.seed,
+        "num_targets": scenario.num_targets,
+        "num_mules": scenario.num_mules,
+        "horizon": spec.sim.horizon,
+    }
+    record.update(spec.labels)
+    record["planner"] = plan.strategy
+    return record
+
+
 def _finish_cell(cell: _Cell) -> "dict | None":
     """One cell's record from its row set's memoized reduction; ``None`` → scalar."""
     reduced = rows = cell.rows
@@ -550,16 +463,7 @@ def _finish_cell(cell: _Cell) -> "dict | None":
         reduced = rows.reduced
     if isinstance(reduced, str):
         return _reject(reduced)
-    spec = cell.spec
-    record: dict = {
-        "strategy": spec.strategy,
-        "seed": spec.seed,
-        "num_targets": cell.scenario.num_targets,
-        "num_mules": cell.scenario.num_mules,
-        "horizon": spec.sim.horizon,
-    }
-    record.update(spec.labels)
-    record["planner"] = cell.plan.strategy
+    record = _record_head(cell.spec, cell.scenario, cell.plan)
     record.update(reduced)
     record["num_dead_mules"] = 0
     return record

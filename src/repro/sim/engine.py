@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.plan import MuleRoute, PatrolPlan
+from repro.core.plan import MuleRoute, PatrolPlan, StochasticRoute
 from repro.geometry.point import Point, distance
 from repro.network.datamodel import DataCollectionModel
 from repro.network.mules import DataMule, MuleState
@@ -138,6 +138,13 @@ class PatrolSimulator:
         loop's output byte for byte; everything else — stochastic routes,
         pre-loaded buffers, degenerate zero-advance laps — runs the full
         discrete-event loop below.
+
+        Raises
+        ------
+        ValueError
+            If a mule's lap advances no time and nothing would stop it — no
+            ``max_visits`` cap and no tracked battery drained by the lap's
+            collections — so the run would never end.
         """
         if self.config.fast_path:
             from repro.sim.fastpath import run_fast_path
@@ -151,7 +158,8 @@ class PatrolSimulator:
 
                 # A None result with no static rejection means a dynamic
                 # fallback fired mid-flight (zero-advance lap, event-cap
-                # overflow, empty walk) — the static probe can't see those.
+                # overflow, short lap estimate) — the static probe can't see
+                # those.
                 reason = fast_path_rejection(self) or "dynamic-fallback"
                 _obs_inc("sim_dispatch", outcome="event-loop", reason=reason)
         else:
@@ -168,7 +176,7 @@ class PatrolSimulator:
         queue = EventQueue()
         runtimes: dict[str, _MuleRuntime] = {}
 
-        sync_time = self._synchronized_start_time() if cfg.synchronized_start else 0.0
+        sync_time = self._patrol_start_time()
         result.metadata.setdefault("patrol_start_time", sync_time)
 
         for mule in self.scenario.mules:
@@ -196,6 +204,15 @@ class PatrolSimulator:
                 visits_recorded += int(recorded)
                 if cfg.max_visits is not None and visits_recorded >= cfg.max_visits:
                     break
+                if event.time == event.payload["departed"] and cfg.max_visits is None \
+                        and self._spins(runtime):
+                    spinning = [mid for mid, r in runtimes.items()
+                                if r.current_node is not None and self._spins(r)]
+                    raise ValueError(
+                        f"zero-length lap: mules {spinning} keep revisiting one point at "
+                        f"t = {event.time!r} without advancing time, so the simulation "
+                        "would never end (max_visits caps such a run)"
+                    )
                 dwell = self._params.collection_time if event.node_id in self._target_ids else 0.0
                 if dwell > 0.0:
                     queue.push(event.time + dwell, EventKind.COLLECTION_DONE,
@@ -213,6 +230,10 @@ class PatrolSimulator:
     # ------------------------------------------------------------------ #
     # Leg scheduling
     # ------------------------------------------------------------------ #
+    def _patrol_start_time(self) -> float:
+        """When the patrol proper begins, on every tier: 0 without ``synchronized_start``."""
+        return self._synchronized_start_time() if self.config.synchronized_start else 0.0
+
     def _synchronized_start_time(self) -> float:
         """Time at which the slowest mule reaches its start position (0 when no initialisation)."""
         times = []
@@ -221,6 +242,26 @@ class PatrolSimulator:
             if start is not None:
                 times.append(distance(mule.position, start) / mule.velocity)
         return max(times) if times else 0.0
+
+    def _spins(self, runtime: _MuleRuntime) -> bool:
+        """Whether this mule, once on its walk, revisits one point forever.
+
+        True exactly when every node its route will ever yield sits on one
+        point (each leg takes no time, and the walk never halts under the
+        duplicate-skip rule), no collection dwell advances time, and no
+        tracked battery is drained by the lap's collections.  The event loop
+        would then spin at one instant; it checks this on arrivals that took
+        no time.
+        """
+        lap = _still_lap(runtime.route)
+        if runtime.dead or not lap:
+            return False
+        battery = runtime.mule.battery
+        drains = self.config.track_energy and battery is not None and (
+            self._energy.collect_cost > 0 or battery.depleted
+        )
+        collects = not lap.isdisjoint(self._target_ids)
+        return not collects or not drains and self._params.collection_time <= 0.0
 
     def _schedule_initial_leg(self, runtime: _MuleRuntime, queue: EventQueue, sync_time: float = 0.0) -> None:
         start = runtime.route.start_position()
@@ -370,3 +411,27 @@ class PatrolSimulator:
             runtime.trace.recharges += 1
 
         return recorded
+
+
+def _still_lap(route: MuleRoute) -> set[str]:
+    """The nodes ``route`` visits forever when they all sit on one point, else none.
+
+    Known for the loop routes (their effective walk; none when it halts)
+    and for the Random baseline's route (its candidates, when it never
+    repeats one); any other route class reads as moving on.
+    """
+    from repro.sim.fastpath import LegPattern, _Fallback
+
+    nodes: set[str] = set()
+    if type(route) is StochasticRoute:
+        if route.avoid_repeat:
+            nodes = set(route.candidates)
+    else:
+        try:
+            walk, cycle_start = LegPattern.walk_of(route)
+        except _Fallback:
+            return nodes
+        if cycle_start >= 0:
+            nodes = set(walk)
+    points = {route.point_of(n) for n in nodes}
+    return nodes if len(nodes) > 1 and len(points) == 1 else set()

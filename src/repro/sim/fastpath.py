@@ -10,12 +10,14 @@ sequence is an arithmetic chain over a periodic pattern of leg lengths.
 
 This module exploits that:
 
-1. per mule, the effective waypoint sequence is reduced to a *prefix + cycle*
-   pattern (mirroring the engine's consecutive-duplicate skip rule), its leg
-   lengths are computed once, and the full arrival/departure-time chain up to
-   the horizon — travel legs interleaved with per-target dwell times — is
-   produced by one ``np.cumsum``, bit-for-bit equal to the engine's
-   sequential ``now + dist / velocity`` and ``now + dwell`` additions;
+1. per mule, a :class:`LegPattern` reduces the effective waypoint sequence
+   to a *prefix + cycle* walk (mirroring the engine's consecutive-duplicate
+   skip rule), computes its leg lengths once and tiles them past the
+   horizon; the full arrival/departure-time chain — travel legs interleaved
+   with per-target dwell times — is one ``np.cumsum``, bit-for-bit equal to
+   the engine's sequential ``now + dist / velocity`` and ``now + dwell``
+   additions.  The batched tier (:mod:`repro.sim.batchpath`) builds its rows
+   from the same class;
 2. the per-mule streams are merged by a light ``(time, sequence)`` heap that
    replicates the engine's event-queue tie-breaking exactly, so visits,
    collections, dwell completions, mid-leg deaths and sink deliveries
@@ -39,8 +41,11 @@ Runs the fast path cannot reproduce exactly fall back to the event loop:
   waypoint pattern),
 * mules deployed with pre-loaded data buffers (the merged replay assumes
   every buffer starts empty), and
-* pathological zero-advance laps (the event loop's behaviour — spinning at a
-  single instant — is preserved by falling back).
+* three dynamic declines: a steady-state lap that advances no time (the event
+  loop caps it with ``max_visits`` or a dying battery, and otherwise raises
+  ``ValueError`` — it would never end), a pattern past the
+  ``_MAX_EVENTS_PER_MULE`` safety valve, and a lap estimate that falls short
+  of the horizon (a guard; the estimate tiles a full lap past it).
 
 Eligibility is decided per *route class*, not per strategy name, so
 strategies composed through the planning pipeline (:mod:`repro.planning`) —
@@ -99,9 +104,10 @@ def fast_path_rejection(sim) -> str | None:
       :class:`AlternatingLoopRoute` (e.g. the Random baseline's
       :class:`StochasticRoute`).
 
-    A ``None`` here is necessary but not sufficient: degenerate runs
-    (zero-advance laps, streams past the event-count safety valve) still
-    fall back dynamically inside :func:`run_fast_path`.
+    A ``None`` here is necessary but not sufficient: the dynamic declines
+    of :class:`LegPattern` (zero-advance laps, patterns past the event-count
+    safety valve, a short lap estimate) still fall back inside
+    :func:`run_fast_path`.
     """
     if not sim.config.fast_path:
         return "fast-path-disabled"
@@ -213,63 +219,80 @@ def dedup_walk(
 
 
 # --------------------------------------------------------------------------- #
-# Per-mule precomputation
+# The leg pattern, shared with the batched tier
 # --------------------------------------------------------------------------- #
 
-class _Stream:
-    """One mule's precomputed arrival-event stream."""
+def node_codes(sim) -> "dict[str, int]":
+    """Node kind codes: 1 = plain target, 2 = sink, 3 = recharge station.
+
+    Any other node reads as 0.  Dwell applies on code 1 only (the engine
+    checks ``node_id in self._target_ids``, which excludes sink and
+    recharge).
+    """
+    codes = {t.id: 1 for t in sim.scenario.targets}
+    codes[sim._sink_id] = 2
+    if sim._recharge_id is not None:
+        codes[sim._recharge_id] = 3
+    return codes
+
+
+class LegPattern:
+    """One mule's legs from deployment to past the horizon, as flat arrays.
+
+    ``walk`` is the route's effective waypoint sequence under the engine's
+    duplicate-skip rule: a prefix, then one cycle from ``cycle_start``
+    (``-1`` when the walk halts).  The legs tile it with ``laps`` more
+    cycles, enough to carry the chain at least one full lap past the
+    horizon.  Leg ``k`` runs to node
+    ``k`` of the tiling, whose kind is ``codes[k]`` and length ``dists[k]``
+    (exactly the engine's per-leg ``distance()`` calls).  The optional
+    initial leg to the route's start position is kept apart (``init_*``);
+    the first patrol leg departs at ``base``.
+
+    ``inc`` interleaves travel and dwell increments,
+    ``[dists[0] / v, dwell_0, dists[1] / v, dwell_1, ...]``: the engine
+    alternates ``now + dist / velocity`` (travel) with ``now + dwell``
+    (COLLECTION_DONE), so one cumulative sum of ``[base, *inc]`` reproduces
+    its identical sequence of float additions (adding a 0.0 dwell is a
+    bitwise no-op for the non-negative partial sums).  The scalar tier takes
+    that sum with :meth:`chain`; the batched tier stacks many patterns of
+    one width into a single ``np.cumsum(axis=1)`` and stores each row in
+    ``full``.
+
+    Raises :class:`_Fallback` when the route has no precomputable walk, the
+    steady-state lap advances no time (the event loop owns that case), or
+    the tiling would exceed ``max_events`` legs.
+    """
 
     __slots__ = (
-        "mule", "mule_id", "trace", "coords", "init_event", "init_time",
-        "init_dist", "times", "departs", "nodes", "codes", "dists", "n_events",
-        "dist_cum", "energy_cum", "applied", "collections", "deliveries",
-        "packets", "start_point", "tracked", "dead", "position", "velocity",
-        "move_cost", "pending_death", "energy",
+        "walk", "cycle_start", "laps", "base", "init_event", "init_time",
+        "init_dist", "start_point", "codes", "dists", "inc", "full",
+        "_distance_prefix",
     )
 
-    def __init__(self, sim, mule, route: MuleRoute, sync_time: float, node_code) -> None:
-        cfg = sim.config
-        horizon = cfg.horizon
+    def __init__(
+        self, sim, mule, route: MuleRoute, sync_time: float, node_code, max_events: int
+    ) -> None:
         velocity = mule.velocity
         position = mule.position
         start = route.start_position()
-        energy = sim._energy
-        dwell_time = sim._params.collection_time
 
-        self.mule = mule
-        self.mule_id = mule.id
-        self.trace = MuleTrace(mule_id=mule.id)
-        self.coords = route.coordinates
-        self.applied = 0
-        self.collections = 0
-        self.deliveries = 0
-        self.packets: list = []
-        self.tracked = cfg.track_energy and mule.battery is not None
-        self.dead = False
-        self.position = position
-        self.velocity = velocity
-        self.move_cost = energy.move_cost_per_meter
-        self.energy = energy
-        self.pending_death: "tuple[float, Point] | None" = None
-
-        # -- effective waypoint sequence: prefix + cycle ------------------- #
-        emitted, cycle_start = dedup_walk(*route_pattern(route))
-        if not emitted:
+        walk, cycle_start = self.walk_of(route)
+        if not walk:
             # Unreachable for the supported routes (the first candidate is
             # always accepted against prev=None and loops are non-empty), but
             # any future route shape that emits nothing belongs on the event
-            # loop rather than on a zero-event stream here.
+            # loop rather than on a zero-event pattern here.
             raise _Fallback
-
-        prefix_len = len(emitted)
-        cycle_len = prefix_len - cycle_start if cycle_start >= 0 else 0
-        points = [self.coords[n] for n in emitted]
-        codes0 = [node_code.get(n, 0) for n in emitted]
-        # Dwell applies on plain-target arrivals only (the engine checks
-        # ``node_id in self._target_ids``, which excludes sink and recharge).
-        dwell0 = np.array(
-            [dwell_time if c == 1 else 0.0 for c in codes0], dtype=float
+        self.walk = walk
+        self.cycle_start = cycle_start
+        self.laps = 0
+        coords = route.coordinates
+        points = [coords[n] for n in walk]
+        codes = np.fromiter(
+            (node_code.get(n, 0) for n in walk), dtype=np.int8, count=len(walk)
         )
+        dwells = np.where(codes == 1, sim._params.collection_time, 0.0)
 
         # -- initial leg and the first-departure base time ----------------- #
         self.init_event = False
@@ -282,82 +305,157 @@ class _Stream:
                 self.init_event = True
                 self.init_time = d0 / velocity if d0 > 0 else 0.0
                 self.init_dist = d0
+                self.start_point = start
                 base = max(self.init_time, sync_time)
                 first_from = start
-                self.start_point = start
             else:
-                self.trace.initialization_time = 0.0
                 base = sync_time
                 first_from = position
         else:
             base = 0.0
             first_from = position
+        self.base = base
 
         # -- leg lengths (exactly the engine's per-leg distance() calls) --- #
-        leg = np.empty(prefix_len, dtype=float)
-        leg[0] = distance(first_from, points[0])
-        for k in range(1, prefix_len):
-            leg[k] = distance(points[k - 1], points[k])
+        legs = np.empty(len(walk), dtype=float)
+        legs[0] = distance(first_from, points[0])
+        for k in range(1, len(walk)):
+            legs[k] = distance(points[k - 1], points[k])
 
-        if cycle_len:
-            cyc = np.empty(cycle_len, dtype=float)
-            cyc[0] = distance(points[-1], points[cycle_start])
-            cyc[1:] = leg[cycle_start + 1:]
-            cyc_nodes = emitted[cycle_start:]
-            cyc_dwell = dwell0[cycle_start:]
+        if cycle_start >= 0:
+            # The cycle's first leg starts from the walk's last node, not
+            # from the prefix node before it.
+            cycle = legs[cycle_start:].copy()
+            cycle[0] = distance(points[-1], points[cycle_start])
+            cycle_dwells = dwells[cycle_start:]
             # One steady-state lap advances time by its travel plus its
             # dwells; a lap that advances neither is the event loop's
             # spin-in-place pathology.
-            lap_advance = float(cyc.sum()) / velocity + float(cyc_dwell.sum())
+            lap_advance = float(cycle.sum()) / velocity + float(cycle_dwells.sum())
             if lap_advance <= 0.0:
-                raise _Fallback  # zero-advance lap: the event loop spins in place
-            prefix_time = base + float(leg.sum()) / velocity + float(dwell0.sum())
-            laps = int(max(0.0, horizon - prefix_time) / lap_advance) + 2
-            if prefix_len + laps * cycle_len > _MAX_EVENTS_PER_MULE:
                 raise _Fallback
-            dists = np.concatenate([leg, np.tile(cyc, laps)])
-            dwells = np.concatenate([dwell0, np.tile(cyc_dwell, laps)])
-            nodes = emitted + cyc_nodes * laps
-        else:
-            dists = leg
-            dwells = dwell0
-            nodes = list(emitted)
+            prefix_time = base + float(legs.sum()) / velocity + float(dwells.sum())
+            self.laps = int(max(0.0, sim.config.horizon - prefix_time) / lap_advance) + 2
+            if len(walk) + self.laps * len(cycle) > max_events:
+                raise _Fallback
+            legs = self.tile(legs, cycle)
+            dwells = self.tile(dwells, cycle_dwells)
+            codes = self.tile(codes)
 
-        # -- the arrival/departure chain, one cumulative sum --------------- #
-        # The engine alternates ``now + dist / velocity`` (travel) with
-        # ``now + dwell`` (COLLECTION_DONE); interleaving both increment
-        # kinds before a single cumsum reproduces the identical sequence of
-        # float additions (adding a 0.0 dwell is a bitwise no-op for the
-        # non-negative partial sums).  full = [depart_0, arrive_0, depart_1,
-        # arrive_1, ...]: arrivals are the odd slots, departures the even.
-        inc = np.empty(2 * len(dists), dtype=float)
-        inc[0::2] = dists / velocity
+        self.codes = codes
+        self.dists = legs
+        inc = np.empty(2 * len(legs), dtype=float)
+        inc[0::2] = legs / velocity
         inc[1::2] = dwells
-        full = np.cumsum(np.concatenate(([base], inc)))
-        # The estimate leaves slack, but guarantee at least one arrival
-        # beyond the horizon so the merge always terminates on a popped
-        # event.  full[-2] is the last arrival (full ends on a departure).
-        while cycle_len and full[-2] <= horizon:
-            cyc_tiled = np.tile(cyc, 8)
-            dwell_tiled = np.tile(cyc_dwell, 8)
-            extra = np.empty(2 * len(cyc_tiled), dtype=float)
-            extra[0::2] = cyc_tiled / velocity
-            extra[1::2] = dwell_tiled
-            full = np.concatenate(
-                [full, np.cumsum(np.concatenate(([full[-1]], extra)))[1:]]
-            )
-            dists = np.concatenate([dists, cyc_tiled])
-            dwells = np.concatenate([dwells, dwell_tiled])
-            nodes += cyc_nodes * 8
-            if len(nodes) > _MAX_EVENTS_PER_MULE:
-                raise _Fallback
+        self.inc = inc
+        self.full: "np.ndarray | None" = None
+        self._distance_prefix: "np.ndarray | None" = None
+
+    @staticmethod
+    def walk_of(route: MuleRoute) -> "tuple[list[str], int]":
+        """The effective walk of ``route`` as :func:`dedup_walk` returns it."""
+        return dedup_walk(*route_pattern(route))
+
+    def tile(self, column, cycle=None):
+        """``column`` (one entry per walk node) laid out like the legs.
+
+        The walk, then ``laps`` copies of its cycle part — or of ``cycle``
+        when the repeated entries differ from the walk's (leg lengths do at
+        the cycle's first leg).  Lists stay lists; arrays stay arrays.
+        """
+        if cycle is None:
+            cycle = column[self.cycle_start:]
+        if isinstance(column, list):
+            return column + cycle * self.laps
+        return np.concatenate([column, np.tile(cycle, self.laps)])
+
+    def chain(self) -> np.ndarray:
+        """``full = [depart_0, arrive_0, depart_1, arrive_1, ...]``, one cumsum.
+
+        Arrivals are the odd slots, departures the even; ``full`` ends on
+        the departure after the last leg.
+        """
+        self.full = np.cumsum(np.concatenate(([self.base], self.inc)))
+        return self.full
+
+    def reaches(self, horizon: float) -> bool:
+        """Whether the chain in ``full`` has an arrival beyond ``horizon``.
+
+        Both tiers decline a pattern whose lap estimate fell short; the
+        estimate tiles at least one full lap past the horizon, so this is a
+        guard, not a path.  A halting walk ends on its own and always
+        passes.
+        """
+        return self.cycle_start < 0 or self.full[-2] > horizon
+
+    def distance_prefix(self) -> np.ndarray:
+        """Travelled distance after each applied leg, the initial leg first.
+
+        The engine's leg-by-leg running sum, memoised.  The initial leg sits
+        inside the cumsum: prepending it changes every partial sum's
+        rounding, so it cannot be added afterwards.  Patterns are shared
+        across threads; racing callers compute identical arrays.
+        """
+        if self._distance_prefix is None:
+            dists = self.dists
+            if self.init_event:
+                dists = np.concatenate(([self.init_dist], dists))
+            self._distance_prefix = np.cumsum(dists)
+        return self._distance_prefix
+
+
+# --------------------------------------------------------------------------- #
+# Per-mule replay state
+# --------------------------------------------------------------------------- #
+
+class _Stream:
+    """One mule's replay state over its :class:`LegPattern`."""
+
+    __slots__ = (
+        "mule", "mule_id", "trace", "coords", "init_event", "init_time",
+        "init_dist", "times", "departs", "nodes", "codes", "dists", "n_events",
+        "dist_cum", "energy_cum", "applied", "collections", "deliveries",
+        "packets", "start_point", "tracked", "dead", "position", "velocity",
+        "move_cost", "pending_death", "energy",
+    )
+
+    def __init__(self, sim, mule, route: MuleRoute, sync_time: float, node_code) -> None:
+        cfg = sim.config
+        energy = sim._energy
+        pattern = LegPattern(sim, mule, route, sync_time, node_code, _MAX_EVENTS_PER_MULE)
+        full = pattern.chain()
+        if not pattern.reaches(cfg.horizon):
+            raise _Fallback
+
+        self.mule = mule
+        self.mule_id = mule.id
+        self.trace = MuleTrace(mule_id=mule.id)
+        self.coords = route.coordinates
+        self.applied = 0
+        self.collections = 0
+        self.deliveries = 0
+        self.packets: list = []
+        self.tracked = cfg.track_energy and mule.battery is not None
+        self.dead = False
+        self.position = mule.position
+        self.velocity = mule.velocity
+        self.move_cost = energy.move_cost_per_meter
+        self.energy = energy
+        self.pending_death: "tuple[float, Point] | None" = None
+
+        self.init_event = pattern.init_event
+        self.init_time = pattern.init_time
+        self.init_dist = pattern.init_dist
+        self.start_point = pattern.start_point
+        if route.start_position() is not None and not pattern.init_event:
+            self.trace.initialization_time = 0.0  # already standing on it
 
         self.times = full[1::2].tolist()    # arrival of leg k
         self.departs = full[0::2].tolist()  # departure before leg k (len n+1)
-        self.nodes = nodes
-        self.codes = [node_code.get(n, 0) for n in nodes]
-        self.dists = dists.tolist()
-        self.n_events = len(nodes)
+        self.nodes = pattern.tile(pattern.walk)
+        self.codes = pattern.codes.tolist()
+        self.dists = pattern.dists.tolist()
+        self.n_events = len(self.nodes)
 
         # -- per-applied-leg accumulators ---------------------------------- #
         # The engine adds movement energy on leg completion and the collect
@@ -368,15 +466,12 @@ class _Stream:
         # Battery-tracked mules skip the bulk arrays: their drains clip
         # against live battery charge, so the merge replays them one by one.
         if not self.tracked:
+            self.dist_cum = pattern.distance_prefix()
+            dists_applied = pattern.dists
+            collect_flags = pattern.codes == 1
             if self.init_event:
-                dists_applied = np.concatenate(([self.init_dist], dists))
-                collect_flags = np.array(
-                    [False] + [c == 1 for c in self.codes], dtype=bool
-                )
-            else:
-                dists_applied = dists
-                collect_flags = np.array([c == 1 for c in self.codes], dtype=bool)
-            self.dist_cum = np.cumsum(dists_applied)
+                dists_applied = np.concatenate(([self.init_dist], dists_applied))
+                collect_flags = np.concatenate(([False], collect_flags))
             increments = np.empty(2 * len(dists_applied), dtype=float)
             increments[0::2] = dists_applied * energy.move_cost_per_meter
             increments[1::2] = np.where(collect_flags, energy.collect_cost, 0.0)
@@ -429,14 +524,9 @@ def _run(sim) -> SimulationResult:
     result = SimulationResult(
         strategy=plan.strategy, horizon=horizon, metadata=dict(plan.metadata)
     )
-    sync_time = sim._synchronized_start_time() if cfg.synchronized_start else 0.0
+    sync_time = sim._patrol_start_time()
     result.metadata.setdefault("patrol_start_time", sync_time)
-
-    # Node kind codes: 1 = plain target, 2 = sink, 3 = recharge station.
-    node_code: dict[str, int] = {t.id: 1 for t in scenario.targets}
-    node_code[sim._sink_id] = 2
-    if sim._recharge_id is not None:
-        node_code[sim._recharge_id] = 3
+    node_code = node_codes(sim)
 
     heap: list[tuple] = []
     counter = 0

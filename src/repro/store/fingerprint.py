@@ -38,7 +38,7 @@ import hashlib
 import json
 from typing import Any
 
-from repro.baselines.base import strategy_params
+from repro.baselines.base import seeded_params
 
 __all__ = [
     "canonical_run_payload",
@@ -148,9 +148,7 @@ def canonical_run_payload(spec) -> dict:
         seed-declaring strategies, and every mapping key-sorted by the JSON
         emitter.
     """
-    params = dict(spec.params)
-    if "seed" in strategy_params(spec.strategy) and "seed" not in params:
-        params["seed"] = spec.seed
+    params = seeded_params(spec.strategy, spec.params, spec.seed)
     scenario = spec.scenario
     scenario_payload: dict[str, Any] = {
         "family": scenario.canonical_family(),

@@ -19,12 +19,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro import obs
+from repro.baselines.base import get_strategy
 from repro.core.plan import LoopRoute, PatrolPlan, StochasticRoute
 from repro.energy.battery import Battery
+from repro.geometry.cache import clear_caches
 from repro.geometry.point import Point
 from repro.network.datamodel import DataPacket
 from repro.network.field import Field
@@ -34,20 +39,20 @@ from repro.network.targets import RechargeStation, Sink, Target
 from repro.runner.campaign import _json_sanitize, execute_many, execute_run
 from repro.runner.spec import RunSpec
 from repro.scenarios import ScenarioSpec
-from repro.sim import batchpath
+from repro.sim import batchpath, fastpath
 from repro.sim.engine import PatrolSimulator, SimulationConfig
-from repro.sim.fastpath import fast_path_eligible, fast_path_rejection
+from repro.sim.fastpath import LegPattern, fast_path_eligible, fast_path_rejection
 
 FAST = SimulationConfig(horizon=500.0, track_energy=False)
 SLOW = dataclasses.replace(FAST, fast_path=False)
 
 
 def line_scenario(*, battery=None, with_recharge=False, collection_time=0.0,
-                  rates=(1.0, 1.0), velocities=(2.0,)):
+                  rates=(1.0, 1.0), velocities=(2.0,), g2_x=200.0):
     params = SimulationParameters(collection_time=collection_time)
     targets = [
         Target("g1", Point(100.0, 0.0), data_rate=rates[0]),
-        Target("g2", Point(200.0, 0.0), data_rate=rates[1]),
+        Target("g2", Point(g2_x, 0.0), data_rate=rates[1]),
     ]
     sink = Sink("sink", Point(0.0, 0.0))
     recharge = RechargeStation("recharge", Point(150.0, 0.0)) if with_recharge else None
@@ -230,24 +235,52 @@ class TestBatchFallbacks:
         batched = execute_run(spec)
         assert json.dumps(batched) == json.dumps(scalar)  # key order included
 
-    @pytest.mark.parametrize("spec_kwargs, reason", [
-        ({"strategy": "chb"}, "order-dependent"),  # simultaneous sink flushes
+    FASTPATH = {"outcome": "fastpath"}
+    DYNAMIC = {"outcome": "event-loop", "reason": "dynamic-fallback"}
+
+    @pytest.mark.parametrize("spec_kwargs, patch, reason, sim_labels", [
+        ({"strategy": "chb"}, None, "order-dependent", FASTPATH),  # simultaneous sink flushes
         ({"sim": {"track_energy": True},
           "params": {"mule_battery": 500_000.0, "with_recharge_station": True}},
-         "tracked-energy"),
-        ({"metrics": ["path_length"]}, "custom-metrics"),
-        ({"strategy": "random"}, "fastpath-route-class"),
-    ], ids=["chb", "tracked-energy", "custom-metrics", "random"])
-    def test_declined_single_cell_counts_one_scalar_dispatch(self, spec_kwargs, reason):
+         None, "tracked-energy", FASTPATH),
+        ({"metrics": ["path_length"]}, None, "custom-metrics", FASTPATH),
+        ({"strategy": "random"}, None, "fastpath-route-class",
+         {"outcome": "event-loop", "reason": "route-class"}),
+        # The dynamic declines, forced: the batch's event cap, a lap estimate
+        # that falls short (declined on both tiers), the scalar's event cap.
+        ({}, (batchpath, "_MAX_BATCH_EVENTS", 1), "row-fallback", FASTPATH),
+        ({}, (LegPattern, "reaches", lambda _pattern, _horizon: False), "lap-estimate",
+         DYNAMIC),
+        ({"sim": {"batch_path": False}}, (fastpath, "_MAX_EVENTS_PER_MULE", 1),
+         "batch-path-disabled", DYNAMIC),
+    ], ids=["chb", "tracked-energy", "custom-metrics", "random", "batch-event-cap",
+            "lap-estimate", "scalar-event-cap"])
+    def test_declined_single_cell_counts_one_scalar_dispatch(
+        self, monkeypatch, spec_kwargs, patch, reason, sim_labels
+    ):
         spec = self._spec(**spec_kwargs)
-        with obs.obs_collected(enabled=True) as window:
-            record = execute_run(spec)
-            snapshot = window.snapshot()
+        event = execute_run(dataclasses.replace(
+            spec, sim=dataclasses.replace(spec.sim, fast_path=False)
+        ))
+        # A memoised reduction would hide a forced decline, and a memoised
+        # decline must not outlive the patch.
+        clear_caches()
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        try:
+            with obs.obs_collected(enabled=True) as window:
+                record = execute_run(spec)
+                snapshot = window.snapshot()
+        finally:
+            monkeypatch.undo()
+            clear_caches()
         counters = [(c["name"], c["labels"], c["value"]) for c in snapshot["counters"]
                     if c["name"] in ("batch_dispatch", "sim_dispatch")]
         assert [(n, labels, v) for n, labels, v in counters if n == "batch_dispatch"] \
             == [("batch_dispatch", {"outcome": "scalar", "reason": reason}, 1)]
-        assert sum(v for n, _labels, v in counters if n == "sim_dispatch") == 1
+        assert [(labels, v) for n, labels, v in counters if n == "sim_dispatch"] \
+            == [(sim_labels, 1)]
+        assert canonical(record) == canonical(event)
         with batchpath.batchpath_disabled():
             assert canonical(record) == canonical(execute_run(spec))
 
@@ -361,3 +394,104 @@ class TestPerEntityConfigAudit:
             seed=1,
         )
         assert batchpath.batch_execute_records([spec]) == [None]
+
+
+# --------------------------------------------------------------------------- #
+# Zero-length laps
+# --------------------------------------------------------------------------- #
+
+def coincident_pairs_scenario(num_pairs: int):
+    """``num_pairs`` pairs of targets, each pair on one point, one mule per pair."""
+    corners = [Point(100.0, 100.0), Point(900.0, 900.0)]
+    sink = Sink("sink", Point(500.0, 500.0))
+    targets = [Target(f"g{2 * i + k + 1}", corners[i])
+               for i in range(num_pairs) for k in range(2)]
+    mules = [DataMule(f"m{i + 1}", sink.position) for i in range(num_pairs)]
+    return Scenario(targets=targets, sink=sink, mules=mules, field=Field(),
+                    params=SimulationParameters(), name="pairs")
+
+
+def endless_runs():
+    """``(name, run)`` for each reproducer whose run would never end."""
+    reproducers = {
+        "line": (lambda: line_scenario(g2_x=100.0),
+                 lambda scenario: loop_plan(scenario, loops={"m1": ["g1", "g2"]})),
+        "sweep": (lambda: coincident_pairs_scenario(2),
+                  get_strategy("sweep", include_sink_in_groups=False).plan),
+        "random": (lambda: coincident_pairs_scenario(1),
+                   get_strategy("random", include_sink=False, seed=3).plan),
+    }
+    for tier, fast_path in (("fast", True), ("slow", False)):
+        cfg = dataclasses.replace(FAST, fast_path=fast_path)
+        for name, (build, plan) in reproducers.items():
+            def run(build=build, plan=plan, cfg=cfg):
+                scenario = build()
+                PatrolSimulator(scenario, plan(scenario), cfg).run()
+
+            yield f"{name}-{tier}", run
+
+
+_ENDLESS_CHILD = """
+import sys
+sys.path[:0] = {paths!r}
+from test_fastpath_boundaries import endless_runs
+for name, run in endless_runs():
+    try:
+        run()
+        print(name, "returned", flush=True)
+    except ValueError as exc:
+        print(name, exc, flush=True)
+"""
+
+
+class TestZeroLengthLap:
+    """A lap whose legs all have length 0 never advances time.
+
+    With g2 moved onto g1 at (100, 0), the mule reaches g1 at t = 50 and then
+    alternates g1 -> g2 at t = 50 forever.  The event loop, which every tier
+    falls back to, refuses such a run; every run that ends stays as it was.
+    """
+
+    def test_endless_runs_raise_instead_of_hanging(self):
+        # A regression spins forever, so the runs go to a child with a deadline.
+        tests = os.path.dirname(os.path.abspath(__file__))
+        code = _ENDLESS_CHILD.format(paths=[tests, os.path.join(os.path.dirname(tests), "src")])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            f"{name}-{tier}" for tier in ("fast", "slow")
+            for name in ("line", "sweep", "random")
+        ]
+        for line in lines:
+            mules = "['m1', 'm2']" if line.startswith("sweep") else "['m1']"
+            assert f"zero-length lap: mules {mules} keep revisiting one point" in line
+
+    @pytest.mark.parametrize("scenario_kwargs, cfg_changes, visits, last, death, dispatch", [
+        ({}, {"max_visits": 1000}, 1000, 50.0, None, "dynamic-fallback"),
+        ({"battery": lambda: Battery(1000.0)}, {"track_energy": True},
+         2311, 50.0, 50.0, "dynamic-fallback"),
+        ({"collection_time": 5.0}, {}, 91, 500.0, None, None),
+    ], ids=["max-visits", "tracked-battery", "dwell"])
+    def test_runs_that_end_are_unchanged(
+        self, scenario_kwargs, cfg_changes, visits, last, death, dispatch
+    ):
+        with obs.obs_collected(enabled=True) as window:
+            fast, slow = run_both(
+                lambda: line_scenario(g2_x=100.0, **scenario_kwargs),
+                lambda scenario: loop_plan(scenario, loops={"m1": ["g1", "g2"]}),
+                fast_cfg=dataclasses.replace(FAST, **cfg_changes),
+                slow_cfg=dataclasses.replace(SLOW, **cfg_changes),
+            )
+            snapshot = window.snapshot()
+        assert fast == slow
+        assert len(fast.visits) == visits
+        assert fast.visits[-1].time == last
+        assert fast.traces["m1"].death_time == death
+        # The scalar tier declines the zero-advance lap; a dwell advances it.
+        fast_dispatch = [c["labels"] for c in snapshot["counters"]
+                         if c["name"] == "sim_dispatch"
+                         and c["labels"].get("reason") != "fast-path-disabled"]
+        assert fast_dispatch == [{"outcome": "event-loop", "reason": dispatch}
+                                 if dispatch else {"outcome": "fastpath"}]

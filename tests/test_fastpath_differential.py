@@ -12,7 +12,12 @@ paths —
 
 — produce byte-identical sanitized records for every case.  Cases the batch
 (or the scalar fast path) declines are still checked: a fallback must land on
-the same record, never a different one.
+the same record, never a different one.  A case that planning rejects with a
+``ValueError`` must be rejected with the same message on every path.
+
+A second leg draws the same cases with battery tracking on and small
+batteries, so mules die mid-leg and recharge loops run: the scalar fast path
+must equal the event loop there, and the batch must decline every cell.
 
 On a mismatch the failing case is greedily shrunk (fewer targets, fewer
 mules, shorter horizon, defaults restored) before reporting, so the assertion
@@ -78,6 +83,15 @@ def draw_case(rng: np.random.Generator) -> dict:
     return case
 
 
+def tracked_case(rng: np.random.Generator) -> dict:
+    """A drawn case with tracked batteries, shrunk so that mules die."""
+    case = draw_case(rng)
+    case["tracked"] = True
+    if case["strategy"] not in NEEDS_RECHARGE:
+        case["mule_battery"] = float(rng.integers(2_000, 150_001))
+    return case
+
+
 def case_spec(case: dict, *, fast_path: bool = True) -> RunSpec:
     params = {
         "num_targets": case["num_targets"],
@@ -92,7 +106,7 @@ def case_spec(case: dict, *, fast_path: bool = True) -> RunSpec:
         scenario=ScenarioSpec(case["family"], params, seed=case["scenario_seed"]),
         sim=SimulationConfig(
             horizon=case["horizon"],
-            track_energy=False,
+            track_energy=case.get("tracked", False),
             synchronized_start=case["synchronized_start"],
             fast_path=fast_path,
         ),
@@ -100,23 +114,38 @@ def case_spec(case: dict, *, fast_path: bool = True) -> RunSpec:
     )
 
 
-def canonical(record: dict) -> str:
-    return json.dumps(_json_sanitize(record), sort_keys=True)
+def canonical(result: "dict | str") -> str:
+    """Records compare as sorted JSON; a rejection compares by its message."""
+    if isinstance(result, str):
+        return result
+    return json.dumps(_json_sanitize(result), sort_keys=True)
+
+
+def outcome(run) -> "dict | str | None":
+    """What one path returns: a record (``None`` when the batch declines) or its ValueError."""
+    try:
+        return run()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 def run_three_ways(case: dict) -> "tuple[str | None, dict]":
     """Returns ``(mismatch_description | None, path_flags)`` for one case."""
     spec = case_spec(case)
-    batched = batchpath.batch_execute_records([spec])[0]
+    batched = outcome(lambda: batchpath.batch_execute_records([spec])[0])
     with batchpath.batchpath_disabled():
-        scalar = execute_run(spec)
-    event = execute_run(case_spec(case, fast_path=False))
+        scalar = outcome(lambda: execute_run(spec))
+    event = outcome(lambda: execute_run(case_spec(case, fast_path=False)))
     # Scalar-planning leg: clear the tour/plan memos first, else the cached
     # vector-built circuit would be served and the comparison would be vacuous.
     clear_caches()
     with batchpath.batchpath_disabled(), kernels.vector_disabled():
-        scalar_planned = execute_run(spec)
-    flags = {"batched": batched is not None}
+        scalar_planned = outcome(lambda: execute_run(spec))
+    flags = {
+        "batched": isinstance(batched, dict),
+        "declined": batched is None,
+        "died": isinstance(scalar, dict) and scalar["num_dead_mules"] > 0,
+    }
     scalar_c = canonical(scalar)
     event_c = canonical(event)
     if scalar_c != event_c:
@@ -162,27 +191,43 @@ def shrink(case: dict) -> dict:
     return current
 
 
+def agreeing_flags(index: int, case: dict, seed: int) -> dict:
+    """``run_three_ways`` flags for a case, or a failure with its shrunk reproducer."""
+    mismatch, flags = run_three_ways(case)
+    if mismatch is not None:
+        minimal = shrink(case)
+        final, _ = run_three_ways(minimal)
+        pytest.fail(
+            f"case {index} (seed {seed}) diverged.\n"
+            f"original: {json.dumps(case, sort_keys=True)}\n"
+            f"shrunk:   {json.dumps(minimal, sort_keys=True)}\n"
+            f"{final or mismatch}"
+        )
+    return flags
+
+
 class TestDifferentialFuzz:
     def test_three_paths_agree_on_random_specs(self):
         rng = np.random.default_rng(FUZZ_SEED)
         batched_cases = 0
         for index in range(FUZZ_CASES):
-            case = draw_case(rng)
-            mismatch, flags = run_three_ways(case)
-            if mismatch is not None:
-                minimal = shrink(case)
-                final, _ = run_three_ways(minimal)
-                pytest.fail(
-                    f"case {index} (seed {FUZZ_SEED}) diverged.\n"
-                    f"original: {json.dumps(case, sort_keys=True)}\n"
-                    f"shrunk:   {json.dumps(minimal, sort_keys=True)}\n"
-                    f"{final or mismatch}"
-                )
-            batched_cases += flags["batched"]
+            batched_cases += agreeing_flags(index, draw_case(rng), FUZZ_SEED)["batched"]
         # The sweep must actually exercise the tensor pass, not fuzz fallbacks.
         assert batched_cases >= FUZZ_CASES // 4, (
             f"only {batched_cases}/{FUZZ_CASES} cases rode the batch path"
         )
+
+    def test_tracked_batteries_agree_and_stay_off_the_batch(self):
+        seed = FUZZ_SEED + 3
+        rng = np.random.default_rng(seed)
+        deaths = 0
+        for index in range(FUZZ_CASES):
+            case = tracked_case(rng)
+            flags = agreeing_flags(index, case, seed)
+            assert flags["declined"], f"case {index} (seed {seed}) rode the batch: {case}"
+            deaths += flags["died"]
+        # The leg must replay battery deaths, not only full-horizon patrols.
+        assert deaths >= FUZZ_CASES // 4, f"only {deaths}/{FUZZ_CASES} cases had a death"
 
     def test_generator_is_deterministic(self):
         a = [draw_case(np.random.default_rng(7)) for _ in range(5)]
