@@ -6,9 +6,12 @@ cell by cell from Python, and each cell pays a Python heap merge over every
 arrival event plus per-record object materialisation.  For the cells that
 dominate mega-campaigns none of that is needed either:
 
-* without energy-tracked batteries nothing truncates a stream, so a cell's
-  visit log is exactly "every precomputed arrival up to the horizon" — no
-  merge required to *find* the events;
+* mules do not interact, and only a mule's own battery truncates its
+  stream, so a cell's visit log is exactly "every precomputed arrival up to
+  the horizon or the mule's death" — no merge required to *find* the
+  events.  A tracked battery's death comes from a running sum of drains
+  over the mule's own legs (:meth:`~repro.sim.fastpath.LegPattern.battery_stop`),
+  and its row is cut there before the tensor pass;
 * the record's interval metrics consume per-target **sorted** visit times,
   which are order-independent;
 * the only genuinely order-dependent quantities — collection-window packet
@@ -33,7 +36,6 @@ degrades to the per-cell scalar fast path (or the event loop), never to a
 wrong answer:
 
 * the cell's :func:`~repro.sim.fastpath.fast_path_rejection` is ``None``;
-* no energy-tracked batteries (death truncates streams mid-pattern);
 * no ``max_visits`` (a global cut mid-merge is order-dependent);
 * no custom ``spec.metrics`` (extractors receive a full
   :class:`~repro.sim.recorder.SimulationResult`, which the batch never
@@ -41,8 +43,10 @@ wrong answer:
 * every mule's :class:`~repro.sim.fastpath.LegPattern` builds (the scalar
   tier's own leg builder, with a smaller event cap; its dynamic declines
   read ``row-fallback`` here);
-* no duplicate event timestamps, and the lap estimate must clear the
-  horizon (both verified *after* the tensor pass, per row set).
+* no duplicate event timestamps, the lap estimate must clear the horizon,
+  and no tracked battery may hit the 1e-9 m window where the engine clips a
+  leg's drain to an empty battery by the horizon (all verified *after* the
+  tensor pass, per row set).
 
 Toggle with :attr:`repro.sim.engine.SimulationConfig.batch_path` per spec,
 or per process with the ``BATCHPATH`` entry of :mod:`repro.switches`
@@ -90,12 +94,13 @@ _MAX_BLOCK_FLOATS = 8_000_000
 _PLAN_CACHE = ContentCache("batch_plan", maxsize=128)
 
 # Prepared increment rows memoized by (plan key, horizon, synchronized
-# start): everything a row reads — routes, mule velocities and deployment
-# positions, the collection dwell — is a function of that key, so every
-# replication cell of a pinned scenario shares one row set and its cumsum
-# output — or its construction fallback.  Once reduced, the entry becomes
-# the reduction itself (five metrics, or the decline reason), so the cache
-# never keeps cumsum arrays past the calls that are using them.
+# start, battery tracking): everything a row reads — routes, mule velocities,
+# deployment positions and batteries, the collection dwell, the energy costs
+# — is a function of that key, so every replication cell of a pinned
+# scenario shares one row set and its cumsum output — or its construction
+# fallback.  Once reduced, the entry becomes the reduction itself (six
+# metrics, or the decline reason), so the cache never keeps cumsum arrays
+# past the calls that are using them.
 _ROW_CACHE = ContentCache("batch_rows", maxsize=256)
 
 # Bumped by the number of batched cells, once per call: a memoized batched
@@ -119,9 +124,13 @@ class _Row(LegPattern):
 
     ``tidx`` holds each leg's target index; the sink is ``len(targets)``,
     anything else ``-1``.  ``full`` is filled by the stacked cumsum.
+
+    A battery-tracked mule's row ends at its :meth:`~LegPattern.battery_stop`
+    (``stop``): the columns keep exactly the patrol legs the mule completes,
+    so the cut happens before the cumsum and the tiled arrays are freed.
     """
 
-    __slots__ = ("tidx",)
+    __slots__ = ("tidx", "stop")
 
     def __init__(self, sim, mule, route, sync_time: float, node_code, node_tidx) -> None:
         super().__init__(sim, mule, route, sync_time, node_code, _MAX_BATCH_EVENTS)
@@ -129,6 +138,28 @@ class _Row(LegPattern):
         self.tidx = self.tile(np.fromiter(
             (node_tidx.get(n, -1) for n in walk), dtype=np.int32, count=len(walk)
         ))
+        self.stop = None
+        battery = mule.battery
+        if sim.config.track_energy and battery is not None:
+            self.stop = self.battery_stop(battery.remaining, battery.capacity, sim._energy)
+        if self.stop is not None:
+            # A mid-leg death keeps the legs before the fatal one; a dying
+            # collection or a clip keeps the leg it ends (the initial leg
+            # counts in ``leg`` but is no column).
+            keep = max(0, self.stop.leg - self.init_event + (self.stop.kind != "move"))
+            self.codes = self.codes[:keep].copy()
+            self.dists = self.dists[:keep].copy()
+            self.inc = self.inc[:2 * keep].copy()
+            self.tidx = self.tidx[:keep].copy()
+
+    def stop_time(self) -> float:
+        """When ``stop`` strikes: the mid-leg death, or the arrival it ends on."""
+        leg, kind, reachable = self.stop
+        on_init = leg < self.init_event  # the initial leg departs at 0
+        if kind == "move":
+            depart = 0.0 if on_init else float(self.full[-1])
+            return depart + (reachable / self.velocity if self.velocity > 0 else 0.0)
+        return self.init_time if on_init else float(self.full[-2])
 
 
 class _RowSet(list):
@@ -152,10 +183,10 @@ def _reject(reason: str) -> None:
 
     The reason taxonomy is the end-to-end dispatch story ("why is this
     sweep slow"): static spec vetoes (``batch-path-disabled`` /
-    ``max-visits`` / ``custom-metrics`` / ``tracked-energy``), the scalar
-    fast path's own rejection prefixed ``fastpath-``, and the declines
-    memoized per row set — ``row-fallback`` and the post-tensor checks
-    ``lap-estimate`` / ``order-dependent`` — counted once per declined cell.
+    ``max-visits`` / ``custom-metrics``), the scalar fast path's own
+    rejection prefixed ``fastpath-``, and the declines memoized per row set
+    — ``row-fallback`` and the post-tensor checks ``lap-estimate`` /
+    ``battery-clip`` / ``order-dependent`` — counted once per declined cell.
     """
     _obs.inc("batch_dispatch", outcome="scalar", reason=reason)
     return None
@@ -176,8 +207,6 @@ def _prepare_cell(spec) -> "_Cell | None":
     if spec.metrics:
         return _reject("custom-metrics")
     scenario = build_cell_scenario(spec)
-    if cfg.track_energy and any(m.battery is not None for m in scenario.mules):
-        return _reject("tracked-energy")
     params = seeded_params(spec.strategy, spec.params, spec.seed)
     plan_key = (
         spec.strategy,
@@ -194,7 +223,7 @@ def _prepare_cell(spec) -> "_Cell | None":
     if rejection is not None:
         return _reject(f"fastpath-{rejection}")
 
-    row_key = (plan_key, cfg.horizon, cfg.synchronized_start)
+    row_key = (plan_key, cfg.horizon, cfg.synchronized_start, cfg.track_energy)
     rows = _ROW_CACHE.get(row_key)
     if rows is None:
         rows = _build_rows(sim)
@@ -291,7 +320,7 @@ def _ties_are_benign(times_all, codes_all, tidx_all, row_all) -> bool:
 
 
 def _reduce_rows(cell: _Cell) -> "dict | str":
-    """A cumsum'd row set's five record metrics, or why the batch declines it.
+    """A cumsum'd row set's six record metrics, or why the batch declines it.
 
     Everything read here — horizon, target ids and rates, sink, plan, rows —
     is a function of the row key, so cells sharing the row set share this.
@@ -300,6 +329,7 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
     targets = cell.scenario.targets
 
     per_mule_distance: list[float] = []
+    dead_mules = 0
     kept_times: list[np.ndarray] = []
     kept_codes: list[np.ndarray] = []
     kept_tidx: list[np.ndarray] = []
@@ -307,15 +337,25 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
     sink_times_by_row: "dict[int, np.ndarray]" = {}
 
     for row_index, row in enumerate(cell.rows):
-        if not row.reaches(horizon):
+        stop = row.stop
+        # A row cut at its battery stop ends on its own, like a halting walk.
+        if stop is None and not row.reaches(horizon):
             return "lap-estimate"
+        dies = stop is not None and row.stop_time() <= horizon
+        if dies and stop.kind == "clip":
+            return "battery-clip"
         arrivals = row.full[1::2]
         n_keep = int(np.searchsorted(arrivals, horizon, side="right"))
         init_applied = 1 if (row.init_event and row.init_time <= horizon) else 0
+        if dies and stop.leg < row.init_event:
+            init_applied = 0  # died on the way to the start position
         applied = n_keep + init_applied
-        per_mule_distance.append(
-            float(row.distance_prefix()[applied - 1]) if applied else 0.0
-        )
+        distance = float(row.distance_prefix()[applied - 1]) if applied else 0.0
+        if dies:
+            dead_mules += 1
+            if stop.kind == "move":
+                distance += stop.reachable
+        per_mule_distance.append(distance)
         times = arrivals[:n_keep]
         codes = row.codes[:n_keep]
         kept_times.append(times)
@@ -427,6 +467,7 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
         "max_visiting_interval": max_visiting_interval(stub),
         "delivered_data": delivered_data,
         "total_distance": sum(per_mule_distance),
+        "num_dead_mules": dead_mules,
     }
 
 
@@ -465,7 +506,6 @@ def _finish_cell(cell: _Cell) -> "dict | None":
         return _reject(reduced)
     record = _record_head(cell.spec, cell.scenario, cell.plan)
     record.update(reduced)
-    record["num_dead_mules"] = 0
     return record
 
 

@@ -99,7 +99,8 @@ class SimulationConfig:
 class _MuleRuntime:
     """Mutable per-mule simulation state."""
 
-    __slots__ = ("mule", "route", "waypoints", "position", "current_node", "trace", "dead")
+    __slots__ = ("mule", "route", "waypoints", "position", "current_node", "trace", "dead",
+                 "arrivals")
 
     def __init__(self, mule: DataMule, route: MuleRoute) -> None:
         self.mule = mule
@@ -109,6 +110,7 @@ class _MuleRuntime:
         self.current_node: str | None = None
         self.trace = MuleTrace(mule_id=mule.id)
         self.dead = False
+        self.arrivals = 0  # waypoints reached so far: the mule's place on its walk
 
 
 class PatrolSimulator:
@@ -143,8 +145,9 @@ class PatrolSimulator:
         ------
         ValueError
             If a mule's lap advances no time and nothing would stop it — no
-            ``max_visits`` cap and no tracked battery drained by the lap's
-            collections — so the run would never end.
+            ``max_visits`` cap and no tracked battery that the lap's
+            collections empty before a recharge on the lap refills it — so
+            the run would never end.
         """
         if self.config.fast_path:
             from repro.sim.fastpath import run_fast_path
@@ -199,6 +202,7 @@ class PatrolSimulator:
                 # Wait for the slowest mule before the patrol proper begins.
                 self._schedule_next_leg(runtime, max(event.time, sync_time), queue)
             elif event.kind is EventKind.ARRIVAL:
+                runtime.arrivals += 1
                 self._finish_leg(runtime, event)
                 recorded = self._handle_arrival(runtime, event, collection, result)
                 visits_recorded += int(recorded)
@@ -249,19 +253,55 @@ class PatrolSimulator:
         True exactly when every node its route will ever yield sits on one
         point (each leg takes no time, and the walk never halts under the
         duplicate-skip rule), no collection dwell advances time, and no
-        tracked battery is drained by the lap's collections.  The event loop
+        tracked battery runs out on the lap's collections.  The event loop
         would then spin at one instant; it checks this on arrivals that took
         no time.
         """
         lap = _still_lap(runtime.route)
         if runtime.dead or not lap:
             return False
+        if lap.isdisjoint(self._target_ids):
+            return True  # nothing collected: no dwell, no drain
+        if self._params.collection_time > 0.0:
+            return False
+        if not self.config.track_energy or runtime.mule.battery is None:
+            return True
+        return not self._runs_dry(runtime)
+
+    def _runs_dry(self, runtime: _MuleRuntime) -> bool:
+        """Whether a still lap's collections ever empty the mule's tracked battery.
+
+        Without the recharge station on the lap, any collection cost does,
+        and so does an already empty battery.  A loop route through the
+        station refills on every lap, so the battery replays forward from
+        the mule's place on its walk: after a refill inside the cycle the
+        charge repeats every lap, so one lap past that refill decides.  A
+        stochastic route's draws have no lap; any drain counts there.
+        """
+        from repro.sim.fastpath import LegPattern
+
         battery = runtime.mule.battery
-        drains = self.config.track_energy and battery is not None and (
-            self._energy.collect_cost > 0 or battery.depleted
-        )
-        collects = not lap.isdisjoint(self._target_ids)
-        return not collects or not drains and self._params.collection_time <= 0.0
+        cost = self._energy.collect_cost
+        cycle: list[str] = []
+        if type(runtime.route) is not StochasticRoute:
+            walk, cycle_start = LegPattern.walk_of(runtime.route)
+            cycle = walk[cycle_start:]
+        if self._recharge_id not in cycle:
+            return cost > 0 or battery.depleted
+        battery = battery.copy()
+        index, end = runtime.arrivals, None
+        while end is None or index <= end:
+            node = walk[index] if index < len(walk) else cycle[(index - len(walk)) % len(cycle)]
+            if node == self._recharge_id:
+                battery.refill()
+                if end is None and index >= cycle_start:
+                    end = index + len(cycle)
+            elif node in self._target_ids:
+                battery.drain(cost)
+                if battery.depleted:
+                    return True
+            index += 1
+        return False
 
     def _schedule_initial_leg(self, runtime: _MuleRuntime, queue: EventQueue, sync_time: float = 0.0) -> None:
         start = runtime.route.start_position()

@@ -63,6 +63,7 @@ results against the event loop for every eligible strategy family.
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
 import numpy as np
 
@@ -236,6 +237,22 @@ def node_codes(sim) -> "dict[str, int]":
     return codes
 
 
+class BatteryStop(NamedTuple):
+    """Where a tracked battery ends a :class:`LegPattern`.
+
+    ``leg`` counts applied legs, the initial leg first.  ``kind`` is
+    ``"move"`` when the mule cannot cover the leg and dies ``reachable``
+    metres into it, ``"collect"`` when the collection at its end depletes
+    the battery (the visit stands, its packet is never delivered), and
+    ``"clip"`` when the leg's drain exceeds the charge by less than the
+    engine's 1e-9 m tolerance, which the engine clips to an empty battery.
+    """
+
+    leg: int
+    kind: str
+    reachable: float
+
+
 class LegPattern:
     """One mule's legs from deployment to past the horizon, as flat arrays.
 
@@ -257,7 +274,8 @@ class LegPattern:
     bitwise no-op for the non-negative partial sums).  The scalar tier takes
     that sum with :meth:`chain`; the batched tier stacks many patterns of
     one width into a single ``np.cumsum(axis=1)`` and stores each row in
-    ``full``.
+    ``full``.  A battery-tracked mule's scalar stream replays its battery
+    live; the batched tier cuts its legs at :meth:`battery_stop` instead.
 
     Raises :class:`_Fallback` when the route has no precomputable walk, the
     steady-state lap advances no time (the event loop owns that case), or
@@ -267,13 +285,13 @@ class LegPattern:
     __slots__ = (
         "walk", "cycle_start", "laps", "base", "init_event", "init_time",
         "init_dist", "start_point", "codes", "dists", "inc", "full",
-        "_distance_prefix",
+        "velocity", "_distance_prefix",
     )
 
     def __init__(
         self, sim, mule, route: MuleRoute, sync_time: float, node_code, max_events: int
     ) -> None:
-        velocity = mule.velocity
+        self.velocity = velocity = mule.velocity
         position = mule.position
         start = route.start_position()
 
@@ -402,6 +420,59 @@ class LegPattern:
                 dists = np.concatenate(([self.init_dist], dists))
             self._distance_prefix = np.cumsum(dists)
         return self._distance_prefix
+
+    def battery_stop(self, charge: float, capacity: float, energy) -> "BatteryStop | None":
+        """The first applied leg at which a tracked battery ends the patrol.
+
+        Replays the engine's battery bookkeeping over the legs: starting
+        from ``charge``, each applied leg (the initial leg first) drains
+        ``energy.movement_energy`` of its length, each arrival at a plain
+        target drains ``energy.collect_cost`` and each arrival at the
+        recharge station refills to ``capacity``.  The charge before every
+        drain is one ``np.cumsum`` over the negated drains, restarted at
+        each refill; ``x - y == x + (-y)`` in IEEE 754, so every partial sum
+        equals :class:`~repro.energy.battery.Battery`'s ``remaining -=
+        drained`` while no drain is clipped.  ``None`` when the battery
+        outlasts every leg of the pattern.
+        """
+        move_cost = energy.move_cost_per_meter
+        dists = self.dists
+        codes = self.codes
+        if self.init_event:  # the initial leg moves, but visits nothing
+            dists = np.concatenate(([self.init_dist], dists))
+            codes = np.concatenate((np.zeros(1, dtype=codes.dtype), codes))
+        n = len(dists)
+        refills = np.flatnonzero(codes == 3)
+        if self.cycle_start >= 0:
+            # After a refill inside the cycle, legs and charges repeat every
+            # lap: one lap past the first such refill decides the rest.
+            steady = refills[refills >= self.cycle_start + self.init_event]
+            if steady.size:
+                n = min(n, int(steady[0]) + len(self.walk) - self.cycle_start + 1)
+        drains = np.empty(2 * n, dtype=float)
+        drains[0::2] = -(dists[:n] * move_cost)
+        drains[1::2] = np.where(codes[:n] == 1, -energy.collect_cost, 0.0)
+        start, level = 0, charge
+        for end in [*(int(r) + 1 for r in refills if r < n - 1), n]:
+            sums = np.cumsum(np.concatenate(([level], drains[2 * start:2 * end])))
+            before = sums[0:-1:2]  # the charge when each leg departs
+            legs = dists[start:end]
+            # The engine's mid-leg death test, taken at departure.
+            short = (before / move_cost + 1e-9 < legs) if move_cost > 0 else \
+                np.zeros(len(legs), dtype=bool)
+            # A move drain larger than the charge that passed that test (the
+            # 1e-9 m tolerance): Battery.drain clips it, the running sum not.
+            clipped = sums[1::2] < 0.0
+            # A collection that leaves the battery depleted.
+            spent = (codes[start:end] == 1) & (sums[2::2] <= 0.0)
+            hit = short | clipped | spent
+            if hit.any():
+                j = int(np.argmax(hit))
+                if short[j]:
+                    return BatteryStop(start + j, "move", float(before[j]) / move_cost)
+                return BatteryStop(start + j, "clip" if clipped[j] else "collect", 0.0)
+            start, level = end, capacity
+        return None
 
 
 # --------------------------------------------------------------------------- #

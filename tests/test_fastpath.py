@@ -10,15 +10,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
+import numpy as np
 import pytest
 
 from repro.baselines.base import get_strategy
 from repro.core.plan import LoopRoute, PatrolPlan
+from repro.energy.battery import Battery
+from repro.energy.model import EnergyModel
 from repro.runner import Campaign, CampaignSpec, RunSpec
 from repro.scenarios import ScenarioSpec
 from repro.sim.engine import PatrolSimulator, SimulationConfig
-from repro.sim.fastpath import fast_path_eligible, fast_path_rejection, run_fast_path
+from repro.sim.fastpath import (
+    LegPattern, fast_path_eligible, fast_path_rejection, run_fast_path,
+)
 
 FAST = SimulationConfig(horizon=15_000.0, track_energy=False)
 SLOW = dataclasses.replace(FAST, fast_path=False)
@@ -101,6 +107,59 @@ class TestByteIdenticalResults:
             result = PatrolSimulator(scen, plan, cfg).run()
             assert len(result.visits) == 1
             assert result.visits[0].node_id == target.id
+
+
+def replayed_stop(charge, capacity, energy, dists, codes):
+    """The engine's battery bookkeeping, leg by leg: the reference for ``battery_stop``."""
+    battery = Battery(capacity, remaining=charge)
+    move_cost = energy.move_cost_per_meter
+    for leg, (dist, code) in enumerate(zip(dists, codes)):
+        if move_cost > 0 and battery.remaining / move_cost + 1e-9 < dist:
+            return leg, "move", battery.remaining / move_cost
+        if energy.movement_energy(dist) > battery.remaining:
+            return leg, "clip", 0.0
+        battery.drain(energy.movement_energy(dist))
+        if code == 1:
+            battery.drain(energy.collect_cost)
+            if battery.depleted:
+                return leg, "collect", 0.0
+        elif code == 3:
+            battery.refill()
+    return None
+
+
+class TestBatteryStop:
+    def test_running_sum_matches_the_sequential_replay(self):
+        # Random walks tiled like LegPattern tiles them (the cycle's first leg
+        # differs in the copies), with zero-length legs, zero costs, empty
+        # and full batteries; the replay scans every tiled leg, so the
+        # one-lap-past-a-refill shortcut is checked as well.
+        rng = random.Random(20261017)
+        for _ in range(2000):
+            size = rng.randint(1, 12)
+            cycle_start = rng.randint(-1, size - 1)
+            laps = rng.randint(0, 6) if cycle_start >= 0 else 0
+            walk_dists = [rng.choice([0.0, rng.uniform(0.0, 40.0)]) for _ in range(size)]
+            walk_codes = [rng.choice([0, 1, 1, 2, 3]) for _ in range(size)]
+            pattern = LegPattern.__new__(LegPattern)
+            pattern.walk, pattern.cycle_start = [None] * size, cycle_start
+            pattern.init_event = rng.random() < 0.3
+            pattern.init_dist = rng.uniform(0.0, 50.0)
+            dists, codes = list(walk_dists), list(walk_codes)
+            if laps:
+                cycle = [rng.uniform(0.0, 40.0)] + walk_dists[cycle_start + 1:]
+                dists += cycle * laps
+                codes += walk_codes[cycle_start:] * laps
+            pattern.dists = np.array(dists)
+            pattern.codes = np.array(codes, dtype=np.int8)
+            energy = EnergyModel(rng.choice([0.0, 1.0, 8.267]), rng.choice([0.0, 0.075, 3.0]))
+            capacity = rng.uniform(1.0, 400.0)
+            charge = rng.choice([capacity, rng.uniform(0.0, capacity), 0.0])
+            stop = pattern.battery_stop(charge, capacity, energy)
+            if pattern.init_event:
+                dists, codes = [pattern.init_dist] + dists, [0] + codes
+            assert (stop and tuple(stop)) == replayed_stop(charge, capacity, energy,
+                                                           dists, codes)
 
 
 class TestEligibility:

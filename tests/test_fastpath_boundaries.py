@@ -17,11 +17,14 @@ g1 is visited at t = 50, g2 at t = 100, the sink flush lands at t = 200
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,14 +51,14 @@ SLOW = dataclasses.replace(FAST, fast_path=False)
 
 
 def line_scenario(*, battery=None, with_recharge=False, collection_time=0.0,
-                  rates=(1.0, 1.0), velocities=(2.0,), g2_x=200.0):
+                  rates=(1.0, 1.0), velocities=(2.0,), g2_x=200.0, recharge_x=150.0):
     params = SimulationParameters(collection_time=collection_time)
     targets = [
         Target("g1", Point(100.0, 0.0), data_rate=rates[0]),
         Target("g2", Point(g2_x, 0.0), data_rate=rates[1]),
     ]
     sink = Sink("sink", Point(0.0, 0.0))
-    recharge = RechargeStation("recharge", Point(150.0, 0.0)) if with_recharge else None
+    recharge = RechargeStation("recharge", Point(recharge_x, 0.0)) if with_recharge else None
     mules = [
         DataMule(f"m{i + 1}", sink.position, velocity=v,
                  battery=battery() if battery else None)
@@ -66,14 +69,17 @@ def line_scenario(*, battery=None, with_recharge=False, collection_time=0.0,
                     name="line")
 
 
-def loop_plan(scenario, *, loops=None):
+def loop_plan(scenario, *, loops=None, entry=0):
+    """Each mule's loop; a nonzero ``entry`` first drives it to ``loop[entry]``."""
     coords = scenario.patrol_points(
         include_recharge=scenario.recharge_station is not None
     )
     loops = loops or {m.id: ["sink", "g1", "g2"] for m in scenario.mules}
     return PatrolPlan(
         strategy="manual",
-        routes={mid: LoopRoute(mid, loop, coords) for mid, loop in loops.items()},
+        routes={mid: LoopRoute(mid, loop, coords, entry_index=entry,
+                               start=coords[loop[entry]] if entry else None)
+                for mid, loop in loops.items()},
     )
 
 
@@ -87,6 +93,50 @@ def run_both(scenario_factory, plan_factory, *, fast_cfg=FAST, slow_cfg=SLOW):
 
 def canonical(record: dict) -> str:
     return json.dumps(_json_sanitize(record), sort_keys=True)
+
+
+def assert_batched_agrees(spec) -> dict:
+    """``spec``'s batched record, which must equal its scalar and event-loop records."""
+    clear_caches()
+    batched = batchpath.batch_execute_records([spec])[0]
+    assert batched is not None, "the batch declined the cell"
+    with batchpath.batchpath_disabled():
+        scalar = execute_run(spec)
+    event = execute_run(dataclasses.replace(
+        spec, sim=dataclasses.replace(spec.sim, fast_path=False)
+    ))
+    assert json.dumps(batched) == json.dumps(scalar)  # key order included
+    assert canonical(scalar) == canonical(event)
+    return batched
+
+
+@pytest.fixture
+def line_entries(monkeypatch):
+    """The line scenario and its loop as registry entries, so a RunSpec can name them.
+
+    Family ``line`` builds the one-mule line scenario with a 1000 J battery
+    charged to ``remaining``; strategy ``line-loop`` plans the sink -> g1 -> g2
+    loop (:func:`loop_plan`, ``entry`` included).  Both go into copies of the
+    registries, gone after the test.
+    """
+    from repro.baselines import base
+    from repro.registry import Loader, Registry
+    from repro.scenarios import registry
+
+    registry.available_scenario_families()  # copy the loaded built-ins
+    monkeypatch.setattr(registry, "SCENARIOS", copy.deepcopy(registry.SCENARIOS))
+    live = base.STRATEGIES
+    monkeypatch.setattr(base, "STRATEGIES",
+                        Registry(live.noun, Loader(live.loader.load), info_type=live.info_type))
+
+    def line(*, seed: int = 0, remaining: float = 1000.0):
+        return line_scenario(battery=lambda: Battery(1000.0, remaining=remaining))
+
+    registry.register_scenario("line", line)
+    base.register_strategy(
+        "line-loop",
+        lambda entry=0: SimpleNamespace(plan=lambda scenario: loop_plan(scenario, entry=entry)),
+    )
 
 
 class TestScalarRejections:
@@ -142,16 +192,18 @@ class TestScalarRejections:
 class TestBatchFallbacks:
     """Cells the batch declines must land on the per-cell answer, not near it."""
 
-    def _spec(self, *, strategy="b-tctp", sim=None, seed=1, **kwargs):
+    def _spec(self, *, strategy="b-tctp", sim=None, seed=1, scenario=None, **kwargs):
         sim_fields = {"horizon": 5_000.0, "track_energy": False}
         sim_fields.update(sim or {})
-        return RunSpec(
-            strategy=strategy,
-            scenario=ScenarioSpec(
+        if scenario is None:
+            scenario = ScenarioSpec(
                 "uniform",
                 {"num_targets": 8, "num_mules": 2, **kwargs.pop("params", {})},
                 seed=5,
-            ),
+            )
+        return RunSpec(
+            strategy=strategy,
+            scenario=scenario,
             sim=SimulationConfig(**sim_fields),
             seed=seed,
             **kwargs,
@@ -183,12 +235,53 @@ class TestBatchFallbacks:
         )
         assert result.total_delivered_data() == pytest.approx(150.0)
 
-    def test_tracked_battery_cell_falls_back(self):
+    def test_tracked_battery_cell_rides_the_batch(self):
+        # RW-TCTP on 60,000 J batteries: two patrol rounds per recharge lap,
+        # two refills per mule by the horizon, and no mule dies.
         spec = self._spec(
+            strategy="rw-tctp",
             sim={"track_energy": True},
-            params={"mule_battery": 500_000.0, "with_recharge_station": True},
+            params={"mule_battery": 60_000.0, "with_recharge_station": True},
         )
-        self._assert_falls_back_but_agrees(spec)
+        assert assert_batched_agrees(spec)["num_dead_mules"] == 0
+
+    @pytest.mark.usefixtures("line_entries")
+    @pytest.mark.parametrize("remaining, entry, distance, visits", [
+        # 500 J covers 500 / 8.267 m of the 100 m leg to g1: a mid-leg death,
+        # after the standing-start sink visit.
+        (500.0, 0, 500.0 / 8.267, ["sink"]),
+        # The same, on the initial leg to a start position at g1: no visit.
+        (500.0, 1, 500.0 / 8.267, []),
+        # 0.05 J is left at g1, and its collection empties the battery: the
+        # visit stands, and its packet never reaches the sink.
+        (100 * 8.267 + 0.05, 0, 100.0, ["sink", "g1"]),
+    ], ids=["mid-leg", "initial-leg", "at-collection"])
+    def test_battery_death_on_the_line_rides_the_batch(self, remaining, entry, distance,
+                                                        visits):
+        spec = self._spec(strategy="line-loop", params={"entry": entry},
+                          sim={"track_energy": True},
+                          scenario=ScenarioSpec("line", {"remaining": remaining}))
+        record = assert_batched_agrees(spec)
+        assert record["num_dead_mules"] == 1
+        assert record["total_distance"] == pytest.approx(distance)
+        assert record["delivered_data"] == 0
+        scenario = spec.scenario.build(spec.seed)
+        result = PatrolSimulator(scenario, loop_plan(scenario, entry=entry), spec.sim).run()
+        assert [v.node_id for v in result.visits] == visits
+
+    def test_track_energy_is_part_of_the_row_key(self):
+        # One layout, tracked and untracked, in one call: the tracked mules
+        # die, so a row set shared across the switch would be wrong for one.
+        specs = [
+            self._spec(sim={"track_energy": tracked}, params={"mule_battery": 20_000.0})
+            for tracked in (True, False)
+        ]
+        clear_caches()
+        records = batchpath.batch_execute_records(specs)
+        with batchpath.batchpath_disabled():
+            expected = [execute_run(spec) for spec in specs]
+        assert [r["num_dead_mules"] for r in expected] == [2, 0]
+        assert [canonical(r) for r in records] == [canonical(r) for r in expected]
 
     def test_custom_metrics_cell_falls_back(self):
         spec = self._spec(metrics=["path_length"])
@@ -238,11 +331,20 @@ class TestBatchFallbacks:
     FASTPATH = {"outcome": "fastpath"}
     DYNAMIC = {"outcome": "event-loop", "reason": "dynamic-fallback"}
 
+    # A ``None`` reason is a cell that rides the batch: one batched dispatch,
+    # no simulator run.
+    @pytest.mark.usefixtures("line_entries")
     @pytest.mark.parametrize("spec_kwargs, patch, reason, sim_labels", [
         ({"strategy": "chb"}, None, "order-dependent", FASTPATH),  # simultaneous sink flushes
         ({"sim": {"track_energy": True},
           "params": {"mule_battery": 500_000.0, "with_recharge_station": True}},
-         None, "tracked-energy", FASTPATH),
+         None, None, None),
+        # The clip window: the 100 m leg to g1 passes the engine's mid-leg
+        # test by less than its 1e-9 m tolerance, so Battery.drain clips the
+        # drain to an empty battery and the mule dies collecting at g1.
+        ({"strategy": "line-loop", "sim": {"track_energy": True},
+          "scenario": ScenarioSpec("line", {"remaining": 100 * 8.267 - 5e-9})},
+         None, "battery-clip", FASTPATH),
         ({"metrics": ["path_length"]}, None, "custom-metrics", FASTPATH),
         ({"strategy": "random"}, None, "fastpath-route-class",
          {"outcome": "event-loop", "reason": "route-class"}),
@@ -253,10 +355,10 @@ class TestBatchFallbacks:
          DYNAMIC),
         ({"sim": {"batch_path": False}}, (fastpath, "_MAX_EVENTS_PER_MULE", 1),
          "batch-path-disabled", DYNAMIC),
-    ], ids=["chb", "tracked-energy", "custom-metrics", "random", "batch-event-cap",
-            "lap-estimate", "scalar-event-cap"])
+    ], ids=["chb", "tracked-battery", "battery-clip", "custom-metrics", "random",
+            "batch-event-cap", "lap-estimate", "scalar-event-cap"])
     def test_declined_single_cell_counts_one_scalar_dispatch(
-        self, monkeypatch, spec_kwargs, patch, reason, sim_labels
+        self, spec_kwargs, patch, reason, sim_labels
     ):
         spec = self._spec(**spec_kwargs)
         event = execute_run(dataclasses.replace(
@@ -265,21 +367,23 @@ class TestBatchFallbacks:
         # A memoised reduction would hide a forced decline, and a memoised
         # decline must not outlive the patch.
         clear_caches()
-        if patch is not None:
-            monkeypatch.setattr(*patch)
         try:
-            with obs.obs_collected(enabled=True) as window:
-                record = execute_run(spec)
-                snapshot = window.snapshot()
+            with pytest.MonkeyPatch.context() as patcher:
+                if patch is not None:
+                    patcher.setattr(*patch)
+                with obs.obs_collected(enabled=True) as window:
+                    record = execute_run(spec)
+                    snapshot = window.snapshot()
         finally:
-            monkeypatch.undo()
             clear_caches()
         counters = [(c["name"], c["labels"], c["value"]) for c in snapshot["counters"]
                     if c["name"] in ("batch_dispatch", "sim_dispatch")]
+        batch = {"outcome": "batch"} if reason is None else \
+            {"outcome": "scalar", "reason": reason}
         assert [(n, labels, v) for n, labels, v in counters if n == "batch_dispatch"] \
-            == [("batch_dispatch", {"outcome": "scalar", "reason": reason}, 1)]
+            == [("batch_dispatch", batch, 1)]
         assert [(labels, v) for n, labels, v in counters if n == "sim_dispatch"] \
-            == [(sim_labels, 1)]
+            == ([] if sim_labels is None else [(sim_labels, 1)])
         assert canonical(record) == canonical(event)
         with batchpath.batchpath_disabled():
             assert canonical(record) == canonical(execute_run(spec))
@@ -381,19 +485,20 @@ class TestPerEntityConfigAudit:
         assert fast == slow
 
     def test_batch_respects_per_mule_batteries(self):
-        """Any mule with a battery under track_energy sends the cell back."""
+        """Each mule's tracked battery ends its own row, at its own time."""
         spec = RunSpec(
             strategy="b-tctp",
             scenario=ScenarioSpec(
                 "uniform",
-                {"num_targets": 8, "num_mules": 3, "mule_battery": 400_000.0,
+                {"num_targets": 8, "num_mules": 3, "mule_battery": 30_000.0,
                  "with_recharge_station": True},
                 seed=5,
             ),
             sim=SimulationConfig(horizon=5_000.0, track_energy=True),
             seed=1,
         )
-        assert batchpath.batch_execute_records([spec]) == [None]
+        record = assert_batched_agrees(spec)
+        assert record["num_dead_mules"] == 3
 
 
 # --------------------------------------------------------------------------- #
@@ -411,24 +516,65 @@ def coincident_pairs_scenario(num_pairs: int):
                     params=SimulationParameters(), name="pairs")
 
 
+def still_recharge_lap(battery):
+    """g1, g2 and the recharge station all at (100, 0); one tracked mule from the sink."""
+    return (
+        lambda: line_scenario(g2_x=100.0, with_recharge=True, recharge_x=100.0,
+                              battery=lambda: Battery(battery)),
+        lambda scenario: loop_plan(scenario, loops={"m1": ["g1", "g2", "recharge"]}),
+    )
+
+
 def endless_runs():
     """``(name, run)`` for each reproducer whose run would never end."""
     reproducers = {
         "line": (lambda: line_scenario(g2_x=100.0),
-                 lambda scenario: loop_plan(scenario, loops={"m1": ["g1", "g2"]})),
+                 lambda scenario: loop_plan(scenario, loops={"m1": ["g1", "g2"]}), {}),
         "sweep": (lambda: coincident_pairs_scenario(2),
-                  get_strategy("sweep", include_sink_in_groups=False).plan),
+                  get_strategy("sweep", include_sink_in_groups=False).plan, {}),
         "random": (lambda: coincident_pairs_scenario(1),
-                   get_strategy("random", include_sink=False, seed=3).plan),
+                   get_strategy("random", include_sink=False, seed=3).plan, {}),
+        # Each lap drains 0.15 J collecting and refills at the station.
+        "recharge": (*still_recharge_lap(1000.0), {"track_energy": True}),
     }
     for tier, fast_path in (("fast", True), ("slow", False)):
-        cfg = dataclasses.replace(FAST, fast_path=fast_path)
-        for name, (build, plan) in reproducers.items():
+        for name, (build, plan, changes) in reproducers.items():
+            cfg = dataclasses.replace(FAST, fast_path=fast_path, **changes)
+
             def run(build=build, plan=plan, cfg=cfg):
                 scenario = build()
                 PatrolSimulator(scenario, plan(scenario), cfg).run()
 
             yield f"{name}-{tier}", run
+
+
+def station_laps(count=40, seed=20261017):
+    """Seeded still laps through the station, as ``(capacity, remaining, loop)``.
+
+    Each charge lasts at most six 0.075 J collections, so a mule either runs
+    dry within two laps of its first refill or never does.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        loop = [f"g{k}" for k in range(1, rng.randint(1, 3) + 1)]
+        loop += ["recharge"] * rng.randint(1, 2)
+        rng.shuffle(loop)
+        capacity = rng.uniform(0.05, 0.5)
+        yield capacity, rng.uniform(0.0, capacity), loop
+
+
+def run_station_lap(capacity, remaining, loop, **cfg_changes):
+    """One tracked mule looping ``loop`` where three targets and the station share (100, 0)."""
+    point = Point(100.0, 0.0)
+    scenario = Scenario(
+        targets=[Target(f"g{k}", point) for k in (1, 2, 3)],
+        sink=Sink("sink", Point(0.0, 0.0)),
+        mules=[DataMule("m1", point, battery=Battery(capacity, remaining=remaining))],
+        recharge_station=RechargeStation("recharge", point),
+        field=Field(), params=SimulationParameters(), name="station",
+    )
+    cfg = dataclasses.replace(FAST, track_energy=True, **cfg_changes)
+    return PatrolSimulator(scenario, loop_plan(scenario, loops={"m1": loop}), cfg).run()
 
 
 _ENDLESS_CHILD = """
@@ -443,6 +589,31 @@ for name, run in endless_runs():
         print(name, exc, flush=True)
 """
 
+_STATION_CHILD = """
+import sys
+sys.path[:0] = {paths!r}
+from test_fastpath_boundaries import run_station_lap, station_laps
+for case in station_laps():
+    try:
+        result = run_station_lap(*case)
+        print(len(result.visits), result.traces["m1"].death_time, flush=True)
+    except ValueError as exc:
+        print(exc, flush=True)
+"""
+
+
+def child_lines(template: str) -> "list[str]":
+    """Stdout lines of ``template`` run in a fresh interpreter with a 30 s deadline.
+
+    A regression spins forever, so such runs go to a child.
+    """
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = template.format(paths=[tests, os.path.join(os.path.dirname(tests), "src")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
 
 class TestZeroLengthLap:
     """A lap whose legs all have length 0 never advances time.
@@ -450,37 +621,58 @@ class TestZeroLengthLap:
     With g2 moved onto g1 at (100, 0), the mule reaches g1 at t = 50 and then
     alternates g1 -> g2 at t = 50 forever.  The event loop, which every tier
     falls back to, refuses such a run; every run that ends stays as it was.
+    A tracked battery ends the run only if the collections empty it before
+    a recharge station on the lap refills it.
     """
 
     def test_endless_runs_raise_instead_of_hanging(self):
-        # A regression spins forever, so the runs go to a child with a deadline.
-        tests = os.path.dirname(os.path.abspath(__file__))
-        code = _ENDLESS_CHILD.format(paths=[tests, os.path.join(os.path.dirname(tests), "src")])
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=30)
-        assert done.returncode == 0, done.stderr
-        lines = done.stdout.splitlines()
+        lines = child_lines(_ENDLESS_CHILD)
         assert [line.split()[0] for line in lines] == [
             f"{name}-{tier}" for tier in ("fast", "slow")
-            for name in ("line", "sweep", "random")
+            for name in ("line", "sweep", "random", "recharge")
         ]
         for line in lines:
             mules = "['m1', 'm2']" if line.startswith("sweep") else "['m1']"
             assert f"zero-length lap: mules {mules} keep revisiting one point" in line
 
-    @pytest.mark.parametrize("scenario_kwargs, cfg_changes, visits, last, death, dispatch", [
-        ({}, {"max_visits": 1000}, 1000, 50.0, None, "dynamic-fallback"),
-        ({"battery": lambda: Battery(1000.0)}, {"track_energy": True},
-         2311, 50.0, 50.0, "dynamic-fallback"),
-        ({"collection_time": 5.0}, {}, 91, 500.0, None, None),
-    ], ids=["max-visits", "tracked-battery", "dwell"])
+    def test_seeded_station_laps_end_exactly_when_the_battery_runs_dry(self):
+        # The oracle is a run capped at 60 target visits, twenty laps or
+        # more: a mule still alive then never runs dry, so its uncapped run
+        # must raise, and one that died must end the same way uncapped.
+        expected = []
+        for case in station_laps():
+            capped = run_station_lap(*case, max_visits=60)
+            death = capped.traces["m1"].death_time
+            expected.append("raises" if death is None else f"{len(capped.visits)} {death}")
+        assert 0 < expected.count("raises") < len(expected)
+        lines = child_lines(_STATION_CHILD)
+        assert ["raises" if line.startswith("zero-length lap: mules ['m1']") else line
+                for line in lines] == expected
+
+    STILL = (lambda: line_scenario(g2_x=100.0),
+             lambda scenario: loop_plan(scenario, loops={"m1": ["g1", "g2"]}))
+
+    @pytest.mark.parametrize("layout, cfg_changes, visits, last, death, dispatch", [
+        (STILL, {"max_visits": 1000}, 1000, 50.0, None, "dynamic-fallback"),
+        ((lambda: line_scenario(g2_x=100.0, battery=lambda: Battery(1000.0)), STILL[1]),
+         {"track_energy": True}, 2311, 50.0, 50.0, "dynamic-fallback"),
+        ((lambda: line_scenario(g2_x=100.0, collection_time=5.0), STILL[1]),
+         {}, 91, 500.0, None, None),
+        # 0.1 J is left at g1 after the 826.7 J leg: 0.025 J after its
+        # collection, so the mule dies collecting at g2, before the station.
+        (still_recharge_lap(826.8), {"track_energy": True}, 2, 50.0, 50.0,
+         "dynamic-fallback"),
+        # 0.05 J is left at g1, and its collection empties the battery.
+        (still_recharge_lap(826.75), {"track_energy": True}, 1, 50.0, 50.0,
+         "dynamic-fallback"),
+    ], ids=["max-visits", "tracked-battery", "dwell", "recharge-lap-dies-at-g2",
+            "recharge-lap-dies-at-g1"])
     def test_runs_that_end_are_unchanged(
-        self, scenario_kwargs, cfg_changes, visits, last, death, dispatch
+        self, layout, cfg_changes, visits, last, death, dispatch
     ):
         with obs.obs_collected(enabled=True) as window:
             fast, slow = run_both(
-                lambda: line_scenario(g2_x=100.0, **scenario_kwargs),
-                lambda scenario: loop_plan(scenario, loops={"m1": ["g1", "g2"]}),
+                *layout,
                 fast_cfg=dataclasses.replace(FAST, **cfg_changes),
                 slow_cfg=dataclasses.replace(SLOW, **cfg_changes),
             )
