@@ -44,6 +44,8 @@ def next_edge_by_angle(
     """
     if not available:
         raise ValueError("no available edges to choose from")
+    if len(available) == 1:  # every NTP step: nothing to rank
+        return available[0]
     cur_pt = structure.point(current)
 
     def sort_key(item: tuple[NodeId, int]) -> tuple[float, str, int]:

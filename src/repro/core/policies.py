@@ -16,7 +16,11 @@ both break points to the VIP.  Two policies choose the break edges:
 from __future__ import annotations
 
 import abc
+import itertools
+import math
 from typing import Hashable, Sequence
+
+import numpy as np
 
 from repro.geometry.point import distance
 from repro.graphs.multitour import MultiTour
@@ -104,10 +108,11 @@ class BalancingLengthPolicy(BreakEdgePolicy):
             return
         walk = structure.euler_circuit(start=vip)  # closed: walk[0] == walk[-1] == vip
         edges = list(zip(walk[:-1], walk[1:]))
-        # Cumulative length up to the *start* of each walk edge.
-        cumulative = [0.0]
-        for a, b in edges:
-            cumulative.append(cumulative[-1] + structure.edge_length(a, b))
+        # edge_length()'s math.hypot, bit for bit, without a call per edge
+        points = [structure.point(n) for n in walk]
+        lengths = [math.hypot(a.x - b.x, a.y - b.y) for a, b in zip(points, points[1:])]
+        # Cumulative length up to the *start* of each walk edge, added in order.
+        cumulative = list(itertools.accumulate(lengths, initial=0.0))
         total = cumulative[-1]
         if total <= 0:
             raise ValueError("cannot balance a zero-length structure")
@@ -135,19 +140,21 @@ class BalancingLengthPolicy(BreakEdgePolicy):
         total: float,
         weight: int,
     ) -> list[int]:
-        """Greedy: for each ideal mark pick the nearest still-unused eligible edge."""
+        """Greedy: for each ideal mark pick the nearest still-unused eligible edge.
+
+        ``argmin`` keeps the first of equal distances, in eligible order.
+        """
         l_avg = total / weight
+        free = np.asarray(eligible)
+        cum = np.asarray(cumulative)
+        # midpoint of each edge is its representative position on the circuit
+        mid = 0.5 * (cum[free] + cum[free + 1])
         chosen: list[int] = []
-        used: set[int] = set()
         for k in range(1, weight):
-            mark = k * l_avg
-            # midpoint of each edge is its representative position on the circuit
-            best = min(
-                (i for i in eligible if i not in used),
-                key=lambda i: abs(0.5 * (cumulative[i] + cumulative[i + 1]) - mark),
-            )
-            chosen.append(best)
-            used.add(best)
+            best = int(np.argmin(np.abs(mid - k * l_avg)))
+            chosen.append(int(free[best]))
+            free = np.delete(free, best)
+            mid = np.delete(mid, best)
         return chosen
 
     def _imbalance(

@@ -16,10 +16,32 @@ from repro.geometry.point import Point, as_array
 
 __all__ = ["convex_hull_indices", "convex_hull", "point_in_hull"]
 
+# Shewchuk's orient2d error bound ccwerrboundA, with epsilon = 2**-53.
+_ORIENT_BOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
 
 def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Z-component of the cross product (OA × OB)."""
     return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
+
+
+def _orientation(o: Sequence[float], a: Sequence[float], b: Sequence[float]) -> float:
+    """A number with the exact sign of the cross product (OA × OB).
+
+    The float determinant is returned when it clears the forward error bound;
+    otherwise the sign is decided exactly in rationals.
+    """
+    detleft = (a[0] - o[0]) * (b[1] - o[1])
+    detright = (a[1] - o[1]) * (b[0] - o[0])
+    det = detleft - detright
+    if abs(det) >= _ORIENT_BOUND * (abs(detleft) + abs(detright)):
+        return det
+    # Imported on first use: the branch is rare, and fractions loads decimal.
+    from fractions import Fraction
+
+    ox, oy, ax, ay, bx, by = map(Fraction, (o[0], o[1], a[0], a[1], b[0], b[1]))
+    exact = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+    return float((exact > 0) - (exact < 0))
 
 
 def convex_hull_indices(points: Sequence) -> list[int]:
@@ -54,12 +76,14 @@ def convex_hull_indices(points: Sequence) -> list[int]:
     if len(unique) == 2:
         return unique
 
-    pts = arr[unique]
+    pts = arr[unique].tolist()
 
     def half_hull(indices_range) -> list[int]:
+        # An exact orientation keeps both chains consistent; a float one can
+        # put a near-collinear point on both and repeat it in the hull.
         hull: list[int] = []
         for i in indices_range:
-            while len(hull) >= 2 and _cross(pts[hull[-2]], pts[hull[-1]], pts[i]) <= 0:
+            while len(hull) >= 2 and _orientation(pts[hull[-2]], pts[hull[-1]], pts[i]) <= 0:
                 hull.pop()
             hull.append(i)
         return hull

@@ -56,6 +56,10 @@ class MultiTour:
         # (the balancing policy evaluates candidate structures repeatedly) are
         # free and byte-identical to recomputation.
         self._length_memo: float | None = None
+        # Lazy is_eulerian() memo.  add_edge/remove_edge clear it; break_edge
+        # keeps a True (see there), so a WPP built by w - 1 cycle
+        # constructions per VIP runs one connectivity BFS, not one per VIP.
+        self._eulerian_memo: bool | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -74,6 +78,7 @@ class MultiTour:
         other._adj = {n: list(neigh) for n, neigh in self._adj.items()}
         other._next_key = self._next_key
         other._length_memo = self._length_memo
+        other._eulerian_memo = self._eulerian_memo
         return other
 
     # ------------------------------------------------------------------ #
@@ -94,7 +99,10 @@ class MultiTour:
         return dict(self._coords)
 
     def add_node(self, node: NodeId, point: Point) -> None:
-        """Add an isolated node (used when inserting the recharge station)."""
+        """Add an isolated node (used when inserting the recharge station).
+
+        An isolated node takes no part in :meth:`is_eulerian`, so its memo stays.
+        """
         if node in self._coords:
             raise ValueError(f"node {node!r} already present")
         self._coords[node] = as_point(point)
@@ -114,6 +122,7 @@ class MultiTour:
         self._adj[u].append((v, key))
         self._adj[v].append((u, key))
         self._length_memo = None
+        self._eulerian_memo = None
         return key
 
     def remove_edge(self, u: NodeId, v: NodeId, key: int | None = None) -> None:
@@ -125,6 +134,7 @@ class MultiTour:
         self._adj[u].remove((v, k))
         self._adj[v].remove((u, k))
         self._length_memo = None
+        self._eulerian_memo = None
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return any(n == v for (n, _k) in self._adj.get(u, []))
@@ -135,11 +145,19 @@ class MultiTour:
         Removes the break edge ``(u, v)`` and connects both break points to the
         VIP ``hub``, creating one additional cycle through ``hub``.  Returns
         the keys of the two new chord edges.
+
+        An Eulerian structure stays Eulerian: ``u`` and ``v`` keep their
+        degree, ``hub`` gains two, and the chords join ``u`` and ``v``
+        through ``hub`` (an isolated ``hub`` joins the walk there).
         """
         if hub in (u, v):
             raise ValueError("the break edge must not be incident to the hub VIP")
+        eulerian = self._eulerian_memo
         self.remove_edge(u, v, key)
-        return self.add_edge(u, hub), self.add_edge(v, hub)
+        keys = self.add_edge(u, hub), self.add_edge(v, hub)
+        if eulerian:
+            self._eulerian_memo = True
+        return keys
 
     # ------------------------------------------------------------------ #
     # Structure queries
@@ -200,7 +218,11 @@ class MultiTour:
 
     def is_eulerian(self) -> bool:
         """True when a single closed walk can traverse every edge exactly once."""
-        return self.is_connected() and all(self.degree(n) % 2 == 0 for n in self._coords if self._adj[n])
+        if self._eulerian_memo is None:
+            self._eulerian_memo = self.is_connected() and all(
+                self.degree(n) % 2 == 0 for n in self._coords if self._adj[n]
+            )
+        return self._eulerian_memo
 
     # ------------------------------------------------------------------ #
     # Walk extraction
@@ -227,28 +249,21 @@ class MultiTour:
         remaining: dict[NodeId, list[tuple[NodeId, int]]] = {
             n: list(neigh) for n, neigh in self._adj.items()
         }
-        used: set[int] = set()
-
-        def next_unused(node: NodeId) -> tuple[NodeId, int] | None:
-            while remaining[node]:
-                v, k = remaining[node][-1]
-                if k in used:
-                    remaining[node].pop()
-                    continue
-                return v, k
-            return None
-
+        # An edge leaves its own end of the walk when taken; its twin in the
+        # other endpoint's list is skipped when it surfaces there.
+        used = bytearray(self._next_key)
         stack: list[NodeId] = [start]
         circuit: list[NodeId] = []
         while stack:
-            node = stack[-1]
-            nxt = next_unused(node)
-            if nxt is None:
-                circuit.append(stack.pop())
-            else:
-                v, k = nxt
-                used.add(k)
+            neigh = remaining[stack[-1]]
+            while neigh and used[neigh[-1][1]]:
+                neigh.pop()
+            if neigh:
+                v, k = neigh.pop()
+                used[k] = 1
                 stack.append(v)
+            else:
+                circuit.append(stack.pop())
         circuit.reverse()
         return circuit
 
@@ -271,24 +286,39 @@ class MultiTour:
         """
         if walk is None:
             walk = self.euler_circuit(start=hub)
+        return self.cycles_by_hub([hub], walk)[hub]
+
+    def cycles_by_hub(
+        self, hubs: Sequence[NodeId], walk: Sequence[NodeId]
+    ) -> dict[NodeId, list[CycleInfo]]:
+        """:meth:`cycles_at` for every hub in ``hubs`` on one walk.
+
+        Each walk edge is measured once; a cycle's length is the built-in
+        ``sum`` of its edges in walk order, as :meth:`walk_length` sums them.
+        """
         walk = list(walk)
-        if walk and walk[0] == walk[-1]:
-            closed = walk[:-1]
-        else:
-            closed = walk
-        if hub not in closed:
-            return []
-        # rotate so the walk starts at the hub
-        first = closed.index(hub)
-        rotated = closed[first:] + closed[:first]
-        positions = [i for i, n in enumerate(rotated) if n == hub]
-        cycles: list[CycleInfo] = []
-        for idx, pos in enumerate(positions):
-            end = positions[idx + 1] if idx + 1 < len(positions) else len(rotated)
-            segment = rotated[pos:end] + [hub]
-            length = self.walk_length(segment)
-            cycles.append(CycleInfo(hub, tuple(segment), length))
-        return cycles
+        closed = walk[:-1] if walk and walk[0] == walk[-1] else walk
+        coords = self._coords
+        # edge i runs from closed[i] to closed[i + 1], wrapping at the end
+        lengths = [
+            distance(coords[a], coords[b]) for a, b in zip(closed, closed[1:] + closed[:1])
+        ]
+        out: dict[NodeId, list[CycleInfo]] = {}
+        for hub in hubs:
+            if hub not in closed:
+                out[hub] = []
+                continue
+            # rotate so the walk starts at the hub
+            first = closed.index(hub)
+            rotated = closed[first:] + closed[:first]
+            rotated_lengths = lengths[first:] + lengths[:first]
+            positions = [i for i, n in enumerate(rotated) if n == hub]
+            ends = positions[1:] + [len(rotated)]
+            out[hub] = [
+                CycleInfo(hub, tuple(rotated[pos:end]) + (hub,), sum(rotated_lengths[pos:end]))
+                for pos, end in zip(positions, ends)
+            ]
+        return out
 
     def weight_profile(self) -> dict[NodeId, int]:
         """Implied weight of every node (``degree / 2``); zero-degree nodes report 0."""

@@ -83,8 +83,10 @@ def _wtctp_metadata(ctx: PlanningContext) -> dict:
         "walk": lane.loop,
         "policy": ctx.facts["policy"],
         "vip_cycles": {
-            vip.id: [c.length for c in lane.structure.cycles_at(vip.id, lane.walk)]
-            for vip in ctx.scenario.vips()
+            hub: [c.length for c in cycles]
+            for hub, cycles in lane.structure.cycles_by_hub(
+                [vip.id for vip in ctx.scenario.vips()], lane.walk
+            ).items()
         },
     }
 

@@ -54,12 +54,13 @@ def _interval_arrays(result: SimulationResult, *, include_first: bool = False,
                      targets: Iterable[str] | None = None) -> dict[str, np.ndarray]:
     """Per-target visiting-interval arrays, vectorised and cached per result.
 
-    Intervals are consecutive differences (``np.diff``) of the per-target
-    sorted visit-time arrays from
-    :meth:`~repro.sim.recorder.SimulationResult.visit_times_by_target`, which
-    is bit-identical to the scalar pairwise subtraction it replaces.  The
-    default view (``targets=None``) is cached on the result so the standard
-    metric set shares one pass over the visit log.
+    The per-target sorted visit-time arrays from
+    :meth:`~repro.sim.recorder.SimulationResult.visit_times_by_target` are
+    concatenated and differenced once; each target gets a view of its own
+    stretch, the same subtractions ``np.diff`` makes per target (with
+    ``include_first``, the first visit less ``0.0``).  The default view
+    (``targets=None``) is cached on the result so the standard metric set
+    shares one pass over the visit log.
     """
     cache_key = (len(result.visits), bool(include_first))
     if targets is None:
@@ -68,17 +69,22 @@ def _interval_arrays(result: SimulationResult, *, include_first: bool = False,
             return cached[1]
     by_target = result.visit_times_by_target()
     wanted = list(by_target) if targets is None else list(targets)
-    out: dict[str, np.ndarray] = {}
-    empty = np.empty(0, dtype=float)
-    for t in wanted:
-        times = by_target.get(t)
-        if times is None or times.size == 0:
-            out[t] = empty
-            continue
-        intervals = np.diff(times)
+    out = dict.fromkeys(wanted, np.empty(0, dtype=float))
+    visited = [t for t in out if t in by_target and by_target[t].size]
+    if visited:
+        times = np.concatenate([by_target[t] for t in visited])
+        ends = np.cumsum([by_target[t].size for t in visited]).tolist()
+        starts = [0] + ends[:-1]
         if include_first:
-            intervals = np.concatenate(([times[0] - 0.0], intervals))
-        out[t] = intervals
+            previous = np.empty_like(times)
+            previous[1:] = times[:-1]
+            previous[starts] = 0.0
+            diffs = times - previous
+        else:
+            diffs = np.diff(times)
+            ends = [end - 1 for end in ends]
+        for t, start, end in zip(visited, starts, ends):
+            out[t] = diffs[start:end]
     if targets is None:
         result.__dict__["_interval_arrays_cache"] = (cache_key, out)
     return out
@@ -121,13 +127,22 @@ def per_target_sd(result: SimulationResult, *, targets: Iterable[str] | None = N
     """The paper's SD of each target's visiting intervals (sample std, ``n - 1``).
 
     Targets with fewer than two intervals get ``nan`` (SD undefined).
+    Targets with equal interval counts share one row-wise ``np.std``: numpy
+    reduces each contiguous row with the same pairwise sum as a 1-D array,
+    so every SD is the float a per-target call gives.
     """
-    out: dict[str, float] = {}
-    for t, iv in _interval_arrays(result, include_first=False, targets=targets).items():
+    intervals = _interval_arrays(result, include_first=False, targets=targets)
+    out = dict.fromkeys(intervals, float("nan"))
+    by_count: dict[int, list[str]] = {}
+    for t, iv in intervals.items():
         if iv.size >= 2:
-            out[t] = float(np.std(iv, ddof=1))
+            by_count.setdefault(iv.size, []).append(t)
+    for group in by_count.values():
+        if len(group) == 1:
+            out[group[0]] = float(np.std(intervals[group[0]], ddof=1))
         else:
-            out[t] = float("nan")
+            sds = np.std(np.stack([intervals[t] for t in group]), axis=1, ddof=1)
+            out.update(zip(group, sds.tolist()))
     return out
 
 

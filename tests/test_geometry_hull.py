@@ -1,9 +1,15 @@
 """Unit tests for repro.geometry.hull (Andrew monotone chain convex hull)."""
 
-import numpy as np
+import math
+from fractions import Fraction
 
+import numpy as np
+import pytest
+
+from repro.geometry.cache import caching_disabled
 from repro.geometry.hull import convex_hull, convex_hull_indices, point_in_hull
 from repro.geometry.point import Point
+from repro.graphs.hamiltonian import build_hamiltonian_circuit
 
 
 def _signed_area(points):
@@ -98,3 +104,94 @@ class TestPointInHull:
 
     def test_empty_hull(self):
         assert not point_in_hull(Point(0, 0), [])
+
+
+def _reference_hull(points, *, exact=True):
+    """Monotone chain with every orientation decided in ``Fraction`` (or in floats)."""
+    arr = np.asarray(points, dtype=float)
+    unique, seen = [], set()
+    for idx in np.lexsort((arr[:, 1], arr[:, 0])):
+        key = (float(arr[idx, 0]), float(arr[idx, 1]))
+        if key not in seen:
+            seen.add(key)
+            unique.append(int(idx))
+    if len(unique) <= 2:
+        return unique
+    num = Fraction if exact else float
+    pts = [(num(float(arr[i, 0])), num(float(arr[i, 1]))) for i in unique]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(order):
+        hull = []
+        for i in order:
+            while len(hull) >= 2 and cross(pts[hull[-2]], pts[hull[-1]], pts[i]) <= 0:
+                hull.pop()
+            hull.append(i)
+        return hull
+
+    lower = half(range(len(pts)))
+    upper = half(range(len(pts) - 1, -1, -1))
+    local = lower[:-1] + upper[:-1]
+    if len(local) < 3:
+        return [unique[lower[0]], unique[lower[-1]]]
+    return [unique[i] for i in local]
+
+
+def _on_line(seed):
+    x = np.random.default_rng(seed).uniform(0, 1000, 26)
+    return np.c_[x, 0.37 * x + 5]
+
+
+def _on_ray(seed):
+    t = np.random.default_rng(seed).uniform(0, 1000, 26)
+    return np.c_[t * math.cos(0.3), t * math.sin(0.3)]
+
+
+# 26 points collinear up to rounding, on which a float orientation test put a
+# point on both chains, so the hull repeated an index and planning crashed.
+_NEAR_COLLINEAR_REPRODUCERS = [
+    *((f"line-{seed}", _on_line, seed) for seed in (26, 32, 59, 90, 100, 119, 146, 173)),
+    *((f"ray-{seed}", _on_ray, seed) for seed in (10, 104, 121, 143, 152, 180, 199)),
+]
+
+
+class TestNearCollinearHull:
+    @pytest.mark.parametrize(
+        "draw,seed", [(d, s) for _n, d, s in _NEAR_COLLINEAR_REPRODUCERS],
+        ids=[name for name, _d, _s in _NEAR_COLLINEAR_REPRODUCERS],
+    )
+    def test_reproducer_plans_cleanly(self, draw, seed):
+        pts = draw(seed)
+        hull = convex_hull_indices(pts)
+        assert len(hull) == len(set(hull))
+        assert hull == _reference_hull(pts)
+        coords = {f"t{i}": Point(float(x), float(y)) for i, (x, y) in enumerate(pts)}
+        with caching_disabled():
+            tour = build_hamiltonian_circuit(coords, method="hull-insertion")
+        assert sorted(tour.order) == sorted(coords)
+
+    def test_seeded_near_collinear_fuzz_matches_the_exact_hull(self):
+        rng = np.random.default_rng(20260808)
+        float_repeats = 0
+        for case in range(200):
+            n = int(rng.integers(3, 41))
+            t = rng.uniform(0, 1000, n)
+            if case % 2:
+                slope, intercept = rng.uniform(-3, 3), rng.uniform(-100, 100)
+                pts = np.c_[t, slope * t + intercept]
+            else:
+                angle, origin = rng.uniform(0, 2 * np.pi), rng.uniform(-500, 500, 2)
+                pts = origin + np.c_[t * np.cos(angle), t * np.sin(angle)]
+            if case % 5 == 0:  # a point off the line makes a thin proper hull
+                pts = np.vstack([pts, pts[0] + rng.uniform(-1, 1, 2)])
+            if case % 7 == 0:  # exact duplicates
+                pts = np.vstack([pts, pts[rng.integers(0, n, 3)]])
+            hull = convex_hull_indices(pts)
+            assert len(hull) == len(set(hull)), f"case {case}: hull {hull} repeats an index"
+            assert hull == _reference_hull(pts), f"case {case}: hull differs from the exact one"
+            float_hull = _reference_hull(pts, exact=False)
+            float_repeats += len(float_hull) != len(set(float_hull))
+        # The corpus reaches the inputs a float-only orientation gets wrong.
+        assert float_repeats > 0

@@ -146,6 +146,95 @@ class TestEulerCircuit:
         assert square_multitour.walk_length(walk) == pytest.approx(square_multitour.length())
 
 
+def _count_connectivity_checks(monkeypatch) -> list[int]:
+    """Count every connectivity BFS; is_eulerian() answered from its memo runs none."""
+    calls = [0]
+    original = MultiTour.is_connected
+
+    def counting(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(MultiTour, "is_connected", counting)
+    return calls
+
+
+class TestEulerianMemo:
+    """is_eulerian() answers from a memo that edge surgery keeps truthful."""
+
+    def test_remove_edge_that_disconnects_clears_the_memo(self, square_multitour):
+        from repro.core.patrol_rules import build_patrol_walk
+
+        # A square and a triangle joined by a doubled edge: Eulerian.
+        mt = square_multitour
+        mt.add_node("e", Point(300.0, 0.0))
+        mt.add_node("f", Point(400.0, 0.0))
+        mt.add_node("g", Point(350.0, 100.0))
+        for u, v in (("e", "f"), ("f", "g"), ("g", "e"), ("b", "e"), ("b", "e")):
+            mt.add_edge(u, v)
+        assert mt.is_eulerian()
+        mt.remove_edge("b", "e")
+        mt.remove_edge("b", "e")  # every degree even again, but two components
+        assert all(mt.degree(n) % 2 == 0 for n in mt.nodes)
+        assert not mt.is_eulerian()
+        with pytest.raises(ValueError, match="not Eulerian"):
+            mt.euler_circuit(start="a")
+        with pytest.raises(ValueError, match="must be Eulerian"):
+            build_patrol_walk(mt, "a")
+
+    def test_add_edge_leaving_an_odd_degree_clears_the_memo(self, square_multitour):
+        from repro.core.patrol_rules import build_patrol_walk
+
+        assert square_multitour.is_eulerian()
+        square_multitour.add_edge("a", "c")
+        with pytest.raises(ValueError, match="not Eulerian"):
+            square_multitour.euler_circuit(start="a")
+        with pytest.raises(ValueError, match="must be Eulerian"):
+            build_patrol_walk(square_multitour, "a")
+
+    def test_break_edge_onto_an_isolated_hub_keeps_true(self, square_multitour, monkeypatch):
+        # The recharge-station surgery: an isolated node joins the walk.
+        assert square_multitour.is_eulerian()
+        square_multitour.add_node("r", Point(50.0, -40.0))
+        square_multitour.break_edge("a", "b", "r")
+        calls = _count_connectivity_checks(monkeypatch)
+        assert square_multitour.is_eulerian()
+        assert calls[0] == 0
+        assert square_multitour.is_connected()  # the memo told the truth
+        walk = square_multitour.euler_circuit(start="r")
+        assert len(walk) - 1 == square_multitour.num_edges() == 5
+
+    def test_break_edge_does_not_keep_false(self, square_points):
+        # Two disjoint cycles are not Eulerian; breaking an edge of one onto
+        # a node of the other joins them into one closed walk.
+        mt = MultiTour({**square_points, "e": Point(300.0, 0.0), "f": Point(400.0, 0.0)})
+        for u, v in (("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "f"), ("f", "d")):
+            mt.add_edge(u, v)
+        assert not mt.is_eulerian()
+        mt.break_edge("a", "b", "e")
+        assert mt.is_eulerian()
+
+    def test_copy_carries_the_memo(self, square_multitour, monkeypatch):
+        assert square_multitour.is_eulerian()
+        calls = _count_connectivity_checks(monkeypatch)
+        clone = square_multitour.copy()
+        assert clone.is_eulerian()
+        assert calls[0] == 0
+        clone.add_edge("a", "c")
+        assert not clone.is_eulerian()
+        assert square_multitour.is_eulerian()
+        assert calls[0] == 1
+
+    def test_one_connectivity_check_per_wpp_build(self, ring_tour, monkeypatch):
+        from repro.core.wtctp import build_weighted_patrolling_path
+
+        calls = _count_connectivity_checks(monkeypatch)
+        weights = {"g2": 4, "g5": 3, "g7": 2}
+        structure, walk = build_weighted_patrolling_path(ring_tour, weights, "balanced")
+        assert calls[0] == 1
+        assert structure.visit_counts(walk)["g2"] == 4
+
+
 class TestCyclesAt:
     def test_single_cycle(self, square_multitour):
         cycles = square_multitour.cycles_at("a")
@@ -165,6 +254,21 @@ class TestCyclesAt:
         mt.add_edge("b", "c")
         mt.add_edge("c", "a")
         assert mt.cycles_at("d", walk=["a", "b", "c", "a"]) == []
+
+    def test_cycles_by_hub_matches_cycles_at(self, ring_tour):
+        from repro.core.wtctp import build_weighted_patrolling_path
+
+        weights = {"g2": 3, "g6": 2}
+        structure, walk = build_weighted_patrolling_path(ring_tour, weights, "balanced")
+        by_hub = structure.cycles_by_hub(["g6", "g2", "sink", "absent"], walk)
+        assert list(by_hub) == ["g6", "g2", "sink", "absent"]
+        assert by_hub["absent"] == []
+        for hub in ("g6", "g2", "sink"):
+            one = structure.cycles_at(hub, walk)
+            assert [c.nodes for c in by_hub[hub]] == [c.nodes for c in one]
+            assert [c.length for c in by_hub[hub]] == [c.length for c in one]
+            assert [c.length for c in one] == [structure.walk_length(c.nodes) for c in one]
+        assert len(by_hub["g2"]) == 3
 
     def test_visit_counts(self, square_multitour):
         square_multitour.break_edge("b", "c", "d")

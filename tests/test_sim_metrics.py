@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.sim.metrics import (
@@ -141,3 +142,103 @@ class TestIntervalStatistics:
         stats = interval_statistics(_result({}))
         assert math.isnan(stats["mean_interval"])
         assert stats["total_intervals"] == 0
+
+
+# Interval counts at the edges of numpy's pairwise sum (unrolled blocks of 8,
+# blocks of 128) and of its 8,192-element buffer.
+_PINNED_COUNTS = (2, 7, 8, 9, 128, 129, 8192, 8193)
+
+
+def _ragged_result(rng, counts) -> SimulationResult:
+    """One result whose targets ``g000``, ``g001``, ... have the given interval counts.
+
+    A count of 0 is a single visit; visits are interleaved across targets,
+    as the engine logs them.
+    """
+    visits = []
+    for i, count in enumerate(counts):
+        if i % 5 == 4:  # exact repeats: a fixed cadence
+            intervals = np.full(count, rng.uniform(1.0, 900.0))
+        else:
+            intervals = rng.uniform(0.5, 900.0, count)
+        times = rng.uniform(0.0, 50.0) + np.concatenate(([0.0], np.cumsum(intervals)))
+        visits += [VisitRecord(float(t), f"g{i:03d}", "m1") for t in times]
+    r = SimulationResult(strategy="test", horizon=1e9)
+    r.visits = [visits[j] for j in rng.permutation(len(visits))]
+    return r
+
+
+def _reference_intervals(result, include_first=False):
+    """The per-target loop the grouped passes replace: one 1-D ``np.diff`` each."""
+    out = {}
+    for t, times in result.visit_times_by_target().items():
+        intervals = np.diff(times)
+        if include_first:
+            intervals = np.concatenate(([times[0] - 0.0], intervals))
+        out[t] = intervals
+    return out
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestGroupedReductionsMatchPerTargetLoop:
+    """The grouped array passes give the per-target loop's floats, bit for bit.
+
+    Row-wise ``np.std`` equals the 1-D call only while numpy reduces each
+    contiguous row with the same pairwise sum; the pinned counts sit on the
+    edges of that sum and of numpy's buffer, so a numpy build that reduces
+    rows differently fails here.
+    """
+
+    @pytest.mark.parametrize("mix", ["all-equal", "all-distinct", "clustered"])
+    def test_metrics_equal_a_loop_of_1d_reductions(self, mix):
+        rng = np.random.default_rng(20260808 + len(mix))
+        if mix == "all-equal":
+            results = [_ragged_result(rng, [c] * 3) for c in _PINNED_COUNTS]
+        elif mix == "all-distinct":
+            drawn = rng.choice(np.arange(10, 9000), 12, replace=False)
+            counts = [*_PINNED_COUNTS, *(int(c) for c in drawn if c not in _PINNED_COUNTS)]
+            results = [_ragged_result(rng, [0, 1, *rng.permutation(counts).tolist()])]
+        else:
+            clusters = [7, 129, 8193, int(rng.integers(2, 9000))]
+            counts = [clusters[int(k)] for k in rng.integers(0, 4, 24)]
+            results = [_ragged_result(rng, [*counts, 0, 1, 2, 2])]
+
+        for r in results:
+            reference = _reference_intervals(r)
+            ref_sd = {
+                t: float(np.std(iv, ddof=1)) if iv.size >= 2 else float("nan")
+                for t, iv in reference.items()
+            }
+            sds = per_target_sd(r)
+            assert list(sds) == list(ref_sd)
+            assert _hex(sds.values()) == _hex(ref_sd.values())
+
+            finite = [v for v in ref_sd.values() if not math.isnan(v)]
+            assert average_sd(r).hex() == float(np.mean(finite)).hex()
+            flat = np.concatenate(list(reference.values()))
+            assert average_dcdt(r).hex() == float(np.mean(flat)).hex()
+            assert max_visiting_interval(r).hex() == float(np.max(flat)).hex()
+
+            with_first = _reference_intervals(r, include_first=True)
+            ref_series = []
+            for k in range(41):
+                values = [iv[k] for iv in with_first.values() if len(iv) > k]
+                ref_series.append(float(np.mean(values)) if values else float("nan"))
+            assert _hex(dcdt_series(r)) == _hex(ref_series)
+            listed = per_target_intervals(r, include_first=True)
+            assert list(listed) == list(with_first)
+            assert all(_hex(listed[t]) == _hex(iv) for t, iv in with_first.items())
+
+    def test_target_filter_keeps_order_and_unvisited_targets(self):
+        r = _ragged_result(np.random.default_rng(3), [9, 0, 8, 9, 1])
+        wanted = ["g003", "g999", "g000", "g001", "g004"]
+        reference = _reference_intervals(r)
+        sds = per_target_sd(r, targets=wanted)
+        assert list(sds) == wanted
+        assert math.isnan(sds["g999"]) and math.isnan(sds["g001"])
+        assert sds["g003"].hex() == float(np.std(reference["g003"], ddof=1)).hex()
+        assert sds["g000"].hex() == float(np.std(reference["g000"], ddof=1)).hex()
+        assert per_target_intervals(r, targets=wanted)["g999"] == []
