@@ -15,10 +15,11 @@ dominate mega-campaigns none of that is needed either:
 * the record's interval metrics consume per-target **sorted** visit times,
   which are order-independent;
 * the only genuinely order-dependent quantities — collection-window packet
-  sizes and the sink-delivery sum — are recovered from the sorted arrays
-  with ``np.searchsorted`` / ``np.lexsort``, provided no two visit events
-  share a timestamp (cells with ties fall back to the scalar path, where the
-  heap's sequence numbers arbitrate exactly as the engine does).
+  sizes and the sink-delivery sum — follow the engine's pop order, which is
+  time order when no two visit events share a timestamp.  When some do (CHB
+  mules deployed together on the sink travel in lockstep), the reduction
+  replays the event queue's ``(time, sequence)`` tie order exactly
+  (:func:`_pop_ranks`) and sorts by that instead.
 
 So this module groups a campaign's eligible cells by **leg-pattern shape**
 (rows of identical interleaved travel/dwell length), stacks every
@@ -43,10 +44,9 @@ wrong answer:
 * every mule's :class:`~repro.sim.fastpath.LegPattern` builds (the scalar
   tier's own leg builder, with a smaller event cap; its dynamic declines
   read ``row-fallback`` here);
-* no duplicate event timestamps, the lap estimate must clear the horizon,
-  and no tracked battery may hit the 1e-9 m window where the engine clips a
-  leg's drain to an empty battery by the horizon (all verified *after* the
-  tensor pass, per row set).
+* the lap estimate must clear the horizon, and no tracked battery may hit
+  the 1e-9 m window where the engine clips a leg's drain to an empty battery
+  by the horizon (both verified *after* the tensor pass, per row set).
 
 Toggle with :attr:`repro.sim.engine.SimulationConfig.batch_path` per spec,
 or per process with the ``BATCHPATH`` entry of :mod:`repro.switches`
@@ -186,7 +186,7 @@ def _reject(reason: str) -> None:
     ``max-visits`` / ``custom-metrics``), the scalar fast path's own
     rejection prefixed ``fastpath-``, and the declines memoized per row set
     — ``row-fallback`` and the post-tensor checks ``lap-estimate`` /
-    ``battery-clip`` / ``order-dependent`` — counted once per declined cell.
+    ``battery-clip`` — counted once per declined cell.
     """
     _obs.inc("batch_dispatch", outcome="scalar", reason=reason)
     return None
@@ -283,40 +283,66 @@ def _stacked_cumsum(rows: "list[_Row]") -> None:
 # Per-cell reduction to a record
 # --------------------------------------------------------------------------- #
 
-def _ties_are_benign(times_all, codes_all, tidx_all, row_all) -> bool:
-    """Whether every equal-timestamp group of visit events is order-invariant.
+def _pop_ranks(chains: "list[np.ndarray]") -> np.ndarray:
+    """Each chained event's place in the engine's ``(time, sequence)`` pop order.
 
-    See the call site for the three material shapes.  The scan touches only
-    the tied runs of the sorted recorded-event times, so tie-free cells (the
-    vast majority) pay one sort and one diff.
+    ``chains`` holds one array per mule, in scenario order: the times of the
+    events the mule pushes, in push order, its initial push first.  A mule
+    holds exactly one pending event and each pop pushes at most one
+    successor, so an event's sequence number follows its predecessor's pop
+    position, and the initial pushes come first, by mule.  The pop order is
+    therefore the lexicographic order of each event's times read backwards
+    down its chain, ended by its mule's initial push, which sorts below every
+    time and by mule index.
+
+    Prefix doubling solves that order exactly.  Each mule adds one terminal
+    node (ranked by its index, below every time) that points to itself, and
+    each event points to its predecessor.  Nodes start ranked by their own
+    time; each round ranks the pairs ``(rank, rank of the node up the
+    pointer)`` and doubles every pointer, until all ranks are distinct.
+    Chains in lockstep separate only at their terminals, so the rounds grow
+    with the log of the chain length.  Returns ranks ``0..n-1`` over the
+    concatenated chains.
     """
-    recorded_idx = np.nonzero((codes_all == 1) | (codes_all == 2))[0]
-    if recorded_idx.size < 2:
-        return True
-    order = recorded_idx[np.argsort(times_all[recorded_idx], kind="stable")]
-    sorted_times = times_all[order]
-    eq = np.nonzero(np.diff(sorted_times) == 0.0)[0]
-    if eq.size == 0:
-        return True
-    collect_times = times_all[codes_all == 1]
-    min_collect = float(collect_times.min()) if collect_times.size else np.inf
-    # eq holds positions where sorted_times[i] == sorted_times[i+1];
-    # consecutive positions chain into one tied run.
-    run_breaks = np.nonzero(np.diff(eq) > 1)[0] + 1
-    for run in np.split(eq, run_breaks):
-        members = order[run[0]:run[-1] + 2]
-        g_codes = codes_all[members]
-        g_rows = row_all[members]
-        g_collect = g_codes == 1
-        g_sink = g_codes == 2
-        targets = tidx_all[members[g_collect]]
-        if np.unique(targets).size < int(g_collect.sum()):
-            return False  # same-target simultaneous collections
-        if set(g_rows[g_sink].tolist()) & set(g_rows[g_collect].tolist()):
-            return False  # one mule collecting and flushing at one instant
-        if int(g_sink.sum()) >= 2 and min_collect < sorted_times[run[0]]:
-            return False  # simultaneous flushes, possibly with data on board
-    return True
+    mules = len(chains)
+    lengths = np.fromiter((len(c) for c in chains), dtype=np.int64, count=mules)
+    nodes = mules + int(lengths.sum())
+    up = np.arange(-1, nodes - 1)
+    up[:mules] = np.arange(mules)
+    heads = mules + np.cumsum(lengths) - lengths
+    up[heads[lengths > 0]] = np.flatnonzero(lengths > 0)
+    times, rank = np.unique(np.concatenate(chains), return_inverse=True)
+    distinct = mules + times.size
+    rank = np.concatenate((np.arange(mules), mules + rank))
+    while distinct < nodes:
+        pairs, rank = np.unique(rank * nodes + rank[up], return_inverse=True)
+        distinct = pairs.size
+        up = up[up]
+    return rank[mules:] - mules
+
+
+def _arrival_ranks(kept: "list[tuple[_Row, int, int]]") -> np.ndarray:
+    """The pop rank of every kept arrival, row after row.
+
+    ``kept`` holds ``(row, arrivals kept, initial leg applied)`` per mule.
+    A row's chain is its initial-leg event when that applies, then each
+    arrival, each followed by its dwell-done event when the target's dwell
+    is positive (``full[2k + 2]``).  A death ends a chain with no successor,
+    and so does the push the engine discards after a collection death, so
+    neither needs a place in it.
+    """
+    chains, at = [], []
+    offset = 0
+    for row, n_keep, init_applied in kept:
+        is_event = np.ones(2 * n_keep, dtype=bool)
+        is_event[1::2] = row.inc[1:2 * n_keep:2] > 0.0
+        chain = row.full[1:2 * n_keep + 1][is_event]
+        if init_applied:
+            chain = np.concatenate(([row.init_time], chain))
+        chains.append(chain)
+        at.append(offset + init_applied + np.cumsum(is_event)[0::2] - 1)
+        offset += len(chain)
+    return _pop_ranks(chains)[np.concatenate(at)]
 
 
 def _reduce_rows(cell: _Cell) -> "dict | str":
@@ -330,13 +356,9 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
 
     per_mule_distance: list[float] = []
     dead_mules = 0
-    kept_times: list[np.ndarray] = []
-    kept_codes: list[np.ndarray] = []
-    kept_tidx: list[np.ndarray] = []
-    kept_rows: list[int] = []
-    sink_times_by_row: "dict[int, np.ndarray]" = {}
+    kept: "list[tuple[_Row, int, int]]" = []
 
-    for row_index, row in enumerate(cell.rows):
+    for row in cell.rows:
         stop = row.stop
         # A row cut at its battery stop ends on its own, like a halting walk.
         if stop is None and not row.reaches(horizon):
@@ -344,8 +366,7 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
         dies = stop is not None and row.stop_time() <= horizon
         if dies and stop.kind == "clip":
             return "battery-clip"
-        arrivals = row.full[1::2]
-        n_keep = int(np.searchsorted(arrivals, horizon, side="right"))
+        n_keep = int(np.searchsorted(row.full[1::2], horizon, side="right"))
         init_applied = 1 if (row.init_event and row.init_time <= horizon) else 0
         if dies and stop.leg < row.init_event:
             init_applied = 0  # died on the way to the start position
@@ -356,57 +377,55 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
             if stop.kind == "move":
                 distance += stop.reachable
         per_mule_distance.append(distance)
-        times = arrivals[:n_keep]
-        codes = row.codes[:n_keep]
-        kept_times.append(times)
-        kept_codes.append(codes)
-        kept_tidx.append(row.tidx[:n_keep])
-        kept_rows.append(row_index)
-        sink_times_by_row[row_index] = times[codes == 2]
+        kept.append((row, n_keep, init_applied))
 
-    times_all = np.concatenate(kept_times) if kept_times else np.empty(0)
-    codes_all = (
-        np.concatenate(kept_codes) if kept_codes
-        else np.empty(0, dtype=np.int8)
-    )
-    tidx_all = (
-        np.concatenate(kept_tidx) if kept_tidx
-        else np.empty(0, dtype=np.int32)
-    )
-    row_all = np.concatenate(
-        [np.full(len(t), r, dtype=np.int32) for t, r in zip(kept_times, kept_rows)]
-    ) if kept_times else np.empty(0, dtype=np.int32)
+    # Every kept arrival, row after row, each row in chain order.
+    times_all = np.concatenate([row.full[1:2 * n:2] for row, n, _ in kept])
+    codes_all = np.concatenate([row.codes[:n] for row, n, _ in kept])
+    tidx_all = np.concatenate([row.tidx[:n] for row, n, _ in kept])
+    row_all = np.repeat(np.arange(len(kept)), [n for _, n, _ in kept])
 
-    # Tie audit: visit events sharing a timestamp are ordered by the
-    # engine's heap sequence counters, which the batch does not replay.
-    # Most ties cannot reach the record — two mules arriving at *different*
-    # targets at once interact with nothing, and a mule at the sink with an
-    # empty buffer flushes nothing — but three shapes are genuinely
-    # order-dependent and send the cell to the scalar path:
-    # same-target simultaneous collections (the second packet has size 0 —
-    # which mule carries which size depends on heap order), a mule hitting a
-    # target and the sink at the same instant (deliver-now vs next flush),
-    # and simultaneous flushes with data on board (delivery-list order is
-    # the float summation order).
-    if not _ties_are_benign(times_all, codes_all, tidx_all, row_all):
-        return "order-dependent"
-
-    # Per-target grouping in one lexsort: primary key target index, secondary
-    # key time — each group slice comes out time-sorted, exactly the
-    # recorder's per-node ``np.sort``.
-    collect_indices = np.nonzero(codes_all == 1)[0]
+    collect_indices = np.flatnonzero(codes_all == 1)
+    sink_indices = np.flatnonzero(codes_all == 2)
     ct = times_all[collect_indices]
     cx = tidx_all[collect_indices]
+
+    # Sink deliveries: each collected packet flushes at its mule's next sink
+    # visit in chain order, the first sink event after it in the row-major
+    # arrays when that event is on the same row.
+    delivered = np.zeros(ct.size, dtype=bool)
+    flush = collect_indices
+    if sink_indices.size:
+        after = np.searchsorted(sink_indices, collect_indices)
+        flush = sink_indices[np.minimum(after, sink_indices.size - 1)]
+        delivered = (flush > collect_indices) & (row_all[flush] == row_all[collect_indices])
+    flush = flush[delivered]
+
+    # The engine handles visits in pop order: time order, except that its
+    # heap's sequence numbers order the events of one instant.  Two things
+    # read that order: the collections at each target (the packet sizes) and
+    # the delivering flushes (the summation order of the delivery list).
+    # Only when one of them ties do the rows' chains replay it.
+    key_all = times_all
+    order = np.lexsort((ct, cx))
+    same_target = (np.diff(cx[order]) == 0) & (np.diff(ct[order]) == 0.0)
+    flush_times = np.sort(times_all[np.unique(flush)])
+    if same_target.any() or (np.diff(flush_times) == 0.0).any():
+        key_all = _arrival_ranks(kept)
+        order = np.lexsort((key_all[collect_indices], cx))
+
+    # Per-target grouping: primary key target index, secondary key pop
+    # order — each group slice comes out time-sorted, exactly the recorder's
+    # per-node ``np.sort``.
     node_times: dict[str, np.ndarray] = {}
     collect_sizes = np.empty(ct.size, dtype=float)
     num_targets = len(targets)
     if ct.size:
-        order = np.lexsort((ct, cx))
         ct_s = ct[order]
         cx_s = cx[order]
         # Collection-window packet sizes: (t_j - t_{j-1}) * rate with the
         # window opening at 0.0 — the engine's max(now - last, 0.0) reduces
-        # to the plain difference under time-ordered processing.  Group
+        # to the plain difference under pop-ordered processing.  Group
         # starts (where the target index changes) reset the window to 0.0.
         prev = np.empty_like(ct_s)
         prev[0] = 0.0
@@ -421,38 +440,15 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
             lo, hi = bounds[ti], bounds[ti + 1]
             if hi > lo:
                 node_times[targets[ti].id] = ct_s[lo:hi]
-    sink_visit_times = times_all[codes_all == 2]
-    if sink_visit_times.size:
-        node_times[cell.scenario.sink.id] = np.sort(sink_visit_times)
+    if sink_indices.size:
+        node_times[cell.scenario.sink.id] = np.sort(times_all[sink_indices])
 
-    # Sink deliveries: each collected packet flushes at its mule's first
-    # strictly-later sink visit; the engine's delivery list is ordered by
-    # flush time, FIFO within a flush — ``lexsort`` reproduces both.
-    delivery_sink_t: list[np.ndarray] = []
-    delivery_collect_t: list[np.ndarray] = []
-    delivery_sizes: list[np.ndarray] = []
-    row_of_collect = row_all[collect_indices]
-    for row_index in kept_rows:
-        lo, hi = np.searchsorted(row_of_collect, [row_index, row_index + 1])
-        if hi == lo:
-            continue
-        c_times = ct[lo:hi]
-        c_sizes = collect_sizes[lo:hi]
-        s_times = sink_times_by_row[row_index]
-        sidx = np.searchsorted(s_times, c_times, side="left")
-        delivered = sidx < len(s_times)
-        if delivered.any():
-            delivery_sink_t.append(s_times[sidx[delivered]])
-            delivery_collect_t.append(c_times[delivered])
-            delivery_sizes.append(c_sizes[delivered])
-    if delivery_sizes:
-        sink_t = np.concatenate(delivery_sink_t)
-        col_t = np.concatenate(delivery_collect_t)
-        sizes = np.concatenate(delivery_sizes)
-        order = np.lexsort((col_t, sink_t))
-        delivered_data: "float | int" = float(np.cumsum(sizes[order])[-1])
-    else:
-        delivered_data = 0  # sum([]) in the recorder is the int 0
+    # The engine's delivery list runs in flush pop order, FIFO (chain order)
+    # within a flush.  The recorder adds it up with the built-in ``sum`` in
+    # that order (compensated from Python 3.12, so no numpy sum stands in;
+    # an empty list sums to the int 0).
+    fifo = np.lexsort((collect_indices[delivered], key_all[flush]))
+    delivered_data = sum(collect_sizes[delivered][fifo].tolist())
 
     # The metric extractors run unchanged on a stub result pre-seeded with
     # the per-node arrays — identical inputs, identical code, identical

@@ -296,10 +296,10 @@ class TestBatchFallbacks:
         scenario_sim = self._spec()
         assert scenario_sim.sim.fast_path
 
-    def test_material_ties_fall_back(self):
-        # chb staggers several mules around one tour; on this layout two
-        # mules collect at the same target at the same instant, which is
-        # heap-order dependent — the batch must hand the cell back.
+    def test_material_ties_ride_the_batch(self, monkeypatch):
+        # chb sends several mules around one tour; on this layout two mules
+        # collect at the same target at the same instant, so packet sizes
+        # follow the engine's heap order, which the batch replays.
         spec = RunSpec(
             strategy="chb",
             scenario=ScenarioSpec("uniform", {"num_targets": 12, "num_mules": 3},
@@ -307,14 +307,19 @@ class TestBatchFallbacks:
             sim=SimulationConfig(horizon=15_000.0, track_energy=False),
             seed=1,
         )
-        pre = batchpath.batch_execute_records([spec])
-        assert pre == [None]
-        with batchpath.batchpath_disabled():
-            per_cell = execute_run(spec)
-        event = execute_run(dataclasses.replace(
-            spec, sim=dataclasses.replace(spec.sim, fast_path=False)
-        ))
-        assert canonical(per_cell) == canonical(event)
+        solves = []
+        original = batchpath._arrival_ranks
+        monkeypatch.setattr(batchpath, "_arrival_ranks",
+                            lambda kept: solves.append(kept) or original(kept))
+        batched = assert_batched_agrees(spec)
+        assert len(solves) == 1, "the layout no longer ties"
+
+        def no_simulation(_sim):
+            raise AssertionError("a batched cell must not run the simulator")
+
+        clear_caches()
+        monkeypatch.setattr(PatrolSimulator, "run", no_simulation)
+        assert json.dumps(execute_run(spec)) == json.dumps(batched)
 
     def test_single_eligible_cell_rides_the_batch(self, monkeypatch):
         spec = self._spec()
@@ -335,7 +340,7 @@ class TestBatchFallbacks:
     # no simulator run.
     @pytest.mark.usefixtures("line_entries")
     @pytest.mark.parametrize("spec_kwargs, patch, reason, sim_labels", [
-        ({"strategy": "chb"}, None, "order-dependent", FASTPATH),  # simultaneous sink flushes
+        ({"strategy": "chb"}, None, None, None),  # simultaneous sink flushes
         ({"sim": {"track_energy": True},
           "params": {"mule_battery": 500_000.0, "with_recharge_station": True}},
          None, None, None),
@@ -399,11 +404,12 @@ class TestBatchFallbacks:
             return original(specs)
 
         monkeypatch.setattr(batchpath, "batch_execute_records", spy)
-        specs = [self._spec(), self._spec(strategy="chb"), self._spec(strategy="random")]
+        specs = [self._spec(), self._spec(metrics=["path_length"]),
+                 self._spec(strategy="random")]
         with obs.obs_collected(enabled=True) as window:
             records = execute_many(specs, max_workers=max_workers)
             snapshot = window.snapshot()
-        assert offered == ["b-tctp", "chb", "random"]
+        assert offered == ["b-tctp", "b-tctp", "random"]
 
         def total(name, **labels):
             return sum(c["value"] for c in snapshot["counters"] if c["name"] == name

@@ -18,7 +18,10 @@ the same record, never a different one.  A case that planning rejects with a
 A second leg draws the same cases with battery tracking on, small
 batteries and a collection dwell, so mules die mid-leg or at a collection
 and recharge loops run: the batch must carry most of those cells too, and
-every path must agree there as well.
+every path must agree there as well.  A third leg draws CHB and
+staggered-CHB cells whose mules leave the sink together, with and without a
+dwell and tracked batteries: their visits tie, and every one of them must
+ride the batch, in the engine's tie order.
 
 On a mismatch the failing case is greedily shrunk (fewer targets, fewer
 mules, shorter horizon, defaults restored) before reporting, so the assertion
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -92,6 +96,24 @@ def tracked_case(rng: np.random.Generator) -> dict:
         case["mule_battery"] = float(rng.integers(2_000, 150_001))
     # Seconds a mule stands at each target: deaths land between dwells.
     case["collection_time"] = float(rng.choice([0.0, 0.0, 0.5, 5.0, 30.0]))
+    return case
+
+
+def lockstep_case(rng: np.random.Generator) -> dict:
+    """A drawn CHB or staggered-CHB case whose mules all leave the sink together.
+
+    The ``uniform`` and ``clustered`` families deploy every mule on the
+    sink, so CHB's mules travel in lockstep and every visit ties; a
+    collection dwell and tracked batteries are drawn as in the tracked leg.
+    """
+    case = draw_case(rng)
+    case["family"] = ["uniform", "clustered"][int(rng.integers(2))]
+    case["strategy"] = ["chb", "staggered-chb"][int(rng.integers(2))]
+    case["num_mules"] = int(rng.integers(2, 5))
+    case["collection_time"] = float(rng.choice([0.0, 0.0, 0.5, 5.0, 30.0]))
+    if rng.integers(2):
+        case["tracked"] = True
+        case["mule_battery"] = float(rng.integers(2_000, 150_001))
     return case
 
 
@@ -240,19 +262,49 @@ class TestDifferentialFuzz:
         )
         assert recharge_laps >= 1, "no batched case ran a recharge lap"
 
+    def test_lockstep_chb_rides_the_batch(self, monkeypatch):
+        seed = FUZZ_SEED + 4
+        rng = np.random.default_rng(seed)
+        solves = []
+        original = batchpath._arrival_ranks
+        monkeypatch.setattr(batchpath, "_arrival_ranks",
+                            lambda kept: solves.append(kept) or original(kept))
+        cases = max(1, FUZZ_CASES // 4)
+        for index in range(cases):
+            case = lockstep_case(rng)
+            flags = agreeing_flags(index, case, seed)
+            assert flags["batched"], (
+                f"case {index} (seed {seed}) left the batch: {json.dumps(case, sort_keys=True)}"
+            )
+        # The leg must exercise the tie order, not only tie-free layouts
+        # (staggered-CHB mules seldom tie).
+        assert len(solves) >= cases // 3, f"only {len(solves)}/{cases} cases tied"
+
     def test_generator_is_deterministic(self):
         a = [draw_case(np.random.default_rng(7)) for _ in range(5)]
         b = [draw_case(np.random.default_rng(7)) for _ in range(5)]
         assert a == b
 
     def test_batch_handles_mixed_eligibility_without_reordering(self):
-        """A batch mixing eligible and fallback cells keeps records aligned."""
+        """A batch mixing eligible and fallback cells keeps records aligned.
+
+        A spec that planning rejects would raise out of the whole mixed
+        call, so each spec runs alone first: a rejected one must be rejected
+        alike on the batch, and then stays out of the mix.
+        """
         rng = np.random.default_rng(FUZZ_SEED + 1)
-        cases = [draw_case(rng) for _ in range(12)]
-        specs = [case_spec(c) for c in cases]
+        specs, expected = [], []
+        for case in (draw_case(rng) for _ in range(12)):
+            spec = case_spec(case)
+            with batchpath.batchpath_disabled():
+                want = outcome(partial(execute_run, spec))
+            if isinstance(want, str):
+                assert outcome(partial(batchpath.batch_execute_records, [spec])) == want
+                continue
+            specs.append(spec)
+            expected.append(want)
         pre = batchpath.batch_execute_records(specs)
-        with batchpath.batchpath_disabled():
-            expected = [execute_run(s) for s in specs]
+        assert len(pre) == len(specs)
         for record, want in zip(pre, expected):
             if record is not None:
                 assert canonical(record) == canonical(want)

@@ -41,9 +41,10 @@ def clean_registry():
 
 
 def campaign_spec(*, obs_on: bool, replications: int = 3,
-                  strategies=("b-tctp", "chb"), layout_seed=None) -> CampaignSpec:
-    # On these layouts the batch layer runs b-tctp and sweep, and declines
-    # chb (order-dependent ties) and random (no periodic leg pattern).  A
+                  strategies=("b-tctp", "chb", "random"), layout_seed=None) -> CampaignSpec:
+    # On these layouts the batch layer runs b-tctp, sweep and chb (whose
+    # mules leave the sink together, so their tied visits replay the event
+    # queue's order), and declines random (no periodic leg pattern).  A
     # pinned layout_seed makes the replications share one row set.
     base = RunSpec(
         strategy="b-tctp",
@@ -119,7 +120,7 @@ class TestReconciliation:
         assert batch > 0
 
     def test_store_lookup_counters_match_store_metadata(self, tmp_path):
-        # With two workers the declined chb cells fork a pool after the
+        # With two workers the declined random cells fork a pool after the
         # lookups were counted; workers must not report them a second time.
         spec = campaign_spec(obs_on=True, replications=2)
         for max_workers in (None, 2):
@@ -247,13 +248,41 @@ class TestRowSetMemo:
 
         monkeypatch.setattr(batchpath, "_reduce_rows", counting)
         clear_caches()
-        spec = campaign_spec(obs_on=True, replications=4, layout_seed=0)
+        spec = campaign_spec(obs_on=True, replications=4, layout_seed=0,
+                             strategies=("b-tctp", "chb"))
         result = Campaign(spec).run(store=False)
         snapshot = result.metadata["obs"]
         assert sorted(reductions) == ["b-tctp", "chb"]
-        assert counter_value(snapshot, "batch_dispatch", outcome="batch") == 4
+        assert counter_value(snapshot, "batch_dispatch", outcome="batch") == 8
+        assert counter_value(snapshot, "batch_dispatch", outcome="scalar") == 0
+        assert counter_value(snapshot, "batch_dispatch") == result.metadata["num_cells"]
+
+    def test_a_memoised_decline_counts_per_cell(self, monkeypatch):
+        from repro.geometry.cache import clear_caches
+        from repro.sim import batchpath
+        from repro.sim.fastpath import LegPattern
+
+        reductions = []
+        original = batchpath._reduce_rows
+
+        def counting(cell):
+            reductions.append(cell.spec.strategy)
+            return original(cell)
+
+        monkeypatch.setattr(batchpath, "_reduce_rows", counting)
+        # A short lap estimate declines the row set after the tensor pass.
+        monkeypatch.setattr(LegPattern, "reaches", lambda _pattern, _horizon: False)
+        clear_caches()
+        try:
+            spec = campaign_spec(obs_on=True, replications=4, layout_seed=0,
+                                 strategies=("b-tctp",))
+            result = Campaign(spec).run(store=False)
+        finally:
+            clear_caches()
+        snapshot = result.metadata["obs"]
+        assert reductions == ["b-tctp"]
         assert counter_value(snapshot, "batch_dispatch", outcome="scalar",
-                             reason="order-dependent") == 4
+                             reason="lap-estimate") == 4
         assert counter_value(snapshot, "batch_dispatch") == result.metadata["num_cells"]
 
     def test_records_identical_with_caching_on_or_off(self):
