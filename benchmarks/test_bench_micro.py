@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.btctp import plan_btctp
 from repro.core.wtctp import build_weighted_patrolling_path, plan_wtctp
+from repro.geometry.cache import caching_disabled
 from repro.graphs.hamiltonian import build_hamiltonian_circuit, convex_hull_insertion_tour
 from repro.graphs.improve import two_opt
 from repro.sim.engine import PatrolSimulator, SimulationConfig
@@ -48,7 +49,9 @@ def test_bench_wpp_construction(benchmark, vip_scenario_30):
     weights = vip_scenario_30.weights()
 
     def build():
-        return build_weighted_patrolling_path(tour, weights, "balanced")
+        # the WPP memo would serve every round after the first
+        with caching_disabled():
+            return build_weighted_patrolling_path(tour, weights, "balanced")
 
     structure, walk = benchmark(build)
     assert structure.is_eulerian()

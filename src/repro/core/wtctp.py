@@ -22,6 +22,7 @@ from typing import Mapping
 from repro.core.patrol_rules import build_patrol_walk
 from repro.core.plan import PatrolPlan
 from repro.core.policies import BreakEdgePolicy, get_policy
+from repro.geometry.cache import ContentCache, points_fingerprint
 from repro.graphs.multitour import MultiTour
 from repro.graphs.tour import Tour
 from repro.graphs.validation import validate_walk_visits, validate_weighted_patrolling_path
@@ -32,6 +33,15 @@ __all__ = [
     "build_weighted_patrolling_path",
     "plan_wtctp",
 ]
+
+
+# Finished WPPs memoized by content: the tour's node order, the fingerprint
+# of its coordinates, the per-node weights in tour order and the resolved
+# policy class (so aliases share an entry).  W-TCTP and RW-TCTP build the same
+# WPP on one layout; RW-TCTP then weaves the recharge station into a copy.
+# The entry itself is never handed out: every call returns a copy, because
+# callers own (and may edit) the structure they get.
+_WPP_CACHE = ContentCache("wpp_structure", maxsize=32)
 
 
 def build_wpp_structure(
@@ -50,7 +60,11 @@ def build_wpp_structure(
     -------
     (structure, full_weights):
         The WPP as a :class:`MultiTour` (VIP ``g_i`` has degree ``2 w_i``) and
-        the weight of every tour node (absent nodes defaulted to 1).
+        the weight of every tour node (absent nodes defaulted to 1).  Both are
+        the caller's own: a policy given by name is memoized by content (see
+        :mod:`repro.geometry.cache`), and every call returns a fresh copy of
+        the memoized structure.  A :class:`BreakEdgePolicy` instance always
+        builds afresh.
     """
     policy_obj = get_policy(policy)
     full_weights = {n: int(weights.get(n, 1)) for n in tour.order}
@@ -58,6 +72,24 @@ def build_wpp_structure(
         if w < 1:
             raise ValueError(f"weight of {node!r} must be >= 1, got {w}")
 
+    if isinstance(policy, BreakEdgePolicy):
+        structure = _build_wpp(tour, full_weights, policy_obj)
+    else:
+        key = (
+            tour.order,
+            points_fingerprint(tour.points_in_order()),
+            tuple(full_weights.values()),
+            type(policy_obj),
+        )
+        structure = _WPP_CACHE.get_or_compute(
+            key, lambda: _build_wpp(tour, full_weights, policy_obj)
+        )
+    return structure.copy(), full_weights
+
+
+def _build_wpp(
+    tour: Tour, full_weights: dict[str, int], policy: BreakEdgePolicy
+) -> MultiTour:
     structure = MultiTour.from_tour(tour)
     # Descending weight = descending priority (Section 3.1-B); deterministic
     # tie-break on the identifier so all mules build the same WPP.
@@ -66,10 +98,10 @@ def build_wpp_structure(
         key=lambda n: (-full_weights[n], str(n)),
     )
     for vip in vips:
-        policy_obj.apply(structure, vip, full_weights[vip])
+        policy.apply(structure, vip, full_weights[vip])
 
     validate_weighted_patrolling_path(structure, full_weights)
-    return structure, full_weights
+    return structure
 
 
 def build_weighted_patrolling_path(

@@ -74,9 +74,10 @@ def convex_hull_insertion_tour(coordinates: Mapping[NodeId, Point]) -> Tour:
     hull = convex_hull_indices(pts)
     kernels = _vector_kernels()
     if kernels is not None:
-        # A cost matrix built once, two new columns per insertion, instead of
-        # the O(n^2) Python scan; byte-identical winners (see
-        # repro.planning.kernels).
+        # A cost matrix built once, two new slot rows per insertion and the
+        # first minimum taken directly unless a near tie needs the scan's
+        # chain, instead of the O(n^2) Python scan; byte-identical winners
+        # (see repro.planning.kernels).
         tour_idx = kernels.cheapest_insertion_order(dmat, hull, len(nodes))
     else:
         tour_idx = list(hull)

@@ -10,20 +10,26 @@ PR 3/8 made *simulation* run at tensor speed; this module does the same for
 
 — are reformulated as bulk array updates per round.  2-opt, Or-opt and
 nearest-neighbour evaluate every candidate move of a round in one array pass;
-cheapest insertion builds its cost matrix once and updates only the two
-columns each insertion creates.  The *selection* among candidates
-replicates the scalar scan's first-improvement semantics exactly.  Every
-kernel is **byte-identical** to its scalar original:
+cheapest insertion builds its cost matrix once, one row per tour edge
+("slot"), and computes only the two slot rows each insertion creates.  The
+*selection* among candidates replicates the scalar scan's first-improvement
+semantics exactly.  Every kernel is **byte-identical** to its scalar
+original:
 
 * float expressions keep the scalar grouping — e.g. the insertion cost is
   computed as ``(dmat[a, p] + dmat[p, b]) - dmat[a, b]``, never reassociated
   — so each candidate's value is the same IEEE double the scalar loop saw;
 * the cheapest-insertion scan's ``cost < best - 1e-12`` chain is *not* an
-  argmin: which candidate wins depends on scan order.  Every accepted
-  candidate is provably a strict running minimum of the cost sequence, so
-  :func:`chain_argmin` extracts the strict running minima with one
-  ``np.minimum.accumulate`` and replays the epsilon chain over just those
-  few indices;
+  argmin: which candidate wins depends on scan order.  But the first global
+  minimum ``g`` is provably the chain's winner when no other candidate
+  ``v`` has ``v - 1e-12 <= g`` (had the chain stopped on such a ``v``
+  earlier, it would have rejected ``g``), so the kernel takes it directly
+  after two ``count_nonzero`` tests.  Only on a near tie is the chain
+  replayed: every accepted candidate is a strict running minimum of the
+  cost sequence, so :func:`chain_argmin` extracts the strict running minima
+  with one ``np.minimum.accumulate`` and replays the epsilon chain over just
+  those few indices.  Random layouts almost never replay; exact ties
+  (lattices, duplicate points, collinear runs) replay on most rounds;
 * 2-opt / Or-opt pick the first improving move in the scalar scan's
   row-major order (a flattened ``argmax`` over the improvement mask);
 * nearest-neighbour keeps the scalar ``(distance, str(id))`` tie key:
@@ -142,33 +148,50 @@ def cheapest_insertion_order(
     Incremental twin of the scalar loop in
     :func:`repro.graphs.hamiltonian.convex_hull_insertion_tour`, which scans
     every (remaining point p, tour position pos) pair each round and keeps
-    the first ``cost < best - eps`` improvement.  Returns the completed index
-    tour (a permutation of ``range(n)``) with the scalar loop's exact picks:
+    the first ``cost < best - eps`` improvement (the "chain").  Returns the
+    completed index tour (a permutation of ``range(n)``) with the scalar
+    loop's exact picks:
 
-    * **Cost matrix, built once.**  ``cost[q, s]`` is the price of inserting
-      remaining point ``q`` into the tour edge held by column ("slot") ``s``,
+    * **Slot rows, built once.**  ``cost[s, q]`` is the price of inserting
+      remaining point ``q`` into the tour edge held by row ("slot") ``s``,
       ``(dmat[a, q] + dmat[q, b]) - dmat[a, b]`` — the scalar grouping, so
       every entry is the IEEE double the scalar scan computes.  ``slots``
-      maps tour positions to columns.
-    * **Two new columns per round.**  Inserting p into edge (a, b) replaces
-      one edge with (a, p) and (p, b): the first reuses (a, b)'s column, the
-      second takes the next free one, and only those two columns are
-      computed.  Every other entry is already the double a full rebuild
+      maps tour positions to rows.  ``dmat[:, rem]`` and ``dmat[rem].T`` are
+      gathered once, so the two operands of a slot row are plain rows
+      (``dmat`` need not be symmetric).
+    * **Two new rows per round.**  Inserting p into edge (a, b) replaces
+      one edge with (a, p) and (p, b): the first overwrites (a, b)'s row in
+      place, the second takes the next free row, and only those two rows
+      are computed.  Every other entry is already the double a full rebuild
       would give — the same expression on the same operands.
-    * **Stale rows.**  Each row keeps its minimum.  A row whose minimum may
-      have sat on the replaced edge (old entry ``<=`` row minimum) is
-      recomputed over the live columns; every other row only folds in the
-      two new entries.  The rows of inserted points are held at ``+inf``.
-    * **Row pruning.**  The scalar scan is row-major over (remaining order,
-      tour position).  :func:`chain_argmin` proves every accepted candidate
-      is a strict running minimum of that scan, and a row holds one only if
-      its minimum is strictly below the minimum of every earlier row.  The
-      chain is replayed over just those rows, gathered in tour order; their
-      strict running minima are exactly the full scan's, so the epsilon
-      chain accepts the same winner.
+    * **Stale points.**  Each remaining point keeps its minimum over the
+      live slots.  A point whose minimum may have sat on the replaced edge
+      (old entry ``<=`` minimum, one contiguous row compare) is recomputed
+      over the live slots; every other point only folds in the two new
+      entries.  Inserted points are held at ``+inf``.
+    * **The shortcut.**  Let ``g`` be the first global minimum in scan
+      order: point ``r`` (the first argmin of the minima) at ``pos`` (the
+      first argmin of its costs in tour order).  The chain reaches ``g``
+      holding some earlier cost ``v`` as its best and rejects ``g`` only if
+      ``v - eps <= g`` (the float expression the chain evaluates); once it
+      accepts ``g``, no later cost (all ``>= g``) beats ``g - eps``.  So
+      ``g`` wins unless some *other* live cost has ``v - eps <= g``.  Two
+      ``count_nonzero`` tests rule that out: one over the minima
+      (``v - eps`` is monotone in ``v``, so a point's minimum stands for
+      all its costs) and one over point ``r``'s costs.
+    * **The replay, on near ties only.**  When either test finds a second
+      candidate, the chain is replayed as the scalar scan runs it.
+      :func:`chain_argmin` proves every accepted candidate is a strict
+      running minimum of the row-major (remaining order, tour position)
+      scan, and a point holds one only if its minimum is strictly below
+      that of every earlier point.  The chain is replayed over just those
+      points, gathered in tour order; their strict running minima are
+      exactly the full scan's, so the epsilon chain accepts the same
+      winner.
 
-    A round costs O(remaining) plus O(tour length) per candidate or stale
-    row, instead of a full (remaining x positions) rebuild.
+    A round costs O(remaining) plus O(tour length) per stale point (and per
+    candidate point on a replay), instead of a full (remaining x positions)
+    rebuild.
     """
     tour_idx: list[int] = list(hull)
     in_hull = set(hull)
@@ -177,44 +200,53 @@ def cheapest_insertion_order(
     if not left:
         return tour_idx
     m = len(tour_idx)
+    # to_rem[a] = dmat[a, rem] and from_rem[b] = dmat[rem, b], as contiguous rows.
+    to_rem = np.take(dmat, rem, axis=1)
+    from_rem = np.ascontiguousarray(dmat[rem].T)
     tour = np.asarray(tour_idx)
     nxt = np.asarray(tour_idx[1:] + tour_idx[:1])
-    cost = np.empty((left, m + left))
-    cost[:, :m] = (dmat[tour][:, rem].T + dmat[rem][:, nxt]) - dmat[tour, nxt][None, :]
+    cost = np.empty((m + left, left))
+    np.subtract(to_rem[tour] + from_rem[nxt], dmat[tour, nxt][:, None], out=cost[:m])
     slots = np.arange(m + left)
     alive = np.ones(left, dtype=bool)
-    # row_min[0] is a +inf sentinel: row q is a candidate exactly when
-    # row_min[q + 1] < min(row_min[:q + 1]).
+    # row_min[0] is a +inf sentinel: point q is a replay candidate exactly
+    # when row_min[q + 1] < min(row_min[:q + 1]).
     row_min = np.empty(left + 1)
     row_min[0] = np.inf
     mins = row_min[1:]
-    cost[:, :m].min(axis=1, out=mins)
+    cost[:m].min(axis=0, out=mins)
 
     while True:
-        rows = (mins < np.minimum.accumulate(row_min)[:-1]).nonzero()[0]
-        k, pos = divmod(chain_argmin(cost[rows[:, None], slots[:m]], eps), m)
-        r = rows[k]
+        r = int(mins.argmin())
+        row = cost[slots[:m], r]  # the scan's row r: point r's costs in tour order
+        pos = int(row.argmin())
+        g = row[pos]
+        if np.count_nonzero(mins - eps <= g) != 1 or np.count_nonzero(row - eps <= g) != 1:
+            rows = (mins < np.minimum.accumulate(row_min)[:-1]).nonzero()[0]
+            k, pos = divmod(chain_argmin(cost[slots[:m, None], rows].T, eps), m)
+            r = int(rows[k])
         p = int(rem[r])
         a, b = tour_idx[pos], tour_idx[(pos + 1) % m]
         tour_idx.insert(pos + 1, p)
         left -= 1
         if not left:
             return tour_idx
-        # Edge (a, b) in column s becomes (a, p); (p, b) takes column m.
+        # Edge (a, b) in row s becomes (a, p); (p, b) takes row m.
         s = slots[pos]
         slots[pos + 2 : m + 1] = slots[pos + 1 : m]
         slots[pos + 1] = m
         alive[r] = False
         mins[r] = np.inf
-        stale = ((cost[:, s] <= mins) & alive).nonzero()[0]
-        into_ap = (dmat[a, rem] + dmat[rem, p]) - dmat[a, p]
-        into_pb = (dmat[p, rem] + dmat[rem, b]) - dmat[p, b]
-        cost[:, s] = into_ap
-        cost[:, m] = into_pb
+        stale = ((cost[s] <= mins) & alive).nonzero()[0]
+        into_ap, into_pb = cost[s], cost[m]
+        np.add(to_rem[a], from_rem[p], out=into_ap)
+        np.subtract(into_ap, dmat[a, p], out=into_ap)
+        np.add(to_rem[p], from_rem[b], out=into_pb)
+        np.subtract(into_pb, dmat[p, b], out=into_pb)
         np.minimum(mins, np.minimum(into_ap, into_pb), out=mins, where=alive)
         m += 1
         if stale.size:
-            mins[stale] = cost[stale, :m].min(axis=1)
+            mins[stale] = cost[:m, stale].min(axis=0)
 
 
 # --------------------------------------------------------------------------- #

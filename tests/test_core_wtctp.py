@@ -1,10 +1,18 @@
 """Unit tests for repro.core.wtctp (Section III algorithm)."""
 
+import json
+
 import pytest
 
-from repro.core.wtctp import build_weighted_patrolling_path, plan_wtctp
+from repro.core.policies import BalancingLengthPolicy
+from repro.core.wtctp import build_weighted_patrolling_path, build_wpp_structure, plan_wtctp
+from repro.geometry.cache import cache_stats, caching_disabled, clear_caches
+from repro.geometry.point import Point
 from repro.graphs.hamiltonian import build_hamiltonian_circuit
+from repro.graphs.tour import Tour
 from repro.graphs.validation import validate_walk_visits, validate_weighted_patrolling_path
+from repro.runner import Campaign, spec_from_dict
+from repro.runner.campaign import _json_sanitize
 from repro.sim.engine import PatrolSimulator, SimulationConfig
 from repro.sim.metrics import average_sd, per_target_intervals
 from repro.workloads.generator import uniform_scenario
@@ -60,6 +68,101 @@ class TestBuildWPP:
         _s1, w1 = build_weighted_patrolling_path(vip_tour, weights, "balanced")
         _s2, w2 = build_weighted_patrolling_path(vip_tour, weights, "balanced")
         assert w1 == w2
+
+
+def _wpp_signature(structure, weights):
+    """Edges in order, weights, and the Euler circuit from every VIP."""
+    vips = sorted(n for n, w in weights.items() if w > 1)
+    return (
+        structure.edges(),
+        dict(weights),
+        {vip: structure.euler_circuit(start=vip) for vip in vips},
+    )
+
+
+class TestWppMemo:
+    @pytest.fixture
+    def layout(self):
+        sc = uniform_scenario(num_targets=30, num_mules=2, seed=11, num_vips=4, vip_weight=3)
+        return build_hamiltonian_circuit(sc.patrol_points(), start="sink"), sc.weights()
+
+    def wpp_stats(self):
+        return cache_stats()["wpp_structure"]
+
+    def test_hit_equals_a_build_with_caching_off(self, layout):
+        tour, weights = layout
+        with caching_disabled():
+            fresh = _wpp_signature(*build_wpp_structure(tour, weights, "balanced"))
+        clear_caches()
+        miss = _wpp_signature(*build_wpp_structure(tour, weights, "balanced"))
+        hit = _wpp_signature(*build_wpp_structure(tour, weights, "balancing"))
+        assert (self.wpp_stats()["misses"], self.wpp_stats()["hits"]) == (1, 1)
+        assert miss == fresh and hit == fresh
+
+    def test_key_covers_weights_coordinates_and_policy(self, layout):
+        tour, weights = layout
+        vip = next(n for n, w in weights.items() if w > 1)
+        moved = dict(tour.coordinates)
+        moved["sink"] = Point(moved["sink"].x + 1.0, moved["sink"].y)
+        variants = [
+            (tour, weights, "balanced"),
+            (tour, {**weights, vip: weights[vip] + 1}, "balanced"),
+            (Tour(tour.order, moved), weights, "balanced"),
+            (tour, weights, "shortest"),
+        ]
+        clear_caches()
+        built = [_wpp_signature(*build_wpp_structure(*args)) for args in variants]
+        assert (self.wpp_stats()["misses"], self.wpp_stats()["hits"]) == (4, 0)
+        with caching_disabled():
+            assert built == [_wpp_signature(*build_wpp_structure(*args)) for args in variants]
+
+    def test_calls_return_independent_structures(self, layout):
+        tour, weights = layout
+        clear_caches()
+        first, first_weights = build_wpp_structure(tour, weights, "shortest")
+        expected = _wpp_signature(first, first_weights)
+        u, v, key = next(e for e in first.edges() if "sink" not in e[:2])
+        first.break_edge(u, v, "sink", key=key)
+        first_weights["sink"] = 7
+        second, second_weights = build_wpp_structure(tour, weights, "shortest")
+        assert self.wpp_stats()["hits"] == 1
+        assert second is not first
+        assert _wpp_signature(second, second_weights) == expected
+
+    def test_policy_instance_bypasses_the_memo(self, layout):
+        tour, weights = layout
+        clear_caches()
+        by_name = _wpp_signature(*build_wpp_structure(tour, weights, "balanced"))
+        for _ in range(2):
+            built = build_wpp_structure(tour, weights, BalancingLengthPolicy())
+            assert _wpp_signature(*built) == by_name
+        assert (self.wpp_stats()["misses"], self.wpp_stats()["hits"]) == (1, 0)
+
+    def test_cold_campaign_builds_the_wpp_once(self):
+        # cold-sweep's campaign shape, at a smaller layout: W-TCTP misses and
+        # RW-TCTP hits; the records do not depend on the memo.
+        spec = spec_from_dict({
+            "kind": "campaign",
+            "base": {
+                "strategy": "b-tctp",
+                "scenario": {"family": "clustered", "params": {
+                    "num_targets": 80, "num_mules": 4, "num_clusters": 8, "num_vips": 6,
+                    "with_recharge_station": True, "mule_battery": 200_000.0,
+                }},
+                "sim": {"horizon": 20_000.0, "track_energy": True},
+                "seed": 9,
+            },
+            "grid": {"strategy": [
+                "b-tctp", "w-tctp", "rw-tctp", "chb", "sweep", "staggered-chb", "random",
+            ]},
+        })
+        clear_caches()
+        records = json.dumps(_json_sanitize(Campaign(spec).run(store=False).records))
+        assert (self.wpp_stats()["misses"], self.wpp_stats()["hits"]) == (1, 1)
+        clear_caches()
+        with caching_disabled():
+            uncached = json.dumps(_json_sanitize(Campaign(spec).run(store=False).records))
+        assert records == uncached
 
 
 class TestPlanner:

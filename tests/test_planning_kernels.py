@@ -5,8 +5,12 @@ Every kernel must be **byte-identical** to the scalar loop it replaces:
 * kernel-level — the vectorized cheapest-insertion / nearest-neighbour /
   2-opt / Or-opt orders match the scalar tours node for node over seeded
   random instances (including tie-heavy lattices and duplicate points);
+  the cheapest-insertion kernel also matches a frozen copy of its
+  point-major predecessor at cold-sweep sizes, on both of its selection
+  paths (the shortcut and the chain replay);
 * plan-level — ``serialize_plan`` of every golden strategy call and of
-  seeded random planning specs is byte-equal with the switch on and off;
+  seeded random planning specs is byte-equal with the switch on and off (a
+  spec that planning rejects must be rejected with the same message);
 * record-level — full :func:`~repro.runner.campaign.execute_run` records are
   byte-equal with the switch on and off.
 
@@ -231,6 +235,158 @@ class TestKernelTourIdentity:
                 assert or_opt(tour).length() <= tour.length() + 1e-9
 
 
+_frozen_chain_argmin = kernels.chain_argmin
+
+
+def _frozen_cheapest_insertion_order(dmat, hull, n, *, eps=1e-12):
+    """The point-major incremental kernel, frozen as a reference.
+
+    ``cost[q, s]`` per remaining point q and slot s, two new columns per
+    insertion, and the chain replayed over the candidate rows on every
+    round.  It was held to the scalar loop by ``test_hull_insertion_identical``
+    and bench_pr9; the slot-major kernel must match it tour for tour.
+    """
+    tour_idx = list(hull)
+    in_hull = set(hull)
+    rem = np.array([i for i in range(n) if i not in in_hull], dtype=np.intp)
+    left = rem.size
+    if not left:
+        return tour_idx
+    m = len(tour_idx)
+    tour = np.asarray(tour_idx)
+    nxt = np.asarray(tour_idx[1:] + tour_idx[:1])
+    cost = np.empty((left, m + left))
+    cost[:, :m] = (dmat[tour][:, rem].T + dmat[rem][:, nxt]) - dmat[tour, nxt][None, :]
+    slots = np.arange(m + left)
+    alive = np.ones(left, dtype=bool)
+    row_min = np.empty(left + 1)
+    row_min[0] = np.inf
+    mins = row_min[1:]
+    cost[:, :m].min(axis=1, out=mins)
+    while True:
+        rows = (mins < np.minimum.accumulate(row_min)[:-1]).nonzero()[0]
+        k, pos = divmod(_frozen_chain_argmin(cost[rows[:, None], slots[:m]], eps), m)
+        r = rows[k]
+        p = int(rem[r])
+        a, b = tour_idx[pos], tour_idx[(pos + 1) % m]
+        tour_idx.insert(pos + 1, p)
+        left -= 1
+        if not left:
+            return tour_idx
+        s = slots[pos]
+        slots[pos + 2 : m + 1] = slots[pos + 1 : m]
+        slots[pos + 1] = m
+        alive[r] = False
+        mins[r] = np.inf
+        stale = ((cost[:, s] <= mins) & alive).nonzero()[0]
+        into_ap = (dmat[a, rem] + dmat[rem, p]) - dmat[a, p]
+        into_pb = (dmat[p, rem] + dmat[rem, b]) - dmat[p, b]
+        cost[:, s] = into_ap
+        cost[:, m] = into_pb
+        np.minimum(mins, np.minimum(into_ap, into_pb), out=mins, where=alive)
+        m += 1
+        if stale.size:
+            mins[stale] = cost[stale, :m].min(axis=1)
+
+
+def _insert_counting_replays(dmat, hull, n):
+    """(kernel tour, number of rounds that replayed the chain)."""
+    replays = 0
+
+    def counting(costs, eps):
+        nonlocal replays
+        replays += 1
+        return _frozen_chain_argmin(costs, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "chain_argmin", counting)
+        order = kernels.cheapest_insertion_order(dmat, hull, n)
+    return order, replays
+
+
+def _clustered_points(num_targets, seed):
+    """A clustered layout's targets plus its sink: the nodes b-tctp tours."""
+    scenario = ScenarioSpec(
+        "clustered", {"num_targets": num_targets, "num_clusters": 8}, seed=seed
+    ).build(seed)
+    return [t.position for t in scenario.targets] + [scenario.sink.position]
+
+
+class TestInsertionKernelAtColdScale:
+    """The slot-major kernel against the frozen point-major kernel, tour for tour.
+
+    Clustered layouts of cold-sweep's sizes (sweep tours ~100 nodes, b-tctp
+    401) must take the shortcut on most rounds; every tie-heavy layout must
+    replay the chain at least once, so both selection paths are held.
+    """
+
+    @pytest.mark.parametrize("num_targets", [100, 400])
+    def test_clustered_layouts_take_the_shortcut(self, num_targets):
+        pts = _clustered_points(num_targets, FUZZ_SEED + num_targets)
+        dmat, hull, n = distance_matrix(pts), convex_hull_indices(pts), len(pts)
+        order, replays = _insert_counting_replays(dmat, hull, n)
+        assert order == _frozen_cheapest_insertion_order(dmat, hull, n)
+        rounds = n - len(hull)
+        assert 2 * replays < rounds, f"{replays} of {rounds} rounds replayed the chain"
+
+    def test_tie_heavy_layouts_replay_the_chain(self):
+        rng = np.random.default_rng(FUZZ_SEED + 6)
+        for kind, pts, _ in _tie_heavy_layouts(rng):
+            pts = [Point(float(x), float(y)) for x, y in pts]
+            dmat, hull, n = distance_matrix(pts), convex_hull_indices(pts), len(pts)
+            order, replays = _insert_counting_replays(dmat, hull, n)
+            assert order == _frozen_cheapest_insertion_order(dmat, hull, n), kind
+            assert replays >= 1, kind
+
+    @pytest.mark.parametrize("rival, expected", [
+        ("same point", [0, 3, 1, 2]),
+        ("earlier point", [0, 4, 3, 1, 2]),   # 3 takes edge (0, 1) first
+    ])
+    def test_near_tie_within_eps_follows_the_chain(self, rival, expected):
+        # A cost 4e-13 above the minimum, scanned before it, wins the chain
+        # (the minimum does not beat it by more than 1e-12) although it is
+        # not the argmin.  Hull 0-1-2 with zero-length edges; every cost not
+        # set here is at least 5.
+        def matrix(n):
+            dmat = np.full((n, n), 5.0)
+            dmat[:3, :3] = 0.0
+            np.fill_diagonal(dmat, 0.0)
+            return dmat
+
+        if rival == "same point":
+            # point 3: 1.5 + 4e-13 into edge (0, 1), exactly 1.5 into (1, 2)
+            dmat = matrix(4)
+            dmat[0, 3], dmat[3, 1] = 1.0, 0.5 + 4e-13
+            dmat[1, 3], dmat[3, 2] = 1.0, 0.5
+        else:
+            # into edge (0, 1): point 3 at 1.5 + 4e-13, point 4 at exactly 1.5
+            dmat = matrix(5)
+            dmat[0, 3], dmat[3, 1] = 1.0, 0.5 + 4e-13
+            dmat[0, 4], dmat[4, 1] = 1.0, 0.5
+        n = dmat.shape[0]
+        order, replays = _insert_counting_replays(dmat, [0, 1, 2], n)
+        assert order == _frozen_cheapest_insertion_order(dmat, [0, 1, 2], n)
+        assert order == expected and replays >= 1
+
+    def test_asymmetric_dmat(self):
+        # dmat[a, q] and dmat[q, a] differ, so a kernel that read one for the
+        # other would price insertions differently; the rounded copy adds
+        # exact ties, so both selection paths see an asymmetric matrix.
+        rng = np.random.default_rng(FUZZ_SEED + 7)
+        pts = rng.uniform(0, 1000, (120, 2))
+        hull = convex_hull_indices([Point(float(x), float(y)) for x, y in pts])
+        dmat = distance_matrix(pts) + rng.uniform(0, 200, (120, 120))
+        np.fill_diagonal(dmat, 0.0)
+        assert not np.array_equal(dmat, dmat.T)
+        replays = []
+        for matrix in (dmat, np.round(dmat / 100) * 100):
+            order, count = _insert_counting_replays(matrix, hull, 120)
+            assert order == _frozen_cheapest_insertion_order(matrix, hull, 120)
+            assert order != _frozen_cheapest_insertion_order(matrix.T.copy(), hull, 120)
+            replays.append(count)
+        assert 2 * replays[0] < 120 - len(hull) and replays[1] >= 1, replays
+
+
 class TestGoldenPlansUnderVectorDispatch:
     """The PR 4 golden strategy calls plan byte-identically with kernels on."""
 
@@ -296,13 +452,27 @@ def case_spec(case: dict) -> RunSpec:
     )
 
 
+def plan_outcome(spec: RunSpec, plan_params: dict) -> "tuple[str, bool]":
+    """``(serialized plan, True)``, or ``("<type>: <message>", False)`` when
+    planning rejects the spec with a ``ValueError``."""
+    try:
+        plan = get_strategy(spec.strategy, **plan_params).plan(
+            spec.scenario.build(spec.seed)
+        )
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}", False
+    return json.dumps(serialize_plan(plan), sort_keys=True), True
+
+
 class TestFuzzedSpecsUnderVectorDispatch:
     def test_plans_and_records_identical_on_random_specs(self):
+        # A plan-time rejection (e.g. a small sw-tctp layout with too few
+        # break edges for a VIP) is an outcome too: the vector leg must raise
+        # the same type and message, and there is no record to compare.
         rng = np.random.default_rng(FUZZ_SEED)
         for index in range(FUZZ_CASES):
             case = draw_case(rng)
             spec = case_spec(case)
-            scenario_spec = spec.scenario
 
             plan_params = dict(spec.params)
             if "seed" in strategy_params(spec.strategy):
@@ -310,27 +480,22 @@ class TestFuzzedSpecsUnderVectorDispatch:
 
             clear_caches()
             with kernels.vector_disabled():
-                scalar_plan = serialize_plan(
-                    get_strategy(spec.strategy, **plan_params).plan(
-                        scenario_spec.build(spec.seed)
+                scalar_plan, planned = plan_outcome(spec, plan_params)
+                if planned:
+                    scalar_record = json.dumps(
+                        _json_sanitize(execute_run(spec)), sort_keys=True
                     )
-                )
-                scalar_record = json.dumps(
-                    _json_sanitize(execute_run(spec)), sort_keys=True
-                )
             clear_caches()
-            vector_plan = serialize_plan(
-                get_strategy(spec.strategy, **plan_params).plan(
-                    scenario_spec.build(spec.seed)
-                )
+            vector_plan, _ = plan_outcome(spec, plan_params)
+
+            assert vector_plan == scalar_plan, (
+                f"case {index} (seed {FUZZ_SEED}) plan diverged: {json.dumps(case)}"
             )
+            if not planned:
+                continue
             vector_record = json.dumps(
                 _json_sanitize(execute_run(spec)), sort_keys=True
             )
-
-            assert json.dumps(vector_plan, sort_keys=True) == json.dumps(
-                scalar_plan, sort_keys=True
-            ), f"case {index} (seed {FUZZ_SEED}) plan diverged: {json.dumps(case)}"
             assert vector_record == scalar_record, (
                 f"case {index} (seed {FUZZ_SEED}) record diverged: {json.dumps(case)}"
             )
