@@ -230,12 +230,29 @@ class StochasticRoute(MuleRoute):
         self._rng = rng
 
     def waypoints(self) -> Iterator[str]:
+        """Draw each next waypoint uniformly, skipping the current node.
+
+        With unique candidates (two or more) and ``avoid_repeat``, a draw
+        takes ``j = integers(n - 1)`` and the ``j``-th candidate counted
+        past the current one, in O(1): that is the element the filtered
+        list holds at ``j``, drawn with the same bound from the same
+        generator, so the stream and the generator state equal the scan's.
+        Duplicate candidates keep the scan over the filtered list.
+        """
+        candidates = self.candidates
+        n = len(candidates)
+        place = {c: i for i, c in enumerate(candidates)}
+        direct = self.avoid_repeat and n >= 2 and len(place) == n
         last: str | None = None
         while True:
-            choices = self.candidates
-            if self.avoid_repeat and last is not None and len(choices) > 1:
-                choices = [c for c in choices if c != last]
-            nxt = choices[int(self._rng.integers(len(choices)))]
+            if direct and last is not None:
+                j = int(self._rng.integers(n - 1))
+                nxt = candidates[j + (j >= place[last])]
+            else:
+                choices = candidates
+                if self.avoid_repeat and last is not None and len(choices) > 1:
+                    choices = [c for c in choices if c != last]
+                nxt = choices[int(self._rng.integers(len(choices)))]
             last = nxt
             yield nxt
 

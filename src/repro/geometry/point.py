@@ -95,15 +95,25 @@ def distance(a: "Point | Sequence[float]", b: "Point | Sequence[float]") -> floa
 def distance_matrix(points: Iterable["Point | Sequence[float]"]) -> np.ndarray:
     """Full pairwise Euclidean distance matrix as an ``(n, n)`` array.
 
-    Uses a vectorised broadcast rather than a double Python loop; for the
-    paper's scales (tens to a few hundred targets) this is instantaneous and
-    keeps tour-construction heuristics cheap to iterate.
+    Computed on the two coordinate planes: ``dx = x_i - x_j`` and ``dy``
+    likewise as two ``(n, n)`` broadcasts, then ``sqrt(dx*dx + dy*dy)`` in
+    place.  That is the float sum an ``einsum`` over an ``(n, n, 2)``
+    difference array takes, so the values are unchanged, without the
+    strided third axis.  Entries are not guaranteed bit-equal to
+    :func:`distance` (``math.hypot``): callers that must match a
+    ``math.hypot`` scan re-measure with the scalar function.
     """
     arr = as_array(points)
     if arr.shape[0] == 0:
         return np.empty((0, 0), dtype=float)
-    diff = arr[:, None, :] - arr[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    xs = arr[:, 0]
+    ys = arr[:, 1]
+    dx = xs[:, None] - xs[None, :]
+    dy = ys[:, None] - ys[None, :]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def hypot_row(coords: np.ndarray, index: int) -> np.ndarray:

@@ -57,6 +57,8 @@ are byte-invisible: they only choose the dispatch path.
 from __future__ import annotations
 
 import json
+from itertools import compress, repeat
+from operator import attrgetter
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -108,6 +110,9 @@ _ROW_CACHE = ContentCache("batch_rows", maxsize=256)
 # (see repro.obs.counter) is a visible share of it with the registry on.
 _BATCHED = _obs.counter("batch_dispatch", outcome="batch")
 
+_ID = attrgetter("id")
+_DATA_RATE = attrgetter("data_rate")
+
 # One process-wide switch for the batched dispatch (REPRO_BATCHPATH; see
 # repro.switches); batchpath_disabled() forces per-cell dispatch for a block.
 configure = BATCHPATH.configure
@@ -136,7 +141,7 @@ class _Row(LegPattern):
         super().__init__(sim, mule, route, sync_time, node_code, _MAX_BATCH_EVENTS)
         walk = self.walk
         self.tidx = self.tile(np.fromiter(
-            (node_tidx.get(n, -1) for n in walk), dtype=np.int32, count=len(walk)
+            map(node_tidx.get, walk, repeat(-1)), dtype=np.int32, count=len(walk)
         ))
         self.stop = None
         battery = mule.battery
@@ -401,47 +406,54 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
         delivered = (flush > collect_indices) & (row_all[flush] == row_all[collect_indices])
     flush = flush[delivered]
 
+    # Node indices (targets, then the sink) ranked by id: the visit table
+    # lists the visited nodes in that order.  The ranks take the smallest
+    # unsigned dtype, so lexsort's stable pass over them is a radix sort.
+    ids = [*map(_ID, targets), cell.scenario.sink.id]
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.min_scalar_type(len(ids)))
+    rank[by_id] = np.arange(len(ids))
+    cr = rank[cx]
+
     # The engine handles visits in pop order: time order, except that its
     # heap's sequence numbers order the events of one instant.  Two things
     # read that order: the collections at each target (the packet sizes) and
     # the delivering flushes (the summation order of the delivery list).
     # Only when one of them ties do the rows' chains replay it.
     key_all = times_all
-    order = np.lexsort((ct, cx))
-    same_target = (np.diff(cx[order]) == 0) & (np.diff(ct[order]) == 0.0)
+    order = np.lexsort((ct, cr))
+    same_target = (np.diff(cr[order]) == 0) & (np.diff(ct[order]) == 0.0)
     flush_times = np.sort(times_all[np.unique(flush)])
     if same_target.any() or (np.diff(flush_times) == 0.0).any():
         key_all = _arrival_ranks(kept)
-        order = np.lexsort((key_all[collect_indices], cx))
+        order = np.lexsort((key_all[collect_indices], cr))
 
-    # Per-target grouping: primary key target index, secondary key pop
-    # order — each group slice comes out time-sorted, exactly the recorder's
-    # per-node ``np.sort``.
-    node_times: dict[str, np.ndarray] = {}
+    # Collections grouped by target rank, each group in pop order, which is
+    # time order: exactly the recorder's sorted per-target stretches.
+    ct_s = ct[order]
+    cr_s = cr[order]
+    # Collection-window packet sizes: (t_j - t_{j-1}) * rate with the window
+    # opening at 0.0 — the engine's max(now - last, 0.0) reduces to the plain
+    # difference under pop-ordered processing.  Each target's first
+    # collection opens at 0.0.
+    prev = np.zeros_like(ct_s)
+    np.copyto(prev[1:], ct_s[:-1], where=cr_s[1:] == cr_s[:-1])
+    rates = np.fromiter(map(_DATA_RATE, targets), dtype=float, count=len(targets))
     collect_sizes = np.empty(ct.size, dtype=float)
-    num_targets = len(targets)
-    if ct.size:
-        ct_s = ct[order]
-        cx_s = cx[order]
-        # Collection-window packet sizes: (t_j - t_{j-1}) * rate with the
-        # window opening at 0.0 — the engine's max(now - last, 0.0) reduces
-        # to the plain difference under pop-ordered processing.  Group
-        # starts (where the target index changes) reset the window to 0.0.
-        prev = np.empty_like(ct_s)
-        prev[0] = 0.0
-        prev[1:] = ct_s[:-1]
-        starts = np.nonzero(np.diff(cx_s) != 0)[0] + 1
-        prev[starts] = 0.0
-        rates_arr = np.array([t.data_rate for t in targets], dtype=float)
-        sizes_s = (ct_s - prev) * rates_arr[cx_s]
-        collect_sizes[order] = sizes_s
-        bounds = np.searchsorted(cx_s, np.arange(num_targets + 1))
-        for ti in range(num_targets):
-            lo, hi = bounds[ti], bounds[ti + 1]
-            if hi > lo:
-                node_times[targets[ti].id] = ct_s[lo:hi]
-    if sink_indices.size:
-        node_times[cell.scenario.sink.id] = np.sort(times_all[sink_indices])
+    collect_sizes[order] = (ct_s - prev) * rates[cx[order]]
+
+    # The visit table: the sink's sorted stretch slots in at its rank.
+    sink_rank = rank[-1]
+    sink_times = np.sort(times_all[sink_indices])
+    at = np.searchsorted(cr_s, sink_rank)
+    counts = np.bincount(cr_s, minlength=len(ids))
+    counts[sink_rank] = sink_times.size
+    visited = counts > 0
+    table = (
+        list(compress(map(ids.__getitem__, by_id), visited.tolist())),
+        counts[visited],
+        np.concatenate((ct_s[:at], sink_times, ct_s[at:])),
+    )
 
     # The engine's delivery list runs in flush pop order, FIFO (chain order)
     # within a flush.  The recorder adds it up with the built-in ``sum`` in
@@ -451,12 +463,10 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
     delivered_data = sum(collect_sizes[delivered][fifo].tolist())
 
     # The metric extractors run unchanged on a stub result pre-seeded with
-    # the per-node arrays — identical inputs, identical code, identical
-    # floats (and the same int/float JSON spelling).
+    # the visit table — identical inputs, identical code, identical floats
+    # (and the same int/float JSON spelling).
     stub = SimulationResult(strategy=cell.plan.strategy, horizon=horizon)
-    stub.__dict__["_visit_times_cache"] = (
-        0, {n: node_times[n] for n in sorted(node_times)}
-    )
+    stub.__dict__["_visit_table"] = (0, table)
     return {
         "average_dcdt": average_dcdt(stub),
         "average_sd": average_sd(stub),

@@ -63,6 +63,9 @@ results against the event loop for every eligible strategy family.
 from __future__ import annotations
 
 import heapq
+import math
+import operator
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -187,7 +190,30 @@ def dedup_walk(
     Returns ``(emitted, cycle_start)`` where ``emitted[cycle_start:]`` is one
     full period of the steady state, or ``cycle_start == -1`` when the walk
     halts (the engine's waypoint iterator would return ``None``).
+
+    Closed form: when no two neighbouring raw entries are equal — counting
+    the prefix's last entry against the cycle's first and the cycle's wrap
+    from its last entry to its first, which needs two or more cycle entries
+    — every entry is emitted, and the state machine first repeats a state at
+    the start of the second lap when the prefix ends on the cycle's last
+    node (the state of the first lap's start), else one step later.  So the
+    walk is ``prefix + cycle`` with the cycle at ``len(prefix)``, or
+    ``prefix + cycle + cycle[:1]`` with the cycle at ``len(prefix) + 1``.
+    Every other pattern runs the state machine.
     """
+    if raw_cycle:
+        closed = raw_prefix + raw_cycle + raw_cycle[:1]
+        if not any(map(operator.eq, closed, closed[1:])):
+            if raw_prefix and raw_prefix[-1] == raw_cycle[-1]:
+                return closed[:-1], len(raw_prefix)
+            return closed, len(raw_prefix) + 1
+    return _skip_walk(raw_prefix, raw_cycle)
+
+
+def _skip_walk(
+    raw_prefix: "list[str]", raw_cycle: "list[str]"
+) -> "tuple[list[str], int]":
+    """The duplicate-skip state machine, for patterns without the closed form."""
     plen = len(raw_prefix)
     clen = len(raw_cycle)
     emitted: list[str] = []
@@ -237,6 +263,24 @@ def node_codes(sim) -> "dict[str, int]":
     return codes
 
 
+_X = operator.attrgetter("x")
+_Y = operator.attrgetter("y")
+
+
+def _hops(points: "list[Point]") -> "list[float]":
+    """``distance(points[k - 1], points[k])`` for every ``k >= 1``, in C-level passes.
+
+    ``distance`` subtracts the coordinates as they are, ``a.x - b.x`` and
+    ``a.y - b.y``, and takes their ``math.hypot``; here ``operator.sub`` and
+    ``math.hypot`` are mapped over the same objects in the same order, so
+    every hop is the same float whatever the coordinate type (an int stays
+    exact, a float32 subtracts in single precision), without a call per leg.
+    """
+    xs = list(map(_X, points))
+    ys = list(map(_Y, points))
+    return list(map(math.hypot, map(operator.sub, xs, xs[1:]), map(operator.sub, ys, ys[1:])))
+
+
 class BatteryStop(NamedTuple):
     """Where a tracked battery ends a :class:`LegPattern`.
 
@@ -277,6 +321,12 @@ class LegPattern:
     ``full``.  A battery-tracked mule's scalar stream replays its battery
     live; the batched tier cuts its legs at :meth:`battery_stop` instead.
 
+    No step of the build runs Python per node: the walk comes from
+    :func:`dedup_walk`'s closed form, node kinds and points from C-level
+    ``map`` lookups, and the leg lengths from ``operator.sub`` and
+    ``math.hypot`` mapped over the coordinates (:func:`_hops`); only the
+    initial leg and the cycle's first leg are single ``distance()`` calls.
+
     Raises :class:`_Fallback` when the route has no precomputable walk, the
     steady-state lap advances no time (the event loop owns that case), or
     the tiling would exceed ``max_events`` legs.
@@ -305,10 +355,9 @@ class LegPattern:
         self.walk = walk
         self.cycle_start = cycle_start
         self.laps = 0
-        coords = route.coordinates
-        points = [coords[n] for n in walk]
+        points = list(map(route.coordinates.__getitem__, walk))
         codes = np.fromiter(
-            (node_code.get(n, 0) for n in walk), dtype=np.int8, count=len(walk)
+            map(node_code.get, walk, repeat(0)), dtype=np.int8, count=len(walk)
         )
         dwells = np.where(codes == 1, sim._params.collection_time, 0.0)
 
@@ -335,10 +384,7 @@ class LegPattern:
         self.base = base
 
         # -- leg lengths (exactly the engine's per-leg distance() calls) --- #
-        legs = np.empty(len(walk), dtype=float)
-        legs[0] = distance(first_from, points[0])
-        for k in range(1, len(walk)):
-            legs[k] = distance(points[k - 1], points[k])
+        legs = np.array([distance(first_from, points[0]), *_hops(points)])
 
         if cycle_start >= 0:
             # The cycle's first leg starts from the walk's last node, not
@@ -734,18 +780,6 @@ def _run(sim) -> SimulationResult:
     # Materialise records and final mule/trace state in bulk
     # ----------------------------------------------------------------- #
     result.visits = [VisitRecord(t, n, m, f) for t, n, m, f in visits_raw]
-    # Pre-seed the recorder's per-target grouping from the columnar data so
-    # the metric extractors never re-scan the materialised visit records.
-    # Exactly what visit_times_by_target() would compute from result.visits.
-    target_groups: dict[str, list[float]] = {}
-    for t, n, _m, f in visits_raw:
-        if f:
-            target_groups.setdefault(n, []).append(t)
-    result.__dict__["_visit_times_cache"] = (
-        len(visits_raw),
-        {n: np.sort(np.asarray(target_groups[n], dtype=float))
-         for n in sorted(target_groups)},
-    )
     # DeliveryRecord(delivered_at, mule_id, target_id, generated_from,
     #                generated_to, collected_at, size); generated_to and
     # collected_at are the same instant, as in DataCollectionModel.collect.

@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,51 +49,59 @@ def visiting_intervals(visit_times: Sequence[float], *, initial_time: float = 0.
     return intervals
 
 
-def _interval_arrays(result: SimulationResult, *, include_first: bool = False,
-                     targets: Iterable[str] | None = None) -> dict[str, np.ndarray]:
-    """Per-target visiting-interval arrays, vectorised and cached per result.
+def _interval_table(result: SimulationResult, *, include_first: bool = False,
+                    targets: Iterable[str] | None = None,
+                    ) -> "tuple[list[str], np.ndarray, np.ndarray]":
+    """Visiting intervals as one flat table ``(ids, counts, intervals)``.
 
-    The per-target sorted visit-time arrays from
-    :meth:`~repro.sim.recorder.SimulationResult.visit_times_by_target` are
-    concatenated and differenced once; each target gets a view of its own
-    stretch, the same subtractions ``np.diff`` makes per target (with
-    ``include_first``, the first visit less ``0.0``).  The default view
-    (``targets=None``) is cached on the result so the standard metric set
-    shares one pass over the visit log.
+    Computed from the result's :meth:`~repro.sim.recorder.SimulationResult.visit_table`
+    in one pass: ``np.diff`` over all the concatenated time stretches, with
+    the differences across a stretch boundary dropped — the subtractions a
+    per-target ``np.diff`` makes.  With ``include_first`` each stretch keeps
+    its first visit less ``0.0`` instead.  ``intervals`` is then the
+    contiguous array a concatenation of the per-target arrays gives, so
+    reductions over it add in the same order.  The table of all visited
+    targets is cached on the result.  With ``targets``, the table lists
+    those targets in the caller's order (duplicates dropped, an unvisited
+    target with no intervals).
     """
-    cache_key = (len(result.visits), bool(include_first))
-    if targets is None:
-        cached = result.__dict__.get("_interval_arrays_cache")
-        if cached is not None and cached[0] == cache_key:
-            return cached[1]
-    by_target = result.visit_times_by_target()
-    wanted = list(by_target) if targets is None else list(targets)
-    out = dict.fromkeys(wanted, np.empty(0, dtype=float))
-    visited = [t for t in out if t in by_target and by_target[t].size]
-    if visited:
-        times = np.concatenate([by_target[t] for t in visited])
-        ends = np.cumsum([by_target[t].size for t in visited]).tolist()
-        starts = [0] + ends[:-1]
+    tables = result.__dict__.setdefault("_interval_tables", {})
+    cached = tables.get(include_first)
+    if cached is None or cached[0] != len(result.visits):
+        ids, counts, times = result.visit_table()
+        starts = np.cumsum(counts) - counts
         if include_first:
             previous = np.empty_like(times)
             previous[1:] = times[:-1]
             previous[starts] = 0.0
-            diffs = times - previous
+            intervals = times - previous
         else:
-            diffs = np.diff(times)
-            ends = [end - 1 for end in ends]
-        for t, start, end in zip(visited, starts, ends):
-            out[t] = diffs[start:end]
+            intervals = np.delete(np.diff(times), starts[1:] - 1)
+            counts = counts - 1
+        cached = tables[include_first] = (len(result.visits), (ids, counts, intervals))
     if targets is None:
-        result.__dict__["_interval_arrays_cache"] = (cache_key, out)
-    return out
+        return cached[1]
+    arrays = _per_target(cached[1])
+    wanted = list(dict.fromkeys(targets))
+    subset = [arrays.get(t, np.empty(0)) for t in wanted]
+    return (
+        wanted,
+        np.array([iv.size for iv in subset], dtype=np.intp),
+        np.concatenate(subset) if subset else np.empty(0),
+    )
+
+
+def _per_target(table) -> "dict[str, np.ndarray]":
+    """A table's per-target interval arrays (views into its flat array)."""
+    ids, counts, intervals = table
+    return dict(zip(ids, np.split(intervals, np.cumsum(counts)[:-1])))
 
 
 def per_target_intervals(result: SimulationResult, *, include_first: bool = False,
                          targets: Iterable[str] | None = None) -> dict[str, list[float]]:
     """Visiting-interval list for every target that was visited."""
-    arrays = _interval_arrays(result, include_first=include_first, targets=targets)
-    return {t: iv.tolist() for t, iv in arrays.items()}
+    table = _interval_table(result, include_first=include_first, targets=targets)
+    return {t: iv.tolist() for t, iv in _per_target(table).items()}
 
 
 def dcdt_series(result: SimulationResult, *, num_points: int = 41,
@@ -107,54 +114,67 @@ def dcdt_series(result: SimulationResult, *, num_points: int = 41,
     the available entries.  Trailing indices where no target has data are
     reported as ``nan``.
     """
-    intervals = _interval_arrays(result, include_first=include_first, targets=targets)
+    _, counts, intervals = _interval_table(result, include_first=include_first,
+                                           targets=targets)
+    starts = np.cumsum(counts) - counts
     series: list[float] = []
     for k in range(num_points):
-        values = [iv[k] for iv in intervals.values() if len(iv) > k]
-        series.append(float(np.mean(values)) if values else float("nan"))
+        values = intervals[starts[counts > k] + k]  # in target order
+        series.append(float(np.mean(values)) if values.size else float("nan"))
     return series
 
 
 def average_dcdt(result: SimulationResult, *, include_first: bool = False,
                  targets: Iterable[str] | None = None) -> float:
     """Mean visiting interval over all targets and all visits (Figure 9's bar height)."""
-    intervals = _interval_arrays(result, include_first=include_first, targets=targets)
-    flat = _flatten(intervals)
+    _, _, flat = _interval_table(result, include_first=include_first, targets=targets)
     return float(np.mean(flat)) if flat.size else float("nan")
+
+
+def _sd_array(counts: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+    """Each table row's sample SD (``ddof=1``), ``nan`` below two intervals.
+
+    Rows with equal interval counts are gathered into one matrix by a single
+    fancy index and share one row-wise ``np.std``: numpy reduces each
+    contiguous row with the same pairwise sum as a 1-D array, so every SD is
+    the float a per-target call gives.  A count held by one row keeps the
+    1-D call.
+    """
+    sds = np.full(counts.size, np.nan)
+    starts = np.cumsum(counts) - counts
+    rows = np.flatnonzero(counts >= 2)
+    rows = rows[np.argsort(counts[rows], kind="stable")]
+    sizes, firsts = np.unique(counts[rows], return_index=True)
+    for size, group in zip(sizes.tolist(), np.split(rows, firsts[1:])):
+        if group.size == 1:
+            lo = starts[group[0]]
+            sds[group[0]] = np.std(intervals[lo:lo + size], ddof=1)
+        else:
+            block = intervals[starts[group][:, None] + np.arange(size)]
+            sds[group] = np.std(block, axis=1, ddof=1)
+    return sds
 
 
 def per_target_sd(result: SimulationResult, *, targets: Iterable[str] | None = None) -> dict[str, float]:
     """The paper's SD of each target's visiting intervals (sample std, ``n - 1``).
 
     Targets with fewer than two intervals get ``nan`` (SD undefined).
-    Targets with equal interval counts share one row-wise ``np.std``: numpy
-    reduces each contiguous row with the same pairwise sum as a 1-D array,
-    so every SD is the float a per-target call gives.
     """
-    intervals = _interval_arrays(result, include_first=False, targets=targets)
-    out = dict.fromkeys(intervals, float("nan"))
-    by_count: dict[int, list[str]] = {}
-    for t, iv in intervals.items():
-        if iv.size >= 2:
-            by_count.setdefault(iv.size, []).append(t)
-    for group in by_count.values():
-        if len(group) == 1:
-            out[group[0]] = float(np.std(intervals[group[0]], ddof=1))
-        else:
-            sds = np.std(np.stack([intervals[t] for t in group]), axis=1, ddof=1)
-            out.update(zip(group, sds.tolist()))
-    return out
+    ids, counts, intervals = _interval_table(result, targets=targets)
+    return dict(zip(ids, _sd_array(counts, intervals).tolist()))
 
 
 def average_sd(result: SimulationResult, *, targets: Iterable[str] | None = None) -> float:
-    """Mean over targets of the per-target SD (Figures 8 and 10)."""
-    sds = [v for v in per_target_sd(result, targets=targets).values() if not math.isnan(v)]
-    return float(np.mean(sds)) if sds else float("nan")
+    """Mean over targets of the per-target SD (Figures 8 and 10), in target order."""
+    _, counts, intervals = _interval_table(result, targets=targets)
+    sds = _sd_array(counts, intervals)
+    sds = sds[~np.isnan(sds)]
+    return float(np.mean(sds)) if sds.size else float("nan")
 
 
 def max_visiting_interval(result: SimulationResult, *, targets: Iterable[str] | None = None) -> float:
     """The maximal visiting interval over all targets — the paper's optimisation objective."""
-    flat = _flatten(_interval_arrays(result, include_first=False, targets=targets))
+    _, _, flat = _interval_table(result, targets=targets)
     return float(np.max(flat)) if flat.size else float("nan")
 
 
@@ -165,27 +185,19 @@ def delivery_latencies(result: SimulationResult) -> list[float]:
 
 def interval_statistics(result: SimulationResult, *, targets: Iterable[str] | None = None) -> dict:
     """One-stop summary of the interval metrics (used by reports and examples)."""
-    intervals = _interval_arrays(result, include_first=False, targets=targets)
-    flat = _flatten(intervals)
+    ids, _, flat = _interval_table(result, targets=targets)
     if not flat.size:
         return {
             "mean_interval": float("nan"),
             "max_interval": float("nan"),
             "average_sd": float("nan"),
-            "targets_visited": len(intervals),
+            "targets_visited": len(ids),
             "total_intervals": 0,
         }
     return {
         "mean_interval": float(np.mean(flat)),
         "max_interval": float(np.max(flat)),
         "average_sd": average_sd(result, targets=targets),
-        "targets_visited": len(intervals),
+        "targets_visited": len(ids),
         "total_intervals": int(flat.size),
     }
-
-
-def _flatten(intervals: "dict[str, np.ndarray]") -> np.ndarray:
-    """All interval arrays concatenated in per-target order (may be empty)."""
-    if not intervals:
-        return np.empty(0, dtype=float)
-    return np.concatenate(list(intervals.values()))

@@ -2,19 +2,26 @@
 
 The hot-path metric queries (:meth:`SimulationResult.visit_times`,
 :meth:`SimulationResult.visit_times_by_target` and everything in
-:mod:`repro.sim.metrics` built on them) group the visit log into per-target
-numpy arrays **once** per result and cache the grouping, instead of
-re-filtering the full log for every target as the original per-event code
-did.  The cache is invalidated by visit-log length, so incremental consumers
-that append records still see fresh data.
+:mod:`repro.sim.metrics` built on them) read one flat **visit table** —
+:meth:`SimulationResult.visit_table` — built from the visit log **once** per
+result and cached, instead of re-filtering the full log for every target as
+the original per-event code did.  The cache is invalidated by visit-log
+length, so incremental consumers that append records still see fresh data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
+
 import numpy as np
 
 __all__ = ["VisitRecord", "DeliveryRecord", "MuleTrace", "SimulationResult"]
+
+_IS_TARGET = attrgetter("is_target")
+_NODE_ID = attrgetter("node_id")
+_TIME = attrgetter("time")
 
 
 @dataclass(frozen=True)
@@ -80,24 +87,43 @@ class SimulationResult:
         out = [v for v in self.visits if v.is_target and (target_id is None or v.node_id == target_id)]
         return sorted(out, key=lambda v: (v.time, v.node_id, v.mule_id))
 
-    def visit_times_by_target(self) -> "dict[str, np.ndarray]":
-        """Sorted visit-time array per visited target, grouped in one pass.
+    def visit_table(self) -> "tuple[list[str], np.ndarray, np.ndarray]":
+        """The target visits as one flat table ``(ids, counts, times)``.
 
-        The grouping is cached on the result (keyed by visit-log length) so
-        the metric extractors — which all need the same per-target view —
-        share one O(V) pass instead of filtering the full log per target.
-        The arrays are cache-shared: copy before mutating.
+        ``ids`` lists the visited targets in sorted order, ``counts`` their
+        numbers of visits, and ``times`` each target's visit times, sorted,
+        one stretch after another in ``ids`` order.  Built in one pass and
+        cached on the result (keyed by visit-log length); the batched tier
+        seeds it directly.  The arrays are cache-shared: copy before mutating.
+        """
+        cached = self.__dict__.get("_visit_table")
+        if cached is not None and cached[0] == len(self.visits):
+            return cached[1]
+        visits = list(compress(self.visits, map(_IS_TARGET, self.visits)))
+        nodes = list(map(_NODE_ID, visits))
+        times = np.fromiter(map(_TIME, visits), dtype=float, count=len(visits))
+        ids = sorted(set(nodes))
+        rank = dict(zip(ids, range(len(ids))))
+        # The smallest unsigned dtype makes lexsort's pass over it a radix sort.
+        codes = np.fromiter(map(rank.__getitem__, nodes),
+                            dtype=np.min_scalar_type(len(ids)), count=len(nodes))
+        table = (ids, np.bincount(codes, minlength=len(ids)),
+                 times[np.lexsort((times, codes))])
+        self.__dict__["_visit_table"] = (len(self.visits), table)
+        return table
+
+    def visit_times_by_target(self) -> "dict[str, np.ndarray]":
+        """Sorted visit-time array per visited target: views into :meth:`visit_table`.
+
+        The mapping is cached on the result with the table, so per-target
+        queries share one pass over the visit log.  The arrays are
+        cache-shared: copy before mutating.
         """
         cached = self.__dict__.get("_visit_times_cache")
         if cached is not None and cached[0] == len(self.visits):
             return cached[1]
-        groups: dict[str, list[float]] = {}
-        for v in self.visits:
-            if v.is_target:
-                groups.setdefault(v.node_id, []).append(v.time)
-        arrays = {
-            t: np.sort(np.asarray(groups[t], dtype=float)) for t in sorted(groups)
-        }
+        ids, counts, times = self.visit_table()
+        arrays = dict(zip(ids, np.split(times, np.cumsum(counts)[:-1])))
         self.__dict__["_visit_times_cache"] = (len(self.visits), arrays)
         return arrays
 

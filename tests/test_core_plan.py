@@ -146,6 +146,42 @@ class TestStochasticRoute:
         assert len(take(r, 10)) == 10
 
 
+def frozen_scan(route):
+    """The waypoint draw as a scan over the filtered candidates: the reference."""
+    last = None
+    while True:
+        choices = route.candidates
+        if route.avoid_repeat and last is not None and len(choices) > 1:
+            choices = [c for c in choices if c != last]
+        nxt = choices[int(route._rng.integers(len(choices)))]
+        last = nxt
+        yield nxt
+
+
+MANY = {f"g{i}": Point(i, i % 7) for i in range(60)}
+
+
+class TestStochasticDrawMatchesTheScan:
+    """The O(1) draw gives the scan's waypoints and leaves its generator state."""
+
+    @pytest.mark.parametrize("candidates,avoid_repeat", [
+        (list(MANY), True),                        # unique: the O(1) draw
+        (["g1", "g2", "g1", "g3", "g3"], True),    # duplicates: the scan
+        (list(MANY), False),                       # repeats allowed
+        (["g1"], True),
+        (["g1", "g2"], True),
+        (["g2", "g1"], False),
+    ])
+    @pytest.mark.parametrize("seed", [0, 20260808])
+    def test_same_waypoints_and_generator_state(self, candidates, avoid_repeat, seed):
+        routes = [StochasticRoute("m1", candidates, MANY, seed=seed, avoid_repeat=avoid_repeat)
+                  for _ in range(2)]
+        drawn = list(itertools.islice(routes[0].waypoints(), 10_000))
+        scanned = list(itertools.islice(frozen_scan(routes[1]), 10_000))
+        assert drawn == scanned
+        assert routes[0]._rng.bit_generator.state == routes[1]._rng.bit_generator.state
+
+
 class TestPatrolPlan:
     def test_route_lookup(self):
         routes = {"m1": LoopRoute("m1", ["a", "b"], COORDS)}

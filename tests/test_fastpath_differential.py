@@ -330,3 +330,194 @@ class TestEventLoopStaysAuthoritative:
         with batchpath.batchpath_disabled():
             second = execute_run(spec)
         assert canonical(first) == canonical(second)
+
+
+# --------------------------------------------------------------------------- #
+# The leg-pattern build: closed-form walk and array leg lengths
+# --------------------------------------------------------------------------- #
+
+def frozen_dedup_walk(raw_prefix, raw_cycle):
+    """The duplicate-skip state machine as every pattern ran it before the
+    closed form: the reference :func:`repro.sim.fastpath.dedup_walk` must
+    equal."""
+    plen = len(raw_prefix)
+    clen = len(raw_cycle)
+    emitted = []
+    prev = None
+    seen = {}
+    pos = 0
+    while True:
+        if pos >= plen:
+            if clen == 0:
+                break
+            state = ((pos - plen) % clen, prev)
+            if state in seen:
+                return emitted, seen[state]
+            seen[state] = len(emitted)
+        node = None
+        for _ in range(8):
+            if pos < plen:
+                candidate = raw_prefix[pos]
+            else:
+                candidate = raw_cycle[(pos - plen) % clen]
+            pos += 1
+            if candidate != prev:
+                node = candidate
+                break
+        if node is None:
+            break
+        emitted.append(node)
+        prev = node
+    return emitted, -1
+
+
+COLD_LAYOUT = {
+    "num_targets": 400, "num_mules": 4, "num_clusters": 8, "num_vips": 20,
+    "with_recharge_station": True, "mule_battery": 200_000.0,
+}
+COLD_STRATEGIES = ["b-tctp", "w-tctp", "rw-tctp", "chb", "sweep", "staggered-chb", "random"]
+COLD_SIM = SimulationConfig(horizon=50_000.0, track_energy=True)
+
+
+def cold_spec(strategy: str) -> RunSpec:
+    """One cell of a 400-target clustered layout with VIPs, recharge and batteries."""
+    return RunSpec(strategy=strategy, scenario=ScenarioSpec("clustered", COLD_LAYOUT),
+                   sim=COLD_SIM, seed=FUZZ_SEED)
+
+
+@pytest.fixture(scope="module")
+def cold_sims():
+    """A simulator per loop strategy on one planned cold layout."""
+    from repro.baselines.base import get_strategy, seeded_params
+    from repro.runner.campaign import build_cell_scenario
+    from repro.sim.engine import PatrolSimulator
+
+    sims = {}
+    for strategy in COLD_STRATEGIES[:-1]:
+        spec = cold_spec(strategy)
+        scenario = build_cell_scenario(spec)
+        planner = get_strategy(strategy, **seeded_params(strategy, spec.params, spec.seed))
+        sims[strategy] = PatrolSimulator(scenario, planner.plan(scenario), COLD_SIM)
+    return sims
+
+
+def reference_legs(pattern, route, first_from):
+    """The per-leg ``distance()`` loop, tiled as the pattern tiles its legs."""
+    from repro.geometry.point import distance
+
+    points = [route.coordinates[n] for n in pattern.walk]
+    legs = [distance(first_from, points[0])]
+    for k in range(1, len(points)):
+        legs.append(distance(points[k - 1], points[k]))
+    if pattern.cycle_start >= 0:
+        cycle = [distance(points[-1], points[pattern.cycle_start])]
+        legs += (cycle + legs[pattern.cycle_start + 1:]) * pattern.laps
+    return legs
+
+
+class TestLegPatternBuild:
+    """The closed-form walk and the array leg lengths equal the per-node loops."""
+
+    def test_closed_form_walk_matches_the_state_machine(self):
+        from repro.sim.fastpath import dedup_walk
+
+        rng = np.random.default_rng(FUZZ_SEED + 5)
+        closed = cycling = halted = 0
+        for _ in range(20_000):
+            alphabet = [f"n{i}" for i in range(int(rng.integers(1, 9)))]
+            prefix = [alphabet[int(i)] for i in rng.integers(len(alphabet), size=rng.integers(0, 8))]
+            cycle = [alphabet[int(i)] for i in rng.integers(len(alphabet), size=rng.integers(1, 8))]
+            want = frozen_dedup_walk(prefix, cycle)
+            assert dedup_walk(prefix, cycle) == want, (prefix, cycle)
+            ring = prefix + cycle + cycle[:1]
+            closed += all(a != b for a, b in zip(ring, ring[1:]))
+            halted += want[1] < 0
+            cycling += want[1] >= 0
+        # The draw must reach the closed form, the state machine's period
+        # search past runs and neighbour duplicates, and the 8-skip halt.
+        assert closed >= 1_000 and cycling - closed >= 1_000 and halted >= 100
+
+    def test_every_route_of_a_cold_layout(self, cold_sims):
+        from repro.core.plan import AlternatingLoopRoute, LoopRoute
+        from repro.sim.fastpath import dedup_walk, route_pattern
+
+        rounds_seen = set()
+        for sim in cold_sims.values():
+            for route in sim.plan.routes.values():
+                variants = [route]
+                if type(route) is LoopRoute:
+                    n = len(route.loop)
+                    variants += [
+                        LoopRoute(route.mule_id, route.loop, route.coordinates, entry_index=e)
+                        for e in (1, n // 2, n - 1)
+                    ]
+                else:
+                    n = len(route.patrol_loop)
+                    variants += [
+                        AlternatingLoopRoute(
+                            route.mule_id, route.patrol_loop, route.recharge_loop,
+                            route.coordinates, patrol_rounds=r, entry_index=e,
+                        )
+                        for r in (1, 2, 3, 4) for e in (0, 1, n // 2, n - 1)
+                    ]
+                    rounds_seen.update(range(1, 5))
+                for variant in variants:
+                    pattern = route_pattern(variant)
+                    assert dedup_walk(*pattern) == frozen_dedup_walk(*pattern)
+        assert rounds_seen == {1, 2, 3, 4}, "the layout planned no alternating route"
+
+    def test_closed_form_on_every_batched_cold_route(self, monkeypatch):
+        from repro.sim import fastpath
+
+        loops, built = [], []
+        skip_walk, build_rows = fastpath._skip_walk, batchpath._build_rows
+
+        def spy_skip_walk(*pattern):
+            loops.append(pattern)
+            return skip_walk(*pattern)
+
+        def spy_build_rows(sim):
+            built.append(build_rows(sim))
+            return built[-1]
+
+        monkeypatch.setattr(fastpath, "_skip_walk", spy_skip_walk)
+        monkeypatch.setattr(batchpath, "_build_rows", spy_build_rows)
+        clear_caches()
+        records = batchpath.batch_execute_records([cold_spec(s) for s in COLD_STRATEGIES])
+        clear_caches()
+        assert [r is not None for r in records] == [True] * 6 + [False]  # random declines
+        assert sum(len(rows) for rows in built) == 24
+        assert loops == [], f"{len(loops)} batched routes ran the state machine"
+
+    def test_leg_lengths_equal_a_distance_loop(self, cold_sims):
+        from repro.sim.fastpath import LegPattern, node_codes
+
+        for sim in cold_sims.values():
+            sync_time = sim._patrol_start_time()
+            codes = node_codes(sim)
+            for mule in sim.scenario.mules:
+                route = sim.plan.route_for(mule.id)
+                pattern = LegPattern(sim, mule, route, sync_time, codes, 10**6)
+                first_from = pattern.start_point if pattern.init_event else mule.position
+                want = reference_legs(pattern, route, first_from)
+                assert [v.hex() for v in pattern.dists.tolist()] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("kind", ["floats", "ints", "big-ints", "float32"])
+    def test_hops_keep_the_scalar_subtraction(self, kind):
+        from repro.geometry.point import Point, distance
+        from repro.sim.fastpath import _hops
+
+        rng = np.random.default_rng(FUZZ_SEED + 6)
+        raw = rng.uniform(-1e3, 1e3, (60, 2))
+        # Every other point carries the odd coordinate type: converting it
+        # to float64 before subtracting would change the hops next to it.
+        odd = {
+            "floats": float,
+            "ints": int,
+            "big-ints": lambda v: 2**53 + int(v * 1e3),  # rounds as a float
+            "float32": np.float32,  # subtracts in single precision
+        }[kind]
+        points = [Point(float(x), float(y)) if i % 2 else Point(odd(x), odd(y))
+                  for i, (x, y) in enumerate(raw)]
+        want = [distance(a, b) for a, b in zip(points, points[1:])]
+        assert [float(v).hex() for v in _hops(points)] == [float(v).hex() for v in want]

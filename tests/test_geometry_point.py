@@ -94,6 +94,27 @@ class TestDistanceHelpers:
     def test_distance_matrix_empty(self):
         assert distance_matrix([]).shape == (0, 0)
 
+    @pytest.mark.parametrize("layout", ["uniform", "clustered", "lattice", "duplicates"])
+    def test_distance_matrix_bitwise_equals_the_einsum(self, layout):
+        """The two-plane matrix holds the floats of an ``(n, n, 2)`` broadcast
+        summed by ``einsum``, at every coordinate scale."""
+        rng = np.random.default_rng(20260808 + len(layout))
+        for scale in (1e-9, 1e-3, 1.0, 1e3, 1e6, 1e10):
+            for n in (2, 3, 17, 130, 260):
+                if layout == "uniform":
+                    arr = rng.uniform(-1.0, 1.0, (n, 2))
+                elif layout == "clustered":
+                    arr = rng.normal(rng.uniform(-1.0, 1.0, 2), 0.01, (n, 2))
+                elif layout == "lattice":
+                    arr = rng.integers(-20, 20, (n, 2)).astype(float)
+                else:
+                    arr = rng.uniform(-1.0, 1.0, (max(1, n // 3), 2))[rng.integers(max(1, n // 3), size=n)]
+                arr = arr * scale
+                diff = arr[:, None, :] - arr[None, :, :]
+                want = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+                got = distance_matrix([Point(float(x), float(y)) for x, y in arr])
+                assert got.tobytes() == want.tobytes(), (layout, scale, n)
+
     def test_centroid(self):
         c = centroid([Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)])
         assert c == Point(1.0, 1.0)

@@ -152,8 +152,10 @@ _PINNED_COUNTS = (2, 7, 8, 9, 128, 129, 8192, 8193)
 def _ragged_result(rng, counts) -> SimulationResult:
     """One result whose targets ``g000``, ``g001``, ... have the given interval counts.
 
-    A count of 0 is a single visit; visits are interleaved across targets,
-    as the engine logs them.
+    A count of 0 is a single visit.  A ``sink`` node is visited as well (its
+    visits count, as the engine logs them) and a ``recharge`` station, whose
+    visits are no target visits.  Visits are interleaved across nodes, as
+    the engine logs them.
     """
     visits = []
     for i, count in enumerate(counts):
@@ -163,15 +165,39 @@ def _ragged_result(rng, counts) -> SimulationResult:
             intervals = rng.uniform(0.5, 900.0, count)
         times = rng.uniform(0.0, 50.0) + np.concatenate(([0.0], np.cumsum(intervals)))
         visits += [VisitRecord(float(t), f"g{i:03d}", "m1") for t in times]
+    visits += [VisitRecord(float(t), "sink", "m2") for t in rng.uniform(0.0, 9e3, 17)]
+    visits += [VisitRecord(float(t), "recharge", "m2", False) for t in rng.uniform(0.0, 9e3, 5)]
     r = SimulationResult(strategy="test", horizon=1e9)
     r.visits = [visits[j] for j in rng.permutation(len(visits))]
     return r
 
 
+def _frozen_grouping(result):
+    """The per-target grouping of the visit log as a loop builds it: the reference."""
+    groups = {}
+    for v in result.visits:
+        if v.is_target:
+            groups.setdefault(v.node_id, []).append(v.time)
+    return {t: np.sort(np.asarray(groups[t], dtype=float)) for t in sorted(groups)}
+
+
+def _seeded(result) -> SimulationResult:
+    """A stub result holding only a visit table seeded from the frozen grouping,
+    as the batched tier seeds its stub."""
+    grouping = _frozen_grouping(result)
+    stub = SimulationResult(strategy="test", horizon=result.horizon)
+    stub.__dict__["_visit_table"] = (0, (
+        list(grouping),
+        np.array([times.size for times in grouping.values()]),
+        np.concatenate(list(grouping.values())),
+    ))
+    return stub
+
+
 def _reference_intervals(result, include_first=False):
     """The per-target loop the grouped passes replace: one 1-D ``np.diff`` each."""
     out = {}
-    for t, times in result.visit_times_by_target().items():
+    for t, times in _frozen_grouping(result).items():
         intervals = np.diff(times)
         if include_first:
             intervals = np.concatenate(([times[0] - 0.0], intervals))
@@ -183,17 +209,23 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+SOURCES = {"recorder": lambda r: r, "seeded-table": _seeded}
+
+
 class TestGroupedReductionsMatchPerTargetLoop:
     """The grouped array passes give the per-target loop's floats, bit for bit.
 
+    Every extractor runs on the flat visit table, built by the recorder from
+    its visit log or seeded directly (as the batched tier seeds it).
     Row-wise ``np.std`` equals the 1-D call only while numpy reduces each
     contiguous row with the same pairwise sum; the pinned counts sit on the
     edges of that sum and of numpy's buffer, so a numpy build that reduces
     rows differently fails here.
     """
 
+    @pytest.mark.parametrize("source", list(SOURCES))
     @pytest.mark.parametrize("mix", ["all-equal", "all-distinct", "clustered"])
-    def test_metrics_equal_a_loop_of_1d_reductions(self, mix):
+    def test_metrics_equal_a_loop_of_1d_reductions(self, mix, source):
         rng = np.random.default_rng(20260808 + len(mix))
         if mix == "all-equal":
             results = [_ragged_result(rng, [c] * 3) for c in _PINNED_COUNTS]
@@ -206,8 +238,13 @@ class TestGroupedReductionsMatchPerTargetLoop:
             counts = [clusters[int(k)] for k in rng.integers(0, 4, 24)]
             results = [_ragged_result(rng, [*counts, 0, 1, 2, 2])]
 
-        for r in results:
-            reference = _reference_intervals(r)
+        for raw in results:
+            reference = _reference_intervals(raw)
+            r = SOURCES[source](raw)
+            grouping = r.visit_times_by_target()
+            assert list(grouping) == list(_frozen_grouping(raw))
+            assert all(_hex(grouping[t]) == _hex(times)
+                       for t, times in _frozen_grouping(raw).items())
             ref_sd = {
                 t: float(np.std(iv, ddof=1)) if iv.size >= 2 else float("nan")
                 for t, iv in reference.items()
@@ -222,7 +259,7 @@ class TestGroupedReductionsMatchPerTargetLoop:
             assert average_dcdt(r).hex() == float(np.mean(flat)).hex()
             assert max_visiting_interval(r).hex() == float(np.max(flat)).hex()
 
-            with_first = _reference_intervals(r, include_first=True)
+            with_first = _reference_intervals(raw, include_first=True)
             ref_series = []
             for k in range(41):
                 values = [iv[k] for iv in with_first.values() if len(iv) > k]
@@ -231,14 +268,37 @@ class TestGroupedReductionsMatchPerTargetLoop:
             listed = per_target_intervals(r, include_first=True)
             assert list(listed) == list(with_first)
             assert all(_hex(listed[t]) == _hex(iv) for t, iv in with_first.items())
+            stats = interval_statistics(r)
+            assert stats["targets_visited"] == len(reference)
+            assert stats["total_intervals"] == flat.size
+            assert stats["mean_interval"].hex() == average_dcdt(r).hex()
 
-    def test_target_filter_keeps_order_and_unvisited_targets(self):
-        r = _ragged_result(np.random.default_rng(3), [9, 0, 8, 9, 1])
-        wanted = ["g003", "g999", "g000", "g001", "g004"]
-        reference = _reference_intervals(r)
+    @pytest.mark.parametrize("source", list(SOURCES))
+    def test_target_filter_keeps_order_and_unvisited_targets(self, source):
+        raw = _ragged_result(np.random.default_rng(3), [9, 0, 8, 9, 1])
+        r = SOURCES[source](raw)
+        wanted = ["g003", "g999", "g000", "g001", "g004", "sink", "g003"]
+        reference = _reference_intervals(raw)
+        listed = list(dict.fromkeys(wanted))  # a repeated target counts once
         sds = per_target_sd(r, targets=wanted)
-        assert list(sds) == wanted
+        assert list(sds) == listed
         assert math.isnan(sds["g999"]) and math.isnan(sds["g001"])
         assert sds["g003"].hex() == float(np.std(reference["g003"], ddof=1)).hex()
         assert sds["g000"].hex() == float(np.std(reference["g000"], ddof=1)).hex()
         assert per_target_intervals(r, targets=wanted)["g999"] == []
+
+        subset = [reference.get(t, np.empty(0)) for t in listed]
+        flat = np.concatenate(subset)
+        assert average_dcdt(r, targets=wanted).hex() == float(np.mean(flat)).hex()
+        assert max_visiting_interval(r, targets=wanted).hex() == float(np.max(flat)).hex()
+        finite = [v for v in sds.values() if not math.isnan(v)]
+        assert average_sd(r, targets=wanted).hex() == float(np.mean(finite)).hex()
+        with_first = _reference_intervals(raw, include_first=True)
+        series = [
+            float(np.mean(values)) if values else float("nan")
+            for values in ([with_first[t][k] for t in listed
+                            if t in with_first and with_first[t].size > k]
+                           for k in range(12))
+        ]
+        assert _hex(dcdt_series(r, num_points=12, targets=wanted)) == _hex(series)
+        assert interval_statistics(r, targets=wanted)["targets_visited"] == len(listed)
