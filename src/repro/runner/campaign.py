@@ -13,9 +13,10 @@ Cells that share a scenario description — every strategy of a grid axis runs
 against the same ``(family, params, seed)`` triple, and a pinned scenario
 seed shares one layout across all replications — do not regenerate it: a
 content-keyed prototype cache (see :mod:`repro.geometry.cache`) stores the
-generated scenario once and hands each cell a
-:meth:`~repro.network.scenario.Scenario.fresh_copy`.  Reuse is purely
-memoizing: records are byte-identical with the cache on or off.
+generated scenario once and hands each cell that builds one a
+:meth:`~repro.network.scenario.Scenario.fresh_copy` (a batched cell whose
+row set is already cached needs none).  Reuse is purely memoizing: records
+are byte-identical with the cache on or off.
 """
 
 from __future__ import annotations
@@ -66,13 +67,16 @@ __all__ = [
 # mutates a cached object.  Worker processes each hold their own cache.
 _SCENARIO_CACHE = ContentCache("scenario_prototype", maxsize=64)
 
+# ``json.dumps(params, sort_keys=True, default=repr)``, without building an
+# encoder per call (the batch keys every cell by this).
+_encode_scenario_params = json.JSONEncoder(sort_keys=True, default=repr).encode
+
 
 def _scenario_cache_key(spec: RunSpec) -> tuple:
     scenario = spec.scenario
     effective_seed = scenario.seed if scenario.seed is not None else spec.seed
-    params = json.dumps(
-        {k: v for k, v in sorted(scenario.params.items())}, sort_keys=True, default=repr
-    )
+    # ScenarioSpec always holds its params as a dict.
+    params = _encode_scenario_params(scenario.params)
     return (scenario.canonical_family(), params, effective_seed)
 
 
@@ -158,8 +162,8 @@ def execute_run(spec: RunSpec) -> dict:
     every earlier cell of the same content, and the scalar core runs only
     when the batch declines — the record is byte-identical either way.
     """
-    # Imported lazily: batchpath pulls in campaign helpers, and eager
-    # circular imports would tie module load order in knots.
+    # Imported lazily: batchpath imports campaign helpers when it loads, so
+    # an eager import here would tie module load order in knots.
     from repro.sim.batchpath import batch_execute_records
 
     record = batch_execute_records([spec])[0]
@@ -185,7 +189,7 @@ def _execute_scalar(spec: RunSpec) -> dict:
         with _obs.span("simulate", cat="campaign"):
             result = PatrolSimulator(scenario, plan, spec.sim).run()
 
-        record = _record_head(spec, scenario, plan)
+        record = _record_head(spec, scenario.num_targets, scenario.num_mules, plan.strategy)
         record["average_dcdt"] = average_dcdt(result)
         record["average_sd"] = average_sd(result)
         record["max_visiting_interval"] = max_visiting_interval(result)

@@ -249,8 +249,9 @@ class RunSpec:
     def with_strategy_defaults(self) -> "RunSpec":
         """Filter params to the strategy's declared set and inject the seed.
 
-        Campaigns call this on every expanded cell so a shared parameter set
-        works across strategies with different signatures; the Random
+        Every cell a campaign expands equals this applied to it (expansion
+        builds it in one step), so a shared parameter set works across
+        strategies with different signatures; the Random
         baseline (the only default strategy declaring ``seed``) receives the
         cell's replication seed unless one was given explicitly.
         """
@@ -515,12 +516,13 @@ class CampaignSpec:
             # param in any cell fails here, before any simulation runs.  The
             # validator sees the params the cells will actually carry (the
             # strategy's declared subset of the shared parameter set).
-            validate_strategy_params(
-                spec.strategy, filter_strategy_kwargs(spec.strategy, spec.params)
-            )
+            params = filter_strategy_kwargs(spec.strategy, spec.params)
+            validate_strategy_params(spec.strategy, params)
+            # Each replication is with_strategy_defaults() of its seeded spec,
+            # built in one replace: the filtered params are the same for all.
             for k, seed in enumerate(self.seeds(base_seed=spec.seed)):
-                cell = replace(spec, seed=seed, labels={**labels, "replication": k})
-                cells.append(cell.with_strategy_defaults())
+                cells.append(replace(spec, seed=seed, labels={**labels, "replication": k},
+                                     params=seeded_params(spec.strategy, params, seed)))
         return cells
 
 

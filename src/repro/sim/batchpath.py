@@ -30,13 +30,17 @@ each distinct row set once to its record metrics without ever materialising
 additions inside the stacked cumsum are bit-for-bit the additions the engine
 would have performed, so records are **byte-identical** to per-cell dispatch
 (asserted by ``benchmarks/bench_pr8.py`` and the differential fuzz harness
-before any speed claim).
+before any speed claim).  A cell whose row set is already cached — every
+replication of a pinned layout after the first — costs one cache lookup: its
+key comes from the spec alone, and the entry carries everything its record
+needs, so no scenario, plan or simulator is built for it.
 
 A cell rides the batch only when every check passes; anything else silently
 degrades to the per-cell scalar fast path (or the event loop), never to a
 wrong answer:
 
-* the cell's :func:`~repro.sim.fastpath.fast_path_rejection` is ``None``;
+* its ``sim.fast_path`` is on and the scalar fast path's other static
+  rejections (:func:`~repro.sim.fastpath.fast_path_rejection`) pass;
 * no ``max_visits`` (a global cut mid-merge is order-dependent);
 * no custom ``spec.metrics`` (extractors receive a full
   :class:`~repro.sim.recorder.SimulationResult`, which the batch never
@@ -63,8 +67,10 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from repro.baselines.base import seeded_params
 from repro.geometry.cache import ContentCache
 from repro.obs import registry as _obs
+from repro.runner.campaign import _scenario_cache_key
 from repro.sim.fastpath import LegPattern, _Fallback, fast_path_rejection, node_codes
 from repro.sim.metrics import average_dcdt, average_sd, max_visiting_interval
 from repro.sim.recorder import SimulationResult
@@ -100,13 +106,19 @@ _PLAN_CACHE = ContentCache("batch_plan", maxsize=128)
 # deployment positions and batteries, the collection dwell, the energy costs
 # — is a function of that key, so every replication cell of a pinned
 # scenario shares one row set and its cumsum output — or its construction
-# fallback.  Once reduced, the entry becomes the reduction itself (six
+# fallback.  So is everything else a cell of the key needs (an _Entry: the
+# record head, and what the reduction reads), so a cell whose key is cached
+# is answered from the entry alone, with no scenario, plan or simulator of
+# its own.  Once reduced, the entry carries the reduction itself (six
 # metrics, or the decline reason), so the cache never keeps cumsum arrays
 # past the calls that are using them.
 _ROW_CACHE = ContentCache("batch_rows", maxsize=256)
 
+# ``json.dumps(value, default=repr)``, without building an encoder per call.
+_encode_params = json.JSONEncoder(default=repr).encode
+
 # Bumped by the number of batched cells, once per call: a memoized batched
-# cell costs tens of microseconds, so even a pre-bound per-cell counter
+# cell costs about ten microseconds, so even a pre-bound per-cell counter
 # (see repro.obs.counter) is a visible share of it with the registry on.
 _BATCHED = _obs.counter("batch_dispatch", outcome="batch")
 
@@ -168,19 +180,34 @@ class _Row(LegPattern):
 
 
 class _RowSet(list):
-    """One row key's rows; ``reduced`` memoizes their reduction or decline reason."""
+    """One row key's rows, with the scenario's target ids and rates and its sink.
+
+    ``reduced`` memoizes their reduction or decline reason.
+    """
     reduced: "dict | str | None" = None
+
+    def __init__(self, rows, target_ids: "list[str]", rates: np.ndarray, sink_id: str) -> None:
+        super().__init__(rows)
+        self.target_ids = target_ids
+        self.rates = rates
+        self.sink_id = sink_id
+
+
+class _Entry(NamedTuple):
+    """A ``batch_rows`` entry: everything a cell of its row key needs."""
+
+    # The record's (num_targets, num_mules, planner) columns.
+    head: tuple
+    # Rows still to reduce, their reduction, or why the batch declines them.
+    body: "_RowSet | dict | str"
 
 
 class _Cell(NamedTuple):
     """One campaign cell prepared for batch evaluation."""
 
     spec: Any
-    scenario: Any
-    plan: Any
     row_key: tuple
-    # The ``batch_rows`` entry: rows still to reduce, or their reduction.
-    rows: "_RowSet | dict | str"
+    entry: _Entry
 
 
 def _reject(reason: str) -> None:
@@ -188,22 +215,23 @@ def _reject(reason: str) -> None:
 
     The reason taxonomy is the end-to-end dispatch story ("why is this
     sweep slow"): static spec vetoes (``batch-path-disabled`` /
-    ``max-visits`` / ``custom-metrics``), the scalar fast path's own
-    rejection prefixed ``fastpath-``, and the declines memoized per row set
-    — ``row-fallback`` and the post-tensor checks ``lap-estimate`` /
-    ``battery-clip`` — counted once per declined cell.
+    ``max-visits`` / ``custom-metrics`` / ``fastpath-fast-path-disabled``),
+    the scalar fast path's other rejections prefixed ``fastpath-``, and the
+    declines memoized per row set — ``row-fallback`` and the post-tensor
+    checks ``lap-estimate`` / ``battery-clip`` — counted once per declined
+    cell.
     """
     _obs.inc("batch_dispatch", outcome="scalar", reason=reason)
     return None
 
 
 def _prepare_cell(spec) -> "_Cell | None":
-    """Build scenario/plan for ``spec`` and vet it for the batch class."""
-    from repro.runner.campaign import _scenario_cache_key, build_cell_scenario
+    """Key ``spec`` by its row set and vet it for the batch class.
 
-    from repro.baselines.base import get_strategy, seeded_params
-    from repro.sim.engine import PatrolSimulator
-
+    A cell whose row set is cached is answered from the ``batch_rows`` entry
+    alone.  Only on a miss are its scenario and plan built, vetted by the
+    scalar fast path's static rejection and its rows built and cached.
+    """
     cfg = spec.sim
     if not cfg.batch_path:
         return _reject("batch-path-disabled")
@@ -211,29 +239,35 @@ def _prepare_cell(spec) -> "_Cell | None":
         return _reject("max-visits")
     if spec.metrics:
         return _reject("custom-metrics")
-    scenario = build_cell_scenario(spec)
+    if not cfg.fast_path:
+        # Not left to fast_path_rejection below: the row key omits fast_path,
+        # so a cached row set would answer the cell.  Its other two reasons
+        # are functions of the plan key, so no entry exists for a key they veto.
+        return _reject("fastpath-fast-path-disabled")
     params = seeded_params(spec.strategy, spec.params, spec.seed)
-    plan_key = (
-        spec.strategy,
-        json.dumps(sorted(params.items()), default=repr),
-        _scenario_cache_key(spec),
-    )
-    plan = _PLAN_CACHE.get(plan_key)
-    if plan is None:
-        planner = get_strategy(spec.strategy, **params)
-        plan = planner.plan(scenario)
-        _PLAN_CACHE.put(plan_key, plan)
-    sim = PatrolSimulator(scenario, plan, cfg)
-    rejection = fast_path_rejection(sim)
-    if rejection is not None:
-        return _reject(f"fastpath-{rejection}")
-
+    plan_key = (spec.strategy, _encode_params(sorted(params.items())), _scenario_cache_key(spec))
     row_key = (plan_key, cfg.horizon, cfg.synchronized_start, cfg.track_energy)
-    rows = _ROW_CACHE.get(row_key)
-    if rows is None:
-        rows = _build_rows(sim)
-        _ROW_CACHE.put(row_key, rows)
-    return _Cell(spec, scenario, plan, row_key, rows)
+    entry = _ROW_CACHE.get(row_key)
+    if entry is None:
+        # Looked up at call time: perfbench times the scenario and planning
+        # layers by wrapping these module attributes.
+        from repro.baselines.base import get_strategy
+        from repro.runner.campaign import build_cell_scenario
+        from repro.sim.engine import PatrolSimulator
+
+        scenario = build_cell_scenario(spec)
+        plan = _PLAN_CACHE.get(plan_key)
+        if plan is None:
+            plan = get_strategy(spec.strategy, **params).plan(scenario)
+            _PLAN_CACHE.put(plan_key, plan)
+        sim = PatrolSimulator(scenario, plan, cfg)
+        rejection = fast_path_rejection(sim)
+        if rejection is not None:
+            return _reject(f"fastpath-{rejection}")
+        head = (scenario.num_targets, scenario.num_mules, plan.strategy)
+        entry = _Entry(head, _build_rows(sim))
+        _ROW_CACHE.put(row_key, entry)
+    return _Cell(spec, row_key, entry)
 
 
 def _build_rows(sim) -> "_RowSet | str":
@@ -245,13 +279,15 @@ def _build_rows(sim) -> "_RowSet | str":
     node_tidx: dict[str, int] = {t.id: i for i, t in enumerate(targets)}
     node_tidx[sim._sink_id] = len(targets)
     try:
-        return _RowSet(
+        rows = [
             _Row(sim, mule, sim.plan.route_for(mule.id), sync_time, node_code,
                  node_tidx)
             for mule in scenario.mules
-        )
+        ]
     except _Fallback:
         return "row-fallback"
+    rates = np.fromiter(map(_DATA_RATE, targets), dtype=float, count=len(targets))
+    return _RowSet(rows, [*map(_ID, targets)], rates, sim._sink_id)
 
 
 # --------------------------------------------------------------------------- #
@@ -350,20 +386,20 @@ def _arrival_ranks(kept: "list[tuple[_Row, int, int]]") -> np.ndarray:
     return _pop_ranks(chains)[np.concatenate(at)]
 
 
-def _reduce_rows(cell: _Cell) -> "dict | str":
+def _reduce_rows(rows: "list[_Row]", target_ids: "list[str]", rates: np.ndarray,
+                 sink_id: str, horizon: float, planner: str) -> "dict | str":
     """A cumsum'd row set's six record metrics, or why the batch declines it.
 
-    Everything read here — horizon, target ids and rates, sink, plan, rows —
-    is a function of the row key, so cells sharing the row set share this.
+    ``rows`` holds one row per mule in scenario order; ``target_ids`` and
+    ``rates`` (a float array) describe the scenario's targets in order.
+    Everything read here is a function of the row key, so cells sharing the
+    row set share this.
     """
-    horizon = cell.spec.sim.horizon
-    targets = cell.scenario.targets
-
     per_mule_distance: list[float] = []
     dead_mules = 0
     kept: "list[tuple[_Row, int, int]]" = []
 
-    for row in cell.rows:
+    for row in rows:
         stop = row.stop
         # A row cut at its battery stop ends on its own, like a halting walk.
         if stop is None and not row.reaches(horizon):
@@ -409,7 +445,7 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
     # Node indices (targets, then the sink) ranked by id: the visit table
     # lists the visited nodes in that order.  The ranks take the smallest
     # unsigned dtype, so lexsort's stable pass over them is a radix sort.
-    ids = [*map(_ID, targets), cell.scenario.sink.id]
+    ids = [*target_ids, sink_id]
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.empty(len(ids), dtype=np.min_scalar_type(len(ids)))
     rank[by_id] = np.arange(len(ids))
@@ -423,7 +459,11 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
     key_all = times_all
     order = np.lexsort((ct, cr))
     same_target = (np.diff(cr[order]) == 0) & (np.diff(ct[order]) == 0.0)
-    flush_times = np.sort(times_all[np.unique(flush)])
+    # ``flush`` is non-decreasing (a masked searchsorted over increasing
+    # collection indices), so each distinct flush starts where it steps up.
+    first_of_flush = np.ones(flush.size, dtype=bool)
+    np.not_equal(flush[1:], flush[:-1], out=first_of_flush[1:])
+    flush_times = np.sort(times_all[flush[first_of_flush]])
     if same_target.any() or (np.diff(flush_times) == 0.0).any():
         key_all = _arrival_ranks(kept)
         order = np.lexsort((key_all[collect_indices], cr))
@@ -438,7 +478,6 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
     # collection opens at 0.0.
     prev = np.zeros_like(ct_s)
     np.copyto(prev[1:], ct_s[:-1], where=cr_s[1:] == cr_s[:-1])
-    rates = np.fromiter(map(_DATA_RATE, targets), dtype=float, count=len(targets))
     collect_sizes = np.empty(ct.size, dtype=float)
     collect_sizes[order] = (ct_s - prev) * rates[cx[order]]
 
@@ -465,7 +504,7 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
     # The metric extractors run unchanged on a stub result pre-seeded with
     # the visit table — identical inputs, identical code, identical floats
     # (and the same int/float JSON spelling).
-    stub = SimulationResult(strategy=cell.plan.strategy, horizon=horizon)
+    stub = SimulationResult(strategy=planner, horizon=horizon)
     stub.__dict__["_visit_table"] = (0, table)
     return {
         "average_dcdt": average_dcdt(stub),
@@ -477,7 +516,7 @@ def _reduce_rows(cell: _Cell) -> "dict | str":
     }
 
 
-def _record_head(spec, scenario, plan) -> dict:
+def _record_head(spec, num_targets: int, num_mules: int, planner: str) -> dict:
     """A record's leading columns, in their byte-visible key order.
 
     Identity columns, then the spec's labels, then the planner; the batched
@@ -487,31 +526,32 @@ def _record_head(spec, scenario, plan) -> dict:
     record: dict = {
         "strategy": spec.strategy,
         "seed": spec.seed,
-        "num_targets": scenario.num_targets,
-        "num_mules": scenario.num_mules,
+        "num_targets": num_targets,
+        "num_mules": num_mules,
         "horizon": spec.sim.horizon,
     }
     record.update(spec.labels)
-    record["planner"] = plan.strategy
+    record["planner"] = planner
     return record
 
 
 def _finish_cell(cell: _Cell) -> "dict | None":
     """One cell's record from its row set's memoized reduction; ``None`` → scalar."""
-    reduced = rows = cell.rows
-    if isinstance(rows, _RowSet):
-        if rows.reduced is None:
-            rows.reduced = _reduce_rows(cell)
+    head, body = cell.entry
+    if isinstance(body, _RowSet):
+        if body.reduced is None:
+            body.reduced = _reduce_rows(body, body.target_ids, body.rates, body.sink_id,
+                                        cell.spec.sim.horizon, head[2])
             # Later calls read the reduction straight from the cache, and the
             # rows with their cumsum arrays go once no call holds them.  The
             # entry is swapped, never the row set cleared: another worker
             # thread may be reducing the same rows right now.
-            _ROW_CACHE.put(cell.row_key, rows.reduced)
-        reduced = rows.reduced
-    if isinstance(reduced, str):
-        return _reject(reduced)
-    record = _record_head(cell.spec, cell.scenario, cell.plan)
-    record.update(reduced)
+            _ROW_CACHE.put(cell.row_key, _Entry(head, body.reduced))
+        body = body.reduced
+    if isinstance(body, str):
+        return _reject(body)
+    record = _record_head(cell.spec, *head)
+    record.update(body)
     return record
 
 
@@ -552,9 +592,9 @@ def batch_execute_records(specs) -> "list[dict | None]":
             rows = []
             seen: set[int] = set()
             for cell in cells:
-                if cell is None or not isinstance(cell.rows, _RowSet):
+                if cell is None or not isinstance(cell.entry.body, _RowSet):
                     continue
-                for row in cell.rows:
+                for row in cell.entry.body:
                     if row.full is None and id(row) not in seen:
                         seen.add(id(row))
                         rows.append(row)

@@ -17,7 +17,6 @@ import dataclasses
 import heapq
 import json
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -232,7 +231,9 @@ def batch_reduction(scenario, plan, config, monkeypatch):
     with monkeypatch.context() as patcher:
         patcher.setattr(batchpath, "_arrival_ranks", spy)
         reduced = batchpath._reduce_rows(
-            batchpath._Cell(SimpleNamespace(sim=config), scenario, plan, None, rows)
+            rows, [t.id for t in scenario.targets],
+            np.array([t.data_rate for t in scenario.targets], dtype=float),
+            scenario.sink.id, config.horizon, plan.strategy,
         )
     if not solved:
         return reduced, None
@@ -312,3 +313,28 @@ class TestRowChains:
         if sys.version_info < (3, 12):
             by_mule = sorted(result.deliveries, key=lambda d: (d.delivered_at, d.mule_id))
             assert sum(d.size for d in by_mule) != result.total_delivered_data()
+
+    def test_a_flush_of_many_packets_is_no_tie(self, monkeypatch):
+        # B-TCTP on a pinned 12-target layout: each sink visit delivers the
+        # packets of several targets, and no two deliveries share an instant.
+        # The tie test sees each flush once, so the row set never solves.
+        from repro.geometry.cache import clear_caches
+        from repro.runner.spec import RunSpec
+        from repro.scenarios import ScenarioSpec
+
+        solves = []
+        original = batchpath._arrival_ranks
+        monkeypatch.setattr(batchpath, "_arrival_ranks",
+                            lambda kept: solves.append(kept) or original(kept))
+        spec = RunSpec(
+            strategy="b-tctp",
+            scenario=ScenarioSpec("uniform", {"num_targets": 12, "num_mules": 3}, seed=42),
+            sim=SimulationConfig(horizon=50_000.0, track_energy=False),
+        )
+        clear_caches()
+        try:
+            record = batchpath.batch_execute_records([spec])[0]
+        finally:
+            clear_caches()
+        assert record is not None and record["delivered_data"] > 0
+        assert solves == []

@@ -428,6 +428,65 @@ class TestBatchFallbacks:
             assert batchpath.batch_execute_records([spec]) == [None]
         assert batchpath.batchpath_enabled()
 
+    # Spec vetoes whose fields the row key leaves out: each vetoed cell shares
+    # the row key of the ordinary b-tctp cells on the pinned layout.
+    VETOES = [
+        ({"sim": {"fast_path": False}}, "fastpath-fast-path-disabled"),
+        ({"sim": {"batch_path": False}}, "batch-path-disabled"),
+        ({"sim": {"max_visits": 10}}, "max-visits"),
+        ({"metrics": ["path_length"]}, "custom-metrics"),
+    ]
+
+    def test_vetoes_hold_beside_a_cached_row_set(self):
+        from repro.geometry.cache import cache_stats
+
+        ordinary = [self._spec(seed=1), self._spec(seed=2)]
+        vetoed = [self._spec(**kwargs) for kwargs, _reason in self.VETOES]
+        # Vetoed cells before the first ordinary cell builds the row set and
+        # after it; the second call finds the row set reduced in the cache.
+        specs = [*vetoed, ordinary[0], *vetoed, ordinary[1]]
+        with batchpath.batchpath_disabled():
+            expected = [canonical(execute_run(spec)) for spec in ordinary]
+        clear_caches()
+        try:
+            for state in ("cold", "reduced"):
+                with obs.obs_collected(enabled=True) as window:
+                    out = batchpath.batch_execute_records(specs)
+                    snapshot = window.snapshot()
+                assert out[:4] == out[5:9] == [None] * 4, state
+                assert [canonical(out[4]), canonical(out[9])] == expected, state
+                declines = {c["labels"]["reason"]: c["value"] for c in snapshot["counters"]
+                            if c["name"] == "batch_dispatch"
+                            and c["labels"]["outcome"] == "scalar"}
+                assert declines == {reason: 2 for _kwargs, reason in self.VETOES}, state
+            # A vetoed cell never looks its row set up: one miss, three hits.
+            rows = cache_stats()["batch_rows"]
+            assert (rows["misses"], rows["hits"]) == (1, 3)
+        finally:
+            clear_caches()
+
+    def test_cold_fast_path_off_cell_plans_once(self, monkeypatch):
+        from repro.planning.pipeline import PlanningPipeline
+
+        plans = []
+        original = PlanningPipeline.plan
+
+        def counting(pipeline, scenario):
+            plans.append(pipeline)
+            return original(pipeline, scenario)
+
+        monkeypatch.setattr(PlanningPipeline, "plan", counting)
+        spec = self._spec(sim={"fast_path": False})
+        clear_caches()
+        try:
+            record = execute_run(spec)
+        finally:
+            clear_caches()
+        # The veto comes before the batch plans, so only the event loop's
+        # cell plans.
+        assert len(plans) == 1
+        assert canonical(record) == canonical(execute_run(self._spec()))
+
 
 class TestPerEntityConfigAudit:
     """Eligibility must consider *every* mule and target, not just the first.

@@ -42,6 +42,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.cache import clear_caches
+from repro.obs import obs_collected
 from repro.planning import kernels
 from repro.runner.campaign import _json_sanitize, execute_run
 from repro.runner.spec import RunSpec
@@ -156,13 +157,23 @@ def outcome(run) -> "dict | str | None":
         return f"ValueError: {exc}"
 
 
+def dispatches(counters: "list[dict]", name: str, **labels) -> int:
+    """Sum of the ``name`` counters of an obs snapshot that carry ``labels``."""
+    return sum(c["value"] for c in counters if c["name"] == name
+               and all(c["labels"].get(k) == v for k, v in labels.items()))
+
+
 def run_three_ways(case: dict) -> "tuple[str | None, dict]":
     """Returns ``(mismatch_description | None, path_flags)`` for one case."""
     spec = case_spec(case)
     batched = outcome(lambda: batchpath.batch_execute_records([spec])[0])
     with batchpath.batchpath_disabled():
         scalar = outcome(lambda: execute_run(spec))
-    event = outcome(lambda: execute_run(case_spec(case, fast_path=False)))
+    # The batched leg has just cached this row key, and the row key omits
+    # fast_path: the counters prove which tier answered the event-loop leg.
+    with obs_collected(enabled=True) as window:
+        event = outcome(lambda: execute_run(case_spec(case, fast_path=False)))
+        counters = window.snapshot()["counters"]
     # Scalar-planning leg: clear the tour/plan memos first, else the cached
     # vector-built circuit would be served and the comparison would be vacuous.
     clear_caches()
@@ -173,6 +184,11 @@ def run_three_ways(case: dict) -> "tuple[str | None, dict]":
         "declined": batched is None,
         "died": isinstance(scalar, dict) and scalar["num_dead_mules"] > 0,
     }
+    if isinstance(event, dict) and (
+        dispatches(counters, "sim_dispatch", outcome="event-loop") != 1
+        or dispatches(counters, "batch_dispatch", outcome="batch") != 0
+    ):
+        return f"the fast_path=False leg left the event loop: {counters}", flags
     scalar_c = canonical(scalar)
     event_c = canonical(event)
     if scalar_c != event_c:

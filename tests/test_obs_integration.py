@@ -242,9 +242,9 @@ class TestRowSetMemo:
         reductions = []
         original = batchpath._reduce_rows
 
-        def counting(cell):
-            reductions.append(cell.spec.strategy)
-            return original(cell)
+        def counting(*inputs):
+            reductions.append(inputs[-1])  # the planner's name
+            return original(*inputs)
 
         monkeypatch.setattr(batchpath, "_reduce_rows", counting)
         clear_caches()
@@ -252,7 +252,7 @@ class TestRowSetMemo:
                              strategies=("b-tctp", "chb"))
         result = Campaign(spec).run(store=False)
         snapshot = result.metadata["obs"]
-        assert sorted(reductions) == ["b-tctp", "chb"]
+        assert sorted(reductions) == ["B-TCTP", "CHB"]
         assert counter_value(snapshot, "batch_dispatch", outcome="batch") == 8
         assert counter_value(snapshot, "batch_dispatch", outcome="scalar") == 0
         assert counter_value(snapshot, "batch_dispatch") == result.metadata["num_cells"]
@@ -265,9 +265,9 @@ class TestRowSetMemo:
         reductions = []
         original = batchpath._reduce_rows
 
-        def counting(cell):
-            reductions.append(cell.spec.strategy)
-            return original(cell)
+        def counting(*inputs):
+            reductions.append(inputs[-1])  # the planner's name
+            return original(*inputs)
 
         monkeypatch.setattr(batchpath, "_reduce_rows", counting)
         # A short lap estimate declines the row set after the tensor pass.
@@ -280,7 +280,7 @@ class TestRowSetMemo:
         finally:
             clear_caches()
         snapshot = result.metadata["obs"]
-        assert reductions == ["b-tctp"]
+        assert reductions == ["B-TCTP"]
         assert counter_value(snapshot, "batch_dispatch", outcome="scalar",
                              reason="lap-estimate") == 4
         assert counter_value(snapshot, "batch_dispatch") == result.metadata["num_cells"]
@@ -295,6 +295,42 @@ class TestRowSetMemo:
         with caching_disabled():
             uncached = Campaign(spec).run(store=False)
         assert canonical(cached.records) == canonical(uncached.records)
+
+    def test_a_cached_row_set_answers_its_cells_alone(self, monkeypatch):
+        # Only a row-set miss builds a scenario, plans and makes a simulator,
+        # and it reaches the first two through their module attributes, which
+        # perfbench wraps to time the scenario and planning layers.
+        import repro.baselines.base as base
+        import repro.runner.campaign as campaign
+        from repro.geometry.cache import cache_stats, clear_caches
+        from repro.sim.batchpath import batchpath_disabled
+        from repro.sim.engine import PatrolSimulator
+
+        spec = campaign_spec(obs_on=False, replications=4, layout_seed=0,
+                             strategies=("b-tctp", "chb"))
+        with batchpath_disabled():
+            expected = Campaign(spec).run(store=False)
+        built, planned, simulators = [], [], []
+        build, get_strategy, init = (campaign.build_cell_scenario, base.get_strategy,
+                                     PatrolSimulator.__init__)
+        monkeypatch.setattr(campaign, "build_cell_scenario",
+                            lambda cell: built.append(cell.strategy) or build(cell))
+        monkeypatch.setattr(base, "get_strategy",
+                            lambda name, **kw: planned.append(name) or get_strategy(name, **kw))
+        monkeypatch.setattr(PatrolSimulator, "__init__",
+                            lambda sim, *args: simulators.append(sim) or init(sim, *args))
+        clear_caches()
+        try:
+            result = Campaign(spec).run(store=False)
+            stats = cache_stats()
+        finally:
+            clear_caches()
+        assert canonical(result.records) == canonical(expected.records)
+        assert built == planned == ["b-tctp", "chb"] and len(simulators) == 2
+        hits_misses = {name: (stats[name]["hits"], stats[name]["misses"])
+                       for name in ("batch_rows", "batch_plan", "scenario_prototype")}
+        assert hits_misses == {"batch_rows": (6, 2), "batch_plan": (0, 2),
+                               "scenario_prototype": (1, 1)}
 
 
 class TestBatchSpans:

@@ -1,6 +1,9 @@
 """Tests for the unified execution API (repro.runner) and the registry metadata."""
 
+import dataclasses
+import itertools
 import json
+import random
 
 import pytest
 
@@ -280,6 +283,95 @@ class TestCampaignExpansion:
         assert by_strategy["w-tctp"].params == {"policy": "shortest"}
         # strategies declaring a seed get the cell's replication seed
         assert by_strategy["random"].params == {"seed": 3}
+
+    def test_one_replace_expansion_matches_the_two_replace_loop(self):
+        rng = random.Random(20260808)
+        reached = dict.fromkeys(["random-seeded", "random-explicit", "seed-axis", "sim-axis",
+                                 "scenario-axis", "plan-axis", "labels", "partial-param"], 0)
+        for index in range(60):
+            spec = drawn_campaign(rng)
+            got, want = spec.cells(), frozen_two_replace_cells(spec)
+            assert [c.to_json() for c in got] == [c.to_json() for c in want], index
+            # to_json sorts its keys; records carry the labels in cell order.
+            assert [json.dumps(c.to_dict()) for c in got] \
+                == [json.dumps(c.to_dict()) for c in want], index
+            strategies, grid = spec.grid["strategy"], spec.grid
+            explicit = "seed" in spec.base.params
+            reached["random-seeded"] += "random" in strategies and not explicit
+            reached["random-explicit"] += "random" in strategies and explicit
+            reached["seed-axis"] += "seed" in grid
+            reached["sim-axis"] += any(axis.startswith("sim.") for axis in grid)
+            reached["scenario-axis"] += any(axis.startswith("scenario.") for axis in grid)
+            reached["plan-axis"] += any(axis.startswith("plan.") for axis in grid)
+            reached["labels"] += bool(spec.base.labels)
+            reached["partial-param"] += "policy" in spec.base.params and len(strategies) > 1
+        assert min(reached.values()) >= 3, reached
+
+
+def frozen_two_replace_cells(spec: CampaignSpec) -> list:
+    """``CampaignSpec.cells()`` as it expanded with two replaces per replication.
+
+    Each replication was the grid cell with its seed and labels replaced,
+    then :meth:`RunSpec.with_strategy_defaults` (filter the params to the
+    strategy's declared set, inject the seed) as a second replace.
+    """
+    from repro.runner.spec import _apply_axis
+
+    scenario_params = spec._campaign_scenario_params()
+    axes = list(spec.grid.items())
+    cells = []
+    for combo in itertools.product(*(values for _, values in axes)):
+        run = spec.base
+        labels = dict(spec.base.labels)
+        for (axis, _), value in zip(axes, combo):
+            run = _apply_axis(run, axis, value, scenario_params)
+            if axis != "seed":
+                labels[axis] = value
+        run = dataclasses.replace(run, scenario=run.scenario.restricted_to_family().validate())
+        for k, seed in enumerate(spec.seeds(base_seed=run.seed)):
+            cell = dataclasses.replace(run, seed=seed, labels={**labels, "replication": k})
+            cells.append(cell.with_strategy_defaults())
+    return cells
+
+
+def drawn_campaign(rng: random.Random) -> CampaignSpec:
+    """A seeded campaign spec over the axes and params expansion treats apart."""
+    from repro.scenarios import ScenarioSpec
+
+    pool = ["b-tctp", "w-tctp", "random", "chb", "staggered-chb", "sweep"]
+    if rng.random() < 0.3:
+        pool = ["pipeline", "b-tctp", "random"]  # stage axes need the pipeline strategy
+    strategies = rng.sample(pool, rng.randint(1, len(pool)))
+    params = {}
+    if rng.random() < 0.5:
+        params["seed"] = rng.randrange(1_000)  # explicit: random keeps it
+    if "w-tctp" in strategies and rng.random() < 0.7:
+        params["policy"] = "shortest"  # declared by w-tctp alone
+    grid: dict = {"strategy": strategies}
+    if "pipeline" in strategies:
+        grid["plan.order"] = rng.sample(["as-built", "reversed"], rng.randint(1, 2))
+    if rng.random() < 0.4:
+        grid["seed"] = [rng.randrange(100), rng.randrange(100, 200)]
+    if rng.random() < 0.4:
+        grid[rng.choice(["sim.horizon", "horizon"])] = [1_000.0, 2_500.0]
+    if rng.random() < 0.3:
+        grid["sim.fast_path"] = [True, False]
+    if rng.random() < 0.4:
+        grid["scenario.num_targets"] = [5, 7]
+    if rng.random() < 0.3:
+        grid["scenario.seed"] = [None, rng.randrange(50)]
+    labels = {"study": "pin", "arm": rng.randrange(3)} if rng.random() < 0.5 else {}
+    base = RunSpec(
+        strategy=strategies[0],
+        scenario=ScenarioSpec("uniform", {"num_targets": 6, "num_mules": 2},
+                              seed=rng.choice([None, 42])),
+        params=params,
+        sim=SimulationConfig(horizon=4_000.0, track_energy=False),
+        seed=rng.randrange(10_000),
+        labels=labels,
+    )
+    return CampaignSpec(base=base, grid=rng.choice([grid, dict(reversed(grid.items()))]),
+                        replications=rng.randint(1, 4), seed_stride=rng.choice([1, 1000]))
 
 
 class TestExecuteRun:
