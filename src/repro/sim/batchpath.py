@@ -1,14 +1,14 @@
 """Batched fast path: evaluate many campaign cells as one stacked tensor pass.
 
 The scalar fast path (:mod:`repro.sim.fastpath`) already replaces the event
-loop with one cumulative sum per mule — but a campaign still dispatches it
-cell by cell from Python, and each cell pays a Python heap merge over every
-arrival event plus per-record object materialisation.  For the cells that
-dominate mega-campaigns none of that is needed either:
+loop with one cumulative sum per mule and one pop-order solve — but a
+campaign still dispatches it cell by cell from Python, and each cell pays
+for that solve plus per-record object materialisation.  For the cells that
+dominate mega-campaigns neither is needed:
 
 * mules do not interact, and only a mule's own battery truncates its
   stream, so a cell's visit log is exactly "every precomputed arrival up to
-  the horizon or the mule's death" — no merge required to *find* the
+  the horizon or the mule's death" — no event order required to *find* the
   events.  A tracked battery's death comes from a running sum of drains
   over the mule's own legs (:meth:`~repro.sim.fastpath.LegPattern.battery_stop`),
   and its row is cut there before the tensor pass;
@@ -18,17 +18,21 @@ dominate mega-campaigns none of that is needed either:
   sizes and the sink-delivery sum — follow the engine's pop order, which is
   time order when no two visit events share a timestamp.  When some do (CHB
   mules deployed together on the sink travel in lockstep), the reduction
-  replays the event queue's ``(time, sequence)`` tie order exactly
-  (:func:`_pop_ranks`) and sorts by that instead.
+  solves the event queue's ``(time, sequence)`` tie order exactly
+  (:func:`~repro.sim.fastpath._pop_ranks`, which the scalar tier always
+  takes) and sorts by that instead.
 
 So this module groups a campaign's eligible cells by **leg-pattern shape**
 (rows of identical interleaved travel/dwell length), stacks every
 ``(cell, mule)`` row into one matrix and runs a single ``np.cumsum(axis=1)``
 over the whole block — the (cells × mules × legs) tensor pass — then reduces
 each distinct row set once to its record metrics without ever materialising
-:class:`~repro.sim.recorder.VisitRecord` objects.  Per-row sequential
-additions inside the stacked cumsum are bit-for-bit the additions the engine
-would have performed, so records are **byte-identical** to per-cell dispatch
+:class:`~repro.sim.recorder.VisitRecord` objects.  The rows, the horizon
+cut, the tie solve and the kept-event table that derives packet windows,
+sink flushes and the delivery order are the scalar tier's own; only the
+stacking and the metric reduction live here.  Per-row sequential additions
+inside the stacked cumsum are bit-for-bit the additions the engine would
+have performed, so records are **byte-identical** to per-cell dispatch
 (asserted by ``benchmarks/bench_pr8.py`` and the differential fuzz harness
 before any speed claim).  A cell whose row set is already cached — every
 replication of a pinned layout after the first — costs one cache lookup: its
@@ -36,21 +40,22 @@ key comes from the spec alone, and the entry carries everything its record
 needs, so no scenario, plan or simulator is built for it.
 
 A cell rides the batch only when every check passes; anything else silently
-degrades to the per-cell scalar fast path (or the event loop), never to a
-wrong answer:
+degrades to per-cell dispatch — the scalar fast path, or the event loop where
+that declines too — never to a wrong answer:
 
 * its ``sim.fast_path`` is on and the scalar fast path's other static
   rejections (:func:`~repro.sim.fastpath.fast_path_rejection`) pass;
-* no ``max_visits`` (a global cut mid-merge is order-dependent);
+* no ``max_visits`` (the scalar tier cuts it by pop rank, which the batch
+  solves only on a tie);
 * no custom ``spec.metrics`` (extractors receive a full
   :class:`~repro.sim.recorder.SimulationResult`, which the batch never
   builds);
-* every mule's :class:`~repro.sim.fastpath.LegPattern` builds (the scalar
-  tier's own leg builder, with a smaller event cap; its dynamic declines
-  read ``row-fallback`` here);
+* every mule's row builds (the scalar tier's own row builder, with a
+  smaller event cap; its dynamic declines read ``row-fallback`` here);
 * the lap estimate must clear the horizon, and no tracked battery may hit
   the 1e-9 m window where the engine clips a leg's drain to an empty battery
-  by the horizon (both verified *after* the tensor pass, per row set).
+  by the horizon (both verified *after* the tensor pass, per row set; the
+  scalar fast path declines both too, so those cells run on the event loop).
 
 Toggle with :attr:`repro.sim.engine.SimulationConfig.batch_path` per spec,
 or per process with the ``BATCHPATH`` entry of :mod:`repro.switches`
@@ -61,8 +66,7 @@ are byte-invisible: they only choose the dispatch path.
 from __future__ import annotations
 
 import json
-from itertools import compress, repeat
-from operator import attrgetter
+from itertools import compress
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -71,7 +75,10 @@ from repro.baselines.base import seeded_params
 from repro.geometry.cache import ContentCache
 from repro.obs import registry as _obs
 from repro.runner.campaign import _scenario_cache_key
-from repro.sim.fastpath import LegPattern, _Fallback, fast_path_rejection, node_codes
+from repro.sim.fastpath import (
+    _DATA_RATE, _ID, _chains, _Fallback, _horizon_cut, _Kept, _pop_ranks, _Row, _rows,
+    _Table, fast_path_rejection,
+)
 from repro.sim.metrics import average_dcdt, average_sd, max_visiting_interval
 from repro.sim.recorder import SimulationResult
 from repro.switches import BATCHPATH
@@ -83,8 +90,10 @@ __all__ = [
     "configure",
 ]
 
-# Per-row event cap: beyond this the stacked matrices stop paying for
-# themselves; such cells stay on the per-cell scalar fast path.
+# Per-row event cap.  Every row of every cell of one call is held, with its
+# cumsum, until that cell's reduction, so this bounds what a call holds; a
+# cell with a longer row runs per cell instead, on the scalar fast path and
+# its far higher cap.  Read at call time (the boundary tests patch it).
 _MAX_BATCH_EVENTS = 250_000
 
 # Soft bound on floats per stacked block; groups larger than this are
@@ -122,9 +131,6 @@ _encode_params = json.JSONEncoder(default=repr).encode
 # (see repro.obs.counter) is a visible share of it with the registry on.
 _BATCHED = _obs.counter("batch_dispatch", outcome="batch")
 
-_ID = attrgetter("id")
-_DATA_RATE = attrgetter("data_rate")
-
 # One process-wide switch for the batched dispatch (REPRO_BATCHPATH; see
 # repro.switches); batchpath_disabled() forces per-cell dispatch for a block.
 configure = BATCHPATH.configure
@@ -135,49 +141,6 @@ batchpath_disabled = BATCHPATH.disabled
 # --------------------------------------------------------------------------- #
 # Per-(cell, mule) row precomputation
 # --------------------------------------------------------------------------- #
-
-class _Row(LegPattern):
-    """One mule's :class:`LegPattern` plus its target-index column.
-
-    ``tidx`` holds each leg's target index; the sink is ``len(targets)``,
-    anything else ``-1``.  ``full`` is filled by the stacked cumsum.
-
-    A battery-tracked mule's row ends at its :meth:`~LegPattern.battery_stop`
-    (``stop``): the columns keep exactly the patrol legs the mule completes,
-    so the cut happens before the cumsum and the tiled arrays are freed.
-    """
-
-    __slots__ = ("tidx", "stop")
-
-    def __init__(self, sim, mule, route, sync_time: float, node_code, node_tidx) -> None:
-        super().__init__(sim, mule, route, sync_time, node_code, _MAX_BATCH_EVENTS)
-        walk = self.walk
-        self.tidx = self.tile(np.fromiter(
-            map(node_tidx.get, walk, repeat(-1)), dtype=np.int32, count=len(walk)
-        ))
-        self.stop = None
-        battery = mule.battery
-        if sim.config.track_energy and battery is not None:
-            self.stop = self.battery_stop(battery.remaining, battery.capacity, sim._energy)
-        if self.stop is not None:
-            # A mid-leg death keeps the legs before the fatal one; a dying
-            # collection or a clip keeps the leg it ends (the initial leg
-            # counts in ``leg`` but is no column).
-            keep = max(0, self.stop.leg - self.init_event + (self.stop.kind != "move"))
-            self.codes = self.codes[:keep].copy()
-            self.dists = self.dists[:keep].copy()
-            self.inc = self.inc[:2 * keep].copy()
-            self.tidx = self.tidx[:keep].copy()
-
-    def stop_time(self) -> float:
-        """When ``stop`` strikes: the mid-leg death, or the arrival it ends on."""
-        leg, kind, reachable = self.stop
-        on_init = leg < self.init_event  # the initial leg departs at 0
-        if kind == "move":
-            depart = 0.0 if on_init else float(self.full[-1])
-            return depart + (reachable / self.velocity if self.velocity > 0 else 0.0)
-        return self.init_time if on_init else float(self.full[-2])
-
 
 class _RowSet(list):
     """One row key's rows, with the scenario's target ids and rates and its sink.
@@ -272,20 +235,11 @@ def _prepare_cell(spec) -> "_Cell | None":
 
 def _build_rows(sim) -> "_RowSet | str":
     """The increment rows of every mule of ``sim``, or ``"row-fallback"``."""
-    scenario = sim.scenario
-    sync_time = sim._patrol_start_time()
-    node_code = node_codes(sim)
-    targets = scenario.targets
-    node_tidx: dict[str, int] = {t.id: i for i, t in enumerate(targets)}
-    node_tidx[sim._sink_id] = len(targets)
     try:
-        rows = [
-            _Row(sim, mule, sim.plan.route_for(mule.id), sync_time, node_code,
-                 node_tidx)
-            for mule in scenario.mules
-        ]
+        rows = _rows(sim, _MAX_BATCH_EVENTS)
     except _Fallback:
         return "row-fallback"
+    targets = sim.scenario.targets
     rates = np.fromiter(map(_DATA_RATE, targets), dtype=float, count=len(targets))
     return _RowSet(rows, [*map(_ID, targets)], rates, sim._sink_id)
 
@@ -324,66 +278,10 @@ def _stacked_cumsum(rows: "list[_Row]") -> None:
 # Per-cell reduction to a record
 # --------------------------------------------------------------------------- #
 
-def _pop_ranks(chains: "list[np.ndarray]") -> np.ndarray:
-    """Each chained event's place in the engine's ``(time, sequence)`` pop order.
-
-    ``chains`` holds one array per mule, in scenario order: the times of the
-    events the mule pushes, in push order, its initial push first.  A mule
-    holds exactly one pending event and each pop pushes at most one
-    successor, so an event's sequence number follows its predecessor's pop
-    position, and the initial pushes come first, by mule.  The pop order is
-    therefore the lexicographic order of each event's times read backwards
-    down its chain, ended by its mule's initial push, which sorts below every
-    time and by mule index.
-
-    Prefix doubling solves that order exactly.  Each mule adds one terminal
-    node (ranked by its index, below every time) that points to itself, and
-    each event points to its predecessor.  Nodes start ranked by their own
-    time; each round ranks the pairs ``(rank, rank of the node up the
-    pointer)`` and doubles every pointer, until all ranks are distinct.
-    Chains in lockstep separate only at their terminals, so the rounds grow
-    with the log of the chain length.  Returns ranks ``0..n-1`` over the
-    concatenated chains.
-    """
-    mules = len(chains)
-    lengths = np.fromiter((len(c) for c in chains), dtype=np.int64, count=mules)
-    nodes = mules + int(lengths.sum())
-    up = np.arange(-1, nodes - 1)
-    up[:mules] = np.arange(mules)
-    heads = mules + np.cumsum(lengths) - lengths
-    up[heads[lengths > 0]] = np.flatnonzero(lengths > 0)
-    times, rank = np.unique(np.concatenate(chains), return_inverse=True)
-    distinct = mules + times.size
-    rank = np.concatenate((np.arange(mules), mules + rank))
-    while distinct < nodes:
-        pairs, rank = np.unique(rank * nodes + rank[up], return_inverse=True)
-        distinct = pairs.size
-        up = up[up]
-    return rank[mules:] - mules
-
-
-def _arrival_ranks(kept: "list[tuple[_Row, int, int]]") -> np.ndarray:
-    """The pop rank of every kept arrival, row after row.
-
-    ``kept`` holds ``(row, arrivals kept, initial leg applied)`` per mule.
-    A row's chain is its initial-leg event when that applies, then each
-    arrival, each followed by its dwell-done event when the target's dwell
-    is positive (``full[2k + 2]``).  A death ends a chain with no successor,
-    and so does the push the engine discards after a collection death, so
-    neither needs a place in it.
-    """
-    chains, at = [], []
-    offset = 0
-    for row, n_keep, init_applied in kept:
-        is_event = np.ones(2 * n_keep, dtype=bool)
-        is_event[1::2] = row.inc[1:2 * n_keep:2] > 0.0
-        chain = row.full[1:2 * n_keep + 1][is_event]
-        if init_applied:
-            chain = np.concatenate(([row.init_time], chain))
-        chains.append(chain)
-        at.append(offset + init_applied + np.cumsum(is_event)[0::2] - 1)
-        offset += len(chain)
-    return _pop_ranks(chains)[np.concatenate(at)]
+def _arrival_ranks(kept: "list[_Kept]") -> np.ndarray:
+    """The pop rank of every kept arrival, row after row: the batch's tie solve."""
+    chains, at = _chains(kept)
+    return _pop_ranks(chains)[at]
 
 
 def _reduce_rows(rows: "list[_Row]", target_ids: "list[str]", rates: np.ndarray,
@@ -395,52 +293,11 @@ def _reduce_rows(rows: "list[_Row]", target_ids: "list[str]", rates: np.ndarray,
     Everything read here is a function of the row key, so cells sharing the
     row set share this.
     """
-    per_mule_distance: list[float] = []
-    dead_mules = 0
-    kept: "list[tuple[_Row, int, int]]" = []
-
-    for row in rows:
-        stop = row.stop
-        # A row cut at its battery stop ends on its own, like a halting walk.
-        if stop is None and not row.reaches(horizon):
-            return "lap-estimate"
-        dies = stop is not None and row.stop_time() <= horizon
-        if dies and stop.kind == "clip":
-            return "battery-clip"
-        n_keep = int(np.searchsorted(row.full[1::2], horizon, side="right"))
-        init_applied = 1 if (row.init_event and row.init_time <= horizon) else 0
-        if dies and stop.leg < row.init_event:
-            init_applied = 0  # died on the way to the start position
-        applied = n_keep + init_applied
-        distance = float(row.distance_prefix()[applied - 1]) if applied else 0.0
-        if dies:
-            dead_mules += 1
-            if stop.kind == "move":
-                distance += stop.reachable
-        per_mule_distance.append(distance)
-        kept.append((row, n_keep, init_applied))
-
-    # Every kept arrival, row after row, each row in chain order.
-    times_all = np.concatenate([row.full[1:2 * n:2] for row, n, _ in kept])
-    codes_all = np.concatenate([row.codes[:n] for row, n, _ in kept])
-    tidx_all = np.concatenate([row.tidx[:n] for row, n, _ in kept])
-    row_all = np.repeat(np.arange(len(kept)), [n for _, n, _ in kept])
-
-    collect_indices = np.flatnonzero(codes_all == 1)
-    sink_indices = np.flatnonzero(codes_all == 2)
-    ct = times_all[collect_indices]
-    cx = tidx_all[collect_indices]
-
-    # Sink deliveries: each collected packet flushes at its mule's next sink
-    # visit in chain order, the first sink event after it in the row-major
-    # arrays when that event is on the same row.
-    delivered = np.zeros(ct.size, dtype=bool)
-    flush = collect_indices
-    if sink_indices.size:
-        after = np.searchsorted(sink_indices, collect_indices)
-        flush = sink_indices[np.minimum(after, sink_indices.size - 1)]
-        delivered = (flush > collect_indices) & (row_all[flush] == row_all[collect_indices])
-    flush = flush[delivered]
+    kept = _horizon_cut(rows, horizon)
+    if isinstance(kept, str):
+        return kept
+    table = _Table(kept)
+    ct = table.ct
 
     # Node indices (targets, then the sink) ranked by id: the visit table
     # lists the visited nodes in that order.  The ranks take the smallest
@@ -449,70 +306,61 @@ def _reduce_rows(rows: "list[_Row]", target_ids: "list[str]", rates: np.ndarray,
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.empty(len(ids), dtype=np.min_scalar_type(len(ids)))
     rank[by_id] = np.arange(len(ids))
-    cr = rank[cx]
+    cr = rank[table.cx]
 
     # The engine handles visits in pop order: time order, except that its
     # heap's sequence numbers order the events of one instant.  Two things
     # read that order: the collections at each target (the packet sizes) and
     # the delivering flushes (the summation order of the delivery list).
     # Only when one of them ties do the rows' chains replay it.
-    key_all = times_all
+    key = table.times
     order = np.lexsort((ct, cr))
     same_target = (np.diff(cr[order]) == 0) & (np.diff(ct[order]) == 0.0)
     # ``flush`` is non-decreasing (a masked searchsorted over increasing
     # collection indices), so each distinct flush starts where it steps up.
+    flush = table.flush
     first_of_flush = np.ones(flush.size, dtype=bool)
     np.not_equal(flush[1:], flush[:-1], out=first_of_flush[1:])
-    flush_times = np.sort(times_all[flush[first_of_flush]])
+    flush_times = np.sort(key[flush[first_of_flush]])
     if same_target.any() or (np.diff(flush_times) == 0.0).any():
-        key_all = _arrival_ranks(kept)
-        order = np.lexsort((key_all[collect_indices], cr))
+        key = _arrival_ranks(kept)
+        order = np.lexsort((key[table.collect], cr))
+    _opened, sizes = table.packets(order, rates)
 
     # Collections grouped by target rank, each group in pop order, which is
-    # time order: exactly the recorder's sorted per-target stretches.
+    # time order: exactly the recorder's sorted per-target stretches.  The
+    # sink's sorted stretch slots in at its rank.
     ct_s = ct[order]
     cr_s = cr[order]
-    # Collection-window packet sizes: (t_j - t_{j-1}) * rate with the window
-    # opening at 0.0 — the engine's max(now - last, 0.0) reduces to the plain
-    # difference under pop-ordered processing.  Each target's first
-    # collection opens at 0.0.
-    prev = np.zeros_like(ct_s)
-    np.copyto(prev[1:], ct_s[:-1], where=cr_s[1:] == cr_s[:-1])
-    collect_sizes = np.empty(ct.size, dtype=float)
-    collect_sizes[order] = (ct_s - prev) * rates[cx[order]]
-
-    # The visit table: the sink's sorted stretch slots in at its rank.
     sink_rank = rank[-1]
-    sink_times = np.sort(times_all[sink_indices])
+    sink_times = np.sort(table.times[table.codes == 2])
     at = np.searchsorted(cr_s, sink_rank)
     counts = np.bincount(cr_s, minlength=len(ids))
     counts[sink_rank] = sink_times.size
     visited = counts > 0
-    table = (
+    visit_table = (
         list(compress(map(ids.__getitem__, by_id), visited.tolist())),
         counts[visited],
         np.concatenate((ct_s[:at], sink_times, ct_s[at:])),
     )
 
-    # The engine's delivery list runs in flush pop order, FIFO (chain order)
-    # within a flush.  The recorder adds it up with the built-in ``sum`` in
-    # that order (compensated from Python 3.12, so no numpy sum stands in;
+    # The recorder adds the delivery list up with the built-in ``sum`` in
+    # its order (compensated from Python 3.12, so no numpy sum stands in;
     # an empty list sums to the int 0).
-    fifo = np.lexsort((collect_indices[delivered], key_all[flush]))
-    delivered_data = sum(collect_sizes[delivered][fifo].tolist())
+    delivered_data = sum(sizes[table.delivered][table.delivery_order(key)].tolist())
 
     # The metric extractors run unchanged on a stub result pre-seeded with
     # the visit table — identical inputs, identical code, identical floats
     # (and the same int/float JSON spelling).
     stub = SimulationResult(strategy=planner, horizon=horizon)
-    stub.__dict__["_visit_table"] = (0, table)
+    stub.__dict__["_visit_table"] = (0, visit_table)
     return {
         "average_dcdt": average_dcdt(stub),
         "average_sd": average_sd(stub),
         "max_visiting_interval": max_visiting_interval(stub),
         "delivered_data": delivered_data,
-        "total_distance": sum(per_mule_distance),
-        "num_dead_mules": dead_mules,
+        "total_distance": sum(k.distance() for k in kept),
+        "num_dead_mules": sum(k.dies for k in kept),
     }
 
 

@@ -136,10 +136,13 @@ class PatrolSimulator:
         Deterministic loop-route runs (all TCTP variants including RW-TCTP's
         alternating recharge schedule, CHB, Sweep — with or without tracked
         batteries, dwell times and visit limits) are served by the analytic
-        fast path in :mod:`repro.sim.fastpath`, which reproduces the event
-        loop's output byte for byte; everything else — stochastic routes,
-        pre-loaded buffers, degenerate zero-advance laps — runs the full
-        discrete-event loop below.
+        fast path in :mod:`repro.sim.fastpath`: it builds the batched tier's
+        rows, ranks every event up to the horizon in the event queue's pop
+        order and materialises the result from those arrays, byte for byte
+        the event loop's.  Everything else — stochastic routes, pre-loaded
+        buffers, degenerate zero-advance laps, a tracked battery that ends in
+        the engine's 1e-9 m clip window — runs the full discrete-event loop
+        below.
 
         Raises
         ------
@@ -161,8 +164,8 @@ class PatrolSimulator:
 
                 # A None result with no static rejection means a dynamic
                 # fallback fired mid-flight (zero-advance lap, event-cap
-                # overflow, short lap estimate) — the static probe can't see
-                # those.
+                # overflow, short lap estimate, battery clip) — the static
+                # probe can't see those.
                 reason = fast_path_rejection(self) or "dynamic-fallback"
                 _obs_inc("sim_dispatch", outcome="event-loop", reason=reason)
         else:

@@ -8,44 +8,51 @@ variant, CHB and Sweep — none of that is necessary: each mule follows a
 **fixed closed walk** at constant velocity, so its entire arrival-time
 sequence is an arithmetic chain over a periodic pattern of leg lengths.
 
-This module exploits that:
+This module exploits that, with one model of the engine's event order and
+battery that both fast tiers share — :func:`run_fast_path` here, and the
+batched tensor pass of :mod:`repro.sim.batchpath`:
 
-1. per mule, a :class:`LegPattern` reduces the effective waypoint sequence
-   to a *prefix + cycle* walk (mirroring the engine's consecutive-duplicate
-   skip rule), computes its leg lengths once and tiles them past the
-   horizon; the full arrival/departure-time chain — travel legs interleaved
-   with per-target dwell times — is one ``np.cumsum``, bit-for-bit equal to
-   the engine's sequential ``now + dist / velocity`` and ``now + dwell``
-   additions.  The batched tier (:mod:`repro.sim.batchpath`) builds its rows
-   from the same class;
-2. the per-mule streams are merged by a light ``(time, sequence)`` heap that
-   replicates the engine's event-queue tie-breaking exactly, so visits,
-   collections, dwell completions, mid-leg deaths and sink deliveries
-   interleave in the identical global order (packet sizes depend on that
-   order: collection windows are shared between mules);
-3. per-mule distance/energy accumulators come from cumulative-sum arrays cut
-   at the number of applied legs (battery-tracked mules instead replay their
-   drain/recharge/death bookkeeping live against the precomputed schedule,
-   which battery state never shifts — death only truncates it).
+1. per mule, a :class:`_Row` (a :class:`LegPattern` plus node indices)
+   reduces the effective waypoint sequence to a *prefix + cycle* walk
+   (mirroring the engine's consecutive-duplicate skip rule), computes its leg
+   lengths once and tiles them past the horizon; a tracked battery cuts the
+   row where :meth:`LegPattern.battery_stop` ends the patrol.  The full
+   arrival/departure-time chain — travel legs interleaved with per-target
+   dwell times — is one ``np.cumsum``, bit-for-bit equal to the engine's
+   sequential ``now + dist / velocity`` and ``now + dwell`` additions;
+2. :func:`_pop_ranks` solves the engine's ``(time, sequence)`` pop order
+   from each mule's chain of event times (one ``np.unique`` when no two
+   events tie), so a ``max_visits`` cut and the visit log follow the event
+   queue exactly;
+3. :class:`_Table` holds the kept arrivals as flat arrays and derives what
+   that order decides: the collection-window packet sizes (windows are
+   shared between mules) and the sink flushes with their FIFO delivery
+   order;
+4. per-mule distance and energy come from cumulative sums cut at the number
+   of applied legs; a tracked battery replays the applied legs through the
+   mule's own :class:`~repro.energy.battery.Battery`.
 
 The result is **byte-identical** to the event loop — same visit log, same
-deliveries, same traces, same metadata — at a fraction of the cost.  Positive
-``collection_time`` dwells, ``max_visits`` cutoffs, energy-tracked batteries
-(including mid-leg death and recharge laps) and RW-TCTP's
-:class:`~repro.core.plan.AlternatingLoopRoute` are all reproduced exactly.
-Runs the fast path cannot reproduce exactly fall back to the event loop:
+deliveries, same traces, same metadata, same final mule state — at a
+fraction of the cost.  Positive ``collection_time`` dwells, ``max_visits``
+cutoffs (inside a tie too), energy-tracked batteries (including mid-leg death
+and recharge laps) and RW-TCTP's :class:`~repro.core.plan.AlternatingLoopRoute`
+are all reproduced exactly.  Runs the fast path cannot reproduce exactly fall
+back to the event loop:
 
 * stochastic routes (any route class other than
   :class:`~repro.core.plan.LoopRoute` /
   :class:`~repro.core.plan.AlternatingLoopRoute` has no precomputable
   waypoint pattern),
-* mules deployed with pre-loaded data buffers (the merged replay assumes
-  every buffer starts empty), and
-* three dynamic declines: a steady-state lap that advances no time (the event
+* mules deployed with pre-loaded data buffers (the replay assumes every
+  buffer starts empty), and
+* four dynamic declines: a steady-state lap that advances no time (the event
   loop caps it with ``max_visits`` or a dying battery, and otherwise raises
   ``ValueError`` — it would never end), a pattern past the
-  ``_MAX_EVENTS_PER_MULE`` safety valve, and a lap estimate that falls short
-  of the horizon (a guard; the estimate tiles a full lap past it).
+  ``_MAX_EVENTS_PER_MULE`` safety valve, a lap estimate that falls short of
+  the horizon (a guard; the estimate tiles a full lap past it), and a
+  tracked battery whose stop by the horizon falls in the 1e-9 m window where
+  the engine clips a leg's drain to an empty battery (``battery-clip``).
 
 Eligibility is decided per *route class*, not per strategy name, so
 strategies composed through the planning pipeline (:mod:`repro.planning`) —
@@ -62,7 +69,6 @@ results against the event loop for every eligible strategy family.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from itertools import repeat
@@ -83,13 +89,8 @@ __all__ = ["fast_path_eligible", "fast_path_rejection", "run_fast_path"]
 # so they stay on the event loop.
 _MAX_EVENTS_PER_MULE = 4_000_000
 
-# Merge-heap event kinds (the engine's EventKind, reduced to what the replay
-# needs; values are only compared for equality, never ordered — the
-# (time, counter) prefix of each heap tuple is already a total order).
-_ARRIVAL = 0
-_INIT = 1
-_DWELL_DONE = 2
-_DEATH = 3
+_ID = operator.attrgetter("id")
+_DATA_RATE = operator.attrgetter("data_rate")
 
 
 class _Fallback(Exception):
@@ -109,9 +110,9 @@ def fast_path_rejection(sim) -> str | None:
       :class:`StochasticRoute`).
 
     A ``None`` here is necessary but not sufficient: the dynamic declines
-    of :class:`LegPattern` (zero-advance laps, patterns past the event-count
-    safety valve, a short lap estimate) still fall back inside
-    :func:`run_fast_path`.
+    (zero-advance laps, patterns past the event-count safety valve, a short
+    lap estimate, a battery stop in the clip window by the horizon) still
+    fall back inside :func:`run_fast_path`.
     """
     if not sim.config.fast_path:
         return "fast-path-disabled"
@@ -318,8 +319,8 @@ class LegPattern:
     bitwise no-op for the non-negative partial sums).  The scalar tier takes
     that sum with :meth:`chain`; the batched tier stacks many patterns of
     one width into a single ``np.cumsum(axis=1)`` and stores each row in
-    ``full``.  A battery-tracked mule's scalar stream replays its battery
-    live; the batched tier cuts its legs at :meth:`battery_stop` instead.
+    ``full``.  Both cut a battery-tracked mule's legs at
+    :meth:`battery_stop` first (see :class:`_Row`).
 
     No step of the build runs Python per node: the walk comes from
     :func:`dedup_walk`'s closed form, node kinds and points from C-level
@@ -461,11 +462,19 @@ class LegPattern:
         across threads; racing callers compute identical arrays.
         """
         if self._distance_prefix is None:
-            dists = self.dists
-            if self.init_event:
-                dists = np.concatenate(([self.init_dist], dists))
-            self._distance_prefix = np.cumsum(dists)
+            self._distance_prefix = np.cumsum(self.applied_legs()[0])
         return self._distance_prefix
+
+    def applied_legs(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Each leg's length and node code in the order the mule applies them.
+
+        The initial leg comes first when there is one: it moves, but visits
+        nothing (code 0).
+        """
+        if not self.init_event:
+            return self.dists, self.codes
+        return (np.concatenate(([self.init_dist], self.dists)),
+                np.concatenate((np.zeros(1, dtype=self.codes.dtype), self.codes)))
 
     def battery_stop(self, charge: float, capacity: float, energy) -> "BatteryStop | None":
         """The first applied leg at which a tracked battery ends the patrol.
@@ -482,11 +491,7 @@ class LegPattern:
         outlasts every leg of the pattern.
         """
         move_cost = energy.move_cost_per_meter
-        dists = self.dists
-        codes = self.codes
-        if self.init_event:  # the initial leg moves, but visits nothing
-            dists = np.concatenate(([self.init_dist], dists))
-            codes = np.concatenate((np.zeros(1, dtype=codes.dtype), codes))
+        dists, codes = self.applied_legs()
         n = len(dists)
         refills = np.flatnonzero(codes == 3)
         if self.cycle_start >= 0:
@@ -522,300 +527,402 @@ class LegPattern:
 
 
 # --------------------------------------------------------------------------- #
-# Per-mule replay state
+# Rows: the leg pattern both tiers reduce
 # --------------------------------------------------------------------------- #
 
-class _Stream:
-    """One mule's replay state over its :class:`LegPattern`."""
+class _Row(LegPattern):
+    """One mule's :class:`LegPattern` plus its node-index column.
 
-    __slots__ = (
-        "mule", "mule_id", "trace", "coords", "init_event", "init_time",
-        "init_dist", "times", "departs", "nodes", "codes", "dists", "n_events",
-        "dist_cum", "energy_cum", "applied", "collections", "deliveries",
-        "packets", "start_point", "tracked", "dead", "position", "velocity",
-        "move_cost", "pending_death", "energy",
-    )
+    ``tidx`` holds each leg's node index: a target's place in the scenario,
+    ``len(targets)`` for the sink, one more for the recharge station, and
+    ``-1`` for anything else.  ``full`` is filled by :meth:`~LegPattern.chain`
+    or by the batch's stacked cumsum.
 
-    def __init__(self, sim, mule, route: MuleRoute, sync_time: float, node_code) -> None:
-        cfg = sim.config
-        energy = sim._energy
-        pattern = LegPattern(sim, mule, route, sync_time, node_code, _MAX_EVENTS_PER_MULE)
-        full = pattern.chain()
-        if not pattern.reaches(cfg.horizon):
-            raise _Fallback
+    A battery-tracked mule's row ends at its :meth:`~LegPattern.battery_stop`
+    (``stop``): the columns keep exactly the patrol legs the mule completes,
+    so the cut happens before the cumsum and the tiled arrays are freed.
+    """
 
-        self.mule = mule
-        self.mule_id = mule.id
-        self.trace = MuleTrace(mule_id=mule.id)
-        self.coords = route.coordinates
-        self.applied = 0
-        self.collections = 0
-        self.deliveries = 0
-        self.packets: list = []
-        self.tracked = cfg.track_energy and mule.battery is not None
-        self.dead = False
-        self.position = mule.position
-        self.velocity = mule.velocity
-        self.move_cost = energy.move_cost_per_meter
-        self.energy = energy
-        self.pending_death: "tuple[float, Point] | None" = None
+    __slots__ = ("tidx", "stop")
 
-        self.init_event = pattern.init_event
-        self.init_time = pattern.init_time
-        self.init_dist = pattern.init_dist
-        self.start_point = pattern.start_point
-        if route.start_position() is not None and not pattern.init_event:
-            self.trace.initialization_time = 0.0  # already standing on it
+    def __init__(self, sim, mule, route, sync_time: float, node_code, node_index,
+                 max_events: int) -> None:
+        super().__init__(sim, mule, route, sync_time, node_code, max_events)
+        walk = self.walk
+        self.tidx = self.tile(np.fromiter(
+            map(node_index.get, walk, repeat(-1)), dtype=np.int32, count=len(walk)
+        ))
+        self.stop = None
+        battery = mule.battery
+        if sim.config.track_energy and battery is not None:
+            self.stop = self.battery_stop(battery.remaining, battery.capacity, sim._energy)
+        if self.stop is not None:
+            # A mid-leg death keeps the legs before the fatal one; a dying
+            # collection or a clip keeps the leg it ends (the initial leg
+            # counts in ``leg`` but is no column).
+            keep = max(0, self.stop.leg - self.init_event + (self.stop.kind != "move"))
+            self.codes = self.codes[:keep].copy()
+            self.dists = self.dists[:keep].copy()
+            self.inc = self.inc[:2 * keep].copy()
+            self.tidx = self.tidx[:keep].copy()
 
-        self.times = full[1::2].tolist()    # arrival of leg k
-        self.departs = full[0::2].tolist()  # departure before leg k (len n+1)
-        self.nodes = pattern.tile(pattern.walk)
-        self.codes = pattern.codes.tolist()
-        self.dists = pattern.dists.tolist()
-        self.n_events = len(self.nodes)
+    def stop_time(self) -> float:
+        """When ``stop`` strikes: the mid-leg death, or the arrival it ends on."""
+        leg, kind, reachable = self.stop
+        on_init = leg < self.init_event  # the initial leg departs at 0
+        if kind == "move":
+            depart = 0.0 if on_init else float(self.full[-1])
+            return depart + (reachable / self.velocity if self.velocity > 0 else 0.0)
+        return self.init_time if on_init else float(self.full[-2])
 
-        # -- per-applied-leg accumulators ---------------------------------- #
-        # The engine adds movement energy on leg completion and the collect
-        # cost on target arrivals as *separate* additions; interleaving the
-        # increments before one cumulative sum reproduces the identical
-        # sequence of float operations (adding 0.0 where no collection
-        # happens is a bitwise no-op for the non-negative partial sums).
-        # Battery-tracked mules skip the bulk arrays: their drains clip
-        # against live battery charge, so the merge replays them one by one.
-        if not self.tracked:
-            self.dist_cum = pattern.distance_prefix()
-            dists_applied = pattern.dists
-            collect_flags = pattern.codes == 1
-            if self.init_event:
-                dists_applied = np.concatenate(([self.init_dist], dists_applied))
-                collect_flags = np.concatenate(([False], collect_flags))
-            increments = np.empty(2 * len(dists_applied), dtype=float)
-            increments[0::2] = dists_applied * energy.move_cost_per_meter
-            increments[1::2] = np.where(collect_flags, energy.collect_cost, 0.0)
-            self.energy_cum = np.cumsum(increments)[1::2]
-        else:
-            self.dist_cum = None
-            self.energy_cum = None
+    def node(self, leg: int) -> str:
+        """The walk node that leg ``leg`` runs to."""
+        walk = self.walk
+        if leg < len(walk):
+            return walk[leg]
+        return walk[self.cycle_start + (leg - len(walk)) % (len(walk) - self.cycle_start)]
 
-    # ------------------------------------------------------------------ #
-    # Live battery bookkeeping (battery-tracked streams only)
-    # ------------------------------------------------------------------ #
 
-    def finish_leg(self, destination: Point, dist: float) -> None:
-        """The engine's ``_finish_leg`` for a tracked mule: move + drain."""
-        mule = self.mule
-        self.position = destination
-        mule.position = destination
-        self.trace.distance_travelled += dist
-        drained = mule.battery.drain(self.energy.movement_energy(dist))
-        self.trace.energy_consumed += drained
-        mule.state = MuleState.MOVING
+def _rows(sim, max_events: int) -> "list[_Row]":
+    """One :class:`_Row` per mule of ``sim``, in scenario order.
 
-    def kill(self, now: float) -> None:
-        """The engine's ``_kill_mule``: strand the mule mid-leg."""
-        reachable, destination = self.pending_death
-        final_position = self.position.towards(destination, reachable)
-        self.position = final_position
-        mule = self.mule
-        mule.position = final_position
-        self.trace.distance_travelled += reachable
-        self.trace.energy_consumed += mule.battery.drain(mule.battery.remaining)
-        self.dead = True
-        self.trace.death_time = now
-        mule.state = MuleState.DEAD
+    Raises :class:`_Fallback` when a mule's pattern declines.
+    """
+    targets = sim.scenario.targets
+    node_index = {t.id: i for i, t in enumerate(targets)}
+    node_index[sim._sink_id] = len(targets)
+    if sim._recharge_id is not None:
+        node_index[sim._recharge_id] = len(targets) + 1
+    sync_time = sim._patrol_start_time()
+    node_code = node_codes(sim)
+    return [
+        _Row(sim, mule, sim.plan.route_for(mule.id), sync_time, node_code, node_index,
+             max_events)
+        for mule in sim.scenario.mules
+    ]
 
 
 # --------------------------------------------------------------------------- #
-# The merged replay
+# The engine's event order, from each row's chain of event times
+# --------------------------------------------------------------------------- #
+
+class _Kept(NamedTuple):
+    """What of one cumsum'd row the run applies: a prefix of its chain."""
+
+    row: _Row
+    # Arrivals kept, the row's first legs.
+    arrivals: int
+    # 1 when the initial leg to the start position is applied, else 0.
+    init: int
+    # Whether the row's battery stop strikes.
+    dies: bool
+
+    def distance(self) -> float:
+        """The mule's travelled distance: the engine's leg-by-leg running sum."""
+        applied = self.arrivals + self.init
+        travelled = float(self.row.distance_prefix()[applied - 1]) if applied else 0.0
+        if self.dies and self.row.stop.kind == "move":
+            travelled += self.row.stop.reachable
+        return travelled
+
+
+def _horizon_cut(rows: "list[_Row]", horizon: float) -> "list[_Kept] | str":
+    """Each cumsum'd row's events up to ``horizon``, or why the fast tiers decline.
+
+    ``"lap-estimate"`` when an uncut row's chain falls short of the horizon
+    (a guard), ``"battery-clip"`` when a stop in the engine's 1e-9 m clip
+    window strikes by it: ``Battery.drain`` clips that leg's drain to an
+    empty battery, which no running sum reproduces.
+    """
+    kept = []
+    for row in rows:
+        stop = row.stop
+        # A row cut at its battery stop ends on its own, like a halting walk.
+        if stop is None and not row.reaches(horizon):
+            return "lap-estimate"
+        dies = stop is not None and row.stop_time() <= horizon
+        if dies and stop.kind == "clip":
+            return "battery-clip"
+        init = row.init_event and row.init_time <= horizon
+        if dies and stop.leg < row.init_event:
+            init = False  # died on the way to the start position
+        arrivals = int(np.searchsorted(row.full[1::2], horizon, side="right"))
+        kept.append(_Kept(row, arrivals, int(init), dies))
+    return kept
+
+
+def _chains(kept: "list[_Kept]") -> "tuple[list[np.ndarray], np.ndarray]":
+    """Each row's event times in push order, and every kept arrival's place among them.
+
+    A row's chain is its initial-leg event when that applies, then each kept
+    arrival, each followed by its dwell-done event when the target's dwell
+    is positive (``full[2k + 2]``), then its mid-leg death when that strikes.
+    A death pushes no successor, and neither does the push the engine
+    discards after a collection death, so neither changes the relative order
+    of the other events.  The places index the chains' concatenation, row
+    after row.
+    """
+    chains, at = [], []
+    offset = 0
+    for k in kept:
+        row, n = k.row, k.arrivals
+        is_event = np.ones(2 * n, dtype=bool)
+        is_event[1::2] = row.inc[1:2 * n:2] > 0.0
+        parts = [[row.init_time]] if k.init else []
+        parts.append(row.full[1:2 * n + 1][is_event])
+        if k.dies and row.stop.kind == "move":
+            parts.append([row.stop_time()])
+        chains.append(np.concatenate(parts))
+        at.append(offset + k.init + np.cumsum(is_event)[0::2] - 1)
+        offset += len(chains[-1])
+    return chains, np.concatenate(at)
+
+
+def _pop_ranks(chains: "list[np.ndarray]") -> np.ndarray:
+    """Each chained event's place in the engine's ``(time, sequence)`` pop order.
+
+    ``chains`` holds one array per mule, in scenario order: the times of the
+    events the mule pushes, in push order, its initial push first.  A mule
+    holds exactly one pending event and each pop pushes at most one
+    successor, so an event's sequence number follows its predecessor's pop
+    position, and the initial pushes come first, by mule.  The pop order is
+    therefore the lexicographic order of each event's times read backwards
+    down its chain, ended by its mule's initial push, which sorts below every
+    time and by mule index.
+
+    Prefix doubling solves that order exactly.  Each mule adds one terminal
+    node (ranked by its index, below every time) that points to itself, and
+    each event points to its predecessor.  Nodes start ranked by their own
+    time; each round ranks the pairs ``(rank, rank of the node up the
+    pointer)`` and doubles every pointer, until all ranks are distinct.
+    Chains in lockstep separate only at their terminals, so the rounds grow
+    with the log of the chain length; with no tie there is no round.
+    Returns ranks ``0..n-1`` over the concatenated chains.
+    """
+    mules = len(chains)
+    lengths = np.fromiter((len(c) for c in chains), dtype=np.int64, count=mules)
+    nodes = mules + int(lengths.sum())
+    up = np.arange(-1, nodes - 1)
+    up[:mules] = np.arange(mules)
+    heads = mules + np.cumsum(lengths) - lengths
+    up[heads[lengths > 0]] = np.flatnonzero(lengths > 0)
+    times, rank = np.unique(np.concatenate(chains), return_inverse=True)
+    distinct = mules + times.size
+    rank = np.concatenate((np.arange(mules), mules + rank))
+    while distinct < nodes:
+        pairs, rank = np.unique(rank * nodes + rank[up], return_inverse=True)
+        distinct = pairs.size
+        up = up[up]
+    return rank[mules:] - mules
+
+
+def _rank_cut(kept: "list[_Kept]", chains: "list[np.ndarray]", ranks: np.ndarray,
+              key: np.ndarray, cut: int) -> "list[_Kept]":
+    """``kept`` cut to the events ranked at or before ``cut``, a prefix of every chain.
+
+    ``ranks`` ranks the chains' events and ``key`` the kept arrivals, row
+    after row.  A mid-leg death is its chain's last event; a collection
+    death strikes at its row's last kept arrival.
+    """
+    out = []
+    start = first = 0
+    for k, chain in zip(kept, chains):
+        events = ranks[start:start + len(chain)]
+        arrivals = int(np.count_nonzero(key[first:first + k.arrivals] <= cut))
+        start += len(chain)
+        first += k.arrivals
+        init = k.init and events[0] <= cut
+        dies = k.dies and (events[-1] <= cut if k.row.stop.kind == "move"
+                           else arrivals == k.arrivals)
+        out.append(_Kept(k.row, arrivals, int(init), dies))
+    return out
+
+
+class _Table:
+    """The kept arrivals of a row set as flat arrays, row after row, each in chain order.
+
+    ``times``, ``codes`` and ``tidx`` describe each arrival and ``row``
+    indexes its row.  ``collect`` indexes the collections (code 1), whose
+    times and target indices are ``ct`` and ``cx``.  A collection's packet
+    is delivered at its row's next sink arrival in chain order, when that
+    one is kept: ``delivered`` marks those collections, and ``flush`` holds
+    their flushes' arrival indices.
+    """
+
+    __slots__ = ("times", "codes", "tidx", "row", "collect", "ct", "cx", "delivered", "flush")
+
+    def __init__(self, kept: "list[_Kept]") -> None:
+        self.times = np.concatenate([k.row.full[1:2 * k.arrivals:2] for k in kept])
+        self.codes = codes = np.concatenate([k.row.codes[:k.arrivals] for k in kept])
+        self.tidx = np.concatenate([k.row.tidx[:k.arrivals] for k in kept])
+        self.row = row = np.repeat(np.arange(len(kept)), [k.arrivals for k in kept])
+        self.collect = collect = np.flatnonzero(codes == 1)
+        self.ct = self.times[collect]
+        self.cx = self.tidx[collect]
+        # The first sink arrival after each collection in the row-major
+        # arrays flushes it when that arrival is on the same row.
+        sinks = np.flatnonzero(codes == 2)
+        delivered = np.zeros(collect.size, dtype=bool)
+        flush = collect
+        if sinks.size:
+            flush = sinks[np.minimum(np.searchsorted(sinks, collect), sinks.size - 1)]
+            delivered = (flush > collect) & (row[flush] == row[collect])
+        self.delivered = delivered
+        self.flush = flush[delivered]
+
+    def packets(self, order: np.ndarray, rates: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Each collection's window opening and packet size, in collection order.
+
+        ``order`` lists the collections target by target, each target's in
+        pop order.  A window opens at the previous collection at its target,
+        the first at 0.0: under pop-ordered processing the engine's
+        ``max(now - last, 0.0) * rate`` is the plain difference.
+        """
+        ct_s, cx_s = self.ct[order], self.cx[order]
+        opened = np.zeros_like(self.ct)
+        opened[order[1:]] = np.where(cx_s[1:] == cx_s[:-1], ct_s[:-1], 0.0)
+        return opened, (self.ct - opened) * rates[self.cx]
+
+    def delivery_order(self, key: np.ndarray) -> np.ndarray:
+        """The delivered collections in the engine's delivery-list order.
+
+        Flushes run in pop order — ``key`` ranks the arrivals by it — and
+        each delivers its row's buffer FIFO, in chain order.
+        """
+        return np.lexsort((self.collect[self.delivered], key[self.flush]))
+
+
+# --------------------------------------------------------------------------- #
+# The scalar tier
 # --------------------------------------------------------------------------- #
 
 def _run(sim) -> SimulationResult:
-    cfg = sim.config
+    """Every event of ``sim`` up to the horizon, ordered by rank, as a result."""
+    rows = _rows(sim, _MAX_EVENTS_PER_MULE)
+    for row in rows:
+        row.chain()
+    kept = _horizon_cut(rows, sim.config.horizon)
+    if isinstance(kept, str):
+        raise _Fallback
+    chains, at = _chains(kept)
+    ranks = _pop_ranks(chains)
+    key = ranks[at]
+    table = _Table(kept)
+    max_visits = sim.config.max_visits
+    if max_visits is not None:
+        recorded = key[(table.codes == 1) | (table.codes == 2)]
+        if recorded.size >= max_visits:
+            cut = np.partition(recorded, max_visits - 1)[max_visits - 1]
+            kept = _rank_cut(kept, chains, ranks, key, cut)
+            key = key[key <= cut]
+            table = _Table(kept)
+    return _materialise(sim, kept, table, key)
+
+
+def _materialise(sim, kept: "list[_Kept]", table: _Table, key: np.ndarray) -> SimulationResult:
+    """The result and final mule state of the ``kept`` events; ``key`` ranks the arrivals."""
     scenario = sim.scenario
     plan = sim.plan
-    horizon = cfg.horizon
-    max_visits = cfg.max_visits
-    has_dwell = sim._params.collection_time > 0.0
-    collect_cost = sim._energy.collect_cost
-
     result = SimulationResult(
-        strategy=plan.strategy, horizon=horizon, metadata=dict(plan.metadata)
+        strategy=plan.strategy, horizon=sim.config.horizon, metadata=dict(plan.metadata)
     )
-    sync_time = sim._patrol_start_time()
-    result.metadata.setdefault("patrol_start_time", sync_time)
-    node_code = node_codes(sim)
+    result.metadata.setdefault("patrol_start_time", sim._patrol_start_time())
+    targets = scenario.targets
+    ids = [*map(_ID, targets), sim._sink_id, sim._recharge_id]
+    mule_ids = [*map(_ID, scenario.mules)]
+    rates = np.fromiter(map(_DATA_RATE, targets), dtype=float, count=len(targets))
+    times, codes = table.times, table.codes
 
-    heap: list[tuple] = []
-    counter = 0
+    # Plain targets, the sink and the station record a visit, in pop order.
+    visits = np.flatnonzero(codes > 0)
+    visits = visits[np.argsort(key[visits])]
+    result.visits = list(map(
+        VisitRecord, times[visits].tolist(), map(ids.__getitem__, table.tidx[visits].tolist()),
+        map(mule_ids.__getitem__, table.row[visits].tolist()), (codes[visits] != 3).tolist(),
+    ))
 
-    def push_leg(stream: _Stream, k: int, depart: float) -> None:
-        """The engine's ``_schedule_move`` for leg ``k`` departing at ``depart``.
+    opened, sizes = table.packets(np.lexsort((key[table.collect], table.cx)), rates)
+    fifo = table.delivery_order(key)
+    sent = np.flatnonzero(table.delivered)[fifo]
+    flush = table.flush[fifo]
+    collected = table.ct[sent].tolist()
+    # generated_to and collected_at are one instant, as in DataCollectionModel.collect.
+    result.deliveries = list(map(
+        DeliveryRecord, times[flush].tolist(), map(mule_ids.__getitem__, table.row[flush].tolist()),
+        map(ids.__getitem__, table.cx[sent].tolist()), opened[sent].tolist(), collected,
+        collected, sizes[sent].tolist(),
+    ))
+    collectors = table.row[table.collect]
+    left = np.flatnonzero(~table.delivered)  # still on board, in chain order
+    for r, target, opened_at, at, size in zip(
+        collectors[left].tolist(), table.cx[left].tolist(), opened[left].tolist(),
+        table.ct[left].tolist(), sizes[left].tolist(),
+    ):
+        scenario.mules[r].buffer.add(DataPacket(ids[target], opened_at, at, at, size))
 
-        Pushes the arrival — or, for a tracked mule whose battery cannot
-        cover the leg, the mid-leg ENERGY_DEPLETED event — consuming exactly
-        one sequence number either way.  No push when the (halted, acyclic)
-        stream is exhausted, matching the engine's waypoint iterator
-        returning ``None``.
-        """
-        nonlocal counter
-        if k >= stream.n_events:
-            return
-        if stream.tracked and stream.move_cost > 0:
-            dist = stream.dists[k]
-            reachable = stream.mule.battery.remaining / stream.move_cost
-            if reachable + 1e-9 < dist:
-                velocity = stream.velocity
-                death_time = depart + (reachable / velocity if velocity > 0 else 0.0)
-                stream.pending_death = (reachable, stream.coords[stream.nodes[k]])
-                heapq.heappush(heap, (death_time, counter, stream, _DEATH, k))
-                counter += 1
-                return
-        heapq.heappush(heap, (stream.times[k], counter, stream, _ARRIVAL, k))
-        counter += 1
-
-    streams: list[_Stream] = []
-    for mule in scenario.mules:
-        stream = _Stream(sim, mule, plan.route_for(mule.id), sync_time, node_code)
-        result.traces[mule.id] = stream.trace
-        streams.append(stream)
-        # Initial pushes replicate the engine's scheduling order (and thus
-        # its tie-breaking sequence numbers) exactly: one event per mule, in
-        # scenario order.
-        if stream.init_event:
-            if stream.tracked and stream.move_cost > 0:
-                reachable = mule.battery.remaining / stream.move_cost
-                if reachable + 1e-9 < stream.init_dist:
-                    velocity = stream.velocity
-                    death_time = reachable / velocity if velocity > 0 else 0.0
-                    stream.pending_death = (reachable, stream.start_point)
-                    heap.append((death_time, counter, stream, _DEATH, -1))
-                    counter += 1
-                    continue
-            heap.append((stream.init_time, counter, stream, _INIT, -1))
-            counter += 1
-        else:
-            push_leg(stream, 0, stream.departs[0])
-    heapq.heapify(heap)  # pop order is the unique (time, counter) total order
-
-    # Shared collection state (windows are global per target, so the merged
-    # order across mules decides every packet size — exactly as the engine's
-    # DataCollectionModel does).
-    last_collected: dict[str, float] = {t.id: 0.0 for t in scenario.targets}
-    rates: dict[str, float] = {t.id: t.data_rate for t in scenario.targets}
-
-    visits_raw: list[tuple] = []
-    deliveries: list[tuple] = []
-    visits_recorded = 0
-
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        now, _seq, stream, kind, k = pop(heap)
-        if now > horizon:
-            break
-        if stream.dead:
-            continue  # discard events of a mule that died at a collect
-        if kind == _INIT:  # INITIALIZED: apply the leg, wait for the slowest mule
-            stream.applied += 1
-            if stream.tracked:
-                stream.finish_leg(stream.start_point, stream.init_dist)
-            stream.trace.initialization_time = now
-            push_leg(stream, 0, max(now, sync_time))
-            continue
-        if kind == _DEATH:  # ENERGY_DEPLETED: strand mid-leg, no further events
-            stream.kill(now)
-            continue
-        if kind == _DWELL_DONE:  # COLLECTION_DONE: resume patrolling
-            push_leg(stream, k + 1, stream.departs[k + 1])
-            continue
-        # ARRIVAL
-        stream.applied += 1
-        node = stream.nodes[k]
-        code = stream.codes[k]
-        mule_id = stream.mule_id
-        if stream.tracked:
-            stream.finish_leg(stream.coords[node], stream.dists[k])
-        if code == 1:  # plain target: visit + collect the backlog
-            visits_raw.append((now, node, mule_id, True))
-            visits_recorded += 1
-            last = last_collected[node]
-            # now >= last always (pops are time-ordered), so the engine's
-            # max(now - last, 0.0) reduces to the plain difference.
-            stream.packets.append((node, last, now, (now - last) * rates[node]))
-            last_collected[node] = now
-            stream.collections += 1
-            if stream.tracked:
-                battery = stream.mule.battery
-                drained = battery.drain(collect_cost)
-                stream.trace.energy_consumed += drained
-                if battery.depleted:
-                    stream.dead = True
-                    stream.trace.death_time = now
-                    stream.mule.state = MuleState.DEAD
-        elif code == 2:  # sink: visit + flush the on-board buffer
-            visits_raw.append((now, node, mule_id, True))
-            visits_recorded += 1
-            if stream.packets:
-                for packet in stream.packets:
-                    deliveries.append((now, mule_id) + packet)
-                stream.deliveries += len(stream.packets)
-                stream.packets = []
-        elif code == 3:  # recharge station: non-target visit (+ refill)
-            visits_raw.append((now, node, mule_id, False))
-            if stream.mule.battery is not None:
-                stream.mule.recharge_full()
-                stream.trace.recharges += 1
-        if max_visits is not None and visits_recorded >= max_visits:
-            break
-        # The engine pushes the dwell/next-leg event even for a mule that
-        # just died collecting (the event is discarded dead on pop), so the
-        # sequence counter advances identically here.
-        if has_dwell and code == 1:
-            push(heap, (stream.departs[k + 1], counter, stream, _DWELL_DONE, k))
-            counter += 1
-        else:
-            push_leg(stream, k + 1, stream.departs[k + 1])
-
-    # ----------------------------------------------------------------- #
-    # Materialise records and final mule/trace state in bulk
-    # ----------------------------------------------------------------- #
-    result.visits = [VisitRecord(t, n, m, f) for t, n, m, f in visits_raw]
-    # DeliveryRecord(delivered_at, mule_id, target_id, generated_from,
-    #                generated_to, collected_at, size); generated_to and
-    # collected_at are the same instant, as in DataCollectionModel.collect.
-    result.deliveries = [
-        DeliveryRecord(delivered_at, mule_id, target_id, generated_from,
-                       collected_at, collected_at, size)
-        for delivered_at, mule_id, target_id, generated_from, collected_at, size
-        in deliveries
-    ]
-
-    for stream in streams:
-        trace = stream.trace
-        applied = stream.applied
-        mule = stream.mule
-        if stream.tracked:
-            pass  # distance/energy/position/state were replayed live
-        elif applied:
-            trace.distance_travelled = float(stream.dist_cum[applied - 1])
-            trace.energy_consumed = float(stream.energy_cum[applied - 1])
-            mule.state = MuleState.MOVING
-            arrivals = applied - 1 if stream.init_event else applied
-            if arrivals:
-                mule.position = stream.coords[stream.nodes[arrivals - 1]]
-            elif stream.start_point is not None:
-                mule.position = stream.start_point
-        trace.collections = stream.collections
-        trace.deliveries = stream.deliveries
-        if stream.packets:  # backlog still on board when the horizon hit
-            mule.buffer.extend(
-                DataPacket(
-                    target_id=target_id,
-                    generated_from=generated_from,
-                    generated_to=collected_at,
-                    collected_at=collected_at,
-                    size=size,
-                )
-                for target_id, generated_from, collected_at, size in stream.packets
-            )
+    collections = np.bincount(collectors, minlength=len(kept)).tolist()
+    deliveries = np.bincount(collectors[table.delivered], minlength=len(kept)).tolist()
+    stations = np.bincount(table.row[codes == 3], minlength=len(kept)).tolist()
+    for i, (k, mule) in enumerate(zip(kept, scenario.mules)):
+        trace = MuleTrace(mule.id, distance_travelled=k.distance(),
+                          collections=collections[i], deliveries=deliveries[i])
+        result.traces[mule.id] = trace
+        _replay_mule(sim, k, mule, trace, stations[i])
     return result
+
+
+def _replay_mule(sim, k: _Kept, mule, trace: MuleTrace, stations: int) -> None:
+    """A mule's energy, recharges, death and final position over its applied legs."""
+    row = k.row
+    energy = sim._energy
+    applied = k.arrivals + k.init
+    dists, codes = row.applied_legs()
+    moves = dists[:applied] * energy.move_cost_per_meter
+    codes = codes[:applied]
+    battery = mule.battery
+    if sim.config.track_energy and battery is not None:
+        # Battery.drain clips no drain before the stop, but it keeps the
+        # battery's own totals: replay through it, one leg after another.
+        spent = 0.0
+        for move, code in zip(moves.tolist(), codes.tolist()):
+            spent += battery.drain(move)
+            if code == 1:
+                spent += battery.drain(energy.collect_cost)
+            elif code == 3:
+                mule.recharge_full()
+        trace.energy_consumed = spent
+    else:
+        if applied:
+            # Movement and collection energy as separate additions,
+            # interleaved before one cumulative sum (a 0.0 where nothing is
+            # collected is a bitwise no-op on the non-negative partial sums).
+            drains = np.empty(2 * applied, dtype=float)
+            drains[0::2] = moves
+            drains[1::2] = np.where(codes == 1, energy.collect_cost, 0.0)
+            trace.energy_consumed = float(np.cumsum(drains)[-1])
+        if battery is not None:
+            for _ in range(stations):
+                mule.recharge_full()
+    if battery is not None:
+        trace.recharges = stations
+    if k.init:
+        trace.initialization_time = row.init_time
+    coordinates = sim.plan.route_for(mule.id).coordinates
+    position = mule.position
+    if k.arrivals:
+        position = coordinates[row.node(k.arrivals - 1)]
+    elif k.init:
+        position = row.start_point
+    if applied:
+        mule.position = position
+        mule.state = MuleState.MOVING
+    if k.dies:
+        stop = row.stop
+        if stop.kind == "move":
+            # Stranded mid-leg, with what the battery has left drained.
+            leg = stop.leg - row.init_event
+            destination = row.start_point if leg < 0 else coordinates[row.node(leg)]
+            mule.position = position.towards(destination, stop.reachable)
+            trace.energy_consumed += battery.drain(battery.remaining)
+        trace.death_time = row.stop_time()
+        mule.state = MuleState.DEAD

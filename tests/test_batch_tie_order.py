@@ -4,11 +4,11 @@ When two visit events share a timestamp, the event loop's heap pops the one
 with the lower sequence number first, and packet sizes and the delivery-list
 order follow.  The batched reduction never runs that heap; it solves the
 order from each mule's chain of event times
-(:func:`repro.sim.batchpath._pop_ranks`).  These tests hold the solver to a
-``heapq`` replay of the engine's rule on seeded chain sets of every shape
-that ties, and the chains the batch builds from real rows (initial legs,
-dwell-done events, battery stops) to the order in which the event loop
-records its visits.
+(:func:`repro.sim.fastpath._pop_ranks`, shared with the scalar fast path).
+These tests hold the solver to a ``heapq`` replay of the engine's rule on
+seeded chain sets of every shape that ties, and the chains the batch builds
+from real rows (initial legs, dwell-done events, battery stops) to the order
+in which the event loop records its visits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.network.mules import DataMule
 from repro.network.scenario import Scenario, SimulationParameters
 from repro.network.targets import RechargeStation, Sink, Target
 from repro.runner.campaign import _json_sanitize
-from repro.sim import batchpath
+from repro.sim import batchpath, fastpath
 from repro.sim.engine import PatrolSimulator, SimulationConfig
 from repro.sim.fastpath import fast_path_rejection
 from repro.sim.metrics import average_dcdt, average_sd, max_visiting_interval
@@ -142,7 +142,7 @@ class TestPopRanks:
         rng = np.random.default_rng(list(SHAPES).index(shape))
         for index in range(sets):
             chains = draw(rng)
-            got = batchpath._pop_ranks(chains)
+            got = fastpath._pop_ranks(chains)
             want = replayed_ranks(chains)
             assert np.array_equal(got, want), f"{shape} set {index}: {chains}"
 
@@ -150,11 +150,11 @@ class TestPopRanks:
         # Mule 1 reaches t = 5 from t = 1, mule 0 from t = 2: from there on
         # every tie pops mule 1 first.
         chains = [np.array([2.0, 5.0, 7.0, 9.0]), np.array([1.0, 5.0, 7.0, 9.0])]
-        assert batchpath._pop_ranks(chains).tolist() == [1, 3, 5, 7, 0, 2, 4, 6]
+        assert fastpath._pop_ranks(chains).tolist() == [1, 3, 5, 7, 0, 2, 4, 6]
 
     def test_tie_free_chains_sort_by_time(self):
         chains = [np.array([1.0, 4.0]), np.array([2.0, 3.0])]
-        assert batchpath._pop_ranks(chains).tolist() == [0, 3, 1, 2]
+        assert fastpath._pop_ranks(chains).tolist() == [0, 3, 1, 2]
 
 
 # --------------------------------------------------------------------------- #
@@ -238,7 +238,8 @@ def batch_reduction(scenario, plan, config, monkeypatch):
     if not solved:
         return reduced, None
     visits = []
-    for (row, n_keep, _init), mule in zip(solved["kept"], scenario.mules):
+    for kept, mule in zip(solved["kept"], scenario.mules):
+        row, n_keep = kept.row, kept.arrivals
         nodes = row.tile(row.walk)
         visits += [(float(row.full[2 * k + 1]), nodes[k], mule.id, int(row.codes[k]))
                    for k in range(n_keep)]

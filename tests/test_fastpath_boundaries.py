@@ -346,10 +346,11 @@ class TestBatchFallbacks:
          None, None, None),
         # The clip window: the 100 m leg to g1 passes the engine's mid-leg
         # test by less than its 1e-9 m tolerance, so Battery.drain clips the
-        # drain to an empty battery and the mule dies collecting at g1.
+        # drain to an empty battery and the mule dies collecting at g1.  No
+        # running sum reproduces the clip, so both fast tiers decline it.
         ({"strategy": "line-loop", "sim": {"track_energy": True},
           "scenario": ScenarioSpec("line", {"remaining": 100 * 8.267 - 5e-9})},
-         None, "battery-clip", FASTPATH),
+         None, "battery-clip", DYNAMIC),
         ({"metrics": ["path_length"]}, None, "custom-metrics", FASTPATH),
         ({"strategy": "random"}, None, "fastpath-route-class",
          {"outcome": "event-loop", "reason": "route-class"}),
@@ -486,6 +487,42 @@ class TestBatchFallbacks:
         # cell plans.
         assert len(plans) == 1
         assert canonical(record) == canonical(execute_run(self._spec()))
+
+
+LOCKSTEP_VISITS = [(0.0, "sink", "m1"), (0.0, "sink", "m2"), (50.0, "g1", "m1"),
+                   (50.0, "g1", "m2"), (100.0, "g2", "m1")]
+
+
+class TestMaxVisitsCutInATie:
+    """A ``max_visits`` cut between two visits of one instant.
+
+    Two 2 m/s mules leave the sink together on the line loop, so each of
+    their visits ties with the other's, and the event queue pops m1's first.
+    The cut stops the run at the ``max_visits``-th recorded visit, so m2's
+    twin of that visit, and its leg, never happen.
+    """
+
+    @pytest.mark.parametrize("max_visits, m1, m2", [
+        (1, (0.0, 0), (0.0, 0)),
+        (3, (100.0, 1), (0.0, 0)),
+        (4, (100.0, 1), (100.0, 1)),
+        (5, (200.0, 2), (100.0, 1)),
+    ])
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "event-loop"])
+    def test_the_cut_follows_the_tie_order(self, max_visits, m1, m2, fast_path):
+        scenario = line_scenario(velocities=(2.0, 2.0))
+        cfg = dataclasses.replace(FAST, max_visits=max_visits, fast_path=fast_path)
+        with obs.obs_collected(enabled=True) as window:
+            result = PatrolSimulator(scenario, loop_plan(scenario), cfg).run()
+            snapshot = window.snapshot()
+        dispatch = [c["labels"]["outcome"] for c in snapshot["counters"]
+                    if c["name"] == "sim_dispatch"]
+        assert dispatch == ["fastpath" if fast_path else "event-loop"]
+        assert [(v.time, v.node_id, v.mule_id) for v in result.visits] \
+            == LOCKSTEP_VISITS[:max_visits]
+        traces = result.traces
+        assert (traces["m1"].distance_travelled, traces["m1"].collections) == m1
+        assert (traces["m2"].distance_travelled, traces["m2"].collections) == m2
 
 
 class TestPerEntityConfigAudit:

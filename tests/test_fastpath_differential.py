@@ -21,7 +21,11 @@ and recharge loops run: the batch must carry most of those cells too, and
 every path must agree there as well.  A third leg draws CHB and
 staggered-CHB cells whose mules leave the sink together, with and without a
 dwell and tracked batteries: their visits tie, and every one of them must
-ride the batch, in the engine's tie order.
+ride the batch, in the engine's tie order.  A fourth leg compares whole
+results — visit order, deliveries, traces and final mule state, which no
+record shows — of ``PatrolSimulator.run()`` with the fast path on and off,
+on cases drawn from the three generators, a quarter of them capped by
+``max_visits``.
 
 On a mismatch the failing case is greedily shrunk (fewer targets, fewer
 mules, shorter horizon, defaults restored) before reporting, so the assertion
@@ -34,6 +38,7 @@ The case count and the generator seed are fixed for CI but overridable::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from functools import partial
@@ -334,6 +339,92 @@ class TestDifferentialFuzz:
             "data_rate_jitter", "with_recharge_station", "mule_battery",
             "horizon", "synchronized_start", "scenario_seed", "seed",
         }
+
+
+# --------------------------------------------------------------------------- #
+# Full results: PatrolSimulator.run() with the fast path on and off
+# --------------------------------------------------------------------------- #
+
+def full_run(case: dict, *, fast_path: bool) -> "tuple[object, bool]":
+    """``PatrolSimulator.run()`` on its own scenario copy, with the final mule state.
+
+    Returns ``((result, mules), rode_the_fast_path)``, or the planning or
+    simulation ``ValueError`` as a string.  The case's optional
+    ``max_visits`` caps the run.
+    """
+    from repro.baselines.base import get_strategy, seeded_params
+    from repro.sim.engine import PatrolSimulator
+
+    spec = case_spec(case, fast_path=fast_path)
+    config = dataclasses.replace(spec.sim, max_visits=case.get("max_visits"))
+    try:
+        scenario = spec.scenario.build(spec.seed)
+        plan = get_strategy(spec.strategy,
+                            **seeded_params(spec.strategy, spec.params, spec.seed)).plan(scenario)
+        with obs_collected(enabled=True) as window:
+            result = PatrolSimulator(scenario, plan, config).run()
+            counters = window.snapshot()["counters"]
+    except ValueError as exc:
+        return f"ValueError: {exc}", False
+    mules = [
+        (m.id, m.position, m.state, list(m.buffer.packets),
+         None if m.battery is None else (m.battery.remaining, m.battery.total_drained,
+                                         m.battery.total_recharged, m.battery.recharge_count))
+        for m in scenario.mules
+    ]
+    return (result, mules), dispatches(counters, "sim_dispatch", outcome="fastpath") == 1
+
+
+def first_difference(got, want) -> "str | None":
+    """The first part of two :func:`full_run` outcomes that differs, or ``None``."""
+    if isinstance(got, str) or isinstance(want, str):
+        return None if got == want else f"fast: {got!r}\n event loop: {want!r}"
+    (result, mules), (expected, expected_mules) = got, want
+    for name in ("strategy", "horizon", "metadata", "visits", "deliveries", "traces"):
+        if getattr(result, name) != getattr(expected, name):
+            return f"{name} differ"
+    for mule, expected_mule in zip(mules, expected_mules):
+        if mule != expected_mule:
+            return f"final state of {mule[0]}: {mule} != {expected_mule}"
+    return None
+
+
+class TestFullResultFuzz:
+    """The scalar tier's whole result, not only the record the batch compares.
+
+    Records see no visit order, no delivery list, no trace field and no final
+    mule state; this leg compares all of them between ``PatrolSimulator.run()``
+    with the fast path on and the event loop, on cases drawn from the three
+    generators above, a quarter of them capped by ``max_visits``.
+    """
+
+    def test_fast_path_reproduces_the_event_loop(self):
+        seed = FUZZ_SEED + 7
+        rng = np.random.default_rng(seed)
+        draws = (draw_case, tracked_case, lockstep_case)
+        fast = deaths = cuts = ties = 0
+        for index in range(FUZZ_CASES):
+            case = draws[index % len(draws)](rng)
+            if rng.integers(4) == 0:
+                case["max_visits"] = int(rng.integers(1, 300))
+            got, rode = full_run(case, fast_path=True)
+            want, _ = full_run(case, fast_path=False)
+            difference = first_difference(got, want)
+            assert difference is None, (
+                f"case {index} (seed {seed}) diverged: {json.dumps(case, sort_keys=True)}\n"
+                f"{difference}"
+            )
+            if isinstance(got, str):
+                continue
+            result = got[0]
+            fast += rode
+            deaths += rode and bool(result.dead_mules())
+            cuts += rode and sum(v.is_target for v in result.visits) == case.get("max_visits")
+            ties += rode and len({v.time for v in result.visits}) < len(result.visits)
+        # Most cases must ride the fast path, through deaths, cuts and ties.
+        assert fast >= FUZZ_CASES * 3 // 4, f"only {fast}/{FUZZ_CASES} cases rode the fast path"
+        assert min(deaths, ties) >= FUZZ_CASES // 10 and cuts >= FUZZ_CASES // 40, \
+            (deaths, cuts, ties)
 
 
 class TestEventLoopStaysAuthoritative:
