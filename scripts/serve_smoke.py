@@ -18,7 +18,10 @@ docs/SERVICE.md over the wire:
 5. a fresh ``POST /runs`` streams the record ``repro-patrol run`` prints for
    the same run spec;
 6. a request with a negative ``Content-Length`` is answered ``400``, not
-   dropped.
+   dropped;
+7. a second daemon started on the same ``--store`` serves the re-POSTed
+   campaign from it: zero executions, the first stream's bytes, and a store
+   directory with no per-record payload files (records live in the index).
 
 Run locally: ``python scripts/serve_smoke.py``.
 """
@@ -123,14 +126,24 @@ def raw_status(port: int, payload: bytes) -> int:
     return int(received.split(b" ", 2)[1])
 
 
+def start_daemon(store_dir: str) -> "tuple[subprocess.Popen, int]":
+    port = free_port()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", str(port),
+         "--workers", "2", "--store", store_dir],
+    )
+    return proc, port
+
+
+def stop_daemon(proc: subprocess.Popen) -> None:
+    proc.terminate()
+    proc.wait(timeout=30)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
         store_dir = str(Path(tmp) / "store")
-        port = free_port()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", str(port),
-             "--workers", "2", "--store", store_dir],
-        )
+        proc, port = start_daemon(store_dir)
         try:
             wait_healthy(port, proc)
 
@@ -191,11 +204,26 @@ def main() -> int:
                                       b"Content-Length: -5\r\n\r\n{}")
             assert status == 400, status
         finally:
-            proc.terminate()
-            proc.wait(timeout=30)
+            stop_daemon(proc)
+
+        # 7. a restarted daemon on the same store executes nothing
+        proc, port = start_daemon(store_dir)
+        try:
+            wait_healthy(port, proc)
+            restarted = post_campaign(port)
+            assert restarted[-1]["executed"] == 0, restarted[-1]
+            assert restarted[-1]["store"] == NUM_CELLS, restarted[-1]
+            assert canonical([e["record"] for e in restarted if e["event"] == "cell"]) \
+                == canonical(served), "records served after a restart diverged"
+        finally:
+            stop_daemon(proc)
+        payload_files = list(Path(store_dir).rglob("*.json"))
+        assert not payload_files and not (Path(store_dir) / "records").exists(), \
+            f"the store wrote per-record payload files: {payload_files}"
     print(f"serve smoke ok: {NUM_CELLS} cells executed once via the batch layer, "
           f"re-POST served {NUM_CELLS}/{NUM_CELLS} from the store, "
-          "streams byte-identical to the CLI, bad Content-Length answered 400")
+          "streams byte-identical to the CLI, bad Content-Length answered 400, "
+          "a restarted daemon served the campaign from the same store")
     return 0
 
 

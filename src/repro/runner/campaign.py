@@ -246,10 +246,21 @@ def execute_cell(spec: RunSpec, *, store=None) -> "tuple[dict, str]":
         _obs.inc("store_lookup", outcome="hit")
         return record, "store"
     _obs.inc("store_lookup", outcome="miss")
+    return _execute_and_store(spec, fingerprint, store), "executed"
+
+
+def _execute_and_store(spec: RunSpec, fingerprint: str, store) -> dict:
+    """Execute a cell known to miss and write its record back under ``fingerprint``.
+
+    The second half of :func:`execute_cell`, for callers that have already
+    looked the fingerprint up (the service scheduler does at admission).
+    ``put`` reuses the canonical payload the fingerprint memoised on ``spec``.
+    """
     record = execute_run(spec)
-    with _obs.span("store-write", cat="store", fingerprint=fingerprint):
-        store.put(fingerprint, record, spec)
-    return record, "executed"
+    if store is not None:
+        with _obs.span("store-write", cat="store", fingerprint=fingerprint):
+            store.put(fingerprint, record, spec)
+    return record
 
 
 def _init_worker_state(state: "dict[str, bool]") -> None:
@@ -370,7 +381,9 @@ def execute_resumable(
     only the misses are executed (in parallel, exactly as
     :func:`execute_many` would) and each finished record is written back to
     the store **as it completes**, so an interrupted campaign resumes from
-    its last finished cell.  Records keep spec order and are byte-identical
+    its last finished cell.  A cell is canonicalised once: the write-back
+    reuses the payload its fingerprint memoised on the spec.  Records keep
+    spec order and are byte-identical
     (under JSON serialisation) to a cold, store-less run — stored hits are
     the JSON round-trip of what the miss path computed.
 
@@ -411,6 +424,8 @@ def execute_resumable(
         if on_record is not None:
             on_record(index, record)
 
+    if not miss_indices:
+        return records, hits, 0
     fresh = execute_many(
         [specs[i] for i in miss_indices],
         max_workers=max_workers,

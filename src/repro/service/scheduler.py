@@ -26,11 +26,13 @@ Three production behaviours live here:
   work and drains the in-flight cells; each finished record was already
   written back to the store as it completed, so nothing computed is lost.
 
-Records are produced by :func:`repro.runner.campaign.execute_cell` over the
+Records are produced by :func:`repro.runner.campaign.execute_run` over the
 cells of ``Campaign(spec).cells()`` — exactly the path ``repro-patrol run``
 takes — so every record the daemon streams is byte-identical (under JSON
 serialisation) to the same spec executed via the CLI, and daemon and CLI
-share one store keyspace.
+share one store keyspace.  A served cell touches the store once: admission
+fingerprints it and looks it up under the scheduler lock, and a miss is
+executed and written back by a worker without a second lookup.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any, Iterator, Mapping
 
 from repro.obs import registry as _obs
-from repro.runner.campaign import Campaign, _json_sanitize, execute_cell
+from repro.runner.campaign import Campaign, _execute_and_store, _json_sanitize
 from repro.runner.spec import CampaignSpec, RunSpec
 from repro.store import run_fingerprint
 from repro.store.store import ResultStore, resolve_store
@@ -194,9 +196,11 @@ class ServiceScheduler:
     retry_after:
         The ``Retry-After`` hint (seconds) carried by rejections.
     cell_runner:
-        Test seam: the function executing one cell, defaulting to
-        :func:`repro.runner.campaign.execute_cell`.  Must accept
-        ``(spec, store=...)`` and return ``(record, source)``.
+        Test seam: the function executing one admitted cell.  Must accept
+        ``(spec, store=...)`` and return ``(record, source)``, like
+        :func:`repro.runner.campaign.execute_cell`.  By default a worker
+        executes the cell and writes its record back under the fingerprint
+        admission looked up, without looking it up again.
     """
 
     def __init__(
@@ -216,7 +220,7 @@ class ServiceScheduler:
         self.workers = workers
         self.queue_limit = queue_limit
         self.retry_after = float(retry_after)
-        self._cell_runner = cell_runner if cell_runner is not None else execute_cell
+        self._cell_runner = cell_runner
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
@@ -314,13 +318,17 @@ class ServiceScheduler:
     def _run_cell(self, spec: RunSpec, fingerprint: str, future: Future) -> None:
         """Worker body: execute one cell, publish its record, settle the books.
 
-        ``execute_cell`` re-checks the store (another process may have
-        published the record meanwhile) and writes the fresh record back as
-        soon as it exists — which is why shutdown only needs to *drain*: a
-        finished cell is already persistent.
+        The fresh record is written back as soon as it exists — which is why
+        shutdown only needs to *drain*: a finished cell is already
+        persistent.  Admission already missed on the fingerprint; should
+        another process publish the same record meanwhile, the put replaces
+        it with equal content.
         """
         try:
-            record, _source = self._cell_runner(spec, store=self.store)
+            if self._cell_runner is None:
+                record = _execute_and_store(spec, fingerprint, self.store)
+            else:
+                record, _source = self._cell_runner(spec, store=self.store)
         except BaseException as exc:
             with self._lock:
                 self._counters["failed"] += 1
@@ -379,9 +387,8 @@ class ServiceScheduler:
         """Stop admitting work and (by default) drain the in-flight cells.
 
         Every record a worker finishes during the drain was already written
-        to the store by :func:`~repro.runner.campaign.execute_cell`, so a
-        drained shutdown loses nothing and a re-submitted campaign resumes
-        from the store.
+        to the store as it finished, so a drained shutdown loses nothing and
+        a re-submitted campaign resumes from the store.
         """
         with self._lock:
             self._closed = True

@@ -8,8 +8,9 @@ dispatch, executes only the misses and writes them back atomically — records
 are byte-identical (under JSON serialisation) to a cold run, with hit/miss
 counts surfaced in the result metadata.
 
-* :class:`ResultStore` — SQLite index + JSON payloads under a root
-  directory; ``get``/``put``/``query``/``stats``/``gc``/``clear``;
+* :class:`ResultStore` — one SQLite row per record (index columns + JSON
+  payload) under a root directory; ``get``/``put``/``query``/``stats``/
+  ``gc``/``clear``/``merge_from``;
 * :func:`run_fingerprint` / :func:`canonical_run_payload` — the content
   address and the canonical JSON it hashes;
 * :func:`configure` / :func:`clear_store` / :func:`store_stats` — the

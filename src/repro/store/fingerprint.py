@@ -42,6 +42,7 @@ from repro.baselines.base import seeded_params
 
 __all__ = [
     "canonical_run_payload",
+    "memoised_run_payload",
     "canonical_run_json",
     "run_fingerprint",
     "code_salt",
@@ -113,8 +114,15 @@ def code_salt() -> str:
     return f"repro-patrol/{__version__}"
 
 
+#: Types :func:`_jsonable` returns as they are (exact types: a numpy scalar
+#: subclassing ``float`` still goes through its ``item()``).
+_PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonable(value: Any) -> Any:
     """Canonical JSON-safe twin of a spec value (tuples become lists)."""
+    if type(value) in _PLAIN_TYPES:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _jsonable(dataclasses.asdict(value))
     if isinstance(value, dict):
@@ -170,11 +178,38 @@ def canonical_run_payload(spec) -> dict:
     }
 
 
+#: The attribute a spec object carries its memoised canonical payload in.
+_PAYLOAD_MEMO = "_canonical_run_payload"
+
+
+def memoised_run_payload(spec) -> dict:
+    """:func:`canonical_run_payload` of ``spec``, computed once per spec object.
+
+    A cell is fingerprinted at admission and stored after execution; both
+    read this payload, so it is kept in the spec's ``__dict__`` (a frozen
+    :class:`~repro.runner.RunSpec` is never changed after construction, and
+    one made by :func:`dataclasses.replace` is a new object with no memo).
+    Treat the returned dict as read-only.
+    """
+    state = getattr(spec, "__dict__", None)
+    if state is None:  # a slotted stand-in: nowhere to keep it
+        return canonical_run_payload(spec)
+    payload = state.get(_PAYLOAD_MEMO)
+    if payload is None:
+        payload = state[_PAYLOAD_MEMO] = canonical_run_payload(spec)
+    return payload
+
+
+# ``json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=True)``,
+# without building an encoder per call.
+_encode_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=True
+).encode
+
+
 def canonical_run_json(spec) -> str:
     """The canonical JSON text the fingerprint hashes (key-sorted, compact)."""
-    return json.dumps(
-        canonical_run_payload(spec), sort_keys=True, separators=(",", ":"), allow_nan=True
-    )
+    return _encode_canonical(memoised_run_payload(spec))
 
 
 def run_fingerprint(spec, *, salt: "str | None" = None) -> str:

@@ -1,12 +1,18 @@
-"""Atomic file writes shared by the result store and the export helpers.
+"""Atomic file writes for exports, manifests and traces.
 
-A result store must never expose a half-written artifact: a campaign killed
-mid-writeback, a full disk, or two processes racing on the same cache entry
-must all leave either the previous file or the complete new one — never a
-truncated JSON document.  The standard recipe is used everywhere: write to a
-temporary file *in the destination directory* (so the final rename never
-crosses a filesystem boundary) and publish it with :func:`os.replace`, which
-is atomic on POSIX and Windows alike.
+An artifact must never be seen half-written: a campaign killed mid-export,
+a full disk, or two processes writing the same file must all leave either
+the previous file or the complete new one — never a truncated JSON
+document.  The standard recipe is used everywhere: write to a temporary file
+*in the destination directory* (so the final rename never crosses a
+filesystem boundary) and publish it with :func:`os.replace`, which is atomic
+on POSIX and Windows alike.
+
+Fsync policy: these writes are atomic but not fsync'd, so a power cut may
+lose the newest file (never tear it).  The result store itself writes no
+files: its records are rows of one SQLite index in WAL mode with
+``synchronous=FULL``, so a put is durable when it returns (see
+:mod:`repro.store.store`).
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ class StoredRun:
     ``spec`` is the canonical run payload (see
     :func:`repro.store.canonical_run_payload`); ``record`` is the tidy result
     record, or ``None`` when the entry was listed without loading payloads.
+    ``path`` is the index file the entry's row lives in.
     """
 
     fingerprint: str

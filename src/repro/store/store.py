@@ -1,32 +1,41 @@
-"""The persistent result store: SQLite index + JSON record payloads on disk.
+"""The persistent result store: one SQLite row per finished run.
 
 Layout (under a configurable root directory)::
 
-    <root>/index.sqlite              fingerprint -> metadata index
-    <root>/records/<ff>/<fp>.json    one payload per run (sharded by prefix)
+    <root>/index.sqlite    table ``records``: fingerprint -> index columns + payload
 
-Each payload file holds the canonical run payload it was computed from, the
-record itself, and provenance (library version, creation time).  Records are
-stored with ``NaN`` preserved and dictionary insertion order intact, so a
-warm lookup returns the record **byte-identical under JSON serialisation**
-to what a cold execution produces (tuples come back as lists — their JSON
-canonical form; see ``docs/STORE.md``).
+Each row's index columns (canonical strategy, family, seed, creation time,
+library version) drive listing and query pre-filters; its ``payload`` column
+holds the JSON document of the run: the canonical run payload it was
+computed from, the record itself, and provenance (library version, creation
+time).  Records are stored with ``NaN`` preserved and dictionary insertion
+order intact, so a warm lookup returns the record **byte-identical under
+JSON serialisation** to what a cold execution produces (tuples come back as
+lists — their JSON canonical form; see ``docs/STORE.md``).
 
-Writes are crash-safe: the payload is published with an atomic rename
-(:mod:`repro.store.io`) *before* the index row is inserted, and lookups
-self-heal — an index row whose payload file is missing or unreadable counts
-as a miss and is dropped.  ``gc()`` sweeps orphaned payloads from interrupted
-writes along with entries from other library versions (whose fingerprints,
-salted by version, can never hit again).
+A put is one ``INSERT OR REPLACE`` in one transaction and a lookup is one
+``SELECT``.  The index runs in WAL mode with ``synchronous=FULL``, so a put
+is durable when it returns and a crash at any instant leaves either the
+previous row or the complete new one.  Lookups self-heal: a row whose payload
+does not parse counts as a miss and is dropped.  ``gc()`` sweeps entries
+from other library versions (whose fingerprints, salted by version, can
+never hit again) and, on request, old ones.
+
+Stores written by earlier versions kept each payload in a file,
+``records/<ff>/<fp>.json``, beside a ``runs`` table of file paths.  The first
+connection converts such a store: every readable payload file becomes a
+``records`` row in one transaction (a missing or unreadable file drops its
+row, as a lookup would), then ``records/`` is removed with anything left in
+it, and ``PRAGMA user_version`` marks the layout so opening a current store
+costs one pragma read.
 
 The store is also safe under **concurrent writers** — the ``serve`` daemon's
 worker threads all share one instance: the sqlite connection is opened with
 ``check_same_thread=False`` and every statement runs under the store's own
-lock; the index uses WAL journaling (readers never block the writer), and
-commits retry with backoff when another *process* holds the write lock.
-Two writers racing on the same fingerprint are benign: the payload rename is
-atomic and the index insert is ``INSERT OR REPLACE``, so the duplicate put
-is an idempotent no-op race, not corruption.
+lock; WAL journaling lets readers proceed beside the writer, and commits
+retry with backoff when another *process* holds the write lock.  Two writers
+racing on the same fingerprint are benign: the insert is ``INSERT OR
+REPLACE``, so the duplicate put is an idempotent race, not corruption.
 
 The module-level :func:`configure` / :func:`clear_store` / :func:`store_stats`
 API mirrors :mod:`repro.geometry.cache`: set ``REPRO_STORE_DIR`` (or call
@@ -38,14 +47,15 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sqlite3
 import threading
 import time
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
-from repro.store.fingerprint import canonical_run_payload, code_salt, run_fingerprint
-from repro.store.io import atomic_write_json, atomic_write_text
+from repro.store.fingerprint import code_salt, memoised_run_payload, run_fingerprint
 from repro.store.query import StoredRun, matches
 
 __all__ = [
@@ -60,20 +70,26 @@ __all__ = [
     "store_stats",
 ]
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS runs (
-    fingerprint     TEXT PRIMARY KEY,
-    strategy        TEXT NOT NULL DEFAULT '',
-    family          TEXT NOT NULL DEFAULT '',
-    seed            INTEGER,
-    created_at      REAL NOT NULL,
-    library_version TEXT NOT NULL,
-    payload         TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_runs_strategy ON runs (strategy);
-CREATE INDEX IF NOT EXISTS idx_runs_family ON runs (family);
-CREATE INDEX IF NOT EXISTS idx_runs_created ON runs (created_at);
-"""
+_SCHEMA = (
+    """CREATE TABLE IF NOT EXISTS records (
+        fingerprint     TEXT PRIMARY KEY,
+        strategy        TEXT NOT NULL DEFAULT '',
+        family          TEXT NOT NULL DEFAULT '',
+        seed            INTEGER,
+        created_at      REAL NOT NULL,
+        library_version TEXT NOT NULL,
+        payload         TEXT NOT NULL
+    )""",
+    "CREATE INDEX IF NOT EXISTS idx_records_strategy ON records (strategy)",
+    "CREATE INDEX IF NOT EXISTS idx_records_family ON records (family)",
+    "CREATE INDEX IF NOT EXISTS idx_records_created ON records (created_at)",
+)
+
+#: ``PRAGMA user_version`` of a store whose records live in ``records`` rows.
+_LAYOUT_VERSION = 1
+
+_INDEX_COLUMNS = "fingerprint, strategy, family, seed, created_at, library_version"
+_INSERT = f"INSERT OR REPLACE INTO records ({_INDEX_COLUMNS}, payload) VALUES (?, ?, ?, ?, ?, ?, ?)"
 
 # Cross-process write contention: how long sqlite itself blocks on a held
 # write lock (timeout=) and how the store retries around the residue.  The
@@ -115,13 +131,22 @@ def _np_safe(obj: Any) -> Any:
     raise TypeError(f"object of type {type(obj).__name__} is not JSON serialisable")
 
 
+def _parse(text: str) -> "dict | None":
+    """A stored payload document, or ``None`` when it does not parse to one."""
+    try:
+        payload = json.loads(text)
+    except (TypeError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
 class ResultStore:
     """Content-addressed store of finished run records.
 
     Parameters
     ----------
     root:
-        Directory holding the index and payloads (created on first write).
+        Directory holding the index (created on first write).
         ``None`` uses the configured default (``configure(root=...)``, else
         the ``REPRO_STORE_DIR`` environment variable) and raises
         :class:`ValueError` when neither is set.
@@ -160,16 +185,17 @@ class ResultStore:
 
     # -- plumbing --------------------------------------------------------- #
 
-    @property
+    @cached_property
     def index_path(self) -> Path:
         return self.root / "index.sqlite"
 
     @property
     def records_dir(self) -> Path:
+        """Where earlier versions kept payload files; removed on conversion."""
         return self.root / "records"
 
     def _connection(self) -> sqlite3.Connection:
-        """The store's sqlite connection, opened (and schema-initialised) once.
+        """The store's sqlite connection, opened (and the layout checked) once.
 
         Resumable execution performs one lookup per cell and one insert per
         miss on this hot path, so the connection is cached on the instance
@@ -180,7 +206,8 @@ class ResultStore:
         One connection is shared across threads (``check_same_thread=False``)
         because every statement already runs under the store lock; WAL
         journaling keeps concurrent *processes* on the same root from
-        blocking readers during a commit.
+        blocking readers during a commit, and ``synchronous=FULL`` syncs the
+        log on every commit.
         """
         with self._lock:
             if self._conn is None:
@@ -188,13 +215,58 @@ class ResultStore:
                 conn = sqlite3.connect(
                     self.index_path, timeout=_SQLITE_TIMEOUT_S, check_same_thread=False
                 )
-                conn.executescript(_SCHEMA)
                 try:
-                    conn.execute("PRAGMA journal_mode=WAL")
-                except sqlite3.OperationalError:  # pragma: no cover - e.g. network fs
-                    pass  # the rollback journal still works, with coarser locking
+                    try:
+                        conn.execute("PRAGMA journal_mode=WAL")
+                    except sqlite3.OperationalError:  # pragma: no cover - e.g. network fs
+                        pass  # the rollback journal still works, with coarser locking
+                    conn.execute("PRAGMA synchronous=FULL")
+                    if conn.execute("PRAGMA user_version").fetchone()[0] != _LAYOUT_VERSION:
+                        self._retry_locked(lambda: self._convert(conn))
+                except BaseException:
+                    conn.close()
+                    raise
                 self._conn = conn
             return self._conn
+
+    def _convert(self, conn: sqlite3.Connection) -> None:
+        """Create the ``records`` table and move a legacy store's payloads into it.
+
+        The rows land in one transaction under the write lock, so a second
+        process converting the same store at once waits and then finds no
+        legacy table left.  ``records/`` goes only after the commit, and the
+        layout mark only after that: a crash anywhere leaves either the old
+        layout, or the new rows plus leftovers the next open removes.
+        """
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            for statement in _SCHEMA:
+                conn.execute(statement)
+            legacy = conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'runs'"
+            ).fetchone()
+            if legacy is not None:
+                rows = conn.execute(f"SELECT {_INDEX_COLUMNS}, payload FROM runs").fetchall()
+                conn.executemany(_INSERT, self._read_payload_files(rows))
+                conn.execute("DROP TABLE runs")
+            conn.commit()
+        except BaseException:
+            conn.rollback()
+            raise
+        shutil.rmtree(self.records_dir, ignore_errors=True)
+        conn.execute(f"PRAGMA user_version = {_LAYOUT_VERSION}")
+
+    def _read_payload_files(self, rows: Iterable[tuple]) -> list[tuple]:
+        """Legacy ``runs`` rows with each file path replaced by the file's JSON text."""
+        converted = []
+        for *columns, name in rows:
+            try:
+                text = (self.root / name).read_text()
+                json.loads(text)
+            except (OSError, ValueError):
+                continue  # missing or unreadable: a lookup would have dropped it
+            converted.append((*columns, text.rstrip("\n")))
+        return converted
 
     def _retry_locked(self, operation):
         """Run ``operation`` retrying on SQLITE_BUSY/LOCKED with backoff.
@@ -215,11 +287,26 @@ class ResultStore:
                     raise
                 time.sleep(_LOCK_RETRY_BASE_S * (2 ** attempt))
 
+    def _write(self, sql: str, args: Iterable = ()) -> int:
+        """One statement in one committed transaction; returns the rows it touched."""
+        def _run() -> int:
+            with self._connection() as conn:
+                return conn.execute(sql, tuple(args)).rowcount
+
+        with self._lock:
+            return self._retry_locked(_run)
+
+    def _insert(self, rows: list[tuple]) -> None:
+        """``INSERT OR REPLACE`` full rows (index columns + payload) in one transaction."""
+        def _run() -> None:
+            with self._connection() as conn:
+                conn.executemany(_INSERT, rows)
+
+        with self._lock:
+            self._retry_locked(_run)
+
     def _index_exists(self) -> bool:
         return self._conn is not None or self.index_path.exists()
-
-    def _payload_path(self, fingerprint: str) -> Path:
-        return self.records_dir / fingerprint[:2] / f"{fingerprint}.json"
 
     def fingerprint(self, spec) -> str:
         """Content address of ``spec`` (see :func:`repro.store.run_fingerprint`)."""
@@ -232,7 +319,7 @@ class ResultStore:
             return False
         with self._lock:
             row = self._connection().execute(
-                "SELECT 1 FROM runs WHERE fingerprint = ?", (fingerprint,)
+                "SELECT 1 FROM records WHERE fingerprint = ?", (fingerprint,)
             ).fetchone()
         return row is not None
 
@@ -242,41 +329,47 @@ class ResultStore:
     def get(self, fingerprint: str) -> "dict | None":
         """The stored record for ``fingerprint``, or ``None`` on a miss.
 
-        An index row whose payload file is missing or unreadable self-heals:
-        the row is dropped and the lookup counts as a miss.
+        A row whose payload does not parse self-heals: the row is dropped and
+        the lookup counts as a miss.
         """
-        entry = self.get_entry(fingerprint)
-        return None if entry is None else entry.record
+        found = self._lookup(fingerprint)
+        return None if found is None else found[1].get("record")
 
     def get_entry(self, fingerprint: str) -> "StoredRun | None":
         """Like :meth:`get` but returning the full :class:`StoredRun` entry."""
+        found = self._lookup(fingerprint)
+        return None if found is None else self._entry(fingerprint, *found)
+
+    def _lookup(self, fingerprint: str) -> "tuple[tuple, dict] | None":
+        """The row under ``fingerprint`` and its parsed payload, counted as a hit or miss."""
         with self._lock:
-            if not self._index_exists():
-                self.misses += 1
-                return None
-            row = self._connection().execute(
-                "SELECT strategy, family, seed, created_at, library_version, payload "
-                "FROM runs WHERE fingerprint = ?",
-                (fingerprint,),
-            ).fetchone()
-            if row is None:
-                self.misses += 1
-                return None
-            entry = self._load_entry(fingerprint, row)
-            if entry is None:
-                self._drop(fingerprint)
+            row = self._row(fingerprint)
+            payload = None if row is None else _parse(row[-1])
+            if payload is None:
+                if row is not None:
+                    self._drop(fingerprint)
                 self.misses += 1
                 return None
             self.hits += 1
-            return entry
+            return row, payload
+
+    def _row(self, fingerprint: str) -> "tuple | None":
+        """The stored row under ``fingerprint`` (index columns + payload), if any."""
+        if not self._index_exists():
+            return None
+        with self._lock:
+            return self._connection().execute(
+                "SELECT strategy, family, seed, created_at, library_version, payload "
+                "FROM records WHERE fingerprint = ?",
+                (fingerprint,),
+            ).fetchone()
 
     def _load_entry(self, fingerprint: str, row: tuple) -> "StoredRun | None":
-        strategy, family, seed, created_at, version, payload_name = row
-        path = self.root / payload_name
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
+        payload = _parse(row[-1])
+        return None if payload is None else self._entry(fingerprint, row, payload)
+
+    def _entry(self, fingerprint: str, row: tuple, payload: dict) -> StoredRun:
+        strategy, family, seed, created_at, version, _text = row
         return StoredRun(
             fingerprint=fingerprint,
             strategy=strategy,
@@ -284,7 +377,7 @@ class ResultStore:
             seed=seed,
             created_at=created_at,
             library_version=version,
-            path=path,
+            path=self.index_path,
             spec=payload.get("spec"),
             record=payload.get("record"),
         )
@@ -292,83 +385,60 @@ class ResultStore:
     # -- write ------------------------------------------------------------ #
 
     def put(self, fingerprint: str, record: Mapping[str, Any], spec=None) -> StoredRun:
-        """Store one record under ``fingerprint`` (atomic; idempotent).
+        """Store one record under ``fingerprint`` (one transaction; idempotent).
 
-        ``spec`` may be a :class:`~repro.runner.RunSpec` (canonicalised here)
-        or an already-canonical payload dict; it powers :meth:`query` filters
-        and the index columns, and may be omitted for anonymous records.
+        ``spec`` may be a :class:`~repro.runner.RunSpec` (canonicalised here,
+        or not at all when its fingerprint was already taken — the payload is
+        memoised on the spec object) or an already-canonical payload dict; it
+        powers :meth:`query` filters and the index columns, and may be omitted
+        for anonymous records.
 
         Two writers racing on the same fingerprint (daemon workers, or two
         campaign processes sharing a root) are a benign no-op race: both
-        publish equal record content via an atomic rename and the index
-        insert is ``INSERT OR REPLACE`` — last writer wins, nothing is ever
-        left torn.
+        write equal record content and the insert is ``INSERT OR REPLACE`` —
+        last writer wins, nothing is ever left torn.
         """
         payload_spec: "dict | None"
         if spec is None or isinstance(spec, Mapping):
             payload_spec = dict(spec) if spec is not None else None
         else:
-            payload_spec = canonical_run_payload(spec)
+            payload_spec = dict(memoised_run_payload(spec))
         created_at = time.time()
         version = code_salt()
-        payload = {
-            "fingerprint": fingerprint,
-            "library_version": version,
-            "created_at": created_at,
-            "spec": payload_spec,
-            "record": dict(record),
-        }
-        path = self._payload_path(fingerprint)
-        # Publish the payload before the index row: a crash in between leaves
-        # an orphan file (swept by gc()), never a dangling index entry.
-        atomic_write_json(path, payload, default=_np_safe)
-        scenario = (payload_spec or {}).get("scenario", {})
+        record = dict(record)
+        text = json.dumps(
+            {
+                "fingerprint": fingerprint,
+                "library_version": version,
+                "created_at": created_at,
+                "spec": payload_spec,
+                "record": record,
+            },
+            allow_nan=True,
+            default=_np_safe,
+        )
+        spec_fields = payload_spec or {}
+        family = spec_fields.get("scenario", {}).get("family", "")
         # The index column holds the *canonical* strategy name so queries
         # match every alias spelling; the payload (and record) keep the raw
         # spelling the fingerprint hashed.
-        strategy = _canonical_strategy((payload_spec or {}).get("strategy", ""))
-
-        def _insert() -> None:
-            with self._connection() as conn:
-                conn.execute(
-                    "INSERT OR REPLACE INTO runs "
-                    "(fingerprint, strategy, family, seed, created_at, library_version, payload) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        fingerprint,
-                        strategy,
-                        scenario.get("family", ""),
-                        (payload_spec or {}).get("seed"),
-                        created_at,
-                        version,
-                        str(path.relative_to(self.root)),
-                    ),
-                )
-
-        with self._lock:
-            self._retry_locked(_insert)
+        strategy = _canonical_strategy(spec_fields.get("strategy", ""))
+        seed = spec_fields.get("seed")
+        self._insert([(fingerprint, strategy, family, seed, created_at, version, text)])
         return StoredRun(
             fingerprint=fingerprint,
             strategy=strategy,
-            family=scenario.get("family", ""),
-            seed=(payload_spec or {}).get("seed"),
+            family=family,
+            seed=seed,
             created_at=created_at,
             library_version=version,
-            path=path,
+            path=self.index_path,
             spec=payload_spec,
-            record=dict(record),
+            record=record,
         )
 
     def _drop(self, fingerprint: str) -> None:
-        def _delete() -> None:
-            with self._connection() as conn:
-                conn.execute("DELETE FROM runs WHERE fingerprint = ?", (fingerprint,))
-
-        with self._lock:
-            self._retry_locked(_delete)
-        path = self._payload_path(fingerprint)
-        if path.exists():
-            path.unlink()
+        self._write("DELETE FROM records WHERE fingerprint = ?", (fingerprint,))
 
     # -- enumeration / query ---------------------------------------------- #
 
@@ -378,6 +448,7 @@ class ResultStore:
         strategy: "str | None" = None,
         family: "str | None" = None,
         limit: "int | None" = None,
+        payload: bool = True,
     ) -> list[tuple]:
         if not self._index_exists():
             return []
@@ -388,10 +459,7 @@ class ResultStore:
         if family is not None:
             clauses.append("family = ?")
             args.append(_canonical_family(family))
-        sql = (
-            "SELECT fingerprint, strategy, family, seed, created_at, "
-            "library_version, payload FROM runs"
-        )
+        sql = f"SELECT {_INDEX_COLUMNS}{', payload' if payload else ''} FROM records"
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY created_at DESC, fingerprint"
@@ -412,11 +480,10 @@ class ResultStore:
         return [
             StoredRun(
                 fingerprint=fp, strategy=s, family=f, seed=seed,
-                created_at=created, library_version=version,
-                path=self.root / payload,
+                created_at=created, library_version=version, path=self.index_path,
             )
-            for fp, s, f, seed, created, version, payload in self._rows(
-                strategy=strategy, family=family, limit=limit
+            for fp, s, f, seed, created, version in self._rows(
+                strategy=strategy, family=family, limit=limit, payload=False
             )
         ]
 
@@ -460,23 +527,24 @@ class ResultStore:
         if not self._index_exists():
             return 0
         with self._lock:
-            return self._connection().execute("SELECT COUNT(*) FROM runs").fetchone()[0]
+            return self._connection().execute("SELECT COUNT(*) FROM records").fetchone()[0]
 
     def stats(self) -> dict:
         """Size and provenance summary: entries, payload bytes, versions, hits/misses."""
         versions: dict[str, int] = {}
-        entries = 0
+        entries = payload_bytes = 0
         if self._index_exists():
+            # Payloads are ASCII (json.dumps escapes the rest), so the
+            # character count is the byte count.
             with self._lock:
                 rows = self._connection().execute(
-                    "SELECT library_version, COUNT(*) FROM runs GROUP BY library_version"
+                    "SELECT library_version, COUNT(*), SUM(LENGTH(payload)) "
+                    "FROM records GROUP BY library_version"
                 ).fetchall()
-            for version, count in rows:
+            for version, count, size in rows:
                 versions[version] = count
                 entries += count
-        payload_bytes = sum(
-            f.stat().st_size for f in self.records_dir.glob("*/*.json")
-        ) if self.records_dir.exists() else 0
+                payload_bytes += size
         return {
             "root": str(self.root),
             "entries": entries,
@@ -487,21 +555,8 @@ class ResultStore:
         }
 
     def clear(self) -> int:
-        """Drop every entry (and payload file); returns the number removed."""
-        removed = len(self)
-        if self._index_exists():
-            def _delete_all() -> None:
-                with self._connection() as conn:
-                    conn.execute("DELETE FROM runs")
-
-            with self._lock:
-                self._retry_locked(_delete_all)
-        if self.records_dir.exists():
-            for path in self.records_dir.glob("*/*.json"):
-                path.unlink()
-            for shard in self.records_dir.iterdir():
-                if shard.is_dir() and not any(shard.iterdir()):
-                    shard.rmdir()
+        """Drop every entry; returns the number removed."""
+        removed = self._write("DELETE FROM records") if self._index_exists() else 0
         self.hits = 0
         self.misses = 0
         return removed
@@ -516,56 +571,36 @@ class ResultStore:
 
         Removes (a) entries written by a different library version — their
         fingerprints carry an old code salt, so they can never hit again —
-        unless ``keep_other_versions`` is set; (b) entries older than
-        ``max_age_days``, when given; and (c) orphaned payload files left by
-        interrupted writes (files with no index row).
+        unless ``keep_other_versions`` is set; and (b) entries older than
+        ``max_age_days``, when given.
         """
-        removed = 0
-        if self._index_exists():
-            clauses, args = [], []
-            if not keep_other_versions:
-                clauses.append("library_version != ?")
-                args.append(code_salt())
-            if max_age_days is not None:
-                clauses.append("created_at < ?")
-                args.append(time.time() - max_age_days * 86_400.0)
-            if clauses:
-                sql = "SELECT fingerprint, payload FROM runs WHERE " + " OR ".join(clauses)
-
-                def _sweep() -> list[tuple]:
-                    rows = self._connection().execute(sql, args).fetchall()
-                    with self._connection() as conn:
-                        conn.executemany(
-                            "DELETE FROM runs WHERE fingerprint = ?",
-                            [(fp,) for fp, _ in rows],
-                        )
-                    return rows
-
-                with self._lock:
-                    doomed = self._retry_locked(_sweep)
-                for _, payload_name in doomed:
-                    path = self.root / payload_name
-                    if path.exists():
-                        path.unlink()
-                removed += len(doomed)
-        removed += self._sweep_orphans()
-        return removed
+        clauses, args = [], []
+        if not keep_other_versions:
+            clauses.append("library_version != ?")
+            args.append(code_salt())
+        if max_age_days is not None:
+            clauses.append("created_at < ?")
+            args.append(time.time() - max_age_days * 86_400.0)
+        if not clauses or not self._index_exists():
+            return 0
+        return self._write("DELETE FROM records WHERE " + " OR ".join(clauses), args)
 
     def merge_from(self, source: "ResultStore | str | Path") -> dict:
         """Union ``source``'s entries into this store; returns the counts.
 
         The shard-merge primitive behind ``repro-patrol store merge``: every
         readable entry of ``source`` is copied over **verbatim** — payload
-        bytes, creation time, library version and index columns all preserved
+        text, creation time, library version and index columns all preserved
         — so a merged store is byte-identical to one that executed every
         shard itself, and merging is idempotent.  Entries whose fingerprint
         this store already holds are *duplicate-benign*: when the two records
         agree (canonical JSON comparison) the copy is skipped, and when they
         differ the merge raises :class:`MergeConflictError` **before**
         touching anything else — conflicting shards are a provenance problem
-        to investigate, not to paper over.  Dangling source rows (index entry
-        whose payload file is unreadable) are skipped, exactly as lookups
-        treat them.
+        to investigate, not to paper over.  Source rows whose payload does not
+        parse are skipped, exactly as lookups treat them.  Every copied row
+        lands in one transaction.  Opening a source in the file-per-record
+        layout of earlier versions converts it first.
 
         Returns ``{"merged": copied, "duplicates": skipped}``.
         """
@@ -578,15 +613,8 @@ class ResultStore:
             src = source._load_entry(fingerprint, row[1:])
             if src is None:
                 continue
-            mine = None
-            if self.contains(fingerprint):
-                with self._lock:
-                    mine_row = self._connection().execute(
-                        "SELECT strategy, family, seed, created_at, "
-                        "library_version, payload FROM runs WHERE fingerprint = ?",
-                        (fingerprint,),
-                    ).fetchone()
-                mine = self._load_entry(fingerprint, mine_row) if mine_row else None
+            mine_row = self._row(fingerprint)
+            mine = None if mine_row is None else self._load_entry(fingerprint, mine_row)
             if mine is not None:
                 mine_json = json.dumps(mine.record, sort_keys=True, default=_np_safe)
                 src_json = json.dumps(src.record, sort_keys=True, default=_np_safe)
@@ -595,41 +623,11 @@ class ResultStore:
                 duplicates += 1
                 continue
             pending.append(row)
-
-        # The whole source is vetted before the first byte lands, so a
+        # The whole source is vetted before the first row lands, so a
         # conflict anywhere aborts the merge with this store untouched.
-        for fingerprint, strategy, family, seed, created_at, version, payload_name in pending:
-            src_path = source.root / payload_name
-            dest_path = self._payload_path(fingerprint)
-            atomic_write_text(dest_path, src_path.read_text())
-
-            def _insert() -> None:
-                with self._connection() as conn:
-                    conn.execute(
-                        "INSERT OR REPLACE INTO runs "
-                        "(fingerprint, strategy, family, seed, created_at, "
-                        "library_version, payload) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                        (fingerprint, strategy, family, seed, created_at,
-                         version, str(dest_path.relative_to(self.root))),
-                    )
-
-            with self._lock:
-                self._retry_locked(_insert)
+        if pending:
+            self._insert(pending)
         return {"merged": len(pending), "duplicates": duplicates}
-
-    def _sweep_orphans(self) -> int:
-        if not self.records_dir.exists():
-            return 0
-        indexed = {payload for _, _, _, _, _, _, payload in self._rows()}
-        swept = 0
-        for path in self.records_dir.glob("*/*"):
-            if not path.is_file():
-                continue
-            rel = str(path.relative_to(self.root))
-            if rel not in indexed:
-                path.unlink()
-                swept += 1
-        return swept
 
 
 def _canonical_strategy(name: str) -> str:

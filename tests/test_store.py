@@ -159,12 +159,17 @@ class TestResultStore:
         assert got["count"] == 4 and got["arr"] == [1.0, 2.0]
         assert got["val"] == pytest.approx(0.5)
 
-    def test_self_heals_missing_payload(self, tmp_path):
+    def test_self_heals_unparseable_payload(self, tmp_path):
+        import sqlite3
+        from contextlib import closing
+
         store = ResultStore(tmp_path)
         spec = small_spec()
         fp = run_fingerprint(spec)
         entry = store.put(fp, {"x": 1}, spec)
-        entry.path.unlink()
+        with closing(sqlite3.connect(entry.path)) as conn, conn:
+            conn.execute("UPDATE records SET payload='{\"record\": ' WHERE fingerprint=?",
+                         (fp,))
         assert store.get(fp) is None          # miss, row dropped
         assert not store.contains(fp)
 
@@ -190,24 +195,26 @@ class TestResultStore:
         stale = store.put("d" * 40, {"x": 2})
         old = store.put("e" * 40, {"x": 3})
         with closing(sqlite3.connect(store.index_path)) as conn, conn:
-            conn.execute("UPDATE runs SET library_version='repro-patrol/0.0.1' "
+            conn.execute("UPDATE records SET library_version='repro-patrol/0.0.1' "
                          "WHERE fingerprint=?", ("d" * 40,))
-            conn.execute("UPDATE runs SET created_at=? WHERE fingerprint=?",
+            conn.execute("UPDATE records SET created_at=? WHERE fingerprint=?",
                          (time.time() - 10 * 86_400, "e" * 40))
         assert store.gc(max_age_days=5.0) == 2
         assert store.contains(keep.fingerprint)
         assert not store.contains(stale.fingerprint)
         assert not store.contains(old.fingerprint)
 
-    def test_gc_sweeps_orphan_payloads(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put("a1" + "0" * 38, {"x": 1})
-        orphan = store.records_dir / "zz" / "zz-orphan.json"
+    def test_conversion_removes_leftover_payload_files(self, tmp_path):
+        from store_legacy import legacy_put
+
+        legacy_put(tmp_path, "a1" + "0" * 38, {"x": 1})
+        orphan = tmp_path / "records" / "zz" / "zz-orphan.json"
         orphan.parent.mkdir(parents=True)
         orphan.write_text("{}")
-        assert store.gc() == 1
-        assert not orphan.exists()
+        store = ResultStore(tmp_path)
         assert len(store) == 1
+        assert not orphan.exists() and not store.records_dir.exists()
+        assert store.get("a1" + "0" * 38) == {"x": 1}
 
     def test_requires_some_root(self, monkeypatch):
         with pytest.raises(ValueError, match="no store root configured"):
