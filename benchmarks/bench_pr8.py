@@ -6,8 +6,9 @@ twice:
 
 * **baseline** — ``repro.sim.batchpath`` disabled: every cell dispatches
   through the per-cell scalar fast path, exactly the PR 3 execution model;
-* **optimized** — the default configuration: eligible cells are grouped by
-  leg-pattern shape and evaluated in one stacked cumsum tensor pass.
+* **optimized** — the default configuration: the batched pass answers each
+  eligible cell from the reduction cached for its row key, reducing a row
+  key's summed rows straight to metrics on its first miss.
 
 Before any number is written the harness asserts byte identity three ways:
 batched vs per-cell dispatch on the full workload, batched vs the

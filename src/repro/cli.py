@@ -665,9 +665,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.spec_out:
-        from pathlib import Path
+        from repro.store.io import atomic_write_text
 
-        Path(args.spec_out).write_text(spec.to_json() + "\n")
+        atomic_write_text(args.spec_out, spec.to_json() + "\n")
         print(f"wrote campaign spec to {args.spec_out}")
         return 0
     result = campaign.run(progress=_progress_callback(args), store=_cli_store_arg(args))

@@ -88,7 +88,6 @@ def compute_start_points(
 
 def _entry_index_after(s: float, cumulative: Sequence[float], total: float, *, eps: float = 1e-9) -> int:
     """Index of the first walk vertex at arc length >= ``s`` (wrapping around)."""
-    n = len(cumulative)
     if total <= 0:
         return 0
     for i, c in enumerate(cumulative):

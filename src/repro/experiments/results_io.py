@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.experiments.reporting import to_csv
+from repro.store.io import atomic_write_text
 
 __all__ = ["save_result", "load_result", "grid_to_rows", "export_grid_csv"]
 
@@ -53,20 +54,18 @@ def save_result(data: Mapping[str, Any], path: "str | Path", *,
     """Write an experiment result dictionary to ``path`` as JSON.
 
     A ``_meta`` block with the library version and a wall-clock timestamp is
-    added so saved results are self-describing.  Returns the path written.
+    added so saved results are self-describing.  The write is atomic: a
+    failed one leaves any previous file whole.  Returns the path written.
     """
     from repro import __version__
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = dict(_encode_keys(dict(data)))
     payload["_meta"] = {
         "library_version": __version__,
         "saved_at_unix": time.time(),
         **(dict(extra_metadata) if extra_metadata else {}),
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return path
+    return atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_result(path: "str | Path") -> dict:
@@ -98,9 +97,6 @@ def grid_to_rows(grid: Mapping[str, Mapping[tuple, float]],
 
 def export_grid_csv(grid: Mapping[str, Mapping[tuple, float]], path: "str | Path", *,
                     key_names: tuple[str, ...] = ("x", "y")) -> Path:
-    """Write a grid-style result (Figures 8-10) to CSV; returns the path written."""
+    """Write a grid-style result (Figures 8-10) to CSV, atomically; returns the path written."""
     headers, rows = grid_to_rows(grid, key_names=key_names)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_csv(headers, rows))
-    return path
+    return atomic_write_text(path, to_csv(headers, rows))

@@ -32,12 +32,6 @@ __all__ = [
 NodeId = Hashable
 
 
-def _prepare(coordinates: Mapping[NodeId, Point]) -> tuple[list[NodeId], np.ndarray]:
-    nodes = list(coordinates)
-    pts = [as_point(coordinates[n]) for n in nodes]
-    return nodes, cached_distance_matrix(pts)
-
-
 def _vector_kernels():
     """The vectorized planning kernels, or None when the switch is off.
 

@@ -27,6 +27,7 @@ from repro.core.policies import POLICIES, get_policy
 from repro.core.rwtctp import compute_patrol_rounds, insert_recharge_station
 from repro.core.start_points import (
     StartPoint,
+    _entry_index_after,
     assign_mules_to_start_points,
     compute_start_points,
 )
@@ -524,13 +525,3 @@ def init_random_offset(ctx: PlanningContext, *, seed: "int | None" = 0) -> "dict
             routes[mule.id] = _make_route(lane, mule.id, entry_index=entry, start=position)
         lane.start_points = tuple(start_points)
     return routes
-
-
-def _entry_index_after(s: float, cumulative, total: float, *, eps: float = 1e-9) -> int:
-    """Index of the first lap vertex at arc length >= ``s`` (wrapping around)."""
-    if total <= 0:
-        return 0
-    for i, c in enumerate(cumulative):
-        if c >= s - eps:
-            return i
-    return 0  # wrapped past the last vertex: the next node is the lap head

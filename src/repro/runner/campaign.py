@@ -1,10 +1,10 @@
-"""Campaign execution: batch what stacks, fan the rest out over worker processes.
+"""Campaign execution: batch what it can, fan the rest out over worker processes.
 
 Every cell of a campaign — one ``(RunSpec, seed)`` pair — is an independent
 work unit: it builds its scenario from the scenario spec + seed, plans,
 simulates and reduces to one tidy record (a flat dict of cell coordinates and
-metric values).  The executor evaluates every batch-eligible cell in one
-stacked tensor pass (:mod:`repro.sim.batchpath`) and runs the rest on a
+metric values).  The executor evaluates every batch-eligible cell on the
+batched pass (:mod:`repro.sim.batchpath`) and runs the rest on a
 :class:`concurrent.futures.ProcessPoolExecutor` when ``max_workers`` asks
 for one, serially otherwise, preserving the deterministic cell order — a
 campaign's records are **identical** serial or parallel, byte for byte.
@@ -15,7 +15,7 @@ seed shares one layout across all replications — do not regenerate it: a
 content-keyed prototype cache (see :mod:`repro.geometry.cache`) stores the
 generated scenario once and hands each cell that builds one a
 :meth:`~repro.network.scenario.Scenario.fresh_copy` (a batched cell whose
-row set is already cached needs none).  Reuse is purely memoizing: records
+row key is already cached needs none).  Reuse is purely memoizing: records
 are byte-identical with the cache on or off.
 """
 
@@ -107,9 +107,10 @@ def _timing_metadata(spans: "list[dict]") -> dict[str, Any]:
 
     Every cell the scalar core runs — in this process or in a pool worker,
     whose spans the parent absorbs — records one ``cell`` span around its
-    ``plan`` and ``simulate`` spans.  Batched tensor cells (one stacked pass,
-    no per-cell planning) and store hits (no execution at all) record none,
-    so ``cells_timed`` says how much of the campaign the split covers.
+    ``plan`` and ``simulate`` spans.  Batched cells (no ``cell`` span; a
+    ``batch-reduce`` span on a cache miss) and store hits (no execution at
+    all) record none, so ``cells_timed`` says how much of the campaign the
+    split covers.
     """
     durations: dict[str, list[float]] = {"cell": [], "plan": [], "simulate": []}
     for span in spans:
@@ -324,7 +325,7 @@ def execute_many(
     """Execute run specs, batch first, then per cell; results keep spec order.
 
     The batched fast path (:mod:`repro.sim.batchpath`) evaluates every
-    batch-eligible cell in one in-process tensor pass; only the cells it
+    batch-eligible cell in-process, one after another; only the cells it
     declines run per cell, on the scalar core — over ``max_workers``
     processes when that is above 1 and at least two remain, serially
     otherwise.  No cell is offered to the batch twice, a campaign the batch
@@ -677,7 +678,7 @@ class Campaign:
         plan-time vs sim-time wall-clock split summed from the window's
         ``plan`` and ``simulate`` spans over the cells the batch layer
         declined, which ran per cell in this process or in a pool worker.
-        Batched tensor cells and store hits are not timed per cell, so
+        Batched cells and store hits are not timed per cell, so
         ``cells_timed`` may be less than ``num_cells``.  Span bodies never
         land in metadata — they carry timestamps and go to the trace/JSONL
         exporters instead — and with the registry off the metadata holds

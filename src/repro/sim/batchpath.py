@@ -1,17 +1,17 @@
-"""Batched fast path: evaluate many campaign cells as one stacked tensor pass.
+"""Batched fast path: answer campaign cells from cached reductions, one cell at a time.
 
 The scalar fast path (:mod:`repro.sim.fastpath`) already replaces the event
-loop with one cumulative sum per mule and one pop-order solve — but a
-campaign still dispatches it cell by cell from Python, and each cell pays
-for that solve plus per-record object materialisation.  For the cells that
-dominate mega-campaigns neither is needed:
+loop with one cumulative sum per mule and one pop-order solve — but each
+cell it runs still plans, builds every visit and delivery record and
+reduces them to metrics.  For the cells that dominate campaigns neither the
+records nor a second plan are needed:
 
 * mules do not interact, and only a mule's own battery truncates its
   stream, so a cell's visit log is exactly "every precomputed arrival up to
   the horizon or the mule's death" — no event order required to *find* the
   events.  A tracked battery's death comes from a running sum of drains
   over the mule's own legs (:meth:`~repro.sim.fastpath.LegPattern.battery_stop`),
-  and its row is cut there before the tensor pass;
+  and its row is cut there before the row is summed;
 * the record's interval metrics consume per-target **sorted** visit times,
   which are order-independent;
 * the only genuinely order-dependent quantities — collection-window packet
@@ -22,22 +22,21 @@ dominate mega-campaigns neither is needed:
   (:func:`~repro.sim.fastpath._pop_ranks`, which the scalar tier always
   takes) and sorts by that instead.
 
-So this module groups a campaign's eligible cells by **leg-pattern shape**
-(rows of identical interleaved travel/dwell length), stacks every
-``(cell, mule)`` row into one matrix and runs a single ``np.cumsum(axis=1)``
-over the whole block — the (cells × mules × legs) tensor pass — then reduces
-each distinct row set once to its record metrics without ever materialising
-:class:`~repro.sim.recorder.VisitRecord` objects.  The rows, the horizon
-cut, the tie solve and the kept-event table that derives packet windows,
-sink flushes and the delivery order are the scalar tier's own; only the
-stacking and the metric reduction live here.  Per-row sequential additions
-inside the stacked cumsum are bit-for-bit the additions the engine would
-have performed, so records are **byte-identical** to per-cell dispatch
+So this module walks a call's cells in order.  A cell whose row key (plan
+key, horizon, synchronized start, battery tracking) is cached costs one
+cache lookup: its key comes from the spec alone, and the entry carries the
+record head and the row set's six metrics, so no scenario, plan or simulator
+is built for it — every replication of a pinned layout after the first.  A
+miss builds the cell's scenario, plan and rows, sums each row with
+:meth:`~repro.sim.fastpath.LegPattern.chain`, reduces them to the record
+metrics without ever materialising :class:`~repro.sim.recorder.VisitRecord`
+objects, and caches the reduction, so a call holds one row set at a time
+and the cache never holds rows.  The rows, their sums, the horizon cut, the
+tie solve and the kept-event table that derives packet windows, sink
+flushes and the delivery order are the scalar tier's own; only the metric
+reduction lives here.  Records are **byte-identical** to per-cell dispatch
 (asserted by ``benchmarks/bench_pr8.py`` and the differential fuzz harness
-before any speed claim).  A cell whose row set is already cached — every
-replication of a pinned layout after the first — costs one cache lookup: its
-key comes from the spec alone, and the entry carries everything its record
-needs, so no scenario, plan or simulator is built for it.
+before any speed claim).
 
 A cell rides the batch only when every check passes; anything else silently
 degrades to per-cell dispatch — the scalar fast path, or the event loop where
@@ -50,12 +49,13 @@ that declines too — never to a wrong answer:
 * no custom ``spec.metrics`` (extractors receive a full
   :class:`~repro.sim.recorder.SimulationResult`, which the batch never
   builds);
-* every mule's row builds (the scalar tier's own row builder, with a
-  smaller event cap; its dynamic declines read ``row-fallback`` here);
+* every mule's row builds under the scalar tier's own builder and event
+  cap (its dynamic declines read ``row-fallback`` here, and the scalar tier
+  declines the same rows, so those cells run on the event loop);
 * the lap estimate must clear the horizon, and no tracked battery may hit
   the 1e-9 m window where the engine clips a leg's drain to an empty battery
-  by the horizon (both verified *after* the tensor pass, per row set; the
-  scalar fast path declines both too, so those cells run on the event loop).
+  by the horizon (both verified after the rows are summed; the scalar fast
+  path declines both too, so those cells run on the event loop).
 
 Toggle with :attr:`repro.sim.engine.SimulationConfig.batch_path` per spec,
 or per process with the ``BATCHPATH`` entry of :mod:`repro.switches`
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import json
 from itertools import compress
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,37 +90,23 @@ __all__ = [
     "configure",
 ]
 
-# Per-row event cap.  Every row of every cell of one call is held, with its
-# cumsum, until that cell's reduction, so this bounds what a call holds; a
-# cell with a longer row runs per cell instead, on the scalar fast path and
-# its far higher cap.  Read at call time (the boundary tests patch it).
-_MAX_BATCH_EVENTS = 250_000
-
-# Soft bound on floats per stacked block; groups larger than this are
-# processed in row chunks so peak memory stays flat regardless of campaign
-# size.
-_MAX_BLOCK_FLOATS = 8_000_000
-
 # Patrol plans memoized by (strategy, declared params incl. any injected
 # seed, scenario content key).  Planning is deterministic in that triple —
-# the determinism patrol enforces it — so every replication cell of a pinned
-# scenario reuses one plan instead of re-planning identical content.  The
+# the determinism patrol enforces it — so row keys that share a plan key
+# (a grid over the horizon, the sync or the tracking flag) plan once.  The
 # batch only ever *reads* a plan (routes are generator factories; nothing is
 # advanced), so sharing one object across cells is safe, and the cache is
 # purely memoizing: byte-identical records with it on or off.
 _PLAN_CACHE = ContentCache("batch_plan", maxsize=128)
 
-# Prepared increment rows memoized by (plan key, horizon, synchronized
-# start, battery tracking): everything a row reads — routes, mule velocities,
-# deployment positions and batteries, the collection dwell, the energy costs
-# — is a function of that key, so every replication cell of a pinned
-# scenario shares one row set and its cumsum output — or its construction
-# fallback.  So is everything else a cell of the key needs (an _Entry: the
-# record head, and what the reduction reads), so a cell whose key is cached
-# is answered from the entry alone, with no scenario, plan or simulator of
-# its own.  Once reduced, the entry carries the reduction itself (six
-# metrics, or the decline reason), so the cache never keeps cumsum arrays
-# past the calls that are using them.
+# Reductions memoized by row key: (plan key, horizon, synchronized start,
+# battery tracking).  Everything a cell's rows read — routes, mule
+# velocities, deployment positions and batteries, the collection dwell, the
+# energy costs — is a function of that key, so every replication cell of a
+# pinned scenario shares one entry (an _Entry: the record head, and the six
+# metrics or why the batch declines the rows), and a cell whose key is
+# cached is answered from the entry alone, with no scenario, plan or
+# simulator of its own.  Rows are never cached.
 _ROW_CACHE = ContentCache("batch_rows", maxsize=256)
 
 # ``json.dumps(value, default=repr)``, without building an encoder per call.
@@ -139,38 +125,16 @@ batchpath_disabled = BATCHPATH.disabled
 
 
 # --------------------------------------------------------------------------- #
-# Per-(cell, mule) row precomputation
+# One cell: a cached entry, or a miss built, summed and reduced
 # --------------------------------------------------------------------------- #
-
-class _RowSet(list):
-    """One row key's rows, with the scenario's target ids and rates and its sink.
-
-    ``reduced`` memoizes their reduction or decline reason.
-    """
-    reduced: "dict | str | None" = None
-
-    def __init__(self, rows, target_ids: "list[str]", rates: np.ndarray, sink_id: str) -> None:
-        super().__init__(rows)
-        self.target_ids = target_ids
-        self.rates = rates
-        self.sink_id = sink_id
-
 
 class _Entry(NamedTuple):
     """A ``batch_rows`` entry: everything a cell of its row key needs."""
 
     # The record's (num_targets, num_mules, planner) columns.
     head: tuple
-    # Rows still to reduce, their reduction, or why the batch declines them.
-    body: "_RowSet | dict | str"
-
-
-class _Cell(NamedTuple):
-    """One campaign cell prepared for batch evaluation."""
-
-    spec: Any
-    row_key: tuple
-    entry: _Entry
+    # The row set's six record metrics, or why the batch declines it.
+    body: "dict | str"
 
 
 def _reject(reason: str) -> None:
@@ -180,20 +144,20 @@ def _reject(reason: str) -> None:
     sweep slow"): static spec vetoes (``batch-path-disabled`` /
     ``max-visits`` / ``custom-metrics`` / ``fastpath-fast-path-disabled``),
     the scalar fast path's other rejections prefixed ``fastpath-``, and the
-    declines memoized per row set — ``row-fallback`` and the post-tensor
-    checks ``lap-estimate`` / ``battery-clip`` — counted once per declined
-    cell.
+    declines memoized per row key — ``row-fallback`` and the checks on the
+    summed rows ``lap-estimate`` / ``battery-clip`` — counted once per
+    declined cell.
     """
     _obs.inc("batch_dispatch", outcome="scalar", reason=reason)
     return None
 
 
-def _prepare_cell(spec) -> "_Cell | None":
-    """Key ``spec`` by its row set and vet it for the batch class.
+def _cell_record(spec) -> "dict | None":
+    """``spec``'s record, or ``None`` when the cell must run per cell.
 
-    A cell whose row set is cached is answered from the ``batch_rows`` entry
-    alone.  Only on a miss are its scenario and plan built, vetted by the
-    scalar fast path's static rejection and its rows built and cached.
+    A cell whose row key is cached is answered from its ``batch_rows`` entry
+    alone.  Only a miss builds and reduces the cell (:func:`_reduce_cell`,
+    in a ``batch-reduce`` span) and caches the entry.
     """
     cfg = spec.sim
     if not cfg.batch_path:
@@ -203,79 +167,71 @@ def _prepare_cell(spec) -> "_Cell | None":
     if spec.metrics:
         return _reject("custom-metrics")
     if not cfg.fast_path:
-        # Not left to fast_path_rejection below: the row key omits fast_path,
-        # so a cached row set would answer the cell.  Its other two reasons
-        # are functions of the plan key, so no entry exists for a key they veto.
+        # Not left to fast_path_rejection: the row key omits fast_path, so a
+        # cached entry would answer the cell.  Its other two reasons are
+        # functions of the plan key, so no entry exists for a key they veto.
         return _reject("fastpath-fast-path-disabled")
     params = seeded_params(spec.strategy, spec.params, spec.seed)
     plan_key = (spec.strategy, _encode_params(sorted(params.items())), _scenario_cache_key(spec))
     row_key = (plan_key, cfg.horizon, cfg.synchronized_start, cfg.track_energy)
     entry = _ROW_CACHE.get(row_key)
     if entry is None:
-        # Looked up at call time: perfbench times the scenario and planning
-        # layers by wrapping these module attributes.
-        from repro.baselines.base import get_strategy
-        from repro.runner.campaign import build_cell_scenario
-        from repro.sim.engine import PatrolSimulator
-
-        scenario = build_cell_scenario(spec)
-        plan = _PLAN_CACHE.get(plan_key)
-        if plan is None:
-            plan = get_strategy(spec.strategy, **params).plan(scenario)
-            _PLAN_CACHE.put(plan_key, plan)
-        sim = PatrolSimulator(scenario, plan, cfg)
-        rejection = fast_path_rejection(sim)
-        if rejection is not None:
-            return _reject(f"fastpath-{rejection}")
-        head = (scenario.num_targets, scenario.num_mules, plan.strategy)
-        entry = _Entry(head, _build_rows(sim))
+        with _obs.span("batch-reduce", cat="batch"):
+            entry = _reduce_cell(spec, params, plan_key)
+        if entry is None:
+            return None
         _ROW_CACHE.put(row_key, entry)
-    return _Cell(spec, row_key, entry)
+    head, body = entry
+    if isinstance(body, str):
+        return _reject(body)
+    record = _record_head(spec, *head)
+    record.update(body)
+    return record
 
 
-def _build_rows(sim) -> "_RowSet | str":
-    """The increment rows of every mule of ``sim``, or ``"row-fallback"``."""
+def _reduce_cell(spec, params: dict, plan_key: tuple) -> "_Entry | None":
+    """A missed cell's entry: its scenario, plan and rows, summed and reduced.
+
+    ``None`` when the scalar fast path's static rejection vetoes the cell
+    (counted, and cached nowhere).
+    """
+    # Looked up at call time: perfbench times the scenario and planning
+    # layers by wrapping these module attributes.
+    from repro.baselines.base import get_strategy
+    from repro.runner.campaign import build_cell_scenario
+    from repro.sim.engine import PatrolSimulator
+
+    scenario = build_cell_scenario(spec)
+    plan = _PLAN_CACHE.get(plan_key)
+    if plan is None:
+        plan = get_strategy(spec.strategy, **params).plan(scenario)
+        _PLAN_CACHE.put(plan_key, plan)
+    sim = PatrolSimulator(scenario, plan, spec.sim)
+    rejection = fast_path_rejection(sim)
+    if rejection is not None:
+        return _reject(f"fastpath-{rejection}")
+    head = (scenario.num_targets, scenario.num_mules, plan.strategy)
+    rows = _build_rows(sim)
+    if isinstance(rows, str):
+        return _Entry(head, rows)
+    for row in rows:
+        row.chain()
+    targets = scenario.targets
+    rates = np.fromiter(map(_DATA_RATE, targets), dtype=float, count=len(targets))
+    return _Entry(head, _reduce_rows(rows, [*map(_ID, targets)], rates, sim._sink_id,
+                                     spec.sim.horizon, plan.strategy))
+
+
+def _build_rows(sim) -> "list[_Row] | str":
+    """One row per mule of ``sim`` (the scalar tier's builder), or ``"row-fallback"``."""
     try:
-        rows = _rows(sim, _MAX_BATCH_EVENTS)
+        return _rows(sim)
     except _Fallback:
         return "row-fallback"
-    targets = sim.scenario.targets
-    rates = np.fromiter(map(_DATA_RATE, targets), dtype=float, count=len(targets))
-    return _RowSet(rows, [*map(_ID, targets)], rates, sim._sink_id)
 
 
 # --------------------------------------------------------------------------- #
-# The stacked tensor pass
-# --------------------------------------------------------------------------- #
-
-def _stacked_cumsum(rows: "list[_Row]") -> None:
-    """One ``np.cumsum(axis=1)`` per leg-pattern shape group, over all rows.
-
-    Rows are grouped by increment length, stacked into a ``[base, inc...]``
-    matrix and cumsum'd along axis 1 — per-row this is the identical
-    sequence of sequential float additions the scalar path performs, so the
-    resulting arrival/departure chains are bitwise equal.
-    """
-    groups: "dict[int, list[_Row]]" = {}
-    for row in rows:
-        groups.setdefault(len(row.inc), []).append(row)
-    for width, members in groups.items():
-        # Group-size distribution: how well the campaign's rows stack.
-        _obs.observe("batch_group_rows", len(members))
-        chunk = max(1, _MAX_BLOCK_FLOATS // (width + 1))
-        for lo in range(0, len(members), chunk):
-            part = members[lo:lo + chunk]
-            block = np.empty((len(part), width + 1), dtype=float)
-            for r, row in enumerate(part):
-                block[r, 0] = row.base
-                block[r, 1:] = row.inc
-            block = np.cumsum(block, axis=1)
-            for r, row in enumerate(part):
-                row.full = block[r]
-
-
-# --------------------------------------------------------------------------- #
-# Per-cell reduction to a record
+# Reduction to a record
 # --------------------------------------------------------------------------- #
 
 def _arrival_ranks(kept: "list[_Kept]") -> np.ndarray:
@@ -286,12 +242,13 @@ def _arrival_ranks(kept: "list[_Kept]") -> np.ndarray:
 
 def _reduce_rows(rows: "list[_Row]", target_ids: "list[str]", rates: np.ndarray,
                  sink_id: str, horizon: float, planner: str) -> "dict | str":
-    """A cumsum'd row set's six record metrics, or why the batch declines it.
+    """A summed row set's six record metrics, or why the batch declines it.
 
-    ``rows`` holds one row per mule in scenario order; ``target_ids`` and
+    ``rows`` holds one row per mule in scenario order, each summed by
+    :meth:`~repro.sim.fastpath.LegPattern.chain`; ``target_ids`` and
     ``rates`` (a float array) describe the scenario's targets in order.
     Everything read here is a function of the row key, so cells sharing the
-    row set share this.
+    key share this.
     """
     kept = _horizon_cut(rows, horizon)
     if isinstance(kept, str):
@@ -383,32 +340,12 @@ def _record_head(spec, num_targets: int, num_mules: int, planner: str) -> dict:
     return record
 
 
-def _finish_cell(cell: _Cell) -> "dict | None":
-    """One cell's record from its row set's memoized reduction; ``None`` → scalar."""
-    head, body = cell.entry
-    if isinstance(body, _RowSet):
-        if body.reduced is None:
-            body.reduced = _reduce_rows(body, body.target_ids, body.rates, body.sink_id,
-                                        cell.spec.sim.horizon, head[2])
-            # Later calls read the reduction straight from the cache, and the
-            # rows with their cumsum arrays go once no call holds them.  The
-            # entry is swapped, never the row set cleared: another worker
-            # thread may be reducing the same rows right now.
-            _ROW_CACHE.put(cell.row_key, _Entry(head, body.reduced))
-        body = body.reduced
-    if isinstance(body, str):
-        return _reject(body)
-    record = _record_head(cell.spec, *head)
-    record.update(body)
-    return record
-
-
 # --------------------------------------------------------------------------- #
 # Entry point
 # --------------------------------------------------------------------------- #
 
 def batch_execute_records(specs) -> "list[dict | None]":
-    """Evaluate the batch-eligible cells of ``specs`` in one tensor pass.
+    """Evaluate the batch-eligible cells of ``specs``, one cell after another.
 
     Returns one entry per spec, in order: the finished record for every cell
     the batch handled, ``None`` for every cell that must run per cell (the
@@ -421,36 +358,16 @@ def batch_execute_records(specs) -> "list[dict | None]":
     the content caches with every earlier call, so the replications of a
     pinned layout reuse one plan and one reduction whether they arrive as a
     whole campaign or cell by cell from the service scheduler's worker
-    threads (threads that miss the same key at once each fill it, with
-    identical results).  With the obs registry on, each call records a
-    ``batch`` span with ``batch-prepare`` / ``batch-cumsum`` /
-    ``batch-reduce`` children (per call, never per cell).
+    threads (threads that miss the same key at once each compute the same
+    reduction and put equal entries).  A call holds one cell's rows at a
+    time.  With the obs registry on, each call records a ``batch`` span, with
+    one ``batch-reduce`` child per cell whose row key missed; a cached cell
+    records none.
     """
     specs = list(specs)
-    out: "list[dict | None]" = [None] * len(specs)
     if not BATCHPATH.on:
-        return out
+        return [None] * len(specs)
     with _obs.span("batch", cat="batch", cells=len(specs)):
-        with _obs.span("batch-prepare", cat="batch"):
-            cells = [_prepare_cell(spec) for spec in specs]
-            # Cells sharing cached row sets alias the same _Row objects; stack
-            # each distinct row once (and skip rows a previous batch already
-            # cumsum'd — the output depends only on the row, so recomputing
-            # it is a no-op).
-            rows = []
-            seen: set[int] = set()
-            for cell in cells:
-                if cell is None or not isinstance(cell.entry.body, _RowSet):
-                    continue
-                for row in cell.entry.body:
-                    if row.full is None and id(row) not in seen:
-                        seen.add(id(row))
-                        rows.append(row)
-        with _obs.span("batch-cumsum", cat="batch", rows=len(rows)):
-            _stacked_cumsum(rows)
-        with _obs.span("batch-reduce", cat="batch"):
-            for index, cell in enumerate(cells):
-                if cell is not None:
-                    out[index] = _finish_cell(cell)
+        out = [_cell_record(spec) for spec in specs]
     _BATCHED(len(out) - out.count(None))
     return out

@@ -62,8 +62,9 @@ class SimulationConfig:
         tests and benchmarks).
     batch_path:
         Allow the campaign-level batched fast path
-        (:mod:`repro.sim.batchpath`), which evaluates many fastpath-eligible
-        cells of one campaign as a single stacked tensor pass.  Results are
+        (:mod:`repro.sim.batchpath`), which answers a fastpath-eligible cell
+        from the cached reduction of its rows, reducing them straight to the
+        record's metrics on a miss.  Results are
         byte-identical either way; disable to force per-cell dispatch for
         this spec (the process-wide switch is ``REPRO_BATCHPATH`` in
         :mod:`repro.switches`).  Consulted by

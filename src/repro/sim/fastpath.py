@@ -10,7 +10,7 @@ sequence is an arithmetic chain over a periodic pattern of leg lengths.
 
 This module exploits that, with one model of the engine's event order and
 battery that both fast tiers share — :func:`run_fast_path` here, and the
-batched tensor pass of :mod:`repro.sim.batchpath`:
+batched reduction of :mod:`repro.sim.batchpath`:
 
 1. per mule, a :class:`_Row` (a :class:`LegPattern` plus node indices)
    reduces the effective waypoint sequence to a *prefix + cycle* walk
@@ -84,9 +84,10 @@ from repro.sim.recorder import DeliveryRecord, MuleTrace, SimulationResult, Visi
 
 __all__ = ["fast_path_eligible", "fast_path_rejection", "run_fast_path"]
 
-# Safety valve: beyond this many precomputed arrival events per mule the
-# array stage would dominate memory; such runs are no faster analytically,
-# so they stay on the event loop.
+# Safety valve, for both fast tiers: beyond this many precomputed arrival
+# events per mule the array stage would dominate memory; such runs are no
+# faster analytically, so they stay on the event loop.  Read at call time
+# (the boundary tests patch it).
 _MAX_EVENTS_PER_MULE = 4_000_000
 
 _ID = operator.attrgetter("id")
@@ -316,11 +317,9 @@ class LegPattern:
     alternates ``now + dist / velocity`` (travel) with ``now + dwell``
     (COLLECTION_DONE), so one cumulative sum of ``[base, *inc]`` reproduces
     its identical sequence of float additions (adding a 0.0 dwell is a
-    bitwise no-op for the non-negative partial sums).  The scalar tier takes
-    that sum with :meth:`chain`; the batched tier stacks many patterns of
-    one width into a single ``np.cumsum(axis=1)`` and stores each row in
-    ``full``.  Both cut a battery-tracked mule's legs at
-    :meth:`battery_stop` first (see :class:`_Row`).
+    bitwise no-op for the non-negative partial sums).  Both tiers take that
+    sum with :meth:`chain`, after cutting a battery-tracked mule's legs at
+    :meth:`battery_stop` (see :class:`_Row`).
 
     No step of the build runs Python per node: the walk comes from
     :func:`dedup_walk`'s closed form, node kinds and points from C-level
@@ -336,7 +335,7 @@ class LegPattern:
     __slots__ = (
         "walk", "cycle_start", "laps", "base", "init_event", "init_time",
         "init_dist", "start_point", "codes", "dists", "inc", "full",
-        "velocity", "_distance_prefix",
+        "velocity",
     )
 
     def __init__(
@@ -414,7 +413,6 @@ class LegPattern:
         inc[1::2] = dwells
         self.inc = inc
         self.full: "np.ndarray | None" = None
-        self._distance_prefix: "np.ndarray | None" = None
 
     @staticmethod
     def walk_of(route: MuleRoute) -> "tuple[list[str], int]":
@@ -452,18 +450,6 @@ class LegPattern:
         passes.
         """
         return self.cycle_start < 0 or self.full[-2] > horizon
-
-    def distance_prefix(self) -> np.ndarray:
-        """Travelled distance after each applied leg, the initial leg first.
-
-        The engine's leg-by-leg running sum, memoised.  The initial leg sits
-        inside the cumsum: prepending it changes every partial sum's
-        rounding, so it cannot be added afterwards.  Patterns are shared
-        across threads; racing callers compute identical arrays.
-        """
-        if self._distance_prefix is None:
-            self._distance_prefix = np.cumsum(self.applied_legs()[0])
-        return self._distance_prefix
 
     def applied_legs(self) -> "tuple[np.ndarray, np.ndarray]":
         """Each leg's length and node code in the order the mule applies them.
@@ -535,8 +521,7 @@ class _Row(LegPattern):
 
     ``tidx`` holds each leg's node index: a target's place in the scenario,
     ``len(targets)`` for the sink, one more for the recharge station, and
-    ``-1`` for anything else.  ``full`` is filled by :meth:`~LegPattern.chain`
-    or by the batch's stacked cumsum.
+    ``-1`` for anything else.  ``full`` is filled by :meth:`~LegPattern.chain`.
 
     A battery-tracked mule's row ends at its :meth:`~LegPattern.battery_stop`
     (``stop``): the columns keep exactly the patrol legs the mule completes,
@@ -583,10 +568,11 @@ class _Row(LegPattern):
         return walk[self.cycle_start + (leg - len(walk)) % (len(walk) - self.cycle_start)]
 
 
-def _rows(sim, max_events: int) -> "list[_Row]":
+def _rows(sim) -> "list[_Row]":
     """One :class:`_Row` per mule of ``sim``, in scenario order.
 
-    Raises :class:`_Fallback` when a mule's pattern declines.
+    Raises :class:`_Fallback` when a mule's pattern declines, past
+    ``_MAX_EVENTS_PER_MULE`` events among others.
     """
     targets = sim.scenario.targets
     node_index = {t.id: i for i, t in enumerate(targets)}
@@ -597,7 +583,7 @@ def _rows(sim, max_events: int) -> "list[_Row]":
     node_code = node_codes(sim)
     return [
         _Row(sim, mule, sim.plan.route_for(mule.id), sync_time, node_code, node_index,
-             max_events)
+             _MAX_EVENTS_PER_MULE)
         for mule in sim.scenario.mules
     ]
 
@@ -618,9 +604,15 @@ class _Kept(NamedTuple):
     dies: bool
 
     def distance(self) -> float:
-        """The mule's travelled distance: the engine's leg-by-leg running sum."""
+        """The mule's travelled distance: the engine's leg-by-leg running sum.
+
+        The initial leg sits inside the sum: prepending it changes every
+        partial sum's rounding, so it cannot be added afterwards.
+        """
         applied = self.arrivals + self.init
-        travelled = float(self.row.distance_prefix()[applied - 1]) if applied else 0.0
+        travelled = 0.0
+        if applied:
+            travelled = float(np.cumsum(self.row.applied_legs()[0][:applied])[-1])
         if self.dies and self.row.stop.kind == "move":
             travelled += self.row.stop.reachable
         return travelled
@@ -798,7 +790,7 @@ class _Table:
 
 def _run(sim) -> SimulationResult:
     """Every event of ``sim`` up to the horizon, ordered by rank, as a result."""
-    rows = _rows(sim, _MAX_EVENTS_PER_MULE)
+    rows = _rows(sim)
     for row in rows:
         row.chain()
     kept = _horizon_cut(rows, sim.config.horizon)

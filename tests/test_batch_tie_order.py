@@ -218,8 +218,9 @@ def batch_reduction(scenario, plan, config, monkeypatch):
     sim = PatrolSimulator(scenario, plan, config)
     assert fast_path_rejection(sim) is None
     rows = batchpath._build_rows(sim)
-    assert isinstance(rows, batchpath._RowSet)
-    batchpath._stacked_cumsum(rows)
+    assert not isinstance(rows, str), rows
+    for row in rows:
+        row.chain()
     solved = {}
     original = batchpath._arrival_ranks
 

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import obs
-from repro.baselines.base import get_strategy
+from repro.baselines.base import get_strategy, seeded_params
 from repro.core.plan import LoopRoute, PatrolPlan, StochasticRoute
 from repro.energy.battery import Battery
 from repro.geometry.cache import clear_caches
@@ -354,9 +354,11 @@ class TestBatchFallbacks:
         ({"metrics": ["path_length"]}, None, "custom-metrics", FASTPATH),
         ({"strategy": "random"}, None, "fastpath-route-class",
          {"outcome": "event-loop", "reason": "route-class"}),
-        # The dynamic declines, forced: the batch's event cap, a lap estimate
-        # that falls short (declined on both tiers), the scalar's event cap.
-        ({}, (batchpath, "_MAX_BATCH_EVENTS", 1), "row-fallback", FASTPATH),
+        # The dynamic declines, forced: the event cap both tiers share (the
+        # batch declines the rows, then the scalar tier, so the cell runs on
+        # the event loop), a lap estimate that falls short (declined on both
+        # tiers), the scalar's event cap with the batch off.
+        ({}, (fastpath, "_MAX_EVENTS_PER_MULE", 1), "row-fallback", DYNAMIC),
         ({}, (LegPattern, "reaches", lambda _pattern, _horizon: False), "lap-estimate",
          DYNAMIC),
         ({"sim": {"batch_path": False}}, (fastpath, "_MAX_EVENTS_PER_MULE", 1),
@@ -422,6 +424,60 @@ class TestBatchFallbacks:
         with batchpath.batchpath_disabled():
             expected = [execute_run(spec) for spec in specs]
         assert [canonical(r) for r in records] == [canonical(r) for r in expected]
+
+    def test_cells_stream_one_at_a_time(self, monkeypatch):
+        from repro.runner import Campaign, CampaignSpec
+
+        # Unpinned: each replication draws its own layout, so every cell
+        # misses and is built, summed and reduced before the next is built.
+        base = self._spec(scenario=ScenarioSpec("uniform", {"num_targets": 8, "num_mules": 2}))
+        spec = CampaignSpec(base=base, grid={"strategy": ["b-tctp", "chb"]}, replications=4)
+        events = []
+        build, reduce = batchpath._build_rows, batchpath._reduce_rows
+        monkeypatch.setattr(batchpath, "_build_rows",
+                            lambda sim: events.append("build") or build(sim))
+        monkeypatch.setattr(batchpath, "_reduce_rows",
+                            lambda *args: events.append("reduce") or reduce(*args))
+        clear_caches()
+        try:
+            records = Campaign(spec).run(store=False).records
+        finally:
+            clear_caches()
+        assert events == ["build", "reduce"] * 8
+        with batchpath.batchpath_disabled():
+            expected = Campaign(spec).run(store=False).records
+        assert [canonical(r) for r in records] == [canonical(r) for r in expected]
+
+    def test_one_event_cap_for_both_tiers(self, monkeypatch):
+        from repro.runner.campaign import build_cell_scenario
+
+        # A row of the b-tctp cell holds about 6.8 legs per 1,000 s, so the
+        # drawn horizons put the rows on both sides of the cap.
+        monkeypatch.setattr(fastpath, "_MAX_EVENTS_PER_MULE", 2_000)
+        rng = random.Random(20261019)
+        declines = []
+        for _ in range(16):
+            spec = self._spec(sim={"horizon": round(rng.uniform(1e5, 5e5), 3)})
+            params = seeded_params(spec.strategy, spec.params, spec.seed)
+            plan = get_strategy(spec.strategy, **params).plan(build_cell_scenario(spec))
+            scalar = fastpath.run_fast_path(PatrolSimulator(build_cell_scenario(spec), plan,
+                                                            spec.sim))
+            clear_caches()
+            try:
+                with obs.obs_collected(enabled=True) as window:
+                    record = batchpath.batch_execute_records([spec])[0]
+                    snapshot = window.snapshot()
+            finally:
+                clear_caches()
+            declined = [c["labels"] for c in snapshot["counters"]
+                        if c["name"] == "batch_dispatch"] == \
+                [{"outcome": "scalar", "reason": "row-fallback"}]
+            assert declined == (record is None) == (scalar is None), spec.sim.horizon
+            if record is not None:
+                with batchpath.batchpath_disabled():
+                    assert canonical(record) == canonical(execute_run(spec))
+            declines.append(declined)
+        assert 4 <= sum(declines) <= 12, declines
 
     def test_process_switch_disables_batching(self):
         spec = self._spec()

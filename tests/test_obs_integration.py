@@ -336,32 +336,71 @@ class TestRowSetMemo:
 class TestBatchSpans:
     """Batched cells show up in a trace: one span tree per batch call."""
 
-    def _batch_tree(self, spans):
+    def _batch_tree(self, spans, reduced):
+        """The one ``batch`` span, whose children are ``reduced`` ``batch-reduce`` spans."""
         (batch,) = [s for s in spans if s["name"] == "batch"]
-        children = sorted(s["name"] for s in spans if s["parent"] == batch["id"])
-        assert children == ["batch-cumsum", "batch-prepare", "batch-reduce"]
+        children = [s["name"] for s in spans if s["parent"] == batch["id"]]
+        assert children == ["batch-reduce"] * reduced
         return batch
 
     def test_one_batch_span_tree_per_campaign(self):
+        from repro.geometry.cache import clear_caches
+
         obs.configure(enabled=True)
-        result = Campaign(campaign_spec(obs_on=True, replications=4, layout_seed=0,
-                                        strategies=("b-tctp", "sweep"))).run(store=False)
+        clear_caches()
+        try:
+            result = Campaign(campaign_spec(obs_on=True, replications=4, layout_seed=0,
+                                            strategies=("b-tctp", "sweep"))).run(store=False)
+        finally:
+            clear_caches()
         spans = obs.spans()
-        batch = self._batch_tree(spans)
+        # The pinned layout gives one row key per strategy, each reduced once.
+        batch = self._batch_tree(spans, reduced=2)
         (campaign,) = [s for s in spans if s["name"] == "campaign"]
         assert batch["parent"] == campaign["id"]
         assert batch["args"]["cells"] == result.metadata["num_cells"]
-        # per call, never per cell: every cell batched, so no cell spans
+        # every cell batched, so no cell spans
         assert not [s for s in spans if s["name"] == "cell"]
 
     def test_single_cell_gets_its_own_tree(self):
+        from repro.geometry.cache import clear_caches
         from repro.runner import execute_run
 
         obs.configure(enabled=True)
         cell = Campaign(campaign_spec(obs_on=True)).cells()[0]
-        execute_run(cell)
-        batch = self._batch_tree(obs.spans())
+        clear_caches()
+        try:
+            execute_run(cell)
+        finally:
+            clear_caches()
+        batch = self._batch_tree(obs.spans(), reduced=1)
         assert batch["parent"] is None and batch["args"]["cells"] == 1
+
+    def test_one_reduce_span_per_missed_row_key(self):
+        from repro.geometry.cache import clear_caches
+        from repro.sim.batchpath import batch_execute_records
+
+        # Unpinned: each replication draws its own layout, so six row keys;
+        # the repeated cells hit the entries their first copies put.
+        cells = Campaign(campaign_spec(obs_on=False, replications=3,
+                                       strategies=("b-tctp", "chb"))).cells()
+        obs.configure(enabled=True)
+        clear_caches()
+        try:
+            cold = batch_execute_records([*cells, *cells[:2]])
+            cold_spans = obs.spans()
+            obs.reset()
+            warm = batch_execute_records(cells)
+            warm_spans = obs.spans()
+        finally:
+            clear_caches()
+        assert None not in cold and warm == cold[:6]
+        batch = self._batch_tree(cold_spans, reduced=6)
+        assert batch["args"]["cells"] == 8
+        reduces = [s for s in cold_spans if s["name"] == "batch-reduce"]
+        assert all(s["cat"] == "batch" for s in reduces)
+        # A warm call answers every cell from the cache: no reduce span.
+        assert self._batch_tree(warm_spans, reduced=0)["args"]["cells"] == 6
 
 
 class TestServiceCounters:

@@ -1,5 +1,7 @@
 """Unit tests for repro.experiments.results_io (JSON round-trip, CSV export)."""
 
+import errno
+import io
 import json
 import math
 
@@ -73,3 +75,59 @@ class TestGridExport:
         lines = text.strip().splitlines()
         assert lines[0] == "targets,mules,chb,tctp"
         assert len(lines) == 3
+
+
+class _HalfWrites:
+    """A text file whose ``write`` lands half its text, then fails as a full disk would."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, text):
+        self._handle.write(text[:len(text) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def _write_spec(path):
+    from repro.cli import main
+
+    return main(["sweep", "--strategies", "b-tctp", "--replications", "1",
+                 "--spec-out", str(path)])
+
+
+class TestFailedWriteKeepsTheOldFile:
+    """A write that fails midway leaves the destination's previous bytes whole."""
+
+    @pytest.mark.parametrize("write", [
+        lambda path: save_result({"x": [1, 2, 3]}, path),
+        lambda path: export_grid_csv(TestGridExport.GRID, path),
+        _write_spec,
+    ], ids=["save_result", "export_grid_csv", "sweep-spec-out"])
+    def test_previous_bytes_survive(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "artifact"
+        write(path)
+        before = path.read_bytes()
+        assert before
+        real_open = io.open
+
+        def half_writing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _HalfWrites(handle) if "w" in mode else handle
+
+        # Path.write_text and os.fdopen both open through io.open.
+        monkeypatch.setattr(io, "open", half_writing_open)
+        with pytest.raises(OSError, match="No space left"):
+            write(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
