@@ -1,8 +1,8 @@
-"""Regenerate ``BENCH_PR10.json``: observability overhead on the PR 8 workload.
+"""Regenerate ``BENCH_PR10.json``: observability overhead on a batched sweep.
 
-Times the batched fastpath campaign sweep of ``bench_pr8.py`` (four
-deterministic loop strategies on a pinned 12-target / 3-mule layout,
-replicated out to ``--cells`` cells) three ways:
+Times a batched fastpath campaign sweep (four deterministic loop strategies
+on a pinned 12-target / 3-mule layout, replicated out to ``--cells`` cells)
+three ways:
 
 * **baseline** — the instrumentation registry disabled (the default
   configuration: ``inc``/``observe`` return after one flag check and

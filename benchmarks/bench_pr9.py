@@ -3,21 +3,24 @@
 Times the planning hot loops (convex-hull cheapest insertion, 2-opt, Or-opt,
 nearest neighbour) at increasing target counts twice:
 
-* **baseline** — ``repro.planning.kernels`` disabled: the original scalar
-  Python loops, exactly the pre-PR 9 planning model;
-* **optimized** — the default configuration: the NumPy delta-matrix kernels.
+* **baseline** — the original scalar Python loops, the planning model
+  before the kernels, frozen in ``tests/planning_reference.py`` and swapped
+  in by its ``reference_planning()``;
+* **optimized** — the library: the NumPy delta-matrix kernels of
+  ``repro.planning.kernels``.
 
 Before any number is written the harness asserts byte identity three ways:
 
-1. every PR 4 golden strategy call, re-planned with the vector kernels on,
-   must serialize byte-equal to ``tests/golden/pr4_plans.json``;
+1. every golden strategy call, re-planned with the kernels, must
+   serialize byte-equal to ``tests/golden/pr4_plans.json``;
 2. >= 200 fuzzed planning specs must produce byte-equal serialized plans
-   with the kernels on and off (tour caches cleared between legs);
-3. at every timed grid size that has a scalar baseline, the scalar and
-   vector tours must match node for node, and so must the scalar and vector
-   hull-insertion tours of a lattice-snapped layout with duplicate points
-   (untimed), so identity at scale is also checked where cost ties are
-   exact.
+   with the kernels and with the reference loops (caches cleared between
+   legs);
+3. at every timed grid size that has a scalar baseline, the reference and
+   kernel tours must match node for node, and so must the reference and
+   kernel hull-insertion tours of a lattice-snapped layout with duplicate
+   points (untimed), so identity at scale is also checked where cost ties
+   are exact.
 
 The scalar cheapest-insertion loop is O(n^3) Python, so the baseline is only
 timed up to ``--scalar-cap`` targets (single round); the vector kernels are
@@ -42,21 +45,18 @@ from pathlib import Path
 
 import numpy as np
 
-# plan_golden lives in tests/ (shared with the pytest suite via conftest).
+# plan_golden and planning_reference live in tests/ (shared with the pytest
+# suite).
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from plan_golden import golden_scenarios, serialize_plan  # noqa: E402
+from planning_reference import reference_planning  # noqa: E402
 
 from repro import __version__  # noqa: E402
 from repro.baselines.base import get_strategy, strategy_params  # noqa: E402
 from repro.geometry.cache import caching_disabled, clear_caches  # noqa: E402
 from repro.geometry.point import Point  # noqa: E402
-from repro.graphs.hamiltonian import (  # noqa: E402
-    convex_hull_insertion_tour,
-    nearest_neighbor_tour,
-)
-from repro.graphs.improve import or_opt, two_opt  # noqa: E402
-from repro.planning import kernels  # noqa: E402
+from repro.graphs import hamiltonian, improve  # noqa: E402
 from repro.scenarios import ScenarioSpec  # noqa: E402
 
 GOLDEN_PLANS = Path(__file__).resolve().parent.parent / "tests" / "golden" / "pr4_plans.json"
@@ -89,7 +89,7 @@ def timeit(fn, *, warmup: int = 1, rounds: int = 3) -> dict:
 # -- identity legs --------------------------------------------------------- #
 
 def assert_golden_identity() -> int:
-    """Re-plan every PR 4 golden call with the kernels on; compare to disk."""
+    """Re-plan every golden strategy call with the kernels; compare to disk."""
     golden = json.loads(GOLDEN_PLANS.read_text())
     scenarios = golden_scenarios()
     for entry in golden:
@@ -134,12 +134,10 @@ def assert_fuzz_identity(cases: int, seed: int) -> int:
     for index in range(cases):
         strategy, scenario, params = fuzz_case(rng)
         build_seed = params.get("seed", 0)
-        clear_caches()
-        with kernels.vector_disabled():
+        with reference_planning():
             scalar = serialize_plan(
                 get_strategy(strategy, **params).plan(scenario.build(build_seed))
             )
-        clear_caches()
         vector = serialize_plan(
             get_strategy(strategy, **params).plan(scenario.build(build_seed))
         )
@@ -154,14 +152,23 @@ def assert_fuzz_identity(cases: int, seed: int) -> int:
 
 # -- timing leg ------------------------------------------------------------ #
 
+def hull_tour(coords: dict):
+    """Hull insertion, looked up where ``reference_planning()`` swaps it."""
+    return hamiltonian.TOUR_BUILDERS["hull-insertion"](coords)
+
+
 def planning_workload(coords: dict, improve_rounds: int):
-    """One full planning pass; returns the tour orders for identity checks."""
+    """One full planning pass; returns the tour orders for identity checks.
+
+    Every heuristic is looked up at call time, so the same pass times the
+    kernels, or the reference loops inside ``reference_planning()``.
+    """
     clear_caches()
     with caching_disabled():
-        hull = convex_hull_insertion_tour(coords)
-        improved = two_opt(hull, max_rounds=improve_rounds)
-        relocated = or_opt(improved, max_rounds=improve_rounds)
-        nn = nearest_neighbor_tour(coords)
+        hull = hull_tour(coords)
+        improved = improve.two_opt(hull, max_rounds=improve_rounds)
+        relocated = improve.or_opt(improved, max_rounds=improve_rounds)
+        nn = hamiltonian.nearest_neighbor_tour(coords)
     return [list(t.order) for t in (hull, improved, relocated, nn)]
 
 
@@ -184,13 +191,12 @@ def lattice_coords(n: int) -> dict:
 
 
 def assert_lattice_identity(n: int) -> None:
-    """Scalar and vector hull-insertion tours of ``lattice_coords(n)`` agree."""
+    """Reference and kernel hull-insertion tours of ``lattice_coords(n)`` agree."""
     coords = lattice_coords(n)
-    clear_caches()
+    with reference_planning(), caching_disabled():
+        scalar = hull_tour(coords)
     with caching_disabled():
-        with kernels.vector_disabled():
-            scalar = convex_hull_insertion_tour(coords)
-        vector = convex_hull_insertion_tour(coords)
+        vector = hull_tour(coords)
     if list(vector.order) != list(scalar.order):
         raise SystemExit(f"lattice hull-insertion orders diverged at n={n}")
 
@@ -211,9 +217,6 @@ def main() -> None:
     parser.add_argument("--min-speedup", type=float, default=5.0,
                         help="median speedup floor at the largest scalar-timed n")
     args = parser.parse_args()
-
-    if not kernels.vector_enabled():
-        raise SystemExit("REPRO_PLANNING_VECTOR is off; the bench needs the default")
 
     # -- identity first: no number is recorded for a divergent kernel ------ #
     golden_count = assert_golden_identity()
@@ -237,7 +240,7 @@ def main() -> None:
         }
         if n <= args.scalar_cap:
             def run_scalar():
-                with kernels.vector_disabled():
+                with reference_planning():
                     return planning_workload(coords, args.improve_rounds)
 
             baseline = timeit(run_scalar, warmup=0, rounds=1)

@@ -49,8 +49,7 @@ def bench_campaign_spec_baseline(bench_campaign_spec: CampaignSpec) -> CampaignS
     """The same campaign with the analytic fast path switched off.
 
     Benchmarks pair this with the caches disabled (see
-    ``test_bench_campaign``) to time the pre-fast-path serial code path;
-    ``BENCH_PR3.json`` records the measured ratio.
+    ``test_bench_campaign``) to time the pre-fast-path serial code path.
     """
     import dataclasses
 

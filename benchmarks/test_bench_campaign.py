@@ -5,9 +5,9 @@ run cells, and executing a small strategy-sweep campaign serially, both with
 the PR-3 fast path + caches (the default) and with the pre-fast-path baseline
 configuration — and re-asserts the executor's core guarantees: parallel
 execution returns records identical to the serial run, and the cached fast
-path returns records identical to the uncached baseline.  The measured
-fast/baseline ratio is recorded in ``BENCH_PR3.json``
-(``benchmarks/bench_pr3.py`` regenerates it).
+path returns records identical to the uncached baseline.  End-to-end
+throughput is measured by ``perfbench/`` (the ``replicated-sweep`` and
+``cold-sweep`` workloads).
 """
 
 import json

@@ -7,18 +7,15 @@ patrolling rule needs counter-clockwise angle computations.  This subpackage
 provides those primitives with no dependency on the rest of the library.
 
 :mod:`repro.geometry.cache` adds the content-addressed caching layer on top:
-memoized distance matrices and polyline lengths, stable point-set / scenario
-fingerprints, and the registry behind the global cache switch that the tour
-memoization (:mod:`repro.graphs.hamiltonian`) and the campaign scenario
-reuse (:mod:`repro.runner.campaign`) plug into.
+stable point-set / scenario fingerprints, and the registry behind the global
+cache switch that the tour memoization (:mod:`repro.graphs.hamiltonian`) and
+the campaign scenario reuse (:mod:`repro.runner.campaign`) plug into.
 """
 
 from repro.geometry.point import Point, distance, distance_matrix, centroid, total_length
 from repro.geometry.cache import (
     cache_enabled,
     cache_stats,
-    cached_distance_matrix,
-    cached_polyline_length,
     caching_disabled,
     clear_caches,
     configure,
@@ -56,8 +53,6 @@ __all__ = [
     "point_along",
     "cache_enabled",
     "cache_stats",
-    "cached_distance_matrix",
-    "cached_polyline_length",
     "caching_disabled",
     "clear_caches",
     "configure",

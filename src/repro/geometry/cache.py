@@ -1,17 +1,16 @@
-"""Content-addressed geometry caches shared by the fast simulation path.
+"""Content-addressed caches shared by the planning and simulation layers.
 
-Campaign workloads run thousands of cells that share immutable geometric
-structure: the same scenario layout appears once per strategy in a grid, the
-same tour is rebuilt once per replication, and the same pairwise-distance
-matrix is recomputed by every construction and improvement pass.  This module
-provides the one shared caching layer for all of that:
+Campaign workloads run thousands of cells that share immutable structure:
+the same scenario layout appears once per strategy in a grid, and the same
+tour is rebuilt once per replication.  This module provides the one shared
+caching layer for all of that:
 
-* :func:`cached_distance_matrix` — memoized pairwise Euclidean distance
-  matrices, keyed by the *content* of the point set (not object identity);
-* :func:`cached_polyline_length` — memoized closed/open polyline lengths;
+* :class:`ContentCache` — a small LRU keyed by content, which registers
+  itself here (the tour memo of :mod:`repro.graphs.hamiltonian`, the WPP
+  memo, the campaign scenario prototypes and the batch's plan and row
+  caches are all instances);
 * :func:`points_fingerprint` — the stable point-set content hash keying the
-  distance/length caches and the tour memoization in
-  :mod:`repro.graphs.hamiltonian`;
+  tour memoization;
 * :func:`scenario_fingerprint` — a stable content hash over everything a
   planner or simulator reads from a scenario; the equivalence tests use it
   to prove prototype copies are exact, and it is the supported key for any
@@ -24,17 +23,16 @@ Caches are **purely memoizing**: a hit returns a value bit-for-bit identical
 to what the miss path computes, so enabling or disabling caching never
 changes a simulation record.  All caches register themselves in a module
 registry so :func:`clear_caches`, :func:`cache_stats` and the global
-:func:`configure` switch cover every consumer at once (including caches that
-other modules register here, e.g. the tour and scenario caches).
+:func:`configure` switch cover every consumer at once.
 
->>> import numpy as np
->>> from repro.geometry.cache import cached_distance_matrix, cache_stats, clear_caches
+>>> from repro.geometry.cache import ContentCache, cache_stats, clear_caches
+>>> squares = ContentCache("doctest_squares", maxsize=4)
 >>> clear_caches()
->>> pts = [(0.0, 0.0), (3.0, 4.0)]
->>> float(cached_distance_matrix(pts)[0, 1])
-5.0
->>> _ = cached_distance_matrix(pts)          # same content: served from cache
->>> cache_stats()["distance_matrix"]["hits"]
+>>> squares.get_or_compute(3, lambda: 3 * 3)
+9
+>>> squares.get_or_compute(3, lambda: 3 * 3)    # same key: served from cache
+9
+>>> cache_stats()["doctest_squares"]["hits"]
 1
 """
 
@@ -47,8 +45,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.geometry.point import as_array, distance_matrix
-from repro.geometry.polyline import Polyline
+from repro.geometry.point import as_array
 from repro.obs import registry as _obs
 from repro.switches import CACHE
 
@@ -62,8 +59,6 @@ __all__ = [
     "cache_stats",
     "points_fingerprint",
     "scenario_fingerprint",
-    "cached_distance_matrix",
-    "cached_polyline_length",
 ]
 
 
@@ -236,44 +231,3 @@ def scenario_fingerprint(scenario) -> str:
     feed("field", scenario.field)
     feed("params", scenario.params)
     return digest.hexdigest()
-
-
-# --------------------------------------------------------------------------- #
-# Memoized geometry computations
-# --------------------------------------------------------------------------- #
-
-_DISTANCE_MATRIX_CACHE = ContentCache("distance_matrix", maxsize=128)
-_POLYLINE_LENGTH_CACHE = ContentCache("polyline_length", maxsize=512)
-
-
-def cached_distance_matrix(points: Iterable) -> np.ndarray:
-    """Pairwise Euclidean distance matrix, memoized by point-set content.
-
-    Bit-for-bit identical to :func:`repro.geometry.point.distance_matrix`;
-    the returned array is read-only because cache entries are shared between
-    callers (copy before mutating).
-    """
-    arr = as_array(points)
-    key = points_fingerprint(arr)
-
-    def compute() -> np.ndarray:
-        mat = distance_matrix(arr)
-        mat.flags.writeable = False
-        return mat
-
-    return _DISTANCE_MATRIX_CACHE.get_or_compute(key, compute)
-
-
-def cached_polyline_length(points, *, closed: bool = False) -> float:
-    """Length of the polyline through ``points``, memoized by content.
-
-    Equals :attr:`repro.geometry.polyline.Polyline.length` bit for bit (the
-    arc-length parametrisation every tour and start-point computation uses),
-    so :meth:`repro.graphs.tour.Tour.length` can serve from this cache and
-    share one computation across tours with identical geometry.
-    """
-    arr = as_array(points)
-    key = (points_fingerprint(arr), bool(closed))
-    return _POLYLINE_LENGTH_CACHE.get_or_compute(
-        key, lambda: Polyline(arr, closed=closed).length if arr.shape[0] else 0.0
-    )

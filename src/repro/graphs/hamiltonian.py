@@ -16,9 +16,9 @@ from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
-from repro.geometry.cache import ContentCache, cached_distance_matrix, points_fingerprint
+from repro.geometry.cache import ContentCache, points_fingerprint
 from repro.geometry.hull import convex_hull_indices
-from repro.geometry.point import Point, as_array, as_point, distance
+from repro.geometry.point import Point, as_array, as_point, distance_matrix
 from repro.graphs.tour import Tour
 
 __all__ = [
@@ -32,21 +32,6 @@ __all__ = [
 NodeId = Hashable
 
 
-def _vector_kernels():
-    """The vectorized planning kernels, or None when the switch is off.
-
-    Imported lazily inside the dispatch branch: :mod:`repro.planning.kernels`
-    only depends on numpy, but importing the ``repro.planning`` package at
-    module load would knot the graphs <-> planning import order.
-    """
-    from repro.obs import registry as _obs
-    from repro.planning import kernels
-
-    vector = kernels.vector_enabled()
-    _obs.inc("planning_kernel_dispatch", path="vector" if vector else "scalar")
-    return kernels if vector else None
-
-
 def convex_hull_insertion_tour(coordinates: Mapping[NodeId, Point]) -> Tour:
     """Convex-hull cheapest-insertion tour (the CHB construction of ref. [5]).
 
@@ -56,6 +41,9 @@ def convex_hull_insertion_tour(coordinates: Mapping[NodeId, Point]) -> Tour:
 
     Deterministic for a given input ordering, so every data mule builds the
     same circuit — a requirement of the distributed algorithms in the paper.
+    The rounds run in :func:`repro.planning.kernels.cheapest_insertion_order`,
+    which picks what a row-major scan keeping the first cost below the best
+    by more than 1e-12 would pick.
     """
     nodes = list(coordinates)
     if not nodes:
@@ -64,34 +52,13 @@ def convex_hull_insertion_tour(coordinates: Mapping[NodeId, Point]) -> Tour:
     if len(nodes) <= 3:
         return Tour(nodes, dict(zip(nodes, pts))).counterclockwise()
 
-    dmat = cached_distance_matrix(pts)
-    hull = convex_hull_indices(pts)
-    kernels = _vector_kernels()
-    if kernels is not None:
-        # A cost matrix built once, two new slot rows per insertion and the
-        # first minimum taken directly unless a near tie needs the scan's
-        # chain, instead of the O(n^2) Python scan; byte-identical winners
-        # (see repro.planning.kernels).
-        tour_idx = kernels.cheapest_insertion_order(dmat, hull, len(nodes))
-    else:
-        tour_idx = list(hull)
-        remaining = [i for i in range(len(nodes)) if i not in set(hull)]
+    # Imported here: importing the repro.planning package at module load
+    # would knot the graphs <-> planning import order.
+    from repro.planning import kernels
 
-        while remaining:
-            best = None  # (cost, point_index, insert_position)
-            m = len(tour_idx)
-            for p in remaining:
-                for pos in range(m):
-                    a = tour_idx[pos]
-                    b = tour_idx[(pos + 1) % m]
-                    cost = dmat[a, p] + dmat[p, b] - dmat[a, b]
-                    if best is None or cost < best[0] - 1e-12:
-                        best = (cost, p, pos + 1)
-            assert best is not None
-            _, p, pos = best
-            tour_idx.insert(pos, p)
-            remaining.remove(p)
-
+    tour_idx = kernels.cheapest_insertion_order(
+        distance_matrix(pts), convex_hull_indices(pts), len(nodes)
+    )
     order = [nodes[i] for i in tour_idx]
     return Tour(order, dict(zip(nodes, pts))).counterclockwise()
 
@@ -99,7 +66,11 @@ def convex_hull_insertion_tour(coordinates: Mapping[NodeId, Point]) -> Tour:
 def nearest_neighbor_tour(
     coordinates: Mapping[NodeId, Point], *, start: NodeId | None = None
 ) -> Tour:
-    """Greedy nearest-neighbour tour starting from ``start`` (default: first node)."""
+    """Greedy nearest-neighbour tour starting from ``start`` (default: first node).
+
+    Each step takes the closest unvisited node by ``(math.hypot distance,
+    str(id))``, via :func:`repro.planning.kernels.nearest_neighbor_order`.
+    """
     nodes = list(coordinates)
     if not nodes:
         raise ValueError("cannot build a tour over zero targets")
@@ -108,26 +79,12 @@ def nearest_neighbor_tour(
         start = nodes[0]
     if start not in pts:
         raise KeyError(start)
-    kernels = _vector_kernels()
-    if kernels is not None and len(nodes) > 1:
-        # Masked-row selection with the same (distance, str(id)) tie key;
-        # byte-identical picks (see repro.planning.kernels).
-        order_idx = kernels.nearest_neighbor_order(
-            as_array([pts[n] for n in nodes]),
-            [str(n) for n in nodes],
-            nodes.index(start),
-        )
-        return Tour([nodes[i] for i in order_idx], pts).counterclockwise()
-    unvisited = set(nodes)
-    unvisited.discard(start)
-    order = [start]
-    current = start
-    while unvisited:
-        nxt = min(unvisited, key=lambda n: (distance(pts[current], pts[n]), str(n)))
-        order.append(nxt)
-        unvisited.discard(nxt)
-        current = nxt
-    return Tour(order, pts).counterclockwise()
+    from repro.planning import kernels
+
+    order_idx = kernels.nearest_neighbor_order(
+        as_array([pts[n] for n in nodes]), [str(n) for n in nodes], nodes.index(start)
+    )
+    return Tour([nodes[i] for i in order_idx], pts).counterclockwise()
 
 
 def christofides_tour(coordinates: Mapping[NodeId, Point]) -> Tour:
@@ -140,10 +97,10 @@ def christofides_tour(coordinates: Mapping[NodeId, Point]) -> Tour:
     pts = {n: as_point(coordinates[n]) for n in nodes}
     if len(nodes) <= 3:
         return Tour(nodes, pts).counterclockwise()
-    # Complete graph in one pass from the cached distance matrix instead of
-    # an O(n^2) per-pair distance()+add_edge loop.  Zero-weight edges between
+    # Complete graph in one pass from the distance matrix instead of an
+    # O(n^2) per-pair distance()+add_edge loop.  Zero-weight edges between
     # coincident points are added too: christofides needs a complete graph.
-    dmat = cached_distance_matrix([pts[n] for n in nodes])
+    dmat = distance_matrix([pts[n] for n in nodes])
     iu, ju = np.triu_indices(len(nodes), k=1)
     g = nx.Graph()
     g.add_nodes_from(nodes)

@@ -12,7 +12,6 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.geometry.cache import cached_polyline_length
 from repro.geometry.point import Point, as_point, distance
 from repro.geometry.polyline import Polyline
 
@@ -104,13 +103,12 @@ class Tour:
     def length(self) -> float:
         """Total length of the closed tour (computed once per instance).
 
-        Served through :func:`repro.geometry.cache.cached_polyline_length`,
-        which computes via :class:`Polyline` — bit-identical to the direct
-        construction — so tours with identical geometry share one value.
+        The arc length of the closed :class:`Polyline` through the tour, the
+        parametrisation every start-point computation uses.
         """
         if self._length is None:
             pts = self.points_in_order()
-            self._length = 0.0 if len(pts) < 2 else cached_polyline_length(pts, closed=True)
+            self._length = 0.0 if len(pts) < 2 else Polyline(pts, closed=True).length
         return self._length
 
     def polyline(self) -> Polyline:

@@ -34,11 +34,6 @@ from repro.planning.stages import (
 )
 from repro.planning.spec import PipelineSpec, StageSpec
 from repro.planning.pipeline import Lane, PlanningContext, PlanningPipeline
-from repro.planning.kernels import (
-    vector_disabled,
-    vector_enabled,
-    configure as configure_kernels,
-)
 
 __all__ = [
     "STAGE_KINDS",
@@ -54,7 +49,4 @@ __all__ = [
     "Lane",
     "PlanningContext",
     "PlanningPipeline",
-    "vector_enabled",
-    "vector_disabled",
-    "configure_kernels",
 ]

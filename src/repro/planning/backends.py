@@ -80,9 +80,8 @@ def _check_policy(params: dict) -> None:
 def tour_hamiltonian(
     ctx: PlanningContext, *, tsp_method: str = "hull-insertion", improve_tour: bool = False
 ) -> None:
-    # Construction (and the optional 2-opt pass) dispatches to the vectorized
-    # planning kernels when REPRO_PLANNING_VECTOR is on — byte-identical
-    # circuits either way (see repro.planning.kernels).
+    # Construction (and the optional 2-opt pass) runs the planning kernels
+    # (see repro.planning.kernels), memoized by content.
     scenario = ctx.scenario
     coords = scenario.patrol_points()
     tour = build_hamiltonian_circuit(

@@ -1,20 +1,20 @@
-"""Vectorized planning kernels: the scalar tour heuristics as NumPy passes.
+"""Planning kernels: the tour heuristics as NumPy passes.
 
-PR 3/8 made *simulation* run at tensor speed; this module does the same for
-*planning*.  The four hot loops of tour construction and improvement —
+These are the only implementation of the four hot loops of tour
+construction and improvement —
 
 * cheapest insertion (:func:`cheapest_insertion_order`),
 * greedy nearest-neighbour (:func:`nearest_neighbor_order`),
 * 2-opt (:func:`two_opt_order`),
 * Or-opt (:func:`or_opt_order`),
 
-— are reformulated as bulk array updates per round.  2-opt, Or-opt and
+— reformulated as bulk array updates per round.  2-opt, Or-opt and
 nearest-neighbour evaluate every candidate move of a round in one array pass;
 cheapest insertion builds its cost matrix once, one row per tour edge
 ("slot"), and computes only the two slot rows each insertion creates.  The
-*selection* among candidates replicates the scalar scan's first-improvement
-semantics exactly.  Every kernel is **byte-identical** to its scalar
-original:
+*selection* among candidates replicates a scalar scan's first-improvement
+semantics exactly, so every kernel is **byte-identical** to the Python loop
+it was written from:
 
 * float expressions keep the scalar grouping — e.g. the insertion cost is
   computed as ``(dmat[a, p] + dmat[p, b]) - dmat[a, b]``, never reassociated
@@ -39,15 +39,13 @@ original:
   faithful-rounding discrepancy) and the exact ``math.hypot`` key decides
   among the shortlist.
 
-Dispatch is wired into :mod:`repro.graphs.hamiltonian` and
-:mod:`repro.graphs.improve` behind the ``VECTOR`` entry of
-:mod:`repro.switches`, next to the geometry-cache and batchpath opt-outs:
-per process via :func:`configure` or ``REPRO_PLANNING_VECTOR=0``, scoped
-via :func:`vector_disabled`.  The
-differential fuzz harness (``tests/test_planning_kernels.py``,
-``tests/test_fastpath_differential.py``) and ``benchmarks/bench_pr9.py``
-assert plans and full run records are byte-identical with the switch on or
-off before any speed claim.
+:mod:`repro.graphs.hamiltonian` and :mod:`repro.graphs.improve` call them
+directly; there is no second runtime path.  The scalar loops are kept
+frozen in ``tests/planning_reference.py``, and its ``reference_planning()``
+swaps them in for the differential legs: ``tests/test_planning_kernels.py``
+(kernels, golden plans and fuzzed records), ``tests/test_graphs_improve.py``,
+``tests/test_fastpath_differential.py`` and ``benchmarks/bench_pr9.py``
+compare plans and full run records against them before any speed claim.
 """
 
 from __future__ import annotations
@@ -58,25 +56,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.geometry.point import hypot_row
-from repro.switches import VECTOR
 
 __all__ = [
-    "configure",
-    "vector_enabled",
-    "vector_disabled",
     "chain_argmin",
     "cheapest_insertion_order",
     "nearest_neighbor_order",
     "two_opt_order",
     "or_opt_order",
-    "order_length",
 ]
-
-# Process-wide dispatch switch (REPRO_PLANNING_VECTOR; see repro.switches);
-# vector_disabled() forces the scalar planning loops for a block.
-configure = VECTOR.configure
-vector_enabled = VECTOR.enabled
-vector_disabled = VECTOR.disabled
 
 # Soft bound on floats per delta/cost block in the 2-opt and Or-opt rounds;
 # larger tours are scanned in row chunks (in scan order, so first-improvement
@@ -126,16 +113,6 @@ def chain_argmin(costs: np.ndarray, eps: float) -> int:
     return best_index
 
 
-def order_length(order: Sequence[int], dmat: np.ndarray) -> float:
-    """Closed-tour length of an index order over a distance matrix.
-
-    Diagnostic accounting for the kernels' test/bench harnesses (monotone
-    improvement checks); the byte-identity contract never depends on it.
-    """
-    idx = np.asarray(order)
-    return float(dmat[idx, np.roll(idx, -1)].sum())
-
-
 # --------------------------------------------------------------------------- #
 # Cheapest insertion (convex-hull construction)
 # --------------------------------------------------------------------------- #
@@ -145,10 +122,10 @@ def cheapest_insertion_order(
 ) -> list[int]:
     """Complete a convex-hull sub-tour by repeated cheapest insertion.
 
-    Incremental twin of the scalar loop in
-    :func:`repro.graphs.hamiltonian.convex_hull_insertion_tour`, which scans
-    every (remaining point p, tour position pos) pair each round and keeps
-    the first ``cost < best - eps`` improvement (the "chain").  Returns the
+    Incremental twin of the scalar insertion loop (frozen in
+    ``tests/planning_reference.py``), which scans every (remaining point p,
+    tour position pos) pair each round and keeps the first
+    ``cost < best - eps`` improvement (the "chain").  Returns the
     completed index tour (a permutation of ``range(n)``) with the scalar
     loop's exact picks:
 

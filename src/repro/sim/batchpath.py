@@ -35,8 +35,8 @@ and the cache never holds rows.  The rows, their sums, the horizon cut, the
 tie solve and the kept-event table that derives packet windows, sink
 flushes and the delivery order are the scalar tier's own; only the metric
 reduction lives here.  Records are **byte-identical** to per-cell dispatch
-(asserted by ``benchmarks/bench_pr8.py`` and the differential fuzz harness
-before any speed claim).
+(asserted by the differential fuzz harness and the CI replicated smoke,
+which compares batched, per-cell and event-loop records).
 
 A cell rides the batch only when every check passes; anything else silently
 degrades to per-cell dispatch — the scalar fast path, or the event loop where

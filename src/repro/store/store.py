@@ -26,8 +26,10 @@ Stores written by earlier versions kept each payload in a file,
 connection converts such a store: every readable payload file becomes a
 ``records`` row in one transaction (a missing or unreadable file drops its
 row, as a lookup would), then ``records/`` is removed with anything left in
-it, and ``PRAGMA user_version`` marks the layout so opening a current store
-costs one pragma read.
+it, and ``PRAGMA user_version`` marks the layout.  An older library writing
+to a converted store re-creates ``runs`` and its payload files, so every
+open also looks for that table (one ``sqlite_master`` lookup) and converts
+what it finds: opening a current store costs a pragma read and that lookup.
 
 The store is also safe under **concurrent writers** — the ``serve`` daemon's
 worker threads all share one instance: the sqlite connection is opened with
@@ -87,6 +89,9 @@ _SCHEMA = (
 
 #: ``PRAGMA user_version`` of a store whose records live in ``records`` rows.
 _LAYOUT_VERSION = 1
+
+#: Finds the ``runs`` table of the file-per-record layout, if there is one.
+_LEGACY_TABLE = "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'runs'"
 
 _INDEX_COLUMNS = "fingerprint, strategy, family, seed, created_at, library_version"
 _INSERT = f"INSERT OR REPLACE INTO records ({_INDEX_COLUMNS}, payload) VALUES (?, ?, ?, ?, ?, ?, ?)"
@@ -221,7 +226,10 @@ class ResultStore:
                     except sqlite3.OperationalError:  # pragma: no cover - e.g. network fs
                         pass  # the rollback journal still works, with coarser locking
                     conn.execute("PRAGMA synchronous=FULL")
-                    if conn.execute("PRAGMA user_version").fetchone()[0] != _LAYOUT_VERSION:
+                    # A converted store can grow a ``runs`` table again: an
+                    # older library, salted alike, re-creates it to write.
+                    if (conn.execute("PRAGMA user_version").fetchone()[0] != _LAYOUT_VERSION
+                            or conn.execute(_LEGACY_TABLE).fetchone() is not None):
                         self._retry_locked(lambda: self._convert(conn))
                 except BaseException:
                     conn.close()
@@ -242,10 +250,7 @@ class ResultStore:
         try:
             for statement in _SCHEMA:
                 conn.execute(statement)
-            legacy = conn.execute(
-                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'runs'"
-            ).fetchone()
-            if legacy is not None:
+            if conn.execute(_LEGACY_TABLE).fetchone() is not None:
                 rows = conn.execute(f"SELECT {_INDEX_COLUMNS}, payload FROM runs").fetchall()
                 conn.executemany(_INSERT, self._read_payload_files(rows))
                 conn.execute("DROP TABLE runs")

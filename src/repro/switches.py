@@ -1,6 +1,6 @@
 """One table of process-wide switches: the byte-invisible code-path toggles.
 
-Four layers can be turned off (or, for the obs registry, on) per process
+Three layers can be turned off (or, for the obs registry, on) per process
 without changing a single record byte — they only choose *how* a result is
 computed:
 
@@ -9,7 +9,6 @@ switch               environment variable      default  owner module
 ===================  ========================  =======  ==========================
 :data:`CACHE`        ``REPRO_GEOMETRY_CACHE``  on       :mod:`repro.geometry.cache`
 :data:`BATCHPATH`    ``REPRO_BATCHPATH``       on       :mod:`repro.sim.batchpath`
-:data:`VECTOR`       ``REPRO_PLANNING_VECTOR`` on       :mod:`repro.planning.kernels`
 :data:`OBS`          ``REPRO_OBS``             off      :mod:`repro.obs.registry`
 ===================  ========================  =======  ==========================
 
@@ -36,7 +35,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, Mapping
 
-__all__ = ["Switch", "CACHE", "BATCHPATH", "VECTOR", "OBS", "SWITCHES", "snapshot", "restore"]
+__all__ = ["Switch", "CACHE", "BATCHPATH", "OBS", "SWITCHES", "snapshot", "restore"]
 
 _OFF = ("0", "false", "no", "off")
 _ON = ("1", "true", "yes", "on")
@@ -62,9 +61,9 @@ class Switch:
         self.default = default
         # The only environment read on a registered code path.  Every switch
         # is byte-invisible by proof — the cache equivalence tests, the
-        # three-path differential fuzzer, the planning-kernel fuzzer and the
-        # obs differential tests compare records with each switch on and
-        # off — so the env read can never change a result.
+        # three-path differential fuzzer and the obs differential tests
+        # compare records with each switch on and off — so the env read can
+        # never change a result.
         spelling = os.environ.get(env, "").strip().lower()  # repro: allow[det-env-branch]
         self.on = spelling not in _OFF if default else spelling in _ON
         self._lock = threading.Lock()
@@ -92,10 +91,9 @@ class Switch:
 
 CACHE = Switch("REPRO_GEOMETRY_CACHE", default=True)
 BATCHPATH = Switch("REPRO_BATCHPATH", default=True)
-VECTOR = Switch("REPRO_PLANNING_VECTOR", default=True)
 OBS = Switch("REPRO_OBS", default=False)
 
-SWITCHES: tuple[Switch, ...] = (CACHE, BATCHPATH, VECTOR, OBS)
+SWITCHES: tuple[Switch, ...] = (CACHE, BATCHPATH, OBS)
 
 
 def snapshot() -> dict[str, bool]:

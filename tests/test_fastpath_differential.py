@@ -7,8 +7,9 @@ paths —
 * the **batched** tensor pass (:func:`repro.sim.batchpath.batch_execute_records`),
 * the **scalar** per-cell fast path (batchpath disabled),
 * the **event loop** (``fast_path=False``),
-* the **scalar-planned** per-cell path (vectorized planning kernels
-  disabled, tour caches cleared so planning really reruns),
+* the **reference-planned** per-cell path (the frozen scalar planning
+  loops of ``planning_reference.py`` swapped in for the kernels, caches
+  cleared so planning really reruns),
 
 — produce byte-identical sanitized records for every case.  Cases the batch
 (or the scalar fast path) declines are still checked: a fallback must land on
@@ -46,9 +47,9 @@ from functools import partial
 import numpy as np
 import pytest
 
+from planning_reference import reference_planning
 from repro.geometry.cache import clear_caches
 from repro.obs import obs_collected
-from repro.planning import kernels
 from repro.runner.campaign import _json_sanitize, execute_run
 from repro.runner.spec import RunSpec
 from repro.scenarios import ScenarioSpec
@@ -179,10 +180,10 @@ def run_three_ways(case: dict) -> "tuple[str | None, dict]":
     with obs_collected(enabled=True) as window:
         event = outcome(lambda: execute_run(case_spec(case, fast_path=False)))
         counters = window.snapshot()["counters"]
-    # Scalar-planning leg: clear the tour/plan memos first, else the cached
-    # vector-built circuit would be served and the comparison would be vacuous.
-    clear_caches()
-    with batchpath.batchpath_disabled(), kernels.vector_disabled():
+    # Reference-planning leg: reference_planning() clears the tour/plan
+    # memos, else the cached kernel-built circuit would be served and the
+    # comparison would be vacuous.
+    with batchpath.batchpath_disabled(), reference_planning():
         scalar_planned = outcome(lambda: execute_run(spec))
     flags = {
         "batched": isinstance(batched, dict),
@@ -201,8 +202,8 @@ def run_three_ways(case: dict) -> "tuple[str | None, dict]":
     scalar_planned_c = canonical(scalar_planned)
     if scalar_planned_c != scalar_c:
         return (
-            "scalar-planned != vector-planned\n"
-            f" scalar-planned: {scalar_planned_c}\n vector-planned: {scalar_c}"
+            "reference-planned != kernel-planned\n"
+            f" reference-planned: {scalar_planned_c}\n kernel-planned: {scalar_c}"
         ), flags
     if batched is not None:
         batched_c = canonical(batched)

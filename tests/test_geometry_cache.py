@@ -1,7 +1,6 @@
-"""Tests for the content-addressed geometry/tour/scenario caches.
+"""Tests for the content-addressed tour/scenario caches and their registry.
 
-Covers the PR-3 acceptance criteria: cached distance matrices match the
-scalar ``geometry.point`` path exactly, caches hit across replications and
+Covers the PR-3 acceptance criteria: caches hit across replications and
 strategies, and campaign records are byte-identical with caching on or off.
 """
 
@@ -16,16 +15,13 @@ from repro.geometry.cache import (
     ContentCache,
     cache_enabled,
     cache_stats,
-    cached_distance_matrix,
-    cached_polyline_length,
     caching_disabled,
     clear_caches,
     configure,
     points_fingerprint,
     scenario_fingerprint,
 )
-from repro.geometry.point import Point, distance, distance_matrix, total_length
-from repro.geometry.polyline import Polyline
+from repro.geometry.point import Point
 from repro.graphs.hamiltonian import build_hamiltonian_circuit
 from repro.runner import Campaign, CampaignSpec, RunSpec
 from repro.runner.campaign import build_cell_scenario
@@ -47,70 +43,13 @@ def _points(seed: int = 0, n: int = 9) -> list[Point]:
     return [Point(float(x), float(y)) for x, y in rng.uniform(0, 500, size=(n, 2))]
 
 
-# --------------------------------------------------------------------------- #
-# Distance matrix
-# --------------------------------------------------------------------------- #
-
-class TestCachedDistanceMatrix:
-    def test_matches_scalar_point_distance(self):
-        """Every matrix entry equals the scalar geometry.point path exactly."""
-        pts = _points()
-        mat = cached_distance_matrix(pts)
-        for i, a in enumerate(pts):
-            for j, b in enumerate(pts):
-                assert mat[i, j] == pytest.approx(distance(a, b), abs=0.0, rel=1e-15)
-        # and it is bit-identical to the uncached vectorised routine
-        assert np.array_equal(mat, distance_matrix(pts))
-
-    def test_second_call_hits(self):
-        pts = _points()
-        first = cached_distance_matrix(pts)
-        second = cached_distance_matrix([p.as_tuple() for p in pts])  # same content
-        assert second is first
-        assert cache_stats()["distance_matrix"]["hits"] == 1
-
-    def test_entries_are_read_only(self):
-        mat = cached_distance_matrix(_points())
-        with pytest.raises(ValueError):
-            mat[0, 0] = 1.0
-
-    def test_different_content_misses(self):
-        cached_distance_matrix(_points(seed=0))
-        cached_distance_matrix(_points(seed=1))
-        stats = cache_stats()["distance_matrix"]
-        assert stats["hits"] == 0 and stats["misses"] == 2
-
-    def test_empty_input(self):
-        assert cached_distance_matrix([]).shape == (0, 0)
+# A registered cache this module owns (registry names are process-wide).
+_SQUARES = ContentCache("test_geometry_cache_squares", maxsize=8)
 
 
-class TestCachedPolylineLength:
-    @pytest.mark.parametrize("closed", [False, True])
-    def test_matches_polyline_length_bitwise(self, closed):
-        pts = _points()
-        assert cached_polyline_length(pts, closed=closed) == Polyline(pts, closed=closed).length
-
-    @pytest.mark.parametrize("closed", [False, True])
-    def test_close_to_scalar_total_length(self, closed):
-        pts = _points()
-        assert cached_polyline_length(pts, closed=closed) == pytest.approx(
-            total_length(pts, closed=closed), rel=1e-12
-        )
-
-    def test_open_and_closed_are_distinct_keys(self):
-        pts = _points()
-        assert cached_polyline_length(pts, closed=True) != cached_polyline_length(pts)
-        assert cache_stats()["polyline_length"]["misses"] == 2
-
-    def test_tour_length_serves_from_cache(self):
-        from repro.graphs.tour import Tour
-
-        pts = _points()
-        first = Tour.from_points(pts)
-        second = Tour.from_points(pts)
-        assert first.length() == Polyline(pts, closed=True).length
-        assert second.length() == first.length()
-        assert cache_stats()["polyline_length"]["hits"] >= 1
+def _square(x: int) -> list[int]:
+    """A fresh list per miss, so identity tells a hit from a recomputation."""
+    return _SQUARES.get_or_compute(x, lambda: [x * x])
 
 
 # --------------------------------------------------------------------------- #
@@ -149,17 +88,15 @@ class TestCacheControls:
         assert cache_enabled()
         with caching_disabled():
             assert not cache_enabled()
-            pts = _points()
-            assert cached_distance_matrix(pts) is not cached_distance_matrix(pts)
+            assert _square(3) is not _square(3)
         assert cache_enabled()
 
     def test_clear_resets_stats(self):
-        pts = _points()
-        cached_distance_matrix(pts)
-        cached_distance_matrix(pts)
+        _square(3)
+        _square(3)
         clear_caches()
-        stats = cache_stats()["distance_matrix"]
-        assert stats == {"size": 0, "maxsize": 128, "hits": 0, "misses": 0,
+        stats = cache_stats()["test_geometry_cache_squares"]
+        assert stats == {"size": 0, "maxsize": 8, "hits": 0, "misses": 0,
                          "evictions": 0}
 
     def test_lru_eviction(self):

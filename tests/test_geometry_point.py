@@ -91,6 +91,15 @@ class TestDistanceHelpers:
         assert m[0, 2] == pytest.approx(10.0)
         assert np.allclose(m, m.T)
 
+    def test_distance_matrix_matches_scalar_point_distance(self):
+        """Every matrix entry equals the scalar ``distance`` to the last ulp."""
+        rng = np.random.default_rng(0)
+        pts = [Point(float(x), float(y)) for x, y in rng.uniform(0, 500, size=(9, 2))]
+        mat = distance_matrix(pts)
+        for i, a in enumerate(pts):
+            for j, b in enumerate(pts):
+                assert mat[i, j] == pytest.approx(distance(a, b), abs=0.0, rel=1e-15)
+
     def test_distance_matrix_empty(self):
         assert distance_matrix([]).shape == (0, 0)
 

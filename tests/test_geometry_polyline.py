@@ -1,8 +1,9 @@
 """Unit tests for repro.geometry.polyline (arc-length parametrisation)."""
 
+import numpy as np
 import pytest
 
-from repro.geometry.point import Point
+from repro.geometry.point import Point, total_length
 from repro.geometry.polyline import Polyline, point_along, resample_positions
 
 SQUARE = [Point(0, 0), Point(100, 0), Point(100, 100), Point(0, 100)]
@@ -16,6 +17,14 @@ class TestPolylineBasics:
     def test_closed_length(self):
         poly = Polyline(SQUARE, closed=True)
         assert poly.length == pytest.approx(400.0)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_length_close_to_scalar_total_length(self, closed):
+        rng = np.random.default_rng(0)
+        pts = [Point(float(x), float(y)) for x, y in rng.uniform(0, 500, size=(9, 2))]
+        assert Polyline(pts, closed=closed).length == pytest.approx(
+            total_length(pts, closed=closed), rel=1e-12
+        )
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,17 @@
-"""Unit tests for repro.graphs.improve (2-opt / Or-opt local search)."""
+"""Unit tests for repro.graphs.improve (2-opt / Or-opt local search).
+
+The boundary and round-cap cases also compare the kernels with the frozen
+scalar loops of ``planning_reference.py``, move for move.
+"""
 
 import numpy as np
 import pytest
 
+import planning_reference as reference
 from repro.geometry.point import Point
 from repro.graphs.improve import improve_tour, or_opt, two_opt
 from repro.graphs.tour import Tour
 from repro.graphs.validation import validate_tour
-from repro.planning import kernels
 
 
 def _random_tour(n, seed):
@@ -83,19 +87,17 @@ class TestBoundarySizes:
         crossed = Tour(["a", "c", "b", "d"], coords)
         assert two_opt(crossed).length() == pytest.approx(400.0)
 
-    def test_two_opt_n4_scalar_and_vector_agree(self):
+    def test_two_opt_n4_reference_and_kernel_agree(self):
         for seed in range(10):
             tour = _random_tour(4, seed + 100)
-            with kernels.vector_disabled():
-                scalar = two_opt(tour)
+            scalar = reference.two_opt(tour)
             assert list(two_opt(tour).order) == list(scalar.order)
 
     def test_or_opt_n4_returned_unchanged(self):
-        # n < 5 is below Or-opt's minimum: same object, both dispatch paths
+        # n < 5 is below Or-opt's minimum: same object, kernel and reference
         tour = _random_tour(4, 2)
         assert or_opt(tour) is tour
-        with kernels.vector_disabled():
-            assert or_opt(tour) is tour
+        assert reference.or_opt(tour) is tour
 
     def test_or_opt_n5_relocates_on_smallest_tour(self):
         # n=5 is the smallest tour Or-opt touches: an outlier visited out of
@@ -107,22 +109,20 @@ class TestBoundarySizes:
         assert improved.length() < bad.length() - 1e-6
         validate_tour(improved, expected_nodes=list(bad.order))
 
-    def test_or_opt_n5_scalar_and_vector_agree(self):
+    def test_or_opt_n5_reference_and_kernel_agree(self):
         for seed in range(10):
             tour = _random_tour(5, seed + 200)
-            with kernels.vector_disabled():
-                scalar = or_opt(tour)
+            scalar = reference.or_opt(tour)
             assert list(or_opt(tour).order) == list(scalar.order)
 
     def test_segment_length_at_least_n_never_moves(self):
         # seg_len >= n means the segment contains its own neighbours: the
         # scalar loop skips every rotation, the kernel skips the whole pass
         tour = _random_tour(5, 3)
-        with kernels.vector_disabled():
-            scalar = or_opt(tour, segment_lengths=(5, 6))
+        scalar = reference.or_opt(tour, segment_lengths=(5, 6))
         vector = or_opt(tour, segment_lengths=(5, 6))
         # no move is applied (the counterclockwise canonicalization may still
-        # reorient the cycle, so compare by length, and byte-compare dispatch)
+        # reorient the cycle, so compare by length, and byte-compare both)
         assert scalar.length() == pytest.approx(tour.length())
         assert list(vector.order) == list(scalar.order)
 
@@ -133,12 +133,8 @@ class TestMaxRoundsExhaustion:
 
     def test_two_opt_zero_rounds_is_identity_order(self):
         tour = self._hard_tour()
-        for dispatch in (kernels.vector_disabled, None):
-            if dispatch is None:
-                result = two_opt(tour, max_rounds=0)
-            else:
-                with dispatch():
-                    result = two_opt(tour, max_rounds=0)
+        for implementation in (reference.two_opt, two_opt):
+            result = implementation(tour, max_rounds=0)
             # the counterclockwise() canonicalization still applies, so
             # compare lengths: zero rounds may reorient but never improves
             assert result.length() == pytest.approx(tour.length())
@@ -157,25 +153,50 @@ class TestMaxRoundsExhaustion:
         lengths = [two_opt(tour, max_rounds=k).length() for k in (1, 2, 4, 8, 50)]
         assert all(b <= a + 1e-9 for a, b in zip(lengths, lengths[1:]))
 
-    def test_two_opt_exhaustion_identical_across_dispatch(self):
+    def test_two_opt_exhaustion_identical_to_reference(self):
         tour = self._hard_tour()
         for rounds in (1, 2, 3, 7):
-            with kernels.vector_disabled():
-                scalar = two_opt(tour, max_rounds=rounds)
+            scalar = reference.two_opt(tour, max_rounds=rounds)
             assert list(two_opt(tour, max_rounds=rounds).order) == list(scalar.order)
 
     def test_or_opt_zero_rounds_never_moves(self):
         tour = self._hard_tour(20, 78)
         assert or_opt(tour, max_rounds=0).length() == pytest.approx(tour.length())
 
-    def test_or_opt_exhaustion_identical_across_dispatch(self):
+    def test_or_opt_exhaustion_identical_to_reference(self):
         coords = {f"g{i}": Point(i * 50.0, 0.0) for i in range(8)}
         coords["g9"] = Point(25.0, 10.0)
         tour = Tour(["g0", "g1", "g2", "g3", "g9", "g4", "g5", "g6", "g7"], coords)
         for rounds in (0, 1, 2, 30):
-            with kernels.vector_disabled():
-                scalar = or_opt(tour, max_rounds=rounds)
+            scalar = reference.or_opt(tour, max_rounds=rounds)
             assert list(or_opt(tour, max_rounds=rounds).order) == list(scalar.order)
+
+
+class TestParametersAgainstReference:
+    """Non-default tolerances and segment lengths pick the reference's moves."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 25.0])
+    def test_two_opt_tolerance(self, tol):
+        tour = _random_tour(25, 300)
+        scalar = reference.two_opt(tour, tol=tol)
+        assert scalar.length() < tour.length()  # the tolerance still admits moves
+        assert list(two_opt(tour, tol=tol).order) == list(scalar.order)
+
+    @pytest.mark.parametrize("tol", [0.0, 25.0])
+    def test_or_opt_tolerance(self, tol):
+        tour = _random_tour(20, 301)
+        scalar = reference.or_opt(tour, tol=tol)
+        assert scalar.length() < tour.length()
+        assert list(or_opt(tour, tol=tol).order) == list(scalar.order)
+
+    @pytest.mark.parametrize("segment_lengths", [(1,), (2,), (3,), (3, 2, 1), (2, 4)])
+    def test_or_opt_segment_lengths(self, segment_lengths):
+        # the scan tries the lengths in the order given, so a reordered tuple
+        # is a different first improvement
+        tour = _random_tour(20, 302)
+        scalar = reference.or_opt(tour, segment_lengths=segment_lengths)
+        assert scalar.length() < tour.length()
+        assert list(or_opt(tour, segment_lengths=segment_lengths).order) == list(scalar.order)
 
 
 class TestImproveTour:

@@ -1,8 +1,10 @@
 """Unit tests for repro.graphs.tour.Tour."""
 
+import numpy as np
 import pytest
 
 from repro.geometry.point import Point
+from repro.geometry.polyline import Polyline
 from repro.graphs.tour import Tour
 
 
@@ -86,6 +88,21 @@ class TestGeometry:
     def test_polyline_round_trip(self, square_tour):
         poly = square_tour.polyline()
         assert poly.length == pytest.approx(square_tour.length())
+
+    def test_length_of_one_node_tour_is_zero(self):
+        assert Tour(["a"], {"a": Point(3.0, 4.0)}).length() == 0.0
+
+    def test_length_of_two_node_tour_is_there_and_back(self):
+        tour = Tour(["a", "b"], {"a": Point(0.0, 0.0), "b": Point(3.0, 4.0)})
+        assert tour.length() == 10.0
+
+    def test_length_is_the_closed_polyline_length_bitwise(self):
+        rng = np.random.default_rng(0)
+        pts = [Point(float(x), float(y)) for x, y in rng.uniform(0, 500, size=(9, 2))]
+        first = Tour.from_points(pts)
+        second = Tour.from_points(pts)
+        assert first.length() == Polyline(pts, closed=True).length
+        assert second.length() == first.length()
 
 
 class TestTransformations:

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.geometry.cache import ContentCache
 from repro.obs import (
     Window,
     absorb,
@@ -42,6 +43,9 @@ from repro.obs.adapters import (
     stats_document,
     store_stats_view,
 )
+
+# A registered cache this module owns (registry names are process-wide).
+_LOOKUPS = ContentCache("test_obs_lookups", maxsize=4)
 
 
 @pytest.fixture(autouse=True)
@@ -104,18 +108,17 @@ class TestRecording:
         ]
 
     def test_cache_lookups_count_requests_by_outcome(self):
-        from repro.geometry.cache import cached_distance_matrix, caching_disabled, clear_caches
+        from repro.geometry.cache import caching_disabled, clear_caches
 
         clear_caches()
         configure(enabled=True)
-        points = [(0.0, 0.0), (3.0, 4.0)]
-        cached_distance_matrix(points)
-        cached_distance_matrix(points)
+        _LOOKUPS.get_or_compute("key", lambda: 5.0)
+        _LOOKUPS.get_or_compute("key", lambda: 5.0)
         with caching_disabled():
-            cached_distance_matrix(points)
+            _LOOKUPS.get_or_compute("key", lambda: 5.0)
         assert [(r["labels"], r["value"]) for r in snapshot()["counters"]] == [
-            ({"cache": "distance_matrix", "outcome": "hit"}, 1),
-            ({"cache": "distance_matrix", "outcome": "miss"}, 2),
+            ({"cache": "test_obs_lookups", "outcome": "hit"}, 1),
+            ({"cache": "test_obs_lookups", "outcome": "miss"}, 2),
         ]
 
     def test_histogram_tracks_count_sum_min_max(self):
@@ -322,7 +325,7 @@ class TestStatsDocument:
     def test_document_carries_obs_and_cache_sections(self):
         document = stats_document()
         assert set(document) == {"obs", "caches"}
-        assert "distance_matrix" in document["caches"]
+        assert "test_obs_lookups" in document["caches"]
         assert cache_stats_view(document) is document["caches"]
 
     def test_store_view_matches_store_stats_exactly(self, tmp_path):

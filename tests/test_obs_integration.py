@@ -212,9 +212,8 @@ class TestBatchFirstPool:
         assert pooled.metadata["timing"]["cells_timed"] == 0
 
     @pytest.mark.parametrize("flipped", [
-        ("REPRO_PLANNING_VECTOR",),
         tuple(switch.env for switch in switches.SWITCHES),
-    ], ids=["vector", "every-switch"])
+    ], ids=["every-switch"])
     def test_worker_initializer_mirrors_vector_switch_and_empties_registry(self, flipped):
         from repro.runner.campaign import _init_worker_state
 

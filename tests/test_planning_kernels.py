@@ -1,23 +1,27 @@
-"""Differential tests for the vectorized planning kernels (repro.planning.kernels).
+"""Differential tests for the planning kernels (repro.planning.kernels).
 
-Every kernel must be **byte-identical** to the scalar loop it replaces:
+Every kernel must be **byte-identical** to the scalar loop it was written
+from, frozen in ``planning_reference.py``:
 
-* kernel-level — the vectorized cheapest-insertion / nearest-neighbour /
-  2-opt / Or-opt orders match the scalar tours node for node over seeded
-  random instances (including tie-heavy lattices and duplicate points);
+* kernel-level — the cheapest-insertion / nearest-neighbour / 2-opt /
+  Or-opt kernels build the reference loops' tours node for node over seeded
+  random instances (including tie-heavy lattices and duplicate points) and
+  over small and degenerate layouts at each builder's size guards;
   the cheapest-insertion kernel also matches a frozen copy of its
   point-major predecessor at cold-sweep sizes, on both of its selection
   paths (the shortcut and the chain replay);
 * plan-level — ``serialize_plan`` of every golden strategy call and of
-  seeded random planning specs is byte-equal with the switch on and off (a
-  spec that planning rejects must be rejected with the same message);
+  seeded random planning specs is byte-equal under the kernels and under
+  :func:`~planning_reference.reference_planning` (a spec that planning
+  rejects must be rejected with the same message);
 * record-level — full :func:`~repro.runner.campaign.execute_run` records are
-  byte-equal with the switch on and off.
+  byte-equal both ways.
 
-The tour cache is cleared between dispatch legs: the hamiltonian memo is
-keyed by content only (the switch is byte-invisible by contract), so a warm
-cache would serve the first leg's tour to the second and make the comparison
-vacuous.
+``reference_planning()`` clears every cache on entry and exit: the
+hamiltonian memo's key names the builder but not the 2-opt pass, and the
+batch keys its rows by spec alone, so a warm cache would serve one leg's
+result to the other and make the comparison vacuous.
+``TestReferenceHarness`` proves the reference legs never reach a kernel.
 
 Seed and case count are fixed for CI but overridable::
 
@@ -37,12 +41,12 @@ from plan_golden import golden_scenarios, golden_strategy_calls, serialize_plan
 from repro.baselines.base import get_strategy, strategy_params
 from repro.geometry.cache import caching_disabled, clear_caches
 from repro.geometry.hull import convex_hull_indices
+from planning_reference import reference_planning
 from repro.geometry.point import Point, distance_matrix
-from repro.graphs.hamiltonian import (
-    convex_hull_insertion_tour,
-    nearest_neighbor_tour,
-)
+from repro.graphs import hamiltonian, improve
+from repro.graphs.hamiltonian import convex_hull_insertion_tour
 from repro.graphs.improve import or_opt, two_opt
+from repro.graphs.tour import Tour
 from repro.planning import kernels
 from repro.runner.campaign import _json_sanitize, execute_run
 from repro.runner.spec import RunSpec
@@ -82,42 +86,22 @@ def _tie_heavy_layouts(rng):
     yield "ring with centre duplicates", np.vstack([ring, [(500.0, 500.0)] * 12]), None
 
 
+def hull_tour(coords):
+    """Hull insertion, looked up where ``reference_planning()`` swaps it."""
+    return hamiltonian.TOUR_BUILDERS["hull-insertion"](coords)
+
+
+def nn_tour(coords, **kwargs):
+    return hamiltonian.nearest_neighbor_tour(coords, **kwargs)
+
+
 def _both_ways(build, coords):
-    """(scalar, vector) tours for one builder, caches cold on both legs."""
-    clear_caches()
+    """(reference, kernel) tours for one builder, caches cold on both legs."""
+    with reference_planning(), caching_disabled():
+        reference = build(coords)
     with caching_disabled():
-        with kernels.vector_disabled():
-            scalar = build(coords)
-        vector = build(coords)
-    return scalar, vector
-
-
-class TestSwitch:
-    def test_enabled_by_default(self):
-        assert kernels.vector_enabled()
-
-    def test_configure_round_trip(self):
-        kernels.configure(enabled=False)
-        try:
-            assert not kernels.vector_enabled()
-        finally:
-            kernels.configure(enabled=True)
-        assert kernels.vector_enabled()
-
-    def test_vector_disabled_scopes_and_restores(self):
-        assert kernels.vector_enabled()
-        with kernels.vector_disabled():
-            assert not kernels.vector_enabled()
-            with kernels.vector_disabled():
-                assert not kernels.vector_enabled()
-            assert not kernels.vector_enabled()
-        assert kernels.vector_enabled()
-
-    def test_package_reexports(self):
-        from repro import planning
-
-        assert planning.vector_enabled is kernels.vector_enabled
-        assert planning.vector_disabled is kernels.vector_disabled
+        kernel = build(coords)
+    return reference, kernel
 
 
 class TestChainArgmin:
@@ -154,75 +138,59 @@ class TestChainArgmin:
             kernels.chain_argmin(np.empty(0), 1e-12)
 
 
-class TestOrderLength:
-    def test_matches_tour_edge_sum(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(0, 100, (7, 2))
-        dmat = distance_matrix(pts)
-        order = [3, 1, 4, 0, 6, 2, 5]
-        expected = sum(dmat[a, b] for a, b in zip(order, order[1:] + order[:1]))
-        assert kernels.order_length(order, dmat) == pytest.approx(expected)
-
-
 class TestKernelTourIdentity:
     def test_hull_insertion_identical(self):
         rng = np.random.default_rng(FUZZ_SEED + 1)
         for trial in range(25):
             coords = _random_coords(rng, int(rng.integers(4, 45)), lattice=trial % 4 == 0)
-            scalar, vector = _both_ways(convex_hull_insertion_tour, coords)
-            assert list(vector.order) == list(scalar.order)
+            reference, kernel = _both_ways(hull_tour, coords)
+            assert list(kernel.order) == list(reference.order)
         for kind, pts, hull_size in _tie_heavy_layouts(rng):
             coords = {f"t{i}": Point(float(x), float(y)) for i, (x, y) in enumerate(pts)}
             if hull_size is not None:
                 assert len(convex_hull_indices(list(coords.values()))) == hull_size, kind
-            scalar, vector = _both_ways(convex_hull_insertion_tour, coords)
-            assert list(vector.order) == list(scalar.order), kind
+            reference, kernel = _both_ways(hull_tour, coords)
+            assert list(kernel.order) == list(reference.order), kind
 
     def test_nearest_neighbor_identical(self):
         rng = np.random.default_rng(FUZZ_SEED + 2)
         for trial in range(25):
             coords = _random_coords(rng, int(rng.integers(2, 45)), lattice=trial % 3 == 0)
-            scalar, vector = _both_ways(nearest_neighbor_tour, coords)
-            assert list(vector.order) == list(scalar.order)
+            reference, kernel = _both_ways(nn_tour, coords)
+            assert list(kernel.order) == list(reference.order)
 
     def test_nearest_neighbor_lattice_tie_break(self):
-        # four candidates exactly equidistant from the start: the scalar loop
-        # breaks the tie on str(id); the kernel must pick the same node
+        # four candidates exactly equidistant from the start: the reference
+        # loop breaks the tie on str(id); the kernel must pick the same node
         coords = {
             "center": Point(0, 0),
             "n": Point(0, 10), "s": Point(0, -10), "e": Point(10, 0), "w": Point(-10, 0),
         }
-        scalar, vector = _both_ways(
-            lambda c: nearest_neighbor_tour(c, start="center"), coords
-        )
-        assert list(vector.order) == list(scalar.order)
+        reference, kernel = _both_ways(lambda c: nn_tour(c, start="center"), coords)
+        assert list(kernel.order) == list(reference.order)
 
     def test_duplicate_points_identical(self):
         coords = {
             "a": Point(0, 0), "b": Point(100, 0), "c": Point(100, 100),
             "d": Point(0, 100), "dup1": Point(50, 50), "dup2": Point(50, 50),
         }
-        for build in (convex_hull_insertion_tour, nearest_neighbor_tour):
-            scalar, vector = _both_ways(build, coords)
-            assert list(vector.order) == list(scalar.order)
+        for build in (hull_tour, nn_tour):
+            reference, kernel = _both_ways(build, coords)
+            assert list(kernel.order) == list(reference.order)
 
     def test_two_opt_identical(self):
         rng = np.random.default_rng(FUZZ_SEED + 3)
         for trial in range(25):
             coords = _random_coords(rng, int(rng.integers(4, 45)), lattice=trial % 4 == 0)
-            scalar, vector = _both_ways(
-                lambda c: two_opt(convex_hull_insertion_tour(c)), coords
-            )
-            assert list(vector.order) == list(scalar.order)
+            reference, kernel = _both_ways(lambda c: improve.two_opt(hull_tour(c)), coords)
+            assert list(kernel.order) == list(reference.order)
 
     def test_or_opt_identical(self):
         rng = np.random.default_rng(FUZZ_SEED + 4)
         for trial in range(25):
             coords = _random_coords(rng, int(rng.integers(5, 45)), lattice=trial % 4 == 0)
-            scalar, vector = _both_ways(
-                lambda c: or_opt(convex_hull_insertion_tour(c)), coords
-            )
-            assert list(vector.order) == list(scalar.order)
+            reference, kernel = _both_ways(lambda c: improve.or_opt(hull_tour(c)), coords)
+            assert list(kernel.order) == list(reference.order)
 
     def test_improvement_passes_never_lengthen(self):
         rng = np.random.default_rng(FUZZ_SEED + 5)
@@ -233,6 +201,83 @@ class TestKernelTourIdentity:
                 tour = convex_hull_insertion_tour(coords)
                 assert two_opt(tour).length() <= tour.length() + 1e-9
                 assert or_opt(tour).length() <= tour.length() + 1e-9
+
+
+# Small and degenerate layouts, one per branch a builder takes around its
+# kernel: hull insertion's n <= 3 return, the one-node nearest-neighbour
+# tour, the n < 4 and n < 5 guards of 2-opt and Or-opt, a hull that holds
+# every point (no insertion round), and distances that are all ties or zero.
+# Integer-valued coordinates keep collinearity and the ties exact.
+BOUNDARY_LAYOUTS = {
+    "one point": [(5.0, 5.0)],
+    "two points": [(0.0, 0.0), (3.0, 4.0)],
+    "triangle": [(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)],
+    "crossed square": [(0.0, 0.0), (10.0, 10.0), (10.0, 0.0), (0.0, 10.0)],
+    "square with inner point": [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (5.0, 1.0), (0.0, 10.0)],
+    "hull only": [(0.0, 0.0), (4.0, -1.0), (8.0, 0.0), (9.0, 4.0), (8.0, 8.0),
+                  (4.0, 9.0), (0.0, 8.0), (-1.0, 4.0)],
+    "collinear": [(3.0 * k, 2.0 * k - 7.0) for k in (4, 0, 7, 2, 5, 1, 6, 3)],
+    "coincident": [(250.0, 125.0)] * 6,
+    "two coincident clusters": [(0.0, 0.0), (375.0, 125.0)] * 4,
+}
+
+# 2-opt and Or-opt start from the input order, so a scrambled layout gives
+# them moves to make: the crossed square is the smallest tour 2-opt mends,
+# the square with its inner point visited out of line the smallest Or-opt
+# mends.
+BOUNDARY_BUILDERS = {
+    "hull-insertion": hull_tour,
+    "nearest-neighbor": nn_tour,
+    "two-opt": lambda coords: improve.two_opt(Tour(list(coords), coords)),
+    "or-opt": lambda coords: improve.or_opt(Tour(list(coords), coords)),
+}
+
+
+def _layout(name):
+    return {f"t{i}": Point(x, y) for i, (x, y) in enumerate(BOUNDARY_LAYOUTS[name])}
+
+
+class TestBoundaryLayoutsAgainstReference:
+    """Each heuristic builds the reference's tour on small and degenerate inputs."""
+
+    def test_hull_only_layout_has_no_interior_point(self):
+        pts = list(_layout("hull only").values())
+        assert len(convex_hull_indices(pts)) == len(pts)
+
+    @pytest.mark.parametrize("builder", list(BOUNDARY_BUILDERS))
+    @pytest.mark.parametrize("layout", list(BOUNDARY_LAYOUTS))
+    def test_builder_matches_reference(self, layout, builder):
+        coords = _layout(layout)
+        reference, kernel = _both_ways(BOUNDARY_BUILDERS[builder], coords)
+        assert list(kernel.order) == list(reference.order)
+        assert sorted(kernel.order) == sorted(coords)
+
+    @pytest.mark.parametrize("layout", ["square with inner point", "collinear",
+                                        "two coincident clusters"])
+    def test_nearest_neighbor_from_every_start(self, layout):
+        coords = _layout(layout)
+        for start in coords:
+            reference, kernel = _both_ways(lambda c, s=start: nn_tour(c, start=s), coords)
+            assert list(kernel.order) == list(reference.order), start
+
+    @pytest.mark.parametrize("improve_tour", [False, True])
+    @pytest.mark.parametrize("method", ["hull-insertion", "nearest-neighbor"])
+    def test_circuit_matches_reference(self, method, improve_tour):
+        # Through the public entry point: the memo key names the builder, so
+        # the swapped-in loops never serve a kernel-built circuit or back.
+        rng = np.random.default_rng(FUZZ_SEED + 8)
+        coords = _random_coords(rng, 30, lattice=True)
+
+        def build(c):
+            return hamiltonian.build_hamiltonian_circuit(
+                c, method=method, improve=improve_tour, start="t7"
+            )
+
+        with reference_planning():
+            reference = build(coords)
+        kernel = build(coords)
+        assert kernel.order[0] == "t7"
+        assert list(kernel.order) == list(reference.order)
 
 
 _frozen_chain_argmin = kernels.chain_argmin
@@ -387,24 +432,92 @@ class TestInsertionKernelAtColdScale:
         assert 2 * replays[0] < 120 - len(hull) and replays[1] >= 1, replays
 
 
-class TestGoldenPlansUnderVectorDispatch:
-    """The PR 4 golden strategy calls plan byte-identically with kernels on."""
+class TestGoldenPlansAgainstReference:
+    """The golden strategy calls plan byte-identically with the kernels."""
 
-    def test_golden_calls_identical_across_dispatch(self):
+    def test_golden_calls_identical_to_reference(self):
         scenarios = golden_scenarios()
         for key, strategy, kwargs in golden_strategy_calls():
-            clear_caches()
-            with kernels.vector_disabled():
-                scalar = serialize_plan(
+            with reference_planning():
+                reference = serialize_plan(
                     get_strategy(strategy, **kwargs).plan(scenarios[key].fresh_copy())
                 )
-            clear_caches()
-            vector = serialize_plan(
+            kernel = serialize_plan(
                 get_strategy(strategy, **kwargs).plan(scenarios[key].fresh_copy())
             )
-            assert json.dumps(vector, sort_keys=True) == json.dumps(scalar, sort_keys=True), (
-                f"plan diverged under vector dispatch: {key} / {strategy} / {kwargs}"
+            assert json.dumps(kernel, sort_keys=True) == json.dumps(reference, sort_keys=True), (
+                f"plan diverged from the reference: {key} / {strategy} / {kwargs}"
             )
+
+
+class TestReferenceHarness:
+    """A reference leg builds every tour with the frozen loops, never a kernel.
+
+    Three cells, one per heuristic the strategies reach, run end to end
+    under ``reference_planning()`` with spies on the reference builders and
+    every kernel entry point made to raise: a path the harness missed would
+    fail here instead of comparing the kernels with themselves.
+    """
+
+    CELLS = [
+        ({}, "convex_hull_insertion_tour"),
+        ({"tsp_method": "nearest-neighbor"}, "nearest_neighbor_tour"),
+        ({"improve_tour": True}, "two_opt"),
+    ]
+
+    def test_each_cell_runs_its_reference_builder_and_no_kernel(self, monkeypatch):
+        import planning_reference
+
+        calls = dict.fromkeys(
+            ["convex_hull_insertion_tour", "nearest_neighbor_tour", "two_opt", "or_opt"], 0
+        )
+
+        def spy(name):
+            original = getattr(planning_reference, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counting
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a reference leg reached a planning kernel")
+
+        for name in calls:
+            monkeypatch.setattr(planning_reference, name, spy(name))
+        for name in kernels.__all__:
+            monkeypatch.setattr(kernels, name, forbidden)
+
+        for params, builder in self.CELLS:
+            before = calls[builder]
+            spec = RunSpec(
+                strategy="b-tctp",
+                scenario=ScenarioSpec("uniform", {"num_targets": 12, "num_mules": 2}, seed=4),
+                params=params,
+                sim=SimulationConfig(horizon=2_500.0),
+                seed=1,
+            )
+            with reference_planning():
+                record = execute_run(spec)
+            assert record["num_targets"] == 12
+            assert calls[builder] > before, (params, calls)
+        assert calls["convex_hull_insertion_tour"] >= 2  # the 2-opt cell starts from it
+
+    def test_everything_is_restored_on_exit(self):
+        kernel_side = (
+            dict(hamiltonian.TOUR_BUILDERS), hamiltonian.nearest_neighbor_tour,
+            improve.two_opt, improve.or_opt,
+        )
+        with pytest.raises(RuntimeError), reference_planning():
+            assert hamiltonian.TOUR_BUILDERS["hull-insertion"] is not convex_hull_insertion_tour
+            raise RuntimeError("the block fails")
+        assert (
+            dict(hamiltonian.TOUR_BUILDERS), hamiltonian.nearest_neighbor_tour,
+            improve.two_opt, improve.or_opt,
+        ) == kernel_side
+        assert hamiltonian.TOUR_BUILDERS["hull-insertion"] is convex_hull_insertion_tour
+        assert improve.two_opt is two_opt and improve.or_opt is or_opt
 
 
 FAMILIES = ["uniform", "grid-jitter", "clustered", "ring"]
@@ -464,10 +577,10 @@ def plan_outcome(spec: RunSpec, plan_params: dict) -> "tuple[str, bool]":
     return json.dumps(serialize_plan(plan), sort_keys=True), True
 
 
-class TestFuzzedSpecsUnderVectorDispatch:
+class TestFuzzedSpecsAgainstReference:
     def test_plans_and_records_identical_on_random_specs(self):
         # A plan-time rejection (e.g. a small sw-tctp layout with too few
-        # break edges for a VIP) is an outcome too: the vector leg must raise
+        # break edges for a VIP) is an outcome too: the kernel leg must raise
         # the same type and message, and there is no record to compare.
         rng = np.random.default_rng(FUZZ_SEED)
         for index in range(FUZZ_CASES):
@@ -478,25 +591,23 @@ class TestFuzzedSpecsUnderVectorDispatch:
             if "seed" in strategy_params(spec.strategy):
                 plan_params.setdefault("seed", spec.seed)
 
-            clear_caches()
-            with kernels.vector_disabled():
-                scalar_plan, planned = plan_outcome(spec, plan_params)
+            with reference_planning():
+                reference_plan, planned = plan_outcome(spec, plan_params)
                 if planned:
-                    scalar_record = json.dumps(
+                    reference_record = json.dumps(
                         _json_sanitize(execute_run(spec)), sort_keys=True
                     )
-            clear_caches()
-            vector_plan, _ = plan_outcome(spec, plan_params)
+            kernel_plan, _ = plan_outcome(spec, plan_params)
 
-            assert vector_plan == scalar_plan, (
+            assert kernel_plan == reference_plan, (
                 f"case {index} (seed {FUZZ_SEED}) plan diverged: {json.dumps(case)}"
             )
             if not planned:
                 continue
-            vector_record = json.dumps(
+            kernel_record = json.dumps(
                 _json_sanitize(execute_run(spec)), sort_keys=True
             )
-            assert vector_record == scalar_record, (
+            assert kernel_record == reference_record, (
                 f"case {index} (seed {FUZZ_SEED}) record diverged: {json.dumps(case)}"
             )
 

@@ -151,6 +151,35 @@ class TestConversion:
         for fingerprint, record in written.items():
             assert sorted_json(store.get(fingerprint)) == sorted_json(record)
 
+    def test_an_older_library_writing_to_a_converted_store_is_read(self, tmp_path, monkeypatch):
+        # An older library has the same salt, so the same fingerprints: on a
+        # converted store it re-creates `runs` and writes its rows there and
+        # its payloads under records/.  The next open must convert them too.
+        root = tmp_path / "mixed"
+        first, second = "1a" * 20, "2b" * 20
+        legacy_put(root, first, {"x": 1.0})
+        assert len(ResultStore(root)) == 1            # converts
+        [first_row] = rows(root)
+        written = {"y": float("nan"), "z": [1, 2]}
+        legacy_put(root, second, written)
+        store = ResultStore(root)
+        assert sorted_json(store.get(second)) == sorted_json(written)
+        assert len(store) == 2
+        with closing(sqlite3.connect(root / "index.sqlite")) as conn:
+            tables = {name for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'")}
+        assert tables == {"records"}
+        assert not (root / "records").exists()
+        assert rows(root)[0] == first_row
+        converted = rows(root)
+        calls = []
+        original = ResultStore._convert
+        monkeypatch.setattr(ResultStore, "_convert",
+                            lambda self, conn: calls.append(1) or original(self, conn))
+        assert len(ResultStore(root)) == 2
+        assert calls == []
+        assert rows(root) == converted
+
     def test_new_store_is_marked_current(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put("e" * 40, {"x": float("nan")})

@@ -1,7 +1,7 @@
 """The one table of process-wide switches (:mod:`repro.switches`).
 
 Every environment spelling keeps the meaning it had when each owner module
-parsed its own variable, the twelve public names are the table's bound
+parsed its own variable, the nine public names are the table's bound
 methods, and a snapshot carries every switch (the pool initializer's input).
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import switches
-from repro.switches import BATCHPATH, CACHE, OBS, SWITCHES, VECTOR, Switch
+from repro.switches import BATCHPATH, CACHE, OBS, SWITCHES, Switch
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -43,11 +43,10 @@ def restored_switches():
 
 
 def test_the_table():
-    assert SWITCHES == (CACHE, BATCHPATH, VECTOR, OBS)
+    assert SWITCHES == (CACHE, BATCHPATH, OBS)
     assert [(s.env, s.default) for s in SWITCHES] == [
         ("REPRO_GEOMETRY_CACHE", True),
         ("REPRO_BATCHPATH", True),
-        ("REPRO_PLANNING_VECTOR", True),
         ("REPRO_OBS", False),
     ]
 
@@ -98,18 +97,14 @@ def test_snapshot_and_restore():
 def test_public_names_are_bound_to_the_table():
     import repro.geometry as geometry
     import repro.obs as obs
-    import repro.planning as planning
     from repro.geometry import cache
     from repro.obs import registry
-    from repro.planning import kernels
     from repro.sim import batchpath
 
     bound = {
         CACHE: [(cache, "configure", "cache_enabled", "caching_disabled"),
                 (geometry, "configure", "cache_enabled", "caching_disabled")],
         BATCHPATH: [(batchpath, "configure", "batchpath_enabled", "batchpath_disabled")],
-        VECTOR: [(kernels, "configure", "vector_enabled", "vector_disabled"),
-                 (planning, "configure_kernels", "vector_enabled", "vector_disabled")],
         OBS: [(registry, "configure", "obs_enabled", "obs_disabled"),
               (obs, "configure", "obs_enabled", "obs_disabled")],
     }
@@ -126,20 +121,43 @@ def test_non_default_spellings_at_import():
         "import json\n"
         "from repro.geometry.cache import cache_enabled\n"
         "from repro.obs import obs_enabled\n"
-        "from repro.planning import vector_enabled\n"
         "from repro.sim.batchpath import batchpath_enabled\n"
-        "print(json.dumps([cache_enabled(), batchpath_enabled(),"
-        " vector_enabled(), obs_enabled()]))\n"
+        "print(json.dumps([cache_enabled(), batchpath_enabled(), obs_enabled()]))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p)}
     env.update({
         "REPRO_GEOMETRY_CACHE": " Off ",
         "REPRO_BATCHPATH": "no",
-        "REPRO_PLANNING_VECTOR": "FALSE",
         "REPRO_OBS": " TRUE ",
     })
     run = subprocess.run([sys.executable, "-c", script], env=env, text=True,
                          capture_output=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == [False, False, False, True]
+    assert json.loads(run.stdout) == [False, False, True]
+
+
+def test_retired_planning_variable_changes_nothing():
+    """``REPRO_PLANNING_VECTOR`` names no switch: planning has one implementation."""
+    script = (
+        "import json\n"
+        "from repro import switches\n"
+        "from repro.graphs.hamiltonian import convex_hull_insertion_tour\n"
+        "from repro.graphs.improve import improve_tour\n"
+        "tour = improve_tour(convex_hull_insertion_tour(\n"
+        "    {i: (float(i * i % 11), float(i * 7 % 13)) for i in range(12)}))\n"
+        "print(json.dumps([sorted(switches.snapshot()), list(tour.order)]))\n"
+    )
+    outputs = []
+    for spelling in (None, "0"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p)}
+        env.pop("REPRO_PLANNING_VECTOR", None)
+        if spelling is not None:
+            env["REPRO_PLANNING_VECTOR"] = spelling
+        run = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                             capture_output=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(json.loads(run.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == sorted(s.env for s in SWITCHES)
