@@ -159,7 +159,7 @@ def execute_run(spec: RunSpec) -> dict:
     or off.
 
     The cell goes batch first: :func:`repro.sim.batchpath.batch_execute_records`
-    answers it when it can, sharing cached plans and row-set reductions with
+    answers it when it can, sharing cached plans and record columns with
     every earlier cell of the same content, and the scalar core runs only
     when the batch declines — the record is byte-identical either way.
     """
@@ -171,6 +171,49 @@ def execute_run(spec: RunSpec) -> dict:
     return record if record is not None else _execute_scalar(spec)
 
 
+def _record_head(spec: RunSpec, num_targets: int, num_mules: int, planner: str) -> dict:
+    """A record's leading columns, in their byte-visible key order.
+
+    Identity columns, then the spec's labels, then the planner; every record
+    — the scalar core's, and a batched cell's, hit or miss — appends its
+    metric columns (:func:`_record_columns`) to this.
+    """
+    record: dict = {
+        "strategy": spec.strategy,
+        "seed": spec.seed,
+        "num_targets": num_targets,
+        "num_mules": num_mules,
+        "horizon": spec.sim.horizon,
+    }
+    record.update(spec.labels)
+    record["planner"] = planner
+    return record
+
+
+def _record_columns(metrics: tuple, scenario: Scenario, plan, result) -> dict:
+    """A finished run's metric columns, in their byte-visible key order.
+
+    The paper's six standard metrics, then each entry of ``metrics`` (a
+    spec's ``metrics``).  Every record's metrics are computed here: the
+    scalar core calls it on ``PatrolSimulator.run()``'s result, and a batch
+    miss on the fast tier's result, whose visit and delivery lists are built
+    only if a custom metric reads them.  The three interval metrics are
+    called through this module's names, which perfbench's layer tracer
+    wraps.
+    """
+    columns = {
+        "average_dcdt": average_dcdt(result),
+        "average_sd": average_sd(result),
+        "max_visiting_interval": max_visiting_interval(result),
+        "delivered_data": result.total_delivered_data(),
+        "total_distance": result.total_distance(),
+        "num_dead_mules": len(result.dead_mules()),
+    }
+    for entry in metrics:
+        columns[metric_name(entry)] = compute_metric(entry, scenario, plan, result)
+    return columns
+
+
 def _execute_scalar(spec: RunSpec) -> dict:
     """The per-cell core for a cell the batch declined: build, plan, simulate, reduce.
 
@@ -178,8 +221,6 @@ def _execute_scalar(spec: RunSpec) -> dict:
     simulate stages are wrapped in spans (the plan/sim split of
     :meth:`Campaign.run` sums them); spans never touch the record.
     """
-    from repro.sim.batchpath import _record_head
-
     with _obs.span("cell", cat="campaign", strategy=spec.strategy, seed=spec.seed):
         with _obs.span("scenario-build", cat="campaign"):
             scenario = build_cell_scenario(spec)
@@ -191,14 +232,7 @@ def _execute_scalar(spec: RunSpec) -> dict:
             result = PatrolSimulator(scenario, plan, spec.sim).run()
 
         record = _record_head(spec, scenario.num_targets, scenario.num_mules, plan.strategy)
-        record["average_dcdt"] = average_dcdt(result)
-        record["average_sd"] = average_sd(result)
-        record["max_visiting_interval"] = max_visiting_interval(result)
-        record["delivered_data"] = result.total_delivered_data()
-        record["total_distance"] = result.total_distance()
-        record["num_dead_mules"] = len(result.dead_mules())
-        for entry in spec.metrics:
-            record[metric_name(entry)] = compute_metric(entry, scenario, plan, result)
+        record.update(_record_columns(spec.metrics, scenario, plan, result))
     return record
 
 

@@ -5,7 +5,11 @@ metrics *by name*; the executor looks the names up here and calls
 ``fn(scenario, plan, result, **params)`` after the simulation finishes.
 The built-in extractors cover everything the paper's figure experiments
 need beyond the standard record columns; downstream code can add more with
-:func:`register_metric`.
+:func:`register_metric`.  An extractor may read anything of the result (its
+visit and delivery lists are built on first read when a fast tier ran the
+cell), the plan and the scenario's layout; the scenario's mules are left in
+their final state only when the cell ran per cell, so an extractor should
+not read them.
 """
 
 from __future__ import annotations

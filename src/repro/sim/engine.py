@@ -63,9 +63,9 @@ class SimulationConfig:
     batch_path:
         Allow the campaign-level batched fast path
         (:mod:`repro.sim.batchpath`), which answers a fastpath-eligible cell
-        from the cached reduction of its rows, reducing them straight to the
-        record's metrics on a miss.  Results are
-        byte-identical either way; disable to force per-cell dispatch for
+        from the cached metric columns of its key, reducing the fast path's
+        result to them on a miss without building its visit and delivery
+        lists or the final mule state.  Results are byte-identical either way; disable to force per-cell dispatch for
         this spec (the process-wide switch is ``REPRO_BATCHPATH`` in
         :mod:`repro.switches`).  Consulted by
         :func:`repro.sim.batchpath.batch_execute_records`, which every
@@ -138,9 +138,9 @@ class PatrolSimulator:
         alternating recharge schedule, CHB, Sweep — with or without tracked
         batteries, dwell times and visit limits) are served by the analytic
         fast path in :mod:`repro.sim.fastpath`: it builds the batched tier's
-        rows, ranks every event up to the horizon in the event queue's pop
-        order and materialises the result from those arrays, byte for byte
-        the event loop's.  Everything else — stochastic routes, pre-loaded
+        rows and its one result from those arrays, whose visit and delivery
+        lists are built on first read, and leaves the final mule state, byte
+        for byte the event loop's.  Everything else — stochastic routes, pre-loaded
         buffers, degenerate zero-advance laps, a tracked battery that ends in
         the engine's 1e-9 m clip window — runs the full discrete-event loop
         below.

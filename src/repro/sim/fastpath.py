@@ -9,8 +9,8 @@ variant, CHB and Sweep — none of that is necessary: each mule follows a
 sequence is an arithmetic chain over a periodic pattern of leg lengths.
 
 This module exploits that, with one model of the engine's event order and
-battery that both fast tiers share — :func:`run_fast_path` here, and the
-batched reduction of :mod:`repro.sim.batchpath`:
+battery, and one result, that both fast tiers share — :func:`run_fast_path`
+here, and the batched tier of :mod:`repro.sim.batchpath`:
 
 1. per mule, a :class:`_Row` (a :class:`LegPattern` plus node indices)
    reduces the effective waypoint sequence to a *prefix + cycle* walk
@@ -27,10 +27,17 @@ batched reduction of :mod:`repro.sim.batchpath`:
 3. :class:`_Table` holds the kept arrivals as flat arrays and derives what
    that order decides: the collection-window packet sizes (windows are
    shared between mules) and the sink flushes with their FIFO delivery
-   order;
-4. per-mule distance and energy come from cumulative sums cut at the number
-   of applied legs; a tracked battery replays the applied legs through the
-   mule's own :class:`~repro.energy.battery.Battery`.
+   order.  The order is solved only where it decides something: on a tie
+   between two collections at one target or two delivering flushes, for a
+   ``max_visits`` cut, and for the visit log;
+4. :func:`fast_result` builds the :class:`~repro.sim.recorder.SimulationResult`
+   from the table: its visit table, delivered total, traces (per-mule
+   distance and energy are cumulative sums cut at the number of applied
+   legs) and metadata come from arrays, and its ``visits`` and
+   ``deliveries`` lists are built only when something reads them;
+5. :func:`run_fast_path` adds the final mule state: undelivered packets in
+   the buffers, and a tracked battery's charge and totals as one running
+   sum per segment between refills.
 
 The result is **byte-identical** to the event loop — same visit log, same
 deliveries, same traces, same metadata, same final mule state — at a
@@ -71,7 +78,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import repeat
+from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -82,7 +89,7 @@ from repro.network.datamodel import DataPacket
 from repro.network.mules import MuleState
 from repro.sim.recorder import DeliveryRecord, MuleTrace, SimulationResult, VisitRecord
 
-__all__ = ["fast_path_eligible", "fast_path_rejection", "run_fast_path"]
+__all__ = ["fast_path_eligible", "fast_path_rejection", "fast_result", "run_fast_path"]
 
 # Safety valve, for both fast tiers: beyond this many precomputed arrival
 # events per mule the array stage would dominate memory; such runs are no
@@ -129,16 +136,6 @@ def fast_path_rejection(sim) -> str | None:
 def fast_path_eligible(sim) -> bool:
     """Whether ``sim`` (a :class:`~repro.sim.engine.PatrolSimulator`) qualifies."""
     return fast_path_rejection(sim) is None
-
-
-def run_fast_path(sim) -> "SimulationResult | None":
-    """Run ``sim`` analytically; ``None`` means "use the event loop instead"."""
-    if not fast_path_eligible(sim):
-        return None
-    try:
-        return _run(sim)
-    except _Fallback:
-        return None
 
 
 # --------------------------------------------------------------------------- #
@@ -292,11 +289,14 @@ class BatteryStop(NamedTuple):
     the battery (the visit stands, its packet is never delivered), and
     ``"clip"`` when the leg's drain exceeds the charge by less than the
     engine's 1e-9 m tolerance, which the engine clips to an empty battery.
+    ``charge`` is what the battery holds when the stop strikes: at the fatal
+    leg's departure, or before the fatal collection, which drains all of it.
     """
 
     leg: int
     kind: str
     reachable: float
+    charge: float
 
 
 class LegPattern:
@@ -505,9 +505,9 @@ class LegPattern:
             hit = short | clipped | spent
             if hit.any():
                 j = int(np.argmax(hit))
-                if short[j]:
-                    return BatteryStop(start + j, "move", float(before[j]) / move_cost)
-                return BatteryStop(start + j, "clip" if clipped[j] else "collect", 0.0)
+                kind = "move" if short[j] else "clip" if clipped[j] else "collect"
+                charge = float(sums[2 * j + 1] if kind == "collect" else before[j])
+                return BatteryStop(start + j, kind, charge / move_cost if short[j] else 0.0, charge)
             start, level = end, capacity
         return None
 
@@ -553,19 +553,22 @@ class _Row(LegPattern):
 
     def stop_time(self) -> float:
         """When ``stop`` strikes: the mid-leg death, or the arrival it ends on."""
-        leg, kind, reachable = self.stop
+        leg, kind, reachable, _charge = self.stop
         on_init = leg < self.init_event  # the initial leg departs at 0
         if kind == "move":
             depart = 0.0 if on_init else float(self.full[-1])
             return depart + (reachable / self.velocity if self.velocity > 0 else 0.0)
         return self.init_time if on_init else float(self.full[-2])
 
-    def node(self, leg: int) -> str:
-        """The walk node that leg ``leg`` runs to."""
+    def destination(self, leg: int, coordinates) -> Point:
+        """Where applied leg ``leg`` (the initial leg first) runs to."""
+        leg -= self.init_event
+        if leg < 0:
+            return self.start_point
         walk = self.walk
-        if leg < len(walk):
-            return walk[leg]
-        return walk[self.cycle_start + (leg - len(walk)) % (len(walk) - self.cycle_start)]
+        if leg >= len(walk):
+            leg = self.cycle_start + (leg - len(walk)) % (len(walk) - self.cycle_start)
+        return coordinates[walk[leg]]
 
 
 def _rows(sim) -> "list[_Row]":
@@ -592,6 +595,13 @@ def _rows(sim) -> "list[_Row]":
 # The engine's event order, from each row's chain of event times
 # --------------------------------------------------------------------------- #
 
+def _running_sum(start: float, steps: np.ndarray) -> float:
+    """``start`` plus each of ``steps`` in turn: one sequential ``np.cumsum``,
+    the float additions of the engine's ``+=`` (and, with negated steps, of
+    ``Battery.drain``'s ``-=``)."""
+    return float(np.cumsum(np.concatenate(([start], steps)))[-1])
+
+
 class _Kept(NamedTuple):
     """What of one cumsum'd row the run applies: a prefix of its chain."""
 
@@ -609,13 +619,31 @@ class _Kept(NamedTuple):
         The initial leg sits inside the sum: prepending it changes every
         partial sum's rounding, so it cannot be added afterwards.
         """
-        applied = self.arrivals + self.init
-        travelled = 0.0
-        if applied:
-            travelled = float(np.cumsum(self.row.applied_legs()[0][:applied])[-1])
+        travelled = _running_sum(0.0, self.row.applied_legs()[0][:self.arrivals + self.init])
         if self.dies and self.row.stop.kind == "move":
             travelled += self.row.stop.reachable
         return travelled
+
+    def drains(self, energy) -> np.ndarray:
+        """The mule's energy drains in the order the engine applies them.
+
+        Each applied leg's move drain, then its collect drain (``0.0`` off a
+        plain target: a bitwise no-op on the non-negative running sums), so
+        one running sum is the engine's total.  No drain before a battery
+        stop is clipped; at the stop the fatal collection drains the charge
+        left, and a mid-leg death drains the charge it departed with.
+        """
+        applied = self.arrivals + self.init
+        dists, codes = self.row.applied_legs()
+        drains = np.empty(2 * applied, dtype=float)
+        drains[0::2] = dists[:applied] * energy.move_cost_per_meter
+        drains[1::2] = np.where(codes[:applied] == 1, energy.collect_cost, 0.0)
+        stop = self.row.stop
+        if self.dies and stop.kind == "move":
+            return np.append(drains, stop.charge)
+        if self.dies:
+            drains[-1] = stop.charge
+        return drains
 
 
 def _horizon_cut(rows: "list[_Row]", horizon: float) -> "list[_Kept] | str":
@@ -731,19 +759,32 @@ def _rank_cut(kept: "list[_Kept]", chains: "list[np.ndarray]", ranks: np.ndarray
 
 
 class _Table:
-    """The kept arrivals of a row set as flat arrays, row after row, each in chain order.
+    """The kept arrivals of a row set as flat arrays, and the lists a fast result builds from them.
 
-    ``times``, ``codes`` and ``tidx`` describe each arrival and ``row``
-    indexes its row.  ``collect`` indexes the collections (code 1), whose
-    times and target indices are ``ct`` and ``cx``.  A collection's packet
-    is delivered at its row's next sink arrival in chain order, when that
-    one is kept: ``delivered`` marks those collections, and ``flush`` holds
-    their flushes' arrival indices.
+    ``times``, ``codes`` and ``tidx`` describe each arrival, row after row,
+    each row in chain order, and ``row`` indexes its row.  ``collect``
+    indexes the collections (code 1), whose times and target indices are
+    ``ct`` and ``cx``.  A collection's packet is delivered at its row's next
+    sink arrival in chain order, when that one is kept: ``delivered`` marks
+    those collections, and ``flush`` holds their flushes' arrival indices.
+
+    ``key`` orders the arrivals as the engine pops them wherever that order
+    decides something: it holds their times until a tie or a ``max_visits``
+    cut needs their pop ranks (``ranked``).  ``ids`` names each node index
+    (the targets, the sink, the station) and ``mule_ids`` each row's mule.
+    :func:`fast_result` sets each collection's packet window (``opened``)
+    and size (``sizes``) and the ``delivered_data`` total; the result's
+    ``visits`` and ``deliveries`` are built here when first read.
     """
 
-    __slots__ = ("times", "codes", "tidx", "row", "collect", "ct", "cx", "delivered", "flush")
+    __slots__ = ("kept", "times", "codes", "tidx", "row", "collect", "ct", "cx", "delivered",
+                 "flush", "key", "ranked", "ids", "mule_ids", "opened", "sizes",
+                 "delivered_data")
 
-    def __init__(self, kept: "list[_Kept]") -> None:
+    def __init__(self, sim, kept: "list[_Kept]") -> None:
+        self.kept = kept
+        self.ids = [*map(_ID, sim.scenario.targets), sim._sink_id, sim._recharge_id]
+        self.mule_ids = [*map(_ID, sim.scenario.mules)]
         self.times = np.concatenate([k.row.full[1:2 * k.arrivals:2] for k in kept])
         self.codes = codes = np.concatenate([k.row.codes[:k.arrivals] for k in kept])
         self.tidx = np.concatenate([k.row.tidx[:k.arrivals] for k in kept])
@@ -761,6 +802,16 @@ class _Table:
             delivered = (flush > collect) & (row[flush] == row[collect])
         self.delivered = delivered
         self.flush = flush[delivered]
+        self.key = self.times
+        self.ranked = False
+
+    def ranks(self) -> np.ndarray:
+        """Every kept arrival's pop rank, solved from the rows' chains on first need."""
+        if not self.ranked:
+            chains, at = _chains(self.kept)
+            self.key = _pop_ranks(chains)[at]
+            self.ranked = True
+        return self.key
 
     def packets(self, order: np.ndarray, rates: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Each collection's window opening and packet size, in collection order.
@@ -775,146 +826,214 @@ class _Table:
         opened[order[1:]] = np.where(cx_s[1:] == cx_s[:-1], ct_s[:-1], 0.0)
         return opened, (self.ct - opened) * rates[self.cx]
 
-    def delivery_order(self, key: np.ndarray) -> np.ndarray:
+    def delivery_order(self) -> np.ndarray:
         """The delivered collections in the engine's delivery-list order.
 
-        Flushes run in pop order — ``key`` ranks the arrivals by it — and
+        Flushes run in pop order — ``key`` orders the arrivals by it — and
         each delivers its row's buffer FIFO, in chain order.
         """
-        return np.lexsort((self.collect[self.delivered], key[self.flush]))
+        return np.lexsort((self.collect[self.delivered], self.key[self.flush]))
+
+    def visits(self) -> "list[VisitRecord]":
+        """The visit log: plain targets, the sink and the station record a visit, in pop order."""
+        visits = np.flatnonzero(self.codes > 0)
+        visits = visits[np.argsort(self.ranks()[visits])]
+        return list(map(
+            VisitRecord, self.times[visits].tolist(),
+            map(self.ids.__getitem__, self.tidx[visits].tolist()),
+            map(self.mule_ids.__getitem__, self.row[visits].tolist()),
+            (self.codes[visits] != 3).tolist(),
+        ))
+
+    def deliveries(self) -> "list[DeliveryRecord]":
+        """The delivery list: each flush, in pop order, delivers its packets FIFO."""
+        fifo = self.delivery_order()
+        sent = np.flatnonzero(self.delivered)[fifo]
+        flush = self.flush[fifo]
+        collected = self.ct[sent].tolist()
+        # generated_to and collected_at are one instant, as in DataCollectionModel.collect.
+        return list(map(
+            DeliveryRecord, self.times[flush].tolist(),
+            map(self.mule_ids.__getitem__, self.row[flush].tolist()),
+            map(self.ids.__getitem__, self.cx[sent].tolist()), self.opened[sent].tolist(),
+            collected, collected, self.sizes[sent].tolist(),
+        ))
 
 
 # --------------------------------------------------------------------------- #
-# The scalar tier
+# One fast result for both fast tiers
 # --------------------------------------------------------------------------- #
 
-def _run(sim) -> SimulationResult:
-    """Every event of ``sim`` up to the horizon, ordered by rank, as a result."""
-    rows = _rows(sim)
+def fast_result(sim) -> "SimulationResult | str":
+    """``sim``'s result, from the kept-event table, or why the fast tiers decline it.
+
+    The reasons are ``"row-fallback"`` when a mule's :class:`LegPattern`
+    declines, and ``"lap-estimate"`` or ``"battery-clip"`` from
+    :func:`_horizon_cut`.  The result's visit table, delivered total, traces
+    and metadata are computed here from arrays; its ``visits`` and
+    ``deliveries`` are built from the table when first read
+    (:class:`_Table`).  No mule is touched: :func:`run_fast_path` leaves the
+    final mule state, and the batched tier reduces the result to a record
+    without it.
+    """
+    try:
+        rows = _rows(sim)
+    except _Fallback:
+        return "row-fallback"
     for row in rows:
         row.chain()
-    kept = _horizon_cut(rows, sim.config.horizon)
+    config = sim.config
+    kept = _horizon_cut(rows, config.horizon)
     if isinstance(kept, str):
-        raise _Fallback
-    chains, at = _chains(kept)
-    ranks = _pop_ranks(chains)
-    key = ranks[at]
-    table = _Table(kept)
-    max_visits = sim.config.max_visits
+        return kept
+    table = _Table(sim, kept)
+    max_visits = config.max_visits
     if max_visits is not None:
+        # The engine stops at the max_visits-th recorded visit in pop order.
+        chains, at = _chains(kept)
+        ranks = _pop_ranks(chains)
+        key = ranks[at]
         recorded = key[(table.codes == 1) | (table.codes == 2)]
         if recorded.size >= max_visits:
             cut = np.partition(recorded, max_visits - 1)[max_visits - 1]
             kept = _rank_cut(kept, chains, ranks, key, cut)
             key = key[key <= cut]
-            table = _Table(kept)
-    return _materialise(sim, kept, table, key)
+            table = _Table(sim, kept)
+        table.key, table.ranked = key, True
+    ct = table.ct
 
+    # Node indices (targets, then the sink) ranked by id: the visit table
+    # lists the visited nodes in that order.  The ranks take the smallest
+    # unsigned dtype, so lexsort's stable pass over them is a radix sort.
+    names = table.ids[:-1]
+    by_id = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.min_scalar_type(len(names)))
+    rank[by_id] = np.arange(len(names))
+    cr = rank[table.cx]
 
-def _materialise(sim, kept: "list[_Kept]", table: _Table, key: np.ndarray) -> SimulationResult:
-    """The result and final mule state of the ``kept`` events; ``key`` ranks the arrivals."""
-    scenario = sim.scenario
-    plan = sim.plan
-    result = SimulationResult(
-        strategy=plan.strategy, horizon=sim.config.horizon, metadata=dict(plan.metadata)
-    )
-    result.metadata.setdefault("patrol_start_time", sim._patrol_start_time())
-    targets = scenario.targets
-    ids = [*map(_ID, targets), sim._sink_id, sim._recharge_id]
-    mule_ids = [*map(_ID, scenario.mules)]
+    # The engine handles visits in pop order: time order, except that its
+    # heap's sequence numbers order the events of one instant.  Two things
+    # read that order: the collections at each target (the packet sizes) and
+    # the delivering flushes (the summation order of the delivery list).
+    # Only when one of them ties do the rows' chains replay it.
+    order = np.lexsort((table.key[table.collect], cr))
+    if not table.ranked:
+        same_target = (np.diff(cr[order]) == 0) & (np.diff(ct[order]) == 0.0)
+        # ``flush`` is non-decreasing (a masked searchsorted over increasing
+        # collection indices), so each distinct flush starts where it steps up.
+        flush = table.flush
+        first_of_flush = np.ones(flush.size, dtype=bool)
+        np.not_equal(flush[1:], flush[:-1], out=first_of_flush[1:])
+        flush_times = np.sort(table.times[flush[first_of_flush]])
+        if same_target.any() or (np.diff(flush_times) == 0.0).any():
+            order = np.lexsort((table.ranks()[table.collect], cr))
+    targets = sim.scenario.targets
     rates = np.fromiter(map(_DATA_RATE, targets), dtype=float, count=len(targets))
-    times, codes = table.times, table.codes
+    table.opened, table.sizes = table.packets(order, rates)
+    # The recorder adds the delivery list up with the built-in ``sum`` in
+    # its order (compensated from Python 3.12, so no numpy sum stands in;
+    # an empty list sums to the int 0).
+    table.delivered_data = sum(table.sizes[table.delivered][table.delivery_order()].tolist())
 
-    # Plain targets, the sink and the station record a visit, in pop order.
-    visits = np.flatnonzero(codes > 0)
-    visits = visits[np.argsort(key[visits])]
-    result.visits = list(map(
-        VisitRecord, times[visits].tolist(), map(ids.__getitem__, table.tidx[visits].tolist()),
-        map(mule_ids.__getitem__, table.row[visits].tolist()), (codes[visits] != 3).tolist(),
-    ))
+    # Collections grouped by target rank, each group in pop order, which is
+    # time order: exactly the recorder's sorted per-target stretches.  The
+    # sink's sorted stretch slots in at its rank.
+    ct_s = ct[order]
+    cr_s = cr[order]
+    sink_rank = rank[-1]
+    sink_times = np.sort(table.times[table.codes == 2])
+    at = np.searchsorted(cr_s, sink_rank)
+    counts = np.bincount(cr_s, minlength=len(names))
+    counts[sink_rank] = sink_times.size
+    visited = counts > 0
+    visit_table = (
+        list(compress(map(names.__getitem__, by_id), visited.tolist())),
+        counts[visited],
+        np.concatenate((ct_s[:at], sink_times, ct_s[at:])),
+    )
 
-    opened, sizes = table.packets(np.lexsort((key[table.collect], table.cx)), rates)
-    fifo = table.delivery_order(key)
-    sent = np.flatnonzero(table.delivered)[fifo]
-    flush = table.flush[fifo]
-    collected = table.ct[sent].tolist()
-    # generated_to and collected_at are one instant, as in DataCollectionModel.collect.
-    result.deliveries = list(map(
-        DeliveryRecord, times[flush].tolist(), map(mule_ids.__getitem__, table.row[flush].tolist()),
-        map(ids.__getitem__, table.cx[sent].tolist()), opened[sent].tolist(), collected,
-        collected, sizes[sent].tolist(),
-    ))
     collectors = table.row[table.collect]
-    left = np.flatnonzero(~table.delivered)  # still on board, in chain order
-    for r, target, opened_at, at, size in zip(
-        collectors[left].tolist(), table.cx[left].tolist(), opened[left].tolist(),
-        table.ct[left].tolist(), sizes[left].tolist(),
-    ):
-        scenario.mules[r].buffer.add(DataPacket(ids[target], opened_at, at, at, size))
-
     collections = np.bincount(collectors, minlength=len(kept)).tolist()
     deliveries = np.bincount(collectors[table.delivered], minlength=len(kept)).tolist()
-    stations = np.bincount(table.row[codes == 3], minlength=len(kept)).tolist()
-    for i, (k, mule) in enumerate(zip(kept, scenario.mules)):
-        trace = MuleTrace(mule.id, distance_travelled=k.distance(),
-                          collections=collections[i], deliveries=deliveries[i])
-        result.traces[mule.id] = trace
-        _replay_mule(sim, k, mule, trace, stations[i])
+    stations = np.bincount(table.row[table.codes == 3], minlength=len(kept)).tolist()
+    traces = {}
+    for k, mule, collected, delivered, recharged in zip(
+        kept, sim.scenario.mules, collections, deliveries, stations
+    ):
+        traces[mule.id] = MuleTrace(
+            mule.id, distance_travelled=k.distance(),
+            energy_consumed=_running_sum(0.0, k.drains(sim._energy)),
+            collections=collected, deliveries=delivered,
+            recharges=recharged if mule.battery is not None else 0,
+            initialization_time=k.row.init_time if k.init else 0.0,
+            death_time=k.row.stop_time() if k.dies else None,
+        )
+    metadata = dict(sim.plan.metadata)
+    metadata.setdefault("patrol_start_time", sim._patrol_start_time())
+    result = SimulationResult(sim.plan.strategy, config.horizon, traces=traces, metadata=metadata)
+    state = result.__dict__
+    del state["visits"], state["deliveries"]  # built from the table on first read
+    state.update(_source=table, _visit_table=(int(np.count_nonzero(table.codes)), visit_table))
     return result
 
 
-def _replay_mule(sim, k: _Kept, mule, trace: MuleTrace, stations: int) -> None:
-    """A mule's energy, recharges, death and final position over its applied legs."""
-    row = k.row
-    energy = sim._energy
-    applied = k.arrivals + k.init
-    dists, codes = row.applied_legs()
-    moves = dists[:applied] * energy.move_cost_per_meter
-    codes = codes[:applied]
-    battery = mule.battery
-    if sim.config.track_energy and battery is not None:
-        # Battery.drain clips no drain before the stop, but it keeps the
-        # battery's own totals: replay through it, one leg after another.
-        spent = 0.0
-        for move, code in zip(moves.tolist(), codes.tolist()):
-            spent += battery.drain(move)
-            if code == 1:
-                spent += battery.drain(energy.collect_cost)
-            elif code == 3:
-                mule.recharge_full()
-        trace.energy_consumed = spent
-    else:
+# --------------------------------------------------------------------------- #
+# The scalar tier: the fast result, and the mules left as the event loop leaves them
+# --------------------------------------------------------------------------- #
+
+def run_fast_path(sim) -> "SimulationResult | None":
+    """Run ``sim`` analytically; ``None`` means "use the event loop instead".
+
+    The result is :func:`fast_result`'s, and the mules are left as the event
+    loop leaves them: undelivered packets in their buffers, their batteries,
+    positions and states.
+    """
+    if not fast_path_eligible(sim):
+        return None
+    result = fast_result(sim)
+    if isinstance(result, str):
+        return None
+    table = result._source
+    mules = sim.scenario.mules
+    left = np.flatnonzero(~table.delivered)  # still on board, in chain order
+    for r, target, opened_at, at, size in zip(
+        table.row[table.collect][left].tolist(), table.cx[left].tolist(),
+        table.opened[left].tolist(), table.ct[left].tolist(), table.sizes[left].tolist(),
+    ):
+        mules[r].buffer.add(DataPacket(table.ids[target], opened_at, at, at, size))
+    for k, mule in zip(table.kept, mules):
+        row = k.row
+        applied = k.arrivals + k.init
+        if mule.battery is not None:
+            drains = k.drains(sim._energy) if sim.config.track_energy else np.empty(0)
+            _leave_battery(mule.battery, drains, np.flatnonzero(row.applied_legs()[1][:applied] == 3))
+        coordinates = sim.plan.route_for(mule.id).coordinates
         if applied:
-            # Movement and collection energy as separate additions,
-            # interleaved before one cumulative sum (a 0.0 where nothing is
-            # collected is a bitwise no-op on the non-negative partial sums).
-            drains = np.empty(2 * applied, dtype=float)
-            drains[0::2] = moves
-            drains[1::2] = np.where(codes == 1, energy.collect_cost, 0.0)
-            trace.energy_consumed = float(np.cumsum(drains)[-1])
-        if battery is not None:
-            for _ in range(stations):
-                mule.recharge_full()
-    if battery is not None:
-        trace.recharges = stations
-    if k.init:
-        trace.initialization_time = row.init_time
-    coordinates = sim.plan.route_for(mule.id).coordinates
-    position = mule.position
-    if k.arrivals:
-        position = coordinates[row.node(k.arrivals - 1)]
-    elif k.init:
-        position = row.start_point
-    if applied:
-        mule.position = position
-        mule.state = MuleState.MOVING
-    if k.dies:
-        stop = row.stop
-        if stop.kind == "move":
-            # Stranded mid-leg, with what the battery has left drained.
-            leg = stop.leg - row.init_event
-            destination = row.start_point if leg < 0 else coordinates[row.node(leg)]
-            mule.position = position.towards(destination, stop.reachable)
-            trace.energy_consumed += battery.drain(battery.remaining)
-        trace.death_time = row.stop_time()
-        mule.state = MuleState.DEAD
+            mule.position = row.destination(applied - 1, coordinates)
+            mule.state = MuleState.MOVING
+        if k.dies:
+            stop = row.stop
+            if stop.kind == "move":
+                # Stranded mid-leg, as far as the charge carried it.
+                mule.position = mule.position.towards(row.destination(stop.leg, coordinates),
+                                                      stop.reachable)
+            mule.state = MuleState.DEAD
+    return result
+
+
+def _leave_battery(battery, drains: np.ndarray, refills: np.ndarray) -> None:
+    """Leave ``battery`` as the engine's drains and refills do.
+
+    ``drains`` interleaves the applied legs' move and collect drains
+    (:meth:`_Kept.drains`; empty when the battery is not tracked), none of
+    them clipped, and the mule refills after each leg in ``refills``: the
+    charge is one running sum per segment between refills, and each refill
+    is the engine's own ``Battery.refill``.
+    """
+    start = 0
+    for end in (2 * refills + 2).tolist():
+        battery.remaining = _running_sum(battery.remaining, -drains[start:end])
+        battery.refill()
+        start = end
+    battery.remaining = _running_sum(battery.remaining, -drains[start:])
+    battery.total_drained = _running_sum(battery.total_drained, drains)

@@ -61,14 +61,16 @@ def _interval_table(result: SimulationResult, *, include_first: bool = False,
     its first visit less ``0.0`` instead.  ``intervals`` is then the
     contiguous array a concatenation of the per-target arrays gives, so
     reductions over it add in the same order.  The table of all visited
-    targets is cached on the result.  With ``targets``, the table lists
-    those targets in the caller's order (duplicates dropped, an unvisited
-    target with no intervals).
+    targets is cached on the result, keyed by the visit table it was
+    computed from.  With ``targets``, the table lists those targets in the
+    caller's order (duplicates dropped, an unvisited target with no
+    intervals).
     """
+    visit_table = result.visit_table()
     tables = result.__dict__.setdefault("_interval_tables", {})
     cached = tables.get(include_first)
-    if cached is None or cached[0] != len(result.visits):
-        ids, counts, times = result.visit_table()
+    if cached is None or cached[0] is not visit_table:
+        ids, counts, times = visit_table
         starts = np.cumsum(counts) - counts
         if include_first:
             previous = np.empty_like(times)
@@ -78,7 +80,7 @@ def _interval_table(result: SimulationResult, *, include_first: bool = False,
         else:
             intervals = np.delete(np.diff(times), starts[1:] - 1)
             counts = counts - 1
-        cached = tables[include_first] = (len(result.visits), (ids, counts, intervals))
+        cached = tables[include_first] = (visit_table, (ids, counts, intervals))
     if targets is None:
         return cached[1]
     arrays = _per_target(cached[1])

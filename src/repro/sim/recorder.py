@@ -6,7 +6,13 @@ The hot-path metric queries (:meth:`SimulationResult.visit_times`,
 :meth:`SimulationResult.visit_table` — built from the visit log **once** per
 result and cached, instead of re-filtering the full log for every target as
 the original per-event code did.  The cache is invalidated by visit-log
-length, so incremental consumers that append records still see fresh data.
+length, so incremental consumers that append records still see fresh data;
+the caches derived from the table are keyed by the table object itself.
+
+A result of the fast tiers (:func:`repro.sim.fastpath.fast_result`) comes
+with its visit table and delivered total already computed from arrays, and
+builds its ``visits`` and ``deliveries`` lists only when something reads
+them.
 """
 
 from __future__ import annotations
@@ -93,11 +99,13 @@ class SimulationResult:
         ``ids`` lists the visited targets in sorted order, ``counts`` their
         numbers of visits, and ``times`` each target's visit times, sorted,
         one stretch after another in ``ids`` order.  Built in one pass and
-        cached on the result (keyed by visit-log length); the batched tier
-        seeds it directly.  The arrays are cache-shared: copy before mutating.
+        cached on the result (keyed by visit-log length); a fast-tier result
+        is seeded with it, valid until its visit list is built and changes
+        length.  The arrays are cache-shared: copy before mutating.
         """
         cached = self.__dict__.get("_visit_table")
-        if cached is not None and cached[0] == len(self.visits):
+        if cached is not None and ("visits" not in self.__dict__
+                                   or cached[0] == len(self.visits)):
             return cached[1]
         visits = list(compress(self.visits, map(_IS_TARGET, self.visits)))
         nodes = list(map(_NODE_ID, visits))
@@ -115,16 +123,17 @@ class SimulationResult:
     def visit_times_by_target(self) -> "dict[str, np.ndarray]":
         """Sorted visit-time array per visited target: views into :meth:`visit_table`.
 
-        The mapping is cached on the result with the table, so per-target
-        queries share one pass over the visit log.  The arrays are
-        cache-shared: copy before mutating.
+        The mapping is cached on the result, keyed by the table it splits,
+        so per-target queries share one pass over the visit log.  The arrays
+        are cache-shared: copy before mutating.
         """
+        table = self.visit_table()
         cached = self.__dict__.get("_visit_times_cache")
-        if cached is not None and cached[0] == len(self.visits):
+        if cached is not None and cached[0] is table:
             return cached[1]
-        ids, counts, times = self.visit_table()
+        ids, counts, times = table
         arrays = dict(zip(ids, np.split(times, np.cumsum(counts)[:-1])))
-        self.__dict__["_visit_times_cache"] = (len(self.visits), arrays)
+        self.__dict__["_visit_times_cache"] = (table, arrays)
         return arrays
 
     def visit_times(self, target_id: str) -> list[float]:
@@ -147,6 +156,8 @@ class SimulationResult:
         return sum(t.energy_consumed for t in self.traces.values())
 
     def total_delivered_data(self) -> float:
+        if "deliveries" not in self.__dict__:  # a fast-tier result knows it unbuilt
+            return self.__dict__["_source"].delivered_data
         return sum(d.size for d in self.deliveries)
 
     def surviving_mules(self) -> list[str]:
@@ -167,3 +178,31 @@ class SimulationResult:
             "delivered_data": round(self.total_delivered_data(), 3),
             "dead_mules": self.dead_mules(),
         }
+
+
+def _built_on_read(name: str) -> property:
+    """The ``name`` list field, stored as set or built on its first read.
+
+    A fast-tier result is made without its ``visits`` and ``deliveries``:
+    its ``_source`` (the kept-event table of :mod:`repro.sim.fastpath`)
+    builds each list when something first reads it, equal to the event
+    loop's.  Every other result stores the list its ``__init__`` sets.
+    """
+
+    def get(self) -> list:
+        state = self.__dict__
+        if name not in state:
+            state[name] = getattr(state["_source"], name)()
+        return state[name]
+
+    def set(self, value: list) -> None:
+        self.__dict__[name] = value
+
+    return property(get, set, doc=f"The result's {name} (built on first read on a fast tier).")
+
+
+# Installed once the dataclass has generated its methods: ``__init__``,
+# ``__eq__`` and ``__repr__`` read and write the fields as attributes, so
+# they go through these properties.
+SimulationResult.visits = _built_on_read("visits")  # type: ignore[assignment]
+SimulationResult.deliveries = _built_on_read("deliveries")  # type: ignore[assignment]

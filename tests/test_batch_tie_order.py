@@ -2,9 +2,9 @@
 
 When two visit events share a timestamp, the event loop's heap pops the one
 with the lower sequence number first, and packet sizes and the delivery-list
-order follow.  The batched reduction never runs that heap; it solves the
-order from each mule's chain of event times
-(:func:`repro.sim.fastpath._pop_ranks`, shared with the scalar fast path).
+order follow.  The fast tiers never run that heap; their one result
+(:func:`repro.sim.fastpath.fast_result`) solves the order from each mule's
+chain of event times (:func:`repro.sim.fastpath._pop_ranks`).
 These tests hold the solver to a ``heapq`` replay of the engine's rule on
 seeded chain sets of every shape that ties, and the chains the batch builds
 from real rows (initial legs, dwell-done events, battery stops) to the order
@@ -28,7 +28,7 @@ from repro.network.field import Field
 from repro.network.mules import DataMule
 from repro.network.scenario import Scenario, SimulationParameters
 from repro.network.targets import RechargeStation, Sink, Target
-from repro.runner.campaign import _json_sanitize
+from repro.runner.campaign import _json_sanitize, _record_columns
 from repro.sim import batchpath, fastpath
 from repro.sim.engine import PatrolSimulator, SimulationConfig
 from repro.sim.fastpath import fast_path_rejection
@@ -214,46 +214,32 @@ def lattice_cell(seed: int):
 
 
 def batch_reduction(scenario, plan, config, monkeypatch):
-    """The batch's reduction of the cell, and the visits in its pop order (or ``None``)."""
+    """What a batch miss makes of the cell: its record columns, or why it declines.
+
+    Returns ``(columns, result, solved)``: the fast result the columns were
+    reduced from (``None`` on a decline), and whether the reduction solved
+    the engine's tie order.  The reduction builds neither list.
+    """
     sim = PatrolSimulator(scenario, plan, config)
     assert fast_path_rejection(sim) is None
-    rows = batchpath._build_rows(sim)
-    assert not isinstance(rows, str), rows
-    for row in rows:
-        row.chain()
-    solved = {}
-    original = batchpath._arrival_ranks
-
-    def spy(kept):
-        solved["kept"] = kept
-        solved["ranks"] = original(kept)
-        return solved["ranks"]
-
+    solves = []
+    original = fastpath._pop_ranks
     with monkeypatch.context() as patcher:
-        patcher.setattr(batchpath, "_arrival_ranks", spy)
-        reduced = batchpath._reduce_rows(
-            rows, [t.id for t in scenario.targets],
-            np.array([t.data_rate for t in scenario.targets], dtype=float),
-            scenario.sink.id, config.horizon, plan.strategy,
-        )
-    if not solved:
-        return reduced, None
-    visits = []
-    for kept, mule in zip(solved["kept"], scenario.mules):
-        row, n_keep = kept.row, kept.arrivals
-        nodes = row.tile(row.walk)
-        visits += [(float(row.full[2 * k + 1]), nodes[k], mule.id, int(row.codes[k]))
-                   for k in range(n_keep)]
-    ordered = [visits[i] for i in np.argsort(solved["ranks"])]
-    # Plain targets, the sink and the recharge station record a visit.
-    return reduced, [v[:3] for v in ordered if v[3] in (1, 2, 3)]
+        patcher.setattr(fastpath, "_pop_ranks",
+                        lambda chains: solves.append(chains) or original(chains))
+        result = fastpath.fast_result(sim)
+        if isinstance(result, str):
+            return result, None, False
+        columns = _record_columns((), scenario, plan, result)
+    assert "visits" not in vars(result) and "deliveries" not in vars(result)
+    return columns, result, bool(solves)
 
 
 class TestRowChains:
     def test_batch_visit_order_is_the_event_loops(self, monkeypatch):
         solved = deaths = initial = dwelling = 0
         for seed in range(200):
-            reduced, batch_order = batch_reduction(*lattice_cell(seed), monkeypatch)
+            reduced, fast, solved_here = batch_reduction(*lattice_cell(seed), monkeypatch)
             scenario, plan, config = lattice_cell(seed)
             result = PatrolSimulator(scenario, plan,
                                      dataclasses.replace(config, fast_path=False)).run()
@@ -269,11 +255,12 @@ class TestRowChains:
             }
             assert json.dumps(_json_sanitize(reduced)) == json.dumps(_json_sanitize(expected)), \
                 f"seed {seed}"
-            if batch_order is None:
+            if not solved_here:
                 continue
             solved += 1
-            assert batch_order == [(v.time, v.node_id, v.mule_id) for v in result.visits], \
-                f"seed {seed}"
+            # The lists the result builds on first read follow the solved order.
+            assert fast.visits == result.visits, f"seed {seed}"
+            assert fast.deliveries == result.deliveries, f"seed {seed}"
             deaths += expected["num_dead_mules"] > 0
             initial += any(route.start_position() not in (None, scenario.sink.position)
                            for route in plan.routes.values())
@@ -306,9 +293,10 @@ class TestRowChains:
             })
 
         config = SimulationConfig(horizon=1_000.0, track_energy=False)
-        reduced, batch_order = batch_reduction(*build(), config, monkeypatch)
+        reduced, fast, solved = batch_reduction(*build(), config, monkeypatch)
         result = PatrolSimulator(*build(), dataclasses.replace(config, fast_path=False)).run()
-        assert batch_order == [(v.time, v.node_id, v.mule_id) for v in result.visits]
+        assert solved
+        assert fast.visits == result.visits and fast.deliveries == result.deliveries
         assert [(d.delivered_at, d.mule_id) for d in result.deliveries[:3]] \
             == [(100.0, "m2"), (100.0, "m1"), (100.0, "m1")]
         assert reduced["delivered_data"] == result.total_delivered_data()
@@ -325,9 +313,9 @@ class TestRowChains:
         from repro.scenarios import ScenarioSpec
 
         solves = []
-        original = batchpath._arrival_ranks
-        monkeypatch.setattr(batchpath, "_arrival_ranks",
-                            lambda kept: solves.append(kept) or original(kept))
+        original = fastpath._pop_ranks
+        monkeypatch.setattr(fastpath, "_pop_ranks",
+                            lambda chains: solves.append(chains) or original(chains))
         spec = RunSpec(
             strategy="b-tctp",
             scenario=ScenarioSpec("uniform", {"num_targets": 12, "num_mules": 3}, seed=42),

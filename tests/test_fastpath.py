@@ -110,19 +110,24 @@ class TestByteIdenticalResults:
 
 
 def replayed_stop(charge, capacity, energy, dists, codes):
-    """The engine's battery bookkeeping, leg by leg: the reference for ``battery_stop``."""
+    """The engine's battery bookkeeping, leg by leg: the reference for ``battery_stop``.
+
+    The last field is the charge the stop finds: at the fatal departure, or
+    before the fatal collection.
+    """
     battery = Battery(capacity, remaining=charge)
     move_cost = energy.move_cost_per_meter
     for leg, (dist, code) in enumerate(zip(dists, codes)):
         if move_cost > 0 and battery.remaining / move_cost + 1e-9 < dist:
-            return leg, "move", battery.remaining / move_cost
+            return leg, "move", battery.remaining / move_cost, battery.remaining
         if energy.movement_energy(dist) > battery.remaining:
-            return leg, "clip", 0.0
+            return leg, "clip", 0.0, battery.remaining
         battery.drain(energy.movement_energy(dist))
         if code == 1:
+            before = battery.remaining
             battery.drain(energy.collect_cost)
             if battery.depleted:
-                return leg, "collect", 0.0
+                return leg, "collect", 0.0, before
         elif code == 3:
             battery.refill()
     return None
@@ -258,3 +263,142 @@ class TestCampaignEquivalence:
         loaded = RunSpec.from_json(spec.to_json())
         assert loaded.sim.fast_path is False
         assert "fast_path" not in json.loads(RunSpec(strategy="b-tctp").to_json()).get("sim", {})
+
+
+# --------------------------------------------------------------------------- #
+# The fast result: lists built on first read, and the final mule state
+# --------------------------------------------------------------------------- #
+
+LAZY_CASES = [
+    # Tracked batteries that die, and refills on RW-TCTP's recharge laps.
+    ("b-tctp", {"num_targets": 10, "num_mules": 3, "with_recharge_station": True,
+                "mule_battery": 20_000.0}),
+    ("rw-tctp", {"num_targets": 10, "num_mules": 3, "with_recharge_station": True,
+                 "mule_battery": 60_000.0}),
+    # Lockstep mules on the sink: visits and flushes tie.
+    ("chb", {"num_targets": 10, "num_mules": 3, "num_vips": 2}),
+]
+LAZY_IDS = [case[0] for case in LAZY_CASES]
+LAZY = SimulationConfig(horizon=20_000.0, track_energy=True)
+
+
+def lazy_run(strategy, params, *, fast_path=True, used_battery=False):
+    """``(result, scenario, plan)`` of one run on its own scenario copy.
+
+    ``used_battery`` starts every battery with totals from an earlier life,
+    which the final battery state carries on.
+    """
+    scenario = ScenarioSpec("uniform", params).build(4)
+    if used_battery:
+        for mule in scenario.mules:
+            mule.battery.total_drained = 1234.5
+            mule.battery.total_recharged = 67.25
+            mule.battery.recharge_count = 3
+    plan = get_strategy(strategy).plan(scenario)
+    config = dataclasses.replace(LAZY, fast_path=fast_path)
+    return PatrolSimulator(scenario, plan, config).run(), scenario, plan
+
+
+def built(result) -> "list[str]":
+    """Which of the result's lists were built."""
+    return [name for name in ("visits", "deliveries") if name in vars(result)]
+
+
+def mule_state(scenario) -> list:
+    return [(m.id, m.position, m.state, list(m.buffer.packets),
+             None if m.battery is None else (m.battery.remaining, m.battery.total_drained,
+                                             m.battery.total_recharged,
+                                             m.battery.recharge_count))
+            for m in scenario.mules]
+
+
+class TestLazyResult:
+    """A fast result's metrics read arrays; its lists are the event loop's, on first read."""
+
+    @pytest.mark.parametrize("strategy,params", LAZY_CASES, ids=LAZY_IDS)
+    def test_metrics_build_no_list(self, strategy, params):
+        from repro.runner import record_metrics
+        from repro.runner.campaign import _record_columns
+        from repro.sim.metrics import average_dcdt, average_sd, max_visiting_interval
+
+        fast, scenario, plan = lazy_run(strategy, params)
+        slow, _scenario, _plan = lazy_run(strategy, params, fast_path=False)
+        assert built(fast) == []
+        for got, want in zip(fast.visit_table(), slow.visit_table()):
+            assert np.array_equal(got, want)
+        for metric in (average_dcdt, average_sd, max_visiting_interval):
+            assert metric(fast) == metric(slow)
+        assert fast.total_delivered_data() == slow.total_delivered_data()
+        assert _record_columns((), scenario, plan, fast) \
+            == _record_columns((), scenario, plan, slow)
+        # Every metric the library registers reads the visit table, the
+        # traces, the plan or the scenario, never a list.
+        library = [name for name, fn in record_metrics._METRICS.items()
+                   if fn.__module__ == record_metrics.__name__]
+        assert len(library) >= 10
+        for name in library:
+            got = record_metrics.compute_metric(name, scenario, plan, fast)
+            want = record_metrics.compute_metric(name, scenario, plan, slow)
+            assert json.dumps(got) == json.dumps(want), name
+        assert built(fast) == []
+
+    @pytest.mark.parametrize("strategy,params", LAZY_CASES, ids=LAZY_IDS)
+    def test_first_read_is_the_event_loops_list(self, strategy, params):
+        fast, *_rest = lazy_run(strategy, params)
+        slow, *_rest = lazy_run(strategy, params, fast_path=False)
+        fast.visit_table()
+        assert fast.deliveries == slow.deliveries
+        assert built(fast) == ["deliveries"]
+        assert fast.visits == slow.visits
+        assert fast.visits is fast.visits
+        assert fast == slow
+
+    def test_an_append_after_the_build_refreshes_the_table(self):
+        from repro.sim.metrics import average_dcdt
+        from repro.sim.recorder import DeliveryRecord, VisitRecord
+
+        fast, *_rest = lazy_run(*LAZY_CASES[0])
+        seeded = fast.visit_table()
+        dcdt = average_dcdt(fast)
+        delivered = fast.total_delivered_data()
+        visits = fast.visits
+        # Built at the seeded length: the seeded table still holds.
+        assert fast.visit_table() is seeded
+        visits.append(VisitRecord(fast.horizon + 1.0, visits[0].node_id, "m1"))
+        assert fast.visit_table() is not seeded
+        assert fast.visit_times(visits[0].node_id)[-1] == fast.horizon + 1.0
+        assert average_dcdt(fast) != dcdt
+        fast.deliveries.append(DeliveryRecord(fast.horizon, "m1", "g1", 0.0, 1.0, 1.0, 8.0))
+        assert fast.total_delivered_data() == delivered + 8.0
+
+    @pytest.mark.parametrize("build", [False, True], ids=["unbuilt", "built"])
+    def test_copies_round_trip(self, build):
+        import copy
+        import pickle
+
+        from repro.sim.metrics import average_sd
+
+        fast, *_rest = lazy_run(*LAZY_CASES[2])
+        slow, *_rest = lazy_run(*LAZY_CASES[2], fast_path=False)
+        average_sd(fast)  # caches derived from the seeded table
+        if build:
+            assert fast.visits and fast.deliveries
+        for twin in (copy.deepcopy(fast), pickle.loads(pickle.dumps(fast))):
+            assert built(twin) == built(fast)
+            assert twin == slow
+            assert average_sd(twin) == average_sd(slow)
+            assert twin.total_delivered_data() == slow.total_delivered_data()
+        assert repr(fast) == repr(slow)
+        assert dataclasses.asdict(fast) == dataclasses.asdict(slow)
+
+    @pytest.mark.parametrize("strategy,params,used_battery", [
+        *((*case, False) for case in LAZY_CASES),
+        *((*case, True) for case in LAZY_CASES[:2]),
+    ], ids=[*LAZY_IDS, *(f"{name}-used-battery" for name in LAZY_IDS[:2])])
+    def test_run_leaves_the_event_loops_mule_state(self, strategy, params, used_battery):
+        fast, scen_fast, _plan = lazy_run(strategy, params, used_battery=used_battery)
+        slow, scen_slow, _plan = lazy_run(strategy, params, fast_path=False,
+                                          used_battery=used_battery)
+        assert mule_state(scen_fast) == mule_state(scen_slow)
+        assert built(fast) == []
+        assert fast.traces == slow.traces

@@ -39,7 +39,7 @@ from repro.network.field import Field
 from repro.network.mules import DataMule
 from repro.network.scenario import Scenario, SimulationParameters
 from repro.network.targets import RechargeStation, Sink, Target
-from repro.runner.campaign import _json_sanitize, execute_many, execute_run
+from repro.runner.campaign import _json_sanitize, build_cell_scenario, execute_many, execute_run
 from repro.runner.spec import RunSpec
 from repro.scenarios import ScenarioSpec
 from repro.sim import batchpath, fastpath
@@ -209,20 +209,12 @@ class TestBatchFallbacks:
             **kwargs,
         )
 
-    def _assert_falls_back_but_agrees(self, spec):
-        pre = batchpath.batch_execute_records([spec])
-        assert pre == [None]
-        with batchpath.batchpath_disabled():
-            per_cell = execute_run(spec)
-        event = execute_run(dataclasses.replace(
-            spec, sim=dataclasses.replace(spec.sim, fast_path=False)
-        ))
-        assert canonical(per_cell) == canonical(event)
-        return per_cell
-
-    def test_max_visits_cell_falls_back(self):
-        spec = self._spec(sim={"max_visits": 10})
-        self._assert_falls_back_but_agrees(spec)
+    @pytest.mark.parametrize("strategy", ["b-tctp", "chb"])
+    def test_max_visits_cell_rides_the_batch(self, strategy):
+        # The batch cuts at the max_visits-th visit in pop order, as the
+        # scalar tier does; chb's mules tie, so the cut falls inside a tie.
+        spec = self._spec(strategy=strategy, sim={"max_visits": 10})
+        assert_batched_agrees(spec)
 
     def test_max_visits_ground_truth_on_the_line(self):
         scenario = line_scenario()
@@ -283,10 +275,45 @@ class TestBatchFallbacks:
         assert [r["num_dead_mules"] for r in expected] == [2, 0]
         assert [canonical(r) for r in records] == [canonical(r) for r in expected]
 
-    def test_custom_metrics_cell_falls_back(self):
-        spec = self._spec(metrics=["path_length"])
-        record = self._assert_falls_back_but_agrees(spec)
-        assert "path_length" in record
+    def test_custom_metrics_cell_rides_the_batch(self, monkeypatch):
+        # A miss reduces the fast result without building its lists or
+        # touching the mules: none of these metrics reads a list.
+        misses = []
+        original = batchpath.fast_result
+
+        def spy(sim):
+            misses.append((sim, original(sim)))
+            return misses[-1][1]
+
+        monkeypatch.setattr(batchpath, "fast_result", spy)
+        spec = self._spec(metrics=["path_length", "dcdt_series", "interval_stats",
+                                   "survival_fraction", "total_recharges"])
+        record = assert_batched_agrees(spec)
+        assert "path_length" in record and len(record["dcdt_series"]) == 41
+        [(sim, result)] = misses
+        assert "visits" not in vars(result) and "deliveries" not in vars(result)
+        assert all(len(m.buffer) == 0 for m in sim.scenario.mules)
+        assert [m.position for m in sim.scenario.mules] \
+            == [m.position for m in build_cell_scenario(spec).mules]
+
+    def test_cells_of_one_entry_share_no_metric_value(self):
+        # Two replications share one entry; a list or dict metric value must
+        # not become one object in two records, nor let a caller's edit
+        # reach the next hit.
+        specs = [self._spec(seed=seed, metrics=["dcdt_series", "interval_stats"])
+                 for seed in (1, 2)]
+        clear_caches()
+        try:
+            first, second = batchpath.batch_execute_records(specs)
+            assert first["dcdt_series"] == second["dcdt_series"]
+            assert first["dcdt_series"] is not second["dcdt_series"]
+            assert first["interval_stats"] is not second["interval_stats"]
+            first["dcdt_series"].clear()
+            first["interval_stats"].clear()
+            third = batchpath.batch_execute_records(specs[1:])[0]
+        finally:
+            clear_caches()
+        assert third == second
 
     def test_batch_path_flag_opts_out_per_spec(self):
         spec = self._spec(sim={"batch_path": False})
@@ -308,11 +335,13 @@ class TestBatchFallbacks:
             seed=1,
         )
         solves = []
-        original = batchpath._arrival_ranks
-        monkeypatch.setattr(batchpath, "_arrival_ranks",
-                            lambda kept: solves.append(kept) or original(kept))
-        batched = assert_batched_agrees(spec)
+        original = fastpath._pop_ranks
+        monkeypatch.setattr(fastpath, "_pop_ranks",
+                            lambda chains: solves.append(chains) or original(chains))
+        clear_caches()
+        batchpath.batch_execute_records([spec])
         assert len(solves) == 1, "the layout no longer ties"
+        batched = assert_batched_agrees(spec)
 
         def no_simulation(_sim):
             raise AssertionError("a batched cell must not run the simulator")
@@ -351,7 +380,8 @@ class TestBatchFallbacks:
         ({"strategy": "line-loop", "sim": {"track_energy": True},
           "scenario": ScenarioSpec("line", {"remaining": 100 * 8.267 - 5e-9})},
          None, "battery-clip", DYNAMIC),
-        ({"metrics": ["path_length"]}, None, "custom-metrics", FASTPATH),
+        ({"metrics": ["path_length", "dcdt_series"]}, None, None, None),
+        ({"sim": {"max_visits": 10}}, None, None, None),
         ({"strategy": "random"}, None, "fastpath-route-class",
          {"outcome": "event-loop", "reason": "route-class"}),
         # The dynamic declines, forced: the event cap both tiers share (the
@@ -363,7 +393,7 @@ class TestBatchFallbacks:
          DYNAMIC),
         ({"sim": {"batch_path": False}}, (fastpath, "_MAX_EVENTS_PER_MULE", 1),
          "batch-path-disabled", DYNAMIC),
-    ], ids=["chb", "tracked-battery", "battery-clip", "custom-metrics", "random",
+    ], ids=["chb", "tracked-battery", "battery-clip", "custom-metrics", "max-visits", "random",
             "batch-event-cap", "lap-estimate", "scalar-event-cap"])
     def test_declined_single_cell_counts_one_scalar_dispatch(
         self, spec_kwargs, patch, reason, sim_labels
@@ -407,7 +437,7 @@ class TestBatchFallbacks:
             return original(specs)
 
         monkeypatch.setattr(batchpath, "batch_execute_records", spy)
-        specs = [self._spec(), self._spec(metrics=["path_length"]),
+        specs = [self._spec(), self._spec(sim={"batch_path": False}),
                  self._spec(strategy="random")]
         with obs.obs_collected(enabled=True) as window:
             records = execute_many(specs, max_workers=max_workers)
@@ -433,10 +463,10 @@ class TestBatchFallbacks:
         base = self._spec(scenario=ScenarioSpec("uniform", {"num_targets": 8, "num_mules": 2}))
         spec = CampaignSpec(base=base, grid={"strategy": ["b-tctp", "chb"]}, replications=4)
         events = []
-        build, reduce = batchpath._build_rows, batchpath._reduce_rows
-        monkeypatch.setattr(batchpath, "_build_rows",
+        build, reduce = fastpath._rows, batchpath._record_columns
+        monkeypatch.setattr(fastpath, "_rows",
                             lambda sim: events.append("build") or build(sim))
-        monkeypatch.setattr(batchpath, "_reduce_rows",
+        monkeypatch.setattr(batchpath, "_record_columns",
                             lambda *args: events.append("reduce") or reduce(*args))
         clear_caches()
         try:
@@ -485,40 +515,45 @@ class TestBatchFallbacks:
             assert batchpath.batch_execute_records([spec]) == [None]
         assert batchpath.batchpath_enabled()
 
-    # Spec vetoes whose fields the row key leaves out: each vetoed cell shares
-    # the row key of the ordinary b-tctp cells on the pinned layout.
+    # Spec vetoes whose fields the key leaves out: each vetoed cell shares
+    # the key of the ordinary b-tctp cells on the pinned layout.
     VETOES = [
         ({"sim": {"fast_path": False}}, "fastpath-fast-path-disabled"),
         ({"sim": {"batch_path": False}}, "batch-path-disabled"),
-        ({"sim": {"max_visits": 10}}, "max-visits"),
-        ({"metrics": ["path_length"]}, "custom-metrics"),
     ]
+    # Fields the key holds: such a cell rides the batch on an entry of its
+    # own, planned once with the ordinary cells.
+    OWN_ENTRIES = [{"sim": {"max_visits": 10}}, {"metrics": ["path_length"]}]
 
     def test_vetoes_hold_beside_a_cached_row_set(self):
         from repro.geometry.cache import cache_stats
 
         ordinary = [self._spec(seed=1), self._spec(seed=2)]
         vetoed = [self._spec(**kwargs) for kwargs, _reason in self.VETOES]
+        own = [self._spec(**kwargs) for kwargs in self.OWN_ENTRIES]
         # Vetoed cells before the first ordinary cell builds the row set and
-        # after it; the second call finds the row set reduced in the cache.
-        specs = [*vetoed, ordinary[0], *vetoed, ordinary[1]]
+        # after it; the second call finds every entry in the cache.
+        specs = [*vetoed, *own, ordinary[0], *vetoed, *own, ordinary[1]]
         with batchpath.batchpath_disabled():
-            expected = [canonical(execute_run(spec)) for spec in ordinary]
+            expected = [canonical(execute_run(spec))
+                        for spec in [*own, ordinary[0], *own, ordinary[1]]]
         clear_caches()
         try:
             for state in ("cold", "reduced"):
                 with obs.obs_collected(enabled=True) as window:
                     out = batchpath.batch_execute_records(specs)
                     snapshot = window.snapshot()
-                assert out[:4] == out[5:9] == [None] * 4, state
-                assert [canonical(out[4]), canonical(out[9])] == expected, state
+                assert out[:2] == out[5:7] == [None] * 2, state
+                assert [canonical(r) for r in out[2:5] + out[7:]] == expected, state
                 declines = {c["labels"]["reason"]: c["value"] for c in snapshot["counters"]
                             if c["name"] == "batch_dispatch"
                             and c["labels"]["outcome"] == "scalar"}
                 assert declines == {reason: 2 for _kwargs, reason in self.VETOES}, state
-            # A vetoed cell never looks its row set up: one miss, three hits.
-            rows = cache_stats()["batch_rows"]
-            assert (rows["misses"], rows["hits"]) == (1, 3)
+            # A vetoed cell never looks its entry up; the other three keys
+            # miss once each and share one plan.
+            stats = cache_stats()
+            assert (stats["batch_rows"]["misses"], stats["batch_rows"]["hits"]) == (3, 9)
+            assert (stats["batch_plan"]["misses"], stats["batch_plan"]["hits"]) == (1, 2)
         finally:
             clear_caches()
 

@@ -16,6 +16,13 @@ paths —
 the same record, never a different one.  A case that planning rejects with a
 ``ValueError`` must be rejected with the same message on every path.
 
+A metrics leg draws cases from the generators below that request a random
+subset of every registered metric, ``dcdt_series`` with a drawn
+``num_points`` among them, plus a test-registered metric that reads
+everything a user's extractor may (both lists, every trace field, the
+metadata); some are capped by ``max_visits``.  Those cells ride the batch
+too, and their records must be byte-equal on every path.
+
 A second leg draws the same cases with battery tracking on, small
 batteries and a collection dwell, so mules die mid-leg or at a collection
 and recharge loops run: the batch must carry most of those cells too, and
@@ -40,6 +47,7 @@ The case count and the generator seed are fixed for CI but overridable::
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 from functools import partial
@@ -51,6 +59,7 @@ from planning_reference import reference_planning
 from repro.geometry.cache import clear_caches
 from repro.obs import obs_collected
 from repro.runner.campaign import _json_sanitize, execute_run
+from repro.runner.record_metrics import available_metrics, register_metric
 from repro.runner.spec import RunSpec
 from repro.scenarios import ScenarioSpec
 from repro.sim import batchpath
@@ -69,6 +78,18 @@ HORIZONS = [800.0, 2_500.0, 6_000.0, 12_000.0]
 
 # Recharge-loop strategies refuse to plan without a station to loop through.
 NEEDS_RECHARGE = ("rw-tctp", "crw-tctp")
+
+# Every metric registered before this module registers its own.
+LIBRARY_METRICS = available_metrics()
+READS_EVERYTHING = "differential_fuzz_reads_everything"
+
+
+@register_metric(READS_EVERYTHING)
+def _reads_everything(scenario, plan, result):
+    """What a user's extractor may read of a result — both lists, every trace
+    field and the metadata — as one digest, so that the record stays small."""
+    seen = (result.visits, result.deliveries, result.traces, result.metadata)
+    return hashlib.sha256(repr(seen).encode()).hexdigest()
 
 
 def draw_case(rng: np.random.Generator) -> dict:
@@ -124,6 +145,25 @@ def lockstep_case(rng: np.random.Generator) -> dict:
     return case
 
 
+def metrics_case(rng: np.random.Generator) -> dict:
+    """A case from one of the three generators that requests metrics.
+
+    A random subset of the library's metrics (``dcdt_series`` with a drawn
+    ``num_points``) and the metric that reads everything; a third of the
+    cases are capped by ``max_visits``.
+    """
+    case = (draw_case, tracked_case, lockstep_case)[int(rng.integers(3))](rng)
+    metrics = [name for name in LIBRARY_METRICS if rng.integers(2)]
+    case["metrics"] = [
+        ["dcdt_series", {"num_points": int(rng.integers(1, 60))}] if name == "dcdt_series"
+        else name
+        for name in metrics
+    ] + [READS_EVERYTHING]
+    if rng.integers(3) == 0:
+        case["max_visits"] = int(rng.integers(1, 300))
+    return case
+
+
 def case_spec(case: dict, *, fast_path: bool = True) -> RunSpec:
     params = {
         "num_targets": case["num_targets"],
@@ -143,16 +183,18 @@ def case_spec(case: dict, *, fast_path: bool = True) -> RunSpec:
             track_energy=case.get("tracked", False),
             synchronized_start=case["synchronized_start"],
             fast_path=fast_path,
+            max_visits=case.get("max_visits"),
         ),
         seed=case["seed"],
+        metrics=tuple(case.get("metrics", ())),
     )
 
 
 def canonical(result: "dict | str") -> str:
-    """Records compare as sorted JSON; a rejection compares by its message."""
+    """Records compare as JSON, key order included; a rejection by its message."""
     if isinstance(result, str):
         return result
-    return json.dumps(_json_sanitize(result), sort_keys=True)
+    return json.dumps(_json_sanitize(result))
 
 
 def outcome(run) -> "dict | str | None":
@@ -220,6 +262,7 @@ def shrink(case: dict) -> dict:
         ("with_recharge_station", False), ("mule_battery", None),
         ("synchronized_start", True), ("collection_time", 0.0),
         ("scenario_seed", None), ("family", "uniform"), ("seed", 0),
+        ("max_visits", None), ("metrics", [READS_EVERYTHING]),
     ]
     current = dict(case)
     progress = True
@@ -287,10 +330,18 @@ class TestDifferentialFuzz:
     def test_lockstep_chb_rides_the_batch(self, monkeypatch):
         seed = FUZZ_SEED + 4
         rng = np.random.default_rng(seed)
+        # A batch miss's fast result holds its pop ranks when its reduction
+        # solved the tie order.
         solves = []
-        original = batchpath._arrival_ranks
-        monkeypatch.setattr(batchpath, "_arrival_ranks",
-                            lambda kept: solves.append(kept) or original(kept))
+        original = batchpath.fast_result
+
+        def spy(sim):
+            result = original(sim)
+            if not isinstance(result, str) and result._source.ranked:
+                solves.append(sim)
+            return result
+
+        monkeypatch.setattr(batchpath, "fast_result", spy)
         cases = max(1, FUZZ_CASES // 4)
         for index in range(cases):
             case = lockstep_case(rng)
@@ -301,6 +352,19 @@ class TestDifferentialFuzz:
         # The leg must exercise the tie order, not only tie-free layouts
         # (staggered-CHB mules seldom tie).
         assert len(solves) >= cases // 3, f"only {len(solves)}/{cases} cases tied"
+
+    def test_metrics_and_max_visits_ride_the_batch(self):
+        seed = FUZZ_SEED + 8
+        rng = np.random.default_rng(seed)
+        batched = capped = 0
+        for index in range(FUZZ_CASES):
+            case = metrics_case(rng)
+            flags = agreeing_flags(index, case, seed)
+            batched += flags["batched"]
+            capped += flags["batched"] and "max_visits" in case
+        # Custom metrics and max_visits keep no cell off the batch.
+        assert batched >= FUZZ_CASES * 3 // 4, f"only {batched}/{FUZZ_CASES} cases rode the batch"
+        assert capped >= FUZZ_CASES // 5, f"only {capped}/{FUZZ_CASES} capped cases batched"
 
     def test_generator_is_deterministic(self):
         a = [draw_case(np.random.default_rng(7)) for _ in range(5)]
@@ -578,7 +642,7 @@ class TestLegPatternBuild:
         from repro.sim import fastpath
 
         loops, built = [], []
-        skip_walk, build_rows = fastpath._skip_walk, batchpath._build_rows
+        skip_walk, build_rows = fastpath._skip_walk, fastpath._rows
 
         def spy_skip_walk(*pattern):
             loops.append(pattern)
@@ -589,7 +653,7 @@ class TestLegPatternBuild:
             return built[-1]
 
         monkeypatch.setattr(fastpath, "_skip_walk", spy_skip_walk)
-        monkeypatch.setattr(batchpath, "_build_rows", spy_build_rows)
+        monkeypatch.setattr(fastpath, "_rows", spy_build_rows)
         clear_caches()
         records = batchpath.batch_execute_records([cold_spec(s) for s in COLD_STRATEGIES])
         clear_caches()

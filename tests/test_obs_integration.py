@@ -239,13 +239,13 @@ class TestRowSetMemo:
         from repro.sim import batchpath
 
         reductions = []
-        original = batchpath._reduce_rows
+        original = batchpath.fast_result
 
-        def counting(*inputs):
-            reductions.append(inputs[-1])  # the planner's name
-            return original(*inputs)
+        def counting(sim):
+            reductions.append(sim.plan.strategy)  # the planner's name
+            return original(sim)
 
-        monkeypatch.setattr(batchpath, "_reduce_rows", counting)
+        monkeypatch.setattr(batchpath, "fast_result", counting)
         clear_caches()
         spec = campaign_spec(obs_on=True, replications=4, layout_seed=0,
                              strategies=("b-tctp", "chb"))
@@ -262,13 +262,13 @@ class TestRowSetMemo:
         from repro.sim.fastpath import LegPattern
 
         reductions = []
-        original = batchpath._reduce_rows
+        original = batchpath.fast_result
 
-        def counting(*inputs):
-            reductions.append(inputs[-1])  # the planner's name
-            return original(*inputs)
+        def counting(sim):
+            reductions.append(sim.plan.strategy)  # the planner's name
+            return original(sim)
 
-        monkeypatch.setattr(batchpath, "_reduce_rows", counting)
+        monkeypatch.setattr(batchpath, "fast_result", counting)
         # A short lap estimate declines the row set after the tensor pass.
         monkeypatch.setattr(LegPattern, "reaches", lambda _pattern, _horizon: False)
         clear_caches()
