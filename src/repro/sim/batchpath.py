@@ -12,10 +12,10 @@ campaign cell still pays on it, the batch skips:
   the record head and the record's metric columns, so no scenario, plan or
   simulator is built for it — every replication of a pinned layout after the
   first;
-* a miss needs no final mule state: it builds the cell's scenario, its plan
-  (memoized by plan key) and the scalar tier's fast result
-  (:func:`~repro.sim.fastpath.fast_result`), and reduces that through the
-  record function the scalar core also calls
+* a miss needs no final mule or generator state: it builds the cell's
+  scenario, its plan (memoized by plan key) and the scalar tier's fast
+  result (:func:`~repro.sim.fastpath.fast_result`), and reduces that
+  through the record function the scalar core also calls
   (:func:`repro.runner.campaign._record_columns`).  The rows, their sums,
   the horizon cut, the tie solve, the kept-event table and the result are
   the scalar tier's own; the batch adds only the cache, so a call holds one
@@ -74,9 +74,10 @@ __all__ = [
 # seed, scenario content key).  Planning is deterministic in that triple —
 # the determinism patrol enforces it — so row keys that share a plan key
 # (a grid over the horizon, the sync or the tracking flag) plan once.  The
-# batch only ever *reads* a plan (routes are generator factories; nothing is
-# advanced), so sharing one object across cells is safe, and the cache is
-# purely memoizing: byte-identical records with it on or off.
+# batch only ever *reads* a plan — a random walk is drawn from a twin of its
+# route's generator, which stays as planned — so sharing one object across
+# cells and the service's worker threads is safe, and the cache is purely
+# memoizing: byte-identical records with it on or off.
 _PLAN_CACHE = ContentCache("batch_plan", maxsize=128)
 
 # Record columns memoized by row key — (plan key, horizon, synchronized

@@ -134,16 +134,18 @@ class PatrolSimulator:
     def run(self) -> SimulationResult:
         """Execute the simulation and return the recorded result.
 
-        Deterministic loop-route runs (all TCTP variants including RW-TCTP's
-        alternating recharge schedule, CHB, Sweep — with or without tracked
-        batteries, dwell times and visit limits) are served by the analytic
-        fast path in :mod:`repro.sim.fastpath`: it builds the batched tier's
-        rows and its one result from those arrays, whose visit and delivery
-        lists are built on first read, and leaves the final mule state, byte
-        for byte the event loop's.  Everything else — stochastic routes, pre-loaded
-        buffers, degenerate zero-advance laps, a tracked battery that ends in
-        the engine's 1e-9 m clip window — runs the full discrete-event loop
-        below.
+        Runs of every built-in strategy (all TCTP variants including
+        RW-TCTP's alternating recharge schedule, CHB, Sweep and the Random
+        baseline's seeded walks — with or without tracked batteries, dwell
+        times and visit limits) are served by the analytic fast path in
+        :mod:`repro.sim.fastpath`: it builds the batched tier's rows and its
+        one result from those arrays, whose visit and delivery lists and
+        traces are built on first read, and leaves the final mule state and
+        each random walk's generator state, byte for byte the event loop's.
+        Everything else — other route classes, stochastic routes that share
+        one generator, pre-loaded buffers, degenerate zero-advance laps, a
+        tracked battery that ends in the engine's 1e-9 m clip window — runs
+        the full discrete-event loop below.
 
         Raises
         ------
@@ -466,16 +468,22 @@ def _still_lap(route: MuleRoute) -> set[str]:
     """
     from repro.sim.fastpath import LegPattern, _Fallback
 
-    nodes: set[str] = set()
+    nodes: list[str] = []
     if type(route) is StochasticRoute:
         if route.avoid_repeat:
-            nodes = set(route.candidates)
+            nodes = route.candidates
     else:
         try:
             walk, cycle_start = LegPattern.walk_of(route)
         except _Fallback:
-            return nodes
+            return set()
         if cycle_start >= 0:
-            nodes = set(walk)
-    points = {route.point_of(n) for n in nodes}
-    return nodes if len(nodes) > 1 and len(points) == 1 else set()
+            nodes = walk
+    if not nodes:
+        return set()
+    # Two nodes on different points settle it, usually the first two.
+    first = route.point_of(nodes[0])
+    if any(route.point_of(n) != first for n in nodes):
+        return set()
+    distinct = set(nodes)
+    return distinct if len(distinct) > 1 else set()

@@ -1,25 +1,30 @@
-"""Analytic fast path for deterministic loop-route simulations.
+"""Analytic fast path for loop-route and random-walk simulations.
 
 The discrete-event engine in :mod:`repro.sim.engine` spends almost all of its
 time on per-event bookkeeping: heap-managed :class:`~repro.sim.events.Event`
 objects, payload dicts, per-leg ``distance()`` calls and per-event dataclass
-construction.  For the workloads that dominate campaign time — every TCTP
-variant, CHB and Sweep — none of that is necessary: each mule follows a
-**fixed closed walk** at constant velocity, so its entire arrival-time
-sequence is an arithmetic chain over a periodic pattern of leg lengths.
+construction.  For every built-in strategy none of that is necessary: each
+mule follows a walk fixed in advance at constant velocity — a **fixed closed
+walk** for every TCTP variant, CHB and Sweep, and for the Random baseline a
+walk its seeded generator draws up front — so its entire arrival-time
+sequence is an arithmetic chain over a pattern of leg lengths.
 
 This module exploits that, with one model of the engine's event order and
 battery, and one result, that both fast tiers share — :func:`run_fast_path`
 here, and the batched tier of :mod:`repro.sim.batchpath`:
 
-1. per mule, a :class:`_Row` (a :class:`LegPattern` plus node indices)
-   reduces the effective waypoint sequence to a *prefix + cycle* walk
+1. per mule, a :class:`_Row` (a :class:`LegPattern` cut at its battery
+   stop) reduces the effective waypoint sequence to a *prefix + cycle* walk
    (mirroring the engine's consecutive-duplicate skip rule), computes its leg
-   lengths once and tiles them past the horizon; a tracked battery cuts the
-   row where :meth:`LegPattern.battery_stop` ends the patrol.  The full
-   arrival/departure-time chain — travel legs interleaved with per-target
-   dwell times — is one ``np.cumsum``, bit-for-bit equal to the engine's
-   sequential ``now + dist / velocity`` and ``now + dwell`` additions;
+   lengths once and tiles them past the horizon; routes over one loop share
+   its columns.  A :class:`~repro.core.plan.StochasticRoute`'s walk is a
+   prefix with no cycle, drawn by the route's own ``waypoints()`` from a
+   twin of its generator until the mule stops or passes the horizon.  A
+   tracked battery cuts the row where :meth:`LegPattern.battery_stop` ends
+   the patrol.  The full arrival/departure-time chain — travel legs
+   interleaved with per-target dwell times — is one ``np.cumsum``,
+   bit-for-bit equal to the engine's sequential ``now + dist / velocity``
+   and ``now + dwell`` additions;
 2. :func:`_pop_ranks` solves the engine's ``(time, sequence)`` pop order
    from each mule's chain of event times (one ``np.unique`` when no two
    events tie), so a ``max_visits`` cut and the visit log follow the event
@@ -31,29 +36,32 @@ here, and the batched tier of :mod:`repro.sim.batchpath`:
    between two collections at one target or two delivering flushes, for a
    ``max_visits`` cut, and for the visit log;
 4. :func:`fast_result` builds the :class:`~repro.sim.recorder.SimulationResult`
-   from the table: its visit table, delivered total, traces (per-mule
-   distance and energy are cumulative sums cut at the number of applied
-   legs) and metadata come from arrays, and its ``visits`` and
-   ``deliveries`` lists are built only when something reads them;
-5. :func:`run_fast_path` adds the final mule state: undelivered packets in
-   the buffers, and a tracked battery's charge and totals as one running
-   sum per segment between refills.
+   from the table: its visit table, delivered total, travelled distances
+   and dead mules (what a record reads) and metadata come from arrays, and
+   its ``visits``, ``deliveries`` and ``traces`` are built only when
+   something reads them;
+5. :func:`run_fast_path` adds the final state: undelivered packets in the
+   buffers, a tracked battery's charge and totals as one running sum per
+   segment between refills, and each stochastic route's generator advanced
+   by exactly the draws the event loop makes.
 
 The result is **byte-identical** to the event loop — same visit log, same
-deliveries, same traces, same metadata, same final mule state — at a
-fraction of the cost.  Positive ``collection_time`` dwells, ``max_visits``
-cutoffs (inside a tie too), energy-tracked batteries (including mid-leg death
-and recharge laps) and RW-TCTP's :class:`~repro.core.plan.AlternatingLoopRoute`
-are all reproduced exactly.  Runs the fast path cannot reproduce exactly fall
-back to the event loop:
+deliveries, same traces, same metadata, same final mule and generator state
+— at a fraction of the cost.  Positive ``collection_time`` dwells,
+``max_visits`` cutoffs (inside a tie too), energy-tracked batteries
+(including mid-leg death and recharge laps), RW-TCTP's
+:class:`~repro.core.plan.AlternatingLoopRoute` and the Random baseline's
+draws are all reproduced exactly.  Runs the fast path cannot reproduce
+exactly fall back to the event loop:
 
-* stochastic routes (any route class other than
-  :class:`~repro.core.plan.LoopRoute` /
-  :class:`~repro.core.plan.AlternatingLoopRoute` has no precomputable
-  waypoint pattern),
+* routes of any other class (a subclass of a supported one included), whose
+  waypoints cannot be laid out in advance,
+* stochastic routes of two mules that share one generator object (the event
+  loop interleaves their draws in event order),
 * mules deployed with pre-loaded data buffers (the replay assumes every
   buffer starts empty), and
-* four dynamic declines: a steady-state lap that advances no time (the event
+* four dynamic declines: a lap that advances no time (a steady-state loop
+  lap, or a random walk whose candidates all sit on one point; the event
   loop caps it with ``max_visits`` or a dying battery, and otherwise raises
   ``ValueError`` — it would never end), a pattern past the
   ``_MAX_EVENTS_PER_MULE`` safety valve, a lap estimate that falls short of
@@ -64,9 +72,9 @@ back to the event loop:
 Eligibility is decided per *route class*, not per strategy name, so
 strategies composed through the planning pipeline (:mod:`repro.planning`) —
 including new cross-combinations like ``sw-tctp`` or ``cb-tctp`` — ride the
-fast path automatically whenever they emit plain or alternating loop routes.
-:func:`fast_path_rejection` names the reason a simulation stays on the event
-loop; the fallback-boundary tests pin every reason it can return.
+fast path automatically whenever they emit loop, alternating or stochastic
+routes.  :func:`fast_path_rejection` names the reason a simulation stays on
+the event loop; the fallback-boundary tests pin every reason it can return.
 
 Toggle with :attr:`repro.sim.engine.SimulationConfig.fast_path`; the
 equivalence tests in ``tests/test_fastpath.py`` and the differential fuzz
@@ -76,17 +84,20 @@ results against the event loop for every eligible strategy family.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
-from itertools import compress, repeat
+from collections import deque
+from itertools import compress, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.plan import AlternatingLoopRoute, LoopRoute, MuleRoute
+from repro.core.plan import AlternatingLoopRoute, LoopRoute, MuleRoute, StochasticRoute
 from repro.geometry.point import Point, distance
 from repro.network.datamodel import DataPacket
 from repro.network.mules import MuleState
+from repro.sim.engine import _still_lap
 from repro.sim.recorder import DeliveryRecord, MuleTrace, SimulationResult, VisitRecord
 
 __all__ = ["fast_path_eligible", "fast_path_rejection", "fast_result", "run_fast_path"]
@@ -96,6 +107,9 @@ __all__ = ["fast_path_eligible", "fast_path_rejection", "fast_result", "run_fast
 # faster analytically, so they stay on the event loop.  Read at call time
 # (the boundary tests patch it).
 _MAX_EVENTS_PER_MULE = 4_000_000
+
+# Waypoints a stochastic walk draws first; later draws follow its pace.
+_FIRST_DRAWS = 32
 
 _ID = operator.attrgetter("id")
 _DATA_RATE = operator.attrgetter("data_rate")
@@ -113,9 +127,12 @@ def fast_path_rejection(sim) -> str | None:
 
     * ``"fast-path-disabled"`` — :attr:`SimulationConfig.fast_path` is off;
     * ``"preloaded-buffer"`` — a mule starts with data already on board;
-    * ``"route-class"`` — a route is neither :class:`LoopRoute` nor
-      :class:`AlternatingLoopRoute` (e.g. the Random baseline's
-      :class:`StochasticRoute`).
+    * ``"route-class"`` — a route is none of :class:`LoopRoute`,
+      :class:`AlternatingLoopRoute` and :class:`StochasticRoute` (a
+      subclass of one of them included);
+    * ``"shared-generator"`` — two mules' stochastic routes draw from one
+      generator object: the event loop interleaves their draws in event
+      order, which a walk drawn per mule does not reproduce.
 
     A ``None`` here is necessary but not sufficient: the dynamic declines
     (zero-advance laps, patterns past the event-count safety valve, a short
@@ -127,8 +144,15 @@ def fast_path_rejection(sim) -> str | None:
     mules = sim.scenario.mules
     if any(len(m.buffer) > 0 for m in mules):
         return "preloaded-buffer"
+    generators = set()
     for m in mules:
-        if type(sim.plan.route_for(m.id)) not in (LoopRoute, AlternatingLoopRoute):
+        route = sim.plan.route_for(m.id)
+        kind = type(route)
+        if kind is StochasticRoute:
+            if id(route._rng) in generators:
+                return "shared-generator"
+            generators.add(id(route._rng))
+        elif kind is not LoopRoute and kind is not AlternatingLoopRoute:
             return "route-class"
     return None
 
@@ -245,7 +269,7 @@ def _skip_walk(
 
 
 # --------------------------------------------------------------------------- #
-# The leg pattern, shared with the batched tier
+# Node columns and hop lengths
 # --------------------------------------------------------------------------- #
 
 def node_codes(sim) -> "dict[str, int]":
@@ -260,6 +284,16 @@ def node_codes(sim) -> "dict[str, int]":
     if sim._recharge_id is not None:
         codes[sim._recharge_id] = 3
     return codes
+
+
+def node_indices(sim) -> "dict[str, int]":
+    """Node indices: a target's place in the scenario, then the sink, then the station."""
+    targets = sim.scenario.targets
+    index = {t.id: i for i, t in enumerate(targets)}
+    index[sim._sink_id] = len(targets)
+    if sim._recharge_id is not None:
+        index[sim._recharge_id] = len(targets) + 1
+    return index
 
 
 _X = operator.attrgetter("x")
@@ -279,6 +313,158 @@ def _hops(points: "list[Point]") -> "list[float]":
     ys = list(map(_Y, points))
     return list(map(math.hypot, map(operator.sub, xs, xs[1:]), map(operator.sub, ys, ys[1:])))
 
+
+# --------------------------------------------------------------------------- #
+# Walks: a route's node sequence and the columns that depend on it alone
+# --------------------------------------------------------------------------- #
+
+class _Walk(NamedTuple):
+    """A route's effective walk and its per-node columns.
+
+    ``nodes`` is the walk and ``cycle_start`` the start of its steady-state
+    cycle (``-1`` when it has none); ``codes`` and ``tidx`` hold each node's
+    kind (:func:`node_codes`) and index (:func:`node_indices`, ``-1`` for
+    any other node), and ``hops[k]`` is ``distance()`` from node ``k`` to
+    node ``k + 1``.
+    """
+
+    nodes: "list[str]"
+    cycle_start: int
+    codes: np.ndarray
+    tidx: np.ndarray
+    hops: np.ndarray
+
+
+def _walk(nodes: "list[str]", cycle_start: int, points: "list[Point]", node_code,
+          node_index) -> _Walk:
+    """The columns of walk ``nodes`` over their ``points``, in C-level passes."""
+    count = len(nodes)
+    return _Walk(
+        nodes, cycle_start,
+        np.fromiter(map(node_code.get, nodes, repeat(0)), dtype=np.int8, count=count),
+        np.fromiter(map(node_index.get, nodes, repeat(-1)), dtype=np.int32, count=count),
+        np.array(_hops(points), dtype=float),
+    )
+
+
+def _points(route: MuleRoute, nodes: "list[str]") -> "list[Point]":
+    """The :class:`Point` of each of ``nodes`` on ``route``."""
+    return list(map(route.coordinates.__getitem__, nodes))
+
+
+class _Loop(NamedTuple):
+    """One loop's columns, laid out once for every route of a set of rows that runs it.
+
+    ``points`` are the loop's nodes' :class:`Point` objects, and ``ring`` is
+    the loop closed by its first node again, as a walk.
+    """
+
+    nodes: "list[str]"
+    points: "list[Point]"
+    ring: _Walk
+
+    def walk(self, entry: int) -> _Walk:
+        """The walk of a route entering the loop at ``entry``.
+
+        :func:`dedup_walk`'s closed form: the loop rotated to ``entry`` and
+        its first node again, the cycle from 1.  Each hop is the ring's own
+        ``distance()`` between the same two points.
+        """
+        ring, size = self.ring, len(self.nodes)
+        return _Walk(
+            self.nodes[entry:] + self.nodes[:entry + 1], 1,
+            np.concatenate((ring.codes[entry:size], ring.codes[:entry + 1])),
+            np.concatenate((ring.tidx[entry:size], ring.tidx[:entry + 1])),
+            np.concatenate((ring.hops[entry:], ring.hops[:entry])),
+        )
+
+
+def _route_walk(route: MuleRoute, node_code, node_index, loops: "list[_Loop]") -> _Walk:
+    """The walk of a loop route, with the columns of a loop it runs shared through ``loops``.
+
+    A :class:`LoopRoute` runs its loop from its entry index, and an
+    :class:`AlternatingLoopRoute` with ``patrol_rounds == 1`` its recharge
+    loop, unrotated, every lap (:func:`route_pattern`).  Two such routes
+    share the loop's columns when they run equal loops over the same
+    :class:`Point` objects; ``loops`` collects them (a caller keeps it for
+    one set of rows).  A loop with two equal neighbouring nodes, or a single
+    node, has no closed-form walk and is laid out alone, as is every other
+    route.
+    """
+    kind = type(route)
+    loop = None
+    if kind is LoopRoute:
+        loop, entry = route.loop, route.entry_index
+    elif kind is AlternatingLoopRoute and route.patrol_rounds == 1:
+        loop, entry = route.recharge_loop, 0
+    if loop is not None:
+        points = _points(route, loop)
+        for lap in loops:
+            if lap.nodes == loop and all(map(operator.is_, lap.points, points)):
+                return lap.walk(entry)
+        ring = loop + loop[:1]
+        if len(loop) > 1 and not any(map(operator.eq, ring, ring[1:])):
+            lap = _Loop(loop, points, _walk(ring, -1, points + points[:1], node_code, node_index))
+            loops.append(lap)
+            return lap.walk(entry)
+    nodes, cycle_start = LegPattern.walk_of(route)
+    return _walk(nodes, cycle_start, _points(route, nodes), node_code, node_index)
+
+
+def _drawn(route: StochasticRoute):
+    """``route``'s own waypoint stream, drawn from a twin of its generator.
+
+    The twin starts in the generator's state, so the stream is the one the
+    event loop would draw, and the route's generator is left as it was.
+    """
+    bit_generator = route._rng.bit_generator
+    twin = type(bit_generator)(0)  # any seed: the state is overwritten
+    twin.state = bit_generator.state
+    clone = copy.copy(route)
+    clone._rng = np.random.Generator(twin)
+    return clone.waypoints()
+
+
+def drawn_walk(raw: "list[str]") -> "tuple[list[str], np.ndarray]":
+    """The engine's duplicate-skip rule over a stream of drawn waypoints.
+
+    Returns ``(nodes, through)``: the nodes the mule heads to, and for each
+    of its schedule calls the number of draws consumed through it.  A call
+    skips a draw equal to the node the mule stands on; eight in a row halt
+    the mule, so a halted walk has one more call than nodes.  Draws past the
+    last call are pending.
+
+    Closed form: a stream with no two equal neighbours (a random walk with
+    ``avoid_repeat`` over unique candidates) skips nothing.  Every other
+    stream runs the state machine.
+    """
+    if not any(map(operator.eq, raw, raw[1:])):
+        return list(raw), np.arange(1, len(raw) + 1)
+    return _skip_draws(raw)
+
+
+def _skip_draws(raw: "list[str]") -> "tuple[list[str], np.ndarray]":
+    """The duplicate-skip state machine, for drawn streams without the closed form."""
+    nodes: "list[str]" = []
+    through: "list[int]" = []
+    prev: "str | None" = None
+    skipped = 0
+    for count, node in enumerate(raw, 1):
+        if node != prev:
+            nodes.append(node)
+            through.append(count)
+            prev, skipped = node, 0
+            continue
+        skipped += 1
+        if skipped == 8:
+            through.append(count)  # the call that halts the mule
+            break
+    return nodes, np.array(through)
+
+
+# --------------------------------------------------------------------------- #
+# The leg pattern, shared with the batched tier
+# --------------------------------------------------------------------------- #
 
 class BatteryStop(NamedTuple):
     """Where a tracked battery ends a :class:`LegPattern`.
@@ -304,13 +490,20 @@ class LegPattern:
 
     ``walk`` is the route's effective waypoint sequence under the engine's
     duplicate-skip rule: a prefix, then one cycle from ``cycle_start``
-    (``-1`` when the walk halts).  The legs tile it with ``laps`` more
-    cycles, enough to carry the chain at least one full lap past the
-    horizon.  Leg ``k`` runs to node
-    ``k`` of the tiling, whose kind is ``codes[k]`` and length ``dists[k]``
-    (exactly the engine's per-leg ``distance()`` calls).  The optional
-    initial leg to the route's start position is kept apart (``init_*``);
-    the first patrol leg departs at ``base``.
+    (``-1`` when it has none).  A loop route's walk comes from its fixed
+    pattern, and its legs tile it with ``laps`` more cycles, enough to carry
+    the chain at least one full lap past the horizon.  A
+    :class:`~repro.core.plan.StochasticRoute`'s walk is drawn (see
+    :meth:`_draw`): a prefix with no cycle, drawn until its chain passes the
+    horizon, its battery stops it or the skip rule halts it, and ``draws``
+    holds the generator draws its schedule calls consume (``None`` for a
+    loop route).  Leg ``k`` runs to node ``k`` of the tiling, whose kind is
+    ``codes[k]``, node index ``tidx[k]`` and length ``dists[k]`` (exactly
+    the engine's per-leg ``distance()`` calls).  The optional initial leg to
+    the route's start position is kept apart (``init_*``); the first patrol
+    leg departs at ``base``.  ``stop`` is where a tracked battery ends the
+    legs (:meth:`battery_stop`), ``None`` when it outlasts them or is not
+    tracked.
 
     ``inc`` interleaves travel and dwell increments,
     ``[dists[0] / v, dwell_0, dists[1] / v, dwell_1, ...]``: the engine
@@ -319,47 +512,34 @@ class LegPattern:
     its identical sequence of float additions (adding a 0.0 dwell is a
     bitwise no-op for the non-negative partial sums).  Both tiers take that
     sum with :meth:`chain`, after cutting a battery-tracked mule's legs at
-    :meth:`battery_stop` (see :class:`_Row`).
+    ``stop`` (see :class:`_Row`).
 
-    No step of the build runs Python per node: the walk comes from
-    :func:`dedup_walk`'s closed form, node kinds and points from C-level
-    ``map`` lookups, and the leg lengths from ``operator.sub`` and
+    No step of a loop route's build runs Python per node: the walk comes
+    from :func:`dedup_walk`'s closed form, node kinds and points from
+    C-level ``map`` lookups, and the leg lengths from ``operator.sub`` and
     ``math.hypot`` mapped over the coordinates (:func:`_hops`); only the
     initial leg and the cycle's first leg are single ``distance()`` calls.
+    Routes over one loop share those columns through ``loops``
+    (:func:`_route_walk`), each with its own rotation.
 
     Raises :class:`_Fallback` when the route has no precomputable walk, the
     steady-state lap advances no time (the event loop owns that case), or
-    the tiling would exceed ``max_events`` legs.
+    the legs would exceed ``max_events``.
     """
 
     __slots__ = (
         "walk", "cycle_start", "laps", "base", "init_event", "init_time",
-        "init_dist", "start_point", "codes", "dists", "inc", "full",
-        "velocity",
+        "init_dist", "start_point", "codes", "tidx", "dists", "inc", "full",
+        "velocity", "stop", "draws",
     )
 
     def __init__(
-        self, sim, mule, route: MuleRoute, sync_time: float, node_code, max_events: int
+        self, sim, mule, route: MuleRoute, sync_time: float, node_code, max_events: int,
+        node_index=None, loops: "list[_Loop] | None" = None,
     ) -> None:
         self.velocity = velocity = mule.velocity
         position = mule.position
         start = route.start_position()
-
-        walk, cycle_start = self.walk_of(route)
-        if not walk:
-            # Unreachable for the supported routes (the first candidate is
-            # always accepted against prev=None and loops are non-empty), but
-            # any future route shape that emits nothing belongs on the event
-            # loop rather than on a zero-event pattern here.
-            raise _Fallback
-        self.walk = walk
-        self.cycle_start = cycle_start
-        self.laps = 0
-        points = list(map(route.coordinates.__getitem__, walk))
-        codes = np.fromiter(
-            map(node_code.get, walk, repeat(0)), dtype=np.int8, count=len(walk)
-        )
-        dwells = np.where(codes == 1, sim._params.collection_time, 0.0)
 
         # -- initial leg and the first-departure base time ----------------- #
         self.init_event = False
@@ -383,14 +563,41 @@ class LegPattern:
             first_from = position
         self.base = base
 
+        if node_index is None:
+            node_index = node_indices(sim)
+        self.draws: "np.ndarray | None" = None
+        if type(route) is StochasticRoute:
+            self._draw(sim, mule, route, first_from, node_code, node_index, max_events)
+        else:
+            walk = _route_walk(route, node_code, node_index, [] if loops is None else loops)
+            self._lay_out(sim, mule, route, walk, first_from, max_events)
+
+    def _lay_out(self, sim, mule, route: MuleRoute, walk: _Walk, first_from: Point,
+                 max_events: int) -> None:
+        """Set the columns from ``walk``: its legs, tiled past the horizon, and the stop."""
+        nodes, cycle_start = walk.nodes, walk.cycle_start
+        if not nodes:
+            # Unreachable for the supported routes (the first candidate is
+            # always accepted against prev=None and loops are non-empty), but
+            # any future route shape that emits nothing belongs on the event
+            # loop rather than on a zero-event pattern here.
+            raise _Fallback
+        self.walk = nodes
+        self.cycle_start = cycle_start
+        self.laps = 0
+        velocity = self.velocity
+        codes, tidx = walk.codes, walk.tidx
+        dwells = np.where(codes == 1, sim._params.collection_time, 0.0)
+
         # -- leg lengths (exactly the engine's per-leg distance() calls) --- #
-        legs = np.array([distance(first_from, points[0]), *_hops(points)])
+        coordinates = route.coordinates
+        legs = np.concatenate(([distance(first_from, coordinates[nodes[0]])], walk.hops))
 
         if cycle_start >= 0:
             # The cycle's first leg starts from the walk's last node, not
             # from the prefix node before it.
             cycle = legs[cycle_start:].copy()
-            cycle[0] = distance(points[-1], points[cycle_start])
+            cycle[0] = distance(coordinates[nodes[-1]], coordinates[nodes[cycle_start]])
             cycle_dwells = dwells[cycle_start:]
             # One steady-state lap advances time by its travel plus its
             # dwells; a lap that advances neither is the event loop's
@@ -398,25 +605,109 @@ class LegPattern:
             lap_advance = float(cycle.sum()) / velocity + float(cycle_dwells.sum())
             if lap_advance <= 0.0:
                 raise _Fallback
-            prefix_time = base + float(legs.sum()) / velocity + float(dwells.sum())
+            prefix_time = self.base + float(legs.sum()) / velocity + float(dwells.sum())
             self.laps = int(max(0.0, sim.config.horizon - prefix_time) / lap_advance) + 2
-            if len(walk) + self.laps * len(cycle) > max_events:
+            if len(nodes) + self.laps * len(cycle) > max_events:
                 raise _Fallback
             legs = self.tile(legs, cycle)
             dwells = self.tile(dwells, cycle_dwells)
             codes = self.tile(codes)
+            tidx = self.tile(tidx)
 
         self.codes = codes
+        self.tidx = tidx
         self.dists = legs
         inc = np.empty(2 * len(legs), dtype=float)
         inc[0::2] = legs / velocity
         inc[1::2] = dwells
         self.inc = inc
         self.full: "np.ndarray | None" = None
+        self.stop: "BatteryStop | None" = None
+        battery = mule.battery
+        if sim.config.track_energy and battery is not None:
+            self.stop = self.battery_stop(battery.remaining, battery.capacity, sim._energy)
+
+    def _draw(self, sim, mule, route: StochasticRoute, first_from: Point, node_code,
+              node_index, max_events: int) -> None:
+        """Lay out a stochastic route's walk, drawn until the mule's legs are settled.
+
+        Draws come from the route's own ``waypoints()`` on a twin of its
+        generator (:func:`_drawn`), and the skip rule (:func:`drawn_walk`)
+        is redone over all of them after each chunk.  The walk is settled
+        once the skip rule halts the mule, the battery stop falls inside its
+        legs with the next node drawn (a collection death without dwell
+        still schedules a leg), or the chain's last arrival lies past the
+        horizon.  The columns are laid out, and that checked, only when
+        :meth:`_shortfall` estimates that the draws suffice; a spare draw
+        costs less than a layout.
+
+        A route whose candidates all sit on one point is declined before
+        any draw: the event loop names that zero-length lap.  So is a walk
+        whose draws would pass ``max_events``.
+        """
+        if _still_lap(route):
+            raise _Fallback
+        stream = _drawn(route)
+        raw = list(islice(stream, _FIRST_DRAWS))
+        while True:
+            nodes, through = drawn_walk(raw)
+            halted = len(through) > len(nodes)
+            more = 0 if halted else self._shortfall(sim, mule, route, nodes, first_from,
+                                                    node_code)
+            if not more:
+                if len(nodes) > max_events:
+                    raise _Fallback
+                self._lay_out(sim, mule, route,
+                              _walk(nodes, -1, _points(route, nodes), node_code, node_index),
+                              first_from, max_events)
+                self.draws = through
+                stop = self.stop
+                if halted or (stop is not None and len(nodes) >= stop.leg - self.init_event + 2) \
+                        or self.chain()[-2] > sim.config.horizon:
+                    self.full = None
+                    return
+                more = 8 + len(raw) // 8
+            if not len(raw) + more <= max_events:
+                raise _Fallback
+            raw += islice(stream, more)
+
+    def _shortfall(self, sim, mule, route: StochasticRoute, nodes: "list[str]",
+                   first_from: Point, node_code) -> "int | float":
+        """About how many more draws a drawn walk needs, with a margin; 0 when it seems done.
+
+        An estimate from the drawn legs' sums, which only sizes the next
+        chunk: at the walk's pace so far (seconds per leg) the chain must
+        pass the horizon, and at its drain per leg a tracked battery must
+        run out, from its last refill on, one node before the walk ends.
+        """
+        points = _points(route, nodes)
+        legs = [distance(first_from, points[0]), *_hops(points)]
+        codes = list(map(node_code.get, nodes, repeat(0)))
+        count = len(nodes)
+        elapsed = sum(legs) / self.velocity + codes.count(1) * sim._params.collection_time
+        need = (sim.config.horizon - self.base - elapsed) / elapsed * count \
+            if elapsed > 0.0 else math.inf
+        battery = mule.battery
+        if sim.config.track_energy and battery is not None:
+            energy = sim._energy
+            move, collect = energy.move_cost_per_meter, energy.collect_cost
+            drain = (sum(legs) * move + codes.count(1) * collect) / count
+            if 3 in codes:
+                after = count - codes[::-1].index(3)
+                charge = battery.capacity - sum(legs[after:]) * move \
+                    - codes[after:].count(1) * collect
+            else:
+                charge = battery.remaining - (self.init_dist * move if self.init_event else 0.0) \
+                    - drain * count
+            if drain > 0.0:
+                need = min(need, charge / drain + 2)
+        if need <= 0:
+            return 0
+        return math.inf if need == math.inf else int(need * 1.1) + 8
 
     @staticmethod
     def walk_of(route: MuleRoute) -> "tuple[list[str], int]":
-        """The effective walk of ``route`` as :func:`dedup_walk` returns it."""
+        """The effective walk of loop route ``route`` as :func:`dedup_walk` returns it."""
         return dedup_walk(*route_pattern(route))
 
     def tile(self, column, cycle=None):
@@ -445,11 +736,16 @@ class LegPattern:
         """Whether the chain in ``full`` has an arrival beyond ``horizon``.
 
         Both tiers decline a pattern whose lap estimate fell short; the
-        estimate tiles at least one full lap past the horizon, so this is a
-        guard, not a path.  A halting walk ends on its own and always
-        passes.
+        estimate tiles at least one full lap past the horizon, and a drawn
+        walk is drawn past it, so this is a guard, not a path.  A walk the
+        skip rule halts ends on its own and always passes: a loop walk with
+        no cycle, or a drawn walk with one more schedule call than nodes.
         """
-        return self.cycle_start < 0 or self.full[-2] > horizon
+        if self.draws is None:
+            halts = self.cycle_start < 0
+        else:
+            halts = len(self.draws) > len(self.walk)
+        return halts or self.full[-2] > horizon
 
     def applied_legs(self) -> "tuple[np.ndarray, np.ndarray]":
         """Each leg's length and node code in the order the mule applies them.
@@ -517,30 +813,18 @@ class LegPattern:
 # --------------------------------------------------------------------------- #
 
 class _Row(LegPattern):
-    """One mule's :class:`LegPattern` plus its node-index column.
-
-    ``tidx`` holds each leg's node index: a target's place in the scenario,
-    ``len(targets)`` for the sink, one more for the recharge station, and
-    ``-1`` for anything else.  ``full`` is filled by :meth:`~LegPattern.chain`.
+    """One mule's :class:`LegPattern`, cut at its battery stop.
 
     A battery-tracked mule's row ends at its :meth:`~LegPattern.battery_stop`
     (``stop``): the columns keep exactly the patrol legs the mule completes,
     so the cut happens before the cumsum and the tiled arrays are freed.
+    ``full`` is filled by :meth:`~LegPattern.chain`.
     """
 
-    __slots__ = ("tidx", "stop")
+    __slots__ = ()
 
-    def __init__(self, sim, mule, route, sync_time: float, node_code, node_index,
-                 max_events: int) -> None:
-        super().__init__(sim, mule, route, sync_time, node_code, max_events)
-        walk = self.walk
-        self.tidx = self.tile(np.fromiter(
-            map(node_index.get, walk, repeat(-1)), dtype=np.int32, count=len(walk)
-        ))
-        self.stop = None
-        battery = mule.battery
-        if sim.config.track_energy and battery is not None:
-            self.stop = self.battery_stop(battery.remaining, battery.capacity, sim._energy)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         if self.stop is not None:
             # A mid-leg death keeps the legs before the fatal one; a dying
             # collection or a clip keeps the leg it ends (the initial leg
@@ -574,19 +858,17 @@ class _Row(LegPattern):
 def _rows(sim) -> "list[_Row]":
     """One :class:`_Row` per mule of ``sim``, in scenario order.
 
-    Raises :class:`_Fallback` when a mule's pattern declines, past
+    Routes over one loop share its columns (:func:`_route_walk`) for this
+    call.  Raises :class:`_Fallback` when a mule's pattern declines, past
     ``_MAX_EVENTS_PER_MULE`` events among others.
     """
-    targets = sim.scenario.targets
-    node_index = {t.id: i for i, t in enumerate(targets)}
-    node_index[sim._sink_id] = len(targets)
-    if sim._recharge_id is not None:
-        node_index[sim._recharge_id] = len(targets) + 1
     sync_time = sim._patrol_start_time()
     node_code = node_codes(sim)
+    node_index = node_indices(sim)
+    loops: "list[_Loop]" = []
     return [
-        _Row(sim, mule, sim.plan.route_for(mule.id), sync_time, node_code, node_index,
-             _MAX_EVENTS_PER_MULE)
+        _Row(sim, mule, sim.plan.route_for(mule.id), sync_time, node_code,
+             _MAX_EVENTS_PER_MULE, node_index, loops)
         for mule in sim.scenario.mules
     ]
 
@@ -773,18 +1055,22 @@ class _Table:
     cut needs their pop ranks (``ranked``).  ``ids`` names each node index
     (the targets, the sink, the station) and ``mule_ids`` each row's mule.
     :func:`fast_result` sets each collection's packet window (``opened``)
-    and size (``sizes``) and the ``delivered_data`` total; the result's
-    ``visits`` and ``deliveries`` are built here when first read.
+    and size (``sizes``), the ``delivered_data`` total, each row's travelled
+    ``distances`` and the ``dead`` mules' ids; the result's ``visits``,
+    ``deliveries`` and ``traces`` are built here when first read.
     """
 
     __slots__ = ("kept", "times", "codes", "tidx", "row", "collect", "ct", "cx", "delivered",
-                 "flush", "key", "ranked", "ids", "mule_ids", "opened", "sizes",
-                 "delivered_data")
+                 "flush", "key", "ranked", "ids", "mule_ids", "batteries", "energy", "opened",
+                 "sizes", "delivered_data", "distances", "dead")
 
     def __init__(self, sim, kept: "list[_Kept]") -> None:
         self.kept = kept
         self.ids = [*map(_ID, sim.scenario.targets), sim._sink_id, sim._recharge_id]
-        self.mule_ids = [*map(_ID, sim.scenario.mules)]
+        mules = sim.scenario.mules
+        self.mule_ids = [*map(_ID, mules)]
+        self.batteries = [m.battery is not None for m in mules]
+        self.energy = sim._energy
         self.times = np.concatenate([k.row.full[1:2 * k.arrivals:2] for k in kept])
         self.codes = codes = np.concatenate([k.row.codes[:k.arrivals] for k in kept])
         self.tidx = np.concatenate([k.row.tidx[:k.arrivals] for k in kept])
@@ -859,6 +1145,28 @@ class _Table:
             collected, collected, self.sizes[sent].tolist(),
         ))
 
+    def traces(self) -> "dict[str, MuleTrace]":
+        """Each mule's trace, in scenario order, from its kept row."""
+        kept = self.kept
+        collectors = self.row[self.collect]
+        collections = np.bincount(collectors, minlength=len(kept)).tolist()
+        deliveries = np.bincount(collectors[self.delivered], minlength=len(kept)).tolist()
+        stations = np.bincount(self.row[self.codes == 3], minlength=len(kept)).tolist()
+        return {
+            mule_id: MuleTrace(
+                mule_id, distance_travelled=travelled,
+                energy_consumed=_running_sum(0.0, k.drains(self.energy)),
+                collections=collected, deliveries=delivered,
+                recharges=recharged if battery else 0,
+                initialization_time=k.row.init_time if k.init else 0.0,
+                death_time=k.row.stop_time() if k.dies else None,
+            )
+            for k, mule_id, battery, travelled, collected, delivered, recharged in zip(
+                kept, self.mule_ids, self.batteries, self.distances, collections, deliveries,
+                stations,
+            )
+        }
+
 
 # --------------------------------------------------------------------------- #
 # One fast result for both fast tiers
@@ -869,12 +1177,12 @@ def fast_result(sim) -> "SimulationResult | str":
 
     The reasons are ``"row-fallback"`` when a mule's :class:`LegPattern`
     declines, and ``"lap-estimate"`` or ``"battery-clip"`` from
-    :func:`_horizon_cut`.  The result's visit table, delivered total, traces
-    and metadata are computed here from arrays; its ``visits`` and
-    ``deliveries`` are built from the table when first read
-    (:class:`_Table`).  No mule is touched: :func:`run_fast_path` leaves the
-    final mule state, and the batched tier reduces the result to a record
-    without it.
+    :func:`_horizon_cut`.  The result's visit table, delivered total,
+    travelled distances, dead mules and metadata are computed here from
+    arrays; its ``visits``, ``deliveries`` and ``traces`` are built from the
+    table when first read (:class:`_Table`).  No mule is touched:
+    :func:`run_fast_path` leaves the final mule state, and the batched tier
+    reduces the result to a record without it.
     """
     try:
         rows = _rows(sim)
@@ -952,27 +1260,15 @@ def fast_result(sim) -> "SimulationResult | str":
         np.concatenate((ct_s[:at], sink_times, ct_s[at:])),
     )
 
-    collectors = table.row[table.collect]
-    collections = np.bincount(collectors, minlength=len(kept)).tolist()
-    deliveries = np.bincount(collectors[table.delivered], minlength=len(kept)).tolist()
-    stations = np.bincount(table.row[table.codes == 3], minlength=len(kept)).tolist()
-    traces = {}
-    for k, mule, collected, delivered, recharged in zip(
-        kept, sim.scenario.mules, collections, deliveries, stations
-    ):
-        traces[mule.id] = MuleTrace(
-            mule.id, distance_travelled=k.distance(),
-            energy_consumed=_running_sum(0.0, k.drains(sim._energy)),
-            collections=collected, deliveries=delivered,
-            recharges=recharged if mule.battery is not None else 0,
-            initialization_time=k.row.init_time if k.init else 0.0,
-            death_time=k.row.stop_time() if k.dies else None,
-        )
+    # What the record reads of the traces: SimulationResult.total_distance
+    # and dead_mules answer from these while the traces are unbuilt.
+    table.distances = [k.distance() for k in kept]
+    table.dead = list(compress(table.mule_ids, [k.dies for k in kept]))
     metadata = dict(sim.plan.metadata)
     metadata.setdefault("patrol_start_time", sim._patrol_start_time())
-    result = SimulationResult(sim.plan.strategy, config.horizon, traces=traces, metadata=metadata)
+    result = SimulationResult(sim.plan.strategy, config.horizon, metadata=metadata)
     state = result.__dict__
-    del state["visits"], state["deliveries"]  # built from the table on first read
+    del state["visits"], state["deliveries"], state["traces"]  # built from the table on first read
     state.update(_source=table, _visit_table=(int(np.count_nonzero(table.codes)), visit_table))
     return result
 
@@ -986,7 +1282,9 @@ def run_fast_path(sim) -> "SimulationResult | None":
 
     The result is :func:`fast_result`'s, and the mules are left as the event
     loop leaves them: undelivered packets in their buffers, their batteries,
-    positions and states.
+    positions and states.  So are the routes: each stochastic route's
+    generator makes the draws the event loop's schedule calls make by the
+    cut (:func:`_schedule_calls`), through the route's own ``waypoints()``.
     """
     if not fast_path_eligible(sim):
         return None
@@ -1018,7 +1316,57 @@ def run_fast_path(sim) -> "SimulationResult | None":
                 mule.position = mule.position.towards(row.destination(stop.leg, coordinates),
                                                       stop.reachable)
             mule.state = MuleState.DEAD
+    if any(k.row.draws is not None for k in table.kept):
+        for k, mule, calls in zip(table.kept, mules, _schedule_calls(table, sim.config)):
+            if k.row.draws is not None and calls:
+                waypoints = sim.plan.route_for(mule.id).waypoints()
+                deque(islice(waypoints, int(k.row.draws[calls - 1])), maxlen=0)
     return result
+
+
+def _schedule_calls(table: _Table, config) -> "list[int]":
+    """How many legs each row's mule schedules in the event loop by the cut.
+
+    The engine draws a stochastic route's next waypoint in each call.  One
+    call schedules each leg the kept events start: the first patrol leg, at
+    deployment or when the initial leg ends, then one after each processed
+    arrival with no dwell and after each processed dwell end.  A collection
+    death with no dwell still schedules (the engine discards the leg); a
+    dwell that ends after one does not, and neither does the arrival that
+    reaches ``max_visits``.  Every kept arrival but a row's last is followed
+    by the row's next leg, so only the last is decided here: by its dwell,
+    the horizon and, on a ``max_visits`` cut, the pop ranks.
+    """
+    kept = table.kept
+    horizon, max_visits = config.horizon, config.max_visits
+    ends = (np.cumsum([k.arrivals for k in kept]) - 1).tolist()  # each row's last arrival
+    cut = None
+    if max_visits is not None and \
+            np.count_nonzero((table.codes == 1) | (table.codes == 2)) >= max_visits:
+        # The run stopped at its max_visits-th recorded visit: of the kept
+        # arrivals, the last the engine popped.
+        chains, at = _chains(kept)
+        ranks = _pop_ranks(chains)
+        cut = int(ranks[at].max())
+    calls = []
+    for k, end in zip(kept, ends):
+        row, n = k.row, k.arrivals
+        if row.init_event and not k.init:
+            calls.append(0)  # the initial leg never ends
+            continue
+        if n == 0:
+            calls.append(1)
+            continue
+        if cut is not None and ranks[at[end]] == cut:
+            follows = False
+        elif not row.inc[2 * n - 1] > 0.0:
+            follows = True
+        else:
+            follows = bool(row.full[2 * n] <= horizon
+                           and not (k.dies and row.stop.kind == "collect")
+                           and (cut is None or ranks[at[end] + 1] < cut))
+        calls.append(n + follows)
+    return calls
 
 
 def _leave_battery(battery, drains: np.ndarray, refills: np.ndarray) -> None:

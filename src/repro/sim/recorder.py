@@ -10,9 +10,9 @@ length, so incremental consumers that append records still see fresh data;
 the caches derived from the table are keyed by the table object itself.
 
 A result of the fast tiers (:func:`repro.sim.fastpath.fast_result`) comes
-with its visit table and delivered total already computed from arrays, and
-builds its ``visits`` and ``deliveries`` lists only when something reads
-them.
+with its visit table, delivered total, travelled distances and dead mules
+already computed from arrays, and builds its ``visits`` and ``deliveries``
+lists and its ``traces`` only when something reads them.
 """
 
 from __future__ import annotations
@@ -150,6 +150,8 @@ class SimulationResult:
         return 0 if times is None else int(times.size)
 
     def total_distance(self) -> float:
+        if "traces" not in self.__dict__:  # a fast-tier result knows it unbuilt
+            return sum(self.__dict__["_source"].distances)
         return sum(t.distance_travelled for t in self.traces.values())
 
     def total_energy(self) -> float:
@@ -164,6 +166,8 @@ class SimulationResult:
         return sorted(m for m, t in self.traces.items() if t.alive)
 
     def dead_mules(self) -> list[str]:
+        if "traces" not in self.__dict__:  # a fast-tier result knows them unbuilt
+            return sorted(self.__dict__["_source"].dead)
         return sorted(m for m, t in self.traces.items() if not t.alive)
 
     def summary(self) -> dict:
@@ -181,21 +185,22 @@ class SimulationResult:
 
 
 def _built_on_read(name: str) -> property:
-    """The ``name`` list field, stored as set or built on its first read.
+    """The ``name`` field, stored as set or built on its first read.
 
-    A fast-tier result is made without its ``visits`` and ``deliveries``:
-    its ``_source`` (the kept-event table of :mod:`repro.sim.fastpath`)
-    builds each list when something first reads it, equal to the event
-    loop's.  Every other result stores the list its ``__init__`` sets.
+    A fast-tier result is made without its ``visits``, ``deliveries`` and
+    ``traces``: its ``_source`` (the kept-event table of
+    :mod:`repro.sim.fastpath`) builds each when something first reads it,
+    equal to the event loop's.  Every other result stores the value its
+    ``__init__`` sets.
     """
 
-    def get(self) -> list:
+    def get(self):
         state = self.__dict__
         if name not in state:
             state[name] = getattr(state["_source"], name)()
         return state[name]
 
-    def set(self, value: list) -> None:
+    def set(self, value) -> None:
         self.__dict__[name] = value
 
     return property(get, set, doc=f"The result's {name} (built on first read on a fast tier).")
@@ -206,3 +211,4 @@ def _built_on_read(name: str) -> property:
 # they go through these properties.
 SimulationResult.visits = _built_on_read("visits")  # type: ignore[assignment]
 SimulationResult.deliveries = _built_on_read("deliveries")  # type: ignore[assignment]
+SimulationResult.traces = _built_on_read("traces")  # type: ignore[assignment]

@@ -528,17 +528,22 @@ class TestReportCommand:
         assert "no column" in capsys.readouterr().err
 
 
-#: random cells never ride the batch, so the scalar core runs (and times) them.
+#: Four cells; _declined_campaign runs them with the batch off, so the scalar
+#: core runs (and times) them.
 _SWEEP_DECLINED = ["sweep", "--strategies", "chb,random", "--replications", "2",
                    "--targets", "6", "--mules", "2", "--horizon", "5000", "--no-store"]
 
 
 def _declined_campaign(tmp_path, *, obs_on: bool, progress: bool = False):
-    """Run the _SWEEP_DECLINED cells via ``run --out`` with ``sim.obs`` set; returns the artifact."""
+    """Run the _SWEEP_DECLINED cells via ``run --out`` with ``sim.obs`` set; returns the artifact.
+
+    The spec also sets ``sim.batch_path`` off: the batch declines every cell.
+    """
     spec_path = tmp_path / f"spec-{obs_on}.json"
     assert main([*_SWEEP_DECLINED, "--spec-out", str(spec_path)]) == 0
     spec = json.loads(spec_path.read_text())
     spec["base"]["sim"]["obs"] = obs_on
+    spec["base"]["sim"]["batch_path"] = False
     spec_path.write_text(json.dumps(spec))
     out = tmp_path / f"camp-{obs_on}.json"
     flags = ["--progress"] if progress else []

@@ -9,6 +9,7 @@ get out of the way.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import get_strategy
-from repro.core.plan import LoopRoute, PatrolPlan
+from repro.core.plan import LoopRoute, MuleRoute, PatrolPlan, StochasticRoute
 from repro.energy.battery import Battery
 from repro.energy.model import EnergyModel
 from repro.runner import Campaign, CampaignSpec, RunSpec
@@ -167,6 +168,21 @@ class TestBatteryStop:
                                                            dists, codes)
 
 
+class ShuttleRoute(MuleRoute):
+    """Back and forth between two nodes: a route class the fast path does not know."""
+
+    def __init__(self, mule_id, first, second, coordinates):
+        super().__init__(mule_id, coordinates)
+        self.ends = [first, second]
+
+    def waypoints(self):
+        return itertools.cycle(self.ends)
+
+
+class SubclassedRandom(StochasticRoute):
+    """A subclass may change the draw rule, so only the class itself rides."""
+
+
 class TestEligibility:
     def _sim(self, *, scenario_spec=None, strategy="b-tctp", cfg=FAST, seed=0, **params):
         scenario_spec = scenario_spec or ScenarioSpec(
@@ -203,10 +219,44 @@ class TestEligibility:
                                         "mule_battery": 50_000.0})
         assert fast_path_eligible(self._sim(scenario_spec=spec))
 
-    def test_stochastic_route_falls_back(self):
+    def test_stochastic_route_is_eligible(self):
         sim = self._sim(strategy="random", seed=1)
-        assert not fast_path_eligible(sim)
-        assert fast_path_rejection(sim) == "route-class"
+        assert fast_path_eligible(sim)
+        assert run_fast_path(sim) is not None
+
+    @pytest.mark.parametrize("route_class", [ShuttleRoute, SubclassedRandom])
+    def test_other_route_classes_fall_back(self, route_class):
+        results = []
+        for cfg in (FAST, SLOW):
+            scenario = ScenarioSpec("uniform", {"num_targets": 6, "num_mules": 2}).build(2)
+            coords = scenario.patrol_points()
+            ids = list(coords)
+            plan = PatrolPlan("custom", {
+                m.id: (ShuttleRoute(m.id, ids[i], ids[i + 2], coords)
+                       if route_class is ShuttleRoute
+                       else SubclassedRandom(m.id, ids, coords, seed=i))
+                for i, m in enumerate(scenario.mules)
+            })
+            sim = PatrolSimulator(scenario, plan, cfg)
+            if cfg.fast_path:
+                assert fast_path_rejection(sim) == "route-class"
+                assert run_fast_path(sim) is None
+            results.append(sim.run())
+        assert results[0] == results[1] and results[0].visits
+
+    def test_shared_generator_falls_back(self):
+        # The event loop interleaves draws of mules that share a generator
+        # in event order; a walk drawn per mule would not.
+        outcomes = []
+        for cfg in (FAST, SLOW):
+            sim = self._sim(strategy="random", seed=1, cfg=cfg)
+            routes = list(sim.plan.routes.values())
+            routes[1]._rng = routes[0]._rng
+            if cfg.fast_path:
+                assert fast_path_rejection(sim) == "shared-generator"
+            result = sim.run()
+            outcomes.append((result, routes[0]._rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1] and outcomes[0][0].visits
 
     def test_alternating_route_is_eligible(self):
         spec = ScenarioSpec(
@@ -277,6 +327,8 @@ LAZY_CASES = [
                  "mule_battery": 60_000.0}),
     # Lockstep mules on the sink: visits and flushes tie.
     ("chb", {"num_targets": 10, "num_mules": 3, "num_vips": 2}),
+    # Random walks whose tracked batteries die, drawn from the generators.
+    ("random", {"num_targets": 10, "num_mules": 3, "mule_battery": 20_000.0}),
 ]
 LAZY_IDS = [case[0] for case in LAZY_CASES]
 LAZY = SimulationConfig(horizon=20_000.0, track_energy=True)
@@ -294,14 +346,19 @@ def lazy_run(strategy, params, *, fast_path=True, used_battery=False):
             mule.battery.total_drained = 1234.5
             mule.battery.total_recharged = 67.25
             mule.battery.recharge_count = 3
-    plan = get_strategy(strategy).plan(scenario)
+    plan = get_strategy(strategy, **({"seed": 11} if strategy == "random" else {})).plan(scenario)
     config = dataclasses.replace(LAZY, fast_path=fast_path)
     return PatrolSimulator(scenario, plan, config).run(), scenario, plan
 
 
 def built(result) -> "list[str]":
-    """Which of the result's lists were built."""
-    return [name for name in ("visits", "deliveries") if name in vars(result)]
+    """Which of the result's lists and traces were built."""
+    return [name for name in ("visits", "deliveries", "traces") if name in vars(result)]
+
+
+def generator_states(plan) -> list:
+    return [route._rng.bit_generator.state for route in plan.routes.values()
+            if isinstance(route, StochasticRoute)]
 
 
 def mule_state(scenario) -> list:
@@ -313,7 +370,7 @@ def mule_state(scenario) -> list:
 
 
 class TestLazyResult:
-    """A fast result's metrics read arrays; its lists are the event loop's, on first read."""
+    """A fast result's metrics read arrays; its lists and traces are the event loop's, on first read."""
 
     @pytest.mark.parametrize("strategy,params", LAZY_CASES, ids=LAZY_IDS)
     def test_metrics_build_no_list(self, strategy, params):
@@ -331,8 +388,12 @@ class TestLazyResult:
         assert fast.total_delivered_data() == slow.total_delivered_data()
         assert _record_columns((), scenario, plan, fast) \
             == _record_columns((), scenario, plan, slow)
+        # The six columns read the distances and the dead mules off the
+        # table: no trace is built for a record.
+        assert built(fast) == []
         # Every metric the library registers reads the visit table, the
-        # traces, the plan or the scenario, never a list.
+        # traces, the plan or the scenario, never a list; the ones that read
+        # the traces build them.
         library = [name for name, fn in record_metrics._METRICS.items()
                    if fn.__module__ == record_metrics.__name__]
         assert len(library) >= 10
@@ -340,7 +401,7 @@ class TestLazyResult:
             got = record_metrics.compute_metric(name, scenario, plan, fast)
             want = record_metrics.compute_metric(name, scenario, plan, slow)
             assert json.dumps(got) == json.dumps(want), name
-        assert built(fast) == []
+        assert set(built(fast)) <= {"traces"}
 
     @pytest.mark.parametrize("strategy,params", LAZY_CASES, ids=LAZY_IDS)
     def test_first_read_is_the_event_loops_list(self, strategy, params):
@@ -352,6 +413,20 @@ class TestLazyResult:
         assert fast.visits == slow.visits
         assert fast.visits is fast.visits
         assert fast == slow
+
+    @pytest.mark.parametrize("strategy,params", LAZY_CASES, ids=LAZY_IDS)
+    def test_first_read_of_the_traces_is_the_event_loops(self, strategy, params):
+        fast, *_rest = lazy_run(strategy, params)
+        slow, *_rest = lazy_run(strategy, params, fast_path=False)
+        distance, dead = fast.total_distance(), fast.dead_mules()
+        assert (distance, dead) == (slow.total_distance(), slow.dead_mules())
+        assert built(fast) == []
+        assert fast.traces == slow.traces
+        assert built(fast) == ["traces"]
+        assert fast.traces is fast.traces
+        # Read from the built traces now: the same floats, summed alike.
+        assert (fast.total_distance(), fast.dead_mules()) == (distance, dead)
+        assert fast.total_energy() == slow.total_energy()
 
     def test_an_append_after_the_build_refreshes_the_table(self):
         from repro.sim.metrics import average_dcdt
@@ -382,7 +457,8 @@ class TestLazyResult:
         slow, *_rest = lazy_run(*LAZY_CASES[2], fast_path=False)
         average_sd(fast)  # caches derived from the seeded table
         if build:
-            assert fast.visits and fast.deliveries
+            assert fast.visits and fast.deliveries and fast.traces
+        assert built(fast) == (["visits", "deliveries", "traces"] if build else [])
         for twin in (copy.deepcopy(fast), pickle.loads(pickle.dumps(fast))):
             assert built(twin) == built(fast)
             assert twin == slow
@@ -393,12 +469,13 @@ class TestLazyResult:
 
     @pytest.mark.parametrize("strategy,params,used_battery", [
         *((*case, False) for case in LAZY_CASES),
-        *((*case, True) for case in LAZY_CASES[:2]),
-    ], ids=[*LAZY_IDS, *(f"{name}-used-battery" for name in LAZY_IDS[:2])])
+        *((*case, True) for case in (*LAZY_CASES[:2], LAZY_CASES[3])),
+    ], ids=[*LAZY_IDS, *(f"{name}-used-battery" for name in (*LAZY_IDS[:2], LAZY_IDS[3]))])
     def test_run_leaves_the_event_loops_mule_state(self, strategy, params, used_battery):
-        fast, scen_fast, _plan = lazy_run(strategy, params, used_battery=used_battery)
-        slow, scen_slow, _plan = lazy_run(strategy, params, fast_path=False,
-                                          used_battery=used_battery)
+        fast, scen_fast, plan_fast = lazy_run(strategy, params, used_battery=used_battery)
+        slow, scen_slow, plan_slow = lazy_run(strategy, params, fast_path=False,
+                                              used_battery=used_battery)
         assert mule_state(scen_fast) == mule_state(scen_slow)
+        assert generator_states(plan_fast) == generator_states(plan_slow)
         assert built(fast) == []
         assert fast.traces == slow.traces

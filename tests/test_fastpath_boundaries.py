@@ -171,7 +171,7 @@ class TestScalarRejections:
         assert result.total_delivered_data() == pytest.approx(557.0)
         assert result.deliveries[0].size == pytest.approx(7.0)
 
-    def test_stochastic_route_rejects_and_single_candidate_halts(self):
+    def test_single_candidate_random_walk_halts_on_the_fast_tier(self):
         def plan(scenario):
             coords = scenario.patrol_points()
             return PatrolPlan(strategy="manual", routes={
@@ -180,13 +180,24 @@ class TestScalarRejections:
 
         scenario = line_scenario()
         sim = PatrolSimulator(scenario, plan(scenario), FAST)
-        assert fast_path_rejection(sim) == "route-class"
-        result = sim.run()
+        assert fast_path_rejection(sim) is None
+        with obs.obs_collected(enabled=True) as window:
+            result = sim.run()
+            counters = window.snapshot()["counters"]
+        assert [(c["name"], c["labels"], c["value"]) for c in counters
+                if c["name"] == "sim_dispatch"] == [("sim_dispatch", {"outcome": "fastpath"}, 1)]
         # One candidate repeats forever; the duplicate-skip rule halts the
         # mule after its single 100 m leg: one visit, nothing delivered.
         assert result.visit_times("g1") == pytest.approx([50.0])
         assert result.total_delivered_data() == 0
         assert result.traces["m1"].distance_travelled == pytest.approx(100.0)
+        # The halt takes the first draw and eight skipped ones, as the
+        # event loop's nine draws do.
+        slow_scenario = line_scenario()
+        slow_plan = plan(slow_scenario)
+        assert PatrolSimulator(slow_scenario, slow_plan, SLOW).run() == result
+        assert sim.plan.routes["m1"]._rng.bit_generator.state \
+            == slow_plan.routes["m1"]._rng.bit_generator.state
 
 
 class TestBatchFallbacks:
@@ -382,19 +393,21 @@ class TestBatchFallbacks:
          None, "battery-clip", DYNAMIC),
         ({"metrics": ["path_length", "dcdt_series"]}, None, None, None),
         ({"sim": {"max_visits": 10}}, None, None, None),
-        ({"strategy": "random"}, None, "fastpath-route-class",
-         {"outcome": "event-loop", "reason": "route-class"}),
+        ({"strategy": "random"}, None, None, None),  # drawn walks ride the batch
         # The dynamic declines, forced: the event cap both tiers share (the
         # batch declines the rows, then the scalar tier, so the cell runs on
         # the event loop), a lap estimate that falls short (declined on both
         # tiers), the scalar's event cap with the batch off.
         ({}, (fastpath, "_MAX_EVENTS_PER_MULE", 1), "row-fallback", DYNAMIC),
+        # A drawn walk past the cap declines before it draws on.
+        ({"strategy": "random"}, (fastpath, "_MAX_EVENTS_PER_MULE", 1), "row-fallback",
+         DYNAMIC),
         ({}, (LegPattern, "reaches", lambda _pattern, _horizon: False), "lap-estimate",
          DYNAMIC),
         ({"sim": {"batch_path": False}}, (fastpath, "_MAX_EVENTS_PER_MULE", 1),
          "batch-path-disabled", DYNAMIC),
     ], ids=["chb", "tracked-battery", "battery-clip", "custom-metrics", "max-visits", "random",
-            "batch-event-cap", "lap-estimate", "scalar-event-cap"])
+            "batch-event-cap", "random-event-cap", "lap-estimate", "scalar-event-cap"])
     def test_declined_single_cell_counts_one_scalar_dispatch(
         self, spec_kwargs, patch, reason, sim_labels
     ):
@@ -438,7 +451,7 @@ class TestBatchFallbacks:
 
         monkeypatch.setattr(batchpath, "batch_execute_records", spy)
         specs = [self._spec(), self._spec(sim={"batch_path": False}),
-                 self._spec(strategy="random")]
+                 self._spec(strategy="random", sim={"fast_path": False})]
         with obs.obs_collected(enabled=True) as window:
             records = execute_many(specs, max_workers=max_workers)
             snapshot = window.snapshot()

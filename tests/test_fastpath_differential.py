@@ -30,10 +30,12 @@ every path must agree there as well.  A third leg draws CHB and
 staggered-CHB cells whose mules leave the sink together, with and without a
 dwell and tracked batteries: their visits tie, and every one of them must
 ride the batch, in the engine's tie order.  A fourth leg compares whole
-results — visit order, deliveries, traces and final mule state, which no
-record shows — of ``PatrolSimulator.run()`` with the fast path on and off,
-on cases drawn from the three generators, a quarter of them capped by
-``max_visits``.
+results — visit order, deliveries, traces, final mule state and each random
+walk's generator state, which no record shows — of ``PatrolSimulator.run()``
+with the fast path on and off, on cases drawn from the three generators, a
+quarter of them capped by ``max_visits``.  A fifth leg does the same on
+hand-built random-walk plans (one candidate, duplicates, ``avoid_repeat``
+off, dear collections, shared generators), run twice on one plan.
 
 On a mismatch the failing case is greedily shrunk (fewer targets, fewer
 mules, shorter horizon, defaults restored) before reporting, so the assertion
@@ -411,11 +413,12 @@ class TestDifferentialFuzz:
 # --------------------------------------------------------------------------- #
 
 def full_run(case: dict, *, fast_path: bool) -> "tuple[object, bool]":
-    """``PatrolSimulator.run()`` on its own scenario copy, with the final mule state.
+    """``PatrolSimulator.run()`` on its own scenario copy, with the final state.
 
-    Returns ``((result, mules), rode_the_fast_path)``, or the planning or
-    simulation ``ValueError`` as a string.  The case's optional
-    ``max_visits`` caps the run.
+    Returns ``((result, mules, generators), rode_the_fast_path)``, or the
+    planning or simulation ``ValueError`` as a string: ``mules`` is the
+    final mule state and ``generators`` each stochastic route's generator
+    state after the run.  The case's optional ``max_visits`` caps the run.
     """
     from repro.baselines.base import get_strategy, seeded_params
     from repro.sim.engine import PatrolSimulator
@@ -437,37 +440,49 @@ def full_run(case: dict, *, fast_path: bool) -> "tuple[object, bool]":
                                          m.battery.total_recharged, m.battery.recharge_count))
         for m in scenario.mules
     ]
-    return (result, mules), dispatches(counters, "sim_dispatch", outcome="fastpath") == 1
+    return (result, mules, generator_states(plan)), \
+        dispatches(counters, "sim_dispatch", outcome="fastpath") == 1
+
+
+def generator_states(plan) -> list:
+    """Each stochastic route's generator state, in route order."""
+    from repro.core.plan import StochasticRoute
+
+    return [route._rng.bit_generator.state for route in plan.routes.values()
+            if isinstance(route, StochasticRoute)]
 
 
 def first_difference(got, want) -> "str | None":
     """The first part of two :func:`full_run` outcomes that differs, or ``None``."""
     if isinstance(got, str) or isinstance(want, str):
         return None if got == want else f"fast: {got!r}\n event loop: {want!r}"
-    (result, mules), (expected, expected_mules) = got, want
+    (result, mules, generators), (expected, expected_mules, expected_generators) = got, want
     for name in ("strategy", "horizon", "metadata", "visits", "deliveries", "traces"):
         if getattr(result, name) != getattr(expected, name):
             return f"{name} differ"
     for mule, expected_mule in zip(mules, expected_mules):
         if mule != expected_mule:
             return f"final state of {mule[0]}: {mule} != {expected_mule}"
+    if generators != expected_generators:
+        return f"generator states: {generators} != {expected_generators}"
     return None
 
 
 class TestFullResultFuzz:
     """The scalar tier's whole result, not only the record the batch compares.
 
-    Records see no visit order, no delivery list, no trace field and no final
-    mule state; this leg compares all of them between ``PatrolSimulator.run()``
-    with the fast path on and the event loop, on cases drawn from the three
-    generators above, a quarter of them capped by ``max_visits``.
+    Records see no visit order, no delivery list, no trace field, no final
+    mule state and no generator state; this leg compares all of them between
+    ``PatrolSimulator.run()`` with the fast path on and the event loop, on
+    cases drawn from the three generators above, a quarter of them capped by
+    ``max_visits``.  Random cells ride the fast path too.
     """
 
     def test_fast_path_reproduces_the_event_loop(self):
         seed = FUZZ_SEED + 7
         rng = np.random.default_rng(seed)
         draws = (draw_case, tracked_case, lockstep_case)
-        fast = deaths = cuts = ties = 0
+        fast = deaths = cuts = ties = walks = 0
         for index in range(FUZZ_CASES):
             case = draws[index % len(draws)](rng)
             if rng.integers(4) == 0:
@@ -486,10 +501,178 @@ class TestFullResultFuzz:
             deaths += rode and bool(result.dead_mules())
             cuts += rode and sum(v.is_target for v in result.visits) == case.get("max_visits")
             ties += rode and len({v.time for v in result.visits}) < len(result.visits)
-        # Most cases must ride the fast path, through deaths, cuts and ties.
+            walks += rode and case["strategy"] == "random"
+        # Most cases must ride the fast path, through deaths, cuts, ties and
+        # random walks.
         assert fast >= FUZZ_CASES * 3 // 4, f"only {fast}/{FUZZ_CASES} cases rode the fast path"
-        assert min(deaths, ties) >= FUZZ_CASES // 10 and cuts >= FUZZ_CASES // 40, \
-            (deaths, cuts, ties)
+        assert min(deaths, ties) >= FUZZ_CASES // 10 and cuts >= FUZZ_CASES // 40 \
+            and walks >= FUZZ_CASES // 40, (deaths, cuts, ties, walks)
+
+
+# --------------------------------------------------------------------------- #
+# Random walks: hand-built stochastic plans, generator state included
+# --------------------------------------------------------------------------- #
+
+def walk_case(rng: np.random.Generator) -> dict:
+    """A hand-built stochastic plan as a plain dict.
+
+    Candidates index the patrol points (targets, sink, and the station when
+    there is one): a single candidate, duplicates, or unique ones.  Drawn
+    alongside: the draw rule, a dwell, a tracked battery (small enough to
+    die mid-leg, or, with dear collections, at a collection), a
+    ``max_visits`` cut, a horizon that ends anywhere (mid-leg or mid-dwell),
+    and, for several mules, one generator shared by all their routes.
+    """
+    num_targets = int(rng.integers(2, 9))
+    station = bool(rng.integers(2))
+    points = num_targets + 1 + station
+    shape = int(rng.integers(4))  # 0: one candidate, 1: duplicates, else unique
+    if shape == 0:
+        candidates = [int(rng.integers(points))]
+    else:
+        candidates = rng.choice(points, size=int(rng.integers(2, points + 1)),
+                                replace=False).tolist()
+        if shape == 1:
+            candidates += [candidates[int(i)] for i in
+                           rng.integers(len(candidates), size=int(rng.integers(1, 4)))]
+    num_mules = int(rng.integers(1, 4))
+    return {
+        "num_targets": num_targets,
+        "num_mules": num_mules,
+        "with_recharge_station": station,
+        "candidates": candidates,
+        "avoid_repeat": bool(rng.integers(2)),
+        "collection_time": float(rng.choice([0.0, 0.0, 0.5, 5.0, 30.0])),
+        "battery": float(rng.integers(2_000, 60_000)) if rng.integers(3) else None,
+        # The paper's costs, or dear collections that kill at a collection.
+        "energy": [(8.267, 0.075), (8.267, 0.075), (1.0, 4_000.0), (0.0, 4_000.0)][
+            int(rng.integers(4))],
+        "max_visits": int(rng.integers(1, 40)) if rng.integers(3) == 0 else None,
+        "horizon": float(rng.uniform(50.0, 8_000.0)),
+        "layout": int(rng.integers(1_000)),
+        "seed": int(rng.integers(1_000_000)),
+        "shared": num_mules > 1 and rng.integers(5) == 0,
+    }
+
+
+def walk_runs(case: dict, *, fast_path: bool) -> "tuple[list, int]":
+    """Two ``run()`` calls on one hand-built stochastic plan, each on a fresh scenario.
+
+    The second run continues from the generators the first left.  Returns
+    each run's ``(result, mules, generators)`` and how many rode the fast
+    path.
+    """
+    from repro.core.plan import PatrolPlan, StochasticRoute
+    from repro.sim.engine import PatrolSimulator
+
+    params = {"num_targets": case["num_targets"], "num_mules": case["num_mules"],
+              "with_recharge_station": case["with_recharge_station"],
+              "mule_battery": case["battery"],
+              "params": {"collection_time": case["collection_time"],
+                         "move_cost_per_meter": case["energy"][0],
+                         "collect_cost": case["energy"][1]}}
+    spec = ScenarioSpec("uniform", params, seed=case["layout"])
+    config = SimulationConfig(horizon=case["horizon"], track_energy=case["battery"] is not None,
+                              max_visits=case["max_visits"], fast_path=fast_path)
+    plan, runs, rode = None, [], 0
+    for _ in range(2):
+        scenario = spec.build(0)
+        if plan is None:
+            coords = scenario.patrol_points(include_recharge=case["with_recharge_station"])
+            ids = list(coords)
+            children = np.random.SeedSequence(case["seed"]).spawn(case["num_mules"])
+            generators = [np.random.default_rng(child) for child in children]
+            if case["shared"]:
+                generators = generators[:1] * len(generators)
+            plan = PatrolPlan("random", {
+                m.id: StochasticRoute(m.id, [ids[i] for i in case["candidates"]], coords,
+                                      rng=generator, avoid_repeat=case["avoid_repeat"])
+                for m, generator in zip(scenario.mules, generators)
+            })
+        with obs_collected(enabled=True) as window:
+            result = PatrolSimulator(scenario, plan, config).run()
+            rode += dispatches(window.snapshot()["counters"], "sim_dispatch", outcome="fastpath")
+        mules = [(m.id, m.position, m.state, list(m.buffer.packets),
+                  None if m.battery is None else (m.battery.remaining, m.battery.total_drained,
+                                                  m.battery.total_recharged,
+                                                  m.battery.recharge_count))
+                 for m in scenario.mules]
+        runs.append((result, mules, generator_states(plan)))
+    return runs, rode
+
+
+class TestRandomWalks:
+    """Random walks on both fast tiers: results, mule state and generator state."""
+
+    def test_drawn_walks_leave_the_event_loops_generators(self):
+        seed = FUZZ_SEED + 9
+        rng = np.random.default_rng(seed)
+        rode = deaths = collecting = halts = cuts = dwelling = shared = 0
+        for index in range(FUZZ_CASES):
+            case = walk_case(rng)
+            got, fast = walk_runs(case, fast_path=True)
+            want, _ = walk_runs(case, fast_path=False)
+            for run, (result, expected) in enumerate(zip(got, want)):
+                difference = first_difference(result, expected)
+                assert difference is None, (
+                    f"case {index} (seed {seed}), run {run} diverged: "
+                    f"{json.dumps(case, sort_keys=True)}\n{difference}"
+                )
+            if case["shared"]:
+                # One generator interleaves its routes' draws: the event loop's.
+                assert fast == 0, f"case {index} shared a generator on the fast path"
+                shared += 1
+                continue
+            rode += fast
+            result = got[0][0]
+            deaths += bool(result.dead_mules())
+            # A death at a collection without dwell still draws a next leg.
+            collecting += case["collection_time"] == 0.0 and any(
+                trace.death_time == visit.time for trace in result.traces.values()
+                for visit in result.visits if visit.mule_id == trace.mule_id)
+            halts += len(case["candidates"]) == 1
+            cuts += sum(v.is_target for v in result.visits) == case["max_visits"]
+            dwell = case["collection_time"]
+            dwelling += dwell > 0 and case["max_visits"] is None and any(
+                v.time + dwell > case["horizon"] for v in result.visits if v.node_id[0] == "g")
+        # The walks must ride the fast path through deaths, halts, cuts and
+        # a horizon that ends a dwell.
+        runs = 2 * (FUZZ_CASES - shared)
+        assert rode >= runs * 9 // 10, f"only {rode}/{runs} runs rode the fast path"
+        assert min(deaths, halts) >= FUZZ_CASES // 10 \
+            and min(collecting, cuts) >= FUZZ_CASES // 40 and min(dwelling, shared) >= 1, \
+            (deaths, collecting, halts, cuts, dwelling, shared)
+
+    def test_a_shared_plan_entry_keeps_its_generators(self):
+        from repro.baselines.base import get_strategy, seeded_params
+        from repro.runner import Campaign, CampaignSpec
+        from repro.runner.campaign import build_cell_scenario
+
+        # One seed over a horizon grid: both cells share one batch_plan entry.
+        spec = CampaignSpec(
+            base=RunSpec(strategy="random",
+                         scenario=ScenarioSpec("uniform", {"num_targets": 8, "num_mules": 3,
+                                                           "mule_battery": 30_000.0}),
+                         sim=SimulationConfig(horizon=2_000.0, track_energy=True), seed=5),
+            grid={"sim.horizon": [2_000.0, 9_000.0]},
+        )
+        cells = Campaign(spec).cells()
+        clear_caches()
+        try:
+            batched = batchpath.batch_execute_records(cells)
+            (plan,) = batchpath._PLAN_CACHE._data.values()
+            states = generator_states(plan)
+            again = batchpath.batch_execute_records(cells)  # the entries answer
+        finally:
+            clear_caches()
+        assert None not in batched and again == batched
+        for cell, record in zip(cells, batched):
+            event = execute_run(dataclasses.replace(
+                cell, sim=dataclasses.replace(cell.sim, fast_path=False)))
+            assert canonical(record) == canonical(event)
+        fresh = get_strategy("random", **seeded_params("random", {}, cells[0].seed)).plan(
+            build_cell_scenario(cells[0]))
+        assert states == generator_states(fresh) == generator_states(plan)
 
 
 class TestEventLoopStaysAuthoritative:
@@ -641,25 +824,39 @@ class TestLegPatternBuild:
     def test_closed_form_on_every_batched_cold_route(self, monkeypatch):
         from repro.sim import fastpath
 
-        loops, built = [], []
-        skip_walk, build_rows = fastpath._skip_walk, fastpath._rows
+        loops, built, memos = [], [], []
+        build_rows, route_walk = fastpath._rows, fastpath._route_walk
 
-        def spy_skip_walk(*pattern):
-            loops.append(pattern)
-            return skip_walk(*pattern)
+        def spy(machine):
+            def run(*pattern):
+                loops.append(pattern)
+                return machine(*pattern)
+            return run
 
         def spy_build_rows(sim):
             built.append(build_rows(sim))
             return built[-1]
 
-        monkeypatch.setattr(fastpath, "_skip_walk", spy_skip_walk)
+        def spy_route_walk(route, node_code, node_index, shared):
+            if not any(memo is shared for memo in memos):
+                memos.append(shared)
+            return route_walk(route, node_code, node_index, shared)
+
+        # Neither a loop's state machine nor a drawn walk's runs: a random
+        # walk with avoid_repeat over unique candidates never repeats a node.
+        monkeypatch.setattr(fastpath, "_skip_walk", spy(fastpath._skip_walk))
+        monkeypatch.setattr(fastpath, "_skip_draws", spy(fastpath._skip_draws))
         monkeypatch.setattr(fastpath, "_rows", spy_build_rows)
+        monkeypatch.setattr(fastpath, "_route_walk", spy_route_walk)
         clear_caches()
         records = batchpath.batch_execute_records([cold_spec(s) for s in COLD_STRATEGIES])
         clear_caches()
-        assert [r is not None for r in records] == [True] * 6 + [False]  # random declines
-        assert sum(len(rows) for rows in built) == 24
+        assert [r is not None for r in records] == [True] * 7
+        assert sum(len(rows) for rows in built) == 28
         assert loops == [], f"{len(loops)} batched routes ran the state machine"
+        # Each strategy but sweep (a loop per mule) lays one loop out for its
+        # four mules, rw-tctp's recharge loop included; random draws walks.
+        assert [len(memo) for memo in memos] == [1, 1, 1, 1, 4, 1]
 
     def test_leg_lengths_equal_a_distance_loop(self, cold_sims):
         from repro.sim.fastpath import LegPattern, node_codes
@@ -673,6 +870,44 @@ class TestLegPatternBuild:
                 first_from = pattern.start_point if pattern.init_event else mule.position
                 want = reference_legs(pattern, route, first_from)
                 assert [v.hex() for v in pattern.dists.tolist()] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("kind", ["floats", "ints", "float32"])
+    def test_one_loop_serves_its_routes(self, kind):
+        from repro.core.plan import AlternatingLoopRoute, LoopRoute, PatrolPlan
+        from repro.geometry.point import Point
+        from repro.sim.engine import PatrolSimulator
+        from repro.sim.fastpath import LegPattern, node_codes
+
+        scenario = ScenarioSpec("uniform", {"num_targets": 30, "num_mules": 4}).build(3)
+        nodes = list(scenario.patrol_points())
+        raw = np.random.default_rng(FUZZ_SEED + 6).uniform(-1e3, 1e3, (len(nodes), 2))
+        # Every other point carries the odd coordinate type, as for _hops.
+        odd = {"floats": float, "ints": int, "float32": np.float32}[kind]
+        coords = {node: Point(float(x), float(y)) if i % 2 else Point(odd(x), odd(y))
+                  for i, (node, (x, y)) in enumerate(zip(nodes, raw))}
+        # Three routes over one loop and one set of points share its columns,
+        # one of them an alternating route that runs it as its recharge loop
+        # every lap; the fourth runs it over equal points in distinct
+        # objects, alone.
+        twin = {node: Point(point.x, point.y) for node, point in coords.items()}
+        routes = {
+            mule.id: LoopRoute(mule.id, nodes, twin if i == 3 else coords, entry_index=entry)
+            for i, (mule, entry) in enumerate(zip(scenario.mules, (0, 7, 30, 19)))
+        }
+        second = scenario.mules[1].id
+        routes[second] = AlternatingLoopRoute(second, nodes[::-1], nodes, coords,
+                                              patrol_rounds=1, entry_index=7)
+        sim = PatrolSimulator(scenario, PatrolPlan("manual", routes),
+                              SimulationConfig(horizon=20_000.0, track_energy=False))
+        codes, loops = node_codes(sim), []
+        for mule in scenario.mules:
+            route = sim.plan.route_for(mule.id)
+            pattern = LegPattern(sim, mule, route, sim._patrol_start_time(), codes, 10**6,
+                                 None, loops)
+            assert (pattern.walk, pattern.cycle_start) == LegPattern.walk_of(route)
+            want = reference_legs(pattern, route, mule.position)
+            assert [v.hex() for v in pattern.dists.tolist()] == [v.hex() for v in want]
+        assert len(loops) == 2
 
     @pytest.mark.parametrize("kind", ["floats", "ints", "big-ints", "float32"])
     def test_hops_keep_the_scalar_subtraction(self, kind):

@@ -41,11 +41,15 @@ def clean_registry():
 
 
 def campaign_spec(*, obs_on: bool, replications: int = 3,
-                  strategies=("b-tctp", "chb", "random"), layout_seed=None) -> CampaignSpec:
-    # On these layouts the batch layer runs b-tctp, sweep and chb (whose
-    # mules leave the sink together, so their tied visits replay the event
-    # queue's order), and declines random (no periodic leg pattern).  A
-    # pinned layout_seed makes the replications share one row set.
+                  strategies=("b-tctp", "chb", "random"), layout_seed=None,
+                  declined: bool = False) -> CampaignSpec:
+    # On these layouts the batch layer runs every strategy: b-tctp, sweep,
+    # chb (whose mules leave the sink together, so their tied visits replay
+    # the event queue's order) and random (whose walks it draws).
+    # ``declined`` adds a twin of every cell with sim.batch_path off, which
+    # the batch declines, so the per-cell path (or the pool) runs half the
+    # campaign.  A pinned layout_seed makes the replications share one row
+    # set.
     base = RunSpec(
         strategy="b-tctp",
         scenario=ScenarioSpec("uniform", {"num_targets": 6, "num_mules": 2},
@@ -53,8 +57,10 @@ def campaign_spec(*, obs_on: bool, replications: int = 3,
         sim=SimulationConfig(horizon=2_000.0, track_energy=False, obs=obs_on),
         seed=0,
     )
-    return CampaignSpec(base=base, grid={"strategy": list(strategies)},
-                        replications=replications)
+    grid = {"strategy": list(strategies)}
+    if declined:
+        grid["sim.batch_path"] = [True, False]
+    return CampaignSpec(base=base, grid=grid, replications=replications)
 
 
 def canonical(records):
@@ -84,8 +90,9 @@ class TestByteIdentity:
         assert instrumented.metadata["obs"]["enabled"] is True
 
     def test_pool_records_identical_and_workers_instrumented(self):
-        plain = Campaign(campaign_spec(obs_on=False)).run(store=False)
-        pooled = Campaign(campaign_spec(obs_on=True), max_workers=2).run(store=False)
+        plain = Campaign(campaign_spec(obs_on=False, declined=True)).run(store=False)
+        pooled = Campaign(campaign_spec(obs_on=True, declined=True),
+                          max_workers=2).run(store=False)
         assert canonical(plain.records) == canonical(pooled.records)
         # worker drains merged into the parent: the per-cell dispatch
         # counters cover every cell even though workers ran them
@@ -109,7 +116,7 @@ class TestReconciliation:
         # cells it declines count once as batch_dispatch{scalar, reason} AND
         # once in sim_dispatch when the per-cell path actually runs them —
         # so executions reconcile as batch + sim_dispatch == cells.
-        result = Campaign(campaign_spec(obs_on=True)).run(store=False)
+        result = Campaign(campaign_spec(obs_on=True, declined=True)).run(store=False)
         snapshot = result.metadata["obs"]
         cells = result.metadata["num_cells"]
         batch = counter_value(snapshot, "batch_dispatch", outcome="batch")
@@ -117,12 +124,13 @@ class TestReconciliation:
         sim = counter_value(snapshot, "sim_dispatch")
         assert batch + sim == cells
         assert scalar == sim  # every decline fell through to the per-cell path
-        assert batch > 0
+        assert batch > 0 and scalar > 0
 
     def test_store_lookup_counters_match_store_metadata(self, tmp_path):
-        # With two workers the declined random cells fork a pool after the
-        # lookups were counted; workers must not report them a second time.
-        spec = campaign_spec(obs_on=True, replications=2)
+        # With two workers the declined batch_path=false cells fork a pool
+        # after the lookups were counted; workers must not report them a
+        # second time.
+        spec = campaign_spec(obs_on=True, replications=2, declined=True)
         for max_workers in (None, 2):
             store = str(tmp_path / f"store-{max_workers}")
             cold = Campaign(spec, max_workers=max_workers).run(store=store)
@@ -180,7 +188,8 @@ class TestBatchFirstPool:
                 return super().map(fn, specs, **kwargs)
 
         monkeypatch.setattr(campaign, "ProcessPoolExecutor", SpyPool)
-        spec = campaign_spec(obs_on=True, strategies=("b-tctp", "random", "chb", "sweep"))
+        spec = campaign_spec(obs_on=True, strategies=("b-tctp", "random", "chb", "sweep"),
+                             declined=True)
         seen = []
         pooled = Campaign(spec, max_workers=2).run(
             store=False, on_record=lambda index, _record: seen.append(index))
