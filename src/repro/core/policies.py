@@ -16,8 +16,7 @@ both break points to the VIP.  Two policies choose the break edges:
 from __future__ import annotations
 
 import abc
-import itertools
-import math
+import bisect
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -106,37 +105,52 @@ class BalancingLengthPolicy(BreakEdgePolicy):
             raise ValueError("weight must be >= 1")
         if weight == 1:
             return
-        walk = structure.euler_circuit(start=vip)  # closed: walk[0] == walk[-1] == vip
-        edges = list(zip(walk[:-1], walk[1:]))
-        # edge_length()'s math.hypot, bit for bit, without a call per edge
-        points = [structure.point(n) for n in walk]
-        lengths = [math.hypot(a.x - b.x, a.y - b.y) for a, b in zip(points, points[1:])]
-        # Cumulative length up to the *start* of each walk edge, added in order.
-        cumulative = list(itertools.accumulate(lengths, initial=0.0))
-        total = cumulative[-1]
+        # The circuit from the VIP (closed there), as the runs it crosses.
+        crossed = structure._euler_runs(vip)
+        walk = structure._nodes_along(vip, crossed)
+        lengths = structure._lengths_along(crossed)
+        # Cumulative length up to the *start* of each walk edge: one
+        # sequential sum along the circuit, as a running total adds them.
+        cumulative = np.zeros(len(lengths) + 1)
+        np.cumsum(lengths, out=cumulative[1:])
+        total = float(cumulative[-1])
         if total <= 0:
             raise ValueError("cannot balance a zero-length structure")
 
-        eligible = [i for i, (a, b) in enumerate(edges) if vip not in (a, b)]
+        # The circuit starts at the VIP, so each edge incident to it is the
+        # first or the last edge of a crossed run (position 0 and the last
+        # one when the VIP has degree 2).
+        eligible = np.ones(len(lengths), dtype=bool)
+        position = 0
+        for run, forward in crossed:
+            first, last = (run.nodes[0], run.nodes[-1]) if forward else (run.nodes[-1], run.nodes[0])
+            if first == vip:
+                eligible[position] = False
+            position += len(run.keys)
+            if last == vip:
+                eligible[position - 1] = False
+        eligible = np.flatnonzero(eligible)
         if len(eligible) < weight - 1:
             raise ValueError(
                 f"not enough eligible break edges for VIP {vip!r} with weight {weight}"
             )
 
-        chosen = self._initial_selection(edges, cumulative, eligible, total, weight)
+        chosen = self._initial_selection(cumulative, eligible, total, weight)
         if self.refine:
-            chosen = self._refine(structure, vip, edges, cumulative, eligible, chosen, total, weight)
+            chosen = self._refine(
+                structure, vip, walk, cumulative.tolist(), eligible.tolist(), chosen, total, weight
+            )
 
         for i in sorted(chosen):
-            a, b = edges[i]
-            structure.break_edge(a, b, vip)
+            structure.break_edge(walk[i], walk[i + 1], vip)
 
     # ------------------------------------------------------------------ #
+    # Edge ``i`` of the circuit runs from ``walk[i]`` to ``walk[i + 1]``;
+    # ``cumulative[i]`` is the circuit length up to its start.
     def _initial_selection(
         self,
-        edges: Sequence[tuple[NodeId, NodeId]],
-        cumulative: Sequence[float],
-        eligible: Sequence[int],
+        cumulative: np.ndarray,
+        eligible: np.ndarray,
         total: float,
         weight: int,
     ) -> list[int]:
@@ -145,10 +159,9 @@ class BalancingLengthPolicy(BreakEdgePolicy):
         ``argmin`` keeps the first of equal distances, in eligible order.
         """
         l_avg = total / weight
-        free = np.asarray(eligible)
-        cum = np.asarray(cumulative)
+        free = eligible
         # midpoint of each edge is its representative position on the circuit
-        mid = 0.5 * (cum[free] + cum[free + 1])
+        mid = 0.5 * (cumulative[free] + cumulative[free + 1])
         chosen: list[int] = []
         for k in range(1, weight):
             best = int(np.argmin(np.abs(mid - k * l_avg)))
@@ -161,36 +174,35 @@ class BalancingLengthPolicy(BreakEdgePolicy):
         self,
         structure: MultiTour,
         vip: NodeId,
-        edges: Sequence[tuple[NodeId, NodeId]],
+        walk: Sequence[NodeId],
         cumulative: Sequence[float],
         chosen: Sequence[int],
         total: float,
         weight: int,
     ) -> float:
         """Exp. (2) objective for a given choice of break-edge positions."""
-        l_avg = (self._structure_length_after(structure, vip, edges, chosen, total)) / weight
-        cycle_lengths = self._cycle_lengths(structure, vip, edges, cumulative, chosen, total)
+        l_avg = (self._structure_length_after(structure, vip, walk, chosen, total)) / weight
+        cycle_lengths = self._cycle_lengths(structure, vip, walk, cumulative, chosen, total)
         return sum(abs(c - l_avg) for c in cycle_lengths)
 
     def _structure_length_after(
         self,
         structure: MultiTour,
         vip: NodeId,
-        edges: Sequence[tuple[NodeId, NodeId]],
+        walk: Sequence[NodeId],
         chosen: Sequence[int],
         total: float,
     ) -> float:
         length = total
         for i in chosen:
-            a, b = edges[i]
-            length += self.added_length(structure, vip, a, b)
+            length += self.added_length(structure, vip, walk[i], walk[i + 1])
         return length
 
     def _cycle_lengths(
         self,
         structure: MultiTour,
         vip: NodeId,
-        edges: Sequence[tuple[NodeId, NodeId]],
+        walk: Sequence[NodeId],
         cumulative: Sequence[float],
         chosen: Sequence[int],
         total: float,
@@ -208,12 +220,11 @@ class BalancingLengthPolicy(BreakEdgePolicy):
         prev_pos = 0.0
         prev_chord = 0.0  # chord from VIP to the arc's first node (0 for the true start)
         for i in ordered:
-            a, b = edges[i]
             arc = cumulative[i] - prev_pos
-            chord_end = distance(structure.point(a), pk)
+            chord_end = distance(structure.point(walk[i]), pk)
             lengths.append(prev_chord + arc + chord_end)
             prev_pos = cumulative[i + 1]
-            prev_chord = distance(structure.point(b), pk)
+            prev_chord = distance(structure.point(walk[i + 1]), pk)
         lengths.append(prev_chord + (total - prev_pos))
         return lengths
 
@@ -221,35 +232,36 @@ class BalancingLengthPolicy(BreakEdgePolicy):
         self,
         structure: MultiTour,
         vip: NodeId,
-        edges: Sequence[tuple[NodeId, NodeId]],
+        walk: Sequence[NodeId],
         cumulative: Sequence[float],
         eligible: Sequence[int],
         chosen: list[int],
         total: float,
         weight: int,
     ) -> list[int]:
-        eligible_sorted = sorted(eligible)
-        pos_of = {i: p for p, i in enumerate(eligible_sorted)}
+        """Move each break edge within ``refine_window`` eligible places while that lowers the imbalance.
+
+        ``eligible`` is sorted, so an edge's place in it is a bisection.
+        """
         best = list(chosen)
-        best_score = self._imbalance(structure, vip, edges, cumulative, best, total, weight)
+        best_score = self._imbalance(structure, vip, walk, cumulative, best, total, weight)
         improved = True
         while improved:
             improved = False
             for slot in range(len(best)):
-                base = best[slot]
-                base_pos = pos_of[base]
+                base_pos = bisect.bisect_left(eligible, best[slot])
                 for delta in range(-self.refine_window, self.refine_window + 1):
                     if delta == 0:
                         continue
                     p = base_pos + delta
-                    if not 0 <= p < len(eligible_sorted):
+                    if not 0 <= p < len(eligible):
                         continue
-                    candidate_edge = eligible_sorted[p]
+                    candidate_edge = eligible[p]
                     if candidate_edge in best:
                         continue
                     trial = list(best)
                     trial[slot] = candidate_edge
-                    score = self._imbalance(structure, vip, edges, cumulative, trial, total, weight)
+                    score = self._imbalance(structure, vip, walk, cumulative, trial, total, weight)
                     if score < best_score - 1e-9:
                         best, best_score = trial, score
                         improved = True

@@ -125,7 +125,9 @@ TOUR_BUILDERS: dict[str, Callable[[Mapping[NodeId, Point]], Tour]] = {
 # scenario — every strategy of a grid axis, every replication with a pinned
 # scenario seed — reuse the constructed (and improved) circuit instead of
 # re-running the O(n^2)/O(n^3) heuristics.  A hit returns the *same* Tour
-# instance the miss path produced, so results are identical either way.
+# instance the miss path produced, so results are identical either way.  The
+# builder's own circuit, before 2-opt and rotation, has an entry of its own
+# that both the plain and the improved circuit start from.
 _TOUR_CACHE = ContentCache("hamiltonian_tour", maxsize=256)
 
 
@@ -154,7 +156,8 @@ def build_hamiltonian_circuit(
     -----
     Results are memoized by content (see :mod:`repro.geometry.cache`): two
     calls with equal node ids, coordinates and options share one immutable
-    :class:`Tour` instance.  Disable via
+    :class:`Tour` instance, and a call that differs only in ``improve``
+    reuses the other's construction.  Disable via
     :func:`repro.geometry.cache.configure` to force reconstruction.
     """
     builder = TOUR_BUILDERS.get(method)
@@ -165,29 +168,30 @@ def build_hamiltonian_circuit(
     nodes = tuple(coordinates)
     # The builder object is part of the key so swapping a TOUR_BUILDERS entry
     # at runtime can never serve a circuit constructed by the old builder.
-    key = (
-        nodes,
-        points_fingerprint([coordinates[n] for n in nodes]),
-        method,
-        builder,
-        bool(improve),
-        start,
-    )
+    content = (nodes, points_fingerprint([coordinates[n] for n in nodes]), method, builder)
     return _TOUR_CACHE.get_or_compute(
-        key, lambda: _build_circuit(coordinates, method, improve, start)
+        content + (bool(improve), start),
+        lambda: _finish(_constructed(coordinates, content, start), improve, start),
     )
 
 
-def _build_circuit(
-    coordinates: Mapping[NodeId, Point],
-    method: str,
-    improve: bool,
-    start: NodeId | None,
-) -> Tour:
+def _constructed(coordinates: Mapping[NodeId, Point], content: tuple, start: NodeId | None) -> Tour:
+    """The builder's circuit before 2-opt and rotation, memoized for both variants.
+
+    2-opt scans from the circuit's first node, so it must start from this
+    circuit, not from a rotated one.  Nearest neighbour grows its circuit from
+    ``start``, so ``start`` is part of its key.
+    """
+    method, builder = content[2], content[3]
     if method == "nearest-neighbor":
-        tour = nearest_neighbor_tour(coordinates, start=start)
-    else:
-        tour = TOUR_BUILDERS[method](coordinates)
+        return _TOUR_CACHE.get_or_compute(
+            ("construction",) + content + (start,),
+            lambda: nearest_neighbor_tour(coordinates, start=start),
+        )
+    return _TOUR_CACHE.get_or_compute(("construction",) + content, lambda: builder(coordinates))
+
+
+def _finish(tour: Tour, improve: bool, start: NodeId | None) -> Tour:
     if improve:
         from repro.graphs.improve import two_opt
 

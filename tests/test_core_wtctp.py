@@ -1,10 +1,15 @@
 """Unit tests for repro.core.wtctp (Section III algorithm)."""
 
 import json
+import sys
+import threading
 
 import pytest
 
+from repro.core import wtctp
+from repro.core.patrol_rules import build_patrol_walk
 from repro.core.policies import BalancingLengthPolicy
+from repro.core.rwtctp import insert_recharge_station
 from repro.core.wtctp import build_weighted_patrolling_path, build_wpp_structure, plan_wtctp
 from repro.geometry.cache import cache_stats, caching_disabled, clear_caches
 from repro.geometry.point import Point
@@ -163,6 +168,60 @@ class TestWppMemo:
         with caching_disabled():
             uncached = json.dumps(_json_sanitize(Campaign(spec).run(store=False).records))
         assert records == uncached
+
+
+class TestSharedWppThreads:
+    """The cached WPP is shared by threads (the service's workers) through copies."""
+
+    @pytest.mark.parametrize("num_vips", [6, 0])
+    def test_threads_break_and_walk_copies_of_one_cached_wpp(self, num_vips):
+        sc = uniform_scenario(num_targets=60, num_mules=2, seed=5, num_vips=num_vips, vip_weight=3)
+        tour = build_hamiltonian_circuit(sc.patrol_points(), start="sink")
+        weights = sc.weights()
+
+        def work():
+            structure, full_weights = build_wpp_structure(tour, weights, "balanced")
+            wrp = insert_recharge_station(structure, full_weights, "R", Point(333.0, 444.0))
+            walks = [build_patrol_walk(structure, "sink"), build_patrol_walk(wrp, "sink")]
+            u, v, key = next(e for e in structure.edges() if "sink" not in e[:2])
+            structure.break_edge(u, v, "sink", key=key)
+            walks.append(build_patrol_walk(structure, "sink"))
+            return structure.edges(), wrp.edges(), walks
+
+        clear_caches()
+        serial = work()
+        (entry,) = wtctp._WPP_CACHE._data.values()
+        adjacency = {n: entry.neighbors(n) for n in entry.nodes}
+        runs = None if entry._runs is None else dict(entry._runs)
+        branch = None if entry._branch is None else set(entry._branch)
+        assert (runs is None) == (num_vips == 0)  # built before the entry was stored
+
+        results, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(4):
+                    results.append(work())
+            except BaseException as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [serial] * 32
+        assert {n: entry.neighbors(n) for n in entry.nodes} == adjacency
+        # the entry holds the index its own build made, none a thread made
+        assert entry._runs == runs and entry._branch == branch
+        clear_caches()
 
 
 class TestPlanner:

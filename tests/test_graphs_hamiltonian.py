@@ -155,3 +155,49 @@ class TestBuildHamiltonianCircuit:
         )
         tour = build_hamiltonian_circuit(coords)
         assert tour.length() == pytest.approx(optimal, rel=1e-6)
+
+
+class TestConstructionMemo:
+    """Both circuit variants (plain and 2-opt improved) start from one memoized construction."""
+
+    def test_ablation_tsp_builds_each_hull_circuit_once(self, monkeypatch):
+        import contextlib
+        import io
+
+        from repro.experiments import ablation_tsp
+        from repro.experiments.common import ExperimentSettings
+        from repro.geometry.cache import clear_caches
+        from repro.planning import kernels
+
+        matrices = []
+        cheapest_insertion_order = kernels.cheapest_insertion_order
+
+        def spy(dmat, hull, n):
+            matrices.append(dmat.tobytes())
+            return cheapest_insertion_order(dmat, hull, n)
+
+        monkeypatch.setattr(kernels, "cheapest_insertion_order", spy)
+        clear_caches()
+        with contextlib.redirect_stdout(io.StringIO()):
+            ablation_tsp.main(ExperimentSettings.quick())
+        clear_caches()
+        # 3 target counts x 3 replications, each shared by hull and hull+2opt
+        assert len(matrices) == len(set(matrices)) == 9
+
+    @pytest.mark.parametrize("method", ["hull-insertion", "nearest-neighbor"])
+    def test_variants_equal_uncached_builds_in_either_order(self, method):
+        from repro.geometry.cache import caching_disabled, clear_caches
+
+        coords = _random_coords(40, seed=12)
+        calls = [dict(improve=improve, start=start)
+                 for improve in (True, False) for start in (None, "g5", "g9")]
+        with caching_disabled():
+            fresh = [build_hamiltonian_circuit(coords, method=method, **kw).order for kw in calls]
+        for ordered in (calls, calls[::-1]):
+            clear_caches()
+            built = {
+                tuple(sorted(kw.items(), key=str)): build_hamiltonian_circuit(coords, method=method, **kw).order
+                for kw in ordered
+            }
+            assert [built[tuple(sorted(kw.items(), key=str))] for kw in calls] == fresh
+        clear_caches()

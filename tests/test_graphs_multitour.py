@@ -1,5 +1,8 @@
 """Unit tests for repro.graphs.multitour.MultiTour (the WPP/WRP multigraph)."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.geometry.point import Point
@@ -233,6 +236,87 @@ class TestEulerianMemo:
         structure, walk = build_weighted_patrolling_path(ring_tour, weights, "balanced")
         assert calls[0] == 1
         assert structure.visit_counts(walk)["g2"] == 4
+
+
+def assert_runs_consistent(mt):
+    """The run index covers every edge once, and every run is a maximal path
+    over degree-2 non-branch nodes with its edges' math.hypot lengths."""
+    runs, branch = mt._runs, mt._branch
+    assert sorted(runs) == sorted(k for _u, _v, k in mt.edges())
+    for run in set(runs.values()):
+        assert all(runs[k] is run for k in run.keys)
+        assert len(run.nodes) == len(run.keys) + 1 == len(run.lengths) + 1
+        for (a, b), key, length in zip(zip(run.nodes, run.nodes[1:]), run.keys, run.lengths):
+            assert (b, key) in mt.neighbors(a) and (a, key) in mt.neighbors(b)
+            pa, pb = mt.point(a), mt.point(b)
+            assert length == math.hypot(pa.x - pb.x, pa.y - pb.y)
+        assert all(n not in branch and mt.degree(n) == 2 for n in run.nodes[1:-1])
+        if run.nodes[0] not in branch:  # a cycle with no branch node
+            assert run.nodes[0] == run.nodes[-1] and mt.degree(run.nodes[0]) == 2
+        else:
+            assert run.nodes[-1] in branch
+    assert all(n in branch for n in mt.nodes if mt.degree(n) not in (0, 2))
+
+
+class TestRunIndex:
+    def test_from_tour_is_one_cycle_until_a_start_splits_it(self, ring_tour):
+        mt = MultiTour.from_tour(ring_tour)
+        assert mt._runs is None
+        walk = mt.euler_circuit(start="g3")
+        assert_runs_consistent(mt)
+        (run,) = set(mt._runs.values())
+        assert run.nodes[0] == run.nodes[-1] == "g3" and mt._branch == {"g3"}
+        assert walk == list(run.nodes) or walk == list(run.nodes[::-1])
+
+    def test_break_edge_keeps_the_index(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(3, 40))
+            coords = {f"n{i}": Point(*map(float, rng.integers(0, 4, 2) * 100)) for i in range(n)}
+            mt = MultiTour(coords)
+            order = list(coords)
+            for a, b in zip(order, order[1:] + order[:1]):
+                mt.add_edge(a, b)
+            mt.euler_circuit(start=order[int(rng.integers(n))])
+            for step in range(int(rng.integers(1, 12))):
+                if rng.random() < 0.2:
+                    hub = f"r{step}"
+                    mt.add_node(hub, Point(*map(float, rng.uniform(0, 400, 2))))
+                else:
+                    hub = order[int(rng.integers(n))]
+                candidates = [e for e in mt.edges() if hub not in e[:2]]
+                if not candidates:
+                    break
+                u, v, key = candidates[int(rng.integers(len(candidates)))]
+                mt.break_edge(u, v, hub, key=key if rng.random() < 0.5 else None)
+                assert_runs_consistent(mt)
+                if rng.random() < 0.3:
+                    mt.euler_circuit(start=hub)
+                    assert_runs_consistent(mt)
+
+    def test_copies_own_their_index(self, ring_tour):
+        mt = MultiTour.from_tour(ring_tour)
+        mt.euler_circuit(start="sink")
+        before = dict(mt._runs), set(mt._branch)
+        clone = mt.copy()
+        clone.break_edge("g4", "g5", "g1")
+        clone.euler_circuit(start="g7")
+        assert (mt._runs, mt._branch) == before
+        assert_runs_consistent(mt)
+        assert_runs_consistent(clone)
+
+    def test_surgery_outside_break_edge_drops_the_index(self, ring_tour):
+        mt = MultiTour.from_tour(ring_tour)
+        mt.euler_circuit(start="sink")
+        mt.add_node("r", Point(0.0, 0.0))  # an isolated node lies on no run
+        assert mt._runs is not None
+        mt.add_edge("g1", "g5")
+        assert mt._runs is None and mt._branch is None
+        mt._run_index()
+        assert_runs_consistent(mt)
+        mt.remove_edge("g1", "g5")
+        assert mt._runs is None
+        assert mt.euler_circuit(start="g2") == MultiTour.from_tour(ring_tour).euler_circuit(start="g2")
 
 
 class TestCyclesAt:
