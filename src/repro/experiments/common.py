@@ -162,8 +162,8 @@ def run_experiment_cells(
 
 def simulate_plan(scenario: Scenario, plan: PatrolPlan, *, horizon: float,
                   track_energy: bool = True) -> SimulationResult:
-    """Run one simulation of ``plan`` on a fresh copy of ``scenario``."""
-    sim = PatrolSimulator(scenario.fresh_copy(), plan,
+    """Run one simulation of ``plan`` on ``scenario``, which the run leaves untouched."""
+    sim = PatrolSimulator(scenario, plan,
                           SimulationConfig(horizon=horizon, track_energy=track_energy))
     return sim.run()
 

@@ -2,8 +2,9 @@
 
 A :class:`DataMule` bundles identity, kinematics (position, velocity), radio
 ranges, the battery (see :mod:`repro.energy`) and the on-board data buffer.
-The simulator mutates mule state; the path-construction algorithms only read
-initial positions and energy levels.
+Neither the simulator nor the path-construction algorithms change a mule:
+the planners read its initial position and energy level, the simulator's
+fast tiers read it as deployed, and its event loop plays on a private copy.
 """
 
 from __future__ import annotations

@@ -255,7 +255,10 @@ def augment_wpp(ctx: PlanningContext, *, policy: str = "balanced") -> None:
     weights = ctx.scenario.weights()
     for lane in ctx.lanes:
         tour = _require_tour(lane, "wpp augment")
-        lane.structure, lane.weights = build_wpp_structure(tour, weights, policy)
+        # A one-node circuit (a sweep sector holding only the sink) has no
+        # edge to break: its lane patrols the node as built.
+        if len(tour.order) > 1:
+            lane.structure, lane.weights = build_wpp_structure(tour, weights, policy)
     ctx.facts["policy"] = get_policy(policy).name
 
 
@@ -363,9 +366,12 @@ def order_as_built(ctx: PlanningContext) -> None:
 def order_ccw_angle(ctx: PlanningContext) -> None:
     for lane in ctx.lanes:
         if lane.structure is None:
+            tour = _require_tour(lane, "ccw-angle order")
             # A plain circuit is still a (degree-2) structure; the angle rule
-            # picks a deterministic direction around it.
-            lane.structure = MultiTour.from_tour(_require_tour(lane, "ccw-angle order"))
+            # picks a deterministic direction around it.  A one-node circuit
+            # has no edge, and its lane patrols the node as built.
+            if len(tour.order) > 1:
+                lane.structure = MultiTour.from_tour(tour)
         _natural_walks(lane)
 
 

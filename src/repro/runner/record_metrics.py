@@ -7,9 +7,8 @@ The built-in extractors cover everything the paper's figure experiments
 need beyond the standard record columns; downstream code can add more with
 :func:`register_metric`.  An extractor may read anything of the result (its
 visit and delivery lists are built on first read when a fast tier ran the
-cell), the plan and the scenario's layout; the scenario's mules are left in
-their final state only when the cell ran per cell, so an extractor should
-not read them.
+cell), the plan and the scenario: no run changes either, so the mules and
+the routes' generators read as deployed and as planned on every tier.
 """
 
 from __future__ import annotations

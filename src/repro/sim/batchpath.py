@@ -12,9 +12,8 @@ campaign cell still pays on it, the batch skips:
   the record head and the record's metric columns, so no scenario, plan or
   simulator is built for it — every replication of a pinned layout after the
   first;
-* a miss needs no final mule or generator state: it builds the cell's
-  scenario, its plan (memoized by plan key) and the scalar tier's fast
-  result (:func:`~repro.sim.fastpath.fast_result`), and reduces that
+* a miss builds the cell's scenario, its plan (memoized by plan key) and
+  the scalar tier's fast result (:func:`~repro.sim.fastpath.fast_result`), and reduces that
   through the record function the scalar core also calls
   (:func:`repro.runner.campaign._record_columns`).  The rows, their sums,
   the horizon cut, the tie solve, the kept-event table and the result are
@@ -167,7 +166,7 @@ def _reduce_cell(spec, params: dict, plan_key: tuple) -> "tuple[tuple, dict | st
 
     ``None`` when the scalar fast path's static rejection vetoes the cell
     (counted, and cached nowhere).  The result's visit and delivery lists
-    stay unbuilt unless a metric reads them, and no mule state is set.
+    stay unbuilt unless a metric reads them.
     """
     # Looked up at call time: perfbench times the scenario and planning
     # layers by wrapping these module attributes.

@@ -19,15 +19,16 @@ Random baseline's randomness lives inside its route object, which is seeded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.core.plan import MuleRoute, PatrolPlan, StochasticRoute
 from repro.geometry.point import Point, distance
-from repro.network.datamodel import DataCollectionModel
-from repro.network.mules import DataMule, MuleState
+from repro.network.datamodel import DataBuffer, DataCollectionModel
+from repro.network.mules import DataMule
 from repro.network.scenario import Scenario
-from repro.obs.registry import inc as _obs_inc, obs_enabled as _obs_enabled
+from repro.obs.registry import inc as _obs_inc
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.recorder import DeliveryRecord, MuleTrace, SimulationResult, VisitRecord
 
@@ -65,9 +66,9 @@ class SimulationConfig:
         (:mod:`repro.sim.batchpath`), which answers a fastpath-eligible cell
         from the cached metric columns of its key, reducing the fast path's
         result to them on a miss without building its visit and delivery
-        lists or the final mule state.  Results are byte-identical either way; disable to force per-cell dispatch for
-        this spec (the process-wide switch is ``REPRO_BATCHPATH`` in
-        :mod:`repro.switches`).  Consulted by
+        lists.  Results are byte-identical either way; disable to force
+        per-cell dispatch for this spec (the process-wide switch is
+        ``REPRO_BATCHPATH`` in :mod:`repro.switches`).  Consulted by
         :func:`repro.sim.batchpath.batch_execute_records`, which every
         campaign cell and :func:`repro.runner.campaign.execute_run` call
         goes through; a bare :meth:`PatrolSimulator.run` ignores it.
@@ -140,12 +141,18 @@ class PatrolSimulator:
         times and visit limits) are served by the analytic fast path in
         :mod:`repro.sim.fastpath`: it builds the batched tier's rows and its
         one result from those arrays, whose visit and delivery lists and
-        traces are built on first read, and leaves the final mule state and
-        each random walk's generator state, byte for byte the event loop's.
-        Everything else — other route classes, stochastic routes that share
-        one generator, pre-loaded buffers, degenerate zero-advance laps, a
-        tracked battery that ends in the engine's 1e-9 m clip window — runs
-        the full discrete-event loop below.
+        traces are built on first read.  Everything else — other route
+        classes, stochastic routes that share one generator, pre-loaded
+        buffers, degenerate zero-advance laps, a tracked battery that ends in
+        the engine's 1e-9 m clip window — runs the full discrete-event loop
+        below, and ``sim_dispatch`` counts it under the reason the fast path
+        gives.
+
+        A run reads the scenario and the plan and writes to neither, on
+        either tier: the event loop plays on private copies of the mules
+        and the routes, so every mule keeps its position, state, buffer and
+        battery, and every random route its generator state.  Running one
+        plan twice gives equal results.
 
         Raises
         ------
@@ -155,29 +162,22 @@ class PatrolSimulator:
             collections empty before a recharge on the lap refills it — so
             the run would never end.
         """
-        if self.config.fast_path:
-            from repro.sim.fastpath import run_fast_path
+        from repro.sim.fastpath import run_fast_path
 
-            result = run_fast_path(self)
-            if result is not None:
-                _obs_inc("sim_dispatch", outcome="fastpath")
-                return result
-            if _obs_enabled():
-                from repro.sim.fastpath import fast_path_rejection
-
-                # A None result with no static rejection means a dynamic
-                # fallback fired mid-flight (zero-advance lap, event-cap
-                # overflow, short lap estimate, battery clip) — the static
-                # probe can't see those.
-                reason = fast_path_rejection(self) or "dynamic-fallback"
-                _obs_inc("sim_dispatch", outcome="event-loop", reason=reason)
-        else:
-            _obs_inc("sim_dispatch", outcome="event-loop",
-                     reason="fast-path-disabled")
+        result = run_fast_path(self)
+        if not isinstance(result, str):
+            _obs_inc("sim_dispatch", outcome="fastpath")
+            return result
+        _obs_inc("sim_dispatch", outcome="event-loop", reason=result)
         return self._run_event_loop()
 
     def _run_event_loop(self) -> SimulationResult:
-        """The reference discrete-event implementation."""
+        """The reference discrete-event implementation.
+
+        It plays on copies made here: each mule with a copy of its battery
+        and of its buffer's packets, and one deep copy of the plan's routes,
+        so two routes that share a generator share its copy.
+        """
         cfg = self.config
         result = SimulationResult(strategy=self.plan.strategy, horizon=cfg.horizon,
                                   metadata=dict(self.plan.metadata))
@@ -188,8 +188,12 @@ class PatrolSimulator:
         sync_time = self._patrol_start_time()
         result.metadata.setdefault("patrol_start_time", sync_time)
 
-        for mule in self.scenario.mules:
-            runtime = _MuleRuntime(mule, self.plan.route_for(mule.id))
+        routes = copy.deepcopy(self.plan.routes)
+        for deployed in self.scenario.mules:
+            battery = deployed.battery
+            mule = replace(deployed, battery=None if battery is None else battery.copy(),
+                           buffer=DataBuffer(list(deployed.buffer.packets)))
+            runtime = _MuleRuntime(mule, routes[mule.id])
             runtimes[mule.id] = runtime
             result.traces[mule.id] = runtime.trace
             self._schedule_initial_leg(runtime, queue, sync_time)
@@ -368,7 +372,6 @@ class PatrolSimulator:
         dist: float = payload.get("distance", distance(runtime.position, destination))
         mule = runtime.mule
         runtime.position = destination
-        mule.position = destination
         runtime.trace.distance_travelled += dist
         if self.config.track_energy and mule.battery is not None:
             cost = self._energy.movement_energy(dist)
@@ -378,15 +381,12 @@ class PatrolSimulator:
             runtime.trace.energy_consumed += self._energy.movement_energy(dist)
         if event.node_id is not None:
             runtime.current_node = event.node_id
-        mule.state = MuleState.MOVING
 
     def _kill_mule(self, runtime: _MuleRuntime, event: Event) -> None:
         payload = event.payload or {}
         reachable = payload.get("reachable", 0.0)
         destination = payload.get("destination", runtime.position)
-        final_position = runtime.position.towards(destination, reachable)
-        runtime.position = final_position
-        runtime.mule.position = final_position
+        runtime.position = runtime.position.towards(destination, reachable)
         runtime.trace.distance_travelled += reachable
         if runtime.mule.battery is not None:
             runtime.trace.energy_consumed += runtime.mule.battery.drain(
@@ -394,7 +394,6 @@ class PatrolSimulator:
             )
         runtime.dead = True
         runtime.trace.death_time = event.time
-        runtime.mule.state = MuleState.DEAD
 
     # ------------------------------------------------------------------ #
     # Arrival handling
@@ -433,7 +432,6 @@ class PatrolSimulator:
                 if mule.battery.depleted:
                     runtime.dead = True
                     runtime.trace.death_time = now
-                    mule.state = MuleState.DEAD
             else:
                 runtime.trace.energy_consumed += self._energy.collect_cost
 

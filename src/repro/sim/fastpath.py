@@ -39,33 +39,31 @@ here, and the batched tier of :mod:`repro.sim.batchpath`:
    from the table: its visit table, delivered total, travelled distances
    and dead mules (what a record reads) and metadata come from arrays, and
    its ``visits``, ``deliveries`` and ``traces`` are built only when
-   something reads them;
-5. :func:`run_fast_path` adds the final state: undelivered packets in the
-   buffers, a tracked battery's charge and totals as one running sum per
-   segment between refills, and each stochastic route's generator advanced
-   by exactly the draws the event loop makes.
+   something reads them.
 
+Neither tier writes to the scenario or the plan, and neither does the event
+loop: a run leaves every mule and every route's generator as it found them.
 The result is **byte-identical** to the event loop — same visit log, same
-deliveries, same traces, same metadata, same final mule and generator state
-— at a fraction of the cost.  Positive ``collection_time`` dwells,
-``max_visits`` cutoffs (inside a tie too), energy-tracked batteries
-(including mid-leg death and recharge laps), RW-TCTP's
-:class:`~repro.core.plan.AlternatingLoopRoute` and the Random baseline's
-draws are all reproduced exactly.  Runs the fast path cannot reproduce
-exactly fall back to the event loop:
+deliveries, same traces, same metadata — at a fraction of the cost.
+Positive ``collection_time`` dwells, ``max_visits`` cutoffs (inside a tie
+too), energy-tracked batteries (including mid-leg death and recharge laps),
+RW-TCTP's :class:`~repro.core.plan.AlternatingLoopRoute` and the Random
+baseline's draws are all reproduced exactly.  Runs the fast path cannot
+reproduce exactly fall back to the event loop:
 
 * routes of any other class (a subclass of a supported one included), whose
   waypoints cannot be laid out in advance,
 * stochastic routes of two mules that share one generator object (the event
   loop interleaves their draws in event order),
-* mules deployed with pre-loaded data buffers (the replay assumes every
+* mules deployed with pre-loaded data buffers (the table assumes every
   buffer starts empty), and
-* four dynamic declines: a lap that advances no time (a steady-state loop
-  lap, or a random walk whose candidates all sit on one point; the event
-  loop caps it with ``max_visits`` or a dying battery, and otherwise raises
-  ``ValueError`` — it would never end), a pattern past the
-  ``_MAX_EVENTS_PER_MULE`` safety valve, a lap estimate that falls short of
-  the horizon (a guard; the estimate tiles a full lap past it), and a
+* three dynamic declines: a row that cannot be laid out (``row-fallback``:
+  a lap that advances no time — a steady-state loop lap, or a random walk
+  whose candidates all sit on one point; the event loop caps it with
+  ``max_visits`` or a dying battery, and otherwise raises ``ValueError``,
+  as it would never end — or a pattern past the ``_MAX_EVENTS_PER_MULE``
+  safety valve), a lap estimate that falls short of the horizon
+  (``lap-estimate``, a guard; the estimate tiles a full lap past it), and a
   tracked battery whose stop by the horizon falls in the 1e-9 m window where
   the engine clips a leg's drain to an empty battery (``battery-clip``).
 
@@ -73,8 +71,10 @@ Eligibility is decided per *route class*, not per strategy name, so
 strategies composed through the planning pipeline (:mod:`repro.planning`) —
 including new cross-combinations like ``sw-tctp`` or ``cb-tctp`` — ride the
 fast path automatically whenever they emit loop, alternating or stochastic
-routes.  :func:`fast_path_rejection` names the reason a simulation stays on
-the event loop; the fallback-boundary tests pin every reason it can return.
+routes.  :func:`run_fast_path` returns the result or the one reason a
+simulation stays on the event loop — a static one from
+:func:`fast_path_rejection`, else a dynamic one from :func:`fast_result` —
+and the fallback-boundary tests pin every reason it can return.
 
 Toggle with :attr:`repro.sim.engine.SimulationConfig.fast_path`; the
 equivalence tests in ``tests/test_fastpath.py`` and the differential fuzz
@@ -87,7 +87,6 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from collections import deque
 from itertools import compress, islice, repeat
 from typing import NamedTuple
 
@@ -95,12 +94,10 @@ import numpy as np
 
 from repro.core.plan import AlternatingLoopRoute, LoopRoute, MuleRoute, StochasticRoute
 from repro.geometry.point import Point, distance
-from repro.network.datamodel import DataPacket
-from repro.network.mules import MuleState
 from repro.sim.engine import _still_lap
 from repro.sim.recorder import DeliveryRecord, MuleTrace, SimulationResult, VisitRecord
 
-__all__ = ["fast_path_eligible", "fast_path_rejection", "fast_result", "run_fast_path"]
+__all__ = ["fast_path_rejection", "fast_result", "run_fast_path"]
 
 # Safety valve, for both fast tiers: beyond this many precomputed arrival
 # events per mule the array stage would dominate memory; such runs are no
@@ -134,10 +131,9 @@ def fast_path_rejection(sim) -> str | None:
       generator object: the event loop interleaves their draws in event
       order, which a walk drawn per mule does not reproduce.
 
-    A ``None`` here is necessary but not sufficient: the dynamic declines
-    (zero-advance laps, patterns past the event-count safety valve, a short
-    lap estimate, a battery stop in the clip window by the horizon) still
-    fall back inside :func:`run_fast_path`.
+    A ``None`` here is necessary but not sufficient: :func:`fast_result`
+    still names a dynamic decline (``row-fallback``, ``lap-estimate``,
+    ``battery-clip``).
     """
     if not sim.config.fast_path:
         return "fast-path-disabled"
@@ -155,11 +151,6 @@ def fast_path_rejection(sim) -> str | None:
         elif kind is not LoopRoute and kind is not AlternatingLoopRoute:
             return "route-class"
     return None
-
-
-def fast_path_eligible(sim) -> bool:
-    """Whether ``sim`` (a :class:`~repro.sim.engine.PatrolSimulator`) qualifies."""
-    return fast_path_rejection(sim) is None
 
 
 # --------------------------------------------------------------------------- #
@@ -425,41 +416,36 @@ def _drawn(route: StochasticRoute):
     return clone.waypoints()
 
 
-def drawn_walk(raw: "list[str]") -> "tuple[list[str], np.ndarray]":
+def drawn_walk(raw: "list[str]") -> "tuple[list[str], bool]":
     """The engine's duplicate-skip rule over a stream of drawn waypoints.
 
-    Returns ``(nodes, through)``: the nodes the mule heads to, and for each
-    of its schedule calls the number of draws consumed through it.  A call
-    skips a draw equal to the node the mule stands on; eight in a row halt
-    the mule, so a halted walk has one more call than nodes.  Draws past the
-    last call are pending.
+    Returns ``(nodes, halted)``: the nodes the mule heads to, and whether
+    the rule halts it.  A schedule call skips a draw equal to the node the
+    mule stands on; eight in a row halt the mule.
 
     Closed form: a stream with no two equal neighbours (a random walk with
     ``avoid_repeat`` over unique candidates) skips nothing.  Every other
     stream runs the state machine.
     """
     if not any(map(operator.eq, raw, raw[1:])):
-        return list(raw), np.arange(1, len(raw) + 1)
+        return list(raw), False
     return _skip_draws(raw)
 
 
-def _skip_draws(raw: "list[str]") -> "tuple[list[str], np.ndarray]":
+def _skip_draws(raw: "list[str]") -> "tuple[list[str], bool]":
     """The duplicate-skip state machine, for drawn streams without the closed form."""
     nodes: "list[str]" = []
-    through: "list[int]" = []
     prev: "str | None" = None
     skipped = 0
-    for count, node in enumerate(raw, 1):
+    for node in raw:
         if node != prev:
             nodes.append(node)
-            through.append(count)
             prev, skipped = node, 0
             continue
         skipped += 1
         if skipped == 8:
-            through.append(count)  # the call that halts the mule
-            break
-    return nodes, np.array(through)
+            return nodes, True
+    return nodes, False
 
 
 # --------------------------------------------------------------------------- #
@@ -495,11 +481,11 @@ class LegPattern:
     the chain at least one full lap past the horizon.  A
     :class:`~repro.core.plan.StochasticRoute`'s walk is drawn (see
     :meth:`_draw`): a prefix with no cycle, drawn until its chain passes the
-    horizon, its battery stops it or the skip rule halts it, and ``draws``
-    holds the generator draws its schedule calls consume (``None`` for a
-    loop route).  Leg ``k`` runs to node ``k`` of the tiling, whose kind is
-    ``codes[k]``, node index ``tidx[k]`` and length ``dists[k]`` (exactly
-    the engine's per-leg ``distance()`` calls).  The optional initial leg to
+    horizon, its battery stops it or the skip rule halts it.  ``halts`` is
+    whether the walk ends on its own: a loop walk with no cycle, or a drawn
+    walk the skip rule halts.  Leg ``k`` runs to node ``k`` of the tiling,
+    whose kind is ``codes[k]``, node index ``tidx[k]`` and length
+    ``dists[k]`` (exactly the engine's per-leg ``distance()`` calls).  The optional initial leg to
     the route's start position is kept apart (``init_*``); the first patrol
     leg departs at ``base``.  ``stop`` is where a tracked battery ends the
     legs (:meth:`battery_stop`), ``None`` when it outlasts them or is not
@@ -529,8 +515,8 @@ class LegPattern:
 
     __slots__ = (
         "walk", "cycle_start", "laps", "base", "init_event", "init_time",
-        "init_dist", "start_point", "codes", "tidx", "dists", "inc", "full",
-        "velocity", "stop", "draws",
+        "init_dist", "codes", "tidx", "dists", "inc", "full", "velocity", "stop",
+        "halts",
     )
 
     def __init__(
@@ -545,14 +531,12 @@ class LegPattern:
         self.init_event = False
         self.init_time = 0.0
         self.init_dist = 0.0
-        self.start_point: "Point | None" = None
         if start is not None:
             d0 = distance(position, start)
             if d0 > 1e-12:
                 self.init_event = True
                 self.init_time = d0 / velocity if d0 > 0 else 0.0
                 self.init_dist = d0
-                self.start_point = start
                 base = max(self.init_time, sync_time)
                 first_from = start
             else:
@@ -565,12 +549,12 @@ class LegPattern:
 
         if node_index is None:
             node_index = node_indices(sim)
-        self.draws: "np.ndarray | None" = None
         if type(route) is StochasticRoute:
             self._draw(sim, mule, route, first_from, node_code, node_index, max_events)
         else:
             walk = _route_walk(route, node_code, node_index, [] if loops is None else loops)
             self._lay_out(sim, mule, route, walk, first_from, max_events)
+            self.halts = self.cycle_start < 0
 
     def _lay_out(self, sim, mule, route: MuleRoute, walk: _Walk, first_from: Point,
                  max_events: int) -> None:
@@ -650,8 +634,7 @@ class LegPattern:
         stream = _drawn(route)
         raw = list(islice(stream, _FIRST_DRAWS))
         while True:
-            nodes, through = drawn_walk(raw)
-            halted = len(through) > len(nodes)
+            nodes, halted = drawn_walk(raw)
             more = 0 if halted else self._shortfall(sim, mule, route, nodes, first_from,
                                                     node_code)
             if not more:
@@ -660,7 +643,7 @@ class LegPattern:
                 self._lay_out(sim, mule, route,
                               _walk(nodes, -1, _points(route, nodes), node_code, node_index),
                               first_from, max_events)
-                self.draws = through
+                self.halts = halted
                 stop = self.stop
                 if halted or (stop is not None and len(nodes) >= stop.leg - self.init_event + 2) \
                         or self.chain()[-2] > sim.config.horizon:
@@ -737,15 +720,10 @@ class LegPattern:
 
         Both tiers decline a pattern whose lap estimate fell short; the
         estimate tiles at least one full lap past the horizon, and a drawn
-        walk is drawn past it, so this is a guard, not a path.  A walk the
-        skip rule halts ends on its own and always passes: a loop walk with
-        no cycle, or a drawn walk with one more schedule call than nodes.
+        walk is drawn past it, so this is a guard, not a path.  A walk that
+        ``halts`` ends on its own and always passes.
         """
-        if self.draws is None:
-            halts = self.cycle_start < 0
-        else:
-            halts = len(self.draws) > len(self.walk)
-        return halts or self.full[-2] > horizon
+        return self.halts or self.full[-2] > horizon
 
     def applied_legs(self) -> "tuple[np.ndarray, np.ndarray]":
         """Each leg's length and node code in the order the mule applies them.
@@ -844,16 +822,6 @@ class _Row(LegPattern):
             return depart + (reachable / self.velocity if self.velocity > 0 else 0.0)
         return self.init_time if on_init else float(self.full[-2])
 
-    def destination(self, leg: int, coordinates) -> Point:
-        """Where applied leg ``leg`` (the initial leg first) runs to."""
-        leg -= self.init_event
-        if leg < 0:
-            return self.start_point
-        walk = self.walk
-        if leg >= len(walk):
-            leg = self.cycle_start + (leg - len(walk)) % (len(walk) - self.cycle_start)
-        return coordinates[walk[leg]]
-
 
 def _rows(sim) -> "list[_Row]":
     """One :class:`_Row` per mule of ``sim``, in scenario order.
@@ -879,8 +847,7 @@ def _rows(sim) -> "list[_Row]":
 
 def _running_sum(start: float, steps: np.ndarray) -> float:
     """``start`` plus each of ``steps`` in turn: one sequential ``np.cumsum``,
-    the float additions of the engine's ``+=`` (and, with negated steps, of
-    ``Battery.drain``'s ``-=``)."""
+    the float additions of the engine's ``+=``."""
     return float(np.cumsum(np.concatenate(([start], steps)))[-1])
 
 
@@ -1180,9 +1147,9 @@ def fast_result(sim) -> "SimulationResult | str":
     :func:`_horizon_cut`.  The result's visit table, delivered total,
     travelled distances, dead mules and metadata are computed here from
     arrays; its ``visits``, ``deliveries`` and ``traces`` are built from the
-    table when first read (:class:`_Table`).  No mule is touched:
-    :func:`run_fast_path` leaves the final mule state, and the batched tier
-    reduces the result to a record without it.
+    table when first read (:class:`_Table`).  Neither the scenario nor the
+    plan is touched: a random walk is drawn from a twin of its route's
+    generator (:func:`_drawn`).
     """
     try:
         rows = _rows(sim)
@@ -1274,114 +1241,13 @@ def fast_result(sim) -> "SimulationResult | str":
 
 
 # --------------------------------------------------------------------------- #
-# The scalar tier: the fast result, and the mules left as the event loop leaves them
+# The scalar tier
 # --------------------------------------------------------------------------- #
 
-def run_fast_path(sim) -> "SimulationResult | None":
-    """Run ``sim`` analytically; ``None`` means "use the event loop instead".
+def run_fast_path(sim) -> "SimulationResult | str":
+    """``sim``'s fast result, or the reason it runs on the event loop instead.
 
-    The result is :func:`fast_result`'s, and the mules are left as the event
-    loop leaves them: undelivered packets in their buffers, their batteries,
-    positions and states.  So are the routes: each stochastic route's
-    generator makes the draws the event loop's schedule calls make by the
-    cut (:func:`_schedule_calls`), through the route's own ``waypoints()``.
+    The reason is :func:`fast_path_rejection`'s static one, else the dynamic
+    one :func:`fast_result` returns.
     """
-    if not fast_path_eligible(sim):
-        return None
-    result = fast_result(sim)
-    if isinstance(result, str):
-        return None
-    table = result._source
-    mules = sim.scenario.mules
-    left = np.flatnonzero(~table.delivered)  # still on board, in chain order
-    for r, target, opened_at, at, size in zip(
-        table.row[table.collect][left].tolist(), table.cx[left].tolist(),
-        table.opened[left].tolist(), table.ct[left].tolist(), table.sizes[left].tolist(),
-    ):
-        mules[r].buffer.add(DataPacket(table.ids[target], opened_at, at, at, size))
-    for k, mule in zip(table.kept, mules):
-        row = k.row
-        applied = k.arrivals + k.init
-        if mule.battery is not None:
-            drains = k.drains(sim._energy) if sim.config.track_energy else np.empty(0)
-            _leave_battery(mule.battery, drains, np.flatnonzero(row.applied_legs()[1][:applied] == 3))
-        coordinates = sim.plan.route_for(mule.id).coordinates
-        if applied:
-            mule.position = row.destination(applied - 1, coordinates)
-            mule.state = MuleState.MOVING
-        if k.dies:
-            stop = row.stop
-            if stop.kind == "move":
-                # Stranded mid-leg, as far as the charge carried it.
-                mule.position = mule.position.towards(row.destination(stop.leg, coordinates),
-                                                      stop.reachable)
-            mule.state = MuleState.DEAD
-    if any(k.row.draws is not None for k in table.kept):
-        for k, mule, calls in zip(table.kept, mules, _schedule_calls(table, sim.config)):
-            if k.row.draws is not None and calls:
-                waypoints = sim.plan.route_for(mule.id).waypoints()
-                deque(islice(waypoints, int(k.row.draws[calls - 1])), maxlen=0)
-    return result
-
-
-def _schedule_calls(table: _Table, config) -> "list[int]":
-    """How many legs each row's mule schedules in the event loop by the cut.
-
-    The engine draws a stochastic route's next waypoint in each call.  One
-    call schedules each leg the kept events start: the first patrol leg, at
-    deployment or when the initial leg ends, then one after each processed
-    arrival with no dwell and after each processed dwell end.  A collection
-    death with no dwell still schedules (the engine discards the leg); a
-    dwell that ends after one does not, and neither does the arrival that
-    reaches ``max_visits``.  Every kept arrival but a row's last is followed
-    by the row's next leg, so only the last is decided here: by its dwell,
-    the horizon and, on a ``max_visits`` cut, the pop ranks.
-    """
-    kept = table.kept
-    horizon, max_visits = config.horizon, config.max_visits
-    ends = (np.cumsum([k.arrivals for k in kept]) - 1).tolist()  # each row's last arrival
-    cut = None
-    if max_visits is not None and \
-            np.count_nonzero((table.codes == 1) | (table.codes == 2)) >= max_visits:
-        # The run stopped at its max_visits-th recorded visit: of the kept
-        # arrivals, the last the engine popped.
-        chains, at = _chains(kept)
-        ranks = _pop_ranks(chains)
-        cut = int(ranks[at].max())
-    calls = []
-    for k, end in zip(kept, ends):
-        row, n = k.row, k.arrivals
-        if row.init_event and not k.init:
-            calls.append(0)  # the initial leg never ends
-            continue
-        if n == 0:
-            calls.append(1)
-            continue
-        if cut is not None and ranks[at[end]] == cut:
-            follows = False
-        elif not row.inc[2 * n - 1] > 0.0:
-            follows = True
-        else:
-            follows = bool(row.full[2 * n] <= horizon
-                           and not (k.dies and row.stop.kind == "collect")
-                           and (cut is None or ranks[at[end] + 1] < cut))
-        calls.append(n + follows)
-    return calls
-
-
-def _leave_battery(battery, drains: np.ndarray, refills: np.ndarray) -> None:
-    """Leave ``battery`` as the engine's drains and refills do.
-
-    ``drains`` interleaves the applied legs' move and collect drains
-    (:meth:`_Kept.drains`; empty when the battery is not tracked), none of
-    them clipped, and the mule refills after each leg in ``refills``: the
-    charge is one running sum per segment between refills, and each refill
-    is the engine's own ``Battery.refill``.
-    """
-    start = 0
-    for end in (2 * refills + 2).tolist():
-        battery.remaining = _running_sum(battery.remaining, -drains[start:end])
-        battery.refill()
-        start = end
-    battery.remaining = _running_sum(battery.remaining, -drains[start:])
-    battery.total_drained = _running_sum(battery.total_drained, drains)
+    return fast_path_rejection(sim) or fast_result(sim)

@@ -710,3 +710,47 @@ class TestDegenerateLayouts:
             planned += sum(not outcome.startswith("ValueError") for outcome in got)
         clear_caches()
         assert planned > len(cases)
+
+    def test_sw_tctp_plans_wherever_sweep_does_without_vips(self):
+        # With fewer targets than mules some sweep sector holds only the
+        # sink: a one-node circuit, which sw-tctp patrols as sweep does.
+        rng = np.random.default_rng(FUZZ_SEED + 3)
+        lone_sink = 0
+        for case in range(FUZZ_CASES):
+            layout = LAYOUTS[case % len(LAYOUTS)]
+            drawn = _degenerate_scenario(rng, layout)
+            scenario = Scenario(
+                targets=[Target(t.id, t.position) for t in drawn.targets], sink=drawn.sink,
+                mules=drawn.mules, recharge_station=drawn.recharge_station, name=layout,
+            )
+            if _plan_outcome("sweep", scenario).startswith("ValueError"):
+                continue
+            outcome = _plan_outcome("sw-tctp", scenario)
+            assert not outcome.startswith("ValueError"), \
+                f"case {case} ({layout}, seed {FUZZ_SEED + 3}): {outcome}"
+            lone_sink += len(scenario.targets) < len(scenario.mules)
+        assert lone_sink >= 1
+
+    @pytest.mark.parametrize("num_mules", [2, 3, 4])
+    def test_sw_tctp_patrols_a_sector_of_the_sink_alone(self, num_mules):
+        import dataclasses
+
+        from repro.runner import RunSpec, execute_run
+        from repro.scenarios import ScenarioSpec
+        from repro.sim import batchpath
+        from repro.sim.engine import SimulationConfig
+
+        spec = RunSpec(strategy="sw-tctp",
+                       scenario=ScenarioSpec("uniform", {"num_targets": 1,
+                                                         "num_mules": num_mules}),
+                       sim=SimulationConfig(horizon=8_000.0), seed=5)
+        plan = get_strategy("sw-tctp").plan(spec.scenario.build(spec.seed))
+        assert [route.loop for route in plan.routes.values()] \
+            == [["sink", "g1"]] + [["sink"]] * (num_mules - 1)
+        batched = batchpath.batch_execute_records([spec])[0]
+        with batchpath.batchpath_disabled():
+            scalar = execute_run(spec)
+        event = execute_run(dataclasses.replace(
+            spec, sim=dataclasses.replace(spec.sim, fast_path=False)))
+        assert batched is not None
+        assert json.dumps(batched) == json.dumps(scalar) == json.dumps(event)

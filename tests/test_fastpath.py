@@ -2,8 +2,8 @@
 
 The fast path must be an *invisible* optimisation: for every eligible run it
 has to reproduce the discrete-event loop byte for byte — visits, deliveries,
-traces, metadata and final mule state — and for every ineligible run it must
-get out of the way.
+traces and metadata — and for every ineligible run it must get out of the
+way.  Neither tier may change the scenario or the plan it runs.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from repro.energy.model import EnergyModel
 from repro.runner import Campaign, CampaignSpec, RunSpec
 from repro.scenarios import ScenarioSpec
 from repro.sim.engine import PatrolSimulator, SimulationConfig
-from repro.sim.fastpath import (
-    LegPattern, fast_path_eligible, fast_path_rejection, run_fast_path,
-)
+from repro.sim.fastpath import LegPattern, fast_path_rejection, run_fast_path
 
 FAST = SimulationConfig(horizon=15_000.0, track_energy=False)
 SLOW = dataclasses.replace(FAST, fast_path=False)
@@ -67,12 +65,13 @@ class TestByteIdenticalResults:
 
     @pytest.mark.parametrize("strategy,scenario_spec,params", EQUIVALENCE_CASES[:3],
                              ids=[f"{s}-{spec.family}" for s, spec, _ in EQUIVALENCE_CASES[:3]])
-    def test_final_mule_state_matches(self, strategy, scenario_spec, params):
-        (fast, scen_fast), (slow, scen_slow) = _run_both(strategy, scenario_spec, 1, **params)
-        for mf, ms in zip(scen_fast.mules, scen_slow.mules):
-            assert mf.position == ms.position
-            assert mf.state == ms.state
-            assert [p.size for p in mf.buffer.packets] == [p.size for p in ms.buffer.packets]
+    def test_both_tiers_leave_the_mules_as_deployed(self, strategy, scenario_spec, params):
+        for cfg in (FAST, SLOW):
+            scenario = scenario_spec.build(1)
+            plan = get_strategy(strategy, **params).plan(scenario)
+            before = mule_state(scenario)
+            assert PatrolSimulator(scenario, plan, cfg).run().visits
+            assert mule_state(scenario) == before
 
     def test_unsynchronized_start_equivalence(self):
         cfg_fast = dataclasses.replace(FAST, synchronized_start=False)
@@ -192,37 +191,36 @@ class TestEligibility:
         plan = get_strategy(strategy, **params).plan(scenario)
         return PatrolSimulator(scenario, plan, cfg)
 
+    @staticmethod
+    def rides(sim) -> bool:
+        """Whether ``sim`` gets a fast result rather than a reason to decline."""
+        return not isinstance(run_fast_path(sim), str)
+
     def test_loop_routes_are_eligible(self):
-        assert fast_path_eligible(self._sim())
+        assert fast_path_rejection(self._sim()) is None
 
     def test_flag_disables(self):
         sim = self._sim(cfg=SLOW)
-        assert not fast_path_eligible(sim)
         assert fast_path_rejection(sim) == "fast-path-disabled"
+        assert run_fast_path(sim) == "fast-path-disabled"
 
     def test_max_visits_is_eligible(self):
         cfg = dataclasses.replace(FAST, max_visits=10)
-        sim = self._sim(cfg=cfg)
-        assert fast_path_eligible(sim)
-        assert run_fast_path(sim) is not None
+        assert self.rides(self._sim(cfg=cfg))
 
     def test_tracked_battery_is_eligible(self):
         spec = ScenarioSpec("uniform", {"num_targets": 8, "num_mules": 2,
                                         "mule_battery": 50_000.0})
         cfg = dataclasses.replace(FAST, track_energy=True)
-        sim = self._sim(scenario_spec=spec, cfg=cfg)
-        assert fast_path_eligible(sim)
-        assert run_fast_path(sim) is not None
+        assert self.rides(self._sim(scenario_spec=spec, cfg=cfg))
 
     def test_untracked_battery_is_eligible(self):
         spec = ScenarioSpec("uniform", {"num_targets": 8, "num_mules": 2,
                                         "mule_battery": 50_000.0})
-        assert fast_path_eligible(self._sim(scenario_spec=spec))
+        assert fast_path_rejection(self._sim(scenario_spec=spec)) is None
 
     def test_stochastic_route_is_eligible(self):
-        sim = self._sim(strategy="random", seed=1)
-        assert fast_path_eligible(sim)
-        assert run_fast_path(sim) is not None
+        assert self.rides(self._sim(strategy="random", seed=1))
 
     @pytest.mark.parametrize("route_class", [ShuttleRoute, SubclassedRandom])
     def test_other_route_classes_fall_back(self, route_class):
@@ -240,7 +238,7 @@ class TestEligibility:
             sim = PatrolSimulator(scenario, plan, cfg)
             if cfg.fast_path:
                 assert fast_path_rejection(sim) == "route-class"
-                assert run_fast_path(sim) is None
+                assert run_fast_path(sim) == "route-class"
             results.append(sim.run())
         assert results[0] == results[1] and results[0].visits
 
@@ -265,16 +263,12 @@ class TestEligibility:
              "with_recharge_station": True},
         )
         cfg = dataclasses.replace(FAST, track_energy=True)
-        sim = self._sim(scenario_spec=spec, strategy="rw-tctp", cfg=cfg)
-        assert fast_path_eligible(sim)
-        assert run_fast_path(sim) is not None
+        assert self.rides(self._sim(scenario_spec=spec, strategy="rw-tctp", cfg=cfg))
 
     def test_dwell_time_is_eligible(self):
         spec = ScenarioSpec("uniform", {"num_targets": 8, "num_mules": 2,
                                         "params": {"collection_time": 5.0}})
-        sim = self._sim(scenario_spec=spec)
-        assert fast_path_eligible(sim)
-        assert run_fast_path(sim) is not None
+        assert self.rides(self._sim(scenario_spec=spec))
 
     def test_preloaded_buffer_falls_back(self):
         from repro.network.datamodel import DataPacket
@@ -284,7 +278,6 @@ class TestEligibility:
             DataPacket(target_id="t0", generated_from=0.0, generated_to=1.0,
                        collected_at=1.0, size=1.0)
         )
-        assert not fast_path_eligible(sim)
         assert fast_path_rejection(sim) == "preloaded-buffer"
 
 
@@ -316,7 +309,7 @@ class TestCampaignEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# The fast result: lists built on first read, and the final mule state
+# The fast result: lists built on first read, and the run's inputs untouched
 # --------------------------------------------------------------------------- #
 
 LAZY_CASES = [
@@ -334,11 +327,10 @@ LAZY_IDS = [case[0] for case in LAZY_CASES]
 LAZY = SimulationConfig(horizon=20_000.0, track_energy=True)
 
 
-def lazy_run(strategy, params, *, fast_path=True, used_battery=False):
-    """``(result, scenario, plan)`` of one run on its own scenario copy.
+def lazy_inputs(strategy, params, *, used_battery=False):
+    """``(scenario, plan)`` of one case, on its own scenario copy.
 
-    ``used_battery`` starts every battery with totals from an earlier life,
-    which the final battery state carries on.
+    ``used_battery`` starts every battery with totals from an earlier life.
     """
     scenario = ScenarioSpec("uniform", params).build(4)
     if used_battery:
@@ -347,6 +339,12 @@ def lazy_run(strategy, params, *, fast_path=True, used_battery=False):
             mule.battery.total_recharged = 67.25
             mule.battery.recharge_count = 3
     plan = get_strategy(strategy, **({"seed": 11} if strategy == "random" else {})).plan(scenario)
+    return scenario, plan
+
+
+def lazy_run(strategy, params, *, fast_path=True):
+    """``(result, scenario, plan)`` of one run on its own scenario copy."""
+    scenario, plan = lazy_inputs(strategy, params)
     config = dataclasses.replace(LAZY, fast_path=fast_path)
     return PatrolSimulator(scenario, plan, config).run(), scenario, plan
 
@@ -471,11 +469,15 @@ class TestLazyResult:
         *((*case, False) for case in LAZY_CASES),
         *((*case, True) for case in (*LAZY_CASES[:2], LAZY_CASES[3])),
     ], ids=[*LAZY_IDS, *(f"{name}-used-battery" for name in (*LAZY_IDS[:2], LAZY_IDS[3]))])
-    def test_run_leaves_the_event_loops_mule_state(self, strategy, params, used_battery):
-        fast, scen_fast, plan_fast = lazy_run(strategy, params, used_battery=used_battery)
-        slow, scen_slow, plan_slow = lazy_run(strategy, params, fast_path=False,
-                                              used_battery=used_battery)
-        assert mule_state(scen_fast) == mule_state(scen_slow)
-        assert generator_states(plan_fast) == generator_states(plan_slow)
+    def test_run_leaves_the_mules_and_generators_untouched(self, strategy, params,
+                                                            used_battery):
+        results = []
+        for fast_path in (True, False):
+            scenario, plan = lazy_inputs(strategy, params, used_battery=used_battery)
+            before = mule_state(scenario), generator_states(plan)
+            config = dataclasses.replace(LAZY, fast_path=fast_path)
+            results.append(PatrolSimulator(scenario, plan, config).run())
+            assert (mule_state(scenario), generator_states(plan)) == before
+        fast, slow = results
         assert built(fast) == []
         assert fast.traces == slow.traces

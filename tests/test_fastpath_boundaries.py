@@ -44,7 +44,7 @@ from repro.runner.spec import RunSpec
 from repro.scenarios import ScenarioSpec
 from repro.sim import batchpath, fastpath
 from repro.sim.engine import PatrolSimulator, SimulationConfig
-from repro.sim.fastpath import LegPattern, fast_path_eligible, fast_path_rejection
+from repro.sim.fastpath import LegPattern, fast_path_rejection
 
 FAST = SimulationConfig(horizon=500.0, track_energy=False)
 SLOW = dataclasses.replace(FAST, fast_path=False)
@@ -373,13 +373,11 @@ class TestBatchFallbacks:
         batched = execute_run(spec)
         assert json.dumps(batched) == json.dumps(scalar)  # key order included
 
-    FASTPATH = {"outcome": "fastpath"}
-    DYNAMIC = {"outcome": "event-loop", "reason": "dynamic-fallback"}
-
     # A ``None`` reason is a cell that rides the batch: one batched dispatch,
-    # no simulator run.
+    # no simulator run.  ``sim_reason`` is the reason the scalar tier gives
+    # when it declines the cell too, so that it runs on the event loop.
     @pytest.mark.usefixtures("line_entries")
-    @pytest.mark.parametrize("spec_kwargs, patch, reason, sim_labels", [
+    @pytest.mark.parametrize("spec_kwargs, patch, reason, sim_reason", [
         ({"strategy": "chb"}, None, None, None),  # simultaneous sink flushes
         ({"sim": {"track_energy": True},
           "params": {"mule_battery": 500_000.0, "with_recharge_station": True}},
@@ -390,7 +388,7 @@ class TestBatchFallbacks:
         # running sum reproduces the clip, so both fast tiers decline it.
         ({"strategy": "line-loop", "sim": {"track_energy": True},
           "scenario": ScenarioSpec("line", {"remaining": 100 * 8.267 - 5e-9})},
-         None, "battery-clip", DYNAMIC),
+         None, "battery-clip", "battery-clip"),
         ({"metrics": ["path_length", "dcdt_series"]}, None, None, None),
         ({"sim": {"max_visits": 10}}, None, None, None),
         ({"strategy": "random"}, None, None, None),  # drawn walks ride the batch
@@ -398,18 +396,18 @@ class TestBatchFallbacks:
         # batch declines the rows, then the scalar tier, so the cell runs on
         # the event loop), a lap estimate that falls short (declined on both
         # tiers), the scalar's event cap with the batch off.
-        ({}, (fastpath, "_MAX_EVENTS_PER_MULE", 1), "row-fallback", DYNAMIC),
+        ({}, (fastpath, "_MAX_EVENTS_PER_MULE", 1), "row-fallback", "row-fallback"),
         # A drawn walk past the cap declines before it draws on.
         ({"strategy": "random"}, (fastpath, "_MAX_EVENTS_PER_MULE", 1), "row-fallback",
-         DYNAMIC),
+         "row-fallback"),
         ({}, (LegPattern, "reaches", lambda _pattern, _horizon: False), "lap-estimate",
-         DYNAMIC),
+         "lap-estimate"),
         ({"sim": {"batch_path": False}}, (fastpath, "_MAX_EVENTS_PER_MULE", 1),
-         "batch-path-disabled", DYNAMIC),
+         "batch-path-disabled", "row-fallback"),
     ], ids=["chb", "tracked-battery", "battery-clip", "custom-metrics", "max-visits", "random",
             "batch-event-cap", "random-event-cap", "lap-estimate", "scalar-event-cap"])
     def test_declined_single_cell_counts_one_scalar_dispatch(
-        self, spec_kwargs, patch, reason, sim_labels
+        self, spec_kwargs, patch, reason, sim_reason
     ):
         spec = self._spec(**spec_kwargs)
         event = execute_run(dataclasses.replace(
@@ -434,7 +432,8 @@ class TestBatchFallbacks:
         assert [(n, labels, v) for n, labels, v in counters if n == "batch_dispatch"] \
             == [("batch_dispatch", batch, 1)]
         assert [(labels, v) for n, labels, v in counters if n == "sim_dispatch"] \
-            == ([] if sim_labels is None else [(sim_labels, 1)])
+            == ([] if sim_reason is None else
+                [({"outcome": "event-loop", "reason": sim_reason}, 1)])
         assert canonical(record) == canonical(event)
         with batchpath.batchpath_disabled():
             assert canonical(record) == canonical(execute_run(spec))
@@ -515,7 +514,8 @@ class TestBatchFallbacks:
             declined = [c["labels"] for c in snapshot["counters"]
                         if c["name"] == "batch_dispatch"] == \
                 [{"outcome": "scalar", "reason": "row-fallback"}]
-            assert declined == (record is None) == (scalar is None), spec.sim.horizon
+            assert declined == (record is None) == (scalar == "row-fallback"), \
+                spec.sim.horizon
             if record is not None:
                 with batchpath.batchpath_disabled():
                     assert canonical(record) == canonical(execute_run(spec))
@@ -648,7 +648,7 @@ class TestPerEntityConfigAudit:
             })
 
         sim = PatrolSimulator(build(), plan(build()), FAST)
-        assert fast_path_eligible(sim)
+        assert fast_path_rejection(sim) is None
         fast, slow = run_both(build, plan)
         assert fast == slow
         # m2 runs the reversed lap at 4 m/s: g2 (200 m) at t = 50
@@ -859,18 +859,18 @@ class TestZeroLengthLap:
              lambda scenario: loop_plan(scenario, loops={"m1": ["g1", "g2"]}))
 
     @pytest.mark.parametrize("layout, cfg_changes, visits, last, death, dispatch", [
-        (STILL, {"max_visits": 1000}, 1000, 50.0, None, "dynamic-fallback"),
+        (STILL, {"max_visits": 1000}, 1000, 50.0, None, "row-fallback"),
         ((lambda: line_scenario(g2_x=100.0, battery=lambda: Battery(1000.0)), STILL[1]),
-         {"track_energy": True}, 2311, 50.0, 50.0, "dynamic-fallback"),
+         {"track_energy": True}, 2311, 50.0, 50.0, "row-fallback"),
         ((lambda: line_scenario(g2_x=100.0, collection_time=5.0), STILL[1]),
          {}, 91, 500.0, None, None),
         # 0.1 J is left at g1 after the 826.7 J leg: 0.025 J after its
         # collection, so the mule dies collecting at g2, before the station.
         (still_recharge_lap(826.8), {"track_energy": True}, 2, 50.0, 50.0,
-         "dynamic-fallback"),
+         "row-fallback"),
         # 0.05 J is left at g1, and its collection empties the battery.
         (still_recharge_lap(826.75), {"track_energy": True}, 1, 50.0, 50.0,
-         "dynamic-fallback"),
+         "row-fallback"),
     ], ids=["max-visits", "tracked-battery", "dwell", "recharge-lap-dies-at-g2",
             "recharge-lap-dies-at-g1"])
     def test_runs_that_end_are_unchanged(

@@ -30,12 +30,20 @@ every path must agree there as well.  A third leg draws CHB and
 staggered-CHB cells whose mules leave the sink together, with and without a
 dwell and tracked batteries: their visits tie, and every one of them must
 ride the batch, in the engine's tie order.  A fourth leg compares whole
-results — visit order, deliveries, traces, final mule state and each random
-walk's generator state, which no record shows — of ``PatrolSimulator.run()``
-with the fast path on and off, on cases drawn from the three generators, a
-quarter of them capped by ``max_visits``.  A fifth leg does the same on
-hand-built random-walk plans (one candidate, duplicates, ``avoid_repeat``
-off, dear collections, shared generators), run twice on one plan.
+results — visit order, deliveries and traces, which no record shows — of
+``PatrolSimulator.run()`` with the fast path on and off, on cases drawn from
+the three generators, a quarter of them capped by ``max_visits``.  A fifth
+leg does the same on hand-built random-walk plans (one candidate,
+duplicates, ``avoid_repeat`` off, dear collections, shared generators), run
+twice on one plan.
+
+Two legs hold that a run leaves its inputs untouched.  Every run of the
+fourth and fifth legs must leave its scenario's mules (position, state,
+buffer, battery) and its plan's generators as a snapshot taken before the
+call; the purity leg runs drawn plans twice on each tier, with preloaded
+buffers and shared generators among them, and both runs must agree.  The
+custom-metric leg reads those inputs in a metric, whose record must be the
+same batched, per cell and on the event loop.
 
 On a mismatch the failing case is greedily shrunk (fewer targets, fewer
 mules, shorter horizon, defaults restored) before reporting, so the assertion
@@ -92,6 +100,31 @@ def _reads_everything(scenario, plan, result):
     field and the metadata — as one digest, so that the record stays small."""
     seen = (result.visits, result.deliveries, result.traces, result.metadata)
     return hashlib.sha256(repr(seen).encode()).hexdigest()
+
+
+READS_INPUTS = "differential_fuzz_reads_the_inputs"
+
+
+def inputs(scenario, plan) -> tuple:
+    """What a run must leave as it found it: each mule's position, state,
+    buffer packets and battery, and each stochastic route's generator state."""
+    return [
+        (m.id, m.position, m.state, list(m.buffer.packets),
+         None if m.battery is None else (m.battery.remaining, m.battery.total_drained,
+                                         m.battery.total_recharged, m.battery.recharge_count))
+        for m in scenario.mules
+    ], generator_states(plan)
+
+
+@register_metric(READS_INPUTS)
+def _reads_the_inputs(scenario, plan, result):
+    """What a user's extractor may read of the scenario and the plan after
+    the run: each battery's charge, and a digest of :func:`inputs`."""
+    return {
+        "remaining": [None if m.battery is None else m.battery.remaining
+                      for m in scenario.mules],
+        "inputs": hashlib.sha256(repr(inputs(scenario, plan)).encode()).hexdigest(),
+    }
 
 
 def draw_case(rng: np.random.Generator) -> dict:
@@ -413,12 +446,12 @@ class TestDifferentialFuzz:
 # --------------------------------------------------------------------------- #
 
 def full_run(case: dict, *, fast_path: bool) -> "tuple[object, bool]":
-    """``PatrolSimulator.run()`` on its own scenario copy, with the final state.
+    """``PatrolSimulator.run()`` on its own scenario copy.
 
-    Returns ``((result, mules, generators), rode_the_fast_path)``, or the
-    planning or simulation ``ValueError`` as a string: ``mules`` is the
-    final mule state and ``generators`` each stochastic route's generator
-    state after the run.  The case's optional ``max_visits`` caps the run.
+    Returns ``((result, touched), rode_the_fast_path)``, or the planning or
+    simulation ``ValueError`` as a string: ``touched`` is whether the run
+    changed its scenario or plan (:func:`inputs`).  The case's optional
+    ``max_visits`` caps the run.
     """
     from repro.baselines.base import get_strategy, seeded_params
     from repro.sim.engine import PatrolSimulator
@@ -429,18 +462,13 @@ def full_run(case: dict, *, fast_path: bool) -> "tuple[object, bool]":
         scenario = spec.scenario.build(spec.seed)
         plan = get_strategy(spec.strategy,
                             **seeded_params(spec.strategy, spec.params, spec.seed)).plan(scenario)
+        before = inputs(scenario, plan)
         with obs_collected(enabled=True) as window:
             result = PatrolSimulator(scenario, plan, config).run()
             counters = window.snapshot()["counters"]
     except ValueError as exc:
         return f"ValueError: {exc}", False
-    mules = [
-        (m.id, m.position, m.state, list(m.buffer.packets),
-         None if m.battery is None else (m.battery.remaining, m.battery.total_drained,
-                                         m.battery.total_recharged, m.battery.recharge_count))
-        for m in scenario.mules
-    ]
-    return (result, mules, generator_states(plan)), \
+    return (result, inputs(scenario, plan) != before), \
         dispatches(counters, "sim_dispatch", outcome="fastpath") == 1
 
 
@@ -456,26 +484,24 @@ def first_difference(got, want) -> "str | None":
     """The first part of two :func:`full_run` outcomes that differs, or ``None``."""
     if isinstance(got, str) or isinstance(want, str):
         return None if got == want else f"fast: {got!r}\n event loop: {want!r}"
-    (result, mules, generators), (expected, expected_mules, expected_generators) = got, want
+    (result, touched), (expected, expected_touched) = got, want
+    if touched or expected_touched:
+        return (f"the run changed its scenario or plan (fast: {touched}, "
+                f"event loop: {expected_touched})")
     for name in ("strategy", "horizon", "metadata", "visits", "deliveries", "traces"):
         if getattr(result, name) != getattr(expected, name):
             return f"{name} differ"
-    for mule, expected_mule in zip(mules, expected_mules):
-        if mule != expected_mule:
-            return f"final state of {mule[0]}: {mule} != {expected_mule}"
-    if generators != expected_generators:
-        return f"generator states: {generators} != {expected_generators}"
     return None
 
 
 class TestFullResultFuzz:
     """The scalar tier's whole result, not only the record the batch compares.
 
-    Records see no visit order, no delivery list, no trace field, no final
-    mule state and no generator state; this leg compares all of them between
-    ``PatrolSimulator.run()`` with the fast path on and the event loop, on
-    cases drawn from the three generators above, a quarter of them capped by
-    ``max_visits``.  Random cells ride the fast path too.
+    Records see no visit order, no delivery list and no trace field; this
+    leg compares all of them between ``PatrolSimulator.run()`` with the fast
+    path on and the event loop, on cases drawn from the three generators
+    above, a quarter of them capped by ``max_visits``, and neither run may
+    change its scenario or plan.  Random cells ride the fast path too.
     """
 
     def test_fast_path_reproduces_the_event_loop(self):
@@ -551,16 +577,15 @@ def walk_case(rng: np.random.Generator) -> dict:
         "horizon": float(rng.uniform(50.0, 8_000.0)),
         "layout": int(rng.integers(1_000)),
         "seed": int(rng.integers(1_000_000)),
-        "shared": num_mules > 1 and rng.integers(5) == 0,
+        "shared": bool(num_mules > 1 and rng.integers(5) == 0),
     }
 
 
 def walk_runs(case: dict, *, fast_path: bool) -> "tuple[list, int]":
-    """Two ``run()`` calls on one hand-built stochastic plan, each on a fresh scenario.
+    """Two ``run()`` calls on one hand-built stochastic plan and one scenario.
 
-    The second run continues from the generators the first left.  Returns
-    each run's ``(result, mules, generators)`` and how many rode the fast
-    path.
+    Returns each run's ``(result, touched)`` (see :func:`full_run`) and how
+    many rode the fast path.
     """
     from repro.core.plan import PatrolPlan, StochasticRoute
     from repro.sim.engine import PatrolSimulator
@@ -574,37 +599,32 @@ def walk_runs(case: dict, *, fast_path: bool) -> "tuple[list, int]":
     spec = ScenarioSpec("uniform", params, seed=case["layout"])
     config = SimulationConfig(horizon=case["horizon"], track_energy=case["battery"] is not None,
                               max_visits=case["max_visits"], fast_path=fast_path)
-    plan, runs, rode = None, [], 0
+    scenario = spec.build(0)
+    coords = scenario.patrol_points(include_recharge=case["with_recharge_station"])
+    ids = list(coords)
+    children = np.random.SeedSequence(case["seed"]).spawn(case["num_mules"])
+    generators = [np.random.default_rng(child) for child in children]
+    if case["shared"]:
+        generators = generators[:1] * len(generators)
+    plan = PatrolPlan("random", {
+        m.id: StochasticRoute(m.id, [ids[i] for i in case["candidates"]], coords,
+                              rng=generator, avoid_repeat=case["avoid_repeat"])
+        for m, generator in zip(scenario.mules, generators)
+    })
+    before = inputs(scenario, plan)
+    runs, rode = [], 0
     for _ in range(2):
-        scenario = spec.build(0)
-        if plan is None:
-            coords = scenario.patrol_points(include_recharge=case["with_recharge_station"])
-            ids = list(coords)
-            children = np.random.SeedSequence(case["seed"]).spawn(case["num_mules"])
-            generators = [np.random.default_rng(child) for child in children]
-            if case["shared"]:
-                generators = generators[:1] * len(generators)
-            plan = PatrolPlan("random", {
-                m.id: StochasticRoute(m.id, [ids[i] for i in case["candidates"]], coords,
-                                      rng=generator, avoid_repeat=case["avoid_repeat"])
-                for m, generator in zip(scenario.mules, generators)
-            })
         with obs_collected(enabled=True) as window:
             result = PatrolSimulator(scenario, plan, config).run()
             rode += dispatches(window.snapshot()["counters"], "sim_dispatch", outcome="fastpath")
-        mules = [(m.id, m.position, m.state, list(m.buffer.packets),
-                  None if m.battery is None else (m.battery.remaining, m.battery.total_drained,
-                                                  m.battery.total_recharged,
-                                                  m.battery.recharge_count))
-                 for m in scenario.mules]
-        runs.append((result, mules, generator_states(plan)))
+        runs.append((result, inputs(scenario, plan) != before))
     return runs, rode
 
 
 class TestRandomWalks:
-    """Random walks on both fast tiers: results, mule state and generator state."""
+    """Random walks on both fast tiers: results, and the inputs left untouched."""
 
-    def test_drawn_walks_leave_the_event_loops_generators(self):
+    def test_drawn_walks_match_the_event_loop_run_after_run(self):
         seed = FUZZ_SEED + 9
         rng = np.random.default_rng(seed)
         rode = deaths = collecting = halts = cuts = dwelling = shared = 0
@@ -618,6 +638,10 @@ class TestRandomWalks:
                     f"case {index} (seed {seed}), run {run} diverged: "
                     f"{json.dumps(case, sort_keys=True)}\n{difference}"
                 )
+            # The plan is as it was, so its second run is its first again.
+            assert got[1][0] == got[0][0] and want[1][0] == want[0][0], (
+                f"case {index} (seed {seed}) ran differently the second time"
+            )
             if case["shared"]:
                 # One generator interleaves its routes' draws: the event loop's.
                 assert fast == 0, f"case {index} shared a generator on the fast path"
@@ -673,6 +697,126 @@ class TestRandomWalks:
         fresh = get_strategy("random", **seeded_params("random", {}, cells[0].seed)).plan(
             build_cell_scenario(cells[0]))
         assert states == generator_states(fresh) == generator_states(plan)
+
+
+# --------------------------------------------------------------------------- #
+# A run leaves its inputs untouched
+# --------------------------------------------------------------------------- #
+
+def purity_runs(case: dict, *, fast_path: bool, preloaded: bool, shared: bool):
+    """Two ``run()`` calls on one drawn plan and one scenario, each checked against a snapshot.
+
+    ``preloaded`` puts a packet on the first mule's buffer before the runs;
+    ``shared`` hands every stochastic route the first one's generator.
+    Returns the two outcomes (a result, or the simulation ``ValueError`` as a
+    string) and whether the runs rode the fast path, or the planning
+    ``ValueError`` as a string.
+    """
+    from repro.baselines.base import get_strategy, seeded_params
+    from repro.core.plan import StochasticRoute
+    from repro.network.datamodel import DataPacket
+    from repro.sim.engine import PatrolSimulator
+
+    spec = case_spec(case, fast_path=fast_path)
+    try:
+        scenario = spec.scenario.build(spec.seed)
+        plan = get_strategy(spec.strategy,
+                            **seeded_params(spec.strategy, spec.params, spec.seed)).plan(scenario)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    if preloaded:
+        scenario.mules[0].buffer.add(DataPacket(scenario.targets[0].id, 0.0, 1.0, 1.0, 5.0))
+    routes = [r for r in plan.routes.values() if isinstance(r, StochasticRoute)]
+    for route in routes[1:] if shared else ():
+        route._rng = routes[0]._rng
+    before = inputs(scenario, plan)
+    sim = PatrolSimulator(scenario, plan, spec.sim)
+    results = []
+    for _ in range(2):
+        with obs_collected(enabled=True) as window:
+            results.append(outcome(sim.run))
+            counters = window.snapshot()["counters"]
+        assert inputs(scenario, plan) == before, (
+            f"the run changed its scenario or plan: {json.dumps(case, sort_keys=True)}"
+        )
+    return results, dispatches(counters, "sim_dispatch", outcome="fastpath") == 1
+
+
+class TestRunsLeaveTheirInputs:
+    """``PatrolSimulator.run()`` changes neither its scenario nor its plan, on any tier."""
+
+    def test_a_plan_runs_twice_alike_on_both_tiers(self):
+        seed = FUZZ_SEED + 10
+        rng = np.random.default_rng(seed)
+        draws = (draw_case, tracked_case, lockstep_case)
+        seen = dict.fromkeys(["fast", "event-loop walks", "deaths", "recharges", "cuts",
+                              "preloaded", "shared"], 0)
+        for index in range(FUZZ_CASES // 2):
+            case = draws[index % len(draws)](rng)
+            if index % 8 == 7:
+                case["strategy"] = "random"  # the draws alone seldom share a generator
+            if rng.integers(4) == 0:
+                case["max_visits"] = int(rng.integers(1, 300))
+            preloaded = bool(rng.integers(4) == 0)
+            shared = case["strategy"] == "random" and case["num_mules"] > 1 \
+                and bool(rng.integers(2))
+            tiers = [purity_runs(case, fast_path=fast_path, preloaded=preloaded, shared=shared)
+                     for fast_path in (True, False)]
+            if isinstance(tiers[0], str):
+                assert tiers[1] == tiers[0]  # planning rejects it on both tiers
+                continue
+            (fast, rode), (event, _) = tiers
+            assert fast[1] == fast[0] and event[1] == event[0] and fast == event, (
+                f"case {index} (seed {seed}) diverged: {json.dumps(case, sort_keys=True)}"
+            )
+            if isinstance(event[0], str):
+                continue
+            traces = event[0].traces.values()
+            seen["fast"] += rode
+            seen["event-loop walks"] += case["strategy"] == "random"
+            seen["deaths"] += any(t.death_time is not None for t in traces)
+            seen["recharges"] += any(t.recharges for t in traces)
+            seen["cuts"] += sum(v.is_target for v in event[0].visits) == case.get("max_visits")
+            seen["preloaded"] += preloaded
+            seen["shared"] += shared
+        # Both tiers, through deaths, recharges, cuts, preloaded buffers,
+        # shared generators and random walks on the event loop.
+        assert seen["fast"] >= FUZZ_CASES // 4 and min(seen.values()) >= 1, seen
+
+    def test_a_metric_reading_the_inputs_agrees_on_every_tier(self):
+        # RW-TCTP's tracked mules drain and recharge by the horizon; the
+        # metric reads every battery as deployed on every tier.
+        spec = RunSpec(
+            strategy="rw-tctp",
+            scenario=ScenarioSpec("uniform", {"num_targets": 12, "num_mules": 3,
+                                              "with_recharge_station": True,
+                                              "mule_battery": 200_000.0}),
+            sim=SimulationConfig(horizon=20_000.0, track_energy=True),
+            seed=5, metrics=(READS_INPUTS,),
+        )
+        clear_caches()
+        try:
+            batched = batchpath.batch_execute_records([spec])[0]
+        finally:
+            clear_caches()
+        with batchpath.batchpath_disabled():
+            scalar = execute_run(spec)
+        event = execute_run(dataclasses.replace(
+            spec, sim=dataclasses.replace(spec.sim, fast_path=False)))
+        assert batched is not None and scalar["num_dead_mules"] == 0
+        assert canonical(batched) == canonical(scalar) == canonical(event)
+        assert batched[READS_INPUTS]["remaining"] == [200_000.0] * 3
+        # Drawn cases, random walks' generators and dying batteries among them.
+        seed = FUZZ_SEED + 11
+        rng = np.random.default_rng(seed)
+        batched_cases = walks = 0
+        for index in range(FUZZ_CASES // 4):
+            case = (draw_case, tracked_case)[index % 2](rng)
+            case["metrics"] = [READS_INPUTS]
+            flags = agreeing_flags(index, case, seed)
+            batched_cases += flags["batched"]
+            walks += flags["batched"] and case["strategy"] == "random"
+        assert batched_cases >= FUZZ_CASES // 8 and walks >= 1, (batched_cases, walks)
 
 
 class TestEventLoopStaysAuthoritative:
@@ -867,7 +1011,7 @@ class TestLegPatternBuild:
             for mule in sim.scenario.mules:
                 route = sim.plan.route_for(mule.id)
                 pattern = LegPattern(sim, mule, route, sync_time, codes, 10**6)
-                first_from = pattern.start_point if pattern.init_event else mule.position
+                first_from = route.start_position() if pattern.init_event else mule.position
                 want = reference_legs(pattern, route, first_from)
                 assert [v.hex() for v in pattern.dists.tolist()] == [v.hex() for v in want]
 

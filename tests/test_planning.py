@@ -27,7 +27,7 @@ from repro.planning import (
 from repro.runner import Campaign, CampaignSpec, RunSpec
 from repro.scenarios import ScenarioSpec, get_scenario
 from repro.sim.engine import PatrolSimulator, SimulationConfig
-from repro.sim.fastpath import fast_path_eligible
+from repro.sim.fastpath import fast_path_rejection
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +265,7 @@ class TestNewCompositions:
         cfg_slow = SimulationConfig(horizon=15_000.0, fast_path=False)
         s1 = scenario.fresh_copy()
         sim = PatrolSimulator(s1, get_strategy(name).plan(s1), cfg_fast)
-        assert fast_path_eligible(sim)
+        assert fast_path_rejection(sim) is None
         fast = sim.run()
         s2 = scenario.fresh_copy()
         slow = PatrolSimulator(s2, get_strategy(name).plan(s2), cfg_slow).run()
@@ -279,7 +279,7 @@ class TestNewCompositions:
         cfg_slow = SimulationConfig(horizon=10_000.0, fast_path=False)
         s1 = recharge_scenario.fresh_copy()
         sim = PatrolSimulator(s1, get_strategy("crw-tctp").plan(s1), cfg_fast)
-        assert fast_path_eligible(sim)
+        assert fast_path_rejection(sim) is None
         fast = sim.run()
         s2 = recharge_scenario.fresh_copy()
         slow = PatrolSimulator(s2, get_strategy("crw-tctp").plan(s2), cfg_slow).run()
