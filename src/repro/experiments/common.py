@@ -180,12 +180,12 @@ def run_strategy_on_scenario(
 
     This is the in-memory sibling of :func:`repro.runner.execute_run` for
     callers that already hold a :class:`Scenario` object (or a planner
-    instance) rather than a declarative config.
+    instance) rather than a declarative config.  Planning and the run read
+    ``scenario`` as given, preloaded buffers included, and leave it untouched.
     """
     planner = get_strategy(strategy, **strategy_kwargs) if isinstance(strategy, str) else strategy
-    working = scenario.fresh_copy()
-    plan = planner.plan(working)
-    return simulate_plan(working, plan, horizon=horizon, track_energy=track_energy)
+    plan = planner.plan(scenario)
+    return simulate_plan(scenario, plan, horizon=horizon, track_energy=track_energy)
 
 
 def averaged_metric(

@@ -495,6 +495,11 @@ class CampaignSpec:
         Every cell's scenario spec is restricted to its family's declared
         parameters and validated here — an unknown family, a typo'd parameter
         or an out-of-range value surfaces before any simulation starts.
+
+        The replications of one grid combination are clones of its validated
+        cell: its dataclass fields are copied (never its ``__dict__``, which
+        may hold a memoised fingerprint payload) and no ``__post_init__``
+        runs again, so each cell pays only for its seed, labels and params.
         """
         scenario_params = self._campaign_scenario_params()  # raises on unknown family
         self._validate_axes(scenario_params)
@@ -518,11 +523,16 @@ class CampaignSpec:
             # strategy's declared subset of the shared parameter set).
             params = filter_strategy_kwargs(spec.strategy, spec.params)
             validate_strategy_params(spec.strategy, params)
-            # Each replication is with_strategy_defaults() of its seeded spec,
-            # built in one replace: the filtered params are the same for all.
+            # Each replication is with_strategy_defaults() of its seeded spec:
+            # a clone of this validated cell with its own seed, labels and
+            # seeded params (the filtered params are the same for all).
+            cls = type(spec)
+            template = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
             for k, seed in enumerate(self.seeds(base_seed=spec.seed)):
-                cells.append(replace(spec, seed=seed, labels={**labels, "replication": k},
-                                     params=seeded_params(spec.strategy, params, seed)))
+                cell = object.__new__(cls)
+                vars(cell).update(template, seed=seed, labels={**labels, "replication": k},
+                                  params=seeded_params(spec.strategy, params, seed))
+                cells.append(cell)
         return cells
 
 

@@ -50,6 +50,7 @@ are byte-invisible: they only choose the dispatch path.
 from __future__ import annotations
 
 import json
+import operator
 from copy import deepcopy
 
 from repro.baselines.base import seeded_params
@@ -95,8 +96,8 @@ _ROW_CACHE = ContentCache("batch_rows", maxsize=256)
 _encode_params = json.JSONEncoder(default=repr).encode
 
 # Bumped by the number of batched cells, once per call: a memoized batched
-# cell costs about ten microseconds, so even a pre-bound per-cell counter
-# (see repro.obs.counter) is a visible share of it with the registry on.
+# cell costs a few microseconds, so even a pre-bound per-cell counter (see
+# repro.obs.counter) is a visible share of it with the registry on.
 _BATCHED = _obs.counter("batch_dispatch", outcome="batch")
 
 # One process-wide switch for the batched dispatch (REPRO_BATCHPATH; see
@@ -124,12 +125,39 @@ def _reject(reason: str) -> None:
     return None
 
 
-def _cell_record(spec) -> "dict | None":
+def _row_key(spec, params: dict, last: list) -> tuple:
+    """The ``batch_rows`` key of ``spec``, whose seeded params are ``params``.
+
+    ``last`` holds the inputs and the key of the previous cell of the call.
+    The replications of one grid combination share every input of the key
+    but the seed, and a pinned layout's seed is the scenario's own, so their
+    key is derived once: it is reused when the strategy, the
+    :class:`~repro.scenarios.ScenarioSpec`, the effective scenario seed, the
+    simulator config, the metrics and every param name and value are the
+    same objects as the previous cell's.  Identity, not equality:
+    ``{"x": 1}``, ``{"x": 1.0}`` and ``{"x": True}`` compare equal but
+    encode differently.
+    """
+    scenario = spec.scenario
+    inputs = (spec.strategy, scenario, spec.seed if scenario.seed is None else scenario.seed,
+              spec.sim, spec.metrics, *params, *params.values())
+    if len(inputs) == len(last[0]) and all(map(operator.is_, inputs, last[0])):
+        return last[1]
+    cfg, metrics = spec.sim, spec.metrics
+    plan_key = (spec.strategy, _encode_params(sorted(params.items())), _scenario_cache_key(spec))
+    key = (plan_key, cfg.horizon, cfg.synchronized_start, cfg.track_energy, cfg.max_visits,
+           _encode_params(metrics) if metrics else None)
+    last[:] = inputs, key
+    return key
+
+
+def _cell_record(spec, last: list) -> "dict | None":
     """``spec``'s record, or ``None`` when the cell must run per cell.
 
     A cell whose key is cached is answered from its ``batch_rows`` entry
     alone.  Only a miss builds and reduces the cell (:func:`_reduce_cell`,
-    in a ``batch-reduce`` span) and caches the entry.
+    in a ``batch-reduce`` span) and caches the entry.  ``last`` is the
+    call's key memo (:func:`_row_key`).
     """
     cfg = spec.sim
     if not cfg.batch_path:
@@ -140,14 +168,12 @@ def _cell_record(spec) -> "dict | None":
         # functions of the plan key, so no entry exists for a key they veto.
         return _reject("fastpath-fast-path-disabled")
     params = seeded_params(spec.strategy, spec.params, spec.seed)
-    plan_key = (spec.strategy, _encode_params(sorted(params.items())), _scenario_cache_key(spec))
+    key = _row_key(spec, params, last)
     metrics = spec.metrics
-    key = (plan_key, cfg.horizon, cfg.synchronized_start, cfg.track_energy, cfg.max_visits,
-           _encode_params(metrics) if metrics else None)
     entry = _ROW_CACHE.get(key)
     if entry is None:
         with _obs.span("batch-reduce", cat="batch"):
-            entry = _reduce_cell(spec, params, plan_key)
+            entry = _reduce_cell(spec, params, key[0])
         if entry is None:
             return None
         _ROW_CACHE.put(key, entry)
@@ -212,12 +238,15 @@ def batch_execute_records(specs) -> "list[dict | None]":
     columns and put equal entries).  A call holds one cell's rows at a
     time.  With the obs registry on, each call records a ``batch`` span, with
     one ``batch-reduce`` child per cell whose key missed; a cached cell
-    records none.
+    records none.  The key of a run of cells that differ only in their
+    replication seed on a pinned layout is derived once per call
+    (:func:`_row_key`); every cell still looks it up on its own.
     """
     specs = list(specs)
     if not BATCHPATH.on:
         return [None] * len(specs)
+    last: list = [(), None]
     with _obs.span("batch", cat="batch", cells=len(specs)):
-        out = [_cell_record(spec) for spec in specs]
+        out = [_cell_record(spec, last) for spec in specs]
     _BATCHED(len(out) - out.count(None))
     return out

@@ -402,6 +402,23 @@ def _route_walk(route: MuleRoute, node_code, node_index, loops: "list[_Loop]") -
     return _walk(nodes, cycle_start, _points(route, nodes), node_code, node_index)
 
 
+def lap_columns(columns, cycle_start: int, laps: int, closing: float) -> "list[np.ndarray]":
+    """A walk's per-node ``columns`` laid out like its legs, through one index.
+
+    Each column comes back as the walk, then ``laps`` copies of its cycle
+    part (from ``cycle_start``).  The first column holds the leg lengths,
+    whose cycle starts with ``closing`` at every lap: the cycle's first leg
+    starts from the walk's last node, not from the prefix node before it.
+    """
+    count = len(columns[0])
+    size = count - cycle_start
+    index = np.arange(count + laps * size)
+    index[count:].reshape(laps, size)[...] = index[cycle_start:count]
+    legs, *rest = (column[index] for column in columns)
+    legs[count::size] = closing
+    return [legs, *rest]
+
+
 def _drawn(route: StochasticRoute):
     """``route``'s own waypoint stream, drawn from a twin of its generator.
 
@@ -593,10 +610,8 @@ class LegPattern:
             self.laps = int(max(0.0, sim.config.horizon - prefix_time) / lap_advance) + 2
             if len(nodes) + self.laps * len(cycle) > max_events:
                 raise _Fallback
-            legs = self.tile(legs, cycle)
-            dwells = self.tile(dwells, cycle_dwells)
-            codes = self.tile(codes)
-            tidx = self.tile(tidx)
+            legs, dwells, codes, tidx = lap_columns(
+                (legs, dwells, codes, tidx), cycle_start, self.laps, cycle[0])
 
         self.codes = codes
         self.tidx = tidx
@@ -692,19 +707,6 @@ class LegPattern:
     def walk_of(route: MuleRoute) -> "tuple[list[str], int]":
         """The effective walk of loop route ``route`` as :func:`dedup_walk` returns it."""
         return dedup_walk(*route_pattern(route))
-
-    def tile(self, column, cycle=None):
-        """``column`` (one entry per walk node) laid out like the legs.
-
-        The walk, then ``laps`` copies of its cycle part — or of ``cycle``
-        when the repeated entries differ from the walk's (leg lengths do at
-        the cycle's first leg).  Lists stay lists; arrays stay arrays.
-        """
-        if cycle is None:
-            cycle = column[self.cycle_start:]
-        if isinstance(column, list):
-            return column + cycle * self.laps
-        return np.concatenate([column, np.tile(cycle, self.laps)])
 
     def chain(self) -> np.ndarray:
         """``full = [depart_0, arrive_0, depart_1, arrive_1, ...]``, one cumsum.

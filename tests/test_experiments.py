@@ -63,6 +63,24 @@ class TestRunStrategyHelper:
         run_strategy_on_scenario("b-tctp", sc, horizon=10_000)
         assert [m.position for m in sc.mules] == positions_before
 
+    def test_runs_the_scenario_it_is_given(self):
+        """A packet preloaded on a mule is delivered, as a direct run delivers it."""
+        from repro.baselines.base import get_strategy
+        from repro.network.datamodel import DataPacket
+        from repro.sim.engine import PatrolSimulator, SimulationConfig
+
+        sc = uniform_scenario(num_targets=8, num_mules=2, seed=3)
+        sc.mules[0].buffer.add(DataPacket(sc.targets[0].id, 0.0, 1.0, 1.0, 7.0))
+        packets = list(sc.mules[0].buffer.packets)
+        helper = run_strategy_on_scenario("b-tctp", sc, horizon=8_000)
+        plan = get_strategy("b-tctp").plan(sc)
+        direct = PatrolSimulator(sc, plan, SimulationConfig(horizon=8_000)).run()
+        event_loop = PatrolSimulator(
+            sc, plan, SimulationConfig(horizon=8_000, fast_path=False)).run()
+        assert helper.total_delivered_data() == pytest.approx(57_535.085, abs=1e-3)
+        assert helper == direct == event_loop
+        assert list(sc.mules[0].buffer.packets) == packets
+
 
 class TestFig7:
     @pytest.fixture(scope="class")

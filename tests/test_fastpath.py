@@ -23,7 +23,7 @@ from repro.energy.model import EnergyModel
 from repro.runner import Campaign, CampaignSpec, RunSpec
 from repro.scenarios import ScenarioSpec
 from repro.sim.engine import PatrolSimulator, SimulationConfig
-from repro.sim.fastpath import LegPattern, fast_path_rejection, run_fast_path
+from repro.sim.fastpath import LegPattern, fast_path_rejection, lap_columns, run_fast_path
 
 FAST = SimulationConfig(horizon=15_000.0, track_energy=False)
 SLOW = dataclasses.replace(FAST, fast_path=False)
@@ -165,6 +165,37 @@ class TestBatteryStop:
                 dists, codes = [pattern.init_dist] + dists, [0] + codes
             assert (stop and tuple(stop)) == replayed_stop(charge, capacity, energy,
                                                            dists, codes)
+
+
+def tiled_columns(columns, cycle_start, laps, closing):
+    """The row layout as four ``np.tile`` calls: the frozen reference for ``lap_columns``."""
+    legs, dwells, codes, tidx = columns
+    cycle = legs[cycle_start:].copy()
+    cycle[0] = closing
+    return [np.concatenate([column, np.tile(part, laps)]) for column, part in (
+        (legs, cycle), (dwells, dwells[cycle_start:]), (codes, codes[cycle_start:]),
+        (tidx, tidx[cycle_start:]))]
+
+
+class TestLapColumns:
+    def test_one_gather_matches_the_tiled_columns(self):
+        rng = np.random.default_rng(20261020)
+        # (walk size, cycle start, laps): no laps, a cycle from the walk's
+        # first node and from its last, then random walks.
+        cases = [(1, 0, 0), (1, 0, 3), (5, 0, 0), (5, 4, 0), (5, 0, 7), (5, 4, 7)]
+        for _ in range(400):
+            size = int(rng.integers(1, 30))
+            cases.append((size, int(rng.integers(0, size)), int(rng.integers(0, 60))))
+        for size, cycle_start, laps in cases:
+            columns = (rng.uniform(0.0, 40.0, size),
+                       rng.choice([0.0, 5.0], size),
+                       rng.integers(0, 4, size).astype(np.int8),
+                       rng.integers(-1, size, size).astype(np.int32))
+            closing = float(rng.uniform(0.0, 40.0))
+            got = lap_columns(columns, cycle_start, laps, closing)
+            want = tiled_columns(columns, cycle_start, laps, closing)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (size, cycle_start, laps)
 
 
 class ShuttleRoute(MuleRoute):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -307,6 +308,56 @@ class TestCampaignExpansion:
             reached["partial-param"] += "policy" in spec.base.params and len(strategies) > 1
         assert min(reached.values()) >= 3, reached
 
+    def test_cloned_replications_equal_the_replaced_cells(self):
+        """Each replication is a clone of its grid cell, equal to the replace-built one."""
+        from repro.store import run_fingerprint
+
+        rng = random.Random(20260815)
+        reached = dict.fromkeys(["random", "seed-axis", "scenario-axis", "metrics", "labels"], 0)
+        for index in range(40):
+            spec = drawn_campaign(rng, metrics=True)
+            got, want = spec.cells(), frozen_two_replace_cells(spec)
+            assert len(got) == len(want), index
+            for cell, ref in zip(got, want):
+                assert type(cell) is type(ref) and list(vars(cell)) == list(vars(ref)), index
+                assert cell == ref, index
+                assert json.dumps(cell.to_dict()) == json.dumps(ref.to_dict()), index
+                assert pickle.dumps(cell) == pickle.dumps(ref), index
+                assert pickle.loads(pickle.dumps(cell)) == ref, index
+                assert run_fingerprint(cell) == run_fingerprint(ref), index
+            # Every clone owns its labels and params dicts.
+            assert len({id(c.labels) for c in got}) == len(got)
+            assert len({id(c.params) for c in got}) == len(got)
+            reached["random"] += "random" in spec.grid["strategy"]
+            reached["seed-axis"] += "seed" in spec.grid
+            reached["scenario-axis"] += any(axis.startswith("scenario.") for axis in spec.grid)
+            reached["metrics"] += any(isinstance(m, tuple) for m in spec.base.metrics)
+            reached["labels"] += bool(spec.base.labels)
+        assert min(reached.values()) >= 3, reached
+
+    def test_clones_carry_no_memoised_fingerprint(self):
+        """A base spec fingerprinted before expansion lends its payload to no cell."""
+        from repro.store import run_fingerprint
+
+        base = quick_spec(strategy="random", labels={"study": "memo"})
+        run_fingerprint(base)  # memoises base's canonical payload on base
+        spec = CampaignSpec(base=base, replications=3)
+        fingerprints = [run_fingerprint(cell) for cell in spec.cells()]
+        assert fingerprints == [run_fingerprint(cell) for cell in frozen_two_replace_cells(spec)]
+        assert len(set(fingerprints)) == 3
+
+    def test_clones_keep_a_subclass(self):
+        spec = CampaignSpec(base=TaggedRunSpec(strategy="chb", scenario=QUICK_SCENARIO, seed=3),
+                            grid={"strategy": ["chb", "random"]}, replications=2)
+        cells, want = spec.cells(), frozen_two_replace_cells(spec)
+        assert [type(c) for c in cells] == [TaggedRunSpec] * 4
+        assert cells == want and [c.params for c in cells] == [c.params for c in want]
+
+
+@dataclasses.dataclass(frozen=True)
+class TaggedRunSpec(RunSpec):
+    """A RunSpec subclass: expansion must keep the class of its cells."""
+
 
 def frozen_two_replace_cells(spec: CampaignSpec) -> list:
     """``CampaignSpec.cells()`` as it expanded with two replaces per replication.
@@ -334,8 +385,12 @@ def frozen_two_replace_cells(spec: CampaignSpec) -> list:
     return cells
 
 
-def drawn_campaign(rng: random.Random) -> CampaignSpec:
-    """A seeded campaign spec over the axes and params expansion treats apart."""
+def drawn_campaign(rng: random.Random, *, metrics: bool = False) -> CampaignSpec:
+    """A seeded campaign spec over the axes and params expansion treats apart.
+
+    With ``metrics``, the base spec also draws custom metrics, one of them
+    with params (drawn last, so the other draws do not move).
+    """
     from repro.scenarios import ScenarioSpec
 
     pool = ["b-tctp", "w-tctp", "random", "chb", "staggered-chb", "sweep"]
@@ -370,8 +425,13 @@ def drawn_campaign(rng: random.Random) -> CampaignSpec:
         seed=rng.randrange(10_000),
         labels=labels,
     )
-    return CampaignSpec(base=base, grid=rng.choice([grid, dict(reversed(grid.items()))]),
+    spec = CampaignSpec(base=base, grid=rng.choice([grid, dict(reversed(grid.items()))]),
                         replications=rng.randint(1, 4), seed_stride=rng.choice([1, 1000]))
+    if metrics and rng.random() < 0.6:
+        drawn = rng.sample(["vip_sd", ("dcdt_series", {"num_points": 5}), "path_length"],
+                           rng.randint(1, 3))
+        spec = dataclasses.replace(spec, base=dataclasses.replace(base, metrics=tuple(drawn)))
+    return spec
 
 
 class TestExecuteRun:
